@@ -6,7 +6,7 @@ namespace troxy::apps {
 
 namespace {
 constexpr std::size_t kHeaderSize = 1 + 8 + 4 + 4;
-constexpr std::size_t kWriteAckSize = 10;
+constexpr std::size_t kWriteAckSize = 1 + 8 + 1;  // tag, version, pad
 }  // namespace
 
 EchoService::Parsed EchoService::parse(ByteView request) {
@@ -58,12 +58,11 @@ Bytes EchoService::execute(ByteView request) {
     if (p.multi) ++versions_[p.partner];
     const std::uint64_t version = ++versions_[p.key];
     Writer ack;
+    ack.reserve(kWriteAckSize);
     ack.u8(1);  // "written"
     ack.u64(version);
     ack.u8(0);
-    Bytes out = std::move(ack).take();
-    out.resize(kWriteAckSize, 0);
-    return out;
+    return std::move(ack).take();
 }
 
 Bytes EchoService::checkpoint() const {
@@ -96,12 +95,13 @@ sim::Duration EchoService::execution_cost(ByteView request) const {
 
 Bytes EchoService::make_read(std::uint64_t key, std::size_t request_size,
                              std::size_t reply_size) {
+    const std::size_t pad =
+        request_size > kHeaderSize ? request_size - kHeaderSize : 0;
     Writer w;
+    w.reserve(kHeaderSize + pad);
     w.u8(0);
     w.u64(key);
     w.u32(static_cast<std::uint32_t>(reply_size));
-    const std::size_t pad =
-        request_size > kHeaderSize ? request_size - kHeaderSize : 0;
     w.u32(static_cast<std::uint32_t>(pad));
     Bytes out = std::move(w).take();
     out.resize(out.size() + pad, 0);
@@ -109,12 +109,13 @@ Bytes EchoService::make_read(std::uint64_t key, std::size_t request_size,
 }
 
 Bytes EchoService::make_write(std::uint64_t key, std::size_t request_size) {
+    const std::size_t pad =
+        request_size > kHeaderSize ? request_size - kHeaderSize : 0;
     Writer w;
+    w.reserve(kHeaderSize + pad);
     w.u8(1);
     w.u64(key);
     w.u32(0);
-    const std::size_t pad =
-        request_size > kHeaderSize ? request_size - kHeaderSize : 0;
     w.u32(static_cast<std::uint32_t>(pad));
     Bytes out = std::move(w).take();
     out.resize(out.size() + pad, 0);
@@ -124,14 +125,15 @@ Bytes EchoService::make_write(std::uint64_t key, std::size_t request_size) {
 Bytes EchoService::make_multi_write(std::uint64_t key,
                                     std::uint64_t partner,
                                     std::size_t request_size) {
+    const std::size_t header = kHeaderSize + 8;
+    const std::size_t pad =
+        request_size > header ? request_size - header : 0;
     Writer w;
+    w.reserve(header + pad);
     w.u8(2);
     w.u64(key);
     w.u64(partner);
     w.u32(0);
-    const std::size_t header = kHeaderSize + 8;
-    const std::size_t pad =
-        request_size > header ? request_size - header : 0;
     w.u32(static_cast<std::uint32_t>(pad));
     Bytes out = std::move(w).take();
     out.resize(out.size() + pad, 0);

@@ -86,8 +86,7 @@ PhaseBody decode_phase(ByteView data) {
     PhaseBody body;
     body.view = r.u64();
     body.seq = r.u64();
-    const Bytes digest = r.raw(crypto::kSha256DigestSize);
-    std::copy(digest.begin(), digest.end(), body.digest.begin());
+    r.read_into(body.digest);
     body.replica = r.u32();
     r.expect_done();
     return body;

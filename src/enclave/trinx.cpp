@@ -1,6 +1,8 @@
 #include "enclave/trinx.hpp"
 
 #include <algorithm>
+#include <array>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -11,24 +13,25 @@ namespace troxy::enclave {
 TrinX::TrinX(std::uint32_t replica_id, Bytes group_key)
     : replica_id_(replica_id), group_key_(std::move(group_key)) {}
 
-Bytes TrinX::continuing_input(std::uint32_t replica_id, CounterId counter,
-                              CounterValue value, ByteView message) const {
-    Writer w;
+TrinX::ContinuingInput TrinX::continuing_input(
+    std::uint32_t replica_id, CounterId counter, CounterValue value,
+    const crypto::Sha256Digest& digest) {
+    FixedWriter<std::tuple_size_v<ContinuingInput>> w;
     w.u8(0x01);  // domain separation: continuing certificate
     w.u32(replica_id);
     w.u32(counter);
     w.u64(value);
-    w.raw(crypto::sha256(message));
-    return std::move(w).take();
+    w.raw(digest);
+    return w.take();
 }
 
-Bytes TrinX::independent_input(std::uint32_t replica_id,
-                               const crypto::Sha256Digest& digest) const {
-    Writer w;
+TrinX::IndependentInput TrinX::independent_input(
+    std::uint32_t replica_id, const crypto::Sha256Digest& digest) {
+    FixedWriter<std::tuple_size_v<IndependentInput>> w;
     w.u8(0x02);  // domain separation: independent certificate
     w.u32(replica_id);
     w.raw(digest);
-    return std::move(w).take();
+    return w.take();
 }
 
 TrinX::Certified TrinX::certify_continuing(CostedCrypto& crypto,
@@ -36,10 +39,9 @@ TrinX::Certified TrinX::certify_continuing(CostedCrypto& crypto,
                                            ByteView message) {
     const CounterValue value = ++counters_[counter];
     // The hash of the full message is charged; the HMAC runs over the
-    // short fixed-size input.
-    crypto.hash(message);
-    const Bytes input =
-        continuing_input(replica_id_, counter, value, message);
+    // short fixed-size input built from that digest.
+    const ContinuingInput input =
+        continuing_input(replica_id_, counter, value, crypto.hash(message));
     return Certified{value, crypto.mac(group_key_, input)};
 }
 
@@ -56,7 +58,7 @@ Certificate TrinX::certify_independent_digest(
 Certificate TrinX::certify_independent_batched(CostedCrypto& crypto,
                                                ByteView message,
                                                bool first_in_batch) const {
-    const Bytes input =
+    const IndependentInput input =
         independent_input(replica_id_, crypto.hash(message));
     return crypto.mac_batched(group_key_, input, first_in_batch);
 }
@@ -65,15 +67,15 @@ bool TrinX::verify_continuing(CostedCrypto& crypto, std::uint32_t replica_id,
                               CounterId counter, CounterValue value,
                               ByteView message,
                               const Certificate& cert) const {
-    crypto.hash(message);
-    const Bytes input = continuing_input(replica_id, counter, value, message);
+    const ContinuingInput input =
+        continuing_input(replica_id, counter, value, crypto.hash(message));
     return crypto.mac_verify(group_key_, input, cert);
 }
 
 bool TrinX::verify_independent(CostedCrypto& crypto, std::uint32_t replica_id,
                                ByteView message,
                                const Certificate& cert) const {
-    const Bytes input =
+    const IndependentInput input =
         independent_input(replica_id, crypto.hash(message));
     return crypto.mac_verify(group_key_, input, cert);
 }
@@ -83,7 +85,7 @@ bool TrinX::verify_independent_batched(CostedCrypto& crypto,
                                        ByteView message,
                                        const Certificate& cert,
                                        bool first_from_source) const {
-    const Bytes input =
+    const IndependentInput input =
         independent_input(replica_id, crypto.hash(message));
     return crypto.mac_verify_batched(group_key_, input, cert,
                                      first_from_source);
@@ -96,14 +98,18 @@ CounterValue TrinX::current(CounterId counter) const noexcept {
 
 namespace {
 
+using HandoverInput =
+    std::array<std::uint8_t, 1 + 4 + crypto::kSha256DigestSize>;
+
 /// MAC input for a handover record: its own domain tag so a handover can
 /// never double as a continuing/independent certificate input.
-Bytes handover_input(std::uint32_t replica_id, ByteView payload) {
-    Writer w;
+HandoverInput handover_input(std::uint32_t replica_id,
+                             const crypto::Sha256Digest& digest) {
+    FixedWriter<std::tuple_size_v<HandoverInput>> w;
     w.u8(0x03);  // domain separation: recovery handover
     w.u32(replica_id);
-    w.raw(crypto::sha256(payload));
-    return std::move(w).take();
+    w.raw(digest);
+    return w.take();
 }
 
 }  // namespace
@@ -116,9 +122,8 @@ Bytes TrinX::export_handover(CostedCrypto& crypto) const {
         payload.u64(value);
     }
     Bytes body = std::move(payload).take();
-    crypto.hash(body);
-    const Certificate cert =
-        crypto.mac(group_key_, handover_input(replica_id_, body));
+    const Certificate cert = crypto.mac(
+        group_key_, handover_input(replica_id_, crypto.hash(body)));
     Writer out;
     out.bytes(body);
     out.raw(cert);
@@ -128,14 +133,13 @@ Bytes TrinX::export_handover(CostedCrypto& crypto) const {
 bool TrinX::import_handover(CostedCrypto& crypto, ByteView blob) {
     try {
         Reader r(blob);
-        const Bytes body = r.bytes();
-        const Bytes raw_cert = r.raw(sizeof(Certificate));
-        r.expect_done();
+        const ByteView body = r.bytes_view();
         Certificate cert;
-        std::copy(raw_cert.begin(), raw_cert.end(), cert.begin());
-        crypto.hash(body);
+        r.read_into(cert);
+        r.expect_done();
         if (!crypto.mac_verify(group_key_,
-                               handover_input(replica_id_, body), cert)) {
+                               handover_input(replica_id_, crypto.hash(body)),
+                               cert)) {
             return false;
         }
         Reader p(body);

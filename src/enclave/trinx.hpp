@@ -12,6 +12,7 @@
 // identifier).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 
@@ -106,11 +107,18 @@ class TrinX {
     [[nodiscard]] bool import_handover(CostedCrypto& crypto, ByteView blob);
 
   private:
-    [[nodiscard]] Bytes continuing_input(std::uint32_t replica_id,
-                                         CounterId counter, CounterValue value,
-                                         ByteView message) const;
-    [[nodiscard]] Bytes independent_input(
-        std::uint32_t replica_id, const crypto::Sha256Digest& digest) const;
+    /// MAC inputs are fixed-layout records: a domain tag, the binding
+    /// fields and the message digest, built on the stack.
+    using ContinuingInput =
+        std::array<std::uint8_t, 1 + 4 + 4 + 8 + crypto::kSha256DigestSize>;
+    using IndependentInput =
+        std::array<std::uint8_t, 1 + 4 + crypto::kSha256DigestSize>;
+
+    [[nodiscard]] static ContinuingInput continuing_input(
+        std::uint32_t replica_id, CounterId counter, CounterValue value,
+        const crypto::Sha256Digest& digest);
+    [[nodiscard]] static IndependentInput independent_input(
+        std::uint32_t replica_id, const crypto::Sha256Digest& digest);
 
     std::uint32_t replica_id_;
     Bytes group_key_;

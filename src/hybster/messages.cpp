@@ -1,24 +1,29 @@
 #include "hybster/messages.hpp"
 
+#include <tuple>
+
+#include "common/assert.hpp"
+
 namespace troxy::hybster {
 
 namespace {
 
+constexpr std::size_t kTag = sizeof(Certificate);
+constexpr std::size_t kDigest = crypto::kSha256DigestSize;
+
 void put_tag(Writer& w, const Certificate& cert) { w.raw(cert); }
 
 Certificate get_tag(Reader& r) {
-    const Bytes raw = r.raw(sizeof(Certificate));
     Certificate cert;
-    std::copy(raw.begin(), raw.end(), cert.begin());
+    r.read_into(cert);
     return cert;
 }
 
 void put_digest(Writer& w, const crypto::Sha256Digest& d) { w.raw(d); }
 
 crypto::Sha256Digest get_digest(Reader& r) {
-    const Bytes raw = r.raw(crypto::kSha256DigestSize);
     crypto::Sha256Digest d;
-    std::copy(raw.begin(), raw.end(), d.begin());
+    r.read_into(d);
     return d;
 }
 
@@ -26,14 +31,24 @@ crypto::Sha256Digest get_digest(Reader& r) {
 
 // ---------------------------------------------------------------- Request
 
+ByteView Request::signed_view(Bytes& scratch) const {
+    return write_scratch(scratch, [this](Writer& w) {
+        w.reserve(17 + payload.size());
+        w.u32(id.client);
+        w.u64(id.number);
+        w.u8(flags);
+        w.bytes(payload);
+    });
+}
+
 Bytes Request::signed_view() const {
-    Writer w;
-    w.reserve(17 + payload.size());
-    w.u32(id.client);
-    w.u64(id.number);
-    w.u8(flags);
-    w.bytes(payload);
-    return std::move(w).take();
+    Bytes out;
+    (void)signed_view(out);
+    return out;
+}
+
+std::size_t Request::encoded_size() const noexcept {
+    return 18 + payload.size() + auth.size() * kTag;
 }
 
 void Request::encode(Writer& w) const {
@@ -64,8 +79,8 @@ const crypto::Sha256Digest& Request::digest() const {
 }
 
 const crypto::Sha256Digest& Request::digest_with(
-    enclave::CostedCrypto& crypto) const {
-    if (!digest_cache_) digest_cache_ = crypto.hash(signed_view());
+    enclave::CostedCrypto& crypto, Bytes& scratch) const {
+    if (!digest_cache_) digest_cache_ = crypto.hash(signed_view(scratch));
     return *digest_cache_;
 }
 
@@ -85,18 +100,26 @@ const crypto::Sha256Digest& Batch::digest() const {
 }
 
 const crypto::Sha256Digest& Batch::digest_with(
-    enclave::CostedCrypto& crypto) const {
+    enclave::CostedCrypto& crypto, Bytes& scratch) const {
     if (digest_cache_) return *digest_cache_;
-    for (const Request& request : requests) (void)request.digest_with(crypto);
+    for (const Request& request : requests) {
+        (void)request.digest_with(crypto, scratch);
+    }
     if (requests.size() == 1) {
         digest_cache_ = requests.front().digest();
         return *digest_cache_;
     }
-    Writer w;
-    w.reserve(requests.size() * crypto::kSha256DigestSize);
-    for (const Request& request : requests) w.raw(request.digest());
-    digest_cache_ = crypto.hash(w.data());
+    digest_cache_ = crypto.hash(write_scratch(scratch, [this](Writer& w) {
+        w.reserve(requests.size() * kDigest);
+        for (const Request& request : requests) w.raw(request.digest());
+    }));
     return *digest_cache_;
+}
+
+std::size_t Batch::encoded_size() const noexcept {
+    std::size_t size = 4;
+    for (const Request& request : requests) size += request.encoded_size();
+    return size;
 }
 
 void Batch::encode(Writer& w) const {
@@ -117,7 +140,7 @@ Batch Batch::decode(Reader& r) {
 
 // ---------------------------------------------------------------- Prepare
 
-Bytes Prepare::certified_view() const {
+AgreementView Prepare::certified_view() const {
     // The counter certifies the batch *digest*, not the serialized batch:
     // the digest binds every member, and certification cost stays constant
     // in the batch size. Callers charge the digest via digest_with() before
@@ -130,14 +153,17 @@ Bytes Prepare::certified_view() const {
     // digests of a k-member batch would share its combining hash. Binding
     // (count, digest) makes those certified views distinct, so a Byzantine
     // leader cannot equivocate between them under one counter value.
-    Writer w;
-    w.reserve(24 + crypto::kSha256DigestSize);
+    FixedWriter<std::tuple_size_v<AgreementView>> w;
     w.u64(view);
     w.u64(seq);
     w.u32(replica);
     w.u32(static_cast<std::uint32_t>(batch.size()));
-    put_digest(w, batch.digest());
-    return std::move(w).take();
+    w.raw(batch.digest());
+    return w.take();
+}
+
+std::size_t Prepare::encoded_size() const noexcept {
+    return 28 + batch.encoded_size() + kTag;
 }
 
 void Prepare::encode(Writer& w) const {
@@ -162,17 +188,20 @@ Prepare Prepare::decode(Reader& r) {
 
 // ----------------------------------------------------------------- Commit
 
-Bytes Commit::certified_view() const {
+AgreementView Commit::certified_view() const {
     // (batch_size, batch_digest) pins the batch structure — mirror of
     // Prepare::certified_view(), see the rationale there.
-    Writer w;
-    w.reserve(24 + crypto::kSha256DigestSize);
+    FixedWriter<std::tuple_size_v<AgreementView>> w;
     w.u64(view);
     w.u64(seq);
     w.u32(replica);
     w.u32(batch_size);
-    put_digest(w, batch_digest);
-    return std::move(w).take();
+    w.raw(batch_digest);
+    return w.take();
+}
+
+std::size_t Commit::encoded_size() const noexcept {
+    return 32 + kDigest + kTag;
 }
 
 void Commit::encode(Writer& w) const {
@@ -199,18 +228,28 @@ Commit Commit::decode(Reader& r) {
 
 // ------------------------------------------------------------------ Reply
 
+ByteView Reply::certified_view(Bytes& scratch) const {
+    return write_scratch(scratch, [this](Writer& w) {
+        w.reserve(encoded_size() - kTag);
+        w.u8(static_cast<std::uint8_t>(kind));
+        w.u64(view);
+        w.u64(seq);
+        w.u32(request_id.client);
+        w.u64(request_id.number);
+        put_digest(w, request_digest);
+        w.bytes(result);
+        w.u32(replica);
+    });
+}
+
 Bytes Reply::certified_view() const {
-    Writer w;
-    w.reserve(37 + crypto::kSha256DigestSize + result.size());
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.u64(view);
-    w.u64(seq);
-    w.u32(request_id.client);
-    w.u64(request_id.number);
-    put_digest(w, request_digest);
-    w.bytes(result);
-    w.u32(replica);
-    return std::move(w).take();
+    Bytes out;
+    (void)certified_view(out);
+    return out;
+}
+
+std::size_t Reply::encoded_size() const noexcept {
+    return 37 + kDigest + result.size() + kTag;
 }
 
 void Reply::encode(Writer& w) const {
@@ -244,12 +283,16 @@ Reply Reply::decode(Reader& r) {
 
 // ------------------------------------------------------------- Checkpoint
 
-Bytes CheckpointMsg::certified_view() const {
-    Writer w;
+CheckpointMsg::View CheckpointMsg::certified_view() const {
+    FixedWriter<std::tuple_size_v<View>> w;
     w.u64(seq);
-    put_digest(w, state_digest);
+    w.raw(state_digest);
     w.u32(replica);
-    return std::move(w).take();
+    return w.take();
+}
+
+std::size_t CheckpointMsg::encoded_size() const noexcept {
+    return 12 + kDigest + kTag;
 }
 
 void CheckpointMsg::encode(Writer& w) const {
@@ -278,6 +321,12 @@ Bytes ViewChange::certified_view() const {
     w.u32(static_cast<std::uint32_t>(prepared.size()));
     for (const Prepare& p : prepared) p.encode(w);
     return std::move(w).take();
+}
+
+std::size_t ViewChange::encoded_size() const noexcept {
+    std::size_t size = 24 + kTag;
+    for (const Prepare& p : prepared) size += p.encoded_size();
+    return size;
 }
 
 void ViewChange::encode(Writer& w) const {
@@ -316,6 +365,13 @@ Bytes NewView::certified_view() const {
     w.u32(static_cast<std::uint32_t>(reproposed.size()));
     for (const Prepare& p : reproposed) p.encode(w);
     return std::move(w).take();
+}
+
+std::size_t NewView::encoded_size() const noexcept {
+    std::size_t size = 28 + kTag;
+    for (const ViewChange& vc : proofs) size += vc.encoded_size();
+    for (const Prepare& p : reproposed) size += p.encoded_size();
+    return size;
 }
 
 void NewView::encode(Writer& w) const {
@@ -362,6 +418,10 @@ Bytes StateRequest::certified_view() const {
     return std::move(w).take();
 }
 
+std::size_t StateRequest::encoded_size() const noexcept {
+    return 16 + have_chunks.size() * kDigest + kTag;
+}
+
 void StateRequest::encode(Writer& w) const {
     w.reserve(16 + have_chunks.size() * crypto::kSha256DigestSize);
     w.u32(replica);
@@ -398,6 +458,13 @@ Bytes StateResponse::certified_view() const {
     return std::move(w).take();
 }
 
+std::size_t StateResponse::encoded_size() const noexcept {
+    std::size_t size = 37 + kDigest + manifest.size() * kDigest + kTag;
+    for (const Bytes& chunk : chunks) size += 8 + chunk.size();
+    for (const CheckpointMsg& vote : proof) size += vote.encoded_size();
+    return size;
+}
+
 void StateResponse::encode_head(Writer& w, std::size_t chunk_count) const {
     w.u32(replica);
     w.u64(view);
@@ -416,11 +483,6 @@ void StateResponse::encode_tail(Writer& w) const {
 }
 
 void StateResponse::encode(Writer& w) const {
-    std::size_t chunk_bytes = 0;
-    for (const Bytes& chunk : chunks) chunk_bytes += chunk.size();
-    w.reserve(73 + manifest.size() * crypto::kSha256DigestSize +
-              chunks.size() * 8 + chunk_bytes +
-              proof.size() * sizeof(CheckpointMsg));
     encode_head(w, chunks.size());
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         w.u32(chunk_index[i]);
@@ -462,60 +524,12 @@ StateResponse StateResponse::decode(Reader& r) {
 
 // -------------------------------------------------------------- top level
 
-namespace {
-
-template <typename T>
-MsgType type_of();
-
-template <>
-MsgType type_of<Request>() {
-    return MsgType::Request;
-}
-template <>
-MsgType type_of<Prepare>() {
-    return MsgType::Prepare;
-}
-template <>
-MsgType type_of<Commit>() {
-    return MsgType::Commit;
-}
-template <>
-MsgType type_of<Reply>() {
-    return MsgType::Reply;
-}
-template <>
-MsgType type_of<CheckpointMsg>() {
-    return MsgType::Checkpoint;
-}
-template <>
-MsgType type_of<ViewChange>() {
-    return MsgType::ViewChange;
-}
-template <>
-MsgType type_of<NewView>() {
-    return MsgType::NewView;
-}
-template <>
-MsgType type_of<StateRequest>() {
-    return MsgType::StateRequest;
-}
-template <>
-MsgType type_of<StateResponse>() {
-    return MsgType::StateResponse;
-}
-
-}  // namespace
-
 Bytes encode_message(const Message& message) {
-    Writer w;
-    std::visit(
-        [&w](const auto& msg) {
-            w.u8(static_cast<std::uint8_t>(
-                type_of<std::decay_t<decltype(msg)>>()));
-            msg.encode(w);
+    return std::visit(
+        [](const auto& msg) {
+            return detail::encode_sized(msg, std::nullopt, nullptr);
         },
         message);
-    return std::move(w).take();
 }
 
 std::optional<Message> decode_message(ByteView data) {

@@ -12,20 +12,30 @@
 // carry an *independent* certificate from the replica's trusted subsystem
 // (the Troxy in a Troxy deployment; §IV-A requires the voter to only
 // count replies authenticated by the sender's Troxy).
+//
+// Codec allocation rules (DESIGN.md §16): fixed-layout certified views
+// are std::arrays; variable views are written into a scratch buffer the
+// caller owns and reuses; encoders size their buffer once from
+// encoded_size(); and decoders read fixed fields straight into the
+// message.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "common/serialize.hpp"
 #include "crypto/sha256.hpp"
 #include "enclave/meter.hpp"
 #include "enclave/trinx.hpp"
 #include "hybster/config.hpp"
+#include "net/envelope.hpp"
+#include "sim/pool.hpp"
 
 namespace troxy::hybster {
 
@@ -68,6 +78,8 @@ struct RequestIdHash {
 };
 
 struct Request {
+    static constexpr MsgType kType = MsgType::Request;
+
     RequestId id;
     /// Bit 0: read-only; bit 1: client asks for optimistic (non-ordered)
     /// read execution — the PBFT-like baseline read optimization;
@@ -88,8 +100,12 @@ struct Request {
         return flags & kFlagOptimistic;
     }
 
-    /// Bytes covered by the certificate.
+    /// Bytes covered by the certificate, written into `scratch` (cleared
+    /// first, capacity reused); the returned view aliases `scratch`.
+    ByteView signed_view(Bytes& scratch) const;
+    /// Owning copy of the signed view, for cold paths.
     [[nodiscard]] Bytes signed_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static Request decode(Reader& r);
 
@@ -100,9 +116,10 @@ struct Request {
 
     /// Like digest(), but charges the hash cost to `crypto` — once: a
     /// cache hit costs nothing. All metered protocol paths use this so
-    /// each request is hashed (and billed) exactly once per replica.
+    /// each request is hashed (and billed) exactly once per replica. The
+    /// signed view is staged in the caller's `scratch`.
     [[nodiscard]] const crypto::Sha256Digest& digest_with(
-        enclave::CostedCrypto& crypto) const;
+        enclave::CostedCrypto& crypto, Bytes& scratch) const;
 
   private:
     mutable std::optional<crypto::Sha256Digest> digest_cache_;
@@ -130,10 +147,12 @@ struct Batch {
     [[nodiscard]] const crypto::Sha256Digest& digest() const;
 
     /// Charged variant: bills each member hash plus the combining hash to
-    /// `crypto` exactly once across all calls.
+    /// `crypto` exactly once across all calls; hash inputs are staged in
+    /// the caller's `scratch`.
     [[nodiscard]] const crypto::Sha256Digest& digest_with(
-        enclave::CostedCrypto& crypto) const;
+        enclave::CostedCrypto& crypto, Bytes& scratch) const;
 
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static Batch decode(Reader& r);
 
@@ -141,7 +160,13 @@ struct Batch {
     mutable std::optional<crypto::Sha256Digest> digest_cache_;
 };
 
+/// Certified view of a PREPARE or COMMIT: view ‖ seq ‖ replica ‖ batch
+/// member count ‖ batch digest.
+using AgreementView = std::array<std::uint8_t, 24 + crypto::kSha256DigestSize>;
+
 struct Prepare {
+    static constexpr MsgType kType = MsgType::Prepare;
+
     ViewNumber view = 0;
     SequenceNumber seq = 0;
     std::uint32_t replica = 0;  // the leader
@@ -149,12 +174,15 @@ struct Prepare {
     Batch batch;
     Certificate cert{};
 
-    [[nodiscard]] Bytes certified_view() const;
+    [[nodiscard]] AgreementView certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static Prepare decode(Reader& r);
 };
 
 struct Commit {
+    static constexpr MsgType kType = MsgType::Commit;
+
     ViewNumber view = 0;
     SequenceNumber seq = 0;
     std::uint32_t replica = 0;
@@ -167,12 +195,15 @@ struct Commit {
     crypto::Sha256Digest batch_digest{};
     Certificate cert{};
 
-    [[nodiscard]] Bytes certified_view() const;
+    [[nodiscard]] AgreementView certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static Commit decode(Reader& r);
 };
 
 struct Reply {
+    static constexpr MsgType kType = MsgType::Reply;
+
     enum class Kind : std::uint8_t { Ordered = 0, Optimistic = 1 };
 
     Kind kind = Kind::Ordered;
@@ -187,24 +218,36 @@ struct Reply {
     /// Independent certificate by the replica's trusted subsystem.
     Certificate cert{};
 
-    /// Bytes covered by the certificate (everything except the cert).
+    /// Bytes covered by the certificate (everything except the cert),
+    /// written into `scratch`; the returned view aliases `scratch`.
+    ByteView certified_view(Bytes& scratch) const;
+    /// Owning copy of the certified view, for cold paths.
     [[nodiscard]] Bytes certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static Reply decode(Reader& r);
 };
 
 struct CheckpointMsg {
+    static constexpr MsgType kType = MsgType::Checkpoint;
+
     SequenceNumber seq = 0;
     crypto::Sha256Digest state_digest{};
     std::uint32_t replica = 0;
     Certificate cert{};
 
-    [[nodiscard]] Bytes certified_view() const;
+    /// seq ‖ state digest ‖ replica.
+    using View = std::array<std::uint8_t, 12 + crypto::kSha256DigestSize>;
+
+    [[nodiscard]] View certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static CheckpointMsg decode(Reader& r);
 };
 
 struct ViewChange {
+    static constexpr MsgType kType = MsgType::ViewChange;
+
     ViewNumber new_view = 0;
     std::uint32_t replica = 0;
     SequenceNumber last_stable = 0;  // latest stable checkpoint
@@ -213,11 +256,14 @@ struct ViewChange {
     Certificate cert{};
 
     [[nodiscard]] Bytes certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static ViewChange decode(Reader& r);
 };
 
 struct NewView {
+    static constexpr MsgType kType = MsgType::NewView;
+
     ViewNumber view = 0;
     std::uint32_t replica = 0;  // the new leader
     SequenceNumber start_seq = 0;
@@ -228,6 +274,7 @@ struct NewView {
     Certificate cert{};
 
     [[nodiscard]] Bytes certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static NewView decode(Reader& r);
 };
@@ -240,12 +287,15 @@ struct NewView {
 /// or a partially completed transfer), so responders ship only what is
 /// missing — the Merkle-incremental transfer path.
 struct StateRequest {
+    static constexpr MsgType kType = MsgType::StateRequest;
+
     std::uint32_t replica = 0;       // the requester
     SequenceNumber have = 0;         // requester's latest stable checkpoint
     std::vector<crypto::Sha256Digest> have_chunks;
     Certificate cert{};
 
     [[nodiscard]] Bytes certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static StateRequest decode(Reader& r);
 };
@@ -266,6 +316,8 @@ struct StateRequest {
 /// the requester falls back to f+1 matching responses before adopting
 /// the view coordinates.
 struct StateResponse {
+    static constexpr MsgType kType = MsgType::StateResponse;
+
     std::uint32_t replica = 0;       // the responder
     ViewNumber view = 0;
     SequenceNumber view_start = 0;
@@ -283,6 +335,7 @@ struct StateResponse {
     /// — so a responder computes ONE certificate per transfer and reuses
     /// it across every message of the stream.
     [[nodiscard]] Bytes certified_view() const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     /// Zero-copy framing split: encode() is byte-identical to
     /// encode_head(w, chunks.size()) ‖ per chunk (u32 index ‖ u32 length
@@ -299,8 +352,36 @@ using Message = std::variant<Request, Prepare, Commit, Reply, CheckpointMsg,
                              ViewChange, NewView, StateRequest,
                              StateResponse>;
 
-/// Serializes a message with its type tag.
+namespace detail {
+/// Writes the optional envelope byte, T's type tag and the message into
+/// one buffer sized exactly once (a recycled one when `pool` is given).
+template <typename T>
+Bytes encode_sized(const T& message, std::optional<net::Channel> channel,
+                   sim::BufferPool* pool) {
+    const std::size_t size = (channel ? 2 : 1) + message.encoded_size();
+    Writer w(pool != nullptr ? pool->acquire_empty(size) : Bytes());
+    w.reserve(size);
+    if (channel) w.u8(static_cast<std::uint8_t>(*channel));
+    w.u8(static_cast<std::uint8_t>(T::kType));
+    message.encode(w);
+    TROXY_ASSERT(w.size() == size, "encoded_size() out of sync with encode()");
+    return std::move(w).take();
+}
+}  // namespace detail
+
+/// Serializes a message with its type tag into a buffer sized once.
 Bytes encode_message(const Message& message);
+
+/// Wire frame for one message of type T: the envelope channel byte
+/// followed by encode_message(Message(message)), written once into a
+/// buffer of exactly that size — a recycled wire buffer when `pool` is
+/// given. Takes the concrete message, so nothing is copied into a
+/// Message first.
+template <typename T>
+Bytes encode_frame(net::Channel channel, const T& message,
+                   sim::BufferPool* pool = nullptr) {
+    return detail::encode_sized(message, channel, pool);
+}
 
 /// Parses a message; nullopt on any malformed input.
 std::optional<Message> decode_message(ByteView data);

@@ -55,25 +55,32 @@ CounterValue Replica::expected_counter(SequenceNumber seq) const {
     return seq - view_start_ + 1;
 }
 
-void Replica::broadcast(net::Outbox& outbox, const Message& message) {
-    // Each destination gets its own frame (the Outbox consumes buffers),
-    // so every copy is drawn from the network's recycled wire buffers.
+template <typename T>
+void Replica::broadcast(net::Outbox& outbox, const T& message) {
+    // The message is encoded once, straight into a recycled wire buffer
+    // behind the envelope byte. Each destination needs its own frame (the
+    // Outbox consumes buffers): the others get pooled copies, the last
+    // peer in id order takes the encoded frame itself.
+    const auto n = static_cast<std::uint32_t>(config_.n());
+    if (n == 1) return;  // a lone replica has no peers
     sim::BufferPool& pool = outbox.fabric().network().pool();
-    const Bytes encoded = encode_message(message);
-    for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(config_.n());
-         ++r) {
+    Bytes frame = encode_frame(net::Channel::Hybster, message, &pool);
+    const std::uint32_t last = id_ == n - 1 ? n - 2 : n - 1;
+    for (std::uint32_t r = 0; r < last; ++r) {
         if (r == id_) continue;
-        outbox.send(config_.node_of(r),
-                    net::wrap_pooled(pool, net::Channel::Hybster, encoded));
+        Bytes copy = pool.acquire_empty(frame.size());
+        copy.assign(frame.begin(), frame.end());
+        outbox.send(config_.node_of(r), std::move(copy));
     }
+    outbox.send(config_.node_of(last), std::move(frame));
 }
 
+template <typename T>
 void Replica::send_to(net::Outbox& outbox, std::uint32_t replica,
-                      const Message& message) {
+                      const T& message) {
     sim::BufferPool& pool = outbox.fabric().network().pool();
     outbox.send(config_.node_of(replica),
-                net::wrap_pooled(pool, net::Channel::Hybster,
-                                 encode_message(message)));
+                encode_frame(net::Channel::Hybster, message, &pool));
 }
 
 void Replica::on_message(sim::NodeId from, ByteView payload) {
@@ -202,7 +209,7 @@ void Replica::execute_optimistic_read(const Request& request) {
         reply.view = view_;
         reply.seq = last_executed_;
         reply.request_id = request.id;
-        reply.request_digest = request.digest_with(exec_crypto);
+        reply.request_digest = request.digest_with(exec_crypto, scratch_);
         reply.result = std::move(result);
         reply.replica = id_;
 
@@ -240,7 +247,7 @@ void Replica::handle_request(enclave::CostedCrypto& crypto,
     if (!is_leader()) {
         // Follower: forward to the leader (Fig. 5c) and watch progress.
         forwarded_.emplace(request.id, request);
-        send_to(outbox, config_.leader_of(view_), Message(request));
+        send_to(outbox, config_.leader_of(view_), request);
         arm_progress_timer();
         return;
     }
@@ -320,7 +327,7 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     }
     // Member digests and the batch digest are computed (and charged) once
     // here; followers and the execution path reuse the cached values.
-    (void)prepare.batch.digest_with(crypto);
+    (void)prepare.batch.digest_with(crypto, scratch_);
 
     const auto certified = trinx_->certify_continuing(
         crypto, prepare_counter_id(), prepare.certified_view());
@@ -333,7 +340,7 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     entry.prepare = std::move(prepare);
 
     if (!faults_.mute_agreement) {
-        broadcast(outbox, Message(*entry.prepare));
+        broadcast(outbox, *entry.prepare);
     }
     arm_progress_timer();
     try_execute(crypto, outbox);
@@ -385,7 +392,7 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
     // check, the COMMIT below and the execution path all reuse the
     // memoized values.
     const crypto::Sha256Digest batch_digest =
-        prepare.batch.digest_with(crypto);
+        prepare.batch.digest_with(crypto, scratch_);
     if (!trinx_->verify_continuing(crypto, prepare.replica,
                                    prepare_counter_id(),
                                    prepare.counter_value,
@@ -424,7 +431,7 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
 
     entry.commits[id_] = commit;
     if (!faults_.mute_agreement) {
-        broadcast(outbox, Message(commit));
+        broadcast(outbox, commit);
     }
     arm_progress_timer();
     try_execute(crypto, outbox);
@@ -535,7 +542,7 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
         reply.view = view_;
         reply.seq = seq;
         reply.request_id = request.id;
-        reply.request_digest = request.digest_with(crypto);
+        reply.request_digest = request.digest_with(crypto, scratch_);
         reply.result = std::move(result);
         reply.replica = id_;
 
@@ -602,7 +609,7 @@ void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
     auto& votes = checkpoint_votes_[seq][digest_key];
     votes.emplace(id_, cp);
 
-    broadcast(outbox, Message(cp));
+    broadcast(outbox, cp);
 
     // f+1 votes might already be present (we could be last to checkpoint).
     if (static_cast<int>(votes.size()) >= config_.quorum()) {
@@ -736,7 +743,7 @@ void Replica::start_view_change(ViewNumber new_view) {
     vc.cert = trinx_->certify_independent(crypto, vc.certified_view());
 
     view_changes_rx_[new_view][id_] = vc;
-    broadcast(outbox, Message(vc));
+    broadcast(outbox, vc);
     maybe_assemble_new_view(crypto, outbox, new_view);
     outbox.flush(meter);
     // Keep a timer running: if this view change stalls (lost messages,
@@ -823,7 +830,7 @@ void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
             noop.flags = kFlagNoop;  // fill the counter gap
             fresh.batch.requests.push_back(std::move(noop));
         }
-        (void)fresh.batch.digest_with(crypto);
+        (void)fresh.batch.digest_with(crypto, scratch_);
         const auto certified = trinx_->certify_continuing(
             crypto, prepare_counter_id(), fresh.certified_view());
         fresh.counter_value = certified.value;
@@ -841,7 +848,7 @@ void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
     rebuild_in_flight();  // the log was replaced wholesale above
 
     nv.cert = trinx_->certify_independent(crypto, nv.certified_view());
-    broadcast(outbox, Message(nv));
+    broadcast(outbox, nv);
     try_execute(crypto, outbox);
     reissue_forwarded(crypto, outbox);
     // The view can start above what we executed when the quorum stabilized
@@ -874,7 +881,7 @@ void Replica::reissue_forwarded(enclave::CostedCrypto& crypto,
         if (is_leader()) {
             enqueue_for_batch(crypto, outbox, request);
         } else {
-            send_to(outbox, config_.leader_of(view_), Message(request));
+            send_to(outbox, config_.leader_of(view_), request);
         }
     }
 }
@@ -1005,7 +1012,7 @@ void Replica::request_state_transfer(enclave::CostedCrypto& crypto,
     }
     request.cert =
         trinx_->certify_independent(crypto, request.certified_view());
-    broadcast(outbox, Message(request));
+    broadcast(outbox, request);
 }
 
 void Replica::begin_state_transfer(enclave::CostedCrypto& crypto,
@@ -1063,7 +1070,7 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
         base.root = merkle_root(crypto, {});
         base.cert =
             trinx_->certify_independent(crypto, base.certified_view());
-        send_to(outbox, request.replica, Message(base));
+        send_to(outbox, request.replica, base);
         return;
     }
 
@@ -1104,7 +1111,7 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
     if (to_send.empty()) {
         // The requester already holds every chunk; the manifest + proof
         // alone let it assemble and adopt.
-        send_to(outbox, request.replica, Message(base));
+        send_to(outbox, request.replica, base);
         return;
     }
     for (std::size_t start = 0; start < to_send.size();
@@ -1124,7 +1131,7 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
             state_stats_.bytes_sent += chunked.chunks[idx]->size();
             ++state_stats_.chunks_sent;
         }
-        send_to(outbox, request.replica, Message(msg));
+        send_to(outbox, request.replica, msg);
     }
 }
 

@@ -308,9 +308,13 @@ class Replica {
                            /*record_cost=*/0, config_.wire_zero_copy,
                            &config_.transport);
     }
-    void broadcast(net::Outbox& outbox, const Message& message);
+    /// Encode the concrete message (Prepare, Commit, ...) straight into
+    /// pooled wire frames.
+    template <typename T>
+    void broadcast(net::Outbox& outbox, const T& message);
+    template <typename T>
     void send_to(net::Outbox& outbox, std::uint32_t replica,
-                 const Message& message);
+                 const T& message);
     [[nodiscard]] CounterValue expected_counter(SequenceNumber seq) const;
     [[nodiscard]] enclave::CounterId prepare_counter_id() const;
     [[nodiscard]] enclave::CounterId commit_counter_id() const;
@@ -324,6 +328,9 @@ class Replica {
     const sim::CostProfile& profile_;
     Hooks hooks_;
     FaultProfile faults_;
+    /// Staging buffer for variable hash inputs (request signed views,
+    /// batch digest concatenations); reused across messages.
+    Bytes scratch_;
 
     ViewNumber view_ = 0;
     SequenceNumber view_start_ = 1;  // first sequence number of this view

@@ -15,7 +15,6 @@
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "common/serialize.hpp"
-#include "sim/pool.hpp"
 
 namespace troxy::net {
 
@@ -74,16 +73,6 @@ inline std::optional<std::pair<Channel, ByteView>> unwrap_view(
             return std::nullopt;
     }
     return std::make_pair(channel, message.subspan(1));
-}
-
-/// wrap() into a pool-recycled buffer: the envelope frame reuses a retired
-/// wire buffer of the right size class instead of allocating a fresh one.
-inline Bytes wrap_pooled(sim::BufferPool& pool, Channel channel,
-                         ByteView payload) {
-    Bytes frame = pool.acquire_empty(1 + payload.size());
-    frame.push_back(static_cast<std::uint8_t>(channel));
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    return frame;
 }
 
 /// Coalesces several already-wrapped messages into one Bundle frame:

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "net/fabric.hpp"
 #include "net/fragment.hpp"
 #include "sim/cost.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/node.hpp"
 
 namespace troxy::net {
@@ -50,10 +52,10 @@ class Outbox {
 
     /// Queues `message` for `to`; transmitted at flush time.
     void send(sim::NodeId to, Bytes message) {
-        Pending p;
-        p.to = to;
-        p.message = std::move(message);
-        pending_.push_back(std::move(p));
+        Queued q;
+        q.to = to;
+        q.frame = std::move(message);
+        enqueue(std::move(q));
     }
 
     /// Queues an already-chained frame (e.g. a zero-copy state-transfer
@@ -62,17 +64,21 @@ class Outbox {
     /// Bundle splices the chain's fragments in, keeping the materialized
     /// bytes identical to what send() of the flattened frame would ship.
     void send_chain(sim::NodeId to, sim::FragmentChain chain) {
-        Pending p;
-        p.to = to;
-        p.chain = std::move(chain);
-        p.chained = true;
-        pending_.push_back(std::move(p));
+        Queued q;
+        q.to = to;
+        q.chain = std::move(chain);
+        q.chained = true;
+        enqueue(std::move(q));
     }
 
     /// Queues a callback to run at flush time (local effects that must
     /// wait for the processing delay, e.g. completing a client reply).
-    void defer(std::function<void()> fn) {
-        deferred_.push_back(std::move(fn));
+    /// Callbacks run after every queued frame has gone out, in the order
+    /// they were deferred.
+    void defer(sim::EventFn fn) {
+        Queued q;
+        q.local = std::move(fn);
+        enqueue(std::move(q));
     }
 
     /// Schedules all queued sends and callbacks after `meter`'s
@@ -80,149 +86,155 @@ class Outbox {
     /// completion (used for enclave-thread serialization) without
     /// charging CPU for the wait.
     void flush(enclave::CostMeter& meter, sim::SimTime not_before = 0) {
-        if (pending_.empty() && deferred_.empty()) {
+        if (queue_.empty()) {
             node_.charge(meter.take());
             return;
         }
-        auto callbacks = std::move(deferred_);
-        deferred_.clear();
-        std::vector<OutFrame> frames = collect_frames(meter);
-        const sim::NodeId from = node_.id();
+        std::vector<Queued> queue = collect_frames(meter);
         // NB: the Outbox itself is usually stack-allocated and gone by the
         // time this event fires — capture the long-lived Fabric, not this.
         // exec_ordered keeps the node's wire order equal to its message
         // processing order (single egress path), which the protocol's
         // trusted-counter continuity and the secure channel's stream
         // semantics both rely on.
-        Fabric* fabric = &fabric_;
-        node_.exec_ordered(
-            meter.take(),
-            [fabric, from, frames = std::move(frames),
-             callbacks = std::move(callbacks)]() mutable {
-                for (OutFrame& f : frames) {
-                    if (f.chained) {
-                        fabric->send_chain(from, f.to, std::move(f.chain));
-                    } else {
-                        fabric->send(from, f.to, std::move(f.frame));
-                    }
+        auto deliver = [fabric = &fabric_, from = node_.id(),
+                        queue = std::move(queue)]() mutable {
+            for (Queued& q : queue) {
+                if (q.local) continue;
+                if (q.chained) {
+                    fabric->send_chain(from, q.to, std::move(q.chain));
+                } else {
+                    fabric->send(from, q.to, std::move(q.frame));
                 }
-                for (auto& fn : callbacks) fn();
-            },
-            not_before);
+            }
+            for (Queued& q : queue) {
+                if (q.local) q.local();
+            }
+        };
+        static_assert(sizeof(deliver) <= sim::EventFn::kInlineSize &&
+                          std::is_nothrow_move_constructible_v<
+                              decltype(deliver)>,
+                      "an Outbox flush must schedule an inline event");
+        node_.exec_ordered(meter.take(), std::move(deliver), not_before);
     }
 
     [[nodiscard]] sim::Node& node() noexcept { return node_; }
     [[nodiscard]] Fabric& fabric() noexcept { return fabric_; }
 
   private:
-    /// One wire frame ready to emit: either a contiguous buffer or a
-    /// fragment chain (`chained` selects).
-    struct OutFrame {
+    /// One queued item, in queue order: a wire frame for `to` — a
+    /// contiguous buffer, or a fragment chain when `chained` — or, when
+    /// `local` is set, a deferred callback instead of a frame. Frames and
+    /// callbacks share one queue so the flush event captures a single
+    /// vector and fits EventFn's inline storage.
+    struct Queued {
         sim::NodeId to = 0;
+        bool chained = false;
         Bytes frame;
         sim::FragmentChain chain;
-        bool chained = false;
-    };
-
-    /// One queued send: a flat wrapped message or a pre-built chain.
-    struct Pending {
-        sim::NodeId to = 0;
-        Bytes message;
-        sim::FragmentChain chain;
-        bool chained = false;
+        sim::EventFn local;
 
         [[nodiscard]] std::size_t size() const noexcept {
-            return chained ? chain.size() : message.size();
+            return chained ? chain.size() : frame.size();
         }
     };
+
+    /// Every flush hands its queue to the event, so a handler pays for
+    /// one queue buffer anyway; sizing it for a typical burst (a
+    /// broadcast plus a reply) on first use skips the 1 -> 2 -> 4 regrowth.
+    static constexpr std::size_t kTypicalBurst = 4;
+
+    void enqueue(Queued&& q) {
+        if (queue_.capacity() == 0) queue_.reserve(kTypicalBurst);
+        queue_.push_back(std::move(q));
+    }
 
     /// Turns the queue into wire frames, grouping consecutive-by-
     /// destination messages into Bundle frames when coalescing. Order
     /// within a destination is preserved (stable grouping); a destination
-    /// with a single message keeps its original frame. Charges `meter`
-    /// the per-record cost for each emitted Bundle and, when a transport
-    /// profile is set, the per-frame send cost.
-    std::vector<OutFrame> collect_frames(enclave::CostMeter& meter) {
-        auto sends = std::move(pending_);
-        pending_.clear();
-        std::vector<OutFrame> frames;
-        if (!coalesce_) {
-            frames.reserve(sends.size());
-            for (Pending& p : sends) {
-                OutFrame f;
-                f.to = p.to;
-                f.chained = p.chained;
-                f.frame = std::move(p.message);
-                f.chain = std::move(p.chain);
-                frames.push_back(std::move(f));
-            }
-        } else {
-            std::map<sim::NodeId, std::vector<Pending>> groups;
-            std::vector<sim::NodeId> order;
-            for (Pending& p : sends) {
-                auto [it, inserted] = groups.try_emplace(p.to);
-                if (inserted) order.push_back(p.to);
-                it->second.push_back(std::move(p));
-            }
-            frames.reserve(order.size());
-            for (const sim::NodeId to : order) {
-                auto& burst = groups[to];
-                OutFrame f;
-                f.to = to;
-                if (burst.size() == 1) {
-                    // Batch-1: the original frame travels unchanged.
-                    f.chained = burst.front().chained;
-                    f.frame = std::move(burst.front().message);
-                    f.chain = std::move(burst.front().chain);
-                } else if (zero_copy_) {
-                    // Mixed Bundle chain: flat messages are referenced as
-                    // Owned payloads, already-chained messages splice
-                    // their fragments in under the same length prefix —
-                    // materialized bytes match make_bundle() of the
-                    // flattened burst exactly.
-                    f.chain = fabric_.network().acquire_chain();
-                    append_bundle_head(f.chain, burst.size());
-                    for (Pending& p : burst) {
-                        append_bundle_prefix(f.chain, p.size());
-                        if (p.chained) {
-                            f.chain.splice(std::move(p.chain));
-                            fabric_.network().recycle_chain(
-                                std::move(p.chain));
-                        } else {
-                            f.chain.append_owned(std::move(p.message));
-                        }
-                    }
-                    f.chained = true;
-                } else {
-                    sim::BufferPool& pool = fabric_.network().pool();
-                    std::vector<Bytes> flat;
-                    flat.reserve(burst.size());
-                    for (Pending& p : burst) {
-                        if (p.chained) {
-                            flat.push_back(p.chain.materialize(&pool));
-                            p.chain.recycle(pool);
-                            fabric_.network().recycle_chain(
-                                std::move(p.chain));
-                        } else {
-                            flat.push_back(std::move(p.message));
-                        }
-                    }
-                    f.frame = make_bundle(flat);
-                }
-                frames.push_back(std::move(f));
-            }
-        }
+    /// with a single message keeps its original frame. Deferred callbacks
+    /// keep their relative order. Without coalescing the queue itself is
+    /// returned. Charges `meter` the per-record cost for each emitted
+    /// frame and, when a transport profile is set, the per-frame send
+    /// cost.
+    std::vector<Queued> collect_frames(enclave::CostMeter& meter) {
+        std::vector<Queued> frames = std::move(queue_);
+        queue_.clear();
+        if (coalesce_) frames = coalesce(std::move(frames));
         // One per-record charge per emitted wire record: a coalesced
         // burst costs one record, and a singleton group costs exactly
         // what the same message costs uncoalesced — no Bundle surcharge.
-        meter.add(record_cost_ *
-                  static_cast<sim::Duration>(frames.size()));
-        if (transport_ != nullptr) {
-            for (const OutFrame& f : frames) {
-                meter.add(transport_->tx(
-                    f.chained ? f.chain.copied_bytes() : f.frame.size()));
+        for (const Queued& f : frames) {
+            if (f.local) continue;
+            meter.add(record_cost_);
+            if (transport_ != nullptr) {
+                meter.add(transport_->tx(f.chained ? f.chain.copied_bytes()
+                                                   : f.frame.size()));
             }
         }
+        return frames;
+    }
+
+    std::vector<Queued> coalesce(std::vector<Queued> sends) {
+        std::map<sim::NodeId, std::vector<Queued>> groups;
+        std::vector<sim::NodeId> order;
+        std::vector<Queued> locals;
+        for (Queued& q : sends) {
+            if (q.local) {
+                locals.push_back(std::move(q));
+                continue;
+            }
+            auto [it, inserted] = groups.try_emplace(q.to);
+            if (inserted) order.push_back(q.to);
+            it->second.push_back(std::move(q));
+        }
+        std::vector<Queued> frames;
+        frames.reserve(order.size() + locals.size());
+        for (const sim::NodeId to : order) {
+            auto& burst = groups[to];
+            if (burst.size() == 1) {
+                // Batch-1: the original frame travels unchanged.
+                frames.push_back(std::move(burst.front()));
+                continue;
+            }
+            Queued f;
+            f.to = to;
+            if (zero_copy_) {
+                // Mixed Bundle chain: flat messages are referenced as
+                // Owned payloads, already-chained messages splice their
+                // fragments in under the same length prefix —
+                // materialized bytes match make_bundle() of the flattened
+                // burst exactly.
+                f.chain = fabric_.network().acquire_chain();
+                append_bundle_head(f.chain, burst.size());
+                for (Queued& p : burst) {
+                    append_bundle_prefix(f.chain, p.size());
+                    if (p.chained) {
+                        f.chain.splice(std::move(p.chain));
+                        fabric_.network().recycle_chain(std::move(p.chain));
+                    } else {
+                        f.chain.append_owned(std::move(p.frame));
+                    }
+                }
+                f.chained = true;
+            } else {
+                sim::BufferPool& pool = fabric_.network().pool();
+                std::vector<Bytes> flat;
+                flat.reserve(burst.size());
+                for (Queued& p : burst) {
+                    if (p.chained) {
+                        flat.push_back(p.chain.materialize(&pool));
+                        p.chain.recycle(pool);
+                        fabric_.network().recycle_chain(std::move(p.chain));
+                    } else {
+                        flat.push_back(std::move(p.frame));
+                    }
+                }
+                f.frame = make_bundle(flat);
+            }
+            frames.push_back(std::move(f));
+        }
+        for (Queued& q : locals) frames.push_back(std::move(q));
         return frames;
     }
 
@@ -232,8 +244,7 @@ class Outbox {
     bool zero_copy_ = false;
     sim::Duration record_cost_ = 0;
     const sim::TransportProfile* transport_ = nullptr;
-    std::vector<Pending> pending_;
-    std::vector<std::function<void()>> deferred_;
+    std::vector<Queued> queue_;
 };
 
 }  // namespace troxy::net

@@ -64,9 +64,7 @@ void RecordProtection::protect_many_into(
                  "record burst must hold 1..65535 messages");
     const std::uint64_t seq = send_seq_++;
     std::uint8_t aad[8];
-    for (int i = 0; i < 8; ++i) {
-        aad[i] = static_cast<std::uint8_t>(seq >> (8 * i));
-    }
+    store_le(aad, seq, 8);
     const crypto::ChaChaNonce nonce = crypto::make_record_nonce(iv_, seq);
 
     // The burst is framed *inside* the sealed plaintext (count ‖
@@ -92,7 +90,7 @@ std::vector<Bytes> RecordProtection::unprotect(ByteView record) {
     try {
         Reader r(record);
         const std::uint64_t seq = r.u64();
-        const Bytes sealed = r.bytes();
+        const ByteView sealed = r.bytes_view();
         r.expect_done();
 
         // Replay and window checks: a sequence number is accepted at most
@@ -102,10 +100,11 @@ std::vector<Bytes> RecordProtection::unprotect(ByteView record) {
         if (seq >= next_deliver_ + kReceiveWindow) return deliverable;
         if (received_.contains(seq)) return deliverable;            // replay
 
-        Writer aad;
-        aad.u64(seq);
+        std::uint8_t aad[8];
+        store_le(aad, seq, 8);
         const crypto::ChaChaNonce nonce = crypto::make_record_nonce(iv_, seq);
-        auto plaintext = crypto::aead_open(key_, nonce, aad.data(), sealed);
+        auto plaintext =
+            crypto::aead_open(key_, nonce, ByteView(aad, sizeof aad), sealed);
         if (!plaintext) return deliverable;  // tampered
 
         Reader inner(*plaintext);
@@ -117,6 +116,14 @@ std::vector<Bytes> RecordProtection::unprotect(ByteView record) {
             messages.push_back(inner.bytes());
         }
         inner.expect_done();
+
+        // In-order fast path: the next expected record with nothing
+        // buffered behind it is delivered directly, without a round trip
+        // through the replay set and the reorder map.
+        if (seq == next_deliver_ && reorder_buffer_.empty()) {
+            ++next_deliver_;
+            return messages;
+        }
 
         received_.insert(seq);
         reorder_buffer_.emplace(seq, std::move(messages));

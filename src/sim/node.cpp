@@ -21,12 +21,12 @@ SimTime Node::reserve_core(Duration cost) noexcept {
     return done;
 }
 
-void Node::exec(Duration cost, std::function<void()> fn) {
+void Node::exec(Duration cost, EventFn fn) {
     const SimTime done = reserve_core(cost);
     sim_.at(done, std::move(fn));
 }
 
-void Node::exec_ordered(Duration cost, std::function<void()> fn,
+void Node::exec_ordered(Duration cost, EventFn fn,
                         SimTime not_before) {
     SimTime done = reserve_core(cost);
     done = std::max({done, last_ordered_completion_, not_before});

@@ -9,10 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "sim/event_fn.hpp"
 #include "sim/simulator.hpp"
 
 namespace troxy::sim {
@@ -32,7 +32,7 @@ class Node {
     /// Schedules `fn` after `cost` nanoseconds of CPU work on the
     /// earliest-available core. Zero-cost work still round-trips through
     /// the event queue to preserve ordering.
-    void exec(Duration cost, std::function<void()> fn);
+    void exec(Duration cost, EventFn fn);
 
     /// Like exec(), but completions are additionally forced into call
     /// order: a later exec_ordered() never finishes before an earlier
@@ -42,7 +42,7 @@ class Node {
     /// can never overtake each other on the wire. `not_before` adds an
     /// external completion floor (e.g. an enclave-thread slot) without
     /// charging CPU for the wait.
-    void exec_ordered(Duration cost, std::function<void()> fn,
+    void exec_ordered(Duration cost, EventFn fn,
                       SimTime not_before = 0);
 
     /// Charges CPU time without a continuation (bookkeeping work whose

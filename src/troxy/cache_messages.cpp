@@ -1,5 +1,9 @@
 #include "troxy/cache_messages.hpp"
 
+#include <tuple>
+
+#include "net/envelope.hpp"
+
 namespace troxy::troxy_core {
 
 namespace {
@@ -7,34 +11,30 @@ namespace {
 void put_digest(Writer& w, const crypto::Sha256Digest& d) { w.raw(d); }
 
 crypto::Sha256Digest get_digest(Reader& r) {
-    const Bytes raw = r.raw(crypto::kSha256DigestSize);
     crypto::Sha256Digest d;
-    std::copy(raw.begin(), raw.end(), d.begin());
+    r.read_into(d);
     return d;
 }
 
 enclave::Certificate get_cert(Reader& r) {
-    const Bytes raw = r.raw(sizeof(enclave::Certificate));
     enclave::Certificate cert;
-    std::copy(raw.begin(), raw.end(), cert.begin());
+    r.read_into(cert);
     return cert;
 }
 
 }  // namespace
 
-Bytes CacheQuery::certified_view() const {
-    Writer w;
-    w.reserve(4 + 8 + 4 + state_key.size() + crypto::kSha256DigestSize);
-    w.u32(requester);
-    w.u64(query_id);
-    w.str(state_key);
-    put_digest(w, request_digest);
-    return std::move(w).take();
+ByteView CacheQuery::certified_view(Bytes& scratch) const {
+    return write_scratch(scratch, [this](Writer& w) {
+        w.reserve(wire_size() - sizeof(enclave::Certificate));
+        w.u32(requester);
+        w.u64(query_id);
+        w.str(state_key);
+        put_digest(w, request_digest);
+    });
 }
 
 void CacheQuery::encode(Writer& w) const {
-    w.reserve(4 + 8 + 4 + state_key.size() + crypto::kSha256DigestSize +
-              sizeof(enclave::Certificate));
     w.u32(requester);
     w.u64(query_id);
     w.str(state_key);
@@ -52,21 +52,18 @@ CacheQuery CacheQuery::decode(Reader& r) {
     return q;
 }
 
-Bytes CacheResponse::certified_view() const {
-    Writer w;
-    w.reserve(4 + 4 + 8 + 1 + 2 * crypto::kSha256DigestSize);
+CacheResponse::View CacheResponse::certified_view() const {
+    FixedWriter<std::tuple_size_v<View>> w;
     w.u32(responder);
     w.u32(responder_replica);
     w.u64(query_id);
     w.u8(has_entry ? 1 : 0);
-    put_digest(w, request_digest);
-    put_digest(w, result_digest);
-    return std::move(w).take();
+    w.raw(request_digest);
+    w.raw(result_digest);
+    return w.take();
 }
 
 void CacheResponse::encode(Writer& w) const {
-    w.reserve(4 + 4 + 8 + 1 + 2 * crypto::kSha256DigestSize +
-              sizeof(enclave::Certificate));
     w.u32(responder);
     w.u32(responder_replica);
     w.u64(query_id);
@@ -104,7 +101,6 @@ CacheQueryBatch CacheQueryBatch::decode(Reader& r) {
 }
 
 void CacheResponseBatch::encode(Writer& w) const {
-    w.reserve(2 + responses.size() * CacheResponse::wire_size());
     w.u16(static_cast<std::uint16_t>(responses.size()));
     for (const CacheResponse& resp : responses) resp.encode(w);
 }
@@ -119,8 +115,26 @@ CacheResponseBatch CacheResponseBatch::decode(Reader& r) {
     return batch;
 }
 
-Bytes encode_cache_message(const CacheMessage& message) {
-    Writer w;
+namespace {
+
+/// Exact encoded size of a cache message: the tag plus the body.
+std::size_t cache_message_size(const CacheMessage& message) {
+    std::size_t size = 1;
+    if (const auto* queries = std::get_if<CacheQueryBatch>(&message)) {
+        size += 2;
+        for (const CacheQuery& q : queries->queries) size += q.wire_size();
+    } else if (const auto* responses =
+                   std::get_if<CacheResponseBatch>(&message)) {
+        size += 2 + responses->responses.size() * CacheResponse::wire_size();
+    } else if (const auto* query = std::get_if<CacheQuery>(&message)) {
+        size += query->wire_size();
+    } else {
+        size += CacheResponse::wire_size();
+    }
+    return size;
+}
+
+void write_cache_message(Writer& w, const CacheMessage& message) {
     if (const auto* query = std::get_if<CacheQuery>(&message)) {
         w.u8(1);
         query->encode(w);
@@ -134,6 +148,22 @@ Bytes encode_cache_message(const CacheMessage& message) {
         w.u8(4);
         std::get<CacheResponseBatch>(message).encode(w);
     }
+}
+
+}  // namespace
+
+Bytes encode_cache_message(const CacheMessage& message) {
+    Writer w;
+    w.reserve(cache_message_size(message));
+    write_cache_message(w, message);
+    return std::move(w).take();
+}
+
+Bytes encode_cache_frame(const CacheMessage& message) {
+    Writer w;
+    w.reserve(1 + cache_message_size(message));
+    w.u8(static_cast<std::uint8_t>(net::Channel::TroxyCache));
+    write_cache_message(w, message);
     return std::move(w).take();
 }
 

@@ -8,6 +8,7 @@
 // fast path cheap for large replies.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -29,7 +30,8 @@ struct CacheQuery {
     crypto::Sha256Digest request_digest{};
     enclave::Certificate cert{};
 
-    [[nodiscard]] Bytes certified_view() const;
+    /// Certified bytes, written into `scratch`; the view aliases it.
+    ByteView certified_view(Bytes& scratch) const;
     void encode(Writer& w) const;
     static CacheQuery decode(Reader& r);
 
@@ -49,7 +51,11 @@ struct CacheResponse {
     crypto::Sha256Digest result_digest{};
     enclave::Certificate cert{};
 
-    [[nodiscard]] Bytes certified_view() const;
+    /// responder ‖ replica ‖ query id ‖ has-entry ‖ both digests.
+    using View =
+        std::array<std::uint8_t, 17 + 2 * crypto::kSha256DigestSize>;
+
+    [[nodiscard]] View certified_view() const;
     void encode(Writer& w) const;
     static CacheResponse decode(Reader& r);
 
@@ -83,6 +89,9 @@ using CacheMessage = std::variant<CacheQuery, CacheResponse, CacheQueryBatch,
                                   CacheResponseBatch>;
 
 Bytes encode_cache_message(const CacheMessage& message);
+/// wrap(Channel::TroxyCache, encode_cache_message(message)), written
+/// once into a buffer of exactly the frame's size.
+Bytes encode_cache_frame(const CacheMessage& message);
 std::optional<CacheMessage> decode_cache_message(ByteView data);
 
 }  // namespace troxy::troxy_core

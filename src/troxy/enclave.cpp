@@ -183,7 +183,7 @@ TroxyActions TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
     // request is hashed once (memoized on the Request, so the co-located
     // replica's ordering path reuses it); certificate and voter matching
     // reuse it too.
-    const crypto::Sha256Digest digest = request.digest_with(crypto);
+    const crypto::Sha256Digest digest = request.digest_with(crypto, scratch_);
     request.auth.push_back(
         trinx_->certify_independent_digest(crypto, digest));
 
@@ -275,9 +275,9 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     // A bad certificate rejects only this reply; the rest of a batch is
     // unaffected (each reply is verified individually even when the MAC
     // cost is amortized).
-    if (!trinx_->verify_independent_batched(crypto, reply.replica,
-                                            reply.certified_view(), reply.cert,
-                                            first_from_source)) {
+    if (!trinx_->verify_independent_batched(
+            crypto, reply.replica, reply.certified_view(scratch_), reply.cert,
+            first_from_source)) {
         ++stats_.rejected_replies;
         return;
     }
@@ -441,8 +441,8 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
         invalidated_unrecached_.erase(info.state_key);
     }
 
-    return trinx_->certify_independent_batched(crypto, reply.certified_view(),
-                                               first_in_batch);
+    return trinx_->certify_independent_batched(
+        crypto, reply.certified_view(scratch_), first_in_batch);
 }
 
 void TroxyEnclave::invalidate_write_set(
@@ -553,7 +553,8 @@ void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
     query.query_id = query_id;
     query.state_key = info.state_key;
     query.request_digest = entry.request_digest;
-    query.cert = trinx_->certify_independent(crypto, query.certified_view());
+    query.cert =
+        trinx_->certify_independent(crypto, query.certified_view(scratch_));
 
     // Surfaced structured, not encoded: the untrusted host may buffer
     // concurrent queries to the same remote and ship them as one
@@ -575,7 +576,7 @@ std::optional<CacheResponse> TroxyEnclave::answer_cache_query(
     }
     if (!trinx_->verify_independent_batched(
             crypto, static_cast<std::uint32_t>(requester),
-            query.certified_view(), query.cert, first_from_source)) {
+            query.certified_view(scratch_), query.cert, first_from_source)) {
         return std::nullopt;
     }
 
@@ -610,9 +611,7 @@ TroxyActions TroxyEnclave::handle_cache_query(enclave::CostMeter& meter,
     if (!response) return actions;
 
     actions.sends.emplace_back(
-        query.requester,
-        net::wrap(net::Channel::TroxyCache,
-                  encode_cache_message(CacheMessage(*response))));
+        query.requester, encode_cache_frame(CacheMessage(*response)));
     return actions;
 }
 
@@ -648,9 +647,7 @@ TroxyActions TroxyEnclave::handle_cache_queries(
             responses.size() == 1
                 ? CacheMessage(std::move(responses.front()))
                 : CacheMessage(CacheResponseBatch{std::move(responses)});
-        actions.sends.emplace_back(
-            requester, net::wrap(net::Channel::TroxyCache,
-                                 encode_cache_message(message)));
+        actions.sends.emplace_back(requester, encode_cache_frame(message));
     }
     return actions;
 }
@@ -800,8 +797,7 @@ TroxyActions TroxyEnclave::retransmit(enclave::CostMeter& meter,
     // Rebroadcast to every replica: followers forward to the leader and
     // start their progress timers, eventually forcing a view change.
     const Bytes wire =
-        net::wrap(net::Channel::Hybster,
-                  encode_message(hybster::Message(it->second.request)));
+        hybster::encode_frame(net::Channel::Hybster, it->second.request);
     for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(config_.n());
          ++r) {
         if (r == replica_id_) continue;

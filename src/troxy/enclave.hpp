@@ -379,6 +379,9 @@ class TroxyEnclave {
     std::uint64_t next_request_number_ = 1;
     std::uint64_t next_query_id_ = 1;
     std::uint64_t handshake_counter_ = 0;
+    /// Staging buffer for variable certified views (request, reply and
+    /// cache-query bytes); reused so hashing and MACs allocate nothing.
+    Bytes scratch_;
 
     Status stats_;
 };

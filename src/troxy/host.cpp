@@ -42,7 +42,8 @@ TroxyReplicaHost::TroxyReplicaHost(
         if (issuer < 0) return false;
         return trinx->verify_independent(crypto,
                                          static_cast<std::uint32_t>(issuer),
-                                         request.signed_view(),
+                                         request.signed_view(
+                                             verify_scratch_),
                                          request.auth[0]);
     };
     // Replies are authenticated by the local Troxy (which uses the moment
@@ -55,8 +56,7 @@ TroxyReplicaHost::TroxyReplicaHost(
         reply.cert =
             troxy_->authenticate_reply(crypto.meter(), request, reply);
         outbox.send(request.id.client,
-                    net::wrap(net::Channel::Hybster,
-                              encode_message(hybster::Message(reply))));
+                    hybster::encode_frame(net::Channel::Hybster, reply));
     };
     if (options.batch_reply_auth) {
         // A whole executed batch's replies enter the enclave through ONE
@@ -76,11 +76,9 @@ TroxyReplicaHost::TroxyReplicaHost(
                     troxy_->authenticate_replies(crypto.meter(), items);
                 for (std::size_t i = 0; i < batch.size(); ++i) {
                     batch[i].reply.cert = certs[i];
-                    outbox.send(
-                        batch[i].request->id.client,
-                        net::wrap(net::Channel::Hybster,
-                                  encode_message(
-                                      hybster::Message(batch[i].reply))));
+                    outbox.send(batch[i].request->id.client,
+                                hybster::encode_frame(net::Channel::Hybster,
+                                                      batch[i].reply));
                 }
             };
     }
@@ -557,10 +555,8 @@ void TroxyReplicaHost::route_cache_queries(
         // Unbatched fast reads: each query goes out as its own wire
         // message immediately, exactly the pre-batching flow.
         for (auto& [to, query] : queries) {
-            outbox.send(to,
-                        net::wrap(net::Channel::TroxyCache,
-                                  encode_cache_message(
-                                      CacheMessage(std::move(query)))));
+            outbox.send(to, encode_cache_frame(
+                                CacheMessage(std::move(query))));
         }
         return;
     }
@@ -605,8 +601,7 @@ void TroxyReplicaHost::flush_fastread_buffer(net::Outbox& outbox) {
             queries.size() == 1
                 ? CacheMessage(std::move(queries.front()))
                 : CacheMessage(CacheQueryBatch{std::move(queries)});
-        outbox.send(to, net::wrap(net::Channel::TroxyCache,
-                                  encode_cache_message(message)));
+        outbox.send(to, encode_cache_frame(message));
     }
     fastread_buffer_.clear();
     fastread_buffered_ = 0;

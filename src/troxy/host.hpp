@@ -277,6 +277,9 @@ class TroxyReplicaHost {
     // Enclave thread (TCS) slots: ecall work serializes once all slots
     // are busy, modelling the enclave's fixed concurrency budget.
     std::vector<sim::SimTime> tcs_free_;
+
+    // Staging buffer for the signed view of a request under verification.
+    Bytes verify_scratch_;
 };
 
 }  // namespace troxy::troxy_core

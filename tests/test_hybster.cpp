@@ -163,13 +163,13 @@ TEST(Messages, CertifiedViewsBindBatchStructure) {
     one.batch.requests.push_back(r1);
     Prepare two = one;
     two.batch.requests.push_back(r2);
-    const Bytes view_one = one.certified_view();
-    const Bytes view_two = two.certified_view();
+    const AgreementView view_one = one.certified_view();
+    const AgreementView view_two = two.certified_view();
     EXPECT_NE(view_one, view_two);
     // The count is part of the certified bytes even when digests were
     // (hypothetically) equal: strip the digest suffix and compare.
-    const auto prefix = [](const Bytes& b) {
-        return Bytes(b.begin(), b.end() - crypto::kSha256DigestSize);
+    const auto prefix = [](const AgreementView& v) {
+        return Bytes(v.begin(), v.end() - crypto::kSha256DigestSize);
     };
     EXPECT_NE(prefix(view_one), prefix(view_two));
 

@@ -402,7 +402,8 @@ struct VotingRig {
         enclave::CostedCrypto crypto_ops(profile, meter);
         hybster::Reply reply;
         reply.request_id = request.id;
-        reply.request_digest = request.digest_with(crypto_ops);
+        Bytes scratch;
+        reply.request_digest = request.digest_with(crypto_ops, scratch);
         reply.result = to_bytes("ack-" + std::to_string(request.id.number));
         reply.replica = r;
         enclave::TrinX& signer =
