@@ -8,34 +8,64 @@ FastReadCache::FastReadCache(enclave::EnclaveGate& gate,
                              std::size_t capacity_bytes)
     : gate_(gate), capacity_(capacity_bytes) {}
 
-std::size_t FastReadCache::footprint(const std::string& key,
+std::size_t FastReadCache::footprint(std::string_view key,
                                      const CacheEntry& entry) {
     return key.size() + entry.result.size() + sizeof(CacheEntry) + 64;
 }
 
-const CacheEntry* FastReadCache::get(const std::string& state_key) {
-    const auto it = map_.find(state_key);
-    if (it == map_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-    return &it->second.entry;
+void FastReadCache::unlink(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    (s.prev == kNil ? head_ : slots_[s.prev].next) = s.next;
+    (s.next == kNil ? tail_ : slots_[s.next].prev) = s.prev;
 }
 
-void FastReadCache::put(const std::string& state_key, CacheEntry entry) {
+void FastReadCache::push_front(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    s.prev = kNil;
+    s.next = head_;
+    (head_ == kNil ? tail_ : slots_[head_].prev) = slot;
+    head_ = slot;
+}
+
+const CacheEntry* FastReadCache::get(std::string_view state_key) {
+    const std::uint32_t* slot = index_.find(state_key);
+    if (slot == nullptr) return nullptr;
+    unlink(*slot);
+    push_front(*slot);
+    return &slots_[*slot].entry;
+}
+
+void FastReadCache::put(std::string_view state_key, CacheEntry entry) {
     invalidate(state_key);
     const std::size_t size = footprint(state_key, entry);
-    lru_.push_front(state_key);
-    map_.emplace(state_key, Slot{std::move(entry), lru_.begin()});
+    std::uint32_t slot = free_;
+    if (slot == kNil) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        free_ = slots_[slot].next;
+    }
+    slots_[slot].key.assign(state_key);
+    slots_[slot].entry = std::move(entry);
+    push_front(slot);
+    index_.try_emplace(state_key, slot);
     bytes_ += size;
     gate_.allocate(size);
     evict_if_needed();
 }
 
-void FastReadCache::invalidate(const std::string& state_key) {
-    const auto it = map_.find(state_key);
-    if (it == map_.end()) return;
-    const std::size_t size = footprint(it->first, it->second.entry);
-    lru_.erase(it->second.lru_position);
-    map_.erase(it);
+void FastReadCache::invalidate(std::string_view state_key) {
+    const std::uint32_t* found = index_.find(state_key);
+    if (found == nullptr) return;
+    const std::uint32_t slot = *found;
+    Slot& s = slots_[slot];
+    const std::size_t size = footprint(s.key, s.entry);
+    unlink(slot);
+    index_.erase(state_key);  // may view s.key: erase before clearing it
+    s.key.clear();
+    s.entry = CacheEntry{};
+    s.next = free_;
+    free_ = slot;
     bytes_ -= size;
     gate_.release(size);
 }
@@ -43,13 +73,14 @@ void FastReadCache::invalidate(const std::string& state_key) {
 void FastReadCache::clear() {
     gate_.release(bytes_);
     bytes_ = 0;
-    map_.clear();
-    lru_.clear();
+    slots_.clear();
+    index_.clear();
+    head_ = tail_ = free_ = kNil;
 }
 
 void FastReadCache::evict_if_needed() {
-    while (bytes_ > capacity_ && !lru_.empty()) {
-        invalidate(lru_.back());
+    while (bytes_ > capacity_ && tail_ != kNil) {
+        invalidate(slots_[tail_].key);
     }
 }
 

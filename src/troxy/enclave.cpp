@@ -9,17 +9,6 @@
 
 namespace troxy::troxy_core {
 
-namespace {
-
-Bytes vote_key(const crypto::Sha256Digest& digest, ByteView result) {
-    Writer w;
-    w.raw(digest);
-    w.bytes(result);
-    return std::move(w).take();
-}
-
-}  // namespace
-
 TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
                            hybster::Config config,
                            std::shared_ptr<enclave::TrinX> trinx,
@@ -41,9 +30,19 @@ TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
             /*max_ecalls=*/16),
       cache_(gate_, options.cache_capacity_bytes),
       monitor_(options.monitor),
-      rng_(seed ^ (0x7472657800ULL + host_node)) {
+      rng_(seed ^ (0x7472657800ULL + host_node)),
+      source_stamp_(static_cast<std::size_t>(config_.n()), 0) {
     TROXY_ASSERT(trinx_ != nullptr, "troxy needs the trusted subsystem");
     TROXY_ASSERT(classifier_ != nullptr, "troxy needs a request classifier");
+}
+
+bool TroxyEnclave::first_from(std::uint32_t replica) {
+    // An out-of-range id is rejected before any MAC work, so its answer
+    // does not matter.
+    if (replica >= source_stamp_.size()) return true;
+    const bool first = source_stamp_[replica] != ecall_stamp_;
+    source_stamp_[replica] = ecall_stamp_;
+    return first;
 }
 
 crypto::Sha256Digest TroxyEnclave::app_request_digest(
@@ -65,6 +64,7 @@ TroxyActions TroxyEnclave::accept_connection(enclave::CostMeter& meter,
         connections_.erase(it);
         it = connections_.try_emplace(client, identity_).first;
     }
+    it->second.generation = ++connection_generation_;
 
     Writer seed;
     seed.u64(rng_.next());
@@ -106,6 +106,7 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
     crypto.charge(profile_.aead(record.size()));
     auto app_requests = conn->second.channel.unprotect(record);
 
+    const std::uint64_t generation = conn->second.generation;
     for (Bytes& app_request : app_requests) {
         const std::uint64_t conn_slot = conn->second.next_assign++;
         const hybster::RequestInfo info = classifier_(app_request);
@@ -121,8 +122,8 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
                     constant_time_equal(
                         entry->request_digest,
                         app_request_digest(crypto, app_request))) {
-                    start_fast_read(crypto, actions, client, conn_slot, info,
-                                    app_request, *entry);
+                    start_fast_read(crypto, actions, client, generation,
+                                    conn_slot, info, app_request, *entry);
                     handled = true;
                 } else {
                     // Local cache miss: count it, fall through to ordering.
@@ -137,42 +138,19 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
         }
 
         if (!handled) {
-            TroxyActions ordered = order_request(crypto, client, conn_slot,
-                                                 info, app_request);
-            merge_actions(actions, std::move(ordered));
+            order_request(crypto, actions, client, generation, conn_slot,
+                          info, app_request);
         }
     }
     return actions;
 }
 
-void TroxyEnclave::merge_actions(TroxyActions& into, TroxyActions&& from) {
-    for (auto& send : from.sends) into.sends.push_back(std::move(send));
-    for (auto& query : from.cache_queries) {
-        into.cache_queries.push_back(std::move(query));
-    }
-    for (auto& request : from.to_order) {
-        into.to_order.push_back(std::move(request));
-    }
-    for (auto& request : from.to_order_batch) {
-        into.to_order_batch.push_back(std::move(request));
-    }
-    for (auto t : from.arm_vote_timers) into.arm_vote_timers.push_back(t);
-    for (auto t : from.arm_fast_read_timers) {
-        into.arm_fast_read_timers.push_back(t);
-    }
-    for (auto t : from.completed_votes) into.completed_votes.push_back(t);
-    for (auto t : from.completed_fast_reads) {
-        into.completed_fast_reads.push_back(t);
-    }
-}
-
-TroxyActions TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
-                                         sim::NodeId client,
-                                         std::uint64_t conn_slot,
-                                         const hybster::RequestInfo& info,
-                                         ByteView app_request) {
-    TroxyActions actions;
-
+void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
+                                 TroxyActions& actions, sim::NodeId client,
+                                 std::uint64_t generation,
+                                 std::uint64_t conn_slot,
+                                 const hybster::RequestInfo& info,
+                                 ByteView app_request) {
     hybster::Request request;
     request.id.client = host_node_;
     request.id.number = next_request_number_++;
@@ -189,28 +167,29 @@ TroxyActions TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
 
     PendingVote pending;
     pending.client = client;
+    pending.generation = generation;
     pending.conn_slot = conn_slot;
     pending.state_key = info.state_key;
     pending.extra_keys = info.extra_keys;
     pending.is_read = info.is_read;
     pending.request_digest = digest;
     pending.request = request;
+    pending.votes.resize(static_cast<std::size_t>(config_.n()));
     if (!info.is_read) {
         // Register the whole write set: a fast read on any key the write
         // touches (exact key or a covering scan partition) must be
         // conservatively ordered while the write is in flight.
-        ++pending_write_keys_[info.state_key];
+        ++*pending_write_keys_.try_emplace(info.state_key, 0).first;
         for (const std::string& key : info.extra_keys) {
-            ++pending_write_keys_[key];
+            ++*pending_write_keys_.try_emplace(key, 0).first;
         }
     }
-    pending_votes_.emplace(request.id.number, std::move(pending));
+    pending_votes_.try_emplace(request.id.number, std::move(pending));
 
     ++stats_.ordered_requests;
     const std::uint64_t number = request.id.number;
     actions.to_order.push_back(std::move(request));
     actions.arm_vote_timers.push_back(number);
-    return actions;
 }
 
 // ------------------------------------------------------------------ voter
@@ -220,9 +199,9 @@ TroxyActions TroxyEnclave::handle_reply(enclave::CostMeter& meter,
     gate_.ecall(meter, "handle_reply", reply.result.size() + 96, 0);
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions;
-    std::set<std::string> invalidated;
+    ++ecall_stamp_;
     ingest_reply(crypto, actions, std::move(reply), /*first_from_source=*/true,
-                 /*release_plan=*/nullptr, &invalidated);
+                 /*coalesce=*/false);
     return actions;
 }
 
@@ -241,29 +220,26 @@ TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
 
     // Per-source running MAC: a source replica's first reply in the batch
     // pays the full MAC setup, its later replies only stream bytes.
-    // Completed writes share one per-transition invalidation set, so a
-    // burst completing many writes under one key drops it once.
-    std::set<std::uint32_t> sources_seen;
-    std::set<std::string> invalidated;
-    ReleasePlan plan;
+    // Completed writes share the ecall's stamp, so a burst completing
+    // many writes under one key drops it once.
+    ++ecall_stamp_;
     for (hybster::Reply& reply : replies) {
-        const bool first = sources_seen.insert(reply.replica).second;
-        ingest_reply(crypto, actions, std::move(reply), first, &plan,
-                     &invalidated);
+        const bool first = first_from(reply.replica);
+        ingest_reply(crypto, actions, std::move(reply), first,
+                     /*coalesce=*/true);
     }
-    flush_releases(crypto, actions, plan);
+    flush_releases(crypto, actions);
     return actions;
 }
 
 void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
                                 TroxyActions& actions, hybster::Reply&& reply,
-                                bool first_from_source,
-                                ReleasePlan* release_plan,
-                                std::set<std::string>* invalidated) {
-    const auto it = pending_votes_.find(reply.request_id.number);
-    if (it == pending_votes_.end()) return;  // done or unknown
+                                bool first_from_source, bool coalesce) {
+    const std::uint64_t number = reply.request_id.number;
+    PendingVote* found = pending_votes_.find(number);
+    if (found == nullptr) return;  // done or unknown
     if (reply.request_id.client != host_node_) return;
-    PendingVote& pending = it->second;
+    PendingVote& pending = *found;
 
     if (reply.replica >= static_cast<std::uint32_t>(config_.n())) {
         return;
@@ -288,93 +264,100 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
         return;
     }
 
-    Bytes key = vote_key(reply.request_digest, reply.result);
-    const auto previous = pending.votes.find(reply.replica);
-    if (previous != pending.votes.end()) {
-        if (previous->second == key) return;
-        --pending.tally[previous->second];
+    std::optional<Bytes>& vote = pending.votes[reply.replica];
+    if (vote == reply.result) return;  // a repeat counts once
+    vote = std::move(reply.result);
+    int count = 0;
+    for (const std::optional<Bytes>& other : pending.votes) {
+        if (other == vote) ++count;
     }
-    pending.votes[reply.replica] = key;
-    const int count = ++pending.tally[key];
-
     if (count < config_.quorum()) return;
 
     // Vote complete: the result is correct. Maintain the cache with
     // knowledge the contact Troxy now *provably* has.
+    Bytes& result = *vote;
     if (pending.is_read) {
         CacheEntry entry;
         entry.request_digest = crypto.hash(pending.request.payload);
-        entry.result = reply.result;
+        entry.result = result;
         entry.result_digest = crypto.hash(entry.result);
         gate_.touch(crypto.meter(), entry.result.size());
         cache_.put(pending.state_key, std::move(entry));
         // A fresh entry re-arms the key: a later write completing in the
         // SAME transition must invalidate it again, dedup or not.
-        if (invalidated != nullptr) invalidated->erase(pending.state_key);
         invalidated_unrecached_.erase(pending.state_key);
     } else {
-        invalidate_write_set(pending.state_key, pending.extra_keys,
-                             invalidated);
+        invalidate_write_set(pending.state_key, pending.extra_keys);
         for (std::size_t k = 0; k <= pending.extra_keys.size(); ++k) {
             const std::string& key =
                 k == 0 ? pending.state_key : pending.extra_keys[k - 1];
-            const auto in_flight = pending_write_keys_.find(key);
-            if (in_flight != pending_write_keys_.end() &&
-                --in_flight->second == 0) {
-                pending_write_keys_.erase(in_flight);
+            int* in_flight = pending_write_keys_.find(key);
+            if (in_flight != nullptr && --*in_flight == 0) {
+                pending_write_keys_.erase(key);
             }
         }
     }
     ++stats_.completed_votes;
 
     const sim::NodeId client = pending.client;
+    const std::uint64_t generation = pending.generation;
     const std::uint64_t conn_slot = pending.conn_slot;
-    Bytes result = std::move(reply.result);
-    pending_votes_.erase(it);
-    actions.completed_votes.push_back(reply.request_id.number);
+    Bytes app_reply = std::move(result);
+    pending_votes_.erase(number);
+    actions.completed_votes.push_back(number);
 
-    if (release_plan != nullptr) {
-        collect_releases(client, conn_slot, std::move(result), *release_plan);
+    if (coalesce) {
+        collect_releases(client, generation, conn_slot, std::move(app_reply));
     } else {
-        release_reply(crypto, actions, client, conn_slot, std::move(result));
+        release_reply(crypto, actions, client, generation, conn_slot,
+                      std::move(app_reply));
     }
 }
 
 void TroxyEnclave::collect_releases(sim::NodeId client,
-                                    std::uint64_t conn_slot, Bytes app_reply,
-                                    ReleasePlan& plan) {
+                                    std::uint64_t generation,
+                                    std::uint64_t conn_slot,
+                                    Bytes app_reply) {
     const auto conn = connections_.find(client);
     if (conn == connections_.end()) return;  // client went away
     Connection& connection = conn->second;
+    if (connection.generation != generation) return;  // replaced session
 
     connection.ready.emplace(conn_slot, std::move(app_reply));
 
     // Same strict per-connection release order as release_reply, but the
     // plaintexts accumulate for one coalesced seal at end of transition.
-    std::vector<Bytes>& out = plan[client];
     while (true) {
         const auto next = connection.ready.find(connection.next_release);
         if (next == connection.ready.end()) break;
-        out.push_back(std::move(next->second));
+        release_plan_.push_back(
+            {client, release_plan_.size(), std::move(next->second)});
         connection.ready.erase(next);
         ++connection.next_release;
     }
 }
 
 void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
-                                  TroxyActions& actions, ReleasePlan& plan) {
-    for (auto& [client, plaintexts] : plan) {
-        if (plaintexts.empty()) continue;
+                                  TroxyActions& actions) {
+    std::sort(release_plan_.begin(), release_plan_.end(),
+              [](const Release& a, const Release& b) {
+                  return a.client != b.client ? a.client < b.client
+                                              : a.order < b.order;
+              });
+    for (auto first = release_plan_.begin(); first != release_plan_.end();) {
+        const sim::NodeId client = first->client;
+        auto last = first;
+        std::size_t total = 0;
+        release_views_.clear();
+        for (; last != release_plan_.end() && last->client == client;
+             ++last) {
+            total += last->plaintext.size();
+            release_views_.emplace_back(last->plaintext);
+        }
+        first = last;
         const auto conn = connections_.find(client);
         if (conn == connections_.end()) continue;
 
-        std::size_t total = 0;
-        std::vector<ByteView> views;
-        views.reserve(plaintexts.size());
-        for (const Bytes& p : plaintexts) {
-            total += p.size();
-            views.emplace_back(p);
-        }
         // ONE AEAD pass over the whole burst for this connection: the
         // per-record base cost is paid once instead of once per reply.
         // Gather encoding builds envelope ‖ frame header ‖ sealed record
@@ -383,17 +366,20 @@ void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
         Writer frame;
         frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
         frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-        conn->second.channel.protect_many_into(frame, views);
+        conn->second.channel.protect_many_into(frame, release_views_);
         actions.sends.emplace_back(client, std::move(frame).take());
     }
+    release_plan_.clear();
 }
 
 void TroxyEnclave::release_reply(enclave::CostedCrypto& crypto,
                                  TroxyActions& actions, sim::NodeId client,
+                                 std::uint64_t generation,
                                  std::uint64_t conn_slot, Bytes app_reply) {
     const auto conn = connections_.find(client);
     if (conn == connections_.end()) return;  // client went away
     Connection& connection = conn->second;
+    if (connection.generation != generation) return;  // replaced session
 
     connection.ready.emplace(conn_slot, std::move(app_reply));
 
@@ -405,8 +391,8 @@ void TroxyEnclave::release_reply(enclave::CostedCrypto& crypto,
         Writer frame;
         frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
         frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-        connection.channel.protect_many_into(
-            frame, {ByteView(next->second)});
+        release_views_.assign(1, next->second);
+        connection.channel.protect_many_into(frame, release_views_);
         actions.sends.emplace_back(client, std::move(frame).take());
         connection.ready.erase(next);
         ++connection.next_release;
@@ -417,8 +403,7 @@ void TroxyEnclave::release_reply(enclave::CostedCrypto& crypto,
 
 enclave::Certificate TroxyEnclave::certify_executed_reply(
     enclave::CostedCrypto& crypto, const hybster::Request& request,
-    const hybster::Reply& reply, bool first_in_batch,
-    std::set<std::string>* invalidated) {
+    const hybster::Reply& reply, bool first_in_batch) {
     const hybster::RequestInfo info = classifier_(request.payload);
     gate_.touch(crypto.meter(), reply.result.size());
 
@@ -426,9 +411,9 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
     // the reply cannot influence any voter, so no client can observe the
     // write while any quorum cache still holds the overwritten entry.
     // Within one batched transition each distinct key drops once (the
-    // per-transition set dedups repeat writers).
+    // ecall stamp dedups repeat writers).
     if (!info.is_read) {
-        invalidate_write_set(info.state_key, info.extra_keys, invalidated);
+        invalidate_write_set(info.state_key, info.extra_keys);
     } else if (reply.kind == hybster::Reply::Kind::Ordered) {
         CacheEntry entry;
         entry.request_digest = crypto.hash(request.payload);
@@ -437,7 +422,6 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
         cache_.put(info.state_key, std::move(entry));
         // Re-arm the key: a later write in the same batch must
         // invalidate this fresh entry again.
-        if (invalidated != nullptr) invalidated->erase(info.state_key);
         invalidated_unrecached_.erase(info.state_key);
     }
 
@@ -446,19 +430,22 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
 }
 
 void TroxyEnclave::invalidate_write_set(
-    const std::string& state_key, const std::vector<std::string>& extra_keys,
-    std::set<std::string>* invalidated) {
+    const std::string& state_key,
+    const std::vector<std::string>& extra_keys) {
     for (std::size_t k = 0; k <= extra_keys.size(); ++k) {
         const std::string& key = k == 0 ? state_key : extra_keys[k - 1];
-        if (invalidated != nullptr && !invalidated->insert(key).second) {
-            ++stats_.invalidations_saved;
-            continue;
-        }
-        // Cross-batch dedup: a key invalidated earlier and never
-        // re-cached since cannot be in the cache, so there is nothing to
-        // drop.
-        if (!invalidated_unrecached_.insert(key).second) {
-            ++stats_.invalidations_saved_cross_batch;
+        const auto [stamp, inserted] =
+            invalidated_unrecached_.try_emplace(key, ecall_stamp_);
+        if (!inserted) {
+            // This ecall already dropped the key, or an earlier one did
+            // and nothing re-cached it since: either way the cache cannot
+            // hold it.
+            if (*stamp == ecall_stamp_) {
+                ++stats_.invalidations_saved;
+            } else {
+                *stamp = ecall_stamp_;
+                ++stats_.invalidations_saved_cross_batch;
+            }
             continue;
         }
         cache_.invalidate(key);
@@ -482,9 +469,9 @@ enclave::Certificate TroxyEnclave::authenticate_reply(
                 request.payload.size() + reply.result.size() + 128,
                 sizeof(enclave::Certificate));
     enclave::CostedCrypto crypto(profile_, meter);
-    std::set<std::string> invalidated;
+    ++ecall_stamp_;
     return certify_executed_reply(crypto, request, reply,
-                                  /*first_in_batch=*/true, &invalidated);
+                                  /*first_in_batch=*/true);
 }
 
 std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
@@ -504,15 +491,14 @@ std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
     // All certificates come from this Troxy's own trusted subsystem, so
     // the whole batch shares one running MAC: only the first reply pays
     // the MAC setup.
-    // One invalidation set for the whole executed batch: a write burst
-    // under few distinct keys drops each key once instead of per reply.
-    std::set<std::string> invalidated;
+    // One ecall stamp for the whole executed batch: a write burst under
+    // few distinct keys drops each key once instead of per reply.
+    ++ecall_stamp_;
     std::vector<enclave::Certificate> certs;
     certs.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
         certs.push_back(certify_executed_reply(crypto, *batch[i].request,
-                                               *batch[i].reply, i == 0,
-                                               &invalidated));
+                                               *batch[i].reply, i == 0));
     }
     return certs;
 }
@@ -521,6 +507,7 @@ std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
 
 void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
                                    TroxyActions& actions, sim::NodeId client,
+                                   std::uint64_t generation,
                                    std::uint64_t conn_slot,
                                    const hybster::RequestInfo& info,
                                    ByteView app_request,
@@ -529,6 +516,7 @@ void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
 
     PendingFastRead fast;
     fast.client = client;
+    fast.generation = generation;
     fast.conn_slot = conn_slot;
     fast.state_key = info.state_key;
     fast.local = entry;
@@ -563,7 +551,7 @@ void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
         actions.cache_queries.emplace_back(config_.node_of(r), query);
     }
 
-    fast_reads_.emplace(query_id, std::move(fast));
+    fast_reads_.try_emplace(query_id, std::move(fast));
     actions.arm_fast_read_timers.push_back(query_id);
 }
 
@@ -630,13 +618,12 @@ TroxyActions TroxyEnclave::handle_cache_queries(
     // Per-source running MAC over the requester certificates; every query
     // is still verified individually (a bad one drops only itself).
     // Answers to the same requester leave as one CacheResponseBatch.
-    std::set<std::uint32_t> sources_seen;
+    ++ecall_stamp_;
     std::map<sim::NodeId, std::vector<CacheResponse>> per_requester;
     for (const CacheQuery& query : queries) {
         const int requester = config_.replica_of(query.requester);
         const bool first =
-            requester < 0 ||
-            sources_seen.insert(static_cast<std::uint32_t>(requester)).second;
+            requester < 0 || first_from(static_cast<std::uint32_t>(requester));
         auto response = answer_cache_query(crypto, query, first);
         if (response) {
             per_requester[query.requester].push_back(std::move(*response));
@@ -656,10 +643,10 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
                                          TroxyActions& actions,
                                          const CacheResponse& response,
                                          bool first_from_source,
-                                         ReleasePlan* release_plan) {
-    const auto it = fast_reads_.find(response.query_id);
-    if (it == fast_reads_.end()) return;
-    PendingFastRead& fast = it->second;
+                                         bool coalesce) {
+    PendingFastRead* found = fast_reads_.find(response.query_id);
+    if (found == nullptr) return;
+    PendingFastRead& fast = *found;
 
     const int responder = config_.replica_of(response.responder);
     if (responder < 0 ||
@@ -697,14 +684,16 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
     ++stats_.fast_read_hits;
     monitor_.record(false);
     const sim::NodeId client = fast.client;
+    const std::uint64_t generation = fast.generation;
     const std::uint64_t conn_slot = fast.conn_slot;
     Bytes result = std::move(fast.local.result);
-    fast_reads_.erase(it);
+    fast_reads_.erase(response.query_id);
     actions.completed_fast_reads.push_back(response.query_id);
-    if (release_plan != nullptr) {
-        collect_releases(client, conn_slot, std::move(result), *release_plan);
+    if (coalesce) {
+        collect_releases(client, generation, conn_slot, std::move(result));
     } else {
-        release_reply(crypto, actions, client, conn_slot, std::move(result));
+        release_reply(crypto, actions, client, generation, conn_slot,
+                      std::move(result));
     }
 }
 
@@ -714,8 +703,7 @@ TroxyActions TroxyEnclave::handle_cache_response(
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions;
     ingest_cache_response(crypto, actions, response,
-                          /*first_from_source=*/true,
-                          /*release_plan=*/nullptr);
+                          /*first_from_source=*/true, /*coalesce=*/false);
     return actions;
 }
 
@@ -733,14 +721,13 @@ TroxyActions TroxyEnclave::handle_cache_responses(
     // response in the burst rejects (or falls back) only its own query.
     // All client replies completed by this burst seal into one coalesced
     // record per connection.
-    std::set<std::uint32_t> sources_seen;
-    ReleasePlan plan;
+    ++ecall_stamp_;
     for (const CacheResponse& response : responses) {
-        const bool first =
-            sources_seen.insert(response.responder_replica).second;
-        ingest_cache_response(crypto, actions, response, first, &plan);
+        const bool first = first_from(response.responder_replica);
+        ingest_cache_response(crypto, actions, response, first,
+                              /*coalesce=*/true);
     }
-    flush_releases(crypto, actions, plan);
+    flush_releases(crypto, actions);
     // A conflicted burst falls back together: two or more fallbacks from
     // one transition enter the ordering pipeline as ONE pre-formed batch
     // (one Prepare/Commit round) instead of request by request. A single
@@ -758,14 +745,14 @@ TroxyActions TroxyEnclave::handle_cache_responses(
 void TroxyEnclave::fast_read_fallback(enclave::CostedCrypto& crypto,
                                       TroxyActions& actions,
                                       std::uint64_t query_id) {
-    const auto it = fast_reads_.find(query_id);
-    if (it == fast_reads_.end()) return;
-    PendingFastRead fast = std::move(it->second);
-    fast_reads_.erase(it);
+    PendingFastRead* found = fast_reads_.find(query_id);
+    if (found == nullptr) return;
+    PendingFastRead fast = std::move(*found);
+    fast_reads_.erase(query_id);
 
     const hybster::RequestInfo info = classifier_(fast.app_request);
-    merge_actions(actions, order_request(crypto, fast.client, fast.conn_slot,
-                                         info, fast.app_request));
+    order_request(crypto, actions, fast.client, fast.generation,
+                  fast.conn_slot, info, fast.app_request);
     actions.completed_fast_reads.push_back(query_id);
 }
 
@@ -791,19 +778,19 @@ TroxyActions TroxyEnclave::retransmit(enclave::CostMeter& meter,
     crypto.charge_dispatch();
     TroxyActions actions;
 
-    const auto it = pending_votes_.find(request_number);
-    if (it == pending_votes_.end()) return actions;
+    const PendingVote* pending = pending_votes_.find(request_number);
+    if (pending == nullptr) return actions;
 
     // Rebroadcast to every replica: followers forward to the leader and
     // start their progress timers, eventually forcing a view change.
     const Bytes wire =
-        hybster::encode_frame(net::Channel::Hybster, it->second.request);
+        hybster::encode_frame(net::Channel::Hybster, pending->request);
     for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(config_.n());
          ++r) {
         if (r == replica_id_) continue;
         actions.sends.emplace_back(config_.node_of(r), wire);
     }
-    actions.to_order.push_back(it->second.request);
+    actions.to_order.push_back(pending->request);
     actions.arm_vote_timers.push_back(request_number);
     return actions;
 }

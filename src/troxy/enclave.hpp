@@ -32,6 +32,7 @@
 #include <optional>
 #include <set>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "crypto/x25519.hpp"
 #include "enclave/gate.hpp"
@@ -250,8 +251,14 @@ class TroxyEnclave {
     }
 
   private:
+    /// Replies are released into a connection only while its generation
+    /// matches the one recorded when the request arrived: a second Hello
+    /// from the same client replaces the session and resets its slot
+    /// window, and the old session's in-flight votes and fast reads must
+    /// not fill the new session's slots.
     struct Connection {
         net::SecureChannelServer channel;
+        std::uint64_t generation = 0;
         std::uint64_t next_assign = 0;   // per-connection request slot
         std::uint64_t next_release = 0;  // in-order reply release
         std::map<std::uint64_t, Bytes> ready;  // slot → plaintext reply
@@ -262,6 +269,7 @@ class TroxyEnclave {
 
     struct PendingVote {
         sim::NodeId client = 0;
+        std::uint64_t generation = 0;
         std::uint64_t conn_slot = 0;
         std::string state_key;
         /// Write-set closure beyond state_key (RequestInfo::extra_keys);
@@ -270,12 +278,16 @@ class TroxyEnclave {
         bool is_read = false;
         crypto::Sha256Digest request_digest{};
         hybster::Request request;  // kept for retransmission
-        std::map<std::uint32_t, Bytes> votes;
-        std::map<Bytes, int> tally;
+        /// Each replica's current result, by replica id. Every counted
+        /// reply already carried request_digest, so equal results are
+        /// matching votes; a replica that changes its result moves its
+        /// vote.
+        std::vector<std::optional<Bytes>> votes;
     };
 
     struct PendingFastRead {
         sim::NodeId client = 0;
+        std::uint64_t generation = 0;
         std::uint64_t conn_slot = 0;
         std::string state_key;
         CacheEntry local;        // snapshot compared against responses
@@ -284,48 +296,43 @@ class TroxyEnclave {
         bool resolved = false;
     };
 
-    static void merge_actions(TroxyActions& into, TroxyActions&& from);
-    TroxyActions order_request(enclave::CostedCrypto& crypto,
-                               sim::NodeId client, std::uint64_t conn_slot,
-                               const hybster::RequestInfo& info,
-                               ByteView app_request);
+    /// Appends the authenticated BFT request (and its vote timer) to
+    /// `actions`.
+    void order_request(enclave::CostedCrypto& crypto, TroxyActions& actions,
+                       sim::NodeId client, std::uint64_t generation,
+                       std::uint64_t conn_slot,
+                       const hybster::RequestInfo& info,
+                       ByteView app_request);
     void start_fast_read(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                         sim::NodeId client, std::uint64_t conn_slot,
+                         sim::NodeId client, std::uint64_t generation,
+                         std::uint64_t conn_slot,
                          const hybster::RequestInfo& info,
                          ByteView app_request, const CacheEntry& entry);
     void fast_read_fallback(enclave::CostedCrypto& crypto,
                             TroxyActions& actions, std::uint64_t query_id);
     void release_reply(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                       sim::NodeId client, std::uint64_t conn_slot,
-                       Bytes app_reply);
-    /// Per-connection plaintexts awaiting one coalesced seal at the end
-    /// of a batched-voter transition.
-    using ReleasePlan = std::map<sim::NodeId, std::vector<Bytes>>;
+                       sim::NodeId client, std::uint64_t generation,
+                       std::uint64_t conn_slot, Bytes app_reply);
     /// Shared voting core: validates one reply, updates the tally, and on
     /// quorum maintains the cache and releases the client reply — either
-    /// immediately (release_plan == nullptr, the unbatched path) or into
-    /// the plan for one coalesced record per connection.
+    /// immediately (coalesce == false, the unbatched path) or into the
+    /// release plan for one coalesced record per connection.
     void ingest_reply(enclave::CostedCrypto& crypto, TroxyActions& actions,
                       hybster::Reply&& reply, bool first_from_source,
-                      ReleasePlan* release_plan,
-                      std::set<std::string>* invalidated);
+                      bool coalesce);
     /// Shared cache-maintenance + certification core of the two
-    /// authenticate_reply* ecalls. `invalidated` carries the
-    /// per-transition dedup set (see invalidate_write_set).
+    /// authenticate_reply* ecalls.
     enclave::Certificate certify_executed_reply(enclave::CostedCrypto& crypto,
                                                 const hybster::Request& request,
                                                 const hybster::Reply& reply,
-                                                bool first_in_batch,
-                                                std::set<std::string>* invalidated);
+                                                bool first_in_batch);
     /// Drops a completed write's whole key set (state_key + extra_keys)
-    /// from the fast-read cache. Within one batched transition each
-    /// distinct key is dropped once: `invalidated` (when non-null)
-    /// remembers the keys this transition already invalidated, and a
-    /// cache_.put between two writes erases its key from the set again
-    /// so the second write re-invalidates.
+    /// from the fast-read cache. Within one ecall each distinct key is
+    /// dropped once (its invalidated_unrecached_ stamp equals
+    /// ecall_stamp_), and a cache_.put between two writes erases the key
+    /// there so the second write re-invalidates.
     void invalidate_write_set(const std::string& state_key,
-                              const std::vector<std::string>& extra_keys,
-                              std::set<std::string>* invalidated);
+                              const std::vector<std::string>& extra_keys);
     /// True when any key the (read) request touches has an own write
     /// still in flight.
     [[nodiscard]] bool has_pending_write(
@@ -342,14 +349,17 @@ class TroxyEnclave {
     void ingest_cache_response(enclave::CostedCrypto& crypto,
                                TroxyActions& actions,
                                const CacheResponse& response,
-                               bool first_from_source,
-                               ReleasePlan* release_plan);
-    void collect_releases(sim::NodeId client, std::uint64_t conn_slot,
-                          Bytes app_reply, ReleasePlan& plan);
-    void flush_releases(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                        ReleasePlan& plan);
+                               bool first_from_source, bool coalesce);
+    void collect_releases(sim::NodeId client, std::uint64_t generation,
+                          std::uint64_t conn_slot, Bytes app_reply);
+    /// Seals release_plan_ into one record per connection, in ascending
+    /// client id, and empties it.
+    void flush_releases(enclave::CostedCrypto& crypto, TroxyActions& actions);
     [[nodiscard]] crypto::Sha256Digest app_request_digest(
         enclave::CostedCrypto& crypto, ByteView app_request) const;
+    /// True the first time the current ecall meets `replica` as a
+    /// source: only that reply, query or response pays the MAC setup.
+    bool first_from(std::uint32_t replica);
 
     sim::NodeId host_node_;
     std::uint32_t replica_id_;
@@ -366,16 +376,34 @@ class TroxyEnclave {
     Rng rng_;
 
     std::map<sim::NodeId, Connection> connections_;
-    std::map<std::uint64_t, PendingVote> pending_votes_;   // by request no.
-    std::map<std::uint64_t, PendingFastRead> fast_reads_;  // by query id
+    std::uint64_t connection_generation_ = 0;
+    FlatMap<std::uint64_t, PendingVote> pending_votes_;   // by request no.
+    FlatMap<std::uint64_t, PendingFastRead> fast_reads_;  // by query id
     /// Keys with own writes still in flight: fast reads on them would
     /// almost certainly conflict, so they are conservatively ordered.
-    std::map<std::string, int> pending_write_keys_;
+    FlatMap<std::string, int> pending_write_keys_;
     /// Keys invalidated and not re-cached since (every cache_.put erases
     /// its key): the cache provably holds none of them, so a repeat write
-    /// skips the whole invalidation — the cross-batch counterpart of the
-    /// per-transition `invalidated` dedup set.
-    std::set<std::string> invalidated_unrecached_;
+    /// skips the whole invalidation. The value is the ecall_stamp_ of the
+    /// last ecall that invalidated (or skipped) the key, which makes the
+    /// same table the per-ecall dedup set too.
+    FlatMap<std::string, std::uint64_t> invalidated_unrecached_;
+    /// Numbers the ecalls that dedup per ecall: the voting, reply-
+    /// authentication and batched cache ecalls.
+    std::uint64_t ecall_stamp_ = 0;
+    /// Per replica id, the ecall_stamp_ of the last ecall it was a
+    /// source in (see first_from).
+    std::vector<std::uint64_t> source_stamp_;
+    /// Per-connection plaintexts awaiting one coalesced seal at the end
+    /// of a batched transition; `order` keeps each connection's release
+    /// order through the sort by client.
+    struct Release {
+        sim::NodeId client = 0;
+        std::size_t order = 0;
+        Bytes plaintext;
+    };
+    std::vector<Release> release_plan_;
+    std::vector<ByteView> release_views_;  // reused sealing input
     std::uint64_t next_request_number_ = 1;
     std::uint64_t next_query_id_ = 1;
     std::uint64_t handshake_counter_ = 0;

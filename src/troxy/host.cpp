@@ -539,11 +539,11 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
     outbox.flush(meter, tcs_done);
 
     for (const std::uint64_t number : actions.arm_vote_timers) {
-        votes_in_flight_.insert(number);
+        votes_in_flight_.try_emplace(number);
         arm_vote_timer(number);
     }
     for (const std::uint64_t id : actions.arm_fast_read_timers) {
-        fast_reads_in_flight_.insert(id);
+        fast_reads_in_flight_.try_emplace(id);
         arm_fast_read_timer(id);
     }
 }

@@ -11,10 +11,10 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "enclave/attestation.hpp"
 #include "hybster/adaptive.hpp"
 #include "hybster/replica.hpp"
@@ -254,8 +254,8 @@ class TroxyReplicaHost {
     std::vector<std::pair<sim::NodeId, Bytes>> recovery_buffer_;
 
     // Timer bookkeeping (untrusted, liveness only).
-    std::set<std::uint64_t> votes_in_flight_;
-    std::set<std::uint64_t> fast_reads_in_flight_;
+    FlatSet<std::uint64_t> votes_in_flight_;
+    FlatSet<std::uint64_t> fast_reads_in_flight_;
     std::uint64_t restarts_ = 0;
 
     // Voter batching state (cleared on crash — buffered replies die with

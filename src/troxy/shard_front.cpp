@@ -14,56 +14,63 @@ namespace troxy::troxy_core {
 CrossLockTable::Admission CrossLockTable::admit(
     CommitId id, const std::vector<std::string>& keys) {
     TROXY_ASSERT(!keys.empty(), "a commit must lock at least one key");
-    TROXY_ASSERT(keysets_.find(id) == keysets_.end(),
-                 "commit id admitted twice");
+    TROXY_ASSERT(id != kNone, "commit id out of range");
+    const auto [links, inserted] = keysets_.try_emplace(id);
+    TROXY_ASSERT(inserted, "commit id admitted twice");
+    links->reserve(keys.size());
     Admission admission;
     for (const std::string& key : keys) {
-        std::deque<CommitId>& queue = queues_[key];
-        if (!queue.empty()) admission.blocked_on.push_back(key);
-        queue.push_back(id);
+        const std::size_t slot = links->size();
+        links->push_back({key, kNone});
+        const auto [queue, fresh] = queues_.try_emplace(key);
+        if (fresh) {
+            queue->head = id;
+        } else {
+            admission.blocked_on.push_back(key);
+            (*keysets_.find(queue->tail))[queue->tail_link].next = id;
+        }
+        queue->tail = id;
+        queue->tail_link = slot;
     }
-    keysets_.emplace(id, keys);
     admission.runnable = admission.blocked_on.empty();
     return admission;
 }
 
 bool CrossLockTable::is_runnable(CommitId id) const {
-    const auto it = keysets_.find(id);
-    TROXY_ASSERT(it != keysets_.end(), "unknown commit id");
-    for (const std::string& key : it->second) {
-        const auto queue = queues_.find(key);
-        if (queue == queues_.end() || queue->second.front() != id) {
-            return false;
-        }
+    const std::vector<Link>* links = keysets_.find(id);
+    TROXY_ASSERT(links != nullptr, "unknown commit id");
+    for (const Link& link : *links) {
+        const Queue* queue = queues_.find(link.key);
+        if (queue == nullptr || queue->head != id) return false;
     }
     return true;
 }
 
 std::vector<CrossLockTable::CommitId> CrossLockTable::release(CommitId id) {
-    const auto it = keysets_.find(id);
-    TROXY_ASSERT(it != keysets_.end(), "releasing unknown commit id");
-    // std::set: successors surface deduplicated and in ascending id
-    // order, matching the admission total order.
-    std::set<CommitId> successors;
-    for (const std::string& key : it->second) {
-        const auto queue = queues_.find(key);
-        TROXY_ASSERT(queue != queues_.end() &&
-                         !queue->second.empty() &&
-                         queue->second.front() == id,
+    const std::vector<Link>* links = keysets_.find(id);
+    TROXY_ASSERT(links != nullptr, "releasing unknown commit id");
+    std::vector<CommitId> runnable;
+    for (const Link& link : *links) {
+        Queue* queue = queues_.find(link.key);
+        TROXY_ASSERT(queue != nullptr && queue->head == id,
                      "released commit must head every one of its queues");
-        queue->second.pop_front();
-        if (queue->second.empty()) {
-            queues_.erase(queue);
+        if (link.next == kNone) {
+            queues_.erase(link.key);
         } else {
-            successors.insert(queue->second.front());
+            queue->head = link.next;
+            runnable.push_back(link.next);
         }
     }
-    keysets_.erase(it);
+    keysets_.erase(id);
 
-    std::vector<CommitId> runnable;
-    for (const CommitId successor : successors) {
-        if (is_runnable(successor)) runnable.push_back(successor);
-    }
+    // Successors surface deduplicated and in ascending id order,
+    // matching the admission total order.
+    std::sort(runnable.begin(), runnable.end());
+    runnable.erase(std::unique(runnable.begin(), runnable.end()),
+                   runnable.end());
+    std::erase_if(runnable, [this](CommitId successor) {
+        return !is_runnable(successor);
+    });
     return runnable;
 }
 
@@ -125,7 +132,7 @@ void ShardFrontHost::crash() {
     }
     connections_.clear();
     commits_.clear();
-    ready_.clear();
+    ready_ = {};
     locks_.clear();
     cross_inflight_ = 0;
 }
@@ -316,7 +323,7 @@ void ShardFrontHost::enqueue_cross(sim::NodeId from, Connection& conn,
     const CrossLockTable::Admission admission =
         locks_.admit(commit.id, commit.keys);
     if (admission.runnable) {
-        ready_.insert(commit.id);
+        ready_.push(commit.id);
     } else {
         commit.waited = true;
         ++cross_lock_waits_;
@@ -338,8 +345,8 @@ void ShardFrontHost::pump_cross() {
     // to the serialized global FIFO.
     while (!ready_.empty() &&
            (depth == 0 || cross_inflight_ < depth)) {
-        const CrossLockTable::CommitId id = *ready_.begin();
-        ready_.erase(ready_.begin());
+        const CrossLockTable::CommitId id = ready_.top();
+        ready_.pop();
         const auto it = commits_.find(id);
         TROXY_ASSERT(it != commits_.end(), "ready commit without record");
         CrossCommit& commit = it->second;
@@ -393,7 +400,7 @@ void ShardFrontHost::advance_cross(CrossLockTable::CommitId id, int shard,
     --cross_inflight_;
     for (const CrossLockTable::CommitId successor :
          locks_.release(done.id)) {
-        ready_.insert(successor);
+        ready_.push(successor);
     }
     deliver_reply(done.client, done.generation, done.slot,
                   std::move(done.owner_reply));

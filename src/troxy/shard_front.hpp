@@ -48,14 +48,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "crypto/x25519.hpp"
 #include "net/fabric.hpp"
 #include "net/secure_channel.hpp"
@@ -110,8 +111,23 @@ class CrossLockTable {
     }
 
   private:
-    std::map<std::string, std::deque<CommitId>> queues_;
-    std::map<CommitId, std::vector<std::string>> keysets_;
+    static constexpr CommitId kNone = ~CommitId{0};
+
+    /// One key's FIFO, threaded through the queued commits' links: the
+    /// head holds the key, and each commit links to the one admitted
+    /// after it on that key.
+    struct Queue {
+        CommitId head = 0;
+        CommitId tail = 0;
+        std::size_t tail_link = 0;  // index of the key in the tail's links
+    };
+    struct Link {
+        std::string key;
+        CommitId next = kNone;  // kNone while this commit is the tail
+    };
+
+    FlatMap<std::string, Queue> queues_;
+    FlatMap<CommitId, std::vector<Link>> keysets_;
 };
 
 class ShardFrontHost {
@@ -281,7 +297,12 @@ class ShardFrontHost {
     // Pipelined cross-shard commit engine.
     CrossLockTable locks_;
     std::map<CrossLockTable::CommitId, CrossCommit> commits_;
-    std::set<CrossLockTable::CommitId> ready_;  // runnable, undispatched
+    /// Runnable, undispatched commits, lowest id on top. A commit turns
+    /// runnable once (at admission or at its last predecessor's release),
+    /// so no id is pushed twice.
+    std::priority_queue<CrossLockTable::CommitId,
+                        std::vector<CrossLockTable::CommitId>, std::greater<>>
+        ready_;
     std::size_t cross_inflight_ = 0;
     CrossLockTable::CommitId next_commit_id_ = 0;
 

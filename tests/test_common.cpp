@@ -1,11 +1,35 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <map>
+#include <new>
 
 #include "common/bytes.hpp"
+#include "common/flat_map.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
+
+// Counts heap allocations while a test enables it (FlatMap steady-state
+// check below). Only the plain forms are replaced; the defaults of the
+// other forms allocate with malloc and free with free as well.
+namespace {
+bool g_count_allocs = false;
+std::uint64_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+    if (g_count_allocs) ++g_allocs;
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+// GCC pairs these frees with the operator new calls they inline into.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace troxy {
 namespace {
@@ -175,6 +199,177 @@ TEST(Log, LevelGuardRestores) {
         EXPECT_EQ(log_level(), LogLevel::Error);
     }
     EXPECT_EQ(log_level(), before);
+}
+
+// ---------------------------------------------------------------- FlatMap
+
+/// Every key in [0, 4) lands on one of three home slots.
+struct CollidingHash {
+    std::size_t operator()(std::uint64_t key) const noexcept {
+        return key % 3;
+    }
+};
+
+/// Homes in the last three slots of any table, so probe runs wrap
+/// around to slot 0.
+struct WrappingHash {
+    std::size_t operator()(std::uint64_t key) const noexcept {
+        return ~std::size_t{0} - key % 3;
+    }
+};
+
+/// Random insert/erase/find against std::map over a small key range, so
+/// most operations land inside long probe runs.
+template <class Hash>
+void check_against_map(std::uint64_t seed, std::uint64_t key_range) {
+    FlatMap<std::uint64_t, std::uint64_t, Hash> flat;
+    std::map<std::uint64_t, std::uint64_t> reference;
+    Rng rng(seed);
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint64_t key = rng.next_below(key_range);
+        switch (rng.next_below(3)) {
+            case 0: {
+                const std::uint64_t value = rng.next();
+                const auto [stored, inserted] = flat.try_emplace(key, value);
+                const auto [it, ref_inserted] = reference.emplace(key, value);
+                ASSERT_EQ(inserted, ref_inserted);
+                ASSERT_EQ(*stored, it->second);
+                break;
+            }
+            case 1:
+                ASSERT_EQ(flat.erase(key), reference.erase(key) == 1);
+                break;
+            default: {
+                const std::uint64_t* found = flat.find(key);
+                const auto it = reference.find(key);
+                ASSERT_EQ(found != nullptr, it != reference.end());
+                if (found != nullptr) {
+                    ASSERT_EQ(*found, it->second);
+                }
+                break;
+            }
+        }
+        ASSERT_EQ(flat.size(), reference.size());
+        if (op % 512 == 0) {
+            for (std::uint64_t k = 0; k < key_range; ++k) {
+                const std::uint64_t* found = flat.find(k);
+                const auto it = reference.find(k);
+                ASSERT_EQ(found != nullptr, it != reference.end()) << k;
+                if (found != nullptr) {
+                    ASSERT_EQ(*found, it->second);
+                }
+            }
+        }
+    }
+}
+
+TEST(FlatMap, MatchesStdMapUnderRandomOperations) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        check_against_map<FlatHash<std::uint64_t>>(seed, 48);
+        check_against_map<FlatHash<std::uint64_t>>(seed, 2000);
+    }
+}
+
+TEST(FlatMap, MatchesStdMapWithCollidingHashes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        check_against_map<CollidingHash>(seed, 40);
+        check_against_map<WrappingHash>(seed, 40);
+    }
+}
+
+TEST(FlatMap, EraseInsideProbeChainKeepsLaterKeysReachable) {
+    // All keys share one home slot: erasing the head and a middle link of
+    // the run must shift every later key back into reach.
+    FlatMap<std::uint64_t, int, CollidingHash> flat;
+    for (std::uint64_t key = 0; key < 12; key += 3) {
+        flat.try_emplace(key, static_cast<int>(key));
+    }
+    EXPECT_TRUE(flat.erase(3u));
+    EXPECT_TRUE(flat.erase(0u));
+    EXPECT_FALSE(flat.erase(0u));
+    EXPECT_EQ(flat.size(), 2u);
+    for (const std::uint64_t key : {6u, 9u}) {
+        ASSERT_NE(flat.find(key), nullptr);
+        EXPECT_EQ(*flat.find(key), static_cast<int>(key));
+    }
+    EXPECT_FALSE(flat.contains(3u));
+}
+
+TEST(FlatMap, GrowsFromEmptyAndKeepsEveryEntry) {
+    FlatMap<std::uint64_t, std::uint64_t> flat;
+    EXPECT_TRUE(flat.empty());
+    EXPECT_EQ(flat.find(7u), nullptr);
+    EXPECT_FALSE(flat.erase(7u));
+    for (std::uint64_t key = 0; key < 5000; ++key) {
+        ASSERT_TRUE(flat.try_emplace(key, key * 7).second);
+    }
+    EXPECT_EQ(flat.size(), 5000u);
+    for (std::uint64_t key = 0; key < 5000; ++key) {
+        ASSERT_NE(flat.find(key), nullptr);
+        ASSERT_EQ(*flat.find(key), key * 7);
+    }
+    flat.clear();
+    EXPECT_TRUE(flat.empty());
+    EXPECT_FALSE(flat.contains(1u));
+    EXPECT_TRUE(flat.try_emplace(1u, 2u).second);
+}
+
+TEST(FlatMap, StringKeysLookUpByStringView) {
+    FlatMap<std::string, int> flat;
+    std::map<std::string, int> reference;
+    Rng rng(9);
+    for (int op = 0; op < 5000; ++op) {
+        const std::string key = "key-" + std::to_string(rng.next_below(300));
+        // Lookups go through a view of a separate buffer, never the
+        // stored std::string.
+        const std::string buffer = "[" + key + "]";
+        const std::string_view view(buffer.data() + 1, key.size());
+        switch (rng.next_below(3)) {
+            case 0:
+                ASSERT_EQ(flat.try_emplace(view, op).second,
+                          reference.emplace(key, op).second);
+                break;
+            case 1:
+                ASSERT_EQ(flat.erase(view), reference.erase(key) == 1);
+                break;
+            default: {
+                const int* found = flat.find(view);
+                const auto it = reference.find(key);
+                ASSERT_EQ(found != nullptr, it != reference.end());
+                if (found != nullptr) {
+                    ASSERT_EQ(*found, it->second);
+                }
+            }
+        }
+        ASSERT_EQ(flat.size(), reference.size());
+    }
+}
+
+TEST(FlatMap, SteadyInsertEraseCycleAllocatesNothingAfterWarmup) {
+    // A window of live request numbers slides forward, as the enclave's
+    // pending-vote table does; short string keys stay in the small-string
+    // buffer.
+    FlatMap<std::uint64_t, std::uint64_t> numbers;
+    FlatMap<std::string, int> keys;
+    constexpr std::uint64_t kLive = 100;
+    std::uint64_t next = 0;
+    const auto cycle = [&](int rounds) {
+        for (int i = 0; i < rounds; ++i, ++next) {
+            numbers.try_emplace(next, next);
+            if (next >= kLive) numbers.erase(next - kLive);
+            const std::string key = "k" + std::to_string(next % 1000);
+            ++*keys.try_emplace(key, 0).first;
+            keys.erase(std::string_view("k" + std::to_string(
+                                                  (next + 500) % 1000)));
+        }
+    };
+    cycle(5000);  // warm-up: the slot arrays reach their final size
+    g_allocs = 0;
+    g_count_allocs = true;
+    cycle(20000);
+    g_count_allocs = false;
+    EXPECT_EQ(g_allocs, 0u);
+    EXPECT_EQ(numbers.size(), kLive);
 }
 
 }  // namespace

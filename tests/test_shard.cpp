@@ -569,8 +569,13 @@ TEST(ShardFront, DepthZeroAndDepthOneAreByteIdenticalWhenSequential) {
         auto& client = cluster.add_client();
         auto replies = std::make_shared<std::vector<Bytes>>();
         auto chain = std::make_shared<std::function<void(int)>>();
-        *chain = [&client, chain, replies](int remaining) {
+        // Weak self-capture: a strong one is a shared_ptr cycle (a leak);
+        // the pending send callback keeps the chain alive.
+        *chain = [&client, weak = std::weak_ptr(chain),
+                  replies](int remaining) {
             if (remaining == 0) return;
+            const auto chain = weak.lock();
+            if (!chain) return;
             Bytes request;
             switch (remaining % 3) {
                 case 0:
@@ -618,8 +623,10 @@ TEST(ShardFront, ClientFailsOverToNextFrontWhenHomeFrontCrashes) {
     auto& client = cluster.add_client();
     std::vector<Bytes> acks;
     auto chain = std::make_shared<std::function<void(int)>>();
-    *chain = [&client, &acks, chain](int remaining) {
+    *chain = [&client, &acks, weak = std::weak_ptr(chain)](int remaining) {
         if (remaining == 0) return;
+        const auto chain = weak.lock();  // weak self-capture, no cycle
+        if (!chain) return;
         client.send(EchoService::make_multi_write(0, 2, 64),
                     [&acks, chain, remaining](Bytes reply) {
                         acks.push_back(std::move(reply));
@@ -748,8 +755,12 @@ TEST(ShardParity, SingleShardReplaysUnshardedByteIdentically) {
             troxy_core::LegacyClient* client = clients[
                 static_cast<std::size_t>(c)];
             auto chain = std::make_shared<std::function<void(int)>>();
-            *chain = [client, c, chain, replies](int remaining) {
+            // Weak self-capture, as above.
+            *chain = [client, c, weak = std::weak_ptr(chain),
+                      replies](int remaining) {
                 if (remaining == 0) return;
+                const auto chain = weak.lock();
+                if (!chain) return;
                 const auto key = static_cast<std::uint64_t>(c);
                 Bytes request =
                     remaining % 2 == 0

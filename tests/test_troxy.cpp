@@ -369,11 +369,33 @@ struct VotingRig {
             kHostNode, 0, config, local_trinx, identity,
             std::move(classifier), profile, TroxyOptions{}, /*seed=*/7);
 
-        channel.emplace(identity.public_key, to_bytes("client-seed"));
+        connect("client-seed");
+    }
+
+    /// (Re)connects the client: a second Hello from the same node
+    /// replaces the enclave's session for it.
+    void connect(std::string_view client_seed) {
+        channel.emplace(identity.public_key, to_bytes(client_seed));
         auto actions = enclave->accept_connection(meter, kClientNode,
                                                   channel->client_hello());
         const auto hello = unframe(actions);
         EXPECT_TRUE(channel->finish(hello));
+    }
+
+    /// Every reply the client channel decodes from the queued sends.
+    std::vector<Bytes> client_replies(const TroxyActions& actions) {
+        std::vector<Bytes> replies;
+        for (const auto& [to, bytes] : actions.sends) {
+            EXPECT_EQ(to, kClientNode);
+            const auto unwrapped = net::unwrap(bytes);
+            EXPECT_TRUE(unwrapped.has_value());
+            const auto frame = net::unframe_client(unwrapped->second);
+            EXPECT_TRUE(frame.has_value());
+            for (Bytes& reply : channel->unprotect(frame->second)) {
+                replies.push_back(std::move(reply));
+            }
+        }
+        return replies;
     }
 
     /// Extracts the client-frame payload of the single queued send.
@@ -396,15 +418,18 @@ struct VotingRig {
         return std::move(actions.to_order[0]);
     }
 
-    /// Forges replica `r`'s authenticated reply for `request`.
+    /// Forges replica `r`'s authenticated reply for `request`; the
+    /// result defaults to "ack-<request number>".
     hybster::Reply make_reply(std::uint32_t r,
-                              const hybster::Request& request) {
+                              const hybster::Request& request,
+                              std::optional<std::string> result = {}) {
         enclave::CostedCrypto crypto_ops(profile, meter);
         hybster::Reply reply;
         reply.request_id = request.id;
         Bytes scratch;
         reply.request_digest = request.digest_with(crypto_ops, scratch);
-        reply.result = to_bytes("ack-" + std::to_string(request.id.number));
+        reply.result = to_bytes(result.value_or(
+            "ack-" + std::to_string(request.id.number)));
         reply.replica = r;
         enclave::TrinX& signer =
             r == 0 ? *local_trinx : *peer_trinx[r - 1];
@@ -506,6 +531,123 @@ TEST(TroxyEnclave, ByzantineReplyDoesNotPoisonBatch) {
     EXPECT_EQ(actions.completed_votes.size(), 4u);
     const auto replies = rig.channel->unprotect(rig.unframe(actions));
     EXPECT_EQ(replies.size(), 4u);
+}
+
+// The voter's tally semantics: one vote per replica, counted on its
+// latest result; f+1 equal results complete the request.
+
+TEST(TroxyEnclave, RepeatedReplyCountsOnce) {
+    VotingRig rig;
+    const hybster::Request request = rig.order_write(1);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        auto actions =
+            rig.enclave->handle_reply(rig.meter, rig.make_reply(0, request));
+        EXPECT_TRUE(actions.sends.empty());
+    }
+    EXPECT_EQ(rig.enclave->status().completed_votes, 0u);
+
+    auto actions =
+        rig.enclave->handle_reply(rig.meter, rig.make_reply(1, request));
+    EXPECT_EQ(rig.enclave->status().completed_votes, 1u);
+    EXPECT_EQ(rig.client_replies(actions),
+              std::vector<Bytes>{to_bytes("ack-" +
+                                          std::to_string(request.id.number))});
+}
+
+TEST(TroxyEnclave, SwitchedResultMovesTheVote) {
+    VotingRig rig;
+    const hybster::Request request = rig.order_write(1);
+    rig.enclave->handle_reply(rig.meter, rig.make_reply(0, request, "x"));
+    rig.enclave->handle_reply(rig.meter, rig.make_reply(0, request, "y"));
+    // Replica 0 now votes "y" only: one "x" is no quorum.
+    auto actions =
+        rig.enclave->handle_reply(rig.meter, rig.make_reply(1, request, "x"));
+    EXPECT_TRUE(actions.sends.empty());
+    EXPECT_EQ(rig.enclave->status().completed_votes, 0u);
+
+    actions =
+        rig.enclave->handle_reply(rig.meter, rig.make_reply(2, request, "y"));
+    EXPECT_EQ(rig.enclave->status().completed_votes, 1u);
+    EXPECT_EQ(rig.client_replies(actions), std::vector<Bytes>{to_bytes("y")});
+}
+
+TEST(TroxyEnclave, DifferingResultsWaitForAMatchingReply) {
+    VotingRig rig;
+    const hybster::Request request = rig.order_write(1);
+    // f+1 replies, but with different results: no quorum.
+    std::vector<hybster::Reply> batch;
+    batch.push_back(rig.make_reply(0, request, "a"));
+    batch.push_back(rig.make_reply(1, request, "b"));
+    auto actions = rig.enclave->handle_replies(rig.meter, std::move(batch));
+    EXPECT_TRUE(actions.sends.empty());
+    EXPECT_EQ(rig.enclave->status().completed_votes, 0u);
+    EXPECT_EQ(rig.enclave->status().pending_votes, 1u);
+
+    // A later reply matching either result completes the vote with it.
+    actions =
+        rig.enclave->handle_reply(rig.meter, rig.make_reply(2, request, "b"));
+    EXPECT_EQ(rig.enclave->status().completed_votes, 1u);
+    EXPECT_EQ(rig.enclave->status().pending_votes, 0u);
+    EXPECT_EQ(rig.client_replies(actions), std::vector<Bytes>{to_bytes("b")});
+}
+
+TEST(TroxyEnclave, ReconnectDropsRepliesOfTheReplacedSession) {
+    // A client reconnects (second Hello from the same node) while an
+    // ordered write and a fast read of its old session are in flight.
+    // The new session starts its slot window at zero again; the old
+    // requests' replies must not fill its slots.
+    VotingRig rig;
+    hybster::Request warm_read;
+    warm_read.id.client = VotingRig::kHostNode;
+    warm_read.id.number = 1000;
+    warm_read.flags |= hybster::Request::kFlagRead;
+    warm_read.payload = apps::EchoService::make_read(5, 32, 64);
+    hybster::Reply warm_reply;
+    warm_reply.kind = hybster::Reply::Kind::Ordered;
+    warm_reply.request_id = warm_read.id;
+    warm_reply.result = to_bytes("cached");
+    rig.enclave->authenticate_reply(rig.meter, warm_read, warm_reply);
+
+    const hybster::Request old_write = rig.order_write(1);
+    auto read = rig.enclave->handle_request(
+        rig.meter, VotingRig::kClientNode,
+        rig.channel->protect(apps::EchoService::make_read(5, 32, 64)));
+    ASSERT_EQ(read.arm_fast_read_timers.size(), 1u);
+
+    rig.connect("client-seed-after-reconnect");
+    const hybster::Request fresh = rig.order_write(3);
+
+    // The old fast read falls back to ordering after the reconnect.
+    auto fallback = rig.enclave->fast_read_timeout(
+        rig.meter, read.arm_fast_read_timers[0]);
+    ASSERT_EQ(fallback.to_order.size(), 1u);
+    const hybster::Request old_read = fallback.to_order[0];
+
+    // Old votes complete first: one on the per-reply path, the rest in a
+    // batch together with the new session's write.
+    std::vector<Bytes> released;
+    for (const std::uint32_t r : {0u, 1u}) {
+        auto actions = rig.enclave->handle_reply(
+            rig.meter, rig.make_reply(r, old_write));
+        for (Bytes& reply : rig.client_replies(actions)) {
+            released.push_back(std::move(reply));
+        }
+    }
+    std::vector<hybster::Reply> batch;
+    for (const std::uint32_t r : {0u, 1u}) {
+        batch.push_back(rig.make_reply(r, old_read));
+        batch.push_back(rig.make_reply(r, fresh));
+    }
+    auto actions = rig.enclave->handle_replies(rig.meter, std::move(batch));
+    for (Bytes& reply : rig.client_replies(actions)) {
+        released.push_back(std::move(reply));
+    }
+
+    EXPECT_EQ(rig.enclave->status().completed_votes, 3u);
+    EXPECT_EQ(released,
+              std::vector<Bytes>{to_bytes(
+                  "ack-" + std::to_string(fresh.id.number))});
+    EXPECT_EQ(rig.enclave->status().stuck_replies, 0u);
 }
 
 // ------------------------------------------------------ batched fast reads
