@@ -92,7 +92,7 @@ Row run_core(std::size_t batch, sim::Duration delay, int clients,
         // 17 B of header plus the payload — see Request::signed_view).
         hooks.verify_request = [profile](enclave::CostedCrypto& crypto,
                                          const hy::Request& request) {
-            crypto.charge(profile.mac(17 + request.payload.size()));
+            crypto.charge(profile.mac(17 + request.payload().size()));
             return true;
         };
         hooks.deliver_reply = [&, profile](enclave::CostedCrypto& crypto,
@@ -131,8 +131,8 @@ Row run_core(std::size_t batch, sim::Duration delay, int clients,
                           1000 + number % static_cast<std::uint64_t>(
                                               clients)),
                       number};
-        request.payload =
-            apps::EchoService::make_write(number % key_space, 256);
+        request.assign(
+            apps::EchoService::make_write(number % key_space, 256));
         pending[number].start = simulator.now();
         replicas[0]->submit(request);
     };

@@ -142,7 +142,7 @@ Sample run_lanes(std::size_t lanes, std::size_t batch, int conflict_pct,
         hy::Replica::Hooks hooks;
         hooks.verify_request = [profile](enclave::CostedCrypto& crypto,
                                          const hy::Request& request) {
-            crypto.charge(profile.mac(17 + request.payload.size()));
+            crypto.charge(profile.mac(17 + request.payload().size()));
             return true;
         };
         hooks.deliver_reply = [&, profile](enclave::CostedCrypto& crypto,
@@ -185,8 +185,8 @@ Sample run_lanes(std::size_t lanes, std::size_t batch, int conflict_pct,
             is_hot(number, conflict_pct)
                 ? std::string("hot")
                 : "k" + std::to_string(number % cold_pool);
-        request.payload =
-            apps::KvService::make_put(key, std::string(64, 'v'));
+        request.assign(
+            apps::KvService::make_put(key, std::string(64, 'v')));
         pending[number].start = simulator.now();
         replicas[0]->submit(request);
     };

@@ -25,13 +25,13 @@ BaselineReplicaHost::BaselineReplicaHost(
     // Clients attach one certificate per replica; we check ours.
     hooks.verify_request = [this](enclave::CostedCrypto& crypto,
                                   const hybster::Request& request) {
-        if (request.auth.size() <=
+        if (request.auth().size() <=
             static_cast<std::size_t>(replica_id_)) {
             return false;
         }
         const Bytes key = client_keys_(request.id.client);
         return crypto.mac_verify(key, request.signed_view(),
-                                 request.auth[replica_id_]);
+                                 request.auth()[replica_id_]);
     };
 
     // Replies are authenticated with the pairwise secret and sent over

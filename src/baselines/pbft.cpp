@@ -328,8 +328,8 @@ void PbftReplica::try_execute(enclave::CostedCrypto& crypto,
 
         const Request& request = *entry.request;
         forwarded_.erase(request.id);
-        crypto.charge(service_->execution_cost(request.payload));
-        Bytes result = service_->execute(request.payload);
+        crypto.charge(service_->execution_cost(request.payload()));
+        Bytes result = service_->execute(request.payload());
 
         Reply reply;
         reply.kind = Reply::Kind::Ordered;
@@ -379,8 +379,8 @@ void PbftReplica::handle_read_one(enclave::CostedCrypto& crypto,
                                   net::Outbox& outbox, sim::NodeId from,
                                   Request&& request) {
     (void)from;
-    crypto.charge(service_->execution_cost(request.payload));
-    Bytes result = service_->execute(request.payload);
+    crypto.charge(service_->execution_cost(request.payload()));
+    Bytes result = service_->execute(request.payload());
 
     Reply reply;
     reply.kind = Reply::Kind::Optimistic;
@@ -609,7 +609,7 @@ void PbftClient::read_one(Bytes payload, std::uint32_t replica,
     request.id.client = node_.id();
     request.id.number = number;
     request.flags = Request::kFlagRead | Request::kFlagOptimistic;
-    request.payload = std::move(payload);
+    request.assign(payload);
 
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(profile_, meter);
@@ -633,7 +633,7 @@ void PbftClient::send_request(enclave::CostedCrypto& crypto,
     request.id.client = node_.id();
     request.id.number = number;
     request.flags = pending.flags;
-    request.payload = pending.payload;
+    request.assign(pending.payload);
     const Bytes body = encode_request(request);
 
     for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(config_.n());

@@ -56,11 +56,11 @@ Request Client::build_request(enclave::CostedCrypto& crypto,
     request.id.client = node_.id();
     request.id.number = number;
     request.flags = flags;
-    request.payload = payload;
+    request.assign(payload, replica_keys_.size());
     const Bytes view = request.signed_view();
-    request.auth.reserve(replica_keys_.size());
-    for (const Bytes& key : replica_keys_) {
-        request.auth.push_back(crypto.mac(key, view));
+    const std::span<Certificate> auth = request.auth_slots();
+    for (std::size_t r = 0; r < replica_keys_.size(); ++r) {
+        auth[r] = crypto.mac(replica_keys_[r], view);
     }
     return request;
 }

@@ -29,8 +29,8 @@ ExecPlan plan_execution(const Batch& batch, const Service& service,
     for (std::size_t i = 0; i < n; ++i) {
         const Request& request = batch.requests[i];
         if (request.flags & Request::kFlagNoop) continue;
-        const sim::Duration cost = service.execution_cost(request.payload);
-        RequestInfo info = service.classify(request.payload);
+        const sim::Duration cost = service.execution_cost(request.payload());
+        RequestInfo info = service.classify(request.payload());
         auto [it, inserted] = class_of_key.try_emplace(
             std::move(info.state_key), class_cost.size());
         if (inserted) {

@@ -1,5 +1,7 @@
 #include "hybster/messages.hpp"
 
+#include <cstring>
+#include <new>
 #include <tuple>
 
 #include "common/assert.hpp"
@@ -29,15 +31,46 @@ crypto::Sha256Digest get_digest(Reader& r) {
 
 }  // namespace
 
+// ------------------------------------------------------------ RequestBody
+
+RequestBody::RequestBody(ByteView payload, std::size_t auth_count) {
+    if (payload.empty() && auth_count == 0) return;
+    const std::size_t cert_bytes = auth_count * kTag;
+    block_ = static_cast<Block*>(
+        ::operator new(sizeof(Block) + payload.size() + cert_bytes));
+    block_->refs = 1;
+    block_->payload_size = static_cast<std::uint32_t>(payload.size());
+    block_->auth_count = static_cast<std::uint32_t>(auth_count);
+    if (!payload.empty()) {
+        std::memcpy(bytes(), payload.data(), payload.size());
+    }
+    if (cert_bytes != 0) std::memset(certs(), 0, cert_bytes);
+}
+
+RequestBody::~RequestBody() {
+    if (block_ != nullptr && --block_->refs == 0) ::operator delete(block_);
+}
+
+std::span<Certificate> RequestBody::auth_slots() {
+    if (block_ == nullptr) return {};
+    TROXY_ASSERT(block_->refs == 1, "request body is already shared");
+    return {certs(), block_->auth_count};
+}
+
 // ---------------------------------------------------------------- Request
+
+void Request::assign(ByteView payload, std::size_t auth_count) {
+    body_ = RequestBody(payload, auth_count);
+    digest_cache_.reset();
+}
 
 ByteView Request::signed_view(Bytes& scratch) const {
     return write_scratch(scratch, [this](Writer& w) {
-        w.reserve(17 + payload.size());
+        w.reserve(17 + payload().size());
         w.u32(id.client);
         w.u64(id.number);
         w.u8(flags);
-        w.bytes(payload);
+        w.bytes(payload());
     });
 }
 
@@ -48,17 +81,17 @@ Bytes Request::signed_view() const {
 }
 
 std::size_t Request::encoded_size() const noexcept {
-    return 18 + payload.size() + auth.size() * kTag;
+    return 18 + payload().size() + auth().size() * kTag;
 }
 
 void Request::encode(Writer& w) const {
-    w.reserve(18 + payload.size() + auth.size() * sizeof(Certificate));
+    w.reserve(encoded_size());
     w.u32(id.client);
     w.u64(id.number);
     w.u8(flags);
-    w.bytes(payload);
-    w.u8(static_cast<std::uint8_t>(auth.size()));
-    for (const Certificate& cert : auth) put_tag(w, cert);
+    w.bytes(payload());
+    w.u8(static_cast<std::uint8_t>(auth().size()));
+    for (const Certificate& cert : auth()) put_tag(w, cert);
 }
 
 Request Request::decode(Reader& r) {
@@ -66,10 +99,13 @@ Request Request::decode(Reader& r) {
     req.id.client = r.u32();
     req.id.number = r.u64();
     req.flags = r.u8();
-    req.payload = r.bytes();
+    // The payload stays borrowed until the certificate count is known, so
+    // payload and certificates land in one body.
+    const ByteView payload = r.bytes_view();
     const std::uint8_t count = r.u8();
-    req.auth.reserve(count);
-    for (std::uint8_t i = 0; i < count; ++i) req.auth.push_back(get_tag(r));
+    if (r.remaining() < count * kTag) throw DecodeError("truncated input");
+    req.body_ = RequestBody(payload, count);
+    for (Certificate& cert : req.body_.auth_slots()) r.read_into(cert);
     return req;
 }
 

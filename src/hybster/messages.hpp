@@ -17,18 +17,22 @@
 // are std::arrays; variable views are written into a scratch buffer the
 // caller owns and reuses; encoders size their buffer once from
 // encoded_size(); and decoders read fixed fields straight into the
-// message.
+// message. A decoded or newly created Request allocates exactly one
+// RequestBody; every later copy shares it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
+#include "common/flat_map.hpp"
 #include "common/serialize.hpp"
 #include "crypto/sha256.hpp"
 #include "enclave/meter.hpp"
@@ -62,19 +66,53 @@ struct RequestId {
     auto operator<=>(const RequestId&) const = default;
 };
 
-/// Hash for unordered containers keyed by RequestId.
-struct RequestIdHash {
-    std::size_t operator()(const RequestId& id) const noexcept {
-        // splitmix64-style finalizer over both fields.
-        std::uint64_t x =
-            (static_cast<std::uint64_t>(id.client) << 32) ^ id.number;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-        return static_cast<std::size_t>(x);
+/// A request's payload and authenticator in one immutable heap block: a
+/// reference count, the payload bytes and the certificates. Copies share
+/// the block, so a request is materialized once per node however many
+/// tables hold it. Only the creator writes the certificates, before the
+/// first copy. Single-threaded, like the simulation that uses it.
+class RequestBody {
+  public:
+    RequestBody() noexcept = default;
+    /// One allocation holding `payload` and `auth_count` zeroed
+    /// certificates; an empty body allocates nothing.
+    RequestBody(ByteView payload, std::size_t auth_count);
+    RequestBody(const RequestBody& other) noexcept : block_(other.block_) {
+        if (block_ != nullptr) ++block_->refs;
     }
+    RequestBody(RequestBody&& other) noexcept
+        : block_(std::exchange(other.block_, nullptr)) {}
+    RequestBody& operator=(RequestBody other) noexcept {
+        std::swap(block_, other.block_);
+        return *this;
+    }
+    ~RequestBody();
+
+    [[nodiscard]] ByteView payload() const noexcept {
+        if (block_ == nullptr) return {};
+        return {bytes(), block_->payload_size};
+    }
+    [[nodiscard]] std::span<const Certificate> auth() const noexcept {
+        if (block_ == nullptr) return {};
+        return {certs(), block_->auth_count};
+    }
+    /// The certificate slots, writable while no copy shares the body.
+    [[nodiscard]] std::span<Certificate> auth_slots();
+
+  private:
+    struct Block {
+        std::uint32_t refs;
+        std::uint32_t payload_size;
+        std::uint32_t auth_count;
+    };
+    [[nodiscard]] std::uint8_t* bytes() const noexcept {
+        return reinterpret_cast<std::uint8_t*>(block_ + 1);
+    }
+    [[nodiscard]] Certificate* certs() const noexcept {
+        return reinterpret_cast<Certificate*>(bytes() + block_->payload_size);
+    }
+
+    Block* block_ = nullptr;
 };
 
 struct Request {
@@ -85,11 +123,6 @@ struct Request {
     /// read execution — the PBFT-like baseline read optimization;
     /// bit 2: protocol no-op (view-change gap filler).
     std::uint8_t flags = 0;
-    Bytes payload;
-    /// Authenticator over the fields above. Legacy BFT clients attach one
-    /// certificate per replica (index = replica id, pairwise keys); a
-    /// Troxy attaches a single trusted-subsystem certificate.
-    std::vector<Certificate> auth;
 
     static constexpr std::uint8_t kFlagRead = 0x01;
     static constexpr std::uint8_t kFlagOptimistic = 0x02;
@@ -98,6 +131,22 @@ struct Request {
     [[nodiscard]] bool is_read() const noexcept { return flags & kFlagRead; }
     [[nodiscard]] bool is_optimistic() const noexcept {
         return flags & kFlagOptimistic;
+    }
+
+    [[nodiscard]] ByteView payload() const noexcept { return body_.payload(); }
+    /// Authenticator over the signed view. Legacy BFT clients attach one
+    /// certificate per replica (index = replica id, pairwise keys); a
+    /// Troxy attaches a single trusted-subsystem certificate.
+    [[nodiscard]] std::span<const Certificate> auth() const noexcept {
+        return body_.auth();
+    }
+    /// Gives the request a fresh body holding `payload` and `auth_count`
+    /// zeroed certificate slots, and forgets the memoized digest.
+    void assign(ByteView payload, std::size_t auth_count = 0);
+    /// The creator fills the certificates in after signing, before the
+    /// request is copied.
+    [[nodiscard]] std::span<Certificate> auth_slots() {
+        return body_.auth_slots();
     }
 
     /// Bytes covered by the certificate, written into `scratch` (cleared
@@ -109,9 +158,10 @@ struct Request {
     void encode(Writer& w) const;
     static Request decode(Reader& r);
 
-    /// Digest identifying this request in commits/replies. Memoized: the
-    /// first call hashes signed_view(), later calls return the cached
-    /// digest, so a request must not be mutated after its digest is taken.
+    /// Digest identifying this request in commits/replies. Memoized per
+    /// Request object (a copy carries the value it had): the first call
+    /// hashes signed_view(), later calls return the cached digest, so a
+    /// request must not be mutated after its digest is taken.
     [[nodiscard]] const crypto::Sha256Digest& digest() const;
 
     /// Like digest(), but charges the hash cost to `crypto` — once: a
@@ -122,6 +172,7 @@ struct Request {
         enclave::CostedCrypto& crypto, Bytes& scratch) const;
 
   private:
+    RequestBody body_;
     mutable std::optional<crypto::Sha256Digest> digest_cache_;
 };
 
@@ -387,3 +438,22 @@ Bytes encode_frame(net::Channel channel, const T& message,
 std::optional<Message> decode_message(ByteView data);
 
 }  // namespace troxy::hybster
+
+namespace troxy {
+
+/// FlatSet<RequestId> hash: a splitmix64-style finalizer over both fields.
+template <>
+struct FlatHash<hybster::RequestId> {
+    std::size_t operator()(const hybster::RequestId& id) const noexcept {
+        std::uint64_t x =
+            (static_cast<std::uint64_t>(id.client) << 32) ^ id.number;
+        x ^= x >> 30;
+        x *= 0xbf58476d1ce4e5b9ULL;
+        x ^= x >> 27;
+        x *= 0x94d049bb133111ebULL;
+        x ^= x >> 31;
+        return static_cast<std::size_t>(x);
+    }
+};
+
+}  // namespace troxy

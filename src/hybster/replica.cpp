@@ -85,22 +85,30 @@ void Replica::send_to(net::Outbox& outbox, std::uint32_t replica,
 
 void Replica::on_message(sim::NodeId from, ByteView payload) {
     if (faults_.crashed) return;
+    auto decoded = decode_message(payload);
+    if (decoded) {
+        on_message(from, std::move(*decoded));
+        return;
+    }
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto(profile_, meter);
+    net::Outbox outbox = make_outbox();
+    crypto.charge_dispatch();
+    outbox.flush(meter);  // charge the wasted parse work
+}
+
+void Replica::on_message(sim::NodeId from, Message&& message) {
+    if (faults_.crashed) return;
 
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(profile_, meter);
     net::Outbox outbox = make_outbox();
     crypto.charge_dispatch();
 
-    auto decoded = decode_message(payload);
-    if (!decoded) {
-        outbox.flush(meter);  // charge the wasted parse work
-        return;
-    }
-
     // A rejoining replica has no state it can safely act on: until the
     // snapshot is installed, only state-transfer traffic is processed.
     if (rejoining_) {
-        if (auto* response = std::get_if<StateResponse>(&*decoded)) {
+        if (auto* response = std::get_if<StateResponse>(&message)) {
             handle_state_response(crypto, outbox, std::move(*response));
         }
         outbox.flush(meter);
@@ -129,7 +137,7 @@ void Replica::on_message(sim::NodeId from, ByteView payload) {
             }
             // Reply messages are never addressed to a replica.
         },
-        std::move(*decoded));
+        std::move(message));
     (void)from;
 
     outbox.flush(meter);
@@ -201,8 +209,8 @@ void Replica::execute_optimistic_read(const Request& request) {
         enclave::CostedCrypto exec_crypto(profile_, exec_meter);
         net::Outbox exec_outbox = make_outbox();
 
-        exec_meter.add(service_->execution_cost(request.payload));
-        Bytes result = service_->execute(request.payload);
+        exec_meter.add(service_->execution_cost(request.payload()));
+        Bytes result = service_->execute(request.payload());
 
         Reply reply;
         reply.kind = Reply::Kind::Optimistic;
@@ -264,12 +272,12 @@ bool Replica::request_in_flight(const RequestId& id) const {
 void Replica::rebuild_in_flight() {
     in_flight_.clear();
     for (const Request& pending : pending_batch_) {
-        in_flight_.insert(pending.id);
+        in_flight_.try_emplace(pending.id);
     }
     for (const auto& [seq, entry] : log_) {
         if (!entry.prepare || entry.executed) continue;
         for (const Request& member : entry.prepare->batch.requests) {
-            in_flight_.insert(member.id);
+            in_flight_.try_emplace(member.id);
         }
     }
 }
@@ -281,7 +289,7 @@ void Replica::enqueue_for_batch(enclave::CostedCrypto& crypto,
     if (request_in_flight(request.id)) return;
 
     pending_batch_.push_back(request);
-    in_flight_.insert(request.id);
+    in_flight_.try_emplace(request.id);
     if (prebatching_) {
         // A pre-formed burst accumulates into one batch; only the wire
         // maximum forces a split. submit_prebatched cuts the remainder.
@@ -320,6 +328,10 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     prepare.replica = id_;
     prepare.batch.requests = std::move(pending_batch_);
     pending_batch_.clear();
+    if (!spare_batches_.empty()) {
+        pending_batch_ = std::move(spare_batches_.back());
+        spare_batches_.pop_back();
+    }
     if (config_.adaptive_batching) {
         batch_controller_.record_served(prepare.batch.requests.size(),
                                         fabric_.simulator().now(),
@@ -336,7 +348,7 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     TROXY_ASSERT(prepare.counter_value == expected_counter(prepare.seq),
                  "leader counter out of sync with sequence numbers");
 
-    auto& entry = log_[prepare.seq];
+    LogEntry& entry = log_entry(prepare.seq);
     entry.prepare = std::move(prepare);
 
     if (!faults_.mute_agreement) {
@@ -409,7 +421,7 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
         }
     }
 
-    auto& entry = log_[prepare.seq];
+    LogEntry& entry = log_entry(prepare.seq);
     if (entry.prepare) return;  // duplicate
 
     // Certify and broadcast our COMMIT over the batch structure
@@ -422,14 +434,14 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
     commit.batch_digest = batch_digest;
     entry.prepare = std::move(prepare);
     for (const Request& member : entry.prepare->batch.requests) {
-        in_flight_.insert(member.id);
+        in_flight_.try_emplace(member.id);
     }
     const auto certified = trinx_->certify_continuing(
         crypto, commit_counter_id(), commit.certified_view());
     commit.counter_value = certified.value;
     commit.cert = certified.certificate;
 
-    entry.commits[id_] = commit;
+    entry.commits[id_] = commit;  // our own COMMIT replaces any earlier
     if (!faults_.mute_agreement) {
         broadcast(outbox, commit);
     }
@@ -451,8 +463,9 @@ void Replica::handle_commit(enclave::CostedCrypto& crypto,
         return;
     }
 
-    auto& entry = log_[commit.seq];
-    entry.commits.emplace(commit.replica, std::move(commit));
+    // The first certified COMMIT from each replica stands.
+    std::optional<Commit>& slot = log_entry(commit.seq).commits[commit.replica];
+    if (!slot) slot = std::move(commit);
     try_execute(crypto, outbox);
 }
 
@@ -468,14 +481,52 @@ bool Replica::committed(const LogEntry& entry) const {
     // A match requires the full certified batch structure — member count
     // AND digest — mirroring what the trusted counter certified.
     int vouchers = 1;
-    for (const auto& [replica, commit] : entry.commits) {
-        if (replica == entry.prepare->replica) continue;
-        if (commit.batch_size == batch_size &&
-            digests_equal(commit.batch_digest, digest)) {
+    for (std::uint32_t replica = 0; replica < entry.commits.size();
+         ++replica) {
+        const std::optional<Commit>& commit = entry.commits[replica];
+        if (!commit || replica == entry.prepare->replica) continue;
+        if (commit->batch_size == batch_size &&
+            digests_equal(commit->batch_digest, digest)) {
             ++vouchers;
         }
     }
     return vouchers >= config_.quorum();
+}
+
+Replica::LogEntry& Replica::log_entry(SequenceNumber seq) {
+    const auto hint = log_.lower_bound(seq);
+    if (hint != log_.end() && hint->first == seq) return hint->second;
+    if (spare_log_.empty()) {
+        LogEntry& entry = log_.emplace_hint(hint, seq, LogEntry{})->second;
+        entry.commits.resize(static_cast<std::size_t>(config_.n()));
+        return entry;
+    }
+    LogNode node = std::move(spare_log_.back());
+    spare_log_.pop_back();
+    node.key() = seq;
+    return log_.insert(hint, std::move(node))->second;
+}
+
+void Replica::truncate_log(SequenceNumber seq) {
+    // An interval holds at most one entry per request, so two intervals
+    // of spare nodes cover the next interval plus the entries ordered
+    // ahead of the checkpoint; a one-off truncation of a long log frees
+    // the rest.
+    const std::size_t keep = 2 * config_.checkpoint_interval;
+    while (!log_.empty() && log_.begin()->first <= seq) {
+        LogNode node = log_.extract(log_.begin());
+        if (spare_log_.size() >= keep) continue;
+        LogEntry& entry = node.mapped();
+        if (entry.prepare && is_leader() && spare_batches_.size() < keep) {
+            std::vector<Request>& members = entry.prepare->batch.requests;
+            members.clear();
+            spare_batches_.push_back(std::move(members));
+        }
+        entry.prepare.reset();
+        for (std::optional<Commit>& slot : entry.commits) slot.reset();
+        entry.executed = false;
+        spare_log_.push_back(std::move(node));
+    }
 }
 
 void Replica::try_execute(enclave::CostedCrypto& crypto,
@@ -533,9 +584,9 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
         if (request.flags & kFlagNoop) continue;
 
         if (!lane_scheduled) {
-            crypto.charge(service_->execution_cost(request.payload));
+            crypto.charge(service_->execution_cost(request.payload()));
         }
-        Bytes result = service_->execute(request.payload);
+        Bytes result = service_->execute(request.payload());
 
         Reply reply;
         reply.kind = Reply::Kind::Ordered;
@@ -619,7 +670,7 @@ void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
             for (const auto& [replica, vote] : votes) {
                 stable_proof_.push_back(vote);
             }
-            log_.erase(log_.begin(), log_.upper_bound(seq));
+            truncate_log(seq);
             checkpoint_votes_.erase(checkpoint_votes_.begin(),
                                     checkpoint_votes_.upper_bound(seq - 1));
             // Keep only the newest own snapshot.
@@ -662,7 +713,7 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
         for (const auto& [replica, vote] : votes) {
             stable_proof_.push_back(vote);
         }
-        log_.erase(log_.begin(), log_.upper_bound(seq));
+        truncate_log(seq);
         checkpoint_votes_.erase(checkpoint_votes_.begin(),
                                 checkpoint_votes_.upper_bound(seq - 1));
         if (const auto it = own_chunks_.find(seq); it != own_chunks_.end()) {
@@ -837,7 +888,7 @@ void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
         fresh.cert = certified.certificate;
         nv.reproposed.push_back(fresh);
 
-        auto& entry = log_[seq];
+        LogEntry& entry = log_entry(seq);
         entry.prepare = fresh;
         // Slots we already executed before the view change must not look
         // pending — try_execute() starts above last_executed_ and would
@@ -1361,7 +1412,7 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         executed_since_checkpoint_ = 0;
     }
     next_seq_ = std::max(next_seq_, last_stable + 1);
-    log_.erase(log_.begin(), log_.upper_bound(last_stable));
+    truncate_log(last_stable);
     rebuild_in_flight();  // possibly unexecuted entries were dropped
     if (last_stable > 0) {
         service_->restore(snapshot);

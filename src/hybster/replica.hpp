@@ -36,9 +36,10 @@
 #include <optional>
 #include <set>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
+#include "common/flat_map.hpp"
 #include "enclave/trinx.hpp"
 #include "hybster/adaptive.hpp"
 #include "hybster/config.hpp"
@@ -100,7 +101,12 @@ class Replica {
     Replica(const Replica&) = delete;
     Replica& operator=(const Replica&) = delete;
 
-    /// Entry point for Channel::Hybster payloads addressed to this node.
+    /// Entry point for a decoded Hybster message addressed to this node
+    /// (a host that already decoded the frame hands it over as is).
+    void on_message(sim::NodeId from, Message&& message);
+    /// Channel::Hybster payload entry: decodes, then forwards to the
+    /// decoded entry. A payload that fails to decode still costs the
+    /// dispatch.
     void on_message(sim::NodeId from, ByteView payload);
 
     /// Local submission from a co-located component (the Troxy): orders
@@ -229,9 +235,12 @@ class Replica {
   private:
     struct LogEntry {
         std::optional<Prepare> prepare;
-        std::map<std::uint32_t, Commit> commits;
+        /// One slot per replica id: the certified COMMIT it sent for this
+        /// sequence number.
+        std::vector<std::optional<Commit>> commits;
         bool executed = false;
     };
+    using LogNode = std::map<SequenceNumber, LogEntry>::node_type;
 
     // --- message handlers (all charge costs to the passed meter) ---
     void handle_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
@@ -286,6 +295,12 @@ class Replica {
     void stash_pending_batch();
     [[nodiscard]] bool request_in_flight(const RequestId& id) const;
     void rebuild_in_flight();
+    /// The log entry for `seq`, created on first use from a recycled node
+    /// when one is spare.
+    LogEntry& log_entry(SequenceNumber seq);
+    /// Garbage-collects the log up to and including `seq` (a stable
+    /// checkpoint): the nodes are kept for reuse with cleared slots.
+    void truncate_log(SequenceNumber seq);
     void try_execute(enclave::CostedCrypto& crypto, net::Outbox& outbox);
     void execute_entry(enclave::CostedCrypto& crypto, net::Outbox& outbox,
                        SequenceNumber seq, LogEntry& entry);
@@ -338,6 +353,13 @@ class Replica {
     SequenceNumber last_executed_ = 0;
     SequenceNumber last_stable_ = 0;
     std::map<SequenceNumber, LogEntry> log_;
+    /// Log nodes freed by truncate_log(), reused by log_entry(): their
+    /// commit slots keep their capacity, so steady-state ordering
+    /// allocates no log memory.
+    std::vector<LogNode> spare_log_;
+    /// Cleared batch buffers of truncated entries; a leader refills
+    /// pending_batch_ from them when it cuts.
+    std::vector<std::vector<Request>> spare_batches_;
 
     // Leader batching: verified requests waiting for the current batch to
     // be cut. Non-empty only on the leader between an enqueue and the
@@ -356,7 +378,7 @@ class Replica {
     // per request at large batches). Updated at enqueue, prepare install
     // and execute; rebuilt wholesale on the rare paths that replace the
     // log (view change, state transfer, restart).
-    std::unordered_set<RequestId, RequestIdHash> in_flight_;
+    FlatSet<RequestId> in_flight_;
 
     // True while submit_prebatched() feeds a pre-formed burst through
     // handle_request: enqueue_for_batch accumulates without cutting (up

@@ -155,15 +155,15 @@ void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
     request.id.client = host_node_;
     request.id.number = next_request_number_++;
     if (info.is_read) request.flags |= hybster::Request::kFlagRead;
-    request.payload.assign(app_request.begin(), app_request.end());
+    request.assign(app_request, 1);
     // Decrypting the client request and creating the authenticated BFT
     // request happen atomically inside this ecall (§III-C task 2). The
     // request is hashed once (memoized on the Request, so the co-located
     // replica's ordering path reuses it); certificate and voter matching
     // reuse it too.
     const crypto::Sha256Digest digest = request.digest_with(crypto, scratch_);
-    request.auth.push_back(
-        trinx_->certify_independent_digest(crypto, digest));
+    request.auth_slots()[0] =
+        trinx_->certify_independent_digest(crypto, digest);
 
     PendingVote pending;
     pending.client = client;
@@ -278,7 +278,7 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     Bytes& result = *vote;
     if (pending.is_read) {
         CacheEntry entry;
-        entry.request_digest = crypto.hash(pending.request.payload);
+        entry.request_digest = crypto.hash(pending.request.payload());
         entry.result = result;
         entry.result_digest = crypto.hash(entry.result);
         gate_.touch(crypto.meter(), entry.result.size());
@@ -404,7 +404,7 @@ void TroxyEnclave::release_reply(enclave::CostedCrypto& crypto,
 enclave::Certificate TroxyEnclave::certify_executed_reply(
     enclave::CostedCrypto& crypto, const hybster::Request& request,
     const hybster::Reply& reply, bool first_in_batch) {
-    const hybster::RequestInfo info = classifier_(request.payload);
+    const hybster::RequestInfo info = classifier_(request.payload());
     gate_.touch(crypto.meter(), reply.result.size());
 
     // Invalidate *before* the certificate exists: without the certificate
@@ -416,7 +416,7 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
         invalidate_write_set(info.state_key, info.extra_keys);
     } else if (reply.kind == hybster::Reply::Kind::Ordered) {
         CacheEntry entry;
-        entry.request_digest = crypto.hash(request.payload);
+        entry.request_digest = crypto.hash(request.payload());
         entry.result = reply.result;
         entry.result_digest = crypto.hash(entry.result);
         cache_.put(info.state_key, std::move(entry));
@@ -466,7 +466,7 @@ enclave::Certificate TroxyEnclave::authenticate_reply(
     enclave::CostMeter& meter, const hybster::Request& request,
     const hybster::Reply& reply) {
     gate_.ecall(meter, "authenticate_reply",
-                request.payload.size() + reply.result.size() + 128,
+                request.payload().size() + reply.result.size() + 128,
                 sizeof(enclave::Certificate));
     enclave::CostedCrypto crypto(profile_, meter);
     ++ecall_stamp_;
@@ -479,7 +479,7 @@ std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
     std::size_t in_bytes = 0;
     for (const ReplyAuth& item : batch) {
         in_bytes +=
-            item.request->payload.size() + item.reply->result.size() + 128;
+            item.request->payload().size() + item.reply->result.size() + 128;
     }
     gate_.ecall(meter, "authenticate_replies", in_bytes,
                 batch.size() * sizeof(enclave::Certificate));

@@ -37,14 +37,14 @@ TroxyReplicaHost::TroxyReplicaHost(
     // certificate from the issuing Troxy (identified by its host replica).
     hooks.verify_request = [this, trinx](enclave::CostedCrypto& crypto,
                                          const hybster::Request& request) {
-        if (request.auth.size() != 1) return false;
+        if (request.auth().size() != 1) return false;
         const int issuer = config_.replica_of(request.id.client);
         if (issuer < 0) return false;
         return trinx->verify_independent(crypto,
                                          static_cast<std::uint32_t>(issuer),
                                          request.signed_view(
                                              verify_scratch_),
-                                         request.auth[0]);
+                                         request.auth()[0]);
     };
     // Replies are authenticated by the local Troxy (which uses the moment
     // to keep its fast-read cache coherent), then sent to the contact
@@ -326,7 +326,8 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
     switch (channel) {
         case net::Channel::Hybster: {
             // Replies addressed to this node feed the local Troxy's voter;
-            // everything else is agreement traffic for the replica.
+            // everything else is agreement traffic for the replica, handed
+            // over decoded (each frame is decoded once per node).
             auto decoded = hybster::decode_message(payload);
             if (!decoded) return;
             if (auto* reply = std::get_if<hybster::Reply>(&*decoded)) {
@@ -336,7 +337,7 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
                 }
                 return;  // misrouted reply
             }
-            replica_->on_message(from, payload);
+            replica_->on_message(from, std::move(*decoded));
             return;
         }
         case net::Channel::Bundle: {
@@ -411,7 +412,7 @@ void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
                 }
                 continue;
             }
-            replica_->on_message(from, unwrapped_inner->second);
+            replica_->on_message(from, std::move(*decoded));
             continue;
         }
         on_message(from, std::move(message));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "apps/echo_service.hpp"
 #include "apps/kv_service.hpp"
@@ -59,9 +60,8 @@ TEST(Messages, RequestRoundTrip) {
     Request request;
     request.id = {7, 42};
     request.flags = Request::kFlagRead;
-    request.payload = to_bytes("payload");
-    request.auth.push_back(enclave::Certificate{});
-    request.auth.back().fill(0x11);
+    request.assign(to_bytes("payload"), 1);
+    request.auth_slots()[0].fill(0x11);
 
     const Bytes wire = encode_message(Message(request));
     const auto decoded = decode_message(wire);
@@ -71,17 +71,17 @@ TEST(Messages, RequestRoundTrip) {
     EXPECT_EQ(out->id, request.id);
     EXPECT_TRUE(out->is_read());
     EXPECT_FALSE(out->is_optimistic());
-    EXPECT_EQ(out->payload, request.payload);
-    ASSERT_EQ(out->auth.size(), 1u);
-    EXPECT_EQ(out->auth[0], request.auth[0]);
+    EXPECT_EQ(to_string(out->payload()), "payload");
+    ASSERT_EQ(out->auth().size(), 1u);
+    EXPECT_EQ(out->auth()[0], request.auth()[0]);
 }
 
 TEST(Messages, RequestDigestExcludesAuth) {
     Request a;
     a.id = {1, 2};
-    a.payload = to_bytes("x");
+    a.assign(to_bytes("x"));
     Request b = a;
-    b.auth.push_back(enclave::Certificate{});
+    b.assign(a.payload(), 1);
     EXPECT_EQ(a.digest(), b.digest());
 }
 
@@ -93,11 +93,11 @@ TEST(Messages, PrepareRoundTrip) {
     prepare.counter_value = 5;
     Request member;
     member.id = {9, 1};
-    member.payload = to_bytes("req");
+    member.assign(to_bytes("req"));
     prepare.batch.requests.push_back(member);
     Request second;
     second.id = {9, 2};
-    second.payload = to_bytes("req2");
+    second.assign(to_bytes("req2"));
     prepare.batch.requests.push_back(second);
     prepare.cert.fill(0x22);
 
@@ -109,8 +109,8 @@ TEST(Messages, PrepareRoundTrip) {
     EXPECT_EQ(out->seq, 17u);
     EXPECT_EQ(out->counter_value, 5u);
     ASSERT_EQ(out->batch.size(), 2u);
-    EXPECT_EQ(out->batch.requests[0].payload, to_bytes("req"));
-    EXPECT_EQ(out->batch.requests[1].payload, to_bytes("req2"));
+    EXPECT_EQ(to_string(out->batch.requests[0].payload()), "req");
+    EXPECT_EQ(to_string(out->batch.requests[1].payload()), "req2");
     EXPECT_EQ(out->batch.digest(), prepare.batch.digest());
 }
 
@@ -121,7 +121,7 @@ TEST(Messages, BatchDigestRules) {
     Batch single;
     Request r1;
     r1.id = {1, 1};
-    r1.payload = to_bytes("a");
+    r1.assign(to_bytes("a"));
     single.requests.push_back(r1);
     EXPECT_EQ(single.digest(), r1.digest());
 
@@ -131,7 +131,7 @@ TEST(Messages, BatchDigestRules) {
     Batch pair;
     Request r2;
     r2.id = {1, 2};
-    r2.payload = to_bytes("b");
+    r2.assign(to_bytes("b"));
     pair.requests.push_back(r1);
     pair.requests.push_back(r2);
     Bytes concat_digests;
@@ -151,10 +151,10 @@ TEST(Messages, CertifiedViewsBindBatchStructure) {
     // therefore differ as byte strings, for PREPAREs and COMMITs alike.
     Request r1;
     r1.id = {1, 1};
-    r1.payload = to_bytes("a");
+    r1.assign(to_bytes("a"));
     Request r2;
     r2.id = {1, 2};
-    r2.payload = to_bytes("b");
+    r2.assign(to_bytes("b"));
 
     Prepare one;
     one.view = 4;
@@ -225,7 +225,7 @@ TEST(Messages, ViewChangeNewViewRoundTrip) {
     prepared.view = 1;
     prepared.seq = 65;
     Request pending;
-    pending.payload = to_bytes("pending");
+    pending.assign(to_bytes("pending"));
     prepared.batch.requests.push_back(std::move(pending));
     vc.prepared.push_back(prepared);
 
@@ -278,6 +278,19 @@ struct BareGroup {
     std::vector<Reply> delivered;  // replies that reached "the client"
     sim::CostProfile profile = sim::CostProfile::java();
 
+    /// One frame a replica received.
+    struct Arrival {
+        sim::SimTime at = 0;
+        sim::NodeId from = 0;
+        sim::NodeId to = 0;
+        Bytes frame;
+        bool operator==(const Arrival&) const = default;
+    };
+    std::vector<Arrival> arrivals;
+    /// Hand replicas decoded messages, as the Troxy host does, instead of
+    /// payload bytes.
+    bool decoded_entry = false;
+
     explicit BareGroup(int f = 1, std::size_t batch_size_max = 1,
                        sim::Duration batch_delay = 0,
                        std::size_t execution_lanes = 1,
@@ -316,12 +329,19 @@ struct BareGroup {
                 static_cast<std::uint32_t>(i), service(), std::move(trinx),
                 profile, std::move(hooks)));
             auto* replica = replicas.back().get();
-            fabric.attach(config.replicas[static_cast<std::size_t>(i)],
-                          [replica](sim::NodeId from, Bytes message) {
-                              auto unwrapped = net::unwrap(message);
-                              if (!unwrapped) return;
-                              replica->on_message(from, unwrapped->second);
-                          });
+            const sim::NodeId id = config.replicas[static_cast<std::size_t>(i)];
+            fabric.attach(id, [this, replica, id](sim::NodeId from,
+                                                  Bytes message) {
+                arrivals.push_back({sim.now(), from, id, message});
+                auto unwrapped = net::unwrap(message);
+                if (!unwrapped) return;
+                if (!decoded_entry) {
+                    replica->on_message(from, unwrapped->second);
+                    return;
+                }
+                auto decoded = decode_message(unwrapped->second);
+                if (decoded) replica->on_message(from, std::move(*decoded));
+            });
         }
     }
 
@@ -330,7 +350,7 @@ struct BareGroup {
         Request request;
         request.id = {500, number};
         request.flags = flags;
-        request.payload = std::move(payload);
+        request.assign(payload);
         return request;
     }
 
@@ -585,6 +605,284 @@ TEST(Replica, FiveReplicaGroupToleratesTwoFaults) {
     EXPECT_EQ(group.replies_for(2), 3);  // the three alive replicas
 }
 
+// ----------------------------------------------------------- decoded entry
+
+/// Drives a group through every agreement message type: requests
+/// forwarded by a follower, Prepares, Commits and Checkpoints, a view
+/// change after the leader crashes (ViewChange, NewView) and a state
+/// transfer when it restarts (StateRequest, StateResponse).
+void run_every_message_type(BareGroup& group) {
+    const auto write = [&](std::uint64_t number) {
+        return group.make_request(
+            number, apps::EchoService::make_write(number % 4, 64));
+    };
+    for (std::uint64_t i = 1; i <= 10; ++i) {
+        group.replicas[1]->submit(write(i));
+    }
+    group.sim.run_until(sim::seconds(1));
+    FaultProfile crash;
+    crash.crashed = true;
+    group.replicas[0]->set_faults(crash);
+    for (std::uint64_t i = 11; i <= 12; ++i) {
+        group.replicas[1]->submit(write(i));
+    }
+    group.sim.run_until(sim::seconds(5));
+    group.replicas[0]->restart(std::make_unique<apps::EchoService>());
+    group.sim.run_until(sim::seconds(10));
+    for (std::uint64_t i = 13; i <= 20; ++i) {
+        group.replicas[2]->submit(write(i));
+    }
+    group.sim.run_until(sim::seconds(15));
+}
+
+/// Hybster message type of an arrived frame.
+MsgType type_of(const BareGroup::Arrival& arrival) {
+    return static_cast<MsgType>(arrival.frame.at(1));
+}
+
+TEST(DecodedEntry, MatchesByteEntryForEveryMessageType) {
+    BareGroup bytes_group;
+    BareGroup decoded_group;
+    decoded_group.decoded_entry = true;
+    run_every_message_type(bytes_group);
+    run_every_message_type(decoded_group);
+
+    std::set<MsgType> seen;
+    for (const auto& arrival : bytes_group.arrivals) {
+        seen.insert(type_of(arrival));
+    }
+    for (const MsgType type :
+         {MsgType::Request, MsgType::Prepare, MsgType::Commit,
+          MsgType::Checkpoint, MsgType::ViewChange, MsgType::NewView,
+          MsgType::StateRequest, MsgType::StateResponse}) {
+        EXPECT_TRUE(seen.contains(type)) << "type " << int(type);
+    }
+    // The same frames at the same simulated times: every handler sent the
+    // same bytes after the same CPU charge.
+    ASSERT_EQ(bytes_group.arrivals.size(), decoded_group.arrivals.size());
+    EXPECT_TRUE(bytes_group.arrivals == decoded_group.arrivals);
+    for (std::size_t i = 0; i < bytes_group.replicas.size(); ++i) {
+        const Replica& a = *bytes_group.replicas[i];
+        Replica& b = *decoded_group.replicas[i];
+        EXPECT_EQ(bytes_group.nodes[i]->busy_time(),
+                  decoded_group.nodes[i]->busy_time());
+        EXPECT_EQ(a.view(), b.view());
+        EXPECT_EQ(a.last_executed(), b.last_executed());
+        EXPECT_EQ(a.last_stable(), b.last_stable());
+        EXPECT_EQ(a.view_changes(), b.view_changes());
+        EXPECT_EQ(a.state_transfers(), b.state_transfers());
+        EXPECT_EQ(bytes_group.replicas[i]->service().checkpoint(),
+                  b.service().checkpoint());
+    }
+    EXPECT_EQ(decoded_group.replicas[0]->last_executed(),
+              decoded_group.replicas[1]->last_executed());
+    EXPECT_EQ(decoded_group.replies_for(20), 3);
+}
+
+TEST(DecodedEntry, CrashedReplicaIgnoresDecodedMessages) {
+    BareGroup group;
+    group.decoded_entry = true;
+    group.replicas[0]->submit(
+        group.make_request(1, apps::EchoService::make_write(1, 32)));
+    group.sim.run_until(sim::seconds(1));
+    FaultProfile crash;
+    crash.crashed = true;
+    group.replicas[2]->set_faults(crash);
+    const sim::Duration busy = group.nodes[2]->busy_time();
+    const std::size_t arrived = group.arrivals.size();
+
+    const Request request =
+        group.make_request(2, apps::EchoService::make_write(2, 32));
+    group.replicas[2]->on_message(group.config.replicas[0], Message(request));
+    group.sim.run_until(sim::seconds(2));
+    EXPECT_EQ(group.nodes[2]->busy_time(), busy);
+    EXPECT_EQ(group.arrivals.size(), arrived);  // nothing forwarded
+
+    // The same message at a live follower is forwarded and ordered.
+    group.replicas[1]->on_message(group.config.replicas[0], Message(request));
+    group.sim.run_until(sim::seconds(3));
+    EXPECT_EQ(group.replicas[0]->last_executed(), 2u);
+}
+
+TEST(DecodedEntry, RejoiningReplicaAcceptsOnlyStateResponse) {
+    BareGroup group;  // checkpoint interval 8
+    group.decoded_entry = true;
+    for (std::uint64_t i = 1; i <= 10; ++i) {
+        group.replicas[0]->submit(
+            group.make_request(i, apps::EchoService::make_write(i, 32)));
+    }
+    group.sim.run_until(sim::seconds(1));
+    const sim::NodeId rejoiner = group.config.replicas[2];
+    std::vector<BareGroup::Arrival> replay;
+    for (const auto& arrival : group.arrivals) {
+        if (arrival.to == rejoiner && (type_of(arrival) == MsgType::Prepare ||
+                                       type_of(arrival) == MsgType::Commit)) {
+            replay.push_back(arrival);
+        }
+    }
+    ASSERT_FALSE(replay.empty());
+
+    group.replicas[2]->restart(std::make_unique<apps::EchoService>());
+    const std::size_t mark = group.arrivals.size();
+    for (const auto& arrival : replay) {
+        auto decoded = decode_message(ByteView(arrival.frame).subspan(1));
+        ASSERT_TRUE(decoded.has_value());
+        group.replicas[2]->on_message(arrival.from, std::move(*decoded));
+    }
+    group.replicas[2]->on_message(
+        group.config.replicas[0],
+        Message(group.make_request(11, apps::EchoService::make_write(1, 32))));
+    EXPECT_TRUE(group.replicas[2]->rejoining());
+    EXPECT_EQ(group.replicas[2]->last_executed(), 0u);
+
+    group.sim.run_until(sim::seconds(3));
+    // Until its first StateResponse arrived, the rejoiner sent nothing
+    // but StateRequests: the replayed Prepares drew no Commit and the
+    // request was not forwarded.
+    std::size_t state_requests = 0;
+    for (std::size_t i = mark; i < group.arrivals.size(); ++i) {
+        const auto& arrival = group.arrivals[i];
+        if (arrival.to == rejoiner &&
+            type_of(arrival) == MsgType::StateResponse) {
+            break;
+        }
+        if (arrival.from == rejoiner) {
+            EXPECT_EQ(type_of(arrival), MsgType::StateRequest);
+            ++state_requests;
+        }
+    }
+    EXPECT_GT(state_requests, 0u);
+    EXPECT_FALSE(group.replicas[2]->rejoining());
+    EXPECT_EQ(group.replicas[2]->last_executed(), 10u);
+    EXPECT_EQ(group.replies_for(11), 0);
+}
+
+// --------------------------------------------------------------- log slots
+
+/// Replica 0 of a three-replica group on its own: its peers are the test,
+/// which certifies their COMMITs and CHECKPOINTs with TrinX instances of
+/// its own.
+struct SoloLeader {
+    sim::Simulator sim{7};
+    sim::Network network{sim};
+    net::Fabric fabric{sim, network};
+    sim::CostProfile profile = sim::CostProfile::java();
+    Bytes group_key = to_bytes("test-group-key");
+    Config config;
+    std::unique_ptr<sim::Node> node;
+    std::unique_ptr<Replica> leader;
+    std::vector<Prepare> prepares;           // as broadcast to replica 1
+    std::vector<CheckpointMsg> checkpoints;  // as broadcast to replica 1
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto{profile, meter};
+
+    explicit SoloLeader(SequenceNumber checkpoint_interval) {
+        config.f = 1;
+        config.replicas = {1, 2, 3};
+        config.checkpoint_interval = checkpoint_interval;
+        config.view_change_timeout = sim::seconds(60);
+        node = std::make_unique<sim::Node>(sim, 1, "r0", 4);
+        Replica::Hooks hooks;
+        hooks.verify_request = [](enclave::CostedCrypto&, const Request&) {
+            return true;
+        };
+        hooks.deliver_reply = [](enclave::CostedCrypto&, net::Outbox&,
+                                 const Request&, Reply) {};
+        leader = std::make_unique<Replica>(
+            fabric, *node, config, 0,
+            std::make_unique<apps::EchoService>(),
+            std::make_shared<enclave::TrinX>(0, group_key), profile,
+            std::move(hooks));
+        fabric.attach(2, [this](sim::NodeId, Bytes message) {
+            auto unwrapped = net::unwrap(message);
+            if (!unwrapped) return;
+            auto decoded = decode_message(unwrapped->second);
+            if (!decoded) return;
+            if (auto* prepare = std::get_if<Prepare>(&*decoded)) {
+                prepares.push_back(std::move(*prepare));
+            } else if (auto* cp = std::get_if<CheckpointMsg>(&*decoded)) {
+                checkpoints.push_back(std::move(*cp));
+            }
+        });
+        fabric.attach(3, [](sim::NodeId, Bytes) {});
+    }
+
+    /// The leader orders write `number`; returns once its Prepare is out.
+    void order(std::uint64_t number) {
+        Request request;
+        request.id = {500, number};
+        request.assign(apps::EchoService::make_write(number, 32));
+        leader->submit(request);
+        sim.run_until(sim.now() + sim::milliseconds(10));
+    }
+
+    /// `peer`'s certified COMMIT for `prepare`, vouching for `digest`.
+    Commit commit(const Prepare& prepare, std::uint32_t replica,
+                  enclave::TrinX& peer, const crypto::Sha256Digest& digest) {
+        Commit c;
+        c.view = prepare.view;
+        c.seq = prepare.seq;
+        c.replica = replica;
+        c.batch_size = static_cast<std::uint32_t>(prepare.batch.size());
+        c.batch_digest = digest;
+        const auto certified =
+            peer.certify_continuing(crypto, 2 * c.view + 1, c.certified_view());
+        c.counter_value = certified.value;
+        c.cert = certified.certificate;
+        return c;
+    }
+
+    void deliver(std::uint32_t replica, Message message) {
+        leader->on_message(config.node_of(replica), std::move(message));
+        sim.run_until(sim.now() + sim::milliseconds(10));
+    }
+};
+
+TEST(LogSlots, FirstCommitFromAPeerStands) {
+    SoloLeader solo(128);
+    solo.order(1);
+    ASSERT_EQ(solo.prepares.size(), 1u);
+    const Prepare& prepare = solo.prepares[0];
+    enclave::TrinX first(1, solo.group_key);
+    enclave::TrinX second(1, solo.group_key);
+    solo.deliver(1, solo.commit(prepare, 1, first,
+                                crypto::sha256(to_bytes("another batch"))));
+    solo.deliver(1, solo.commit(prepare, 1, second, prepare.batch.digest()));
+    EXPECT_EQ(solo.leader->last_executed(), 0u);
+
+    // The other peer's matching COMMIT completes the quorum.
+    enclave::TrinX third(2, solo.group_key);
+    solo.deliver(2, solo.commit(prepare, 2, third, prepare.batch.digest()));
+    EXPECT_EQ(solo.leader->last_executed(), 1u);
+}
+
+TEST(LogSlots, RecycledEntryCountsNoLeftoverCommit) {
+    SoloLeader solo(/*checkpoint_interval=*/2);
+    enclave::TrinX peer(1, solo.group_key);
+    for (std::uint64_t seq = 1; seq <= 2; ++seq) {
+        solo.order(seq);
+        const Prepare& prepare = solo.prepares.back();
+        solo.deliver(1, solo.commit(prepare, 1, peer, prepare.batch.digest()));
+        ASSERT_EQ(solo.leader->last_executed(), seq);
+    }
+    ASSERT_EQ(solo.checkpoints.size(), 1u);
+    CheckpointMsg vote = solo.checkpoints[0];
+    vote.replica = 1;
+    vote.cert = peer.certify_independent(solo.crypto, vote.certified_view());
+    solo.deliver(1, vote);
+    ASSERT_EQ(solo.leader->last_stable(), 2u);  // entries 1 and 2 recycled
+
+    // Sequence numbers 3 and 4 reuse the nodes of 1 and 2, whose slots
+    // held replica 1's COMMITs: only fresh COMMITs may count.
+    for (std::uint64_t seq = 3; seq <= 4; ++seq) {
+        solo.order(seq);
+        EXPECT_EQ(solo.leader->last_executed(), seq - 1);
+        const Prepare& prepare = solo.prepares.back();
+        solo.deliver(1, solo.commit(prepare, 1, peer, prepare.batch.digest()));
+        EXPECT_EQ(solo.leader->last_executed(), seq);
+    }
+}
+
 // --------------------------------------------------------- execution lanes
 
 /// Service with hand-controllable conflict classes and costs: the first
@@ -610,7 +908,7 @@ Request lane_request(char key, std::uint8_t cost, std::uint8_t flags = 0) {
     Request request;
     request.id = {500, static_cast<std::uint64_t>(key) * 256 + cost};
     request.flags = flags;
-    request.payload = {static_cast<std::uint8_t>(key), cost};
+    request.assign(Bytes{static_cast<std::uint8_t>(key), cost});
     return request;
 }
 

@@ -63,8 +63,7 @@ TEST(WireFuzz, GarbageOnEveryChannelIsDiscarded) {
 TEST(WireFuzz, TruncatedRealMessagesRejected) {
     hybster::Request request;
     request.id = {9, 4};
-    request.payload = to_bytes("payload");
-    request.auth.emplace_back();
+    request.assign(to_bytes("payload"), 1);
 
     const Bytes wire = encode_message(hybster::Message(request));
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {

@@ -601,7 +601,7 @@ TEST(TroxyEnclave, ReconnectDropsRepliesOfTheReplacedSession) {
     warm_read.id.client = VotingRig::kHostNode;
     warm_read.id.number = 1000;
     warm_read.flags |= hybster::Request::kFlagRead;
-    warm_read.payload = apps::EchoService::make_read(5, 32, 64);
+    warm_read.assign(apps::EchoService::make_read(5, 32, 64));
     hybster::Reply warm_reply;
     warm_reply.kind = hybster::Reply::Kind::Ordered;
     warm_reply.request_id = warm_read.id;
@@ -705,7 +705,7 @@ struct FastReadRig {
         request.id.client = kContactNode;
         request.id.number = next_number++;
         request.flags |= hybster::Request::kFlagRead;
-        request.payload = apps::EchoService::make_read(key, 32, 64);
+        request.assign(apps::EchoService::make_read(key, 32, 64));
         return request;
     }
 
@@ -995,7 +995,7 @@ TEST(TroxyEnclave, ExecutedWriteBatchInvalidatesEachKeyOnce) {
         hybster::Request request;
         request.id.client = FastReadRig::kContactNode;
         request.id.number = rig.next_number++;
-        request.payload = apps::EchoService::make_write(7, 16);
+        request.assign(apps::EchoService::make_write(7, 16));
         requests.push_back(std::move(request));
     }
     for (const hybster::Request& request : requests) {
@@ -1021,7 +1021,7 @@ TEST(TroxyEnclave, RepeatWriteAcrossTransitionsSkipsInvalidation) {
         hybster::Request request;
         request.id.client = FastReadRig::kContactNode;
         request.id.number = rig.next_number++;
-        request.payload = apps::EchoService::make_write(7, 16);
+        request.assign(apps::EchoService::make_write(7, 16));
         const hybster::Reply reply = rig.executed(request, "ack", 0);
         rig.contact->authenticate_reply(rig.meter, request, reply);
     };
@@ -1041,7 +1041,7 @@ TEST(TroxyEnclave, RepeatWriteAcrossTransitionsSkipsInvalidation) {
     read.id.client = FastReadRig::kContactNode;
     read.id.number = rig.next_number++;
     read.flags |= hybster::Request::kFlagRead;
-    read.payload = apps::EchoService::make_read(7, 32, 64);
+    read.assign(apps::EchoService::make_read(7, 32, 64));
     rig.contact->authenticate_reply(rig.meter, read,
                                     rig.executed(read, "value", 0));
 
@@ -1067,9 +1067,9 @@ TEST(TroxyEnclave, WriteReadWriteBatchLeavesNoStaleEntry) {
             request.id.number = rig.next_number++;
             if (read) {
                 request.flags |= hybster::Request::kFlagRead;
-                request.payload = apps::EchoService::make_read(7, 32, 64);
+                request.assign(apps::EchoService::make_read(7, 32, 64));
             } else {
-                request.payload = apps::EchoService::make_write(7, 16);
+                request.assign(apps::EchoService::make_write(7, 16));
             }
             requests.push_back(std::move(request));
         };
@@ -1123,7 +1123,7 @@ TEST(TroxyEnclave, WriteSetGatesAndInvalidatesScanPartitions) {
     scan_request.id.client = VotingRig::kHostNode;
     scan_request.id.number = 900;
     scan_request.flags |= hybster::Request::kFlagRead;
-    scan_request.payload = apps::KvService::make_scan("a");
+    scan_request.assign(apps::KvService::make_scan("a"));
     hybster::Reply scan_reply;
     scan_reply.kind = hybster::Reply::Kind::Ordered;
     scan_reply.request_id = scan_request.id;
@@ -1195,6 +1195,40 @@ TEST(TroxyEnclave, LatencyTargetFlushesLoneFastReadImmediately) {
     const sim::Duration immediate = fast_read_latency(true);
     EXPECT_GE(held, sim::milliseconds(5));
     EXPECT_LT(immediate, sim::milliseconds(2));
+}
+
+// ---------------------------------------------------------- host dispatch
+
+TEST(TroxyHost, UndecodableHybsterFrameReachesNoHandler) {
+    bench::TroxyCluster::Params params;
+    params.service = []() { return std::make_unique<apps::EchoService>(); };
+    params.classifier = [](ByteView request) {
+        return apps::EchoService().classify(request);
+    };
+    bench::TroxyCluster cluster(std::move(params));
+    cluster.simulator().run_until(sim::milliseconds(10));
+    TroxyReplicaHost& host = cluster.host(1);
+    const sim::NodeId peer = cluster.config().node_of(0);
+    const sim::Duration busy = host.node().busy_time();
+
+    // An unknown type and a truncated Commit, alone and in a bundle.
+    hybster::Commit commit;
+    Bytes truncated = hybster::encode_message(hybster::Message(commit));
+    truncated.pop_back();
+    const std::vector<Bytes> frames = {
+        net::wrap(net::Channel::Hybster, Bytes{99}),
+        net::wrap(net::Channel::Hybster, truncated)};
+    for (const Bytes& frame : frames) {
+        cluster.fabric().send(peer, host.node().id(), frame);
+    }
+    cluster.fabric().send(peer, host.node().id(), net::make_bundle(frames));
+    cluster.simulator().run_until(sim::milliseconds(20));
+    EXPECT_EQ(host.node().busy_time(), busy);
+
+    // Handed to the replica's byte entry, the same frame costs a dispatch.
+    host.replica().on_message(peer, ByteView(frames[0]).subspan(1));
+    cluster.simulator().run_until(sim::milliseconds(30));
+    EXPECT_GT(host.node().busy_time(), busy);
 }
 
 }  // namespace
