@@ -70,8 +70,8 @@ int main() {
     }
 
     // The same lever on the read path: a fast read costs ~3 transitions
-    // (handle_request, the remote handle_cache_query, the contact's
-    // handle_cache_response). Read-path batching collapses these to
+    // (handle_request, the remote handle_cache_queries, the contact's
+    // handle_cache_responses). Read-path batching collapses these to
     // per-burst — the transition count drops from per-request to
     // per-burst while throughput rises.
     {

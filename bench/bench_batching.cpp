@@ -95,20 +95,23 @@ Row run_core(std::size_t batch, sim::Duration delay, int clients,
             crypto.charge(profile.mac(17 + request.payload().size()));
             return true;
         };
-        hooks.deliver_reply = [&, profile](enclave::CostedCrypto& crypto,
-                                           net::Outbox&,
-                                           const hy::Request&,
-                                           hy::Reply reply) {
-            // Reply MAC toward the client (certified-view size).
-            crypto.charge(profile.mac(37 + crypto::kSha256DigestSize +
-                                      reply.result.size()));
-            const auto it = pending.find(reply.request_id.number);
-            if (it == pending.end()) return;
-            if (++it->second.replies < config.quorum()) return;
-            recorder.record(simulator.now(),
-                            simulator.now() - it->second.start);
-            pending.erase(it);
-            simulator.after(sim::microseconds(1), submit_one);
+        hooks.deliver_replies = [&, profile](enclave::CostedCrypto& crypto,
+                                             net::Outbox&,
+                                             std::span<hy::ExecutedReply>
+                                                 batch) {
+            for (const hy::ExecutedReply& member : batch) {
+                // Reply MAC toward the client (certified-view size).
+                crypto.charge(profile.mac(37 + crypto::kSha256DigestSize +
+                                          member.reply.result.size()));
+                const auto it =
+                    pending.find(member.reply.request_id.number);
+                if (it == pending.end()) continue;
+                if (++it->second.replies < config.quorum()) continue;
+                recorder.record(simulator.now(),
+                                simulator.now() - it->second.start);
+                pending.erase(it);
+                simulator.after(sim::microseconds(1), submit_one);
+            }
         };
         replicas.push_back(std::make_unique<hy::Replica>(
             fabric, *nodes.back(), config, static_cast<std::uint32_t>(i),
@@ -134,7 +137,7 @@ Row run_core(std::size_t batch, sim::Duration delay, int clients,
         request.assign(
             apps::EchoService::make_write(number % key_space, 256));
         pending[number].start = simulator.now();
-        replicas[0]->submit(request);
+        replicas[0]->submit({std::move(request)});
     };
 
     // Closed loop: clients × pipeline requests in flight, ramped up across

@@ -145,18 +145,22 @@ Sample run_lanes(std::size_t lanes, std::size_t batch, int conflict_pct,
             crypto.charge(profile.mac(17 + request.payload().size()));
             return true;
         };
-        hooks.deliver_reply = [&, profile](enclave::CostedCrypto& crypto,
-                                           net::Outbox&, const hy::Request&,
-                                           hy::Reply reply) {
-            crypto.charge(profile.mac(37 + crypto::kSha256DigestSize +
-                                      reply.result.size()));
-            const auto it = pending.find(reply.request_id.number);
-            if (it == pending.end()) return;
-            if (++it->second.replies < config.quorum()) return;
-            recorder.record(simulator.now(),
-                            simulator.now() - it->second.start);
-            pending.erase(it);
-            simulator.after(sim::microseconds(1), submit_one);
+        hooks.deliver_replies = [&, profile](enclave::CostedCrypto& crypto,
+                                             net::Outbox&,
+                                             std::span<hy::ExecutedReply>
+                                                 batch) {
+            for (const hy::ExecutedReply& member : batch) {
+                crypto.charge(profile.mac(37 + crypto::kSha256DigestSize +
+                                          member.reply.result.size()));
+                const auto it =
+                    pending.find(member.reply.request_id.number);
+                if (it == pending.end()) continue;
+                if (++it->second.replies < config.quorum()) continue;
+                recorder.record(simulator.now(),
+                                simulator.now() - it->second.start);
+                pending.erase(it);
+                simulator.after(sim::microseconds(1), submit_one);
+            }
         };
         replicas.push_back(std::make_unique<hy::Replica>(
             fabric, *nodes.back(), config, static_cast<std::uint32_t>(i),
@@ -188,7 +192,7 @@ Sample run_lanes(std::size_t lanes, std::size_t batch, int conflict_pct,
         request.assign(
             apps::KvService::make_put(key, std::string(64, 'v')));
         pending[number].start = simulator.now();
-        replicas[0]->submit(request);
+        replicas[0]->submit({std::move(request)});
     };
 
     const int in_flight = clients * pipeline;

@@ -8,9 +8,9 @@
 // through ONE ecall transition and amortizes the per-source certificate
 // MAC base across the batch; wire coalescing (enabled together with the
 // voter batch) seals each flush burst into one AEAD record per
-// destination. voter_batch = 1 runs the exact seed flow — per-reply
-// handle_reply ecalls, one record per message, no coalescing — and
-// anchors the speedup column.
+// destination. voter_batch = 1 runs the paper's flow — one
+// handle_replies ecall per reply, one record per message, no
+// coalescing — and anchors the speedup column.
 //
 // Each row also reports the observable mechanism counters: total Troxy
 // ecall transitions, the handle_replies batch split, and simulated wire

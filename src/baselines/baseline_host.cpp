@@ -37,28 +37,30 @@ BaselineReplicaHost::BaselineReplicaHost(
     // Replies are authenticated with the pairwise secret and sent over
     // the client's secure channel (each replica replies directly; the
     // client-side library does the voting).
-    hooks.deliver_reply = [this](enclave::CostedCrypto& crypto,
-                                 net::Outbox& outbox,
-                                 const hybster::Request& request,
-                                 hybster::Reply reply) {
-        const sim::NodeId client = request.id.client;
-        const auto channel = channels_.find(client);
-        if (channel == channels_.end() ||
-            !channel->second.established()) {
-            return;  // client not connected here
-        }
-        const Bytes key = client_keys_(client);
-        const crypto::HmacTag tag =
-            crypto.mac(key, reply.certified_view());
-        std::copy(tag.begin(), tag.end(), reply.cert.begin());
+    hooks.deliver_replies = [this](enclave::CostedCrypto& crypto,
+                                   net::Outbox& outbox,
+                                   std::span<hybster::ExecutedReply> batch) {
+        for (hybster::ExecutedReply& member : batch) {
+            const sim::NodeId client = member.request->id.client;
+            const auto channel = channels_.find(client);
+            if (channel == channels_.end() ||
+                !channel->second.established()) {
+                continue;  // client not connected here
+            }
+            hybster::Reply& reply = member.reply;
+            const Bytes key = client_keys_(client);
+            const crypto::HmacTag tag =
+                crypto.mac(key, reply.certified_view());
+            std::copy(tag.begin(), tag.end(), reply.cert.begin());
 
-        const Bytes encoded = encode_message(hybster::Message(reply));
-        crypto.charge(profile_.aead(encoded.size()));
-        outbox.send(client,
-                    net::wrap(net::Channel::Client,
-                              net::frame_client(
-                                  net::ClientFrame::Record,
-                                  channel->second.protect(encoded))));
+            const Bytes encoded = encode_message(hybster::Message(reply));
+            crypto.charge(profile_.aead(encoded.size()));
+            outbox.send(client,
+                        net::wrap(net::Channel::Client,
+                                  net::frame_client(
+                                      net::ClientFrame::Record,
+                                      channel->second.protect(encoded))));
+        }
     };
 
     replica_ = std::make_unique<hybster::Replica>(
@@ -135,7 +137,7 @@ void BaselineReplicaHost::handle_client_frame(sim::NodeId from,
                 if (request->id.client != from) continue;  // impersonation
                 outbox.defer([this, req = std::move(*request)]() {
                     // submit() re-dispatches optimistic reads internally.
-                    replica_->submit(req);
+                    replica_->submit({req});
                 });
             }
             break;

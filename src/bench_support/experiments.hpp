@@ -54,7 +54,7 @@ struct MicroParams {
     std::size_t batch_size_max = 1;
     sim::Duration batch_delay = 0;
     /// Voter batch knobs (TroxyReplicaHost::Options): replies per
-    /// handle_replies ecall (1 = per-reply handle_reply, the seed flow)
+    /// handle_replies ecall (1 = one ecall per reply, the paper's flow)
     /// and max hold time before a partial batch enters the enclave.
     std::size_t voter_batch_max = 1;
     sim::Duration voter_batch_delay = sim::microseconds(100);

@@ -279,6 +279,13 @@ struct Reply {
     static Reply decode(Reader& r);
 };
 
+/// An executed request's reply on its way out through the host's delivery
+/// hook; the request pointer stays valid for the duration of the call.
+struct ExecutedReply {
+    const Request* request = nullptr;
+    Reply reply;
+};
+
 struct CheckpointMsg {
     static constexpr MsgType kType = MsgType::Checkpoint;
 

@@ -143,41 +143,22 @@ void Replica::on_message(sim::NodeId from, Message&& message) {
     outbox.flush(meter);
 }
 
-void Replica::submit(const Request& request) {
-    if (faults_.crashed || rejoining_) return;
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox = make_outbox();
-    handle_request(crypto, outbox, Request(request));
-    outbox.flush(meter);
-}
-
-void Replica::submit_all(std::vector<Request> requests) {
+void Replica::submit(std::vector<Request> requests, bool preformed) {
     if (faults_.crashed || rejoining_ || requests.empty()) return;
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(profile_, meter);
     net::Outbox outbox = make_outbox();
-    for (Request& request : requests) {
-        handle_request(crypto, outbox, std::move(request));
-    }
-    outbox.flush(meter);
-}
-
-void Replica::submit_prebatched(std::vector<Request> requests) {
-    if (faults_.crashed || rejoining_ || requests.empty()) return;
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox = make_outbox();
-    ++exec_stats_.prebatched_submits;
-    prebatching_ = true;
+    if (preformed) ++exec_stats_.prebatched_submits;
+    prebatching_ = preformed;
     for (Request& request : requests) {
         handle_request(crypto, outbox, std::move(request));
     }
     prebatching_ = false;
-    // Cut whatever the burst accumulated as one batch, regardless of the
-    // adaptive boundary or the delay timer: the burst already waited
-    // once (for its cache responses) and arrives pre-formed.
-    if (is_leader() && !in_view_change_ && !pending_batch_.empty()) {
+    // Cut whatever a pre-formed burst accumulated as one batch,
+    // regardless of the adaptive boundary or the delay timer: the burst
+    // already waited once (for its cache responses) and arrives whole.
+    if (preformed && is_leader() && !in_view_change_ &&
+        !pending_batch_.empty()) {
         cut_batch(crypto, outbox);
     }
     outbox.flush(meter);
@@ -212,7 +193,8 @@ void Replica::execute_optimistic_read(const Request& request) {
         exec_meter.add(service_->execution_cost(request.payload()));
         Bytes result = service_->execute(request.payload());
 
-        Reply reply;
+        ExecutedReply executed{&request, {}};
+        Reply& reply = executed.reply;
         reply.kind = Reply::Kind::Optimistic;
         reply.view = view_;
         reply.seq = last_executed_;
@@ -221,9 +203,9 @@ void Replica::execute_optimistic_read(const Request& request) {
         reply.result = std::move(result);
         reply.replica = id_;
 
-        if (!faults_.drop_replies && hooks_.deliver_reply) {
-            hooks_.deliver_reply(exec_crypto, exec_outbox, request,
-                                 std::move(reply));
+        if (!faults_.drop_replies && hooks_.deliver_replies) {
+            hooks_.deliver_replies(exec_crypto, exec_outbox,
+                                   std::span(&executed, 1));
         }
         exec_outbox.flush(exec_meter);
     });
@@ -245,9 +227,9 @@ void Replica::handle_request(enclave::CostedCrypto& crypto,
     // Retransmission of an executed request: resend the stored reply.
     auto& record = clients_[request.id.client];
     if (record.last_reply && record.last_reply->request_id == request.id) {
-        if (!faults_.drop_replies && hooks_.deliver_reply) {
-            hooks_.deliver_reply(crypto, outbox, *record.last_request,
-                                 Reply(*record.last_reply));
+        if (!faults_.drop_replies && hooks_.deliver_replies) {
+            ExecutedReply resend{&*record.last_request, *record.last_reply};
+            hooks_.deliver_replies(crypto, outbox, std::span(&resend, 1));
         }
         return;
     }
@@ -292,7 +274,7 @@ void Replica::enqueue_for_batch(enclave::CostedCrypto& crypto,
     in_flight_.try_emplace(request.id);
     if (prebatching_) {
         // A pre-formed burst accumulates into one batch; only the wire
-        // maximum forces a split. submit_prebatched cuts the remainder.
+        // maximum forces a split. submit() cuts the remainder.
         if (pending_batch_.size() >= config_.batch_size_max) {
             cut_batch(crypto, outbox);
         }
@@ -576,7 +558,6 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
         exec_stats_.serial_cost += plan.serial;
         exec_stats_.charged_cost += plan.makespan;
     }
-    std::vector<Hooks::ExecutedReply> executed;
     for (const Request& request : entry.prepare->batch.requests) {
         forwarded_.erase(request.id);
         in_flight_.erase(request.id);
@@ -602,8 +583,7 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
         record.last_request = request;
         record.last_reply = reply;
 
-        if (!faults_.drop_replies &&
-            (hooks_.deliver_replies || hooks_.deliver_reply)) {
+        if (!faults_.drop_replies && hooks_.deliver_replies) {
             if (faults_.corrupt_replies && !reply.result.empty()) {
                 // Corruption happens in the untrusted part *after* the
                 // trusted subsystem authenticated the reply — the hook
@@ -614,17 +594,12 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
                 // still required.
                 reply.result[0] ^= 0xff;
             }
-            if (hooks_.deliver_replies) {
-                executed.push_back(
-                    Hooks::ExecutedReply{&request, std::move(reply)});
-            } else {
-                hooks_.deliver_reply(crypto, outbox, request,
-                                     std::move(reply));
-            }
+            executed_.push_back(ExecutedReply{&request, std::move(reply)});
         }
     }
-    if (!executed.empty()) {
-        hooks_.deliver_replies(crypto, outbox, std::move(executed));
+    if (!executed_.empty()) {
+        hooks_.deliver_replies(crypto, outbox, executed_);
+        executed_.clear();
     }
 
     maybe_checkpoint(crypto, outbox);

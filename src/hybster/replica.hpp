@@ -12,12 +12,13 @@
 //   f+1 distinct replicas (the leader's PREPARE counts as its COMMIT)
 //   vouch for the same batch digest — sufficient in the hybrid fault
 //   model because certified messages cannot equivocate. Committed entries
-//   execute in sequence order, member by member; each replica emits one
-//   REPLY per member through the host's deliver_reply hook (which in a
-//   Troxy deployment authenticates it inside the trusted subsystem and
-//   keeps the fast-read cache coherent, §IV-A). Batching amortizes the
-//   trusted-counter certification — the dominant ordered-path cost —
-//   across the batch; batch_size_max = 1 reproduces the unbatched flow.
+//   execute in sequence order, member by member; each replica hands the
+//   batch's REPLYs, one per member, to the host's deliver_replies hook
+//   (which in a Troxy deployment authenticates them inside the trusted
+//   subsystem and keeps the fast-read cache coherent, §IV-A). Batching
+//   amortizes the trusted-counter certification — the dominant
+//   ordered-path cost — across the batch; batch_size_max = 1 reproduces
+//   the unbatched flow.
 //
 // Checkpoints every `checkpoint_interval` executed *requests* (batch
 // members) garbage-collect the log; view changes replace an unresponsive
@@ -35,6 +36,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -70,26 +72,14 @@ class Replica {
         std::function<bool(enclave::CostedCrypto&, const Request&)>
             verify_request;
 
-        /// Authenticates and transmits a reply for an executed request.
-        /// The hook owns transport (baseline: encrypt to the client's
-        /// secure channel; Troxy: certify in the enclave, send to the
-        /// contact replica) and must queue into the outbox.
+        /// Authenticates and transmits the replies of executed requests:
+        /// a whole executed batch in one call, a retransmitted reply or an
+        /// optimistic read as a span of one. The hook owns transport
+        /// (baseline: encrypt to each client's secure channel; Troxy:
+        /// certify in the enclave, send to the contact replica) and must
+        /// queue into the outbox. It may modify the replies.
         std::function<void(enclave::CostedCrypto&, net::Outbox&,
-                           const Request&, Reply)>
-            deliver_reply;
-
-        /// One executed batch member awaiting delivery. The request
-        /// pointer stays valid for the duration of the hook call.
-        struct ExecutedReply {
-            const Request* request = nullptr;
-            Reply reply;
-        };
-        /// Batched variant: when set, an executed batch's replies are
-        /// delivered in ONE call (a Troxy host certifies them all in a
-        /// single enclave transition). Retransmissions and optimistic
-        /// reads still go through deliver_reply.
-        std::function<void(enclave::CostedCrypto&, net::Outbox&,
-                           std::vector<ExecutedReply>&&)>
+                           std::span<ExecutedReply>)>
             deliver_replies;
     };
 
@@ -110,22 +100,14 @@ class Replica {
     void on_message(sim::NodeId from, ByteView payload);
 
     /// Local submission from a co-located component (the Troxy): orders
-    /// the request if leader, otherwise forwards it to the leader.
-    void submit(const Request& request);
-
-    /// Batched local submission: handles several pending client requests
-    /// in one metered step (one dispatch, one outbox flush), letting a
-    /// batching leader cut them into a single Prepare.
-    void submit_all(std::vector<Request> requests);
-
-    /// Pre-formed batch submission: a burst that should enter the
-    /// ordering pipeline as ONE batch (e.g. the Troxy's conflicted
-    /// fast-read fallbacks). On the leader the whole burst is cut into a
-    /// single Prepare (split only at batch_size_max); on a follower the
-    /// burst is forwarded in one metered step and rides one coalesced
-    /// wire record. All of handle_request's verification, retransmission
-    /// and dedup logic still applies per member.
-    void submit_prebatched(std::vector<Request> requests);
+    /// the requests if leader, otherwise forwards them to the leader, in
+    /// one metered step (one dispatch, one outbox flush), so a batching
+    /// leader can cut them into a single Prepare. A `preformed` burst
+    /// (e.g. the Troxy's conflicted fast-read fallbacks) enters the
+    /// ordering pipeline as ONE batch: the leader cuts it into a single
+    /// Prepare, split only at batch_size_max. All of handle_request's
+    /// verification, retransmission and dedup logic applies per member.
+    void submit(std::vector<Request> requests, bool preformed = false);
 
     /// Handles an optimistic (non-ordered) read: executes against the
     /// current state and replies immediately. Used by the PBFT-like
@@ -194,7 +176,7 @@ class Replica {
         sim::Duration charged_cost{0};
         /// Leader: batches cut into Prepares (any lane count).
         std::uint64_t batches_cut = 0;
-        /// Pre-formed bursts accepted via submit_prebatched().
+        /// Pre-formed bursts accepted via submit(..., preformed).
         std::uint64_t prebatched_submits = 0;
     };
     [[nodiscard]] const ExecStats& exec_stats() const noexcept {
@@ -360,6 +342,9 @@ class Replica {
     /// Cleared batch buffers of truncated entries; a leader refills
     /// pending_batch_ from them when it cuts.
     std::vector<std::vector<Request>> spare_batches_;
+    /// An executed batch's replies on their way to deliver_replies;
+    /// emptied after each call, its capacity kept.
+    std::vector<ExecutedReply> executed_;
 
     // Leader batching: verified requests waiting for the current batch to
     // be cut. Non-empty only on the leader between an enqueue and the
@@ -380,7 +365,7 @@ class Replica {
     // log (view change, state transfer, restart).
     FlatSet<RequestId> in_flight_;
 
-    // True while submit_prebatched() feeds a pre-formed burst through
+    // True while submit() feeds a pre-formed burst through
     // handle_request: enqueue_for_batch accumulates without cutting (up
     // to batch_size_max) or arming the delay timer; the remainder is cut
     // as one batch when the burst ends.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/group_by.hpp"
 #include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "net/client_framing.hpp"
@@ -44,6 +45,15 @@ bool TroxyEnclave::first_from(std::uint32_t replica) {
     source_stamp_[replica] = ecall_stamp_;
     return first;
 }
+
+namespace {
+
+/// Bytes of a batch frame's count field. Hosts ship a lone query or
+/// response in the plain single-message form, so a span of one crosses
+/// the enclave boundary without it.
+std::size_t batch_header(std::size_t items) { return items > 1 ? 2 : 0; }
+
+}  // namespace
 
 crypto::Sha256Digest TroxyEnclave::app_request_digest(
     enclave::CostedCrypto& crypto, ByteView app_request) const {
@@ -194,19 +204,8 @@ void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
 
 // ------------------------------------------------------------------ voter
 
-TroxyActions TroxyEnclave::handle_reply(enclave::CostMeter& meter,
-                                        hybster::Reply reply) {
-    gate_.ecall(meter, "handle_reply", reply.result.size() + 96, 0);
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-    ++ecall_stamp_;
-    ingest_reply(crypto, actions, std::move(reply), /*first_from_source=*/true,
-                 /*coalesce=*/false);
-    return actions;
-}
-
 TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
-                                          std::vector<hybster::Reply> replies) {
+                                          std::span<hybster::Reply> replies) {
     std::size_t in_bytes = 0;
     for (const hybster::Reply& reply : replies) {
         in_bytes += reply.result.size() + 96;
@@ -225,8 +224,7 @@ TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
     ++ecall_stamp_;
     for (hybster::Reply& reply : replies) {
         const bool first = first_from(reply.replica);
-        ingest_reply(crypto, actions, std::move(reply), first,
-                     /*coalesce=*/true);
+        ingest_reply(crypto, actions, std::move(reply), first);
     }
     flush_releases(crypto, actions);
     return actions;
@@ -234,7 +232,7 @@ TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
 
 void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
                                 TroxyActions& actions, hybster::Reply&& reply,
-                                bool first_from_source, bool coalesce) {
+                                bool first_from_source) {
     const std::uint64_t number = reply.request_id.number;
     PendingVote* found = pending_votes_.find(number);
     if (found == nullptr) return;  // done or unknown
@@ -305,13 +303,7 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     Bytes app_reply = std::move(result);
     pending_votes_.erase(number);
     actions.completed_votes.push_back(number);
-
-    if (coalesce) {
-        collect_releases(client, generation, conn_slot, std::move(app_reply));
-    } else {
-        release_reply(crypto, actions, client, generation, conn_slot,
-                      std::move(app_reply));
-    }
+    collect_releases(client, generation, conn_slot, std::move(app_reply));
 }
 
 void TroxyEnclave::collect_releases(sim::NodeId client,
@@ -323,41 +315,35 @@ void TroxyEnclave::collect_releases(sim::NodeId client,
     Connection& connection = conn->second;
     if (connection.generation != generation) return;  // replaced session
 
-    connection.ready.emplace(conn_slot, std::move(app_reply));
-
-    // Same strict per-connection release order as release_reply, but the
-    // plaintexts accumulate for one coalesced seal at end of transition.
+    // Release strictly in per-connection order (TLS stream semantics); the
+    // plaintexts accumulate for one seal at the end of the transition. A
+    // reply behind a gap waits in `ready`; the one that closes the gap
+    // joins the plan directly and takes its waiting successors along.
+    if (conn_slot != connection.next_release) {
+        connection.ready.emplace(conn_slot, std::move(app_reply));
+        return;
+    }
     while (true) {
-        const auto next = connection.ready.find(connection.next_release);
-        if (next == connection.ready.end()) break;
         release_plan_.push_back(
-            {client, release_plan_.size(), std::move(next->second)});
+            {client, release_plan_.size(), std::move(app_reply)});
+        const auto next = connection.ready.find(++connection.next_release);
+        if (next == connection.ready.end()) break;
+        app_reply = std::move(next->second);
         connection.ready.erase(next);
-        ++connection.next_release;
     }
 }
 
 void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
                                   TroxyActions& actions) {
-    std::sort(release_plan_.begin(), release_plan_.end(),
-              [](const Release& a, const Release& b) {
-                  return a.client != b.client ? a.client < b.client
-                                              : a.order < b.order;
-              });
-    for (auto first = release_plan_.begin(); first != release_plan_.end();) {
-        const sim::NodeId client = first->client;
-        auto last = first;
+    for_each_destination(release_plan_, [&](auto first, auto last) {
+        const auto conn = connections_.find(first->to);
+        if (conn == connections_.end()) return;
         std::size_t total = 0;
         release_views_.clear();
-        for (; last != release_plan_.end() && last->client == client;
-             ++last) {
-            total += last->plaintext.size();
-            release_views_.emplace_back(last->plaintext);
+        for (auto it = first; it != last; ++it) {
+            total += it->plaintext.size();
+            release_views_.emplace_back(it->plaintext);
         }
-        first = last;
-        const auto conn = connections_.find(client);
-        if (conn == connections_.end()) continue;
-
         // ONE AEAD pass over the whole burst for this connection: the
         // per-record base cost is paid once instead of once per reply.
         // Gather encoding builds envelope ‖ frame header ‖ sealed record
@@ -367,36 +353,9 @@ void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
         frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
         frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
         conn->second.channel.protect_many_into(frame, release_views_);
-        actions.sends.emplace_back(client, std::move(frame).take());
-    }
+        actions.sends.emplace_back(first->to, std::move(frame).take());
+    });
     release_plan_.clear();
-}
-
-void TroxyEnclave::release_reply(enclave::CostedCrypto& crypto,
-                                 TroxyActions& actions, sim::NodeId client,
-                                 std::uint64_t generation,
-                                 std::uint64_t conn_slot, Bytes app_reply) {
-    const auto conn = connections_.find(client);
-    if (conn == connections_.end()) return;  // client went away
-    Connection& connection = conn->second;
-    if (connection.generation != generation) return;  // replaced session
-
-    connection.ready.emplace(conn_slot, std::move(app_reply));
-
-    // Release strictly in per-connection order (TLS stream semantics).
-    while (true) {
-        const auto next = connection.ready.find(connection.next_release);
-        if (next == connection.ready.end()) break;
-        crypto.charge(profile_.aead(next->second.size()));
-        Writer frame;
-        frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
-        frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-        release_views_.assign(1, next->second);
-        connection.channel.protect_many_into(frame, release_views_);
-        actions.sends.emplace_back(client, std::move(frame).take());
-        connection.ready.erase(next);
-        ++connection.next_release;
-    }
 }
 
 // ------------------------------------------------- reply authentication
@@ -462,24 +421,12 @@ bool TroxyEnclave::has_pending_write(
     return false;
 }
 
-enclave::Certificate TroxyEnclave::authenticate_reply(
-    enclave::CostMeter& meter, const hybster::Request& request,
-    const hybster::Reply& reply) {
-    gate_.ecall(meter, "authenticate_reply",
-                request.payload().size() + reply.result.size() + 128,
-                sizeof(enclave::Certificate));
-    enclave::CostedCrypto crypto(profile_, meter);
-    ++ecall_stamp_;
-    return certify_executed_reply(crypto, request, reply,
-                                  /*first_in_batch=*/true);
-}
-
-std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
-    enclave::CostMeter& meter, const std::vector<ReplyAuth>& batch) {
+void TroxyEnclave::authenticate_replies(
+    enclave::CostMeter& meter, std::span<hybster::ExecutedReply> batch) {
     std::size_t in_bytes = 0;
-    for (const ReplyAuth& item : batch) {
-        in_bytes +=
-            item.request->payload().size() + item.reply->result.size() + 128;
+    for (const hybster::ExecutedReply& item : batch) {
+        in_bytes += item.request->payload().size() + item.reply.result.size() +
+                    128;
     }
     gate_.ecall(meter, "authenticate_replies", in_bytes,
                 batch.size() * sizeof(enclave::Certificate));
@@ -494,13 +441,12 @@ std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
     // One ecall stamp for the whole executed batch: a write burst under
     // few distinct keys drops each key once instead of per reply.
     ++ecall_stamp_;
-    std::vector<enclave::Certificate> certs;
-    certs.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        certs.push_back(certify_executed_reply(crypto, *batch[i].request,
-                                               *batch[i].reply, i == 0));
+    bool first = true;
+    for (hybster::ExecutedReply& item : batch) {
+        item.reply.cert =
+            certify_executed_reply(crypto, *item.request, item.reply, first);
+        first = false;
     }
-    return certs;
 }
 
 // -------------------------------------------------------------- fast read
@@ -587,28 +533,13 @@ std::optional<CacheResponse> TroxyEnclave::answer_cache_query(
     return response;
 }
 
-TroxyActions TroxyEnclave::handle_cache_query(enclave::CostMeter& meter,
-                                              const CacheQuery& query) {
-    gate_.ecall(meter, "handle_cache_query", query.wire_size(),
-                CacheResponse::wire_size());
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-
-    auto response =
-        answer_cache_query(crypto, query, /*first_from_source=*/true);
-    if (!response) return actions;
-
-    actions.sends.emplace_back(
-        query.requester, encode_cache_frame(CacheMessage(*response)));
-    return actions;
-}
-
 TroxyActions TroxyEnclave::handle_cache_queries(
-    enclave::CostMeter& meter, const std::vector<CacheQuery>& queries) {
-    std::size_t in_bytes = 2;
+    enclave::CostMeter& meter, std::span<const CacheQuery> queries) {
+    const std::size_t header = batch_header(queries.size());
+    std::size_t in_bytes = header;
     for (const CacheQuery& query : queries) in_bytes += query.wire_size();
     gate_.ecall(meter, "handle_cache_queries", in_bytes,
-                2 + queries.size() * CacheResponse::wire_size());
+                header + queries.size() * CacheResponse::wire_size());
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions;
 
@@ -619,31 +550,38 @@ TroxyActions TroxyEnclave::handle_cache_queries(
     // is still verified individually (a bad one drops only itself).
     // Answers to the same requester leave as one CacheResponseBatch.
     ++ecall_stamp_;
-    std::map<sim::NodeId, std::vector<CacheResponse>> per_requester;
     for (const CacheQuery& query : queries) {
         const int requester = config_.replica_of(query.requester);
         const bool first =
             requester < 0 || first_from(static_cast<std::uint32_t>(requester));
         auto response = answer_cache_query(crypto, query, first);
         if (response) {
-            per_requester[query.requester].push_back(std::move(*response));
+            answers_.push_back(
+                {query.requester, answers_.size(), std::move(*response)});
         }
     }
-    for (auto& [requester, responses] : per_requester) {
-        const CacheMessage message =
-            responses.size() == 1
-                ? CacheMessage(std::move(responses.front()))
-                : CacheMessage(CacheResponseBatch{std::move(responses)});
-        actions.sends.emplace_back(requester, encode_cache_frame(message));
-    }
+    for_each_destination(answers_, [&](auto first, auto last) {
+        if (last - first == 1) {
+            actions.sends.emplace_back(
+                first->to, encode_cache_frame(CacheMessage(first->response)));
+            return;
+        }
+        CacheResponseBatch batch;
+        batch.responses.reserve(static_cast<std::size_t>(last - first));
+        for (auto it = first; it != last; ++it) {
+            batch.responses.push_back(it->response);
+        }
+        actions.sends.emplace_back(
+            first->to, encode_cache_frame(CacheMessage(std::move(batch))));
+    });
+    answers_.clear();
     return actions;
 }
 
 void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
                                          TroxyActions& actions,
                                          const CacheResponse& response,
-                                         bool first_from_source,
-                                         bool coalesce) {
+                                         bool first_from_source) {
     PendingFastRead* found = fast_reads_.find(response.query_id);
     if (found == nullptr) return;
     PendingFastRead& fast = *found;
@@ -689,28 +627,15 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
     Bytes result = std::move(fast.local.result);
     fast_reads_.erase(response.query_id);
     actions.completed_fast_reads.push_back(response.query_id);
-    if (coalesce) {
-        collect_releases(client, generation, conn_slot, std::move(result));
-    } else {
-        release_reply(crypto, actions, client, generation, conn_slot,
-                      std::move(result));
-    }
-}
-
-TroxyActions TroxyEnclave::handle_cache_response(
-    enclave::CostMeter& meter, const CacheResponse& response) {
-    gate_.ecall(meter, "handle_cache_response", CacheResponse::wire_size(), 0);
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-    ingest_cache_response(crypto, actions, response,
-                          /*first_from_source=*/true, /*coalesce=*/false);
-    return actions;
+    collect_releases(client, generation, conn_slot, std::move(result));
 }
 
 TroxyActions TroxyEnclave::handle_cache_responses(
-    enclave::CostMeter& meter, const std::vector<CacheResponse>& responses) {
+    enclave::CostMeter& meter, std::span<const CacheResponse> responses) {
     gate_.ecall(meter, "handle_cache_responses",
-                2 + responses.size() * CacheResponse::wire_size(), 0);
+                batch_header(responses.size()) +
+                    responses.size() * CacheResponse::wire_size(),
+                0);
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions;
 
@@ -719,25 +644,22 @@ TroxyActions TroxyEnclave::handle_cache_responses(
 
     // Per-source running MAC over the responder certificates; a Byzantine
     // response in the burst rejects (or falls back) only its own query.
-    // All client replies completed by this burst seal into one coalesced
-    // record per connection.
+    // All client replies completed by this burst seal into one record per
+    // connection.
     ++ecall_stamp_;
     for (const CacheResponse& response : responses) {
         const bool first = first_from(response.responder_replica);
-        ingest_cache_response(crypto, actions, response, first,
-                              /*coalesce=*/true);
+        ingest_cache_response(crypto, actions, response, first);
     }
     flush_releases(crypto, actions);
     // A conflicted burst falls back together: two or more fallbacks from
     // one transition enter the ordering pipeline as ONE pre-formed batch
     // (one Prepare/Commit round) instead of request by request. A single
-    // fallback keeps the to_order path, byte-identical to the unbatched
-    // handle_cache_response flow.
+    // fallback is submitted like any other ordered request.
     if (actions.to_order.size() > 1) {
         ++stats_.fallback_prebatches;
         stats_.prebatched_fallbacks += actions.to_order.size();
-        actions.to_order_batch = std::move(actions.to_order);
-        actions.to_order.clear();
+        actions.to_order_preformed = true;
     }
     return actions;
 }
@@ -810,6 +732,30 @@ TroxyEnclave::Status TroxyEnclave::status() const {
         s.stuck_replies += connection.ready.size();
     }
     return s;
+}
+
+void TroxyEnclave::Status::add_counters(const Status& other) {
+    fast_read_hits += other.fast_read_hits;
+    fast_read_misses += other.fast_read_misses;
+    fast_read_conflicts += other.fast_read_conflicts;
+    ordered_requests += other.ordered_requests;
+    completed_votes += other.completed_votes;
+    rejected_replies += other.rejected_replies;
+    reply_batches += other.reply_batches;
+    batched_replies += other.batched_replies;
+    reply_auth_batches += other.reply_auth_batches;
+    batch_authenticated_replies += other.batch_authenticated_replies;
+    cache_query_batches += other.cache_query_batches;
+    batched_cache_queries += other.batched_cache_queries;
+    cache_response_batches += other.cache_response_batches;
+    batched_cache_responses += other.batched_cache_responses;
+    cache_invalidations += other.cache_invalidations;
+    invalidations_saved += other.invalidations_saved;
+    invalidations_saved_cross_batch += other.invalidations_saved_cross_batch;
+    fallback_prebatches += other.fallback_prebatches;
+    prebatched_fallbacks += other.prebatched_fallbacks;
+    mode_switches += other.mode_switches;
+    enclave_transitions += other.enclave_transitions;
 }
 
 void TroxyEnclave::restart() {

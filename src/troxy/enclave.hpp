@@ -10,17 +10,17 @@
 // alter without detection.
 //
 // Ecall inventory (the paper's implementation keeps the interface at 16
-// entry points; ours needs 13):
-//   accept_connection, close_connection, handle_request, handle_reply,
-//   handle_replies, authenticate_reply, authenticate_replies,
-//   handle_cache_query, handle_cache_queries, handle_cache_response,
-//   handle_cache_responses, fast_read_timeout, retransmit.
-// The plural entry points are the batched hot paths: one enclave
-// transition votes a whole burst of replies, certifies a whole executed
-// batch, answers a whole cache-query burst, or applies a whole
-// cache-response burst — amortizing the transition cost and the
-// per-source MAC setup across the batch (§V: transitions dominate the
-// enclave hot path).
+// entry points; ours needs 9):
+//   accept_connection, close_connection, handle_request, handle_replies,
+//   authenticate_replies, handle_cache_queries, handle_cache_responses,
+//   fast_read_timeout, retransmit.
+// Every stage that handles replies, queries or responses has exactly one
+// entry point, and it takes a span: one enclave transition votes a whole
+// burst of replies, certifies a whole executed batch, answers a whole
+// cache-query burst, or applies a whole cache-response burst — amortizing
+// the transition cost and the per-source MAC setup across the batch (§V:
+// transitions dominate the enclave hot path). A lone item is a span of
+// one and costs what the item alone costs.
 // Key provisioning happens at enclave construction through the
 // attestation flow (enclave/attestation.hpp), not through an ecall.
 #pragma once
@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
@@ -78,11 +79,10 @@ struct TroxyActions {
     /// BFT requests to hand to the local replica for ordering (one ecall
     /// can surface several client requests when a record closes a gap).
     std::vector<hybster::Request> to_order;
-    /// Like to_order, but the burst should enter the ordering pipeline
-    /// as ONE pre-formed batch (conflicted fast-read fallbacks surfaced
-    /// together by one cache-response transition): the host hands it to
-    /// Replica::submit_prebatched instead of submit_all.
-    std::vector<hybster::Request> to_order_batch;
+    /// The burst should enter the ordering pipeline as ONE pre-formed
+    /// batch (conflicted fast-read fallbacks surfaced together by one
+    /// cache-response transition): Replica::submit's `preformed` flag.
+    bool to_order_preformed = false;
     /// Ordered-request numbers that now need a retransmit/vote timer.
     std::vector<std::uint64_t> arm_vote_timers;
     /// Fast-read query ids that now need a timeout timer.
@@ -119,70 +119,45 @@ class TroxyEnclave {
     TroxyActions handle_request(enclave::CostMeter& meter, sim::NodeId client,
                                 ByteView record);
 
-    /// Voter (§III-C task 3): ingests one replica reply; once f+1
-    /// matching, Troxy-authenticated replies arrived, emits the encrypted
-    /// client reply.
-    TroxyActions handle_reply(enclave::CostMeter& meter,
-                              hybster::Reply reply);
-
-    /// Batched voter: ingests a whole burst of replica replies in ONE
-    /// enclave transition. Certificate checks keep a running MAC per
-    /// source replica (only a source's first reply pays the MAC setup),
-    /// completed votes for many requests surface from the single
-    /// transition, and all client replies released to one connection are
-    /// sealed into one coalesced secure-channel record (one AEAD pass).
-    /// A batch of one is cost- and byte-identical to handle_reply.
+    /// Voter (§III-C task 3): ingests a burst of replica replies in ONE
+    /// enclave transition; a request's vote completes once f+1 matching,
+    /// Troxy-authenticated replies arrived. Certificate checks keep a
+    /// running MAC per source replica (only a source's first reply pays
+    /// the MAC setup), completed votes for many requests surface from the
+    /// single transition, and all client replies released to one
+    /// connection are sealed into one secure-channel record (one AEAD
+    /// pass). The replies' results are moved out.
     TroxyActions handle_replies(enclave::CostMeter& meter,
-                                std::vector<hybster::Reply> replies);
+                                std::span<hybster::Reply> replies);
 
-    /// Reply authentication for the *local* replica (§IV-A change (1)).
-    /// Certifies the reply with the trusted subsystem and maintains the
-    /// fast-read cache: write replies invalidate their state key before
-    /// the certificate — and hence the write's visibility — exists; read
-    /// replies populate the local cache.
-    enclave::Certificate authenticate_reply(enclave::CostMeter& meter,
-                                            const hybster::Request& request,
-                                            const hybster::Reply& reply);
+    /// Reply authentication for the *local* replica (§IV-A change (1)):
+    /// certifies a run of executed replies in ONE enclave transition,
+    /// writing each certificate into its reply. The certificates share a
+    /// running MAC (only the first reply pays the MAC setup). Cache
+    /// maintenance is per reply: write replies invalidate their state key
+    /// before the certificate — and hence the write's visibility — exists;
+    /// read replies populate the local cache.
+    void authenticate_replies(enclave::CostMeter& meter,
+                              std::span<hybster::ExecutedReply> batch);
 
-    /// Batched reply authentication: certifies a whole executed batch's
-    /// replies in ONE enclave transition. The certificates share a running
-    /// MAC (only the first reply pays the MAC setup); cache maintenance is
-    /// identical to authenticate_reply, per reply. A batch of one is cost-
-    /// and byte-identical to authenticate_reply.
-    struct ReplyAuth {
-        const hybster::Request* request = nullptr;
-        const hybster::Reply* reply = nullptr;
-    };
-    std::vector<enclave::Certificate> authenticate_replies(
-        enclave::CostMeter& meter, const std::vector<ReplyAuth>& batch);
-
-    /// Remote side of the fast read (get_remote_cache_entry, Fig. 4).
-    TroxyActions handle_cache_query(enclave::CostMeter& meter,
-                                    const CacheQuery& query);
-
-    /// Remote side, batched: answers a whole query burst in ONE enclave
-    /// transition. Requester certificates share a running MAC per source
-    /// replica; each query is still verified individually, so a bad query
-    /// drops only itself. Responses going back to the same requester are
-    /// grouped into one CacheResponseBatch.
+    /// Remote side of the fast read (get_remote_cache_entry, Fig. 4):
+    /// answers a query burst in ONE enclave transition. Requester
+    /// certificates share a running MAC per source replica; each query is
+    /// still verified individually, so a bad query drops only itself.
+    /// Responses going back to the same requester are grouped into one
+    /// CacheResponseBatch (a lone response keeps the plain form).
     TroxyActions handle_cache_queries(enclave::CostMeter& meter,
-                                      const std::vector<CacheQuery>& queries);
+                                      std::span<const CacheQuery> queries);
 
-    /// Voting side: validates one remote cache response; on f matches the
-    /// fast read succeeds, on any mismatch the request falls back to
-    /// ordering.
-    TroxyActions handle_cache_response(enclave::CostMeter& meter,
-                                       const CacheResponse& response);
-
-    /// Voting side, batched: applies a whole response burst in ONE
-    /// enclave transition. Responder certificates share a running MAC per
-    /// source replica, each response is verified individually (one
-    /// Byzantine response rejects — and falls back — only its own query),
-    /// and all client replies released to one connection are sealed into
-    /// one coalesced secure-channel record.
+    /// Voting side: applies a response burst in ONE enclave transition. On
+    /// f matches a fast read succeeds; a mismatch falls its request back to
+    /// ordering. Responder certificates share a running MAC per source
+    /// replica, each response is verified individually (one Byzantine
+    /// response rejects — and falls back — only its own query), and all
+    /// client replies released to one connection are sealed into one
+    /// secure-channel record.
     TroxyActions handle_cache_responses(
-        enclave::CostMeter& meter,
-        const std::vector<CacheResponse>& responses);
+        enclave::CostMeter& meter, std::span<const CacheResponse> responses);
 
     /// Fast-read liveness: an unresponsive remote Troxy must not stall
     /// the client; the read falls back to ordering.
@@ -204,7 +179,7 @@ class TroxyEnclave {
         std::uint64_t completed_votes = 0;
         std::uint64_t rejected_replies = 0;
         std::uint64_t reply_batches = 0;   // handle_replies invocations
-        std::uint64_t batched_replies = 0; // replies ingested via batches
+        std::uint64_t batched_replies = 0; // replies they ingested
         std::uint64_t reply_auth_batches = 0;   // authenticate_replies calls
         std::uint64_t batch_authenticated_replies = 0;
         std::uint64_t cache_query_batches = 0;  // handle_cache_queries calls
@@ -230,6 +205,10 @@ class TroxyEnclave {
         std::size_t pending_votes = 0;
         std::size_t pending_fast_reads = 0;
         std::size_t stuck_replies = 0;  // buffered out-of-order releases
+
+        /// Adds `other`'s cumulative counters (not its gauges) to this
+        /// one: how counters survive an enclave instance being replaced.
+        void add_counters(const Status& other);
     };
     [[nodiscard]] Status status() const;
 
@@ -310,18 +289,11 @@ class TroxyEnclave {
                          ByteView app_request, const CacheEntry& entry);
     void fast_read_fallback(enclave::CostedCrypto& crypto,
                             TroxyActions& actions, std::uint64_t query_id);
-    void release_reply(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                       sim::NodeId client, std::uint64_t generation,
-                       std::uint64_t conn_slot, Bytes app_reply);
-    /// Shared voting core: validates one reply, updates the tally, and on
-    /// quorum maintains the cache and releases the client reply — either
-    /// immediately (coalesce == false, the unbatched path) or into the
-    /// release plan for one coalesced record per connection.
+    /// Voting core: validates one reply, updates the tally, and on quorum
+    /// maintains the cache and collects the client reply for release.
     void ingest_reply(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                      hybster::Reply&& reply, bool first_from_source,
-                      bool coalesce);
-    /// Shared cache-maintenance + certification core of the two
-    /// authenticate_reply* ecalls.
+                      hybster::Reply&& reply, bool first_from_source);
+    /// Cache maintenance and certification of one executed reply.
     enclave::Certificate certify_executed_reply(enclave::CostedCrypto& crypto,
                                                 const hybster::Request& request,
                                                 const hybster::Reply& reply,
@@ -337,19 +309,21 @@ class TroxyEnclave {
     /// still in flight.
     [[nodiscard]] bool has_pending_write(
         const hybster::RequestInfo& info) const;
-    /// Shared remote-side core: verifies the requester certificate and
-    /// builds the response; nullopt when the query must be dropped.
+    /// Remote-side core: verifies the requester certificate and builds
+    /// the response; nullopt when the query must be dropped.
     std::optional<CacheResponse> answer_cache_query(
         enclave::CostedCrypto& crypto, const CacheQuery& query,
         bool first_from_source);
-    /// Shared voting-side core: validates one remote response, completes
-    /// or falls back its fast read. Releases go out immediately
-    /// (release_plan == nullptr, the unbatched path) or into the plan for
-    /// one coalesced record per connection.
+    /// Voting-side core: validates one remote response, completes or
+    /// falls back its fast read; a completed read's reply is collected for
+    /// release.
     void ingest_cache_response(enclave::CostedCrypto& crypto,
                                TroxyActions& actions,
                                const CacheResponse& response,
-                               bool first_from_source, bool coalesce);
+                               bool first_from_source);
+    /// Queues a completed request's reply for its connection; replies
+    /// leave strictly in per-connection order (TLS stream semantics), so a
+    /// reply that closes a gap releases the buffered ones behind it too.
     void collect_releases(sim::NodeId client, std::uint64_t generation,
                           std::uint64_t conn_slot, Bytes app_reply);
     /// Seals release_plan_ into one record per connection, in ascending
@@ -394,16 +368,24 @@ class TroxyEnclave {
     /// Per replica id, the ecall_stamp_ of the last ecall it was a
     /// source in (see first_from).
     std::vector<std::uint64_t> source_stamp_;
-    /// Per-connection plaintexts awaiting one coalesced seal at the end
-    /// of a batched transition; `order` keeps each connection's release
-    /// order through the sort by client.
+    /// Per-connection plaintexts awaiting one seal at the end of the
+    /// transition; `order` keeps each connection's release order through
+    /// the sort by client.
     struct Release {
-        sim::NodeId client = 0;
+        sim::NodeId to = 0;  // the client
         std::size_t order = 0;
         Bytes plaintext;
     };
     std::vector<Release> release_plan_;
     std::vector<ByteView> release_views_;  // reused sealing input
+    /// handle_cache_queries' answers, grouped per requester (`to`) in
+    /// query order; reused across ecalls.
+    struct Answer {
+        sim::NodeId to = 0;
+        std::size_t order = 0;
+        CacheResponse response;
+    };
+    std::vector<Answer> answers_;
     std::uint64_t next_request_number_ = 1;
     std::uint64_t next_query_id_ = 1;
     std::uint64_t handshake_counter_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/group_by.hpp"
 #include "common/log.hpp"
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
@@ -48,40 +49,23 @@ TroxyReplicaHost::TroxyReplicaHost(
     };
     // Replies are authenticated by the local Troxy (which uses the moment
     // to keep its fast-read cache coherent), then sent to the contact
-    // replica hosting the issuing Troxy.
-    hooks.deliver_reply = [this](enclave::CostedCrypto& crypto,
-                                 net::Outbox& outbox,
-                                 const hybster::Request& request,
-                                 hybster::Reply reply) {
-        reply.cert =
-            troxy_->authenticate_reply(crypto.meter(), request, reply);
-        outbox.send(request.id.client,
-                    hybster::encode_frame(net::Channel::Hybster, reply));
+    // replica hosting the issuing Troxy. With batch_reply_auth a whole
+    // executed batch enters the enclave through ONE authenticate_replies
+    // transition; otherwise each reply takes its own.
+    hooks.deliver_replies = [this](enclave::CostedCrypto& crypto,
+                                   net::Outbox& outbox,
+                                   std::span<hybster::ExecutedReply> batch) {
+        const std::size_t step = options_.batch_reply_auth ? batch.size() : 1;
+        for (std::size_t i = 0; i < batch.size(); i += step) {
+            troxy_->authenticate_replies(crypto.meter(),
+                                         batch.subspan(i, step));
+        }
+        for (const hybster::ExecutedReply& member : batch) {
+            outbox.send(member.request->id.client,
+                        hybster::encode_frame(net::Channel::Hybster,
+                                              member.reply));
+        }
     };
-    if (options.batch_reply_auth) {
-        // A whole executed batch's replies enter the enclave through ONE
-        // authenticate_replies transition; retransmissions and optimistic
-        // reads keep the per-reply hook above.
-        hooks.deliver_replies =
-            [this](enclave::CostedCrypto& crypto, net::Outbox& outbox,
-                   std::vector<hybster::Replica::Hooks::ExecutedReply>&&
-                       batch) {
-                std::vector<TroxyEnclave::ReplyAuth> items;
-                items.reserve(batch.size());
-                for (const auto& member : batch) {
-                    items.push_back(TroxyEnclave::ReplyAuth{member.request,
-                                                            &member.reply});
-                }
-                const std::vector<enclave::Certificate> certs =
-                    troxy_->authenticate_replies(crypto.meter(), items);
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    batch[i].reply.cert = certs[i];
-                    outbox.send(batch[i].request->id.client,
-                                hybster::encode_frame(net::Channel::Hybster,
-                                                      batch[i].reply));
-                }
-            };
-    }
 
     replica_ = std::make_unique<hybster::Replica>(
         fabric, node, config, replica_id, std::move(service),
@@ -115,7 +99,6 @@ void TroxyReplicaHost::crash() {
     // would have fallen the reads back, but the enclave state is wiped on
     // restart anyway.
     fastread_buffer_.clear();
-    fastread_buffered_ = 0;
     ++fastread_flush_generation_;
     fastread_timer_armed_ = false;
     // An in-flight enclave recovery dies with the host; the periodic
@@ -202,32 +185,7 @@ void TroxyReplicaHost::finish_enclave_recovery(Bytes handover) {
 
     // Retire the outgoing instance's counters into the host accumulator
     // so observability spans the swap.
-    {
-        const TroxyEnclave::Status old = troxy_->status();
-        auto& acc = retired_troxy_stats_;
-        acc.fast_read_hits += old.fast_read_hits;
-        acc.fast_read_misses += old.fast_read_misses;
-        acc.fast_read_conflicts += old.fast_read_conflicts;
-        acc.ordered_requests += old.ordered_requests;
-        acc.completed_votes += old.completed_votes;
-        acc.rejected_replies += old.rejected_replies;
-        acc.reply_batches += old.reply_batches;
-        acc.batched_replies += old.batched_replies;
-        acc.reply_auth_batches += old.reply_auth_batches;
-        acc.batch_authenticated_replies += old.batch_authenticated_replies;
-        acc.cache_query_batches += old.cache_query_batches;
-        acc.batched_cache_queries += old.batched_cache_queries;
-        acc.cache_response_batches += old.cache_response_batches;
-        acc.batched_cache_responses += old.batched_cache_responses;
-        acc.cache_invalidations += old.cache_invalidations;
-        acc.invalidations_saved += old.invalidations_saved;
-        acc.invalidations_saved_cross_batch +=
-            old.invalidations_saved_cross_batch;
-        acc.fallback_prebatches += old.fallback_prebatches;
-        acc.prebatched_fallbacks += old.prebatched_fallbacks;
-        acc.mode_switches += old.mode_switches;
-        acc.enclave_transitions += old.enclave_transitions;
-    }
+    retired_troxy_stats_.add_counters(troxy_->status());
 
     // Fresh instance: empty cache, empty voter, no sessions — every
     // secure-channel session key rotates because clients must re-
@@ -370,21 +328,20 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
             auto decoded = decode_cache_message(payload);
             if (!decoded) return;
             enclave::CostMeter meter;
+            // Each message enters ONE transition: a plain query or
+            // response as a span of one, a burst whole.
             if (auto* query = std::get_if<CacheQuery>(&*decoded)) {
-                apply(meter, troxy_->handle_cache_query(meter, *query));
+                apply(meter, troxy_->handle_cache_queries(
+                                 meter, std::span(query, 1)));
             } else if (auto* response =
                            std::get_if<CacheResponse>(&*decoded)) {
-                apply(meter,
-                      troxy_->handle_cache_response(meter, *response));
+                apply(meter, troxy_->handle_cache_responses(
+                                 meter, std::span(response, 1)));
             } else if (auto* queries =
                            std::get_if<CacheQueryBatch>(&*decoded)) {
-                // A whole query burst from a contact Troxy: answered in
-                // ONE handle_cache_queries transition.
                 apply(meter, troxy_->handle_cache_queries(meter,
                                                           queries->queries));
             } else {
-                // A whole response burst from a remote: applied in ONE
-                // handle_cache_responses transition.
                 apply(meter,
                       troxy_->handle_cache_responses(
                           meter,
@@ -421,17 +378,11 @@ void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
 }
 
 void TroxyReplicaHost::enqueue_reply(hybster::Reply&& reply) {
-    if (options_.voter_batch_max <= 1) {
-        // Unbatched voter: one ecall transition per reply, exactly the
-        // pre-batching flow.
-        enclave::CostMeter meter;
-        apply(meter, troxy_->handle_reply(meter, std::move(reply)));
-        return;
-    }
     reply_buffer_.push_back(std::move(reply));
     // The adaptive boundary follows the *served* load (replies per delay
     // window, fed back at flush time): an idle voter flushes every reply
-    // immediately, a busy one opens up to the configured maximum.
+    // immediately, a busy one opens up to the configured maximum. A
+    // boundary of 1 flushes every reply at once.
     std::size_t boundary = options_.voter_batch_max;
     if (options_.adaptive_voting) {
         boundary = voter_controller_.effective(options_.voter_batch_max);
@@ -445,12 +396,6 @@ void TroxyReplicaHost::enqueue_reply(hybster::Reply&& reply) {
 
 void TroxyReplicaHost::ingest_replies(std::vector<hybster::Reply> replies) {
     if (replies.empty()) return;
-    if (options_.voter_batch_max <= 1) {
-        for (hybster::Reply& reply : replies) {
-            enqueue_reply(std::move(reply));
-        }
-        return;
-    }
     for (hybster::Reply& reply : replies) {
         reply_buffer_.push_back(std::move(reply));
         if (reply_buffer_.size() >= options_.voter_batch_max) {
@@ -466,12 +411,15 @@ void TroxyReplicaHost::flush_reply_buffer() {
     if (reply_buffer_.empty()) return;
     ++voter_flush_generation_;  // cancel any armed delay timer
     voter_timer_armed_ = false;
-    std::vector<hybster::Reply> batch = std::move(reply_buffer_);
-    reply_buffer_.clear();
-    voter_controller_.record_served(batch.size(), fabric_.simulator().now(),
+    voter_controller_.record_served(reply_buffer_.size(),
+                                    fabric_.simulator().now(),
                                     options_.voter_batch_delay);
+    // The voter runs out of the buffer itself; emptied before apply() so
+    // its capacity serves the next burst.
     enclave::CostMeter meter;
-    apply(meter, troxy_->handle_replies(meter, std::move(batch)));
+    TroxyActions actions = troxy_->handle_replies(meter, reply_buffer_);
+    reply_buffer_.clear();
+    apply(meter, std::move(actions));
 }
 
 void TroxyReplicaHost::arm_voter_flush_timer() {
@@ -522,20 +470,15 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
     if (!actions.to_order.empty()) {
         // The replica's processing happens after the Troxy's metered work.
         // One ecall can surface several client requests (e.g. pipelined
-        // records in one segment); hand them over in a single batched
-        // submission (one metered step, one outbox flush) so a batching
-        // leader can cut them into one Prepare without per-request waits.
-        outbox.defer([this, batch = std::move(actions.to_order)]() mutable {
-            replica_->submit_all(std::move(batch));
+        // records in one segment); hand them over in a single submission
+        // (one metered step, one outbox flush) so a batching leader can
+        // cut them into one Prepare without per-request waits. A
+        // conflicted fast-read burst arrives pre-formed and is cut into a
+        // single Prepare on the leader.
+        outbox.defer([this, batch = std::move(actions.to_order),
+                      preformed = actions.to_order_preformed]() mutable {
+            replica_->submit(std::move(batch), preformed);
         });
-    }
-    if (!actions.to_order_batch.empty()) {
-        // A conflicted fast-read burst enters the ordering pipeline as
-        // ONE pre-formed batch (cut into a single Prepare on the leader).
-        outbox.defer(
-            [this, batch = std::move(actions.to_order_batch)]() mutable {
-                replica_->submit_prebatched(std::move(batch));
-            });
     }
     outbox.flush(meter, tcs_done);
 
@@ -552,27 +495,24 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
 void TroxyReplicaHost::route_cache_queries(
     net::Outbox& outbox,
     std::vector<std::pair<sim::NodeId, CacheQuery>>&& queries) {
-    if (options_.fastread_batch_max <= 1) {
-        // Unbatched fast reads: each query goes out as its own wire
-        // message immediately, exactly the pre-batching flow.
-        for (auto& [to, query] : queries) {
-            outbox.send(to, encode_cache_frame(
-                                CacheMessage(std::move(query))));
-        }
-        return;
-    }
     for (auto& [to, query] : queries) {
-        fastread_buffer_[to].push_back(std::move(query));
-        ++fastread_buffered_;
+        fastread_buffer_.push_back(
+            {to, fastread_buffer_.size(), std::move(query)});
+        // At a maximum of 1 the host holds nothing back: each query of
+        // the ecall leaves on its own.
+        if (options_.fastread_batch_max <= 1) flush_fastread_buffer(outbox);
     }
+    if (fastread_buffer_.empty()) return;
+    // Above 1, the ecall's whole burst is buffered before the boundary
+    // check, so a burst that crosses the boundary leaves in one flush.
     std::size_t boundary = options_.fastread_batch_max;
     if (options_.adaptive_fastread) {
         boundary = fastread_controller_.effective(options_.fastread_batch_max);
     }
-    if (fastread_buffered_ >= boundary) {
+    if (fastread_buffer_.size() >= boundary) {
         flush_fastread_buffer(outbox);
     } else if (options_.fastread_latency_target &&
-               fastread_buffered_ * 100 +
+               fastread_buffer_.size() * 100 +
                        fastread_controller_.ewma_x100() <
                    boundary * 100) {
         // Latency target: the served-load EWMA (queries per delay
@@ -587,25 +527,30 @@ void TroxyReplicaHost::route_cache_queries(
 }
 
 void TroxyReplicaHost::flush_fastread_buffer(net::Outbox& outbox) {
-    if (fastread_buffered_ == 0) return;
+    if (fastread_buffer_.empty()) return;
     ++fastread_flush_generation_;  // cancel any armed delay timer
     fastread_timer_armed_ = false;
-    fastread_controller_.record_served(fastread_buffered_,
+    fastread_controller_.record_served(fastread_buffer_.size(),
                                        fabric_.simulator().now(),
                                        options_.fastread_batch_delay);
-    for (auto& [to, queries] : fastread_buffer_) {
-        if (queries.empty()) continue;
-        // A lone query keeps the single-message wire form (byte parity
-        // with the unbatched flow); a burst ships as one CacheQueryBatch
-        // and will be answered in one remote transition.
-        const CacheMessage message =
-            queries.size() == 1
-                ? CacheMessage(std::move(queries.front()))
-                : CacheMessage(CacheQueryBatch{std::move(queries)});
-        outbox.send(to, encode_cache_frame(message));
-    }
+    // One message per remote, in ascending node id. A lone query keeps
+    // the single-message wire form; a burst ships as one CacheQueryBatch
+    // and will be answered in one remote transition.
+    for_each_destination(fastread_buffer_, [&](auto first, auto last) {
+        if (last - first == 1) {
+            outbox.send(first->to, encode_cache_frame(
+                                       CacheMessage(std::move(first->query))));
+            return;
+        }
+        CacheQueryBatch batch;
+        batch.queries.reserve(static_cast<std::size_t>(last - first));
+        for (auto it = first; it != last; ++it) {
+            batch.queries.push_back(std::move(it->query));
+        }
+        outbox.send(first->to,
+                    encode_cache_frame(CacheMessage(std::move(batch))));
+    });
     fastread_buffer_.clear();
-    fastread_buffered_ = 0;
 }
 
 void TroxyReplicaHost::arm_fastread_flush_timer() {
@@ -630,32 +575,7 @@ TroxyReplicaHost::Status TroxyReplicaHost::status() const {
     Status s;
     s.troxy = troxy_->status();
     // Add the counters retired by enclave recoveries; gauges stay live.
-    {
-        const auto& acc = retired_troxy_stats_;
-        s.troxy.fast_read_hits += acc.fast_read_hits;
-        s.troxy.fast_read_misses += acc.fast_read_misses;
-        s.troxy.fast_read_conflicts += acc.fast_read_conflicts;
-        s.troxy.ordered_requests += acc.ordered_requests;
-        s.troxy.completed_votes += acc.completed_votes;
-        s.troxy.rejected_replies += acc.rejected_replies;
-        s.troxy.reply_batches += acc.reply_batches;
-        s.troxy.batched_replies += acc.batched_replies;
-        s.troxy.reply_auth_batches += acc.reply_auth_batches;
-        s.troxy.batch_authenticated_replies +=
-            acc.batch_authenticated_replies;
-        s.troxy.cache_query_batches += acc.cache_query_batches;
-        s.troxy.batched_cache_queries += acc.batched_cache_queries;
-        s.troxy.cache_response_batches += acc.cache_response_batches;
-        s.troxy.batched_cache_responses += acc.batched_cache_responses;
-        s.troxy.cache_invalidations += acc.cache_invalidations;
-        s.troxy.invalidations_saved += acc.invalidations_saved;
-        s.troxy.invalidations_saved_cross_batch +=
-            acc.invalidations_saved_cross_batch;
-        s.troxy.fallback_prebatches += acc.fallback_prebatches;
-        s.troxy.prebatched_fallbacks += acc.prebatched_fallbacks;
-        s.troxy.mode_switches += acc.mode_switches;
-        s.troxy.enclave_transitions += acc.enclave_transitions;
-    }
+    s.troxy.add_counters(retired_troxy_stats_);
     s.voter_ewma_x100 = voter_controller_.ewma_x100();
     s.fastread_ewma_x100 = fastread_controller_.ewma_x100();
     s.batch_ewma_x100 = replica_->batch_ewma_x100();

@@ -9,7 +9,6 @@
 // everything security-relevant already happened inside the enclave.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -31,7 +30,7 @@ class TroxyReplicaHost {
         /// Remote-cache-query timeout before falling back to ordering.
         sim::Duration fast_read_timeout = sim::milliseconds(50);
         /// Voter batching: maximum replies ingested by one handle_replies
-        /// ecall. 1 = one ecall per reply, the pre-batching behaviour.
+        /// ecall. 1 = one ecall per reply, the paper's flow.
         std::size_t voter_batch_max = 1;
         /// How long the host holds an incomplete reply batch before
         /// flushing it into the enclave (bounds added vote latency).
@@ -57,7 +56,7 @@ class TroxyReplicaHost {
         /// Fast-read batching: maximum buffered cache queries before the
         /// host ships them as CacheQueryBatch bursts (one per remote).
         /// 1 = one wire message and one remote ecall per query, the
-        /// pre-batching behaviour.
+        /// paper's flow.
         std::size_t fastread_batch_max = 1;
         /// How long the host holds an incomplete query burst before
         /// flushing (bounds added fast-read latency).
@@ -185,8 +184,8 @@ class TroxyReplicaHost {
     /// caller recycles the buffer afterwards.
     void dispatch_message(sim::NodeId from, ByteView message);
     /// Dispatches an unbundled burst: replies for the local voter are
-    /// collected so the whole burst enters the enclave through ONE
-    /// handle_replies transition (when voter batching is on).
+    /// collected so the whole burst enters the enclave through as few
+    /// handle_replies transitions as voter_batch_max allows.
     void dispatch_burst(sim::NodeId from, std::vector<Bytes> messages);
     void apply(enclave::CostMeter& meter, TroxyActions&& actions);
     void arm_vote_timer(std::uint64_t number);
@@ -200,8 +199,8 @@ class TroxyReplicaHost {
 
     // --- voter batching (untrusted buffering; the enclave re-verifies
     // every reply, so the host holding or reordering them is harmless) ---
-    /// Routes one reply into the voter: straight into a handle_reply
-    /// ecall at voter_batch_max <= 1, else into the reply buffer.
+    /// Routes one reply into the reply buffer, flushing it into a
+    /// handle_replies ecall at the flush boundary.
     void enqueue_reply(hybster::Reply&& reply);
     /// Routes a complete arrival burst (e.g. an unbundled wire record);
     /// flushes at the end so a bundled burst costs one ecall.
@@ -212,13 +211,13 @@ class TroxyReplicaHost {
     // --- fast-read query batching (untrusted buffering; each query
     // carries an enclave-made certificate, so the host can delay or batch
     // but not alter them) ---
-    /// Routes the structured queries an ecall surfaced: straight onto the
-    /// wire at fastread_batch_max <= 1, else into the per-remote buffer.
+    /// Routes the structured queries an ecall surfaced into the query
+    /// buffer, flushing it at the flush boundary.
     void route_cache_queries(
         net::Outbox& outbox,
         std::vector<std::pair<sim::NodeId, CacheQuery>>&& queries);
     /// Ships every buffered burst: one CacheQueryBatch per remote (a
-    /// lone query goes out in the seed's single-message form).
+    /// lone query goes out in the plain single-message form).
     void flush_fastread_buffer(net::Outbox& outbox);
     void arm_fastread_flush_timer();
 
@@ -268,8 +267,13 @@ class TroxyReplicaHost {
     // Fast-read query batching state (cleared on crash — buffered queries
     // die with the untrusted process; the fast-read timeout at the enclave
     // falls the reads back to ordering).
-    std::map<sim::NodeId, std::vector<CacheQuery>> fastread_buffer_;
-    std::size_t fastread_buffered_ = 0;
+    // Queries in arrival order; a flush groups them per remote (`to`).
+    struct BufferedQuery {
+        sim::NodeId to = 0;
+        std::size_t order = 0;
+        CacheQuery query;
+    };
+    std::vector<BufferedQuery> fastread_buffer_;
     std::uint64_t fastread_flush_generation_ = 0;
     bool fastread_timer_armed_ = false;
     hybster::AdaptiveBatchController fastread_controller_;

@@ -319,10 +319,12 @@ struct BareGroup {
             Replica::Hooks hooks;
             hooks.verify_request = [](enclave::CostedCrypto&,
                                       const Request&) { return true; };
-            hooks.deliver_reply = [this](enclave::CostedCrypto&,
-                                         net::Outbox&, const Request&,
-                                         Reply reply) {
-                delivered.push_back(std::move(reply));
+            hooks.deliver_replies = [this](enclave::CostedCrypto&,
+                                           net::Outbox&,
+                                           std::span<ExecutedReply> batch) {
+                for (ExecutedReply& member : batch) {
+                    delivered.push_back(std::move(member.reply));
+                }
             };
             replicas.push_back(std::make_unique<Replica>(
                 fabric, *nodes.back(), config,
@@ -369,7 +371,7 @@ struct BareGroup {
 TEST(Replica, LeaderOrdersAndAllExecute) {
     BareGroup group;
     group.replicas[0]->submit(
-        group.make_request(1, apps::EchoService::make_write(1, 64)));
+        {group.make_request(1, apps::EchoService::make_write(1, 64))});
     group.sim.run_until(sim::seconds(2));
 
     for (const auto& replica : group.replicas) {
@@ -381,7 +383,7 @@ TEST(Replica, LeaderOrdersAndAllExecute) {
 TEST(Replica, FollowerForwardsToLeader) {
     BareGroup group;
     group.replicas[2]->submit(
-        group.make_request(1, apps::EchoService::make_write(1, 64)));
+        {group.make_request(1, apps::EchoService::make_write(1, 64))});
     group.sim.run_until(sim::seconds(2));
     EXPECT_EQ(group.replicas[0]->last_executed(), 1u);
     EXPECT_EQ(group.replies_for(1), 3);
@@ -391,7 +393,7 @@ TEST(Replica, SequentialRequestsExecuteInOrder) {
     BareGroup group;
     for (std::uint64_t i = 1; i <= 10; ++i) {
         group.replicas[0]->submit(
-            group.make_request(i, apps::EchoService::make_write(i % 3, 64)));
+            {group.make_request(i, apps::EchoService::make_write(i % 3, 64))});
     }
     group.sim.run_until(sim::seconds(2));
     for (const auto& replica : group.replicas) {
@@ -407,11 +409,11 @@ TEST(Replica, DuplicateRequestGetsReplyRetransmission) {
     BareGroup group;
     const Request request =
         group.make_request(1, apps::EchoService::make_write(1, 64));
-    group.replicas[0]->submit(request);
+    group.replicas[0]->submit({request});
     group.sim.run_until(sim::seconds(1));
     const std::size_t replies_before = group.delivered.size();
 
-    group.replicas[0]->submit(request);  // retransmission
+    group.replicas[0]->submit({request});  // retransmission
     group.sim.run_until(sim::seconds(2));
     EXPECT_GT(group.delivered.size(), replies_before);
     // But no double execution.
@@ -422,7 +424,7 @@ TEST(Replica, CheckpointsTruncateAndStabilize) {
     BareGroup group;  // checkpoint interval 8
     for (std::uint64_t i = 1; i <= 20; ++i) {
         group.replicas[0]->submit(
-            group.make_request(i, apps::EchoService::make_write(1, 32)));
+            {group.make_request(i, apps::EchoService::make_write(1, 32))});
     }
     group.sim.run_until(sim::seconds(3));
     for (const auto& replica : group.replicas) {
@@ -446,7 +448,7 @@ TEST(Replica, ViewChangeOnCrashedLeader) {
     BareGroup group;
     // Execute something first so all replicas are warm.
     group.replicas[0]->submit(
-        group.make_request(1, apps::EchoService::make_write(1, 32)));
+        {group.make_request(1, apps::EchoService::make_write(1, 32))});
     group.sim.run_until(sim::seconds(1));
     ASSERT_EQ(group.replicas[1]->last_executed(), 1u);
 
@@ -457,7 +459,7 @@ TEST(Replica, ViewChangeOnCrashedLeader) {
     group.replicas[0]->set_faults(crash);
 
     group.replicas[1]->submit(
-        group.make_request(2, apps::EchoService::make_write(2, 32)));
+        {group.make_request(2, apps::EchoService::make_write(2, 32))});
     group.sim.run_until(sim::seconds(5));
 
     EXPECT_GT(group.replicas[1]->view(), 0u);
@@ -474,7 +476,7 @@ TEST(Replica, MutedLeaderTriggersViewChange) {
 
     // Follower forwards a request; the muted leader never proposes.
     group.replicas[1]->submit(
-        group.make_request(1, apps::EchoService::make_write(1, 32)));
+        {group.make_request(1, apps::EchoService::make_write(1, 32))});
     group.sim.run_until(sim::seconds(5));
 
     EXPECT_GT(group.replicas[1]->view(), 0u);
@@ -490,7 +492,7 @@ TEST(Replica, BatchCutAtSizeBoundary) {
                     /*batch_delay=*/sim::milliseconds(50));
     for (std::uint64_t i = 1; i <= 4; ++i) {
         group.replicas[0]->submit(
-            group.make_request(i, apps::EchoService::make_write(i, 32)));
+            {group.make_request(i, apps::EchoService::make_write(i, 32))});
     }
     // Well before the 50 ms delay boundary the batch must already have
     // executed everywhere — proof the size boundary (not the timer) cut.
@@ -510,7 +512,7 @@ TEST(Replica, BatchCutAtDelayBoundary) {
                     /*batch_delay=*/sim::milliseconds(50));
     for (std::uint64_t i = 1; i <= 3; ++i) {
         group.replicas[0]->submit(
-            group.make_request(i, apps::EchoService::make_write(i, 32)));
+            {group.make_request(i, apps::EchoService::make_write(i, 32))});
     }
     group.sim.run_until(sim::milliseconds(40));
     EXPECT_EQ(group.replicas[0]->last_executed(), 0u);  // still pending
@@ -532,7 +534,7 @@ TEST(Replica, CheckpointLandsMidBatch) {
                     /*batch_delay=*/sim::milliseconds(50));
     for (std::uint64_t i = 1; i <= 10; ++i) {
         group.replicas[0]->submit(
-            group.make_request(i, apps::EchoService::make_write(1, 32)));
+            {group.make_request(i, apps::EchoService::make_write(1, 32))});
     }
     group.sim.run_until(sim::seconds(3));
     for (const auto& replica : group.replicas) {
@@ -551,7 +553,7 @@ TEST(Replica, ViewChangeRescuesPendingBatch) {
     BareGroup group(1, /*batch_size_max=*/16,
                     /*batch_delay=*/sim::milliseconds(100));
     group.replicas[1]->submit(
-        group.make_request(1, apps::EchoService::make_write(1, 32)));
+        {group.make_request(1, apps::EchoService::make_write(1, 32))});
     // Let the forward reach the leader's pending batch, then crash the
     // leader before the 100 ms delay boundary cuts it.
     group.sim.run_until(sim::milliseconds(20));
@@ -573,8 +575,8 @@ TEST(Replica, BatchedExecutionMatchesUnbatchedState) {
     auto run = [](std::size_t batch_size, sim::Duration delay) {
         BareGroup group(1, batch_size, delay);
         for (std::uint64_t i = 1; i <= 10; ++i) {
-            group.replicas[0]->submit(group.make_request(
-                i, apps::EchoService::make_write(i % 3, 64)));
+            group.replicas[0]->submit({group.make_request(
+                i, apps::EchoService::make_write(i % 3, 64))});
         }
         group.sim.run_until(sim::seconds(3));
         EXPECT_EQ(group.replies_for(10), 3);
@@ -588,7 +590,7 @@ TEST(Replica, BatchedExecutionMatchesUnbatchedState) {
 TEST(Replica, FiveReplicaGroupToleratesTwoFaults) {
     BareGroup group(2);  // n = 5
     group.replicas[0]->submit(
-        group.make_request(1, apps::EchoService::make_write(1, 32)));
+        {group.make_request(1, apps::EchoService::make_write(1, 32))});
     group.sim.run_until(sim::seconds(2));
     EXPECT_EQ(group.replies_for(1), 5);
 
@@ -599,7 +601,7 @@ TEST(Replica, FiveReplicaGroupToleratesTwoFaults) {
 
     group.delivered.clear();
     group.replicas[0]->submit(
-        group.make_request(2, apps::EchoService::make_write(1, 32)));
+        {group.make_request(2, apps::EchoService::make_write(1, 32))});
     group.sim.run_until(sim::seconds(4));
     EXPECT_EQ(group.replicas[0]->last_executed(), 2u);
     EXPECT_EQ(group.replies_for(2), 3);  // the three alive replicas
@@ -617,20 +619,20 @@ void run_every_message_type(BareGroup& group) {
             number, apps::EchoService::make_write(number % 4, 64));
     };
     for (std::uint64_t i = 1; i <= 10; ++i) {
-        group.replicas[1]->submit(write(i));
+        group.replicas[1]->submit({write(i)});
     }
     group.sim.run_until(sim::seconds(1));
     FaultProfile crash;
     crash.crashed = true;
     group.replicas[0]->set_faults(crash);
     for (std::uint64_t i = 11; i <= 12; ++i) {
-        group.replicas[1]->submit(write(i));
+        group.replicas[1]->submit({write(i)});
     }
     group.sim.run_until(sim::seconds(5));
     group.replicas[0]->restart(std::make_unique<apps::EchoService>());
     group.sim.run_until(sim::seconds(10));
     for (std::uint64_t i = 13; i <= 20; ++i) {
-        group.replicas[2]->submit(write(i));
+        group.replicas[2]->submit({write(i)});
     }
     group.sim.run_until(sim::seconds(15));
 }
@@ -683,7 +685,7 @@ TEST(DecodedEntry, CrashedReplicaIgnoresDecodedMessages) {
     BareGroup group;
     group.decoded_entry = true;
     group.replicas[0]->submit(
-        group.make_request(1, apps::EchoService::make_write(1, 32)));
+        {group.make_request(1, apps::EchoService::make_write(1, 32))});
     group.sim.run_until(sim::seconds(1));
     FaultProfile crash;
     crash.crashed = true;
@@ -709,7 +711,7 @@ TEST(DecodedEntry, RejoiningReplicaAcceptsOnlyStateResponse) {
     group.decoded_entry = true;
     for (std::uint64_t i = 1; i <= 10; ++i) {
         group.replicas[0]->submit(
-            group.make_request(i, apps::EchoService::make_write(i, 32)));
+            {group.make_request(i, apps::EchoService::make_write(i, 32))});
     }
     group.sim.run_until(sim::seconds(1));
     const sim::NodeId rejoiner = group.config.replicas[2];
@@ -786,8 +788,8 @@ struct SoloLeader {
         hooks.verify_request = [](enclave::CostedCrypto&, const Request&) {
             return true;
         };
-        hooks.deliver_reply = [](enclave::CostedCrypto&, net::Outbox&,
-                                 const Request&, Reply) {};
+        hooks.deliver_replies = [](enclave::CostedCrypto&, net::Outbox&,
+                                   std::span<ExecutedReply>) {};
         leader = std::make_unique<Replica>(
             fabric, *node, config, 0,
             std::make_unique<apps::EchoService>(),
@@ -812,7 +814,7 @@ struct SoloLeader {
         Request request;
         request.id = {500, number};
         request.assign(apps::EchoService::make_write(number, 32));
-        leader->submit(request);
+        leader->submit({request});
         sim.run_until(sim.now() + sim::milliseconds(10));
     }
 
@@ -1015,7 +1017,7 @@ TEST(Replica, LaneCountsProduceIdenticalRepliesAndState) {
                             test_case.factory);
             for (std::uint64_t i = 1; i <= 24; ++i) {
                 group.replicas[0]->submit(
-                    group.make_request(i, test_case.payload(i)));
+                    {group.make_request(i, test_case.payload(i))});
             }
             group.sim.run_until(sim::seconds(3));
             for (const auto& replica : group.replicas) {
@@ -1049,9 +1051,9 @@ TEST(Replica, SingleLaneKeepsSerialCostAndStats) {
                         /*batch_delay=*/sim::milliseconds(5), lanes,
                         []() { return std::make_unique<apps::KvService>(); });
         for (std::uint64_t i = 1; i <= 12; ++i) {
-            group.replicas[0]->submit(group.make_request(
+            group.replicas[0]->submit({group.make_request(
                 i, apps::KvService::make_put("k" + std::to_string(i % 3),
-                                             "value")));
+                                             "value"))});
         }
         group.sim.run_until(sim::seconds(3));
         sim::Duration busy = 0;
@@ -1070,8 +1072,8 @@ TEST(Replica, SingleLaneKeepsSerialCostAndStats) {
                         /*batch_delay=*/sim::milliseconds(5), lanes,
                         []() { return std::make_unique<apps::KvService>(); });
         for (std::uint64_t i = 1; i <= 12; ++i) {
-            group.replicas[0]->submit(group.make_request(
-                i, apps::KvService::make_put("hot", "value")));
+            group.replicas[0]->submit({group.make_request(
+                i, apps::KvService::make_put("hot", "value"))});
         }
         group.sim.run_until(sim::seconds(3));
         sim::Duration busy = 0;
@@ -1095,8 +1097,8 @@ TEST(Replica, ParallelLanesReduceChargedCost) {
                     /*batch_delay=*/sim::milliseconds(5), 4,
                     []() { return std::make_unique<apps::KvService>(); });
     for (std::uint64_t i = 1; i <= 16; ++i) {
-        group.replicas[0]->submit(group.make_request(
-            i, apps::KvService::make_put("k" + std::to_string(i), "v")));
+        group.replicas[0]->submit({group.make_request(
+            i, apps::KvService::make_put("k" + std::to_string(i), "v"))});
     }
     group.sim.run_until(sim::seconds(3));
     const auto& stats = group.replicas[0]->exec_stats();
@@ -1116,7 +1118,7 @@ TEST(Replica, PrebatchedSubmitFormsOneBatch) {
         burst.push_back(
             group.make_request(i, apps::EchoService::make_write(i, 32)));
     }
-    group.replicas[0]->submit_prebatched(std::move(burst));
+    group.replicas[0]->submit(std::move(burst), /*preformed=*/true);
     group.sim.run_until(sim::seconds(2));
 
     for (const auto& replica : group.replicas) {
@@ -1138,7 +1140,7 @@ TEST(Replica, PrebatchedSubmitSplitsOnlyAtSizeCap) {
         burst.push_back(
             group.make_request(i, apps::EchoService::make_write(i, 32)));
     }
-    group.replicas[0]->submit_prebatched(std::move(burst));
+    group.replicas[0]->submit(std::move(burst), /*preformed=*/true);
     group.sim.run_until(sim::seconds(2));
 
     for (const auto& replica : group.replicas) {

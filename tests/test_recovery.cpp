@@ -433,6 +433,92 @@ TEST(Recovery, EnclaveRecoveryUnderLoadIsTransparent) {
     EXPECT_GT(cluster.host(1).replica().last_executed(), 8u);
 }
 
+// The host's status spans an enclave swap: every cumulative counter the
+// retired instance reported is carried over into the host's totals.
+TEST(Recovery, EnclaveRecoveryKeepsEveryCounter) {
+    auto params = recovery_params(907);
+    params.host.voter_batch_max = 4;
+    params.host.fastread_batch_max = 4;
+    params.host.batch_reply_auth = true;
+    bench::TroxyCluster cluster(params);
+    auto& client = cluster.add_client(0);
+
+    // Writes, then reads of the written key (the first is ordered and
+    // warms the caches, the rest are fast reads), then a write that
+    // invalidates it.
+    int done = 0;
+    auto steps = std::make_shared<std::vector<Bytes>>();
+    steps->push_back(EchoService::make_write(1, 64));
+    for (int i = 0; i < 6; ++i) {
+        steps->push_back(EchoService::make_read(1, 32, 64));
+    }
+    steps->push_back(EchoService::make_write(1, 64));
+    auto issue = std::make_shared<std::function<void()>>();
+    *issue = [&, steps, weak = std::weak_ptr(issue)]() {
+        const auto self = weak.lock();
+        if (!self || done == static_cast<int>(steps->size())) return;
+        client.send((*steps)[static_cast<std::size_t>(done)],
+                    [&, self](Bytes) {
+                        ++done;
+                        (*self)();
+                    });
+    };
+    client.start([issue]() { (*issue)(); });
+    cluster.simulator().run_until(sim::seconds(3));
+    ASSERT_EQ(done, static_cast<int>(steps->size()));
+
+    using Status = troxy_core::TroxyEnclave::Status;
+    const std::vector<std::uint64_t Status::*> counters = {
+        &Status::fast_read_hits,
+        &Status::fast_read_misses,
+        &Status::fast_read_conflicts,
+        &Status::ordered_requests,
+        &Status::completed_votes,
+        &Status::rejected_replies,
+        &Status::reply_batches,
+        &Status::batched_replies,
+        &Status::reply_auth_batches,
+        &Status::batch_authenticated_replies,
+        &Status::cache_query_batches,
+        &Status::batched_cache_queries,
+        &Status::cache_response_batches,
+        &Status::batched_cache_responses,
+        &Status::cache_invalidations,
+        &Status::invalidations_saved,
+        &Status::invalidations_saved_cross_batch,
+        &Status::fallback_prebatches,
+        &Status::prebatched_fallbacks,
+        &Status::mode_switches,
+        &Status::enclave_transitions};
+    const Status before = cluster.host(0).status().troxy;
+    EXPECT_GT(before.fast_read_hits, 0u);
+    EXPECT_GT(before.reply_auth_batches, 0u);
+    EXPECT_GT(before.cache_invalidations, 0u);
+
+    ASSERT_TRUE(cluster.recover_enclave(0));
+    cluster.simulator().run_until(sim::seconds(4));
+    ASSERT_EQ(cluster.host(0).enclave_recoveries(), 1u);
+    const Status after = cluster.host(0).status().troxy;
+    // No traffic reached the fresh instance, so the totals are exactly
+    // the retired instance's counters.
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        EXPECT_EQ(after.*counters[i], before.*counters[i]) << "counter " << i;
+    }
+    EXPECT_EQ(after.cache_entries, 0u);  // gauges are the fresh instance's
+
+    // Counters that stayed zero above are covered here: add_counters adds
+    // every one of them.
+    Status distinct;
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        distinct.*counters[i] = i + 1;
+    }
+    Status sum = distinct;
+    sum.add_counters(distinct);
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        EXPECT_EQ(sum.*counters[i], 2 * (i + 1)) << "counter " << i;
+    }
+}
+
 // Periodic schedule: every enclave in the fleet recovers at least once,
 // staggered, while a client keeps completing requests.
 TEST(Recovery, PeriodicScheduleRecoversWholeFleet) {
