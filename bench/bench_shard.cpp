@@ -4,7 +4,7 @@
 // Three parts:
 //
 //   1. Saturation sweep — closed-loop pure-write workload against a
-//      ShardedTroxyCluster for S ∈ {1, 2, 4, 8}. The service carries a
+//      TroxyCluster for S ∈ {1, 2, 4, 8}. The service carries a
 //      fixed modeled execution cost, so ordered-write throughput is
 //      execution-bound — exactly the resource a key-range partition
 //      multiplies: each shard orders and executes only its slice of the
@@ -88,10 +88,10 @@ class HeavyEchoService final : public hybster::Service {
     sim::Duration cost_;
 };
 
-std::unique_ptr<ShardedTroxyCluster> make_cluster(
+std::unique_ptr<TroxyCluster> make_cluster(
     int shards, int keys, sim::Duration exec_cost, int fronts = 1,
     std::size_t cross_pipeline_depth = 0) {
-    ShardedTroxyCluster::Params params;
+    TroxyCluster::Params params;
     params.base.seed = 42;
     params.base.shard_count = shards;
     params.base.front_count = fronts;
@@ -124,7 +124,7 @@ std::unique_ptr<ShardedTroxyCluster> make_cluster(
         params.map = troxy_core::ShardMap::split_evenly(
             std::move(universe), shards);
     }
-    return std::make_unique<ShardedTroxyCluster>(std::move(params));
+    return std::make_unique<TroxyCluster>(std::move(params));
 }
 
 struct FrontCounters {
@@ -139,7 +139,7 @@ struct FrontCounters {
 };
 
 /// Tier-wide counters: sums over every front (peaks take the max).
-FrontCounters front_counters(ShardedTroxyCluster& cluster) {
+FrontCounters front_counters(TroxyCluster& cluster) {
     FrontCounters out;
     for (int f = 0; f < cluster.front_count(); ++f) {
         const auto status = cluster.front(f).status();
@@ -164,7 +164,7 @@ FrontCounters front_counters(ShardedTroxyCluster& cluster) {
 void json_front(std::FILE* json, const FrontCounters& front);
 
 /// Cross-commit latency percentile merged over every front's samples.
-double tier_cross_percentile_ms(ShardedTroxyCluster& cluster, double p) {
+double tier_cross_percentile_ms(TroxyCluster& cluster, double p) {
     std::vector<sim::Duration> samples;
     for (int f = 0; f < cluster.front_count(); ++f) {
         const auto& front_samples = cluster.front(f).cross_latencies();

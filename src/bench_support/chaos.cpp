@@ -74,66 +74,21 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     params.client.connection_timeout = sim::milliseconds(500);
     params.client.backoff_cap = sim::milliseconds(2000);
 
-    // Build the deployment: the classic unsharded TroxyCluster (the
-    // pre-shard chaos path, bit-identical replay) or a sharded one driven
-    // through the routing front. Everything below speaks through the
-    // adapter handles so both paths share one workload and checker.
-    std::unique_ptr<TroxyCluster> flat;
-    std::unique_ptr<ShardedTroxyCluster> sharded;
-    ClusterBase* base = nullptr;
-    int hosts_per_shard = 0;
-    int total_hosts = 0;
-    const hybster::Config* config0 = nullptr;
-
-    if (options.shards <= 1) {
-        flat = std::make_unique<TroxyCluster>(params);
-        base = flat.get();
-        hosts_per_shard = flat->n();
-        total_hosts = flat->n();
-        config0 = &flat->config();
-    } else {
-        ShardedTroxyCluster::Params sparams;
-        sparams.base = params.base;
-        sparams.base.shard_count = options.shards;
-        sparams.base.front_count = options.fronts;
-        sparams.service = params.service;
-        sparams.classifier = params.classifier;
-        sparams.host = params.host;
-        sparams.client = params.client;
-        sparams.front.upstream = params.client;
-        sparams.front.cross_pipeline_depth = options.cross_pipeline_depth;
-        std::vector<std::string> universe;
-        for (int k = 0; k < std::max(options.keys, 1); ++k) {
-            universe.push_back("k" + std::to_string(k));
-        }
-        sparams.map = troxy_core::ShardMap::split_evenly(
-            std::move(universe), options.shards);
-        sharded = std::make_unique<ShardedTroxyCluster>(std::move(sparams));
-        base = sharded.get();
-        hosts_per_shard = 2 * sharded->options().f + 1;
-        total_hosts = hosts_per_shard * sharded->shards();
-        config0 = &sharded->config(0);
+    // Sharded runs split the "k<i>" key universe evenly over the groups
+    // and reach them through the front tier.
+    params.base.shard_count = options.shards;
+    params.base.front_count = options.fronts;
+    params.front.upstream = params.client;
+    params.front.cross_pipeline_depth = options.cross_pipeline_depth;
+    std::vector<std::string> universe;
+    for (int k = 0; k < std::max(options.keys, 1); ++k) {
+        universe.push_back("k" + std::to_string(k));
     }
-
-    auto host_at = [&](int h) -> troxy_core::TroxyReplicaHost& {
-        if (flat) return flat->host(h);
-        return sharded->host(h / hosts_per_shard, h % hosts_per_shard);
-    };
-    auto crash_at = [&](int h) {
-        if (flat) {
-            flat->crash_host(h);
-        } else {
-            sharded->crash_host(h / hosts_per_shard, h % hosts_per_shard);
-        }
-    };
-    auto restart_at = [&](int h) {
-        if (flat) {
-            flat->restart_host(h);
-        } else {
-            sharded->restart_host(h / hosts_per_shard,
-                                  h % hosts_per_shard);
-        }
-    };
+    params.map =
+        troxy_core::ShardMap::split_evenly(std::move(universe), options.shards);
+    TroxyCluster cluster(std::move(params));
+    const int n = cluster.n();
+    const int total_hosts = n * cluster.shards();
 
     // Fault schedule: explicit plan, a rolling restart, or a seeded
     // random one.
@@ -143,14 +98,13 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         // evenly spread across the fault window. The downtime is clamped
         // below the per-host gap so at most one replica (≤ f, in any
         // shard) is ever down, keeping the run live throughout.
-        const int n = total_hosts;
         const sim::Duration gap =
             (options.heal_by - options.fault_start) /
-            static_cast<sim::Duration>(n);
+            static_cast<sim::Duration>(total_hosts);
         const sim::Duration down =
             std::min<sim::Duration>(options.rolling_downtime,
                                     gap > 1 ? gap - 1 : 1);
-        for (int i = 0; i < n; ++i) {
+        for (int i = 0; i < total_hosts; ++i) {
             const sim::SimTime at =
                 options.fault_start +
                 gap * static_cast<sim::Duration>(i);
@@ -164,15 +118,11 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         random.start = options.fault_start;
         random.heal_by = options.heal_by;
         random.hosts = total_hosts;
-        random.max_concurrent_crashes = config0->f;
-        if (flat) {
-            random.nodes = config0->replicas;
-        } else {
-            for (int s = 0; s < sharded->shards(); ++s) {
-                const auto& replicas = sharded->config(s).replicas;
-                random.nodes.insert(random.nodes.end(), replicas.begin(),
-                                    replicas.end());
-            }
+        random.max_concurrent_crashes = cluster.config().f;
+        for (int s = 0; s < cluster.shards(); ++s) {
+            const auto& replicas = cluster.config(s).replicas;
+            random.nodes.insert(random.nodes.end(), replicas.begin(),
+                                replicas.end());
         }
         random.crash_events = options.crash_events;
         random.partition_events = options.partition_events;
@@ -182,22 +132,24 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         plan = sim::FaultPlan::random(plan_rng, random);
     }
     report.plan_trace = plan.describe();
-    plan.schedule(base->simulator(), base->network(),
-                  [&crash_at](int host) { crash_at(host); },
-                  [&restart_at](int host) { restart_at(host); });
+    plan.schedule(
+        cluster.simulator(), cluster.network(),
+        [&](int h) { cluster.crash_host(h / n, h % n); },
+        [&](int h) { cluster.restart_host(h / n, h % n); });
 
-    // Front-tier fault injection rides alongside the replica plan.
-    if (sharded && options.front_crash >= 0 &&
-        options.front_crash < sharded->front_count()) {
+    // Front-tier fault injection rides alongside the replica plan (an
+    // unsharded deployment has no front).
+    if (options.front_crash >= 0 &&
+        options.front_crash < cluster.front_count()) {
         const int victim = options.front_crash;
-        base->simulator().after(options.front_crash_at, [&, victim]() {
-            sharded->crash_front(victim);
+        cluster.simulator().after(options.front_crash_at, [&, victim]() {
+            cluster.crash_front(victim);
         });
         if (options.front_restart_at > options.front_crash_at) {
-            base->simulator().after(options.front_restart_at,
-                                    [&, victim]() {
-                                        sharded->restart_front(victim);
-                                    });
+            cluster.simulator().after(options.front_restart_at,
+                                      [&, victim]() {
+                                          cluster.restart_front(victim);
+                                      });
         }
     }
 
@@ -297,8 +249,8 @@ ChaosReport run_chaos(const ChaosOptions& options) {
                 static_cast<sim::Duration>(driver->rng.next_exponential(
                     static_cast<double>(options.think_time))),
                 1);
-            base->simulator().after(think,
-                                    [&issue, driver]() { issue(driver); });
+            cluster.simulator().after(think,
+                                      [&issue, driver]() { issue(driver); });
         });
     };
 
@@ -306,8 +258,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         auto driver = std::make_unique<ClientDriver>();
         driver->rng = workload_rng.fork(static_cast<std::uint64_t>(c) + 1);
         driver->remaining = options.requests_per_client;
-        driver->client = flat ? &flat->add_client(c % flat->n())
-                              : &sharded->add_client();
+        driver->client = &cluster.add_client();
         drivers.push_back(std::move(driver));
     }
     for (auto& driver : drivers) {
@@ -315,24 +266,24 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         raw->client->start([&issue, raw]() { issue(raw); });
     }
 
-    base->simulator().run_until(options.horizon);
+    cluster.simulator().run_until(options.horizon);
 
     // Convergence: after the drain window a quorum must agree on one
     // service state at the highest executed sequence number — per
     // replica group, since each shard orders its own log.
-    const int shard_count = flat ? 1 : sharded->shards();
+    const int shard_count = cluster.shards();
+    const int quorum = cluster.config().quorum();
     for (int s = 0; s < shard_count; ++s) {
         hybster::SequenceNumber max_executed = 0;
-        for (int i = 0; i < hosts_per_shard; ++i) {
+        for (int i = 0; i < n; ++i) {
             max_executed = std::max(
-                max_executed,
-                host_at(s * hosts_per_shard + i).replica().last_executed());
+                max_executed, cluster.host(s, i).replica().last_executed());
         }
         int at_tip = 0;
         Bytes tip_state;
         bool tip_diverged = false;
-        for (int i = 0; i < hosts_per_shard; ++i) {
-            auto& replica = host_at(s * hosts_per_shard + i).replica();
+        for (int i = 0; i < n; ++i) {
+            auto& replica = cluster.host(s, i).replica();
             if (replica.last_executed() != max_executed) continue;
             const Bytes state = replica.service().checkpoint();
             if (at_tip == 0) {
@@ -344,13 +295,13 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         }
         const std::string where =
             shard_count == 1 ? "" : " in shard " + std::to_string(s);
-        if (at_tip < config0->quorum()) {
+        if (at_tip < quorum) {
             ++report.violations;
             report.errors.push_back(
                 "only " + std::to_string(at_tip) +
                 " replicas reached sequence " +
                 std::to_string(max_executed) + where + " (quorum is " +
-                std::to_string(config0->quorum()) + ")");
+                std::to_string(quorum) + ")");
         }
         if (tip_diverged) {
             ++report.violations;
@@ -363,8 +314,8 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     for (auto& driver : drivers) {
         report.failovers += driver->client->failovers();
     }
-    for (int i = 0; i < total_hosts; ++i) {
-        auto& host = host_at(i);
+    for (int h = 0; h < total_hosts; ++h) {
+        auto& host = cluster.host(h / n, h % n);
         report.view_changes =
             std::max(report.view_changes, host.replica().view_changes());
         report.state_transfers += host.replica().state_transfers();
@@ -398,15 +349,15 @@ ChaosReport run_chaos(const ChaosOptions& options) {
             std::to_string(options.fastread_hitrate_floor));
     }
 
-    if (sharded) {
+    if (shard_count > 1) {
         // Aggregate over the front tier: counters sum (fronts are
         // independent), peaks take the max, latency percentiles merge
         // every front's raw samples.
         std::vector<troxy_core::ShardFrontHost::Status> front_statuses;
         std::vector<sim::Duration> merged_latencies;
-        report.front_count = sharded->front_count();
-        for (int f = 0; f < sharded->front_count(); ++f) {
-            auto& front = sharded->front(f);
+        report.front_count = cluster.front_count();
+        for (int f = 0; f < cluster.front_count(); ++f) {
+            auto& front = cluster.front(f);
             front_statuses.push_back(front.status());
             const auto& status = front_statuses.back();
             report.cross_shard_commits += status.cross_shard_commits;
@@ -447,8 +398,8 @@ ChaosReport run_chaos(const ChaosOptions& options) {
                 shard.cross_participations +=
                     front_shard.cross_participations;
             }
-            for (int i = 0; i < hosts_per_shard; ++i) {
-                auto& host = host_at(s * hosts_per_shard + i);
+            for (int i = 0; i < n; ++i) {
+                auto& host = cluster.host(s, i);
                 const auto status = host.status();
                 shard.fast_read_hits += status.troxy.fast_read_hits;
                 shard.fast_read_misses += status.troxy.fast_read_misses;
@@ -470,16 +421,16 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         }
     }
 
-    report.messages_sent = base->network().messages_sent();
-    report.bytes_sent = base->network().bytes_sent();
-    report.drops = base->network().drops();
-    report.pool = base->network().pool().stats();
+    report.messages_sent = cluster.network().messages_sent();
+    report.bytes_sent = cluster.network().bytes_sent();
+    report.drops = cluster.network().drops();
+    report.pool = cluster.network().pool().stats();
     const std::uint64_t pool_lookups = report.pool.hits + report.pool.misses;
     report.pool_hit_rate =
         pool_lookups == 0 ? 0.0
                           : static_cast<double>(report.pool.hits) /
                                 static_cast<double>(pool_lookups);
-    report.wire = base->network().wire_stats();
+    report.wire = cluster.network().wire_stats();
     return report;
 }
 

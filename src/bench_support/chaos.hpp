@@ -110,11 +110,10 @@ struct ChaosOptions {
     /// check. Counts a violation, not an assert, when breached.
     double fastread_hitrate_floor = 0.0;
 
-    /// Shard count: 1 runs the classic unsharded TroxyCluster path
-    /// (bit-identical to pre-shard chaos runs); >1 builds a
-    /// ShardedTroxyCluster whose key-range map splits the workload's
-    /// "k<i>" key universe evenly and drives everything through the
-    /// routing front.
+    /// Shard count (ClusterOptions::shard_count): 1 runs one replica
+    /// group that clients contact directly; >1 splits the workload's
+    /// "k<i>" key universe evenly over the groups and drives everything
+    /// through the routing front.
     int shards = 1;
     /// Fraction of writes issued as two-key multiwrites (EchoService
     /// op 2) whose partner key usually lives on another shard, forcing

@@ -175,124 +175,28 @@ sim::Node& ClusterBase::make_client_node(const std::string& name) {
 TroxyCluster::TroxyCluster(Params params) : ClusterBase(params.base) {
     service_factory_ = params.service;
     client_options_ = params.client;
-    config_.f = options_.f;
-    config_.checkpoint_interval = options_.checkpoint_interval;
-    config_.batch_size_max = options_.batch_size_max;
-    config_.batch_delay = options_.batch_delay;
-    config_.coalesce_wire = options_.coalesce_wire;
-    config_.wire_zero_copy = options_.wire_zero_copy;
-    config_.transport = options_.transport;
-    config_.adaptive_batching = options_.adaptive_batching;
-    config_.execution_lanes = options_.execution_lanes;
-    config_.state_chunk_size = options_.state_chunk_size;
-    config_.state_chunks_per_message = options_.state_chunks_per_message;
-    config_.state_transfer_retry = options_.state_transfer_retry;
-    const int n = 2 * options_.f + 1;
-    for (int i = 0; i < n; ++i) {
-        config_.replicas.push_back(
-            make_server_node("replica" + std::to_string(i)).id());
-    }
-    config_.validate();
-
-    auto provisioned = provision_trinx(n, options_.seed);
-    troxy_core::TroxyReplicaHost::Options host_options = params.host;
-    host_options.troxy.inside_enclave = !params.ctroxy;
-    host_options.authority = provisioned.authority;
-    host_options.measurement = provisioned.measurement;
-    host_options.wire_zero_copy =
-        host_options.wire_zero_copy || options_.wire_zero_copy;
-    if (options_.transport.tx_base_ns > 0.0 ||
-        options_.transport.credit_window > 0) {
-        host_options.transport = options_.transport;
-    }
-
-    for (int i = 0; i < n; ++i) {
-        identities_.push_back(identity_for(options_.seed, i));
-        if (host_options.enclave_recovery_period > 0) {
-            // Stagger the fleet: recover one enclave at a time instead of
-            // tearing all of them down in lockstep.
-            host_options.enclave_recovery_offset =
-                params.host.enclave_recovery_offset +
-                host_options.enclave_recovery_period *
-                    static_cast<std::uint64_t>(i) /
-                    static_cast<std::uint64_t>(n);
-        }
-        hosts_.push_back(std::make_unique<troxy_core::TroxyReplicaHost>(
-            fabric_, *nodes_[static_cast<std::size_t>(i)], config_,
-            static_cast<std::uint32_t>(i), params.service(),
-            provisioned.trinx[static_cast<std::size_t>(i)],
-            identities_.back(), params.classifier, java_, native_,
-            host_options, options_.seed + static_cast<std::uint64_t>(i)));
-        hosts_.back()->attach();
-    }
-}
-
-troxy_core::LegacyClient& TroxyCluster::add_client(int contact) {
-    if (contact < 0) {
-        contact = next_contact_;
-        next_contact_ = (next_contact_ + 1) % config_.n();
-    }
-    sim::Node& node = make_client_node(
-        "client" + std::to_string(clients_.size()));
-
-    // Failover list starting at the chosen contact replica.
-    std::vector<sim::NodeId> servers;
-    std::vector<crypto::X25519Key> keys;
-    for (int i = 0; i < config_.n(); ++i) {
-        const int replica = (contact + i) % config_.n();
-        servers.push_back(config_.node_of(static_cast<std::uint32_t>(replica)));
-        keys.push_back(
-            identities_[static_cast<std::size_t>(replica)].public_key);
-    }
-
-    clients_.push_back(std::make_unique<troxy_core::LegacyClient>(
-        fabric_, node, std::move(servers), std::move(keys), java_,
-        client_options_));
-    auto* client = clients_.back().get();
-    attach_legacy_dispatch(fabric_, node, client);
-    return *client;
-}
-
-void TroxyCluster::crash_host(int replica) {
-    hosts_.at(static_cast<std::size_t>(replica))->crash();
-}
-
-void TroxyCluster::restart_host(int replica) {
-    hosts_.at(static_cast<std::size_t>(replica))->restart(service_factory_());
-}
-
-bool TroxyCluster::recover_enclave(int replica) {
-    return hosts_.at(static_cast<std::size_t>(replica))->recover_enclave();
-}
-
-// --------------------------------------------------- ShardedTroxyCluster
-
-ShardedTroxyCluster::ShardedTroxyCluster(Params params)
-    : ClusterBase(params.base) {
-    service_factory_ = params.service;
-    client_options_ = params.client;
     const int shards = options_.shard_count;
     const int n = 2 * options_.f + 1;
     if (shards < 1) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: shard_count must be at least 1, got " +
+            "TroxyCluster: shard_count must be at least 1, got " +
             std::to_string(shards));
     }
     if (options_.front_count < 1) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: front_count must be at least 1, got " +
+            "TroxyCluster: front_count must be at least 1, got " +
             std::to_string(options_.front_count));
     }
     if (options_.front_count > 1 && shards == 1) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: front_count > 1 needs a sharded "
+            "TroxyCluster: front_count > 1 needs a sharded "
             "deployment (shard_count > 1) — unsharded clients contact "
             "the replicas directly");
     }
     if (options_.replica_budget > 0 &&
         shards * n > options_.replica_budget) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: " + std::to_string(shards) +
+            "TroxyCluster: " + std::to_string(shards) +
             " shards x " + std::to_string(n) + " replicas (f=" +
             std::to_string(options_.f) + ") = " +
             std::to_string(shards * n) +
@@ -302,7 +206,7 @@ ShardedTroxyCluster::ShardedTroxyCluster(Params params)
     if (shards > 1) {
         if (params.map.shard_count() != shards) {
             throw std::invalid_argument(
-                "ShardedTroxyCluster: shard map describes " +
+                "TroxyCluster: shard map describes " +
                 std::to_string(params.map.shard_count()) +
                 " shards but shard_count is " + std::to_string(shards));
         }
@@ -354,11 +258,11 @@ ShardedTroxyCluster::ShardedTroxyCluster(Params params)
     }
 }
 
-void ShardedTroxyCluster::build_group(int shard, const Params& params) {
+void TroxyCluster::build_group(int shard, const Params& params) {
     const int n = 2 * options_.f + 1;
-    // Shard 0 runs on the base seed so an S=1 deployment replays the
-    // unsharded TroxyCluster bit-identically; further shards derive
-    // disjoint key material from a fixed stride.
+    // Shard 0 runs on the base seed, so an unsharded deployment keeps
+    // the seed's key material; further shards derive disjoint key
+    // material from a fixed stride.
     const std::uint64_t group_seed =
         options_.seed + static_cast<std::uint64_t>(shard) * 1000003;
     Group group;
@@ -369,7 +273,6 @@ void ShardedTroxyCluster::build_group(int shard, const Params& params) {
     group.config.coalesce_wire = options_.coalesce_wire;
     group.config.wire_zero_copy = options_.wire_zero_copy;
     group.config.transport = options_.transport;
-    group.config.adaptive_batching = options_.adaptive_batching;
     group.config.execution_lanes = options_.execution_lanes;
     group.config.state_chunk_size = options_.state_chunk_size;
     group.config.state_chunks_per_message =
@@ -402,6 +305,8 @@ void ShardedTroxyCluster::build_group(int shard, const Params& params) {
     for (int i = 0; i < n; ++i) {
         group.identities.push_back(identity_for(group_seed, i));
         if (host_options.enclave_recovery_period > 0) {
+            // Stagger the group: recover one enclave at a time instead of
+            // tearing all of them down in lockstep.
             host_options.enclave_recovery_offset =
                 params.host.enclave_recovery_offset +
                 host_options.enclave_recovery_period *
@@ -422,7 +327,7 @@ void ShardedTroxyCluster::build_group(int shard, const Params& params) {
     groups_.push_back(std::move(group));
 }
 
-troxy_core::LegacyClient& ShardedTroxyCluster::add_client() {
+troxy_core::LegacyClient& TroxyCluster::add_client(int contact) {
     sim::Node& node = make_client_node(
         "client" + std::to_string(clients_.size()));
 
@@ -442,11 +347,13 @@ troxy_core::LegacyClient& ShardedTroxyCluster::add_client() {
                     .public_key);
         }
     } else {
-        // Unsharded: round-robin contact with full failover list,
-        // exactly like TroxyCluster::add_client.
+        // Unsharded: the chosen (or next round-robin) contact replica
+        // first, then the rest of the group as the failover list.
         const Group& group = groups_.front();
-        const int contact = next_contact_;
-        next_contact_ = (next_contact_ + 1) % group.config.n();
+        if (contact < 0) {
+            contact = next_contact_;
+            next_contact_ = (next_contact_ + 1) % group.config.n();
+        }
         for (int i = 0; i < group.config.n(); ++i) {
             const int replica = (contact + i) % group.config.n();
             servers.push_back(
@@ -465,23 +372,19 @@ troxy_core::LegacyClient& ShardedTroxyCluster::add_client() {
     return *client;
 }
 
-void ShardedTroxyCluster::crash_host(int shard, int replica) {
-    groups_.at(static_cast<std::size_t>(shard))
-        .hosts.at(static_cast<std::size_t>(replica))
-        ->crash();
+void TroxyCluster::crash_host(int shard, int replica) {
+    host(shard, replica).crash();
 }
 
-void ShardedTroxyCluster::restart_host(int shard, int replica) {
-    groups_.at(static_cast<std::size_t>(shard))
-        .hosts.at(static_cast<std::size_t>(replica))
-        ->restart(service_factory_());
+void TroxyCluster::restart_host(int shard, int replica) {
+    host(shard, replica).restart(service_factory_());
 }
 
-void ShardedTroxyCluster::crash_front(int front) {
+void TroxyCluster::crash_front(int front) {
     fronts_.at(static_cast<std::size_t>(front))->crash();
 }
 
-void ShardedTroxyCluster::restart_front(int front) {
+void TroxyCluster::restart_front(int front) {
     fronts_.at(static_cast<std::size_t>(front))->restart();
 }
 

@@ -63,7 +63,6 @@ ClusterOptions base_options(const MicroParams& params) {
     options.batch_size_max = params.batch_size_max;
     options.batch_delay = params.batch_delay;
     options.coalesce_wire = params.coalesce_wire;
-    options.adaptive_batching = params.adaptive_batching;
     options.execution_lanes = params.execution_lanes;
     return options;
 }
@@ -123,15 +122,9 @@ MicroResult run_troxy(SystemKind kind, const MicroParams& params) {
         params.monitor_threshold;
     cluster_params.host.troxy.enclave_costs = params.enclave_costs;
     cluster_params.host.voter_batch_max = params.voter_batch_max;
-    cluster_params.host.voter_batch_delay = params.voter_batch_delay;
     cluster_params.host.coalesce_wire = params.coalesce_wire;
-    cluster_params.host.adaptive_voting = params.adaptive_voting;
     cluster_params.host.batch_reply_auth = params.batch_reply_auth;
     cluster_params.host.fastread_batch_max = params.fastread_batch_max;
-    cluster_params.host.fastread_batch_delay = params.fastread_batch_delay;
-    cluster_params.host.adaptive_fastread = params.adaptive_fastread;
-    cluster_params.host.fastread_latency_target =
-        params.fastread_latency_target;
     cluster_params.client.coalesce_sends = params.coalesce_client_sends;
     // Remote cache queries cross the replica LAN, but under heavy load
     // their processing queues behind the enclave's thread budget; the
@@ -180,9 +173,6 @@ MicroResult run_troxy(SystemKind kind, const MicroParams& params) {
         result.batched_cache_queries += status.batched_cache_queries;
         result.cache_response_batches += status.cache_response_batches;
         result.batched_cache_responses += status.batched_cache_responses;
-        result.voter_ewma_x100 += host_status.voter_ewma_x100;
-        result.fastread_ewma_x100 += host_status.fastread_ewma_x100;
-        result.batch_ewma_x100 += host_status.batch_ewma_x100;
         result.exec_scheduled_batches += host_status.exec.scheduled_batches;
         result.exec_scheduled_requests +=
             host_status.exec.scheduled_requests;

@@ -53,32 +53,21 @@ struct MicroParams {
     /// and max hold time before an incomplete batch is cut.
     std::size_t batch_size_max = 1;
     sim::Duration batch_delay = 0;
-    /// Voter batch knobs (TroxyReplicaHost::Options): replies per
-    /// handle_replies ecall (1 = one ecall per reply, the paper's flow)
-    /// and max hold time before a partial batch enters the enclave.
+    /// Voter batch knob (TroxyReplicaHost::Options): replies per
+    /// handle_replies ecall (1 = one ecall per reply, the paper's flow).
     std::size_t voter_batch_max = 1;
-    sim::Duration voter_batch_delay = sim::microseconds(100);
     /// Coalesce replica flush bursts into one Bundle frame / one AEAD
     /// record per destination.
     bool coalesce_wire = false;
     /// Clients seal same-instant send bursts into one channel record.
     bool coalesce_client_sends = false;
-    /// Served-load EWMA controllers on the leader batch boundary and the
-    /// voter flush boundary.
-    bool adaptive_batching = false;
-    bool adaptive_voting = false;
     /// Certify a whole executed batch's replies in one
     /// authenticate_replies ecall (1 transition per executed batch).
     bool batch_reply_auth = false;
-    /// Fast-read batch knobs (TroxyReplicaHost::Options): buffered cache
+    /// Fast-read batch knob (TroxyReplicaHost::Options): buffered cache
     /// queries per CacheQueryBatch burst (1 = one wire message and one
-    /// remote ecall per query, the seed flow) and max hold time.
+    /// remote ecall per query, the seed flow).
     std::size_t fastread_batch_max = 1;
-    sim::Duration fastread_batch_delay = sim::microseconds(100);
-    bool adaptive_fastread = false;
-    /// Hold the fast-read flush delay only while the served-load EWMA
-    /// predicts the batch will fill (batch-1 latency at low load).
-    bool fastread_latency_target = false;
     /// Modeled execution lanes per replica (hybster::Config);
     /// 1 = serial execution, the seed flow.
     std::size_t execution_lanes = 1;
@@ -109,11 +98,6 @@ struct MicroResult {
     std::uint64_t batched_cache_responses = 0;
     std::uint64_t wire_messages = 0;
     std::uint64_t wire_bytes = 0;
-    // Smoothed served-load estimates of the adaptive controllers (summed
-    // over replicas, ×100); zero when the matching controller is off.
-    std::uint64_t voter_ewma_x100 = 0;
-    std::uint64_t fastread_ewma_x100 = 0;
-    std::uint64_t batch_ewma_x100 = 0;
     // Execution-lane counters (summed over replicas; zero with one lane).
     std::uint64_t exec_scheduled_batches = 0;
     std::uint64_t exec_scheduled_requests = 0;

@@ -64,12 +64,6 @@ struct Config {
     /// execution, cost- and wire-identical.
     std::size_t execution_lanes = 1;
 
-    /// Let an EWMA of the leader's enqueue-time queue depth shrink the
-    /// effective batch boundary below batch_size_max under light load, so
-    /// an idle system keeps single-request latency while a loaded one
-    /// still cuts full batches.
-    bool adaptive_batching = false;
-
     /// How long a non-leader waits for an ordered request it knows about
     /// before suspecting the leader.
     sim::Duration view_change_timeout = sim::milliseconds(500);

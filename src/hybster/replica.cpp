@@ -154,9 +154,9 @@ void Replica::submit(std::vector<Request> requests, bool preformed) {
         handle_request(crypto, outbox, std::move(request));
     }
     prebatching_ = false;
-    // Cut whatever a pre-formed burst accumulated as one batch,
-    // regardless of the adaptive boundary or the delay timer: the burst
-    // already waited once (for its cache responses) and arrives whole.
+    // Cut whatever a pre-formed burst accumulated as one batch without
+    // waiting for the delay timer: the burst already waited once (for its
+    // cache responses) and arrives whole.
     if (preformed && is_leader() && !in_view_change_ &&
         !pending_batch_.empty()) {
         cut_batch(crypto, outbox);
@@ -280,15 +280,8 @@ void Replica::enqueue_for_batch(enclave::CostedCrypto& crypto,
         }
         return;
     }
-    // The adaptive controller tracks served load (requests per delay
-    // window, fed at cut time) and shrinks the cut boundary under light
-    // load: an idle system cuts immediately (single-request latency), a
-    // saturated one opens up to the configured maximum.
-    std::size_t boundary = config_.batch_size_max;
-    if (config_.adaptive_batching) {
-        boundary = batch_controller_.effective(config_.batch_size_max);
-    }
-    if (pending_batch_.size() >= boundary || config_.batch_delay == 0) {
+    if (pending_batch_.size() >= config_.batch_size_max ||
+        config_.batch_delay == 0) {
         cut_batch(crypto, outbox);
     } else {
         arm_batch_timer();
@@ -313,11 +306,6 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     if (!spare_batches_.empty()) {
         pending_batch_ = std::move(spare_batches_.back());
         spare_batches_.pop_back();
-    }
-    if (config_.adaptive_batching) {
-        batch_controller_.record_served(prepare.batch.requests.size(),
-                                        fabric_.simulator().now(),
-                                        config_.batch_delay);
     }
     // Member digests and the batch digest are computed (and charged) once
     // here; followers and the execution path reuse the cached values.

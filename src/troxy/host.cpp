@@ -379,15 +379,8 @@ void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
 
 void TroxyReplicaHost::enqueue_reply(hybster::Reply&& reply) {
     reply_buffer_.push_back(std::move(reply));
-    // The adaptive boundary follows the *served* load (replies per delay
-    // window, fed back at flush time): an idle voter flushes every reply
-    // immediately, a busy one opens up to the configured maximum. A
-    // boundary of 1 flushes every reply at once.
-    std::size_t boundary = options_.voter_batch_max;
-    if (options_.adaptive_voting) {
-        boundary = voter_controller_.effective(options_.voter_batch_max);
-    }
-    if (reply_buffer_.size() >= boundary) {
+    // A boundary of 1 flushes every reply at once.
+    if (reply_buffer_.size() >= options_.voter_batch_max) {
         flush_reply_buffer();
     } else {
         arm_voter_flush_timer();
@@ -411,9 +404,6 @@ void TroxyReplicaHost::flush_reply_buffer() {
     if (reply_buffer_.empty()) return;
     ++voter_flush_generation_;  // cancel any armed delay timer
     voter_timer_armed_ = false;
-    voter_controller_.record_served(reply_buffer_.size(),
-                                    fabric_.simulator().now(),
-                                    options_.voter_batch_delay);
     // The voter runs out of the buffer itself; emptied before apply() so
     // its capacity serves the next burst.
     enclave::CostMeter meter;
@@ -505,21 +495,7 @@ void TroxyReplicaHost::route_cache_queries(
     if (fastread_buffer_.empty()) return;
     // Above 1, the ecall's whole burst is buffered before the boundary
     // check, so a burst that crosses the boundary leaves in one flush.
-    std::size_t boundary = options_.fastread_batch_max;
-    if (options_.adaptive_fastread) {
-        boundary = fastread_controller_.effective(options_.fastread_batch_max);
-    }
-    if (fastread_buffer_.size() >= boundary) {
-        flush_fastread_buffer(outbox);
-    } else if (options_.fastread_latency_target &&
-               fastread_buffer_.size() * 100 +
-                       fastread_controller_.ewma_x100() <
-                   boundary * 100) {
-        // Latency target: the served-load EWMA (queries per delay
-        // window) predicts this burst will NOT reach the boundary within
-        // the hold, so waiting only adds latency — flush now. An idle
-        // system keeps batch-1 latency; a loaded one (EWMA ≥ boundary)
-        // still holds for full batches.
+    if (fastread_buffer_.size() >= options_.fastread_batch_max) {
         flush_fastread_buffer(outbox);
     } else {
         arm_fastread_flush_timer();
@@ -530,9 +506,6 @@ void TroxyReplicaHost::flush_fastread_buffer(net::Outbox& outbox) {
     if (fastread_buffer_.empty()) return;
     ++fastread_flush_generation_;  // cancel any armed delay timer
     fastread_timer_armed_ = false;
-    fastread_controller_.record_served(fastread_buffer_.size(),
-                                       fabric_.simulator().now(),
-                                       options_.fastread_batch_delay);
     // One message per remote, in ascending node id. A lone query keeps
     // the single-message wire form; a burst ships as one CacheQueryBatch
     // and will be answered in one remote transition.
@@ -576,9 +549,6 @@ TroxyReplicaHost::Status TroxyReplicaHost::status() const {
     s.troxy = troxy_->status();
     // Add the counters retired by enclave recoveries; gauges stay live.
     s.troxy.add_counters(retired_troxy_stats_);
-    s.voter_ewma_x100 = voter_controller_.ewma_x100();
-    s.fastread_ewma_x100 = fastread_controller_.ewma_x100();
-    s.batch_ewma_x100 = replica_->batch_ewma_x100();
     s.exec = replica_->exec_stats();
     s.state = replica_->state_stats();
     s.enclave_recoveries = enclave_recoveries_;

@@ -15,7 +15,6 @@
 
 #include "common/flat_map.hpp"
 #include "enclave/attestation.hpp"
-#include "hybster/adaptive.hpp"
 #include "hybster/replica.hpp"
 #include "troxy/enclave.hpp"
 
@@ -46,10 +45,6 @@ class TroxyReplicaHost {
         /// (kernel syscall+copy vs bypass doorbell). The default none()
         /// charges nothing — the seed's implicit model.
         sim::TransportProfile transport = sim::TransportProfile::none();
-        /// Let an EWMA of the served reply load (replies per delay window)
-        /// shrink the voter flush boundary under light load (idle keeps
-        /// per-reply latency).
-        bool adaptive_voting = false;
         /// Certify a whole executed batch's replies in one
         /// authenticate_replies ecall instead of one transition per reply.
         bool batch_reply_auth = false;
@@ -61,14 +56,6 @@ class TroxyReplicaHost {
         /// How long the host holds an incomplete query burst before
         /// flushing (bounds added fast-read latency).
         sim::Duration fastread_batch_delay = sim::microseconds(100);
-        /// Let an EWMA of the served query load shrink the fast-read
-        /// flush boundary under light load.
-        bool adaptive_fastread = false;
-        /// Latency-target hold: keep fastread_batch_delay only while the
-        /// served-load EWMA predicts the buffered burst will fill to the
-        /// flush boundary within the delay; otherwise flush immediately,
-        /// recovering batch-1 latency at low load.
-        bool fastread_latency_target = false;
 
         // --- proactive enclave recovery (SecureSMART-style) ---
         /// Attestation context for recovery re-handshakes. Recovery is
@@ -149,14 +136,10 @@ class TroxyReplicaHost {
         return enclave_recoveries_;
     }
 
-    /// Enclave counters plus the host-side adaptive controllers' smoothed
-    /// load estimates (served items per delay window, ×100) — what the
-    /// benches record to show the controllers tracking offered load.
+    /// Enclave counters plus the host's replica, recovery and wire
+    /// counters — what the benches record.
     struct Status {
         TroxyEnclave::Status troxy;
-        std::uint64_t voter_ewma_x100 = 0;
-        std::uint64_t fastread_ewma_x100 = 0;
-        std::uint64_t batch_ewma_x100 = 0;  // leader's ordering controller
         /// Replica execution-lane occupancy / conflict-stall counters.
         hybster::Replica::ExecStats exec;
         /// Merkle-incremental state-transfer accounting (both sides).
@@ -262,7 +245,6 @@ class TroxyReplicaHost {
     std::vector<hybster::Reply> reply_buffer_;
     std::uint64_t voter_flush_generation_ = 0;
     bool voter_timer_armed_ = false;
-    hybster::AdaptiveBatchController voter_controller_;
 
     // Fast-read query batching state (cleared on crash — buffered queries
     // die with the untrusted process; the fast-read timeout at the enclave
@@ -276,7 +258,6 @@ class TroxyReplicaHost {
     std::vector<BufferedQuery> fastread_buffer_;
     std::uint64_t fastread_flush_generation_ = 0;
     bool fastread_timer_armed_ = false;
-    hybster::AdaptiveBatchController fastread_controller_;
 
     // Enclave thread (TCS) slots: ecall work serializes once all slots
     // are busy, modelling the enclave's fixed concurrency budget.

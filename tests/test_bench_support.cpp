@@ -3,6 +3,8 @@
 // experiment built on them is.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/echo_service.hpp"
 #include "bench_support/cluster.hpp"
 #include "bench_support/experiments.hpp"
@@ -104,6 +106,19 @@ TEST(Clusters, TroxyBuildsForDifferentF) {
         TroxyCluster cluster(std::move(params));
         EXPECT_EQ(cluster.n(), 2 * f + 1);
     }
+}
+
+TEST(Clusters, UnshardedTroxyRejectsExtraFronts) {
+    // The shard checks cover every Troxy deployment: one replica group
+    // has no front tier, so a second front is a configuration error.
+    TroxyCluster::Params params;
+    params.base.front_count = 2;
+    params.service = []() { return std::make_unique<EchoService>(); };
+    params.classifier = [](ByteView request) {
+        return EchoService().classify(request);
+    };
+    EXPECT_THROW(TroxyCluster cluster(std::move(params)),
+                 std::invalid_argument);
 }
 
 TEST(Clusters, ProphecyUsesThreeFPlusOne) {

@@ -85,6 +85,62 @@ TEST(Chaos, SameSeedReplaysIdentically) {
     EXPECT_NE(a.plan_trace, c.plan_trace);
 }
 
+// Chaos at one shard runs the S = 1 case of the one Troxy builder. These
+// values were recorded from the former separate unsharded chaos path, so
+// a builder that orders nodes or seeds its group differently changes the
+// plan, the message stream or the recovery counters and fails here. (The
+// report holds no wire content; ShardParity pins the channel identities.)
+TEST(Chaos, SingleShardMatchesUnshardedGolden) {
+    struct Golden {
+        const char* name;
+        bench::ChaosOptions options;
+        std::uint64_t messages_sent;
+        std::uint64_t bytes_sent;
+        std::uint64_t view_changes;
+        std::uint64_t state_transfers;
+        const char* plan_trace;
+    };
+    bench::ChaosOptions batched;
+    batched.seed = 11;
+    batched.voter_batch_max = 8;
+    batched.coalesce_wire = true;
+    batched.think_time = sim::milliseconds(20);
+    bench::ChaosOptions plain;
+    plain.seed = 3;
+    const Golden goldens[] = {
+        {"default seed 3", plain, 1739, 244115, 12, 2,
+         "1.000s link down 2<->1\n"
+         "1.000s loss 3<->2 p=0.099\n"
+         "2.750s crash host 1\n"
+         "2.750s partition 'chaos-p0' [3] [1 2]\n"
+         "4.307s loss 3<->2 p=0.000\n"
+         "5.122s link up 2<->1\n"
+         "7.140s heal 'chaos-p0'\n"
+         "7.471s restart host 1\n"},
+        {"batched seed 11", batched, 1078, 148780, 1, 1,
+         "1.000s crash host 1\n"
+         "1.000s partition 'chaos-p0' [2] [1 3]\n"
+         "2.750s link down 3<->1\n"
+         "2.750s loss 3<->2 p=0.236\n"
+         "4.010s restart host 1\n"
+         "5.644s heal 'chaos-p0'\n"
+         "6.731s loss 3<->2 p=0.000\n"
+         "6.895s link up 3<->1\n"},
+    };
+    for (const Golden& golden : goldens) {
+        const bench::ChaosReport report = bench::run_chaos(golden.options);
+        EXPECT_TRUE(report.ok()) << golden.name << ": "
+                                 << report_summary(report);
+        EXPECT_EQ(report.completed, 120u) << golden.name;
+        EXPECT_EQ(report.messages_sent, golden.messages_sent) << golden.name;
+        EXPECT_EQ(report.bytes_sent, golden.bytes_sent) << golden.name;
+        EXPECT_EQ(report.view_changes, golden.view_changes) << golden.name;
+        EXPECT_EQ(report.state_transfers, golden.state_transfers)
+            << golden.name;
+        EXPECT_EQ(report.plan_trace, golden.plan_trace) << golden.name;
+    }
+}
+
 // The batching pipeline under fire: a leader crash lands while batches
 // are in flight (some prepared but not committed, some still pending in
 // the leader's uncut batch), followed by a restart. View change must

@@ -2,8 +2,7 @@
 // consistent-hash ring, shard-knob validation, the zero-copy
 // StateResponse framing split, the per-key lock table and the pipelined
 // cross-shard commit engine, the multi-front failover path, chaos under
-// shard-leader and front crashes, and S=1 byte-parity with the unsharded
-// deployment.
+// shard-leader and front crashes, and the S=1 deployment's golden replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,9 @@
 #include "bench_support/cluster.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
+#include "crypto/sha256.hpp"
 #include "hybster/messages.hpp"
+#include "net/envelope.hpp"
 #include "troxy/shard_front.hpp"
 #include "troxy/shard_router.hpp"
 
@@ -290,7 +291,7 @@ TEST(CrossLockTable, StressRandomOverlapsDrainInPerKeyAdmissionOrder) {
 
 TEST(ShardCluster, RejectsInvalidFrontCounts) {
     auto make_params = [](int shards, int fronts) {
-        bench::ShardedTroxyCluster::Params params;
+        bench::TroxyCluster::Params params;
         params.base.shard_count = shards;
         params.base.front_count = fronts;
         params.service = []() { return std::make_unique<EchoService>(); };
@@ -303,12 +304,12 @@ TEST(ShardCluster, RejectsInvalidFrontCounts) {
         }
         return params;
     };
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(make_params(2, 0)),
+    EXPECT_THROW(bench::TroxyCluster cluster(make_params(2, 0)),
                  std::invalid_argument);
     // Fronts only exist over a sharded deployment.
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(make_params(1, 2)),
+    EXPECT_THROW(bench::TroxyCluster cluster(make_params(1, 2)),
                  std::invalid_argument);
-    bench::ShardedTroxyCluster two_fronts(make_params(2, 2));
+    bench::TroxyCluster two_fronts(make_params(2, 2));
     EXPECT_EQ(two_fronts.front_count(), 2);
     EXPECT_NE(two_fronts.front(), nullptr);
 }
@@ -316,7 +317,7 @@ TEST(ShardCluster, RejectsInvalidFrontCounts) {
 // ------------------------------------------------- cluster shard knobs
 
 TEST(ShardCluster, RejectsShardCountOverReplicaBudget) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.shard_count = 4;
     params.base.replica_budget = 6;  // 4 shards x 3 replicas = 12 > 6
     params.service = []() { return std::make_unique<EchoService>(); };
@@ -324,19 +325,19 @@ TEST(ShardCluster, RejectsShardCountOverReplicaBudget) {
         return EchoService().classify(request);
     };
     params.map = ShardMap::split_evenly({"k0", "k1", "k2", "k3"}, 4);
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(std::move(params)),
+    EXPECT_THROW(bench::TroxyCluster cluster(std::move(params)),
                  std::invalid_argument);
 }
 
 TEST(ShardCluster, RejectsMapShardCountMismatch) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.shard_count = 4;
     params.service = []() { return std::make_unique<EchoService>(); };
     params.classifier = [](ByteView request) {
         return EchoService().classify(request);
     };
     params.map = ShardMap(std::vector<std::string>{"m"});  // 2 shards
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(std::move(params)),
+    EXPECT_THROW(bench::TroxyCluster cluster(std::move(params)),
                  std::invalid_argument);
 }
 
@@ -383,7 +384,7 @@ TEST(ShardWire, StateResponseHeadTailSplitMatchesEncode) {
 // --------------------------------------------- cross-shard commit, e2e
 
 TEST(ShardFront, CrossShardMultiwriteCommitsOnBothShards) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.seed = 3;
     params.base.shard_count = 2;
     params.service = []() { return std::make_unique<EchoService>(); };
@@ -393,7 +394,7 @@ TEST(ShardFront, CrossShardMultiwriteCommitsOnBothShards) {
     // Sorted universe k0 k1 k2 k3 → boundary "k2": shard 0 owns
     // {k0, k1}, shard 1 owns {k2, k3}.
     params.map = ShardMap::split_evenly({"k0", "k1", "k2", "k3"}, 2);
-    bench::ShardedTroxyCluster cluster(std::move(params));
+    bench::TroxyCluster cluster(std::move(params));
     ASSERT_NE(cluster.front(), nullptr);
     EXPECT_EQ(cluster.front()->map().shard_of("k2"), 1);
 
@@ -459,9 +460,9 @@ TEST(ShardFront, CrossShardMultiwriteCommitsOnBothShards) {
 
 namespace pipelined {
 
-bench::ShardedTroxyCluster::Params two_shard_params(
+bench::TroxyCluster::Params two_shard_params(
     std::size_t depth, std::uint64_t seed = 5, int fronts = 1) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.seed = seed;
     params.base.shard_count = 2;
     params.base.front_count = fronts;
@@ -489,7 +490,7 @@ std::uint64_t ack_version(const Bytes& ack) {
 // forced through the serialized lane — never more than one in flight.
 TEST(ShardFront, NonOverlappingCommitsPipelineAtDepthZero) {
     for (const std::size_t depth : {std::size_t{0}, std::size_t{1}}) {
-        bench::ShardedTroxyCluster cluster(
+        bench::TroxyCluster cluster(
             pipelined::two_shard_params(depth));
         auto& client = cluster.add_client();
         std::vector<Bytes> acks;
@@ -525,7 +526,7 @@ TEST(ShardFront, NonOverlappingCommitsPipelineAtDepthZero) {
 // lock table must run them one at a time, in admission order, and the
 // per-key wait counters must attribute the queueing to k0 and k2.
 TEST(ShardFront, ConflictingCommitsQueuePerKeyInAdmissionOrder) {
-    bench::ShardedTroxyCluster cluster(pipelined::two_shard_params(0));
+    bench::TroxyCluster cluster(pipelined::two_shard_params(0));
     auto& client = cluster.add_client();
     std::vector<Bytes> acks;
     client.start([&]() {
@@ -564,7 +565,7 @@ TEST(ShardFront, ConflictingCommitsQueuePerKeyInAdmissionOrder) {
 // reduced to an executable check.
 TEST(ShardFront, DepthZeroAndDepthOneAreByteIdenticalWhenSequential) {
     auto drive = [](std::size_t depth) {
-        bench::ShardedTroxyCluster cluster(
+        bench::TroxyCluster cluster(
             pipelined::two_shard_params(depth, 17));
         auto& client = cluster.add_client();
         auto replies = std::make_shared<std::vector<Bytes>>();
@@ -617,7 +618,7 @@ TEST(ShardFront, ClientFailsOverToNextFrontWhenHomeFrontCrashes) {
     auto params = pipelined::two_shard_params(0, 7, /*fronts=*/2);
     params.client.connection_timeout = sim::milliseconds(200);
     params.client.backoff_cap = sim::milliseconds(1000);
-    bench::ShardedTroxyCluster cluster(std::move(params));
+    bench::TroxyCluster cluster(std::move(params));
     ASSERT_EQ(cluster.front_count(), 2);
 
     auto& client = cluster.add_client();
@@ -735,81 +736,107 @@ TEST(ShardChaos, FrontCrashWithTwoFrontsStaysLinearizable) {
     EXPECT_GT(report.shards[1].forwarded, 0u);
 }
 
-// ------------------------------------------------------ S=1 byte parity
+// ---------------------------------------------------------- S=1 golden
 
-// The same workload on the unsharded TroxyCluster and on a
-// ShardedTroxyCluster with shard_count = 1 must produce identical
-// replies AND identical network totals: sharding off is byte-identical,
-// not just equivalent.
-TEST(ShardParity, SingleShardReplaysUnshardedByteIdentically) {
+// The unsharded deployment is the S = 1 case of the one Troxy builder.
+// Its node ids, replies, client-side wire bytes and network totals are
+// pinned to values recorded from the former separate unsharded builder,
+// so a builder that orders nodes, seeds or identities differently fails
+// here.
+TEST(ShardParity, SingleShardMatchesUnshardedGolden) {
     constexpr int kClients = 2;
     constexpr int kRequests = 12;
 
-    auto drive = [](auto& cluster) {
-        std::vector<troxy_core::LegacyClient*> clients;
-        for (int c = 0; c < kClients; ++c) {
-            clients.push_back(&cluster.add_client());
-        }
-        auto replies = std::make_shared<std::vector<Bytes>>();
-        for (int c = 0; c < kClients; ++c) {
-            troxy_core::LegacyClient* client = clients[
-                static_cast<std::size_t>(c)];
-            auto chain = std::make_shared<std::function<void(int)>>();
-            // Weak self-capture, as above.
-            *chain = [client, c, weak = std::weak_ptr(chain),
-                      replies](int remaining) {
-                if (remaining == 0) return;
-                const auto chain = weak.lock();
-                if (!chain) return;
-                const auto key = static_cast<std::uint64_t>(c);
-                Bytes request =
-                    remaining % 2 == 0
-                        ? EchoService::make_write(key, 64)
-                        : EchoService::make_read(key, 32, 96);
-                client->send(std::move(request),
-                             [chain, replies, remaining](Bytes reply) {
-                                 replies->push_back(std::move(reply));
-                                 (*chain)(remaining - 1);
-                             });
-            };
-            client->start([chain]() { (*chain)(kRequests); });
-        }
-        cluster.simulator().run_until(sim::seconds(5));
-        return std::make_tuple(*replies,
-                               cluster.network().messages_sent(),
-                               cluster.network().bytes_sent());
-    };
-
-    bench::TroxyCluster::Params flat_params;
-    flat_params.base.seed = 21;
-    flat_params.base.coalesce_wire = true;
-    flat_params.host.coalesce_wire = true;
-    flat_params.service = []() { return std::make_unique<EchoService>(); };
-    flat_params.classifier = [](ByteView request) {
+    bench::TroxyCluster::Params params;
+    params.base.seed = 21;
+    params.base.coalesce_wire = true;
+    params.host.coalesce_wire = true;
+    params.service = []() { return std::make_unique<EchoService>(); };
+    params.classifier = [](ByteView request) {
         return EchoService().classify(request);
     };
-    bench::TroxyCluster flat(flat_params);
-    const auto flat_result = drive(flat);
+    bench::TroxyCluster cluster(std::move(params));
+    EXPECT_EQ(cluster.shards(), 1);
+    EXPECT_EQ(cluster.front(), nullptr);
+    EXPECT_EQ(cluster.config().replicas,
+              (std::vector<sim::NodeId>{1, 2, 3}));
 
-    bench::ShardedTroxyCluster::Params sharded_params;
-    sharded_params.base.seed = 21;
-    sharded_params.base.coalesce_wire = true;
-    sharded_params.host.coalesce_wire = true;
-    sharded_params.base.shard_count = 1;
-    sharded_params.service = []() {
-        return std::make_unique<EchoService>();
-    };
-    sharded_params.classifier = [](ByteView request) {
-        return EchoService().classify(request);
-    };
-    bench::ShardedTroxyCluster sharded(std::move(sharded_params));
-    EXPECT_EQ(sharded.shards(), 1);
-    EXPECT_EQ(sharded.front(), nullptr);
-    const auto sharded_result = drive(sharded);
+    std::vector<troxy_core::LegacyClient*> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.push_back(&cluster.add_client());
+    }
+    // Hash every frame the clients (nodes 1000 and 1001) receive before
+    // dispatching it. The records are sealed under keys agreed with the
+    // replicas' seeded channel identities, so equal sizes are not enough.
+    crypto::Sha256 wire;
+    for (int c = 0; c < kClients; ++c) {
+        troxy_core::LegacyClient* client = clients[
+            static_cast<std::size_t>(c)];
+        cluster.fabric().attach(
+            1000 + c, [&wire, client](sim::NodeId from, Bytes frame) {
+                wire.update(frame);
+                const auto outer = net::unwrap_view(frame);
+                if (!outer) return;
+                std::vector<Bytes> inner;
+                if (outer->first == net::Channel::Bundle) {
+                    inner = net::unbundle(outer->second).value_or(
+                        std::vector<Bytes>{});
+                } else {
+                    inner.push_back(frame);
+                }
+                for (const Bytes& message : inner) {
+                    const auto unwrapped = net::unwrap_view(message);
+                    if (unwrapped &&
+                        unwrapped->first == net::Channel::Client) {
+                        client->on_message(from, unwrapped->second);
+                    }
+                }
+            });
+    }
+    auto replies = std::make_shared<std::vector<Bytes>>();
+    for (int c = 0; c < kClients; ++c) {
+        troxy_core::LegacyClient* client = clients[
+            static_cast<std::size_t>(c)];
+        auto chain = std::make_shared<std::function<void(int)>>();
+        // Weak self-capture, as above.
+        *chain = [client, c, weak = std::weak_ptr(chain),
+                  replies](int remaining) {
+            if (remaining == 0) return;
+            const auto chain = weak.lock();
+            if (!chain) return;
+            const auto key = static_cast<std::uint64_t>(c);
+            Bytes request = remaining % 2 == 0
+                                ? EchoService::make_write(key, 64)
+                                : EchoService::make_read(key, 32, 96);
+            client->send(std::move(request),
+                         [chain, replies, remaining](Bytes reply) {
+                             replies->push_back(std::move(reply));
+                             (*chain)(remaining - 1);
+                         });
+        };
+        client->start([chain]() { (*chain)(kRequests); });
+    }
+    cluster.simulator().run_until(sim::seconds(5));
 
-    EXPECT_EQ(std::get<0>(flat_result), std::get<0>(sharded_result));
-    EXPECT_EQ(std::get<1>(flat_result), std::get<1>(sharded_result));
-    EXPECT_EQ(std::get<2>(flat_result), std::get<2>(sharded_result));
+    // SHA-256 over the replies in arrival order, each length-prefixed.
+    crypto::Sha256 hash;
+    for (const Bytes& reply : *replies) {
+        Writer length;
+        length.u64(reply.size());
+        hash.update(length.data());
+        hash.update(reply);
+    }
+    const crypto::Sha256Digest digest = hash.finish();
+    EXPECT_EQ(replies->size(), 24u);
+    EXPECT_EQ(hex_encode(ByteView(digest.data(), digest.size())),
+              "dea0a9b281f3313a291b28edb855ca10"
+              "59ea2fada599669c7a39a538234aa351");
+    const crypto::Sha256Digest wire_digest = wire.finish();
+    EXPECT_EQ(hex_encode(ByteView(wire_digest.data(), wire_digest.size())),
+              "fa663ef9597c810cc119a8ba713c666e"
+              "e0c97e47e1c10dea3242eecf318330d9");
+    EXPECT_EQ(cluster.network().messages_sent(), 244u);
+    EXPECT_EQ(cluster.network().bytes_sent(), 34492u);
 }
 
 }  // namespace
