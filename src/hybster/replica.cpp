@@ -616,7 +616,6 @@ void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
     cp.replica = id_;
     cp.cert = trinx_->certify_independent(crypto, cp.certified_view());
 
-    own_checkpoints_[seq] = std::move(snapshot);
     own_chunks_[seq] = std::move(chunked);
 
     const Bytes digest_key(cp.state_digest.begin(), cp.state_digest.end());
@@ -626,25 +625,9 @@ void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
     broadcast(outbox, cp);
 
     // f+1 votes might already be present (we could be last to checkpoint).
-    if (static_cast<int>(votes.size()) >= config_.quorum()) {
-        if (seq > last_stable_) {
-            last_stable_ = seq;
-            stable_proof_.clear();
-            for (const auto& [replica, vote] : votes) {
-                stable_proof_.push_back(vote);
-            }
-            truncate_log(seq);
-            checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                                    checkpoint_votes_.upper_bound(seq - 1));
-            // Keep only the newest own snapshot.
-            while (own_checkpoints_.size() > 1) {
-                own_checkpoints_.erase(own_checkpoints_.begin());
-            }
-            while (own_chunks_.size() > 1) {
-                own_chunks_.erase(own_chunks_.begin());
-            }
-            rebuild_chunk_store(own_chunks_.at(seq));
-        }
+    if (static_cast<int>(votes.size()) >= config_.quorum() &&
+        seq > last_stable_) {
+        stabilize(seq, quorum_proof(votes));
     }
 }
 
@@ -671,17 +654,7 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
     // (we can only truncate state we have actually reached).
     if (static_cast<int>(votes.size()) >= config_.quorum() &&
         votes.contains(id_) && seq > last_stable_) {
-        last_stable_ = seq;
-        stable_proof_.clear();
-        for (const auto& [replica, vote] : votes) {
-            stable_proof_.push_back(vote);
-        }
-        truncate_log(seq);
-        checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                                checkpoint_votes_.upper_bound(seq - 1));
-        if (const auto it = own_chunks_.find(seq); it != own_chunks_.end()) {
-            rebuild_chunk_store(it->second);
-        }
+        stabilize(seq, quorum_proof(votes));
         return;
     }
 
@@ -691,6 +664,34 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
     if (static_cast<int>(votes.size()) >= config_.quorum() &&
         !votes.contains(id_) && seq > last_executed_) {
         begin_state_transfer(crypto, outbox);
+    }
+}
+
+std::vector<CheckpointMsg> Replica::quorum_proof(const CheckpointVotes& votes) {
+    std::vector<CheckpointMsg> proof = std::move(stable_proof_);
+    proof.clear();
+    for (const auto& [replica, vote] : votes) proof.push_back(vote);
+    return proof;
+}
+
+void Replica::stabilize(SequenceNumber seq,
+                        std::vector<CheckpointMsg> proof) {
+    TROXY_ASSERT(seq > last_stable_, "stable checkpoints only advance");
+    last_stable_ = seq;
+    stable_proof_ = std::move(proof);
+    truncate_log(seq);
+    checkpoint_votes_.erase(checkpoint_votes_.begin(),
+                            checkpoint_votes_.lower_bound(seq));
+    // Nothing reads a snapshot below the stable one: state transfer
+    // serves only own_chunks_[last_stable_]. Own checkpoints above `seq`
+    // are not yet stable and stay.
+    own_chunks_.erase(own_chunks_.begin(), own_chunks_.lower_bound(seq));
+    const auto it = own_chunks_.find(seq);
+    if (it == own_chunks_.end()) return;
+    const ChunkedSnapshot& chunked = it->second;
+    chunk_store_.clear();
+    for (std::size_t i = 0; i < chunked.chunks.size(); ++i) {
+        chunk_store_[store_key(chunked.manifest[i])] = chunked.chunks[i];
     }
 }
 
@@ -970,7 +971,6 @@ void Replica::restart(ServicePtr fresh_service) {
     log_.clear();
     clients_.clear();
     checkpoint_votes_.clear();
-    own_checkpoints_.clear();
     forwarded_.clear();
     view_changes_rx_.clear();
     stable_proof_.clear();
@@ -1339,13 +1339,6 @@ void Replica::complete_transfer(enclave::CostedCrypto& crypto,
                 std::move(progress.proof));
 }
 
-void Replica::rebuild_chunk_store(const ChunkedSnapshot& chunked) {
-    chunk_store_.clear();
-    for (std::size_t i = 0; i < chunked.chunks.size(); ++i) {
-        chunk_store_[store_key(chunked.manifest[i])] = chunked.chunks[i];
-    }
-}
-
 void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
                           ViewNumber view, SequenceNumber view_start,
                           SequenceNumber last_stable, Bytes snapshot,
@@ -1367,7 +1360,6 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         view_ = view;
         view_start_ = view_start;
     }
-    last_stable_ = std::max(last_stable_, last_stable);
     if (last_stable > last_executed_) {
         last_executed_ = last_stable;
         // The snapshot is the state right after the checkpoint that reset
@@ -1375,18 +1367,12 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         executed_since_checkpoint_ = 0;
     }
     next_seq_ = std::max(next_seq_, last_stable + 1);
-    truncate_log(last_stable);
-    rebuild_in_flight();  // possibly unexecuted entries were dropped
     if (last_stable > 0) {
         service_->restore(snapshot);
-        rebuild_chunk_store(chunked);
-        own_checkpoints_[last_stable] = std::move(snapshot);
         own_chunks_[last_stable] = std::move(chunked);
-        stable_proof_ = std::move(proof);
-        checkpoint_votes_.erase(
-            checkpoint_votes_.begin(),
-            checkpoint_votes_.upper_bound(last_stable - 1));
+        stabilize(last_stable, std::move(proof));
     }
+    rebuild_in_flight();  // possibly unexecuted entries were dropped
     // Match highest_view_change_sent_ to the adopted view so the forced
     // view change below is not suppressed by a pre-crash value.
     highest_view_change_sent_ =

@@ -208,6 +208,12 @@ class Replica {
     /// full-transfer baseline.
     void clear_chunk_store() { chunk_store_.clear(); }
 
+    /// Own checkpoint snapshots held: the stable one plus any newer ones
+    /// still awaiting a quorum.
+    [[nodiscard]] std::size_t retained_snapshots() const noexcept {
+        return own_chunks_.size();
+    }
+
   private:
     struct LogEntry {
         std::optional<Prepare> prepare;
@@ -258,9 +264,13 @@ class Replica {
     /// adopts it.
     void complete_transfer(enclave::CostedCrypto& crypto,
                            net::Outbox& outbox);
-    /// Replaces the durable chunk store's contents with the chunks of the
-    /// now-stable checkpoint.
-    void rebuild_chunk_store(const ChunkedSnapshot& chunked);
+    /// Makes checkpoint `seq` stable on `proof` (its f+1 certified
+    /// votes) and bounds everything below it: truncates the log, drops
+    /// older votes and own snapshots, and refills the durable chunk store
+    /// from the stable snapshot when this replica holds it. The one place
+    /// last_stable_ advances, whichever of our vote, a peer's vote or a
+    /// state transfer completed the checkpoint.
+    void stabilize(SequenceNumber seq, std::vector<CheckpointMsg> proof);
     void arm_state_transfer_timer();
 
     // --- ordering (leader batching) ---
@@ -282,6 +292,11 @@ class Replica {
                        SequenceNumber seq, LogEntry& entry);
     [[nodiscard]] bool committed(const LogEntry& entry) const;
     void maybe_checkpoint(enclave::CostedCrypto& crypto, net::Outbox& outbox);
+    /// Certified checkpoint votes for one (seq, digest), by replica id.
+    using CheckpointVotes = std::map<std::uint32_t, CheckpointMsg>;
+    /// The quorum `votes` as a stability proof, built in the previous
+    /// proof's buffer.
+    std::vector<CheckpointMsg> quorum_proof(const CheckpointVotes& votes);
 
     // --- view change ---
     void start_view_change(ViewNumber new_view);
@@ -382,12 +397,11 @@ class Replica {
     // Checkpoint collection: seq → digest → certified vote per replica.
     // Full messages are kept (not just ids) so the f+1 votes behind the
     // stable checkpoint can be handed out as a state-transfer proof.
-    std::map<SequenceNumber,
-             std::map<Bytes, std::map<std::uint32_t, CheckpointMsg>>>
+    std::map<SequenceNumber, std::map<Bytes, CheckpointVotes>>
         checkpoint_votes_;
-    std::map<SequenceNumber, Bytes> own_checkpoints_;  // seq → snapshot
-    /// Chunked form of own_checkpoints_ (same keys, pruned together):
-    /// what handle_state_request serves from.
+    /// Own chunked checkpoint snapshots: the stable one, which
+    /// handle_state_request serves, and any newer ones not yet stable.
+    /// stabilize() erases everything below the stable one.
     std::map<SequenceNumber, ChunkedSnapshot> own_chunks_;
     /// The f+1 certified votes that made last_stable_ stable; attached to
     /// StateResponses so one response suffices to prove the snapshot.

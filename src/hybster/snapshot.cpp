@@ -1,5 +1,8 @@
 #include "hybster/snapshot.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/assert.hpp"
 
 namespace troxy::hybster {
@@ -9,15 +12,23 @@ namespace {
 constexpr std::uint8_t kLeafDomain = 0x00;
 constexpr std::uint8_t kNodeDomain = 0x01;
 
+/// Leaf hash of `chunk`, staging 0x00 ‖ chunk in `input` (whose
+/// capacity carries over to the next leaf).
+crypto::Sha256Digest leaf_hash_into(enclave::CostedCrypto& crypto,
+                                    ByteView chunk, Bytes& input) {
+    input.clear();
+    input.push_back(kLeafDomain);
+    input.insert(input.end(), chunk.begin(), chunk.end());
+    return crypto.hash(input);
+}
+
 }  // namespace
 
 crypto::Sha256Digest chunk_leaf_hash(enclave::CostedCrypto& crypto,
                                      ByteView chunk) {
     Bytes input;
     input.reserve(1 + chunk.size());
-    input.push_back(kLeafDomain);
-    input.insert(input.end(), chunk.begin(), chunk.end());
-    return crypto.hash(input);
+    return leaf_hash_into(crypto, chunk, input);
 }
 
 crypto::Sha256Digest merkle_root(
@@ -26,22 +37,23 @@ crypto::Sha256Digest merkle_root(
     if (manifest.empty()) {
         return crypto.hash(ByteView(&kNodeDomain, 1));
     }
+    // Folds level by level in place: node i/2 of the next level overwrites
+    // a slot whose digest was already consumed.
     std::vector<crypto::Sha256Digest> level = manifest;
-    while (level.size() > 1) {
-        std::vector<crypto::Sha256Digest> next;
-        next.reserve((level.size() + 1) / 2);
+    std::array<std::uint8_t, 1 + 2 * crypto::kSha256DigestSize> input;
+    input[0] = kNodeDomain;
+    std::size_t width = level.size();
+    while (width > 1) {
+        std::size_t next = 0;
         std::size_t i = 0;
-        for (; i + 1 < level.size(); i += 2) {
-            Bytes input;
-            input.reserve(1 + 2 * crypto::kSha256DigestSize);
-            input.push_back(kNodeDomain);
-            input.insert(input.end(), level[i].begin(), level[i].end());
-            input.insert(input.end(), level[i + 1].begin(),
-                         level[i + 1].end());
-            next.push_back(crypto.hash(input));
+        for (; i + 1 < width; i += 2) {
+            std::copy(level[i].begin(), level[i].end(), input.begin() + 1);
+            std::copy(level[i + 1].begin(), level[i + 1].end(),
+                      input.begin() + 1 + crypto::kSha256DigestSize);
+            level[next++] = crypto.hash(input);
         }
-        if (i < level.size()) next.push_back(level[i]);  // odd: promote
-        level = std::move(next);
+        if (i < width) level[next++] = level[i];  // odd: promote
+        width = next;
     }
     return level.front();
 }
@@ -54,15 +66,16 @@ ChunkedSnapshot chunk_snapshot(enclave::CostedCrypto& crypto,
         snapshot.empty() ? 1 : (snapshot.size() + chunk_size - 1) / chunk_size;
     out.chunks.reserve(count);
     out.manifest.reserve(count);
+    Bytes input;
+    input.reserve(1 + std::min(chunk_size, snapshot.size()));
     for (std::size_t offset = 0; offset == 0 || offset < snapshot.size();
          offset += chunk_size) {
         const std::size_t len =
             std::min(chunk_size, snapshot.size() - offset);
-        Bytes chunk(snapshot.begin() + static_cast<std::ptrdiff_t>(offset),
-                    snapshot.begin() + static_cast<std::ptrdiff_t>(offset + len));
-        out.manifest.push_back(chunk_leaf_hash(crypto, chunk));
+        const ByteView chunk = snapshot.subspan(offset, len);
+        out.manifest.push_back(leaf_hash_into(crypto, chunk, input));
         out.chunks.push_back(
-            std::make_shared<const Bytes>(std::move(chunk)));
+            std::make_shared<const Bytes>(chunk.begin(), chunk.end()));
     }
     out.root = merkle_root(crypto, out.manifest);
     return out;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include "apps/echo_service.hpp"
@@ -294,12 +295,13 @@ struct BareGroup {
     explicit BareGroup(int f = 1, std::size_t batch_size_max = 1,
                        sim::Duration batch_delay = 0,
                        std::size_t execution_lanes = 1,
-                       ServiceFactory service = {}) {
+                       ServiceFactory service = {},
+                       SequenceNumber checkpoint_interval = 8) {
         if (!service) {
             service = []() { return std::make_unique<apps::EchoService>(); };
         }
         config.f = f;
-        config.checkpoint_interval = 8;
+        config.checkpoint_interval = checkpoint_interval;
         config.view_change_timeout = sim::milliseconds(200);
         config.batch_size_max = batch_size_max;
         config.batch_delay = batch_delay;
@@ -430,6 +432,70 @@ TEST(Replica, CheckpointsTruncateAndStabilize) {
     for (const auto& replica : group.replicas) {
         EXPECT_EQ(replica->last_executed(), 20u);
         EXPECT_GE(replica->last_stable(), 8u);
+    }
+}
+
+TEST(Replica, StableCheckpointBoundsRetainedSnapshots) {
+    // A write-only load over 65,536 distinct keys: the service state, and
+    // with it every checkpoint snapshot, grows with each interval, so a
+    // replica that kept every snapshot would hold 32 of them by the end.
+    constexpr std::uint64_t kKeys = 65536;
+    constexpr std::uint64_t kBurst = 256;
+    constexpr SequenceNumber kInterval = 2048;  // 32 stable checkpoints
+    BareGroup group(1, /*batch_size_max=*/kBurst, /*batch_delay=*/0,
+                    /*execution_lanes=*/1,
+                    []() { return std::make_unique<apps::KvService>(); },
+                    kInterval);
+    char key[16];
+    for (std::uint64_t i = 0; i < kKeys; i += kBurst) {
+        std::vector<Request> burst;
+        for (std::uint64_t k = i; k < i + kBurst; ++k) {
+            std::snprintf(key, sizeof key, "k%05llu",
+                          static_cast<unsigned long long>(k));
+            burst.push_back(
+                group.make_request(k + 1, apps::KvService::make_put(key, "v")));
+        }
+        group.replicas[0]->submit(std::move(burst), /*preformed=*/true);
+        group.sim.run_until(group.sim.now() + sim::milliseconds(10));
+    }
+    group.sim.run_until(group.sim.now() + sim::seconds(1));
+
+    // Each replica here casts its own vote before the peers' arrive, so
+    // every checkpoint becomes stable on a peer's vote; that path prunes
+    // too.
+    const SequenceNumber last = kKeys / kBurst;
+    for (const auto& replica : group.replicas) {
+        EXPECT_EQ(replica->last_executed(), last);
+        EXPECT_EQ(replica->last_stable(), last);
+        EXPECT_LE(replica->retained_snapshots(), 2u);
+    }
+
+    // Crash and restart a replica that lost its disk too, so its rejoin
+    // ships the whole stable snapshot from the pruned peers.
+    const Bytes state = group.replicas[0]->service().checkpoint();
+    const std::size_t chunk_size = group.config.state_chunk_size;
+    const std::size_t chunks = (state.size() + chunk_size - 1) / chunk_size;
+    FaultProfile crash;
+    crash.crashed = true;
+    group.replicas[2]->set_faults(crash);
+    group.replicas[2]->clear_chunk_store();
+    group.replicas[2]->restart(std::make_unique<apps::KvService>());
+    group.sim.run_until(group.sim.now() + sim::seconds(3));
+
+    const Replica& rejoiner = *group.replicas[2];
+    EXPECT_FALSE(rejoiner.rejoining());
+    EXPECT_EQ(rejoiner.state_transfers(), 1u);
+    EXPECT_EQ(rejoiner.last_stable(), last);
+    // The stable snapshot is one checkpoint's worth of chunks, served
+    // whole by each responder.
+    EXPECT_EQ(rejoiner.state_stats().chunks_received, chunks);
+    EXPECT_EQ(rejoiner.state_stats().chunks_reused, 0u);
+    const std::uint64_t served = group.replicas[1]->state_stats().bytes_full;
+    EXPECT_GT(served, 0u);
+    EXPECT_EQ(served % state.size(), 0u);
+    for (const auto& replica : group.replicas) {
+        EXPECT_EQ(replica->service().checkpoint(), state);
+        EXPECT_LE(replica->retained_snapshots(), 2u);
     }
 }
 
