@@ -1,5 +1,7 @@
 #include "apps/kv_service.hpp"
 
+#include <optional>
+
 #include "common/serialize.hpp"
 
 namespace troxy::apps {
@@ -111,33 +113,35 @@ sim::Duration KvService::execution_cost(ByteView request) const {
     return sim::nanoseconds(800 + request.size() / 10);
 }
 
-Bytes KvService::make_get(std::string_view key) {
+namespace {
+
+/// Op byte ‖ the length-prefixed fields, sized once.
+Bytes kv_request(Op op, std::string_view first,
+                 std::optional<std::string_view> second = {}) {
     Writer w;
-    w.u8(static_cast<std::uint8_t>(Op::Get));
-    w.str(key);
+    w.reserve(1 + 4 + first.size() + (second ? 4 + second->size() : 0));
+    w.u8(static_cast<std::uint8_t>(op));
+    w.str(first);
+    if (second) w.str(*second);
     return std::move(w).take();
+}
+
+}  // namespace
+
+Bytes KvService::make_get(std::string_view key) {
+    return kv_request(Op::Get, key);
 }
 
 Bytes KvService::make_put(std::string_view key, std::string_view value) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Op::Put));
-    w.str(key);
-    w.str(value);
-    return std::move(w).take();
+    return kv_request(Op::Put, key, value);
 }
 
 Bytes KvService::make_delete(std::string_view key) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Op::Delete));
-    w.str(key);
-    return std::move(w).take();
+    return kv_request(Op::Delete, key);
 }
 
 Bytes KvService::make_scan(std::string_view prefix) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Op::Scan));
-    w.str(prefix);
-    return std::move(w).take();
+    return kv_request(Op::Scan, prefix);
 }
 
 }  // namespace troxy::apps

@@ -55,11 +55,8 @@ BaselineReplicaHost::BaselineReplicaHost(
 
             const Bytes encoded = encode_message(hybster::Message(reply));
             crypto.charge(profile_.aead(encoded.size()));
-            outbox.send(client,
-                        net::wrap(net::Channel::Client,
-                                  net::frame_client(
-                                      net::ClientFrame::Record,
-                                      channel->second.protect(encoded))));
+            outbox.send(client, net::client_record_frame(
+                                    channel->second, encoded));
         }
     };
 
@@ -129,7 +126,8 @@ void BaselineReplicaHost::handle_client_frame(sim::NodeId from,
             const auto it = channels_.find(from);
             if (it == channels_.end() || !it->second.established()) break;
             crypto.charge(profile_.aead(frame->second.size()));
-            for (Bytes& plaintext : it->second.unprotect(frame->second)) {
+            for (const ByteView plaintext :
+                 it->second.unprotect(frame->second)) {
                 auto decoded = hybster::decode_message(plaintext);
                 if (!decoded) continue;
                 auto* request = std::get_if<hybster::Request>(&*decoded);

@@ -86,10 +86,11 @@ void ProphecyMiddlebox::handle_client_frame(sim::NodeId from,
                 break;
             }
             crypto.charge(profile_.aead(frame->second.size()));
-            for (Bytes& app_request :
+            for (const ByteView app_request :
                  it->second.channel.unprotect(frame->second)) {
                 outbox.defer([this, from,
-                              request = std::move(app_request)]() {
+                              request = Bytes(app_request.begin(),
+                                              app_request.end())]() mutable {
                     handle_app_request(from, std::move(request));
                 });
             }
@@ -184,11 +185,8 @@ void ProphecyMiddlebox::release_reply(sim::NodeId client, std::uint64_t slot,
         const auto next = connection.ready.find(connection.next_release);
         if (next == connection.ready.end()) break;
         crypto.charge(profile_.aead(next->second.size()));
-        Bytes record = connection.channel.protect(next->second);
-        outbox.send(client,
-                    net::wrap(net::Channel::Client,
-                              net::frame_client(net::ClientFrame::Record,
-                                                record)));
+        outbox.send(client, net::client_record_frame(
+                                connection.channel, next->second));
         connection.ready.erase(next);
         ++connection.next_release;
     }

@@ -77,7 +77,7 @@ void attach_legacy_dispatch(net::Fabric& fabric, sim::Node& node,
             if (unwrapped->first == net::Channel::Bundle) {
                 auto inner = net::unbundle(unwrapped->second);
                 if (inner) {
-                    for (const Bytes& m : *inner) {
+                    for (const ByteView m : *inner) {
                         auto u = net::unwrap_view(m);
                         if (u && u->first == net::Channel::Client) {
                             client->on_message(from, u->second);

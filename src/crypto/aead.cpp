@@ -101,28 +101,35 @@ void aead_seal_inplace(const ChaChaKey& key, const ChaChaNonce& nonce,
 
 std::optional<Bytes> aead_open(const ChaChaKey& key, const ChaChaNonce& nonce,
                                ByteView aad, ByteView sealed) {
-    if (sealed.size() < kAeadTagSize) return std::nullopt;
+    Bytes buf(sealed.begin(), sealed.end());
+    if (!aead_open_inplace(key, nonce, aad, buf)) return std::nullopt;
+    return buf;
+}
+
+bool aead_open_inplace(const ChaChaKey& key, const ChaChaNonce& nonce,
+                       ByteView aad, Bytes& buf) {
+    if (buf.size() < kAeadTagSize) return false;
+    const std::size_t len = buf.size() - kAeadTagSize;
+    const ByteView ciphertext(buf.data(), len);
+    const ByteView tag(buf.data() + len, kAeadTagSize);
     if (fast_crypto()) {
-        const ByteView body = sealed.first(sealed.size() - kAeadTagSize);
         std::uint8_t expected[kAeadTagSize];
-        detail::fast_digest(body.data(), body.size(),
+        detail::fast_digest(ciphertext.data(), len,
                             fast_seed(key, nonce, aad), expected,
                             sizeof expected);
-        if (!constant_time_equal(ByteView(expected, sizeof expected),
-                                 sealed.last(kAeadTagSize))) {
-            return std::nullopt;
+        if (!constant_time_equal(ByteView(expected, sizeof expected), tag)) {
+            return false;
         }
-        return Bytes(body.begin(), body.end());
+        buf.resize(len);
+        return true;
     }
-    const ByteView ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-    const ByteView tag = sealed.last(kAeadTagSize);
-
     const Poly1305Key poly_key = derive_poly_key(key, nonce);
     const Poly1305Tag expected =
         poly1305(poly_key, build_mac_data(aad, ciphertext));
-    if (!constant_time_equal(expected, tag)) return std::nullopt;
-
-    return chacha20_xor(key, nonce, 1, ciphertext);
+    if (!constant_time_equal(expected, tag)) return false;
+    buf.resize(len);
+    chacha20_xor_inplace(key, nonce, 1, buf.data(), len);
+    return true;
 }
 
 ChaChaNonce make_record_nonce(const ChaChaNonce& iv,

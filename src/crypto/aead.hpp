@@ -32,6 +32,13 @@ void aead_seal_inplace(const ChaChaKey& key, const ChaChaNonce& nonce,
 std::optional<Bytes> aead_open(const ChaChaKey& key, const ChaChaNonce& nonce,
                                ByteView aad, ByteView sealed);
 
+/// In-place counterpart of aead_seal_inplace(): `buf` holds ciphertext ‖
+/// tag. On success the ciphertext is decrypted where it sits and the tag
+/// cut off, leaving exactly the plaintext, and true is returned. On
+/// authentication failure `buf` is left unchanged and false is returned.
+bool aead_open_inplace(const ChaChaKey& key, const ChaChaNonce& nonce,
+                       ByteView aad, Bytes& buf);
+
 /// Builds the RFC nonce from a 12-byte IV xor'ed with a 64-bit sequence
 /// number in the trailing bytes (TLS 1.3 style).
 ChaChaNonce make_record_nonce(const ChaChaNonce& iv,

@@ -1,7 +1,9 @@
 #include "crypto/fastmode.hpp"
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace troxy::crypto {
 
@@ -17,8 +19,20 @@ namespace detail {
 void fast_digest(const std::uint8_t* data, std::size_t len,
                  std::uint64_t seed, std::uint8_t* out,
                  std::size_t out_len) noexcept {
+    // Word stride: one little-endian 8-byte load, one multiply and one
+    // xorshift per word; the last len % 8 bytes take the FNV-1a step.
     std::uint64_t h = 0xcbf29ce484222325ULL ^ seed;
-    for (std::size_t i = 0; i < len; ++i) {
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, data + i, sizeof word);
+        if constexpr (std::endian::native == std::endian::big) {
+            word = __builtin_bswap64(word);
+        }
+        h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 32;
+    }
+    for (; i < len; ++i) {
         h ^= data[i];
         h *= 0x100000001b3ULL;
     }

@@ -4,7 +4,7 @@
 // SHA-256/Poly1305 over every one would dominate wall-clock time without
 // affecting results, because *modelled* costs (sim::CostProfile), not
 // host-CPU costs, determine simulated performance. In fast mode the
-// one-shot primitives switch to a keyed 64-bit FNV construction that keeps
+// one-shot primitives switch to a keyed 64-bit word-stride hash that keeps
 // identical sizes and verification semantics (a tampered message still
 // fails to verify) but runs an order of magnitude faster.
 //
@@ -23,7 +23,8 @@ namespace troxy::crypto {
 void set_fast_crypto(bool enabled) noexcept;
 
 namespace detail {
-/// 64-bit FNV-1a, expanded to n output bytes via SplitMix64.
+/// A 64-bit keyed hash (8-byte words mixed by multiply–xorshift, the tail
+/// bytes by FNV-1a), expanded to n output bytes via SplitMix64.
 void fast_digest(const std::uint8_t* data, std::size_t len,
                  std::uint64_t seed, std::uint8_t* out,
                  std::size_t out_len) noexcept;

@@ -12,7 +12,7 @@ constexpr std::size_t kBlockSize = 64;
 
 HmacTag hmac_sha256(ByteView key, ByteView data) noexcept {
     if (fast_crypto()) {
-        // Key the FNV digest by hashing the key into the seed first.
+        // Key the fast digest by hashing the key into the seed first.
         HmacTag tag;
         std::uint8_t seed_bytes[8];
         detail::fast_digest(key.data(), key.size(), 0x484d4143, seed_bytes,

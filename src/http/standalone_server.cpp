@@ -24,7 +24,7 @@ void StandaloneServer::attach() {
 }
 
 void StandaloneServer::on_message(sim::NodeId from, Bytes message) {
-    auto unwrapped = net::unwrap(message);
+    auto unwrapped = net::unwrap_view(message);
     if (!unwrapped || unwrapped->first != net::Channel::Client) return;
     auto frame = net::unframe_client(unwrapped->second);
     if (!frame) return;
@@ -61,17 +61,15 @@ void StandaloneServer::on_message(sim::NodeId from, Bytes message) {
             const auto it = channels_.find(from);
             if (it == channels_.end() || !it->second.established()) break;
             crypto.charge(profile_.aead(frame->second.size()));
-            for (const Bytes& app_request :
+            for (const ByteView app_request :
                  it->second.unprotect(frame->second)) {
                 crypto.charge(service_->execution_cost(app_request));
                 Bytes app_reply = service_->execute(app_request);
 
                 crypto.charge(profile_.aead(app_reply.size()));
-                Bytes record = it->second.protect(app_reply);
-                outbox.send(from, net::wrap(net::Channel::Client,
-                                            net::frame_client(
-                                                net::ClientFrame::Record,
-                                                record)));
+                outbox.send(from,
+                            net::client_record_frame(
+                                it->second, app_reply));
             }
             break;
         }

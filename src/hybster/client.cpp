@@ -103,10 +103,7 @@ void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         if (!channels_[r] || !channels_[r]->established()) continue;
         crypto.charge(profile_.aead(encoded.size()));
         outbox.send(config_.node_of(r),
-                    net::wrap(net::Channel::Client,
-                              net::frame_client(net::ClientFrame::Record,
-                                                channels_[r]->protect(
-                                                    encoded))));
+                    net::client_record_frame(*channels_[r], encoded));
     }
 }
 
@@ -156,7 +153,8 @@ void Client::on_message(sim::NodeId from, ByteView payload) {
         }
         case net::ClientFrame::Record: {
             crypto.charge(profile_.aead(frame->second.size()));
-            for (Bytes& plaintext : channels_[r]->unprotect(frame->second)) {
+            for (const ByteView plaintext :
+                 channels_[r]->unprotect(frame->second)) {
                 auto message = decode_message(plaintext);
                 if (!message) continue;
                 if (auto* reply = std::get_if<Reply>(&*message)) {

@@ -7,9 +7,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 
+#include "common/assert.hpp"
 #include "common/bytes.hpp"
+#include "common/serialize.hpp"
+#include "net/envelope.hpp"
+#include "net/secure_channel.hpp"
 
 namespace troxy::net {
 
@@ -27,7 +32,9 @@ inline Bytes frame_client(ClientFrame kind, ByteView payload) {
     return out;
 }
 
-inline std::optional<std::pair<ClientFrame, Bytes>> unframe_client(
+/// Splits a client frame into its kind and payload; the payload view
+/// aliases `data`. nullopt on an empty frame or an unknown kind.
+inline std::optional<std::pair<ClientFrame, ByteView>> unframe_client(
     ByteView data) {
     if (data.empty()) return std::nullopt;
     const auto kind = static_cast<ClientFrame>(data[0]);
@@ -35,7 +42,31 @@ inline std::optional<std::pair<ClientFrame, Bytes>> unframe_client(
         kind != ClientFrame::Record) {
         return std::nullopt;
     }
-    return std::make_pair(kind, Bytes(data.begin() + 1, data.end()));
+    return std::make_pair(kind, data.subspan(1));
+}
+
+/// Wire frame of one application record: the Client envelope byte, the
+/// Record kind and `channel`'s sealed record of `messages`, written once
+/// into a buffer of exactly the frame's size. `SecureChannel` is either
+/// channel half.
+template <typename SecureChannel>
+Bytes client_record_frame(SecureChannel& channel,
+                          std::span<const ByteView> messages) {
+    const std::size_t size = 2 + RecordProtection::record_size(messages);
+    Writer frame;
+    frame.reserve(size);
+    frame.u8(static_cast<std::uint8_t>(Channel::Client));
+    frame.u8(static_cast<std::uint8_t>(ClientFrame::Record));
+    channel.protect_many_into(frame, messages);
+    TROXY_ASSERT(frame.size() == size,
+                 "record_size() out of sync with protect_many_into()");
+    return std::move(frame).take();
+}
+
+/// client_record_frame() of a single message.
+template <typename SecureChannel>
+Bytes client_record_frame(SecureChannel& channel, ByteView message) {
+    return client_record_frame(channel, std::span(&message, 1));
 }
 
 }  // namespace troxy::net

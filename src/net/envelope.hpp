@@ -93,16 +93,17 @@ inline Bytes make_bundle(const std::vector<Bytes>& wrapped) {
 }
 
 /// Splits a Bundle payload (the bytes after the channel byte) back into
-/// the coalesced messages; nullopt on malformed framing.
-inline std::optional<std::vector<Bytes>> unbundle(ByteView payload) {
+/// the coalesced messages, as views aliasing `payload`; nullopt on
+/// malformed framing.
+inline std::optional<std::vector<ByteView>> unbundle(ByteView payload) {
     try {
         Reader r(payload);
         const std::uint16_t count = r.u16();
         if (count == 0) return std::nullopt;
-        std::vector<Bytes> messages;
+        std::vector<ByteView> messages;
         messages.reserve(count);
         for (std::uint16_t i = 0; i < count; ++i) {
-            messages.push_back(r.bytes());
+            messages.push_back(r.bytes_view());
         }
         r.expect_done();
         return messages;

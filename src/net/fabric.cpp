@@ -5,7 +5,9 @@
 namespace troxy::net {
 
 Fabric::Fabric(sim::Simulator& simulator, sim::Network& network)
-    : sim_(simulator), network_(network) {}
+    : sim_(simulator), network_(network) {
+    spare_queues_.reserve(kMaxSpareQueues);
+}
 
 void Fabric::attach(sim::NodeId id, Handler handler) {
     handlers_[id] = std::move(handler);
@@ -66,6 +68,26 @@ void Fabric::dispatch_chain(void* ctx, sim::NodeId from, sim::NodeId to,
     Bytes flat = chain.materialize(&network.pool());
     network.recycle_chain(std::move(chain));
     it->second(from, std::move(flat));
+}
+
+std::vector<OutboxItem> Fabric::acquire_queue() {
+    if (spare_queues_.empty()) {
+        std::vector<OutboxItem> queue;
+        queue.reserve(kTypicalBurst);
+        return queue;
+    }
+    std::vector<OutboxItem> queue = std::move(spare_queues_.back());
+    spare_queues_.pop_back();
+    return queue;
+}
+
+void Fabric::release_queue(std::vector<OutboxItem>&& queue) noexcept {
+    queue.clear();
+    if (queue.capacity() == 0 || queue.capacity() > kMaxSpareCapacity ||
+        spare_queues_.size() >= kMaxSpareQueues) {
+        return;
+    }
+    spare_queues_.push_back(std::move(queue));
 }
 
 }  // namespace troxy::net

@@ -6,16 +6,42 @@
 // exchange opaque Bytes; interpretation is entirely up to the endpoints,
 // so a Byzantine endpoint can send arbitrary garbage, exactly like on a
 // real network.
+//
+// The Fabric also keeps this simulation's spare Outbox queues: a flush
+// event hands its emptied queue back, and the next Outbox to enqueue on
+// any node takes it, so a warm flush allocates no queue storage.
 #pragma once
 
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "sim/event_fn.hpp"
+#include "sim/fragment.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace troxy::net {
+
+/// One item of an Outbox queue, in queue order: a wire frame for `to` —
+/// a contiguous buffer, or a fragment chain when `chained` — or, when
+/// `local` is set, a deferred callback instead of a frame. Frames and
+/// callbacks share one queue so the flush event captures a single
+/// vector and fits EventFn's inline storage.
+struct OutboxItem {
+    sim::NodeId to = 0;
+    bool chained = false;
+    /// Already moved into a coalesced burst (Outbox::coalesce only).
+    bool grouped = false;
+    Bytes frame;
+    sim::FragmentChain chain;
+    sim::EventFn local;
+
+    [[nodiscard]] std::size_t size() const noexcept {
+        return chained ? chain.size() : frame.size();
+    }
+};
 
 class Fabric {
   public:
@@ -47,6 +73,19 @@ class Fabric {
     [[nodiscard]] sim::Network& network() noexcept { return network_; }
     [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
 
+    /// An empty Outbox queue: the most recently returned spare, or a
+    /// fresh one sized for a typical burst.
+    [[nodiscard]] std::vector<OutboxItem> acquire_queue();
+    /// Takes back a queue whose items have all been consumed. At most
+    /// kMaxSpareQueues spares of at most kMaxSpareCapacity items each are
+    /// kept; any other queue is freed.
+    void release_queue(std::vector<OutboxItem>&& queue) noexcept;
+
+    /// A burst of a broadcast plus a reply fits without regrowth.
+    static constexpr std::size_t kTypicalBurst = 4;
+    static constexpr std::size_t kMaxSpareQueues = 256;
+    static constexpr std::size_t kMaxSpareCapacity = 16;
+
   private:
     static void dispatch(void* ctx, sim::NodeId from, sim::NodeId to,
                          Bytes payload);
@@ -57,6 +96,7 @@ class Fabric {
     sim::Network& network_;
     std::unordered_map<sim::NodeId, Handler> handlers_;
     std::unordered_map<sim::NodeId, ChainHandler> chain_handlers_;
+    std::vector<std::vector<OutboxItem>> spare_queues_;
 };
 
 }  // namespace troxy::net

@@ -20,14 +20,19 @@
 // A transport profile, when given, charges the per-record send cost
 // (syscall or doorbell plus staging copies) to the flushing meter; the
 // zero-copy path pays the per-byte cost only on inline header bytes.
+//
+// Queue storage is recycled: the first enqueue takes a spare queue from
+// the Fabric, and the flush event hands it back once its frames are on
+// the wire, so a warm Outbox allocates no queue storage.
 #pragma once
 
-#include <map>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/bytes.hpp"
+#include "common/serialize.hpp"
 #include "enclave/meter.hpp"
 #include "net/envelope.hpp"
 #include "net/fabric.hpp"
@@ -52,10 +57,9 @@ class Outbox {
 
     /// Queues `message` for `to`; transmitted at flush time.
     void send(sim::NodeId to, Bytes message) {
-        Queued q;
+        OutboxItem& q = enqueue();
         q.to = to;
         q.frame = std::move(message);
-        enqueue(std::move(q));
     }
 
     /// Queues an already-chained frame (e.g. a zero-copy state-transfer
@@ -64,22 +68,17 @@ class Outbox {
     /// Bundle splices the chain's fragments in, keeping the materialized
     /// bytes identical to what send() of the flattened frame would ship.
     void send_chain(sim::NodeId to, sim::FragmentChain chain) {
-        Queued q;
+        OutboxItem& q = enqueue();
         q.to = to;
         q.chain = std::move(chain);
         q.chained = true;
-        enqueue(std::move(q));
     }
 
     /// Queues a callback to run at flush time (local effects that must
     /// wait for the processing delay, e.g. completing a client reply).
     /// Callbacks run after every queued frame has gone out, in the order
     /// they were deferred.
-    void defer(sim::EventFn fn) {
-        Queued q;
-        q.local = std::move(fn);
-        enqueue(std::move(q));
-    }
+    void defer(sim::EventFn fn) { enqueue().local = std::move(fn); }
 
     /// Schedules all queued sends and callbacks after `meter`'s
     /// accumulated cost; resets the meter. `not_before` floors the
@@ -90,16 +89,17 @@ class Outbox {
             node_.charge(meter.take());
             return;
         }
-        std::vector<Queued> queue = collect_frames(meter);
+        std::vector<OutboxItem> queue = collect_frames(meter);
         // NB: the Outbox itself is usually stack-allocated and gone by the
         // time this event fires — capture the long-lived Fabric, not this.
         // exec_ordered keeps the node's wire order equal to its message
         // processing order (single egress path), which the protocol's
         // trusted-counter continuity and the secure channel's stream
-        // semantics both rely on.
+        // semantics both rely on. The emptied queue goes back to the
+        // Fabric's spare list for the next enqueue.
         auto deliver = [fabric = &fabric_, from = node_.id(),
                         queue = std::move(queue)]() mutable {
-            for (Queued& q : queue) {
+            for (OutboxItem& q : queue) {
                 if (q.local) continue;
                 if (q.chained) {
                     fabric->send_chain(from, q.to, std::move(q.chain));
@@ -107,9 +107,10 @@ class Outbox {
                     fabric->send(from, q.to, std::move(q.frame));
                 }
             }
-            for (Queued& q : queue) {
+            for (OutboxItem& q : queue) {
                 if (q.local) q.local();
             }
+            fabric->release_queue(std::move(queue));
         };
         static_assert(sizeof(deliver) <= sim::EventFn::kInlineSize &&
                           std::is_nothrow_move_constructible_v<
@@ -122,49 +123,26 @@ class Outbox {
     [[nodiscard]] Fabric& fabric() noexcept { return fabric_; }
 
   private:
-    /// One queued item, in queue order: a wire frame for `to` — a
-    /// contiguous buffer, or a fragment chain when `chained` — or, when
-    /// `local` is set, a deferred callback instead of a frame. Frames and
-    /// callbacks share one queue so the flush event captures a single
-    /// vector and fits EventFn's inline storage.
-    struct Queued {
-        sim::NodeId to = 0;
-        bool chained = false;
-        Bytes frame;
-        sim::FragmentChain chain;
-        sim::EventFn local;
-
-        [[nodiscard]] std::size_t size() const noexcept {
-            return chained ? chain.size() : frame.size();
-        }
-    };
-
-    /// Every flush hands its queue to the event, so a handler pays for
-    /// one queue buffer anyway; sizing it for a typical burst (a
-    /// broadcast plus a reply) on first use skips the 1 -> 2 -> 4 regrowth.
-    static constexpr std::size_t kTypicalBurst = 4;
-
-    void enqueue(Queued&& q) {
-        if (queue_.capacity() == 0) queue_.reserve(kTypicalBurst);
-        queue_.push_back(std::move(q));
+    /// Appends a blank item; the first enqueue takes a spare queue from
+    /// the Fabric instead of allocating one.
+    OutboxItem& enqueue() {
+        if (queue_.capacity() == 0) queue_ = fabric_.acquire_queue();
+        return queue_.emplace_back();
     }
 
-    /// Turns the queue into wire frames, grouping consecutive-by-
-    /// destination messages into Bundle frames when coalescing. Order
-    /// within a destination is preserved (stable grouping); a destination
-    /// with a single message keeps its original frame. Deferred callbacks
-    /// keep their relative order. Without coalescing the queue itself is
-    /// returned. Charges `meter` the per-record cost for each emitted
-    /// frame and, when a transport profile is set, the per-frame send
-    /// cost.
-    std::vector<Queued> collect_frames(enclave::CostMeter& meter) {
-        std::vector<Queued> frames = std::move(queue_);
+    /// Turns the queue into wire frames, grouping each destination's
+    /// messages into one Bundle frame when coalescing. Without coalescing
+    /// the queue itself is returned. Charges `meter` the per-record cost
+    /// for each emitted frame and, when a transport profile is set, the
+    /// per-frame send cost.
+    std::vector<OutboxItem> collect_frames(enclave::CostMeter& meter) {
+        std::vector<OutboxItem> frames = std::move(queue_);
         queue_.clear();
         if (coalesce_) frames = coalesce(std::move(frames));
         // One per-record charge per emitted wire record: a coalesced
         // burst costs one record, and a singleton group costs exactly
         // what the same message costs uncoalesced — no Bundle surcharge.
-        for (const Queued& f : frames) {
+        for (const OutboxItem& f : frames) {
             if (f.local) continue;
             meter.add(record_cost_);
             if (transport_ != nullptr) {
@@ -175,66 +153,86 @@ class Outbox {
         return frames;
     }
 
-    std::vector<Queued> coalesce(std::vector<Queued> sends) {
-        std::map<sim::NodeId, std::vector<Queued>> groups;
-        std::vector<sim::NodeId> order;
-        std::vector<Queued> locals;
-        for (Queued& q : sends) {
-            if (q.local) {
-                locals.push_back(std::move(q));
-                continue;
+    /// Destinations are emitted in the order of their first appearance
+    /// in the queue, each destination's messages in queue order; a
+    /// destination with a single message keeps its original frame.
+    /// Deferred callbacks follow every frame, in their relative order.
+    /// The frames go into a spare queue and `sends` returns to the spare
+    /// list, so grouping allocates no bookkeeping.
+    std::vector<OutboxItem> coalesce(std::vector<OutboxItem>&& sends) {
+        std::vector<OutboxItem> frames = fabric_.acquire_queue();
+        for (std::size_t i = 0; i < sends.size(); ++i) {
+            OutboxItem& head = sends[i];
+            if (head.local || head.grouped) continue;
+            std::size_t count = 1;
+            std::size_t total = 1 + 2 + 4 + head.size();
+            for (std::size_t j = i + 1; j < sends.size(); ++j) {
+                const OutboxItem& q = sends[j];
+                if (!q.local && !q.grouped && q.to == head.to) {
+                    ++count;
+                    total += 4 + q.size();
+                }
             }
-            auto [it, inserted] = groups.try_emplace(q.to);
-            if (inserted) order.push_back(q.to);
-            it->second.push_back(std::move(q));
-        }
-        std::vector<Queued> frames;
-        frames.reserve(order.size() + locals.size());
-        for (const sim::NodeId to : order) {
-            auto& burst = groups[to];
-            if (burst.size() == 1) {
+            if (count == 1) {
                 // Batch-1: the original frame travels unchanged.
-                frames.push_back(std::move(burst.front()));
+                frames.push_back(std::move(head));
                 continue;
             }
-            Queued f;
-            f.to = to;
+            OutboxItem& f = frames.emplace_back();
+            f.to = head.to;
+            sim::Network& network = fabric_.network();
+            auto for_each_member = [&](auto&& append) {
+                for (std::size_t j = i; j < sends.size(); ++j) {
+                    OutboxItem& p = sends[j];
+                    if (p.local || p.grouped || p.to != f.to) continue;
+                    p.grouped = true;
+                    append(p);
+                }
+            };
             if (zero_copy_) {
                 // Mixed Bundle chain: flat messages are referenced as
                 // Owned payloads, already-chained messages splice their
                 // fragments in under the same length prefix —
                 // materialized bytes match make_bundle() of the flattened
                 // burst exactly.
-                f.chain = fabric_.network().acquire_chain();
-                append_bundle_head(f.chain, burst.size());
-                for (Queued& p : burst) {
+                f.chain = network.acquire_chain();
+                f.chained = true;
+                append_bundle_head(f.chain, count);
+                for_each_member([&](OutboxItem& p) {
                     append_bundle_prefix(f.chain, p.size());
                     if (p.chained) {
                         f.chain.splice(std::move(p.chain));
-                        fabric_.network().recycle_chain(std::move(p.chain));
+                        network.recycle_chain(std::move(p.chain));
                     } else {
                         f.chain.append_owned(std::move(p.frame));
                     }
-                }
-                f.chained = true;
-            } else {
-                sim::BufferPool& pool = fabric_.network().pool();
-                std::vector<Bytes> flat;
-                flat.reserve(burst.size());
-                for (Queued& p : burst) {
-                    if (p.chained) {
-                        flat.push_back(p.chain.materialize(&pool));
-                        p.chain.recycle(pool);
-                        fabric_.network().recycle_chain(std::move(p.chain));
-                    } else {
-                        flat.push_back(std::move(p.frame));
-                    }
-                }
-                f.frame = make_bundle(flat);
+                });
+                continue;
             }
-            frames.push_back(std::move(f));
+            // Flat Bundle: make_bundle()'s bytes, written once into a
+            // buffer of exactly the frame's size.
+            TROXY_ASSERT(count <= kMaxBundleMessages,
+                         "bundle message count exceeds u16 field");
+            Writer w;
+            w.reserve(total);
+            w.u8(static_cast<std::uint8_t>(Channel::Bundle));
+            w.u16(static_cast<std::uint16_t>(count));
+            for_each_member([&](OutboxItem& p) {
+                w.u32(static_cast<std::uint32_t>(p.size()));
+                if (p.chained) {
+                    p.chain.materialize_into(w.buffer());
+                    p.chain.recycle(network.pool());
+                    network.recycle_chain(std::move(p.chain));
+                } else {
+                    w.raw(p.frame);
+                }
+            });
+            f.frame = std::move(w).take();
         }
-        for (Queued& q : locals) frames.push_back(std::move(q));
+        for (OutboxItem& q : sends) {
+            if (q.local) frames.push_back(std::move(q));
+        }
+        fabric_.release_queue(std::move(sends));
         return frames;
     }
 
@@ -244,7 +242,7 @@ class Outbox {
     bool zero_copy_ = false;
     sim::Duration record_cost_ = 0;
     const sim::TransportProfile* transport_ = nullptr;
-    std::vector<Queued> queue_;
+    std::vector<OutboxItem> queue_;
 };
 
 }  // namespace troxy::net

@@ -48,17 +48,24 @@ RecordProtection::RecordProtection(const crypto::ChaChaKey& key,
     : key_(key), iv_(iv) {}
 
 Bytes RecordProtection::protect(ByteView plaintext) {
-    return protect_many({plaintext});
+    return protect_many(std::span(&plaintext, 1));
 }
 
-Bytes RecordProtection::protect_many(const std::vector<ByteView>& messages) {
+Bytes RecordProtection::protect_many(std::span<const ByteView> messages) {
     Writer record;
     protect_many_into(record, messages);
     return std::move(record).take();
 }
 
+std::size_t RecordProtection::record_size(
+    std::span<const ByteView> messages) noexcept {
+    std::size_t plaintext = 2;
+    for (const ByteView m : messages) plaintext += 4 + m.size();
+    return 8 + 4 + plaintext + crypto::kAeadTagSize;
+}
+
 void RecordProtection::protect_many_into(
-    Writer& out, const std::vector<ByteView>& messages) {
+    Writer& out, std::span<const ByteView> messages) {
     TROXY_ASSERT(!messages.empty() &&
                      messages.size() <= kMaxMessagesPerRecord,
                  "record burst must hold 1..65535 messages");
@@ -73,11 +80,10 @@ void RecordProtection::protect_many_into(
     // Gather encoding: the plaintext is written straight into the record
     // at its final wire position and sealed in place — no inner buffer,
     // no sealed copy, no record copy.
-    std::size_t total = 2;
-    for (const ByteView m : messages) total += 4 + m.size();
-    out.reserve(8 + 4 + total + crypto::kAeadTagSize);
+    const std::size_t size = record_size(messages);
+    out.reserve(size);
     out.u64(seq);
-    out.u32(static_cast<std::uint32_t>(total + crypto::kAeadTagSize));
+    out.u32(static_cast<std::uint32_t>(size - 8 - 4));
     const std::size_t plaintext_at = out.size();
     out.u16(static_cast<std::uint16_t>(messages.size()));
     for (const ByteView m : messages) out.bytes(m);
@@ -85,8 +91,9 @@ void RecordProtection::protect_many_into(
                               out.buffer(), plaintext_at);
 }
 
-std::vector<Bytes> RecordProtection::unprotect(ByteView record) {
-    std::vector<Bytes> deliverable;
+std::span<const ByteView> RecordProtection::unprotect(ByteView record) {
+    delivered_.clear();
+    released_.clear();
     try {
         Reader r(record);
         const std::uint64_t seq = r.u64();
@@ -96,50 +103,61 @@ std::vector<Bytes> RecordProtection::unprotect(ByteView record) {
         // Replay and window checks: a sequence number is accepted at most
         // once, and only within the receive window. A coalesced record is
         // one unit here — replaying it re-delivers none of its messages.
-        if (seq < next_deliver_) return deliverable;                // replay
-        if (seq >= next_deliver_ + kReceiveWindow) return deliverable;
-        if (received_.contains(seq)) return deliverable;            // replay
+        if (seq < next_deliver_) return {};                 // replay
+        if (seq >= next_deliver_ + kReceiveWindow) return {};
+        if (received_.contains(seq)) return {};             // replay
 
         std::uint8_t aad[8];
         store_le(aad, seq, 8);
         const crypto::ChaChaNonce nonce = crypto::make_record_nonce(iv_, seq);
-        auto plaintext =
-            crypto::aead_open(key_, nonce, ByteView(aad, sizeof aad), sealed);
-        if (!plaintext) return deliverable;  // tampered
+        opened_.assign(sealed.begin(), sealed.end());
+        if (!crypto::aead_open_inplace(key_, nonce, ByteView(aad, sizeof aad),
+                                       opened_)) {
+            return {};  // tampered
+        }
 
-        Reader inner(*plaintext);
+        Reader inner(opened_);
         const std::uint16_t count = inner.u16();
-        if (count == 0) return deliverable;  // malformed burst
-        std::vector<Bytes> messages;
-        messages.reserve(count);
+        if (count == 0) return {};  // malformed burst
         for (std::uint16_t i = 0; i < count; ++i) {
-            messages.push_back(inner.bytes());
+            delivered_.push_back(inner.bytes_view());
         }
         inner.expect_done();
 
-        // In-order fast path: the next expected record with nothing
-        // buffered behind it is delivered directly, without a round trip
-        // through the replay set and the reorder map.
-        if (seq == next_deliver_ && reorder_buffer_.empty()) {
-            ++next_deliver_;
-            return messages;
+        if (seq != next_deliver_) {
+            // Ahead of a gap: the only path that copies. The record waits
+            // in the reorder buffer until the gap closes.
+            std::vector<Bytes> messages;
+            messages.reserve(count);
+            for (const ByteView m : delivered_) {
+                messages.emplace_back(m.begin(), m.end());
+            }
+            delivered_.clear();
+            received_.insert(seq);
+            reorder_buffer_.emplace(seq, std::move(messages));
+            return {};
         }
 
-        received_.insert(seq);
-        reorder_buffer_.emplace(seq, std::move(messages));
-
-        // Release everything that is now consecutive.
+        // In order: deliver this record's messages straight from the open
+        // buffer, then release everything buffered that is now
+        // consecutive. A moved buffer keeps its storage, so the views
+        // into released_ survive its growth.
+        ++next_deliver_;
         for (auto it = reorder_buffer_.find(next_deliver_);
-             it != reorder_buffer_.end() && it->first == next_deliver_;
+             it != reorder_buffer_.end();
              it = reorder_buffer_.find(next_deliver_)) {
-            for (Bytes& m : it->second) deliverable.push_back(std::move(m));
+            for (Bytes& m : it->second) {
+                released_.push_back(std::move(m));
+                delivered_.emplace_back(released_.back());
+            }
             reorder_buffer_.erase(it);
             received_.erase(next_deliver_);
             ++next_deliver_;
         }
-        return deliverable;
+        return delivered_;
     } catch (const DecodeError&) {
-        return deliverable;
+        delivered_.clear();
+        return {};
     }
 }
 
@@ -190,17 +208,16 @@ Bytes SecureChannelClient::protect(ByteView plaintext) {
     return send_.protect(plaintext);
 }
 
-Bytes SecureChannelClient::protect_many(
-    const std::vector<ByteView>& messages) {
+Bytes SecureChannelClient::protect_many(std::span<const ByteView> messages) {
     return send_.protect_many(messages);
 }
 
 void SecureChannelClient::protect_many_into(
-    Writer& out, const std::vector<ByteView>& messages) {
+    Writer& out, std::span<const ByteView> messages) {
     send_.protect_many_into(out, messages);
 }
 
-std::vector<Bytes> SecureChannelClient::unprotect(ByteView record) {
+std::span<const ByteView> SecureChannelClient::unprotect(ByteView record) {
     return recv_.unprotect(record);
 }
 
@@ -248,17 +265,16 @@ Bytes SecureChannelServer::protect(ByteView plaintext) {
     return send_.protect(plaintext);
 }
 
-Bytes SecureChannelServer::protect_many(
-    const std::vector<ByteView>& messages) {
+Bytes SecureChannelServer::protect_many(std::span<const ByteView> messages) {
     return send_.protect_many(messages);
 }
 
 void SecureChannelServer::protect_many_into(
-    Writer& out, const std::vector<ByteView>& messages) {
+    Writer& out, std::span<const ByteView> messages) {
     send_.protect_many_into(out, messages);
 }
 
-std::vector<Bytes> SecureChannelServer::unprotect(ByteView record) {
+std::span<const ByteView> SecureChannelServer::unprotect(ByteView record) {
     return recv_.unprotect(record);
 }
 

@@ -38,6 +38,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -67,22 +68,32 @@ class RecordProtection {
 
     /// Seals a burst of messages into ONE record: one sequence number,
     /// one AEAD pass, one wire transmission for the whole burst.
-    Bytes protect_many(const std::vector<ByteView>& messages);
+    Bytes protect_many(std::span<const ByteView> messages);
 
     /// Gather variant: appends the record to `out` (which may already
     /// hold framing bytes), writing the plaintext directly at its final
     /// wire position and sealing it in place — the whole frame builds in
     /// one buffer with zero intermediate copies. Byte-identical to
     /// appending protect_many()'s result.
-    void protect_many_into(Writer& out,
-                           const std::vector<ByteView>& messages);
+    void protect_many_into(Writer& out, std::span<const ByteView> messages);
+
+    /// Wire bytes of the record protect_many_into() appends for
+    /// `messages`, so a caller can size the frame's buffer once.
+    [[nodiscard]] static std::size_t record_size(
+        std::span<const ByteView> messages) noexcept;
 
     /// Opens a record and returns every message that is now deliverable
     /// in sequence order (possibly none if this record only filled a
     /// buffer slot, possibly several if it closed a gap or carried a
     /// coalesced burst). Tampered, replayed, truncated or out-of-window
     /// records yield nothing and poison no state.
-    std::vector<Bytes> unprotect(ByteView record);
+    ///
+    /// The record is opened in place in a buffer this object reuses, and
+    /// the returned views borrow it: they stay valid until the next
+    /// unprotect() call on this object. Only a record that arrives ahead
+    /// of a gap is copied, into the reorder buffer; the views of records
+    /// released from there borrow those copies for the same lifetime.
+    std::span<const ByteView> unprotect(ByteView record);
 
     [[nodiscard]] std::uint64_t send_sequence() const noexcept {
         return send_seq_;
@@ -96,6 +107,12 @@ class RecordProtection {
     /// seq → the record's messages (one or a coalesced burst).
     std::map<std::uint64_t, std::vector<Bytes>> reorder_buffer_;
     std::set<std::uint64_t> received_;  // ≥ next_deliver_, replay guard
+    /// The last record's plaintext, opened in place.
+    Bytes opened_;
+    /// Reorder-buffer messages released by the last unprotect().
+    std::vector<Bytes> released_;
+    /// The views the last unprotect() returned.
+    std::vector<ByteView> delivered_;
 };
 
 struct SessionKeys {
@@ -127,15 +144,15 @@ class SecureChannelClient {
     Bytes protect(ByteView plaintext);
 
     /// Seals a pipeline burst into one record (one AEAD, one wire record).
-    Bytes protect_many(const std::vector<ByteView>& messages);
+    Bytes protect_many(std::span<const ByteView> messages);
 
     /// Appends the sealed record to `out` (see RecordProtection).
-    void protect_many_into(Writer& out,
-                           const std::vector<ByteView>& messages);
+    void protect_many_into(Writer& out, std::span<const ByteView> messages);
 
     /// Decrypts server→client records; returns the messages now
-    /// deliverable in order.
-    std::vector<Bytes> unprotect(ByteView record);
+    /// deliverable in order, borrowed until the next unprotect() (see
+    /// RecordProtection).
+    std::span<const ByteView> unprotect(ByteView record);
 
   private:
     crypto::X25519Key pinned_server_key_;
@@ -163,10 +180,9 @@ class SecureChannelServer {
     [[nodiscard]] bool established() const noexcept { return established_; }
 
     Bytes protect(ByteView plaintext);
-    Bytes protect_many(const std::vector<ByteView>& messages);
-    void protect_many_into(Writer& out,
-                           const std::vector<ByteView>& messages);
-    std::vector<Bytes> unprotect(ByteView record);
+    Bytes protect_many(std::span<const ByteView> messages);
+    void protect_many_into(Writer& out, std::span<const ByteView> messages);
+    std::span<const ByteView> unprotect(ByteView record);
 
   private:
     crypto::X25519Keypair static_keys_;

@@ -114,10 +114,11 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
     }
 
     crypto.charge(profile_.aead(record.size()));
-    auto app_requests = conn->second.channel.unprotect(record);
-
+    // The requests borrow the channel's open buffer, which holds until
+    // the connection's next record.
     const std::uint64_t generation = conn->second.generation;
-    for (Bytes& app_request : app_requests) {
+    for (const ByteView app_request :
+         conn->second.channel.unprotect(record)) {
         const std::uint64_t conn_slot = conn->second.next_assign++;
         const hybster::RequestInfo info = classifier_(app_request);
         crypto.charge_dispatch();
@@ -347,13 +348,11 @@ void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
         // ONE AEAD pass over the whole burst for this connection: the
         // per-record base cost is paid once instead of once per reply.
         // Gather encoding builds envelope ‖ frame header ‖ sealed record
-        // in one buffer.
+        // in one buffer of exactly the frame's size.
         crypto.charge(profile_.aead(total));
-        Writer frame;
-        frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
-        frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-        conn->second.channel.protect_many_into(frame, release_views_);
-        actions.sends.emplace_back(first->to, std::move(frame).take());
+        actions.sends.emplace_back(
+            first->to,
+            net::client_record_frame(conn->second.channel, release_views_));
     });
     release_plan_.clear();
 }

@@ -266,7 +266,7 @@ void TroxyReplicaHost::on_chain(sim::NodeId from, sim::FragmentChain chain) {
         auto messages = net::take_bundle_messages(std::move(chain));
         if (messages) {
             network.recycle_chain(std::move(chain));
-            dispatch_burst(from, std::move(*messages));
+            dispatch_burst(from, std::span(*messages));
             return;
         }
     }
@@ -303,7 +303,7 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
             // each inner message.
             auto inner = net::unbundle(payload);
             if (!inner) return;
-            dispatch_burst(from, std::move(*inner));
+            dispatch_burst(from, std::span(*inner));
             return;
         }
         case net::Channel::Client: {
@@ -354,10 +354,22 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
     }
 }
 
+namespace {
+
+/// The owned frame on_message() takes for one message of a burst: moved
+/// out of a burst that owns its messages, copied out of a borrowed one.
+Bytes owned_frame(Bytes& message) { return std::move(message); }
+Bytes owned_frame(ByteView message) {
+    return Bytes(message.begin(), message.end());
+}
+
+}  // namespace
+
+template <typename Message>
 void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
-                                      std::vector<Bytes> messages) {
+                                      std::span<Message> messages) {
     std::vector<hybster::Reply> replies;
-    for (Bytes& message : messages) {
+    for (Message& message : messages) {
         auto unwrapped_inner = net::unwrap_view(message);
         if (!unwrapped_inner) continue;
         if (unwrapped_inner->first == net::Channel::Hybster) {
@@ -372,7 +384,7 @@ void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
             replica_->on_message(from, std::move(*decoded));
             continue;
         }
-        on_message(from, std::move(message));
+        on_message(from, owned_frame(message));
     }
     ingest_replies(std::move(replies));
 }

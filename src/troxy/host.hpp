@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -166,10 +167,15 @@ class TroxyReplicaHost {
     /// Channel dispatch over a borrowed view of the wire frame; the owning
     /// caller recycles the buffer afterwards.
     void dispatch_message(sim::NodeId from, ByteView message);
-    /// Dispatches an unbundled burst: replies for the local voter are
-    /// collected so the whole burst enters the enclave through as few
-    /// handle_replies transitions as voter_batch_max allows.
-    void dispatch_burst(sim::NodeId from, std::vector<Bytes> messages);
+    /// Dispatches a burst: replies for the local voter are collected so
+    /// the whole burst enters the enclave through as few handle_replies
+    /// transitions as voter_batch_max allows, and every other Hybster
+    /// message is decoded in place. `Message` is ByteView for views into
+    /// an unbundled frame, or Bytes for messages taken out of a fragment
+    /// chain; any other message goes through on_message() as an owned
+    /// frame, moved when the burst owns it and copied otherwise.
+    template <typename Message>
+    void dispatch_burst(sim::NodeId from, std::span<Message> messages);
     void apply(enclave::CostMeter& meter, TroxyActions&& actions);
     void arm_vote_timer(std::uint64_t number);
     void arm_fast_read_timer(std::uint64_t query_id);

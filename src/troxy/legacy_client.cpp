@@ -128,56 +128,39 @@ void LegacyClient::shutdown() {
 
 void LegacyClient::send_ref(std::shared_ptr<const Bytes> app_request,
                             ReplyCallback callback) {
-    if (options_.coalesce_sends) {
-        // The coalescing buffer owns its payloads; keep that path
-        // byte-identical by copying here (references pay off on the
-        // immediate fan-out path, which is where the front uses them).
-        send(*app_request, std::move(callback));
-        return;
-    }
     outstanding_.push_back(
-        Outstanding{{}, app_request, std::move(callback)});
-    if (!connected()) return;  // flushed after handshake completes
-
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox(fabric_, node_);
-    crypto.charge(profile_.aead(app_request->size()));
-    Writer frame;
-    frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
-    frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-    channel_->protect_many_into(frame, {ByteView(*app_request)});
-    outbox.send(servers_[server_index_], std::move(frame).take());
-    outbox.flush(meter);
+        Outstanding{{}, std::move(app_request), std::move(callback)});
+    transmit_newest();
 }
 
 void LegacyClient::send(Bytes app_request, ReplyCallback callback) {
     outstanding_.push_back(
-        Outstanding{app_request, nullptr, std::move(callback)});
-    if (!connected()) return;  // flushed after handshake completes
+        Outstanding{std::move(app_request), nullptr, std::move(callback)});
+    transmit_newest();
+}
 
+void LegacyClient::transmit_newest() {
+    if (!connected()) return;  // flushed after handshake completes
+    const ByteView app_request = outstanding_.back().view();
     if (options_.coalesce_sends) {
-        // Buffer the burst; one end-of-instant flush seals everything
-        // issued in this simulation step into a single record.
-        send_buffer_.push_back(std::move(app_request));
+        // Buffer a copy of the burst; one end-of-instant flush seals
+        // everything issued in this simulation step into a single record.
+        send_buffer_.emplace_back(app_request.begin(), app_request.end());
         if (!send_flush_armed_) {
             send_flush_armed_ = true;
             fabric_.simulator().after(0, [this]() { flush_sends(); });
         }
         return;
     }
-
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(profile_, meter);
     net::Outbox outbox(fabric_, node_);
     crypto.charge(profile_.aead(app_request.size()));
-    // Gather encoding: envelope, frame header and sealed record build in
-    // ONE buffer (the record plaintext is sealed where it was written).
-    Writer frame;
-    frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
-    frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-    channel_->protect_many_into(frame, {ByteView(app_request)});
-    outbox.send(servers_[server_index_], std::move(frame).take());
+    // Envelope, frame header and sealed record build in ONE buffer of
+    // exactly the frame's size (the record plaintext is sealed where it
+    // was written).
+    outbox.send(servers_[server_index_],
+                net::client_record_frame(*channel_, app_request));
     outbox.flush(meter);
 }
 
@@ -207,11 +190,8 @@ void LegacyClient::flush_sends() {
     // One AEAD pass and one wire record for the whole burst, gathered
     // into one buffer with the envelope and frame headers.
     crypto.charge(profile_.aead(total));
-    Writer frame;
-    frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
-    frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-    channel_->protect_many_into(frame, views);
-    outbox.send(servers_[server_index_], std::move(frame).take());
+    outbox.send(servers_[server_index_],
+                net::client_record_frame(*channel_, views));
     outbox.flush(meter);
 }
 
@@ -234,12 +214,9 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
             net::Outbox outbox(fabric_, node_);
             for (const Outstanding& item : outstanding_) {
                 crypto.charge(profile_.aead(item.view().size()));
-                outbox.send(
-                    servers_[server_index_],
-                    net::wrap(net::Channel::Client,
-                              net::frame_client(net::ClientFrame::Record,
-                                                channel_->protect(
-                                                    item.view()))));
+                outbox.send(servers_[server_index_],
+                            net::client_record_frame(
+                                *channel_, item.view()));
             }
             if (ready_) {
                 outbox.defer(std::exchange(ready_, nullptr));
@@ -254,12 +231,14 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
             if (replies.empty()) break;  // buffered, replayed or tampered
             consecutive_failovers_ = 0;  // the cluster answered: reset
 
+            // The replies borrow the channel's open buffer; each is copied
+            // once, into the buffer its callback takes.
             std::vector<std::pair<ReplyCallback, Bytes>> completions;
-            for (Bytes& reply : replies) {
+            for (const ByteView reply : replies) {
                 if (outstanding_.empty()) break;
                 completions.emplace_back(
                     std::move(outstanding_.front().callback),
-                    std::move(reply));
+                    Bytes(reply.begin(), reply.end()));
                 outstanding_.pop_front();
             }
             node_.exec(meter.take(),

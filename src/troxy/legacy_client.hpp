@@ -69,9 +69,8 @@ class LegacyClient {
     /// (Fragment::Shared semantics): the caller can hand the same buffer
     /// to several sessions without one copy per recipient — the shard
     /// front's cross-shard fan-out. The bytes are read at seal time
-    /// (and again on retransmission), never copied into the client.
-    /// Coalesced sessions fall back to the copying buffer, keeping the
-    /// flush path byte-identical.
+    /// (and again on retransmission); only a coalescing session copies
+    /// them, into its send buffer.
     void send_ref(std::shared_ptr<const Bytes> app_request,
                   ReplyCallback callback);
 
@@ -122,6 +121,9 @@ class LegacyClient {
     void arm_watchdog();
     /// Seals the buffered send burst into one coalesced record.
     void flush_sends();
+    /// Seals the request just queued on outstanding_ into its own record
+    /// and sends it, or buffers it for the coalesced flush.
+    void transmit_newest();
 
     net::Fabric& fabric_;
     sim::Node& node_;

@@ -173,7 +173,7 @@ void ShardFrontHost::on_message(sim::NodeId from, Bytes message) {
             if (unwrapped->first == net::Channel::Bundle) {
                 auto inner = net::unbundle(unwrapped->second);
                 if (inner) {
-                    for (const Bytes& m : *inner) {
+                    for (const ByteView m : *inner) {
                         auto u = net::unwrap_view(m);
                         if (u && u->first == net::Channel::Client) {
                             upstream.on_message(from, u->second);
@@ -235,9 +235,10 @@ void ShardFrontHost::on_client_frame(sim::NodeId from, ByteView payload) {
                 break;
             }
             crypto.charge(profile_.aead(frame->second.size()));
-            for (Bytes& app_request :
+            for (const ByteView app_request :
                  it->second.channel.unprotect(frame->second)) {
-                handle_request(from, it->second, std::move(app_request));
+                handle_request(from, it->second,
+                               Bytes(app_request.begin(), app_request.end()));
             }
             break;
         }
@@ -422,11 +423,8 @@ void ShardFrontHost::deliver_reply(sim::NodeId client,
     auto next = conn.ready.find(conn.next_release);
     while (next != conn.ready.end()) {
         crypto.charge(profile_.aead(next->second.size()));
-        outbox.send(client,
-                    net::wrap(net::Channel::Client,
-                              net::frame_client(
-                                  net::ClientFrame::Record,
-                                  conn.channel.protect(next->second))));
+        outbox.send(client, net::client_record_frame(
+                                conn.channel, next->second));
         ++released_;
         conn.ready.erase(next);
         next = conn.ready.find(++conn.next_release);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
@@ -11,6 +14,14 @@
 
 namespace troxy::net {
 namespace {
+
+/// Owning copies of the messages unprotect() delivered: its views borrow
+/// the channel's buffers only until the channel's next call.
+std::vector<Bytes> owned(std::span<const ByteView> messages) {
+    std::vector<Bytes> out;
+    for (const ByteView m : messages) out.emplace_back(m.begin(), m.end());
+    return out;
+}
 
 const sim::CostProfile kNative = sim::CostProfile::native();
 
@@ -66,7 +77,7 @@ TEST(ClientFraming, RoundTrip) {
     const auto unframed = unframe_client(framed);
     ASSERT_TRUE(unframed.has_value());
     EXPECT_EQ(unframed->first, ClientFrame::Record);
-    EXPECT_EQ(unframed->second, to_bytes("data"));
+    EXPECT_EQ(to_string(unframed->second), "data");
     EXPECT_FALSE(unframe_client(Bytes{}).has_value());
     EXPECT_FALSE(unframe_client(Bytes{9}).has_value());
 }
@@ -103,12 +114,14 @@ TEST(SecureChannel, HandshakeEstablishesBothSides) {
 TEST(SecureChannel, BidirectionalRecords) {
     Channels channels = establish();
     const Bytes request = to_bytes("GET /page/1");
-    auto at_server = channels.server.unprotect(channels.client.protect(request));
+    const auto at_server =
+        owned(channels.server.unprotect(channels.client.protect(request)));
     ASSERT_EQ(at_server.size(), 1u);
     EXPECT_EQ(at_server[0], request);
 
     const Bytes reply = to_bytes("<html>page</html>");
-    auto at_client = channels.client.unprotect(channels.server.protect(reply));
+    const auto at_client =
+        owned(channels.client.unprotect(channels.server.protect(reply)));
     ASSERT_EQ(at_client.size(), 1u);
     EXPECT_EQ(at_client[0], reply);
 }
@@ -117,7 +130,8 @@ TEST(SecureChannel, ManyRecordsInOrder) {
     Channels channels = establish();
     for (int i = 0; i < 50; ++i) {
         const Bytes msg = to_bytes("message " + std::to_string(i));
-        auto out = channels.server.unprotect(channels.client.protect(msg));
+        const auto out =
+            owned(channels.server.unprotect(channels.client.protect(msg)));
         ASSERT_EQ(out.size(), 1u);
         EXPECT_EQ(out[0], msg);
     }
@@ -141,7 +155,7 @@ TEST(SecureChannel, ReplayOfBufferedRecordRejected) {
     // Replaying it while buffered must not deliver anything either.
     EXPECT_TRUE(channels.server.unprotect(second).empty());
     // The gap closes: both deliver, in order.
-    const auto delivered = channels.server.unprotect(first);
+    const auto delivered = owned(channels.server.unprotect(first));
     ASSERT_EQ(delivered.size(), 2u);
     EXPECT_EQ(delivered[0], to_bytes("1"));
     EXPECT_EQ(delivered[1], to_bytes("2"));
@@ -160,8 +174,8 @@ TEST(SecureChannel, OutOfOrderRecordsReassembled) {
     // Deliver in scrambled order; output must be the original order.
     std::vector<Bytes> delivered;
     for (const int index : {2, 0, 4, 1, 3}) {
-        for (Bytes& msg : channels.server.unprotect(
-                 records[static_cast<std::size_t>(index)])) {
+        for (Bytes& msg : owned(channels.server.unprotect(
+                 records[static_cast<std::size_t>(index)]))) {
             delivered.push_back(std::move(msg));
         }
     }
@@ -250,7 +264,7 @@ TEST(SecureChannel, CoalescedRecordRoundTrip) {
                                       to_bytes("gamma")};
     std::vector<ByteView> views(burst.begin(), burst.end());
     const Bytes record = channels.client.protect_many(views);
-    const auto delivered = channels.server.unprotect(record);
+    const auto delivered = owned(channels.server.unprotect(record));
     ASSERT_EQ(delivered.size(), 3u);
     for (std::size_t i = 0; i < burst.size(); ++i) {
         EXPECT_EQ(delivered[i], burst[i]);
@@ -303,8 +317,8 @@ TEST(SecureChannel, CoalescedAndSingleRecordsReassembleInOrder) {
     // (dropped), record 0 (releases m0 only), then the "lost" record 1
     // retransmitted — releasing everything else in order.
     for (const int index : {2, 3, 3, 0, 1}) {
-        for (Bytes& msg : channels.server.unprotect(
-                 records[static_cast<std::size_t>(index)])) {
+        for (Bytes& msg : owned(channels.server.unprotect(
+                 records[static_cast<std::size_t>(index)]))) {
             delivered.push_back(std::move(msg));
         }
     }
@@ -322,9 +336,57 @@ TEST(SecureChannel, EmptyCoalescedRecordDeliversNothing) {
     Channels channels = establish();
     const Bytes record = channels.client.protect_many(
         std::vector<ByteView>{ByteView(to_bytes("only"))});
-    const auto delivered = channels.server.unprotect(record);
+    const auto delivered = owned(channels.server.unprotect(record));
     ASSERT_EQ(delivered.size(), 1u);
     EXPECT_EQ(delivered[0], to_bytes("only"));
+}
+
+TEST(SecureChannel, BorrowedViewsSurviveOpenBufferReuse) {
+    crypto::ChaChaKey key{};
+    key.fill(0x42);
+    crypto::ChaChaNonce iv{};
+    iv.fill(0x24);
+    RecordProtection sender(key, iv);
+    RecordProtection receiver(key, iv);
+
+    const Bytes m0 = to_bytes("zero");
+    const Bytes m1a = to_bytes("record one, first message");
+    const Bytes m1b = to_bytes("record one, second");
+    const Bytes m2(64, 0xee);  // longer: overwrites all of record 1
+    const Bytes r0 = sender.protect(m0);
+    const Bytes r1 = sender.protect_many(std::vector<ByteView>{m1a, m1b});
+    const Bytes r2 = sender.protect(m2);
+
+    // Record 1 arrives ahead of the gap and is copied into the reorder
+    // buffer; record 2 is then opened in the same reused open buffer.
+    EXPECT_TRUE(receiver.unprotect(r1).empty());
+    EXPECT_TRUE(receiver.unprotect(r2).empty());
+    // Record 0 closes the gap: its message is read from the open buffer,
+    // records 1 and 2 come out of the reorder buffer with their bytes.
+    const auto delivered = receiver.unprotect(r0);
+    EXPECT_EQ(owned(delivered), (std::vector<Bytes>{m0, m1a, m1b, m2}));
+
+    // Tampered, truncated, replayed and zero-count records deliver
+    // nothing and leave the stream where it was.
+    const Bytes r3 = sender.protect(to_bytes("three"));
+    Bytes tampered = r3;
+    tampered.back() ^= 0x01;
+    EXPECT_TRUE(receiver.unprotect(tampered).empty());
+    const ByteView truncated(r3.data(), r3.size() - 1);
+    EXPECT_TRUE(receiver.unprotect(truncated).empty());
+    EXPECT_TRUE(receiver.unprotect(r1).empty());
+    EXPECT_TRUE(receiver.unprotect(r0).empty());
+    // A correctly sealed record for sequence 3 whose burst count is 0.
+    std::uint8_t aad[8];
+    store_le(aad, 3, 8);
+    Writer zero_count;
+    zero_count.u64(3);
+    zero_count.bytes(crypto::aead_seal(key, crypto::make_record_nonce(iv, 3),
+                                       ByteView(aad, sizeof aad),
+                                       Bytes{0x00, 0x00}));
+    EXPECT_TRUE(receiver.unprotect(zero_count.data()).empty());
+    EXPECT_EQ(owned(receiver.unprotect(r3)),
+              std::vector<Bytes>{to_bytes("three")});
 }
 
 // ----------------------------------------------------------------- bundle
@@ -342,7 +404,7 @@ TEST(Envelope, BundleRoundTrip) {
     ASSERT_TRUE(inner.has_value());
     ASSERT_EQ(inner->size(), 3u);
     for (std::size_t i = 0; i < frames.size(); ++i) {
-        EXPECT_EQ((*inner)[i], frames[i]);
+        EXPECT_EQ(owned(*inner)[i], frames[i]);
     }
 }
 
@@ -471,9 +533,9 @@ TEST(Outbox, CoalescesDestinationBurstsIntoOneBundle) {
     const auto inner = unbundle(unwrapped->second);
     ASSERT_TRUE(inner.has_value());
     ASSERT_EQ(inner->size(), 3u);
-    EXPECT_EQ((*inner)[0], wrap(Channel::Hybster, to_bytes("a")));
-    EXPECT_EQ((*inner)[1], wrap(Channel::Hybster, to_bytes("b")));
-    EXPECT_EQ((*inner)[2], wrap(Channel::Hybster, to_bytes("c")));
+    EXPECT_EQ(owned(*inner)[0], wrap(Channel::Hybster, to_bytes("a")));
+    EXPECT_EQ(owned(*inner)[1], wrap(Channel::Hybster, to_bytes("b")));
+    EXPECT_EQ(owned(*inner)[2], wrap(Channel::Hybster, to_bytes("c")));
 
     // A single-message destination keeps its original frame byte-for-byte
     // (batch-1 wire traffic is identical to the uncoalesced path).
@@ -564,7 +626,7 @@ TEST(Envelope, BundleZeroLengthMessageRoundTrip) {
     ASSERT_TRUE(inner.has_value());
     ASSERT_EQ(inner->size(), 3u);
     EXPECT_TRUE((*inner)[0].empty());
-    EXPECT_EQ((*inner)[1], frames[1]);
+    EXPECT_EQ(owned(*inner)[1], frames[1]);
     EXPECT_TRUE((*inner)[2].empty());
 }
 
@@ -637,7 +699,7 @@ TEST(Envelope, BundleSplitEncodeRoundTripProperty) {
         ASSERT_TRUE(unwrapped.has_value());
         const auto inner = unbundle(unwrapped->second);
         ASSERT_TRUE(inner.has_value());
-        EXPECT_EQ(*inner, frames);
+        EXPECT_EQ(owned(*inner), frames);
     }
 }
 

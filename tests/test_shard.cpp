@@ -777,14 +777,14 @@ TEST(ShardParity, SingleShardMatchesUnshardedGolden) {
                 wire.update(frame);
                 const auto outer = net::unwrap_view(frame);
                 if (!outer) return;
-                std::vector<Bytes> inner;
+                std::vector<ByteView> inner;
                 if (outer->first == net::Channel::Bundle) {
                     inner = net::unbundle(outer->second).value_or(
-                        std::vector<Bytes>{});
+                        std::vector<ByteView>{});
                 } else {
                     inner.push_back(frame);
                 }
-                for (const Bytes& message : inner) {
+                for (const ByteView message : inner) {
                     const auto unwrapped = net::unwrap_view(message);
                     if (unwrapped &&
                         unwrapped->first == net::Channel::Client) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "apps/echo_service.hpp"
 #include "apps/kv_service.hpp"
@@ -17,6 +19,14 @@
 
 namespace troxy::troxy_core {
 namespace {
+
+/// Owning copies of the messages unprotect() delivered: its views borrow
+/// the channel's buffers only until the channel's next call.
+std::vector<Bytes> owned(std::span<const ByteView> messages) {
+    std::vector<Bytes> out;
+    for (const ByteView m : messages) out.emplace_back(m.begin(), m.end());
+    return out;
+}
 
 enclave::EnclaveGate make_gate() {
     return enclave::EnclaveGate("test", sim::EnclaveCosts::sgx_v1(), 16);
@@ -404,8 +414,8 @@ struct VotingRig {
             EXPECT_TRUE(unwrapped.has_value());
             const auto frame = net::unframe_client(unwrapped->second);
             EXPECT_TRUE(frame.has_value());
-            for (Bytes& reply : channel->unprotect(frame->second)) {
-                replies.push_back(std::move(reply));
+            for (const ByteView reply : channel->unprotect(frame->second)) {
+                replies.emplace_back(reply.begin(), reply.end());
             }
         }
         return replies;
@@ -419,7 +429,7 @@ struct VotingRig {
         EXPECT_EQ(unwrapped->first, net::Channel::Client);
         const auto frame = net::unframe_client(unwrapped->second);
         EXPECT_TRUE(frame.has_value());
-        return frame->second;
+        return Bytes(frame->second.begin(), frame->second.end());
     }
 
     /// Sends one write through the channel; returns the ordered request.
@@ -487,7 +497,7 @@ TEST(TroxyEnclave, BatchedVotingOneTransitionPerBurst) {
     // All four client replies left the enclave as ONE coalesced record,
     // and the channel delivers them in request order.
     const Bytes record = rig.unframe(actions);
-    const auto replies = rig.channel->unprotect(record);
+    const auto replies = owned(rig.channel->unprotect(record));
     ASSERT_EQ(replies.size(), 4u);
     for (std::size_t i = 0; i < replies.size(); ++i) {
         EXPECT_EQ(replies[i],
@@ -525,7 +535,7 @@ TEST(TroxyEnclave, ByzantineReplyDoesNotPoisonBatch) {
     EXPECT_EQ(status.rejected_replies, 1u);
     EXPECT_EQ(status.completed_votes, 4u);
     EXPECT_EQ(actions.completed_votes.size(), 4u);
-    const auto replies = rig.channel->unprotect(rig.unframe(actions));
+    const auto replies = owned(rig.channel->unprotect(rig.unframe(actions)));
     EXPECT_EQ(replies.size(), 4u);
 }
 
@@ -739,7 +749,7 @@ struct FastReadRig {
         EXPECT_EQ(unwrapped->first, net::Channel::Client);
         const auto frame = net::unframe_client(unwrapped->second);
         EXPECT_TRUE(frame.has_value());
-        return frame->second;
+        return Bytes(frame->second.begin(), frame->second.end());
     }
 
     /// Decodes a queued send as a TroxyCache-channel message.
@@ -793,7 +803,7 @@ TEST(TroxyEnclave, BatchedFastReadOneTransitionPerStage) {
     EXPECT_EQ(status.cache_response_batches, 1u);
     EXPECT_EQ(status.batched_cache_responses, 4u);
     const auto replies =
-        rig.channel->unprotect(rig.unframe(contact_actions));
+        owned(rig.channel->unprotect(rig.unframe(contact_actions)));
     ASSERT_EQ(replies.size(), 4u);
     for (std::size_t i = 0; i < replies.size(); ++i) {
         EXPECT_EQ(replies[i], to_bytes("value-" + std::to_string(i)));
@@ -940,7 +950,7 @@ TEST(TroxyEnclave, ByzantineCacheResponseFallsBackOnlyItself) {
     EXPECT_EQ(status.fast_read_hits, 3u);
     ASSERT_EQ(actions.to_order.size(), 1u);
     EXPECT_TRUE(actions.to_order[0].is_read());
-    const auto replies = rig.channel->unprotect(rig.unframe(actions));
+    const auto replies = owned(rig.channel->unprotect(rig.unframe(actions)));
     ASSERT_EQ(replies.size(), 3u);
     for (std::size_t i = 0; i < replies.size(); ++i) {
         EXPECT_EQ(replies[i], to_bytes("value-" + std::to_string(i)));
