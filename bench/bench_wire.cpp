@@ -1,33 +1,26 @@
-// Wire-path benchmark: zero-copy scatter-gather encoding and the
-// kernel-bypass transport profile.
+// Wire-path benchmark: the kernel-bypass transport profile and its
+// scatter-gather staging.
 //
 // Two parts:
 //
-//   1. Encode microbench — a coalesced flush burst is framed either by
-//      make_bundle() (flatten every wrapped message into one contiguous
-//      frame) or by encode_bundle() (a FragmentChain: inline framing
-//      headers plus the message buffers referenced in place). Global
-//      operator new/delete overrides count heap allocations; we report
-//      allocations/frame and ns/frame per payload size. CI gates the
-//      zero-copy path at <= 0.1x the copying path's allocations/frame.
-//
-//   2. Transport sweep — a ctroxy TroxyCluster under a closed-loop write
+//   1. Transport sweep — a ctroxy TroxyCluster under a closed-loop write
 //      workload, payload size x transport profile {kernel (sendmsg entry
 //      + full staging copy), bypass (doorbell entry + credit window),
-//      bypass+zero-copy (doorbell, headers staged, payloads referenced)}.
-//      Reports throughput/latency per cell, the network's wire counters,
-//      and the crossover: the smallest payload at which zero-copy beats
-//      the copying bypass path by more than 2%.
+//      bypass+zc (bypass with scatter_gather: a coalesced burst stages
+//      only its framing, the messages are referenced in place)}.
+//      Reports throughput/latency and credit stalls per cell.
+//
+//   2. Crossover — from the profiles alone: the smallest payload at which
+//      the per-byte staging that scatter-gather saves on a coalesced
+//      burst of 16 exceeds the per-record saving of a doorbell over a
+//      syscall.
 //
 // Flags: --smoke     reduced payload set and shorter windows for CI
 //        --out PATH  JSON output path (default BENCH_wire.json)
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -36,156 +29,13 @@
 #include "bench_support/stats.hpp"
 #include "bench_support/workload.hpp"
 #include "crypto/fastmode.hpp"
-#include "net/envelope.hpp"
-#include "net/fragment.hpp"
 #include "sim/pool.hpp"
-
-// ------------------------------------------------- allocation accounting
-//
-// Same global counting overrides as bench_scale: deltas around a measured
-// region give allocations/frame. Must not allocate, must pair with the
-// sized/aligned forms.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) -
-                                      1) &
-                                         ~(static_cast<std::size_t>(align) -
-                                           1))) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
-}
 
 namespace {
 
 using namespace troxy;
 using namespace troxy::bench;
 namespace sim = troxy::sim;
-
-double wall_seconds_since(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
-
-// ------------------------------------------------------ encode microbench
-
-struct EncodeCell {
-    std::size_t payload = 0;
-    std::size_t burst = 0;
-    std::size_t frame_bytes = 0;   // materialized wire size of one frame
-    std::size_t header_bytes = 0;  // inline bytes the chain still copies
-    double copy_ns_per_frame = 0.0;
-    double copy_allocs_per_frame = 0.0;
-    double zc_ns_per_frame = 0.0;
-    double zc_allocs_per_frame = 0.0;
-};
-
-/// One flush burst, rebuilt from the pool each iteration so both paths
-/// start from identical inputs; the measured difference is make_bundle's
-/// flatten (one frame allocation + full copy) vs encode_bundle's chain
-/// append (inline headers only, buffers referenced and later recycled).
-EncodeCell run_encode_cell(std::size_t payload, std::size_t burst_size,
-                           std::uint64_t frames) {
-    sim::BufferPool pool;
-    std::vector<Bytes> templates;
-    for (std::size_t i = 0; i < burst_size; ++i) {
-        Bytes t = net::wrap(net::Channel::Hybster,
-                            Bytes(payload, static_cast<std::uint8_t>(i)));
-        templates.push_back(std::move(t));
-    }
-
-    std::vector<Bytes> burst;
-    burst.reserve(burst_size);
-    auto build_burst = [&]() {
-        burst.clear();
-        for (const Bytes& t : templates) {
-            Bytes m = pool.acquire(t.size());
-            std::memcpy(m.data(), t.data(), t.size());
-            burst.push_back(std::move(m));
-        }
-    };
-
-    EncodeCell cell;
-    cell.payload = payload;
-    cell.burst = burst_size;
-    std::uint64_t sink = 0;
-
-    // Copying path: flatten into one contiguous Bundle frame.
-    for (int warm = 0; warm < 64; ++warm) {
-        build_burst();
-        Bytes bundle = net::make_bundle(burst);
-        sink += bundle.size();
-        for (Bytes& m : burst) pool.release(std::move(m));
-        pool.release(std::move(bundle));
-    }
-    {
-        const std::uint64_t alloc_base = g_allocs.load();
-        const auto start = std::chrono::steady_clock::now();
-        for (std::uint64_t i = 0; i < frames; ++i) {
-            build_burst();
-            Bytes bundle = net::make_bundle(burst);
-            sink += bundle.size();
-            for (Bytes& m : burst) pool.release(std::move(m));
-            pool.release(std::move(bundle));
-        }
-        cell.copy_ns_per_frame =
-            wall_seconds_since(start) * 1e9 / static_cast<double>(frames);
-        cell.copy_allocs_per_frame =
-            static_cast<double>(g_allocs.load() - alloc_base) /
-            static_cast<double>(frames);
-    }
-
-    // Zero-copy path: one reused chain, buffers recycled through the pool.
-    net::FragmentChain chain;
-    for (int warm = 0; warm < 64; ++warm) {
-        build_burst();
-        net::encode_bundle(chain, std::move(burst));
-        cell.frame_bytes = chain.size();
-        cell.header_bytes = chain.copied_bytes();
-        sink += chain.size();
-        chain.recycle(pool);
-    }
-    {
-        const std::uint64_t alloc_base = g_allocs.load();
-        const auto start = std::chrono::steady_clock::now();
-        for (std::uint64_t i = 0; i < frames; ++i) {
-            build_burst();
-            net::encode_bundle(chain, std::move(burst));
-            sink += chain.size();
-            chain.recycle(pool);
-        }
-        cell.zc_ns_per_frame =
-            wall_seconds_since(start) * 1e9 / static_cast<double>(frames);
-        cell.zc_allocs_per_frame =
-            static_cast<double>(g_allocs.load() - alloc_base) /
-            static_cast<double>(frames);
-    }
-
-    if (sink == 0xdeadbeef) std::printf("impossible\n");
-    return cell;
-}
-
-// -------------------------------------------------------- transport sweep
 
 struct WireCell {
     std::size_t payload = 0;
@@ -198,8 +48,7 @@ struct WireCell {
 };
 
 WireCell run_wire_cell(std::size_t payload, const std::string& profile_name,
-                       const sim::TransportProfile& transport,
-                       bool zero_copy, bool smoke) {
+                       const sim::TransportProfile& transport, bool smoke) {
     TroxyCluster::Params params;
     params.base.seed = 42;
     // Kernel-bypass hardware context: 40 GbE-class NICs, so the sweep
@@ -210,7 +59,6 @@ WireCell run_wire_cell(std::size_t payload, const std::string& profile_name,
     params.base.batch_size_max = 16;
     params.base.batch_delay = sim::microseconds(200);
     params.base.coalesce_wire = true;
-    params.base.wire_zero_copy = zero_copy;
     params.base.transport = transport;
     params.host.coalesce_wire = true;
     params.host.voter_batch_max = 16;
@@ -276,38 +124,17 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Part 1: encode microbench over payload sizes at a fixed burst of 16
-    // (the batched flush shape the coalescing benches run at).
-    const std::vector<std::size_t> encode_payloads =
-        smoke ? std::vector<std::size_t>{256, 4096}
-              : std::vector<std::size_t>{64, 256, 1024, 4096, 16384};
-    const std::uint64_t frames = smoke ? 20000 : 200000;
-    const std::size_t burst = 16;
-    std::printf("encode microbench: burst of %zu wrapped messages, "
-                "%llu frames per path\n",
-                burst, static_cast<unsigned long long>(frames));
-    std::vector<EncodeCell> encode_cells;
-    for (const std::size_t payload : encode_payloads) {
-        EncodeCell cell = run_encode_cell(payload, burst, frames);
-        std::printf(
-            "  [payload %5zu] copy %7.0f ns/frame %.3f allocs/frame | "
-            "chain %7.0f ns/frame %.4f allocs/frame\n",
-            cell.payload, cell.copy_ns_per_frame,
-            cell.copy_allocs_per_frame, cell.zc_ns_per_frame,
-            cell.zc_allocs_per_frame);
-        encode_cells.push_back(cell);
-    }
-
-    // Part 2: end-to-end transport sweep.
+    // Part 1: end-to-end transport sweep.
     struct Profile {
         std::string name;
         sim::TransportProfile transport;
-        bool zero_copy;
     };
+    sim::TransportProfile scatter_gather = sim::TransportProfile::bypass();
+    scatter_gather.scatter_gather = true;
     const std::vector<Profile> profiles = {
-        {"kernel", sim::TransportProfile::kernel_nic(), false},
-        {"bypass", sim::TransportProfile::bypass(), false},
-        {"bypass+zc", sim::TransportProfile::bypass(), true},
+        {"kernel", sim::TransportProfile::kernel_nic()},
+        {"bypass", sim::TransportProfile::bypass()},
+        {"bypass+zc", scatter_gather},
     };
     const std::vector<std::size_t> payloads =
         smoke ? std::vector<std::size_t>{256, 4096}
@@ -320,60 +147,48 @@ int main(int argc, char** argv) {
     for (const std::size_t payload : payloads) {
         for (const Profile& profile : profiles) {
             WireCell cell = run_wire_cell(payload, profile.name,
-                                          profile.transport,
-                                          profile.zero_copy, smoke);
+                                          profile.transport, smoke);
             std::printf(
                 "  [payload %5zu %-9s] %7.0f req/s, p50 %.2f ms, "
-                "p99 %.2f ms, zc-frames %llu, ref %llu B, copied %llu B, "
-                "materialized %llu, stalls %llu\n",
+                "p99 %.2f ms, stalls %llu\n",
                 cell.payload, cell.profile.c_str(), cell.throughput,
                 cell.p50_ms, cell.p99_ms,
-                static_cast<unsigned long long>(cell.wire.frames_zero_copy),
-                static_cast<unsigned long long>(cell.wire.bytes_referenced),
-                static_cast<unsigned long long>(cell.wire.bytes_copied),
-                static_cast<unsigned long long>(
-                    cell.wire.materializations),
                 static_cast<unsigned long long>(cell.wire.credit_stalls));
             cells.push_back(std::move(cell));
         }
     }
 
-    // Per-frame wire cost under each profile: measured encode time plus
-    // the calibrated transport charge. The crossover is the payload at
-    // which eliminating the staging copies (zero-copy's lever, grows
-    // with frame size) overtakes eliminating the syscall (bypass's
-    // lever, a constant per record) as the larger wire-path saving.
+    // Part 2: the crossover, from the profile model alone. A coalesced
+    // burst of 16 wrapped messages (channel byte + payload) is one
+    // Bundle frame; scatter-gather stages only its framing (3-byte head,
+    // 4-byte length prefix per message) and saves the per-byte staging
+    // of everything else, a saving that grows with the payload. The
+    // doorbell's saving over a syscall is a constant per record.
     const sim::TransportProfile kernel_profile =
         sim::TransportProfile::kernel_nic();
     const sim::TransportProfile bypass_profile =
         sim::TransportProfile::bypass();
     const double doorbell_saving_ns =
         kernel_profile.tx_base_ns - bypass_profile.tx_base_ns;
+    const std::size_t burst = 16;
+    const std::size_t framing_bytes = 3 + 4 * burst;
     long crossover = -1;
-    std::printf("wire cost per frame (encode + transport charge):\n");
-    for (const EncodeCell& c : encode_cells) {
-        const double kernel_ns =
-            c.copy_ns_per_frame +
-            static_cast<double>(kernel_profile.tx(c.frame_bytes));
-        const double bypass_ns =
-            c.copy_ns_per_frame +
-            static_cast<double>(bypass_profile.tx(c.frame_bytes));
-        const double zc_ns =
-            c.zc_ns_per_frame +
-            static_cast<double>(bypass_profile.tx(c.header_bytes));
-        const double zc_saving_ns = bypass_ns - zc_ns;
-        std::printf("  [payload %5zu] kernel %7.0f ns, bypass %7.0f ns, "
-                    "bypass+zc %7.0f ns (zc saves %.0f ns vs %.0f ns "
-                    "doorbell saving)\n",
-                    c.payload, kernel_ns, bypass_ns, zc_ns, zc_saving_ns,
-                    doorbell_saving_ns);
+    std::printf("staging saved per coalesced burst of %zu:\n", burst);
+    for (const std::size_t payload : payloads) {
+        const std::size_t frame_bytes = framing_bytes + burst * (1 + payload);
+        const double zc_saving_ns =
+            bypass_profile.tx_per_byte_ns *
+            static_cast<double>(frame_bytes - framing_bytes);
+        std::printf("  [payload %5zu] frame %6zu B: scatter-gather saves "
+                    "%.0f ns vs %.0f ns doorbell saving\n",
+                    payload, frame_bytes, zc_saving_ns, doorbell_saving_ns);
         if (crossover < 0 && zc_saving_ns > doorbell_saving_ns) {
-            crossover = static_cast<long>(c.payload);
+            crossover = static_cast<long>(payload);
         }
     }
     if (crossover >= 0) {
-        std::printf("crossover: from payload %ld B the zero-copy saving "
-                    "exceeds the syscall-elimination saving\n",
+        std::printf("crossover: from payload %ld B the scatter-gather "
+                    "saving exceeds the doorbell saving\n",
                     crossover);
     } else {
         std::printf("crossover: not reached in this sweep\n");
@@ -414,39 +229,19 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json, "{\n  \"benchmark\": \"wire_path\",\n");
     std::fprintf(json,
-                 "  \"workload\": \"coalesced flush bursts of 16; "
-                 "closed-loop kv puts over a ctroxy cluster\",\n");
+                 "  \"workload\": \"closed-loop kv puts over a ctroxy "
+                 "cluster, batch 16, coalesced wire\",\n");
     std::fprintf(json, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(json, "  \"encode\": [\n");
-    for (std::size_t i = 0; i < encode_cells.size(); ++i) {
-        const EncodeCell& c = encode_cells[i];
-        std::fprintf(
-            json,
-            "    {\"payload\": %zu, \"burst\": %zu, "
-            "\"frame_bytes\": %zu, \"header_bytes\": %zu, "
-            "\"copy_ns_per_frame\": %.1f, \"copy_allocs_per_frame\": %.3f, "
-            "\"zc_ns_per_frame\": %.1f, \"zc_allocs_per_frame\": %.4f}%s\n",
-            c.payload, c.burst, c.frame_bytes, c.header_bytes,
-            c.copy_ns_per_frame, c.copy_allocs_per_frame,
-            c.zc_ns_per_frame, c.zc_allocs_per_frame,
-            i + 1 < encode_cells.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"results\": [\n");
+    std::fprintf(json, "  \"results\": [\n");
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const WireCell& c = cells[i];
         std::fprintf(
             json,
             "    {\"payload\": %zu, \"profile\": \"%s\", "
             "\"throughput_per_sec\": %.1f, \"p50_ms\": %.3f, "
-            "\"p99_ms\": %.3f, \"frames_zero_copy\": %llu, "
-            "\"bytes_referenced\": %llu, \"bytes_copied\": %llu, "
-            "\"materializations\": %llu, \"credit_stalls\": %llu, "
+            "\"p99_ms\": %.3f, \"credit_stalls\": %llu, "
             "\"pool_hits\": %llu, \"pool_misses\": %llu}%s\n",
             c.payload, c.profile.c_str(), c.throughput, c.p50_ms, c.p99_ms,
-            static_cast<unsigned long long>(c.wire.frames_zero_copy),
-            static_cast<unsigned long long>(c.wire.bytes_referenced),
-            static_cast<unsigned long long>(c.wire.bytes_copied),
-            static_cast<unsigned long long>(c.wire.materializations),
             static_cast<unsigned long long>(c.wire.credit_stalls),
             static_cast<unsigned long long>(c.pool.hits),
             static_cast<unsigned long long>(c.pool.misses),

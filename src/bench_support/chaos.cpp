@@ -52,7 +52,6 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     params.base.batch_size_max = options.batch_size_max;
     params.base.batch_delay = options.batch_delay;
     params.base.coalesce_wire = options.coalesce_wire;
-    params.base.wire_zero_copy = options.wire_zero_copy;
     params.base.transport = options.transport;
     params.host.voter_batch_max = options.voter_batch_max;
     params.host.coalesce_wire = options.coalesce_wire;

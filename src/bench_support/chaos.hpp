@@ -68,13 +68,11 @@ struct ChaosOptions {
     /// ecall, per-message record flow.
     std::size_t voter_batch_max = 1;
     bool coalesce_wire = false;
-    /// Ship coalesced bursts as scatter-gather fragment chains
-    /// (ClusterOptions::wire_zero_copy); the default keeps the flattened
-    /// Bundle flow. Only meaningful with coalesce_wire.
-    bool wire_zero_copy = false;
     /// Transport send-cost profile (ClusterOptions::transport); none()
     /// keeps the seed's free-transport model. A bypass profile also arms
-    /// the network's per-peer credit window under the fault schedule.
+    /// the network's per-peer credit window under the fault schedule, and
+    /// its scatter_gather flag stages only the framing of coalesced
+    /// bursts (meaningful with coalesce_wire).
     sim::TransportProfile transport = sim::TransportProfile::none();
     /// Fast-read query batching and batched reply certification
     /// (TroxyReplicaHost::Options); defaults keep the per-query,
@@ -186,7 +184,7 @@ struct ChaosReport {
     std::uint64_t bytes_sent = 0;
     sim::DropCounters drops;
     /// Wire-path observability: payload-buffer pool hit rate and the
-    /// scatter-gather counters (zero when wire_zero_copy is off).
+    /// transport's credit stalls (zero without a credit window).
     sim::BufferPool::Stats pool;
     double pool_hit_rate = 0.0;  // hits / (hits + misses)
     sim::WireStats wire;

@@ -4,7 +4,6 @@
 
 #include "common/serialize.hpp"
 #include "hybster/keys.hpp"
-#include "net/fragment.hpp"
 
 namespace troxy::bench {
 
@@ -65,13 +64,11 @@ crypto::X25519Keypair identity_for(std::uint64_t seed, int index) {
 /// Client-side receive dispatch for legacy clients. A coalescing host
 /// may ship several client frames as one Bundle; the dispatch unpacks
 /// them like a socket read loop. The wire buffer is consumed in place
-/// and recycled for the next sender. Scatter-gather bursts arriving as
-/// fragment chains are consumed message by message without flattening
-/// the frame; foreign chain shapes fall back to the flat path.
+/// and recycled for the next sender.
 void attach_legacy_dispatch(net::Fabric& fabric, sim::Node& node,
                             troxy_core::LegacyClient* client) {
-    auto deliver_flat = [client, network = &fabric.network()](
-                            sim::NodeId from, Bytes message) {
+    fabric.attach(node.id(), [client, network = &fabric.network()](
+                                 sim::NodeId from, Bytes message) {
         auto unwrapped = net::unwrap_view(message);
         if (unwrapped) {
             if (unwrapped->first == net::Channel::Bundle) {
@@ -89,28 +86,7 @@ void attach_legacy_dispatch(net::Fabric& fabric, sim::Node& node,
             }
         }
         network->recycle(std::move(message));
-    };
-    fabric.attach(node.id(), deliver_flat);
-    fabric.attach_chain(
-        node.id(), [client, network = &fabric.network(), deliver_flat](
-                       sim::NodeId from, sim::FragmentChain chain) {
-            auto inner = net::take_bundle_messages(std::move(chain));
-            if (inner) {
-                network->recycle_chain(std::move(chain));
-                for (Bytes& m : *inner) {
-                    auto u = net::unwrap_view(m);
-                    if (u && u->first == net::Channel::Client) {
-                        client->on_message(from, u->second);
-                    }
-                    network->recycle(std::move(m));
-                }
-                return;
-            }
-            network->count_materialization();
-            Bytes flat = chain.materialize(&network->pool());
-            network->recycle_chain(std::move(chain));
-            deliver_flat(from, std::move(flat));
-        });
+    });
 }
 
 }  // namespace
@@ -271,7 +247,6 @@ void TroxyCluster::build_group(int shard, const Params& params) {
     group.config.batch_size_max = options_.batch_size_max;
     group.config.batch_delay = options_.batch_delay;
     group.config.coalesce_wire = options_.coalesce_wire;
-    group.config.wire_zero_copy = options_.wire_zero_copy;
     group.config.transport = options_.transport;
     group.config.execution_lanes = options_.execution_lanes;
     group.config.state_chunk_size = options_.state_chunk_size;
@@ -295,12 +270,6 @@ void TroxyCluster::build_group(int shard, const Params& params) {
     host_options.troxy.inside_enclave = !params.ctroxy;
     host_options.authority = provisioned.authority;
     host_options.measurement = provisioned.measurement;
-    host_options.wire_zero_copy =
-        host_options.wire_zero_copy || options_.wire_zero_copy;
-    if (options_.transport.tx_base_ns > 0.0 ||
-        options_.transport.credit_window > 0) {
-        host_options.transport = options_.transport;
-    }
 
     for (int i = 0; i < n; ++i) {
         group.identities.push_back(identity_for(group_seed, i));

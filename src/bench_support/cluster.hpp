@@ -47,10 +47,6 @@ struct ClusterOptions {
     /// Coalesce replica flush bursts into one Bundle frame per
     /// destination (hybster::Config::coalesce_wire).
     bool coalesce_wire = false;
-    /// Ship coalesced bursts as scatter-gather fragment chains instead of
-    /// flattened Bundle buffers (replica and Troxy-host senders). Wire
-    /// bytes identical; off by default for bit-identical seed replay.
-    bool wire_zero_copy = false;
     /// Transport profile every sender charges per emitted record
     /// (kernel_nic syscall+copy, bypass doorbell+credits); its
     /// credit_window also arms the network's in-flight bound. The default

@@ -45,12 +45,6 @@ struct Config {
     /// unbatched message flow stays byte-identical to the seed.
     bool coalesce_wire = false;
 
-    /// Ship coalesced bursts as scatter-gather fragment chains instead of
-    /// flattening them into one contiguous Bundle buffer. Wire bytes are
-    /// identical; only copies and allocations disappear. Off by default
-    /// so existing runs replay bit-identically.
-    bool wire_zero_copy = false;
-
     /// Per-record transport send cost (syscall vs kernel-bypass doorbell)
     /// charged by each Outbox flush. The default none() charges nothing —
     /// the seed's implicit model.

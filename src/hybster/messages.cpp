@@ -501,7 +501,7 @@ std::size_t StateResponse::encoded_size() const noexcept {
     return size;
 }
 
-void StateResponse::encode_head(Writer& w, std::size_t chunk_count) const {
+void StateResponse::encode(Writer& w) const {
     w.u32(replica);
     w.u64(view);
     w.u64(view_start);
@@ -509,22 +509,14 @@ void StateResponse::encode_head(Writer& w, std::size_t chunk_count) const {
     put_digest(w, root);
     w.u32(static_cast<std::uint32_t>(manifest.size()));
     for (const crypto::Sha256Digest& d : manifest) put_digest(w, d);
-    w.u32(static_cast<std::uint32_t>(chunk_count));
-}
-
-void StateResponse::encode_tail(Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(proof.size()));
-    for (const CheckpointMsg& vote : proof) vote.encode(w);
-    put_tag(w, cert);
-}
-
-void StateResponse::encode(Writer& w) const {
-    encode_head(w, chunks.size());
+    w.u32(static_cast<std::uint32_t>(chunks.size()));
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         w.u32(chunk_index[i]);
         w.bytes(chunks[i]);
     }
-    encode_tail(w);
+    w.u8(static_cast<std::uint8_t>(proof.size()));
+    for (const CheckpointMsg& vote : proof) vote.encode(w);
+    put_tag(w, cert);
 }
 
 StateResponse StateResponse::decode(Reader& r) {

@@ -395,14 +395,6 @@ struct StateResponse {
     [[nodiscard]] Bytes certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    /// Zero-copy framing split: encode() is byte-identical to
-    /// encode_head(w, chunks.size()) ‖ per chunk (u32 index ‖ u32 length
-    /// ‖ payload) ‖ encode_tail(w). A sender can therefore frame the
-    /// chunk payloads as referenced fragments (inline index/length
-    /// prefixes over shared chunk buffers) instead of copying them
-    /// through a contiguous encode buffer.
-    void encode_head(Writer& w, std::size_t chunk_count) const;
-    void encode_tail(Writer& w) const;
     static StateResponse decode(Reader& r);
 };
 

@@ -1132,11 +1132,6 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
          start += config_.state_chunks_per_message) {
         const std::size_t end = std::min(
             start + config_.state_chunks_per_message, to_send.size());
-        if (config_.wire_zero_copy) {
-            send_state_window(outbox, base, chunked, to_send, start, end,
-                              request.replica);
-            continue;
-        }
         StateResponse msg = base;
         for (std::size_t j = start; j < end; ++j) {
             const std::uint32_t idx = to_send[j];
@@ -1147,47 +1142,6 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
         }
         send_to(outbox, request.replica, msg);
     }
-}
-
-void Replica::send_state_window(net::Outbox& outbox,
-                                const StateResponse& base,
-                                const ChunkedSnapshot& chunked,
-                                const std::vector<std::uint32_t>& to_send,
-                                std::size_t start, std::size_t end,
-                                std::uint32_t requester) {
-    // Zero-copy chunk stream: the frame is a FragmentChain — the framing
-    // head and proof tail written into pooled buffers, each chunk payload
-    // referenced in place as a Shared fragment under an 8-byte inline
-    // (index ‖ length) prefix. Materializing the chain reproduces
-    // wrap(Hybster, encode_message(StateResponse)) byte for byte, so a
-    // chain-unaware receiver (every host today, via the materialize
-    // fallback) decodes it exactly like the flat path.
-    sim::BufferPool& pool = outbox.fabric().network().pool();
-    sim::FragmentChain chain = outbox.fabric().network().acquire_chain();
-    Writer head(pool.acquire_empty(
-        2 + 32 + crypto::kSha256DigestSize * (1 + base.manifest.size()) + 8));
-    head.u8(static_cast<std::uint8_t>(net::Channel::Hybster));
-    head.u8(static_cast<std::uint8_t>(MsgType::StateResponse));
-    base.encode_head(head, end - start);
-    chain.append_owned(std::move(head).take());
-    for (std::size_t j = start; j < end; ++j) {
-        const std::uint32_t idx = to_send[j];
-        const auto len =
-            static_cast<std::uint32_t>(chunked.chunks[idx]->size());
-        std::uint8_t prefix[8];
-        for (int b = 0; b < 4; ++b) {
-            prefix[b] = static_cast<std::uint8_t>(idx >> (8 * b));
-            prefix[4 + b] = static_cast<std::uint8_t>(len >> (8 * b));
-        }
-        chain.append_inline(ByteView(prefix, sizeof prefix));
-        chain.append_shared(chunked.chunks[idx]);
-        state_stats_.bytes_sent += chunked.chunks[idx]->size();
-        ++state_stats_.chunks_sent;
-    }
-    Writer tail(pool.acquire_empty(64));
-    base.encode_tail(tail);
-    chain.append_owned(std::move(tail).take());
-    outbox.send_chain(config_.node_of(requester), std::move(chain));
 }
 
 void Replica::handle_state_response(enclave::CostedCrypto& crypto,

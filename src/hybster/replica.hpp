@@ -243,14 +243,6 @@ class Replica {
                               net::Outbox& outbox, StateRequest&& request);
     void handle_state_response(enclave::CostedCrypto& crypto,
                                net::Outbox& outbox, StateResponse&& response);
-    /// Ships one window of the chunk stream as a zero-copy FragmentChain
-    /// (inline index/length prefixes over shared chunk buffers);
-    /// materializes byte-identically to the flat StateResponse frame.
-    void send_state_window(net::Outbox& outbox, const StateResponse& base,
-                           const ChunkedSnapshot& chunked,
-                           const std::vector<std::uint32_t>& to_send,
-                           std::size_t start, std::size_t end,
-                           std::uint32_t requester);
     void request_state_transfer(enclave::CostedCrypto& crypto,
                                 net::Outbox& outbox);
     void begin_state_transfer(enclave::CostedCrypto& crypto,
@@ -311,8 +303,7 @@ class Replica {
     /// into Bundle frames when the config enables wire coalescing.
     [[nodiscard]] net::Outbox make_outbox() {
         return net::Outbox(fabric_, node_, config_.coalesce_wire,
-                           /*record_cost=*/0, config_.wire_zero_copy,
-                           &config_.transport);
+                           /*record_cost=*/0, &config_.transport);
     }
     /// Encode the concrete message (Prepare, Commit, ...) straight into
     /// pooled wire frames.

@@ -28,10 +28,9 @@ namespace troxy::hybster {
 
 /// A checkpoint snapshot in transferable form: the chunks, their leaf
 /// hashes in chunk order (the manifest), and the Merkle root that the
-/// checkpoint certificates bind. Chunks are immutable and shared:
-/// the stable checkpoint, the durable chunk store and in-flight
-/// zero-copy wire frames all reference the same buffers, so banking or
-/// resending a chunk never copies its payload.
+/// checkpoint certificates bind. Chunks are immutable and shared: the
+/// stable checkpoint and the durable chunk store reference the same
+/// buffers, so banking a chunk never copies its payload.
 struct ChunkedSnapshot {
     std::vector<std::shared_ptr<const Bytes>> chunks;
     std::vector<crypto::Sha256Digest> manifest;

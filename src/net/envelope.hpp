@@ -75,12 +75,15 @@ inline std::optional<std::pair<Channel, ByteView>> unwrap_view(
     return std::make_pair(channel, message.subspan(1));
 }
 
+/// Max messages per Bundle frame (the u16 count field).
+inline constexpr std::size_t kMaxBundleMessages = 65535;
+
 /// Coalesces several already-wrapped messages into one Bundle frame:
 /// Bundle ‖ u16 count ‖ (u32 len ‖ wrapped message)*. The receiving host
 /// unbundles and dispatches each inner message as if it had arrived alone,
 /// so one wire transmission carries a whole pipeline burst.
 inline Bytes make_bundle(const std::vector<Bytes>& wrapped) {
-    TROXY_ASSERT(wrapped.size() <= 65535,
+    TROXY_ASSERT(wrapped.size() <= kMaxBundleMessages,
                  "bundle message count exceeds u16 field");
     std::size_t total = 1 + 2;
     for (const Bytes& m : wrapped) total += 4 + m.size();

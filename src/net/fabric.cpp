@@ -13,13 +13,8 @@ void Fabric::attach(sim::NodeId id, Handler handler) {
     handlers_[id] = std::move(handler);
 }
 
-void Fabric::attach_chain(sim::NodeId id, ChainHandler handler) {
-    chain_handlers_[id] = std::move(handler);
-}
-
 void Fabric::detach(sim::NodeId id) {
     handlers_.erase(id);
-    chain_handlers_.erase(id);
 }
 
 void Fabric::send(sim::NodeId from, sim::NodeId to, Bytes message) {
@@ -40,34 +35,6 @@ void Fabric::dispatch(void* ctx, sim::NodeId from, sim::NodeId to,
         return;
     }
     it->second(from, std::move(payload));
-}
-
-void Fabric::send_chain(sim::NodeId from, sim::NodeId to,
-                        sim::FragmentChain chain) {
-    network_.send(from, to, std::move(chain),
-                  sim::Network::ChainTarget{this, &Fabric::dispatch_chain});
-}
-
-void Fabric::dispatch_chain(void* ctx, sim::NodeId from, sim::NodeId to,
-                            sim::FragmentChain chain) {
-    auto* fabric = static_cast<Fabric*>(ctx);
-    sim::Network& network = fabric->network_;
-    const auto chained = fabric->chain_handlers_.find(to);
-    if (chained != fabric->chain_handlers_.end()) {
-        chained->second(from, std::move(chain));
-        return;
-    }
-    const auto it = fabric->handlers_.find(to);
-    if (it == fabric->handlers_.end()) {
-        network.recycle_chain(std::move(chain));
-        return;
-    }
-    // Non-chain-aware receiver: flatten the frame into a pooled buffer —
-    // exactly the bytes a copying sender would have delivered.
-    network.count_materialization();
-    Bytes flat = chain.materialize(&network.pool());
-    network.recycle_chain(std::move(chain));
-    it->second(from, std::move(flat));
 }
 
 std::vector<OutboxItem> Fabric::acquire_queue() {

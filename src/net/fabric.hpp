@@ -12,63 +12,46 @@
 // any node takes it, so a warm flush allocates no queue storage.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "sim/event_fn.hpp"
-#include "sim/fragment.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace troxy::net {
 
-/// One item of an Outbox queue, in queue order: a wire frame for `to` —
-/// a contiguous buffer, or a fragment chain when `chained` — or, when
-/// `local` is set, a deferred callback instead of a frame. Frames and
-/// callbacks share one queue so the flush event captures a single
-/// vector and fits EventFn's inline storage.
+/// One item of an Outbox queue, in queue order: a wire frame for `to`
+/// or, when `local` is set, a deferred callback instead of a frame.
+/// Frames and callbacks share one queue so the flush event captures a
+/// single vector and fits EventFn's inline storage.
 struct OutboxItem {
     sim::NodeId to = 0;
-    bool chained = false;
     /// Already moved into a coalesced burst (Outbox::coalesce only).
     bool grouped = false;
+    /// Messages a coalesced Bundle frame carries; 0 for any other frame.
+    std::uint32_t bundled = 0;
     Bytes frame;
-    sim::FragmentChain chain;
     sim::EventFn local;
-
-    [[nodiscard]] std::size_t size() const noexcept {
-        return chained ? chain.size() : frame.size();
-    }
 };
 
 class Fabric {
   public:
     using Handler = std::function<void(sim::NodeId from, Bytes message)>;
-    using ChainHandler =
-        std::function<void(sim::NodeId from, sim::FragmentChain chain)>;
 
     Fabric(sim::Simulator& simulator, sim::Network& network);
 
     /// Registers the handler invoked when a message arrives at `id`.
     void attach(sim::NodeId id, Handler handler);
-    /// Optional scatter-gather receive path: frames sent as chains reach
-    /// `handler` without being flattened. Endpoints without one still get
-    /// chained traffic through their plain handler (the dispatcher
-    /// materializes the frame), so chain-aware senders interoperate with
-    /// every receiver.
-    void attach_chain(sim::NodeId id, ChainHandler handler);
     void detach(sim::NodeId id);
 
     /// Sends `message` from `from` to `to`. Delivery is asynchronous; if
     /// the destination has no handler at delivery time the message is
     /// dropped (crashed process).
     void send(sim::NodeId from, sim::NodeId to, Bytes message);
-
-    /// Scatter-gather send: ships the chain without materializing it.
-    void send_chain(sim::NodeId from, sim::NodeId to,
-                    sim::FragmentChain chain);
 
     [[nodiscard]] sim::Network& network() noexcept { return network_; }
     [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
@@ -89,13 +72,10 @@ class Fabric {
   private:
     static void dispatch(void* ctx, sim::NodeId from, sim::NodeId to,
                          Bytes payload);
-    static void dispatch_chain(void* ctx, sim::NodeId from, sim::NodeId to,
-                               sim::FragmentChain chain);
 
     sim::Simulator& sim_;
     sim::Network& network_;
     std::unordered_map<sim::NodeId, Handler> handlers_;
-    std::unordered_map<sim::NodeId, ChainHandler> chain_handlers_;
     std::vector<std::vector<OutboxItem>> spare_queues_;
 };
 

@@ -13,13 +13,11 @@
 // frame and pays exactly what the uncoalesced path pays, so batch-1
 // traffic is cost- and byte-identical whether coalescing is on or off.
 //
-// With zero_copy enabled, Bundle frames are built as FragmentChains —
-// inline framing headers plus the queued messages referenced in place —
-// and shipped through the scatter-gather network path: no per-burst
-// flatten copy, and the chain storage itself is recycled by the network.
 // A transport profile, when given, charges the per-record send cost
-// (syscall or doorbell plus staging copies) to the flushing meter; the
-// zero-copy path pays the per-byte cost only on inline header bytes.
+// (syscall or doorbell plus staging copies) to the flushing meter. Every
+// frame stages all of its bytes, except a coalesced Bundle under a
+// scatter-gather transport: that one stages only its 3-byte head and
+// 4-byte length prefixes, the messages going out by reference.
 //
 // Queue storage is recycled: the first enqueue takes a spare queue from
 // the Fabric, and the flush event hands it back once its frames are on
@@ -36,7 +34,6 @@
 #include "enclave/meter.hpp"
 #include "net/envelope.hpp"
 #include "net/fabric.hpp"
-#include "net/fragment.hpp"
 #include "sim/cost.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/node.hpp"
@@ -46,12 +43,11 @@ namespace troxy::net {
 class Outbox {
   public:
     Outbox(Fabric& fabric, sim::Node& node, bool coalesce = false,
-           sim::Duration record_cost = 0, bool zero_copy = false,
+           sim::Duration record_cost = 0,
            const sim::TransportProfile* transport = nullptr)
         : fabric_(fabric),
           node_(node),
           coalesce_(coalesce),
-          zero_copy_(zero_copy),
           record_cost_(record_cost),
           transport_(transport) {}
 
@@ -60,18 +56,6 @@ class Outbox {
         OutboxItem& q = enqueue();
         q.to = to;
         q.frame = std::move(message);
-    }
-
-    /// Queues an already-chained frame (e.g. a zero-copy state-transfer
-    /// response whose chunk payloads are referenced in place). Travels
-    /// through the same coalescing path as flat messages: a coalesced
-    /// Bundle splices the chain's fragments in, keeping the materialized
-    /// bytes identical to what send() of the flattened frame would ship.
-    void send_chain(sim::NodeId to, sim::FragmentChain chain) {
-        OutboxItem& q = enqueue();
-        q.to = to;
-        q.chain = std::move(chain);
-        q.chained = true;
     }
 
     /// Queues a callback to run at flush time (local effects that must
@@ -100,12 +84,7 @@ class Outbox {
         auto deliver = [fabric = &fabric_, from = node_.id(),
                         queue = std::move(queue)]() mutable {
             for (OutboxItem& q : queue) {
-                if (q.local) continue;
-                if (q.chained) {
-                    fabric->send_chain(from, q.to, std::move(q.chain));
-                } else {
-                    fabric->send(from, q.to, std::move(q.frame));
-                }
+                if (!q.local) fabric->send(from, q.to, std::move(q.frame));
             }
             for (OutboxItem& q : queue) {
                 if (q.local) q.local();
@@ -134,7 +113,7 @@ class Outbox {
     /// messages into one Bundle frame when coalescing. Without coalescing
     /// the queue itself is returned. Charges `meter` the per-record cost
     /// for each emitted frame and, when a transport profile is set, the
-    /// per-frame send cost.
+    /// per-frame send cost of the bytes it stages.
     std::vector<OutboxItem> collect_frames(enclave::CostMeter& meter) {
         std::vector<OutboxItem> frames = std::move(queue_);
         queue_.clear();
@@ -145,10 +124,11 @@ class Outbox {
         for (const OutboxItem& f : frames) {
             if (f.local) continue;
             meter.add(record_cost_);
-            if (transport_ != nullptr) {
-                meter.add(transport_->tx(f.chained ? f.chain.copied_bytes()
-                                                   : f.frame.size()));
-            }
+            if (transport_ == nullptr) continue;
+            const bool referenced =
+                transport_->scatter_gather && f.bundled > 0;
+            meter.add(transport_->tx(referenced ? 3 + 4 * f.bundled
+                                                : f.frame.size()));
         }
         return frames;
     }
@@ -165,12 +145,12 @@ class Outbox {
             OutboxItem& head = sends[i];
             if (head.local || head.grouped) continue;
             std::size_t count = 1;
-            std::size_t total = 1 + 2 + 4 + head.size();
+            std::size_t total = 1 + 2 + 4 + head.frame.size();
             for (std::size_t j = i + 1; j < sends.size(); ++j) {
                 const OutboxItem& q = sends[j];
                 if (!q.local && !q.grouped && q.to == head.to) {
                     ++count;
-                    total += 4 + q.size();
+                    total += 4 + q.frame.size();
                 }
             }
             if (count == 1) {
@@ -178,55 +158,24 @@ class Outbox {
                 frames.push_back(std::move(head));
                 continue;
             }
-            OutboxItem& f = frames.emplace_back();
-            f.to = head.to;
-            sim::Network& network = fabric_.network();
-            auto for_each_member = [&](auto&& append) {
-                for (std::size_t j = i; j < sends.size(); ++j) {
-                    OutboxItem& p = sends[j];
-                    if (p.local || p.grouped || p.to != f.to) continue;
-                    p.grouped = true;
-                    append(p);
-                }
-            };
-            if (zero_copy_) {
-                // Mixed Bundle chain: flat messages are referenced as
-                // Owned payloads, already-chained messages splice their
-                // fragments in under the same length prefix —
-                // materialized bytes match make_bundle() of the flattened
-                // burst exactly.
-                f.chain = network.acquire_chain();
-                f.chained = true;
-                append_bundle_head(f.chain, count);
-                for_each_member([&](OutboxItem& p) {
-                    append_bundle_prefix(f.chain, p.size());
-                    if (p.chained) {
-                        f.chain.splice(std::move(p.chain));
-                        network.recycle_chain(std::move(p.chain));
-                    } else {
-                        f.chain.append_owned(std::move(p.frame));
-                    }
-                });
-                continue;
-            }
-            // Flat Bundle: make_bundle()'s bytes, written once into a
-            // buffer of exactly the frame's size.
+            // make_bundle()'s bytes, written once into a buffer of
+            // exactly the frame's size.
             TROXY_ASSERT(count <= kMaxBundleMessages,
                          "bundle message count exceeds u16 field");
+            OutboxItem& f = frames.emplace_back();
+            f.to = head.to;
+            f.bundled = static_cast<std::uint32_t>(count);
             Writer w;
             w.reserve(total);
             w.u8(static_cast<std::uint8_t>(Channel::Bundle));
             w.u16(static_cast<std::uint16_t>(count));
-            for_each_member([&](OutboxItem& p) {
-                w.u32(static_cast<std::uint32_t>(p.size()));
-                if (p.chained) {
-                    p.chain.materialize_into(w.buffer());
-                    p.chain.recycle(network.pool());
-                    network.recycle_chain(std::move(p.chain));
-                } else {
-                    w.raw(p.frame);
-                }
-            });
+            for (std::size_t j = i; j < sends.size(); ++j) {
+                OutboxItem& p = sends[j];
+                if (p.local || p.grouped || p.to != f.to) continue;
+                p.grouped = true;
+                w.u32(static_cast<std::uint32_t>(p.frame.size()));
+                w.raw(p.frame);
+            }
             f.frame = std::move(w).take();
         }
         for (OutboxItem& q : sends) {
@@ -239,7 +188,6 @@ class Outbox {
     Fabric& fabric_;
     sim::Node& node_;
     bool coalesce_ = false;
-    bool zero_copy_ = false;
     sim::Duration record_cost_ = 0;
     const sim::TransportProfile* transport_ = nullptr;
     std::vector<OutboxItem> queue_;

@@ -101,8 +101,7 @@ TransportProfile TransportProfile::kernel_nic() noexcept {
 TransportProfile TransportProfile::bypass() noexcept {
     // Posting a descriptor and ringing the doorbell on a user-mapped
     // queue pair; bytes still staged into registered buffers pay the same
-    // copy cost, so the zero-copy win shows up through the copied-bytes
-    // argument, not the profile. 128 RX-descriptor credits per peer.
+    // copy cost as the kernel path. 128 RX-descriptor credits per peer.
     TransportProfile p;
     p.tx_base_ns = 150.0;
     p.tx_per_byte_ns = 0.25;

@@ -69,21 +69,23 @@ struct CostProfile {
 /// record, on top of the link model in sim::Network. The kernel path
 /// charges a syscall-sized base plus a user→kernel copy per byte; a
 /// kernel-bypass NIC (RECIPE-style RDMA/DPDK) replaces the syscall with
-/// a doorbell write and, with registered zero-copy buffers, drops the
-/// per-byte staging copy — but bounds the records in flight per peer by
-/// a credit window (receiver-managed RX descriptors), modeled in
-/// sim::Network. The default none() profile charges nothing, keeping
-/// every pre-existing configuration cost-identical to the seed.
+/// a doorbell write and, with scatter-gather over registered buffers,
+/// drops most of the per-byte staging copy — but bounds the records in
+/// flight per peer by a credit window (receiver-managed RX descriptors),
+/// modeled in sim::Network. The default none() profile charges nothing,
+/// keeping every pre-existing configuration cost-identical to the seed.
 struct TransportProfile {
     /// Per-record send entry: syscall (kernel) or doorbell (bypass).
     double tx_base_ns = 0.0;
-    /// Per-byte staging copy into transport buffers. A zero-copy encode
-    /// path pays this only on the bytes it physically writes (headers),
-    /// not on payloads referenced in place.
+    /// Per-byte staging copy into transport buffers.
     double tx_per_byte_ns = 0.0;
     /// Max in-flight records per directed peer before sends stall
     /// waiting for credits (0 = unlimited, the kernel socket model).
     std::uint32_t credit_window = 0;
+    /// Scatter-gather send: a coalesced Bundle record stages only its
+    /// framing (head and length prefixes) and references the messages
+    /// it carries in place; every other record stages all of its bytes.
+    bool scatter_gather = false;
 
     /// Send cost of one record of which `copied` bytes were staged.
     [[nodiscard]] Duration tx(std::size_t copied) const noexcept;
@@ -95,7 +97,8 @@ struct TransportProfile {
     static TransportProfile kernel_nic() noexcept;
 
     /// Kernel-bypass NIC: doorbell-sized entry, same per-byte cost for
-    /// whatever is still staged, 128-record credit window.
+    /// whatever is still staged, 128-record credit window. Stages whole
+    /// records; set scatter_gather for the zero-copy variant.
     static TransportProfile bypass() noexcept;
 };
 

@@ -167,29 +167,11 @@ Network::Packet* Network::alloc_packet() {
 
 void Network::free_packet(Packet* packet) noexcept {
     packet->target = PayloadTarget{};
-    packet->chain_target = ChainTarget{};
-    packet->chain.clear();
     packet->plain = nullptr;
     packet->frame_bytes = 0;
     packet->credited = false;
     packet->next_free = free_packets_;
     free_packets_ = packet;
-}
-
-FragmentChain Network::acquire_chain() {
-    if (!chain_store_.empty()) {
-        FragmentChain chain = std::move(chain_store_.back());
-        chain_store_.pop_back();
-        return chain;
-    }
-    return FragmentChain{};
-}
-
-void Network::recycle_chain(FragmentChain&& chain) noexcept {
-    chain.recycle(pool_);
-    if (chain_store_.size() < 64) {
-        chain_store_.push_back(std::move(chain));
-    }
 }
 
 void Network::send(NodeId from, NodeId to, std::size_t bytes,
@@ -229,39 +211,6 @@ void Network::send(NodeId from, NodeId to, Bytes payload,
     Packet* packet = alloc_packet();
     packet->payload = std::move(payload);
     packet->target = target;
-    packet->from = from;
-    packet->to = to;
-    send_packet(bytes, packet);
-}
-
-void Network::send(NodeId from, NodeId to, FragmentChain chain,
-                   ChainTarget target) {
-    const std::size_t bytes = chain.size();
-    ++messages_sent_;
-    bytes_sent_ += bytes;
-
-    if (fault_drops(from, to, bytes)) {
-        // Like the copying path, dropped frames retire their buffers into
-        // the pool; each owned payload counts one hit or miss.
-        for (Fragment& f : chain.fragments()) {
-            if (f.kind() != Fragment::Kind::Owned) continue;
-            if (pool_.release_counted(f.take_owned())) {
-                ++drops_.pool_hits;
-            } else {
-                ++drops_.pool_misses;
-            }
-        }
-        recycle_chain(std::move(chain));
-        return;
-    }
-
-    ++wire_stats_.frames_zero_copy;
-    wire_stats_.bytes_copied += chain.copied_bytes();
-    wire_stats_.bytes_referenced += chain.referenced_bytes();
-
-    Packet* packet = alloc_packet();
-    packet->chain = std::move(chain);
-    packet->chain_target = target;
     packet->from = from;
     packet->to = to;
     send_packet(bytes, packet);
@@ -363,15 +312,6 @@ void Network::deliver_packet(Packet* packet) {
     if (packet->credited) {
         packet->credited = false;
         release_credit(packet->from, packet->to);
-    }
-    if (packet->chain_target.fn != nullptr) {
-        const ChainTarget target = packet->chain_target;
-        const NodeId from = packet->from;
-        const NodeId to = packet->to;
-        FragmentChain chain = std::move(packet->chain);
-        free_packet(packet);
-        target.fn(target.ctx, from, to, std::move(chain));
-        return;
     }
     if (packet->target.fn != nullptr) {
         const PayloadTarget target = packet->target;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/fragment.hpp"
 #include "sim/node.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
@@ -80,14 +79,9 @@ struct DropCounters {
     }
 };
 
-/// Scatter-gather wire-path statistics.
+/// Transport wire-path statistics.
 struct WireStats {
-    std::uint64_t frames_zero_copy = 0;  // frames shipped as chains
-    std::uint64_t bytes_referenced = 0;  // payload bytes never copied
-    std::uint64_t bytes_copied = 0;      // inline header bytes written
-    std::uint64_t materializations = 0;  // chains flattened for a
-                                         // non-chain-aware receiver
-    std::uint64_t credit_stalls = 0;     // sends held for a credit
+    std::uint64_t credit_stalls = 0;  // sends held for a credit
 };
 
 class Network {
@@ -157,27 +151,6 @@ class Network {
     /// Payloads of dropped messages are recycled into the buffer pool.
     void send(NodeId from, NodeId to, Bytes payload, PayloadTarget target);
 
-    /// Chain delivery target (function pointer, same rationale as
-    /// PayloadTarget).
-    struct ChainTarget {
-        void* ctx = nullptr;
-        void (*fn)(void* ctx, NodeId from, NodeId to,
-                   FragmentChain chain) = nullptr;
-    };
-
-    /// Scatter-gather send: ships a fragment chain without materializing
-    /// it. Latency, bandwidth, FIFO and fault behaviour are computed from
-    /// chain.size() — exactly the bytes a copying sender would have put
-    /// on the wire — so chained and copied frames replay identically.
-    /// Chains of dropped messages recycle their buffers into the pool.
-    void send(NodeId from, NodeId to, FragmentChain chain,
-              ChainTarget target);
-
-    /// Recycled chain storage for senders (fragment vectors keep their
-    /// capacity across frames, so a warm encode path never allocates).
-    [[nodiscard]] FragmentChain acquire_chain();
-    void recycle_chain(FragmentChain&& chain) noexcept;
-
     /// Bounded in-flight credit window per directed pair (kernel-bypass
     /// transports post a fixed number of RX descriptors per peer). While
     /// a pair has `window` records in flight, further sends queue and
@@ -192,16 +165,6 @@ class Network {
 
     [[nodiscard]] const WireStats& wire_stats() const noexcept {
         return wire_stats_;
-    }
-    /// Called by a dispatcher that had to flatten a chain for a
-    /// non-chain-aware receiver.
-    void count_materialization() noexcept { ++wire_stats_.materializations; }
-    /// Books a payload handed onward by reference instead of copied —
-    /// e.g. the shard front fanning one cross-shard request out to N
-    /// upstream sessions from one refcounted buffer (Fragment::Shared
-    /// semantics outside the chain path).
-    void count_referenced(std::size_t bytes) noexcept {
-        wire_stats_.bytes_referenced += bytes;
     }
 
     /// The network's size-class payload pool. Senders acquire() wire
@@ -240,12 +203,10 @@ class Network {
     };
 
     /// In-flight message record, slab-allocated and freelist-recycled.
-    /// Exactly one of `target.fn` / `chain_target.fn` / `plain` is set.
+    /// Exactly one of `target.fn` / `plain` is set.
     struct Packet {
         Bytes payload;
-        FragmentChain chain;  // scatter-gather path (chain_target set)
         PayloadTarget target;
-        ChainTarget chain_target;
         std::function<void()> plain;  // legacy closure path
         NodeId from = 0;
         NodeId to = 0;
@@ -291,7 +252,6 @@ class Network {
     Packet* free_packets_ = nullptr;
     std::uint64_t packet_allocs_ = 0;
     std::uint64_t packet_reuses_ = 0;
-    std::vector<FragmentChain> chain_store_;  // recycled chain storage
     std::uint32_t credit_window_ = 0;
     std::map<std::pair<NodeId, NodeId>, std::uint32_t> credits_in_flight_;
     std::map<std::pair<NodeId, NodeId>, std::deque<Packet*>> credit_stalled_;

@@ -6,7 +6,6 @@
 #include "common/log.hpp"
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
-#include "net/fragment.hpp"
 #include "net/outbox.hpp"
 
 namespace troxy::troxy_core {
@@ -124,10 +123,6 @@ void TroxyReplicaHost::attach() {
     fabric_.attach(node_.id(), [this](sim::NodeId from, Bytes message) {
         on_message(from, std::move(message));
     });
-    fabric_.attach_chain(
-        node_.id(), [this](sim::NodeId from, sim::FragmentChain chain) {
-            on_chain(from, std::move(chain));
-        });
     if (options_.enclave_recovery_period > 0 && options_.authority) {
         arm_recovery_timer(options_.enclave_recovery_period +
                            options_.enclave_recovery_offset);
@@ -254,28 +249,6 @@ void TroxyReplicaHost::on_message(sim::NodeId from, Bytes message) {
     fabric_.network().recycle(std::move(message));
 }
 
-void TroxyReplicaHost::on_chain(sim::NodeId from, sim::FragmentChain chain) {
-    sim::Network& network = fabric_.network();
-    if (faults_.crashed) {
-        network.recycle_chain(std::move(chain));
-        return;
-    }
-    // Recovery-window traffic goes through the ordinary buffering logic,
-    // which needs an owning flat frame anyway.
-    if (!enclave_recovering_) {
-        auto messages = net::take_bundle_messages(std::move(chain));
-        if (messages) {
-            network.recycle_chain(std::move(chain));
-            dispatch_burst(from, std::span(*messages));
-            return;
-        }
-    }
-    network.count_materialization();
-    Bytes flat = chain.materialize(&network.pool());
-    network.recycle_chain(std::move(chain));
-    on_message(from, std::move(flat));
-}
-
 void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
     auto unwrapped = net::unwrap_view(message);
     if (!unwrapped) return;
@@ -354,22 +327,10 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
     }
 }
 
-namespace {
-
-/// The owned frame on_message() takes for one message of a burst: moved
-/// out of a burst that owns its messages, copied out of a borrowed one.
-Bytes owned_frame(Bytes& message) { return std::move(message); }
-Bytes owned_frame(ByteView message) {
-    return Bytes(message.begin(), message.end());
-}
-
-}  // namespace
-
-template <typename Message>
 void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
-                                      std::span<Message> messages) {
+                                      std::span<const ByteView> messages) {
     std::vector<hybster::Reply> replies;
-    for (Message& message : messages) {
+    for (const ByteView message : messages) {
         auto unwrapped_inner = net::unwrap_view(message);
         if (!unwrapped_inner) continue;
         if (unwrapped_inner->first == net::Channel::Hybster) {
@@ -384,7 +345,7 @@ void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
             replica_->on_message(from, std::move(*decoded));
             continue;
         }
-        on_message(from, owned_frame(message));
+        on_message(from, Bytes(message.begin(), message.end()));
     }
     ingest_replies(std::move(replies));
 }
@@ -461,8 +422,7 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
     }
 
     net::Outbox outbox(fabric_, node_, options_.coalesce_wire,
-                       /*record_cost=*/0, options_.wire_zero_copy,
-                       &options_.transport);
+                       /*record_cost=*/0, &config_.transport);
     for (auto& [to, bytes] : actions.sends) {
         outbox.send(to, std::move(bytes));
     }
@@ -549,8 +509,7 @@ void TroxyReplicaHost::arm_fastread_flush_timer() {
             fastread_timer_armed_ = false;
             enclave::CostMeter meter;
             net::Outbox outbox(fabric_, node_, options_.coalesce_wire,
-                       /*record_cost=*/0, options_.wire_zero_copy,
-                       &options_.transport);
+                               /*record_cost=*/0, &config_.transport);
             flush_fastread_buffer(outbox);
             outbox.flush(meter);
         });

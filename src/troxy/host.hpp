@@ -38,14 +38,6 @@ class TroxyReplicaHost {
         /// Coalesce this host's outgoing flush bursts into one Bundle
         /// frame per destination (one wire record per burst).
         bool coalesce_wire = false;
-        /// Ship coalesced bursts as scatter-gather fragment chains (wire
-        /// bytes identical, flatten copies and allocations eliminated).
-        /// Off by default so existing runs replay bit-identically.
-        bool wire_zero_copy = false;
-        /// Per-record transport send cost charged by this host's flushes
-        /// (kernel syscall+copy vs bypass doorbell). The default none()
-        /// charges nothing — the seed's implicit model.
-        sim::TransportProfile transport = sim::TransportProfile::none();
         /// Certify a whole executed batch's replies in one
         /// authenticate_replies ecall instead of one transition per reply.
         bool batch_reply_auth = false;
@@ -152,30 +144,22 @@ class TroxyReplicaHost {
         /// Wire-buffer pool behaviour of the host's network (shared
         /// across the fabric — cluster-wide counters, not per host).
         sim::BufferPool::Stats pool;
-        /// Scatter-gather wire-path counters (shared, cluster-wide).
+        /// Transport wire-path counters (shared, cluster-wide).
         sim::WireStats wire;
     };
     [[nodiscard]] Status status() const;
 
   private:
     void on_message(sim::NodeId from, Bytes message);
-    /// Scatter-gather receive: a coalesced burst arriving as a fragment
-    /// chain is split back into its messages without flattening; foreign
-    /// chain shapes (and recovery-window traffic) materialize and take
-    /// the ordinary path.
-    void on_chain(sim::NodeId from, sim::FragmentChain chain);
     /// Channel dispatch over a borrowed view of the wire frame; the owning
     /// caller recycles the buffer afterwards.
     void dispatch_message(sim::NodeId from, ByteView message);
-    /// Dispatches a burst: replies for the local voter are collected so
-    /// the whole burst enters the enclave through as few handle_replies
-    /// transitions as voter_batch_max allows, and every other Hybster
-    /// message is decoded in place. `Message` is ByteView for views into
-    /// an unbundled frame, or Bytes for messages taken out of a fragment
-    /// chain; any other message goes through on_message() as an owned
-    /// frame, moved when the burst owns it and copied otherwise.
-    template <typename Message>
-    void dispatch_burst(sim::NodeId from, std::span<Message> messages);
+    /// Dispatches the messages of an unbundled frame: replies for the
+    /// local voter are collected so the whole burst enters the enclave
+    /// through as few handle_replies transitions as voter_batch_max
+    /// allows, and every other Hybster message is decoded in place; any
+    /// other message goes through on_message() as an owned copy.
+    void dispatch_burst(sim::NodeId from, std::span<const ByteView> messages);
     void apply(enclave::CostMeter& meter, TroxyActions&& actions);
     void arm_vote_timer(std::uint64_t number);
     void arm_fast_read_timer(std::uint64_t query_id);

@@ -65,9 +65,8 @@ class LegacyClient {
     /// is allowed.
     void send(Bytes app_request, ReplyCallback callback);
 
-    /// Like send(), but the request payload is a refcounted reference
-    /// (Fragment::Shared semantics): the caller can hand the same buffer
-    /// to several sessions without one copy per recipient — the shard
+    /// Like send(), but the request payload is a refcounted reference:
+    /// the caller can hand the same buffer to several sessions without one copy per recipient — the shard
     /// front's cross-shard fan-out. The bytes are read at seal time
     /// (and again on retransmission); only a coalescing session copies
     /// them, into its send buffer.

@@ -6,7 +6,6 @@
 #include "common/serialize.hpp"
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
-#include "net/fragment.hpp"
 #include "net/outbox.hpp"
 
 namespace troxy::troxy_core {
@@ -107,10 +106,6 @@ void ShardFrontHost::attach() {
     fabric_.attach(node_.id(), [this](sim::NodeId from, Bytes message) {
         on_message(from, std::move(message));
     });
-    fabric_.attach_chain(
-        node_.id(), [this](sim::NodeId from, sim::FragmentChain chain) {
-            on_chain(from, std::move(chain));
-        });
 }
 
 void ShardFrontHost::start() {
@@ -143,22 +138,6 @@ void ShardFrontHost::restart() {
     ++restarts_;
     attach();
     start();  // fresh upstream sessions; clients re-handshake on contact
-}
-
-void ShardFrontHost::on_chain(sim::NodeId from, sim::FragmentChain chain) {
-    sim::Network& network = fabric_.network();
-    auto messages = net::take_bundle_messages(std::move(chain));
-    if (messages) {
-        network.recycle_chain(std::move(chain));
-        for (Bytes& m : *messages) {
-            on_message(from, std::move(m));
-        }
-        return;
-    }
-    network.count_materialization();
-    Bytes flat = chain.materialize(&network.pool());
-    network.recycle_chain(std::move(chain));
-    on_message(from, std::move(flat));
 }
 
 void ShardFrontHost::on_message(sim::NodeId from, Bytes message) {
@@ -369,7 +348,6 @@ void ShardFrontHost::send_cross_step(CrossCommit& commit) {
     // as a refcounted reference — one buffer serves every shard's
     // forward; the upstream session seals its ciphertext straight from
     // the shared bytes.
-    fabric_.network().count_referenced(commit.request->size());
     upstreams_[static_cast<std::size_t>(shard)]->send_ref(
         commit.request, [this, id, shard](Bytes reply) {
             advance_cross(id, shard, std::move(reply));

@@ -260,7 +260,6 @@ class ShardFrontHost {
     };
 
     void on_message(sim::NodeId from, Bytes message);
-    void on_chain(sim::NodeId from, sim::FragmentChain chain);
     void on_client_frame(sim::NodeId from, ByteView payload);
     void handle_request(sim::NodeId from, Connection& conn,
                         Bytes app_request);

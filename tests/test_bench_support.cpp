@@ -121,6 +121,39 @@ TEST(Clusters, UnshardedTroxyRejectsExtraFronts) {
                  std::invalid_argument);
 }
 
+TEST(Clusters, TroxyHostsChargeTheDeploymentTransport) {
+    // Replicas and Troxy hosts charge one transport profile. Under a
+    // per-byte-only profile, a 1 ns per-record base adds about 1 ns per
+    // record on a fresh client's path to its first reply (handshake
+    // included), nothing more: the Troxy hosts stage their bytes whether
+    // or not the base is zero.
+    const auto first_reply_at = [](double tx_base_ns) {
+        TroxyCluster::Params params;
+        params.base.seed = 9;
+        params.base.transport.tx_per_byte_ns = 50.0;
+        params.base.transport.tx_base_ns = tx_base_ns;
+        params.service = []() { return std::make_unique<EchoService>(); };
+        params.classifier = [](ByteView request) {
+            return EchoService().classify(request);
+        };
+        TroxyCluster cluster(std::move(params));
+        troxy_core::LegacyClient& client = cluster.add_client();
+        sim::Simulator& sim = cluster.simulator();
+        sim::SimTime replied = 0;
+        client.start([&]() {
+            client.send(EchoService::make_write(1, 64),
+                        [&](Bytes) { replied = sim.now(); });
+        });
+        sim.run_until(sim::seconds(2));
+        EXPECT_GT(replied, 0);
+        return replied;
+    };
+    const sim::SimTime without_base = first_reply_at(0.0);
+    const sim::SimTime with_base = first_reply_at(1.0);
+    EXPECT_GE(with_base, without_base);
+    EXPECT_LE(with_base, without_base + 10);
+}
+
 TEST(Clusters, ProphecyUsesThreeFPlusOne) {
     ProphecyCluster::Params params;
     params.base.seed = 8;

@@ -281,12 +281,10 @@ TEST(Chaos, BatchedVotingWithCoalescingStaysLinearizable) {
     EXPECT_LT(a.messages_sent, c.messages_sent);
 }
 
-// The scatter-gather wire path under fire: coalesced bursts travel as
-// fragment chains over a kernel-bypass transport (per-peer credit
-// window armed) through crashes and partitions. Safety and liveness
-// must hold, the wire bytes must match the flattened-Bundle flow
-// exactly, and the report's pool/wire counters must surface the
-// zero-copy traffic.
+// The scatter-gather transport under fire: coalesced bursts stage only
+// their framing over a kernel-bypass transport (per-peer credit window
+// armed) through crashes and partitions. Safety and liveness must hold,
+// and the payload buffers must keep recycling through the pool.
 TEST(Chaos, ZeroCopyWirePathStaysLinearizable) {
     for (const std::uint64_t seed : {7u, 11u, 13u}) {
         bench::ChaosOptions options;
@@ -295,8 +293,8 @@ TEST(Chaos, ZeroCopyWirePathStaysLinearizable) {
         options.batch_delay = sim::milliseconds(5);
         options.voter_batch_max = 8;
         options.coalesce_wire = true;
-        options.wire_zero_copy = true;
         options.transport = sim::TransportProfile::bypass();
+        options.transport.scatter_gather = true;
         options.think_time = sim::milliseconds(20);
         options.plan.crash(sim::milliseconds(1500), 2)
             .partition(sim::seconds(2), "split", {{1}, {2}})
@@ -306,27 +304,8 @@ TEST(Chaos, ZeroCopyWirePathStaysLinearizable) {
         const bench::ChaosReport report = bench::run_chaos(options);
         EXPECT_TRUE(report.ok())
             << "seed " << seed << ": " << report_summary(report);
-        EXPECT_GT(report.wire.frames_zero_copy, 0u);
-        EXPECT_GT(report.wire.bytes_referenced, report.wire.bytes_copied);
         EXPECT_GT(report.pool_hit_rate, 0.5);
     }
-    // Zero-copy changes how frames are carried, not what is on the wire:
-    // the same seed under the flattened-Bundle flow ships the identical
-    // message and byte totals.
-    bench::ChaosOptions options;
-    options.seed = 3;
-    options.voter_batch_max = 8;
-    options.coalesce_wire = true;
-    options.wire_zero_copy = true;
-    options.think_time = sim::milliseconds(20);
-    const bench::ChaosReport zc = bench::run_chaos(options);
-    bench::ChaosOptions copying = options;
-    copying.wire_zero_copy = false;
-    const bench::ChaosReport flat = bench::run_chaos(copying);
-    EXPECT_TRUE(zc.ok()) << report_summary(zc);
-    EXPECT_EQ(zc.messages_sent, flat.messages_sent);
-    EXPECT_EQ(zc.bytes_sent, flat.bytes_sent);
-    EXPECT_EQ(zc.completed, flat.completed);
 }
 
 // The batched fast-read pipeline under fire: a read-heavy workload keeps

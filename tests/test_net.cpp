@@ -7,7 +7,6 @@
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
 #include "net/fabric.hpp"
-#include "net/fragment.hpp"
 #include "net/mac_table.hpp"
 #include "net/outbox.hpp"
 #include "net/secure_channel.hpp"
@@ -632,7 +631,7 @@ TEST(Envelope, BundleZeroLengthMessageRoundTrip) {
 
 TEST(Envelope, BundleCountAtU16Limit) {
     // 65535 zero-length members: the count field is at its ceiling and
-    // both encoders must agree byte for byte.
+    // the frame still splits back into every member.
     std::vector<Bytes> frames(kMaxBundleMessages);
     const Bytes bundle = make_bundle(frames);
     const auto unwrapped = unwrap(bundle);
@@ -640,11 +639,6 @@ TEST(Envelope, BundleCountAtU16Limit) {
     const auto inner = unbundle(unwrapped->second);
     ASSERT_TRUE(inner.has_value());
     EXPECT_EQ(inner->size(), kMaxBundleMessages);
-
-    FragmentChain chain;
-    std::vector<Bytes> moved(kMaxBundleMessages);
-    encode_bundle(chain, std::move(moved));
-    EXPECT_EQ(chain.materialize(), bundle);
 }
 
 TEST(Envelope, BundleTruncatedLengthPrefixRejectedAsUnit) {
@@ -665,9 +659,8 @@ TEST(Envelope, BundleTruncatedLengthPrefixRejectedAsUnit) {
 }
 
 TEST(Envelope, BundleSplitEncodeRoundTripProperty) {
-    // Random message vectors: flatten and chain encodings are
-    // byte-identical, and both receive paths (unbundle on the flat
-    // frame, take_bundle_messages on the chain) reproduce the inputs.
+    // Random message vectors: unbundle on the make_bundle frame
+    // reproduces the inputs.
     Rng rng(0x77a7);
     for (int iter = 0; iter < 50; ++iter) {
         const std::size_t count = 1 + rng.next_below(20);
@@ -681,84 +674,12 @@ TEST(Envelope, BundleSplitEncodeRoundTripProperty) {
             frames.push_back(std::move(m));
         }
         const Bytes reference = make_bundle(frames);
-
-        std::vector<Bytes> moved = frames;
-        FragmentChain chain;
-        encode_bundle(chain, std::move(moved));
-        EXPECT_EQ(chain.size(), reference.size());
-        EXPECT_EQ(chain.materialize(), reference);
-
-        std::vector<Bytes> again = frames;
-        FragmentChain receive_chain;
-        encode_bundle(receive_chain, std::move(again));
-        auto taken = take_bundle_messages(std::move(receive_chain));
-        ASSERT_TRUE(taken.has_value());
-        EXPECT_EQ(*taken, frames);
-
         const auto unwrapped = unwrap(reference);
         ASSERT_TRUE(unwrapped.has_value());
         const auto inner = unbundle(unwrapped->second);
         ASSERT_TRUE(inner.has_value());
         EXPECT_EQ(owned(*inner), frames);
     }
-}
-
-TEST(FragmentChain, TakeBundleMessagesRejectsForeignShape) {
-    // A chain that is not an encode_bundle() product is left untouched
-    // so the caller can materialize it instead.
-    FragmentChain chain;
-    chain.append_inline(to_bytes("xy"));
-    chain.append_owned(to_bytes("payload"));
-    EXPECT_FALSE(take_bundle_messages(std::move(chain)).has_value());
-    EXPECT_EQ(chain.fragments().size(), 2u);
-    EXPECT_EQ(chain.size(), 2u + 7u);
-}
-
-TEST(Fabric, ChainShipsToChainHandlerWithoutMaterializing) {
-    sim::Simulator sim;
-    sim::Network network(sim);
-    Fabric fabric(sim, network);
-
-    const std::vector<Bytes> frames = {
-        wrap(Channel::Hybster, to_bytes("p1")),
-        wrap(Channel::Hybster, to_bytes("p2"))};
-    std::vector<Bytes> received;
-    fabric.attach_chain(2, [&](sim::NodeId, sim::FragmentChain chain) {
-        auto messages = take_bundle_messages(std::move(chain));
-        ASSERT_TRUE(messages.has_value());
-        received = std::move(*messages);
-    });
-
-    FragmentChain chain = network.acquire_chain();
-    std::vector<Bytes> moved = frames;
-    encode_bundle(chain, std::move(moved));
-    fabric.send_chain(1, 2, std::move(chain));
-    sim.run();
-
-    EXPECT_EQ(received, frames);
-    EXPECT_EQ(network.wire_stats().frames_zero_copy, 1u);
-    EXPECT_EQ(network.wire_stats().materializations, 0u);
-}
-
-TEST(Fabric, ChainMaterializesForPlainHandlerByteIdentically) {
-    sim::Simulator sim;
-    sim::Network network(sim);
-    Fabric fabric(sim, network);
-
-    const std::vector<Bytes> frames = {
-        wrap(Channel::Hybster, to_bytes("p1")),
-        wrap(Channel::Client, to_bytes("p2"))};
-    Bytes flat;
-    fabric.attach(2, [&](sim::NodeId, Bytes m) { flat = std::move(m); });
-
-    FragmentChain chain = network.acquire_chain();
-    std::vector<Bytes> moved = frames;
-    encode_bundle(chain, std::move(moved));
-    fabric.send_chain(1, 2, std::move(chain));
-    sim.run();
-
-    EXPECT_EQ(flat, make_bundle(frames));
-    EXPECT_EQ(network.wire_stats().materializations, 1u);
 }
 
 TEST(Network, CreditWindowStallsAndPreservesOrder) {
@@ -785,43 +706,13 @@ TEST(Network, CreditWindowStallsAndPreservesOrder) {
     EXPECT_EQ(network.wire_stats().credit_stalls, 2u);
 }
 
-TEST(Outbox, ZeroCopyFlushMatchesCopyingWire) {
-    // The same burst flushed through the copying and the zero-copy
-    // coalescing paths must produce byte-identical frames at a plain
-    // receiver, at the same simulated time.
-    const auto run_case = [](bool zero_copy) {
-        sim::Simulator sim;
-        sim::Network network(sim);
-        Fabric fabric(sim, network);
-        sim::Node node(sim, 1, "n", 1);
-        std::vector<Bytes> frames;
-        sim::SimTime delivered_at = 0;
-        fabric.attach(2, [&](sim::NodeId, Bytes m) {
-            delivered_at = sim.now();
-            frames.push_back(std::move(m));
-        });
-        Outbox outbox(fabric, node, /*coalesce=*/true, /*record_cost=*/0,
-                      zero_copy);
-        outbox.send(2, wrap(Channel::Hybster, to_bytes("a")));
-        outbox.send(2, wrap(Channel::Hybster, to_bytes("bb")));
-        outbox.send(2, wrap(Channel::Hybster, to_bytes("ccc")));
-        enclave::CostMeter meter;
-        outbox.flush(meter);
-        sim.run();
-        return std::make_pair(delivered_at, frames);
-    };
-    const auto [zc_at, zc_frames] = run_case(true);
-    const auto [copy_at, copy_frames] = run_case(false);
-    EXPECT_EQ(zc_at, copy_at);
-    EXPECT_EQ(zc_frames, copy_frames);
-}
-
 TEST(Outbox, TransportChargesOnlyStagedBytesOnZeroCopyPath) {
-    // Transport profile: per-record entry plus per-byte staging. The
-    // copying path stages the whole frame; the zero-copy path stages the
-    // inline framing headers only, so its flush completes earlier by the
-    // referenced-bytes share of the per-byte cost.
-    const auto run_case = [](bool zero_copy) {
+    // Transport profile: per-record entry plus per-byte staging. Without
+    // scatter-gather the coalesced burst stages the whole frame; with it
+    // the burst stages its framing only, so its flush completes earlier
+    // by the referenced-bytes share of the per-byte cost. A lone frame
+    // is staged whole either way.
+    const auto run_case = [](bool scatter_gather, int messages) {
         sim::Simulator sim;
         sim::Network network(sim);
         sim::LinkSpec instant;
@@ -837,24 +728,31 @@ TEST(Outbox, TransportChargesOnlyStagedBytesOnZeroCopyPath) {
         sim::TransportProfile transport;
         transport.tx_base_ns = 1000.0;
         transport.tx_per_byte_ns = 1.0;
+        transport.scatter_gather = scatter_gather;
         Outbox outbox(fabric, node, /*coalesce=*/true, /*record_cost=*/0,
-                      zero_copy, &transport);
-        outbox.send(2, wrap(Channel::Hybster, Bytes(100, 0xaa)));
-        outbox.send(2, wrap(Channel::Hybster, Bytes(100, 0xbb)));
+                      &transport);
+        for (int i = 0; i < messages; ++i) {
+            outbox.send(2, wrap(Channel::Hybster,
+                                Bytes(100, static_cast<std::uint8_t>(i))));
+        }
         enclave::CostMeter meter;
         outbox.flush(meter);
         sim.run();
         return delivered_at;
     };
-    const sim::SimTime copying = run_case(false);
-    const sim::SimTime zero_copy = run_case(true);
-    // Frame: 3-byte Bundle head + 2 x (4-byte prefix + 101-byte message).
-    // Copying stages all 213 bytes; zero-copy stages the 11 header bytes.
     // (±2 time units of wire serialization on top of the metered cost)
-    EXPECT_GE(copying, sim::SimTime(1000 + 213));
-    EXPECT_LE(copying, sim::SimTime(1000 + 213) + 2);
-    EXPECT_GE(zero_copy, sim::SimTime(1000 + 11));
-    EXPECT_LE(zero_copy, sim::SimTime(1000 + 11) + 2);
+    const auto expect_near = [](sim::SimTime at, sim::SimTime metered) {
+        EXPECT_GE(at, metered);
+        EXPECT_LE(at, metered + 2);
+    };
+    // Frame: 3-byte Bundle head + 2 x (4-byte prefix + 101-byte message).
+    // Copying stages all 213 bytes; scatter-gather stages the 11 header
+    // bytes.
+    expect_near(run_case(false, 2), 1000 + 213);
+    expect_near(run_case(true, 2), 1000 + 11);
+    // A singleton keeps its 101-byte frame and stages all of it.
+    expect_near(run_case(false, 1), 1000 + 101);
+    expect_near(run_case(true, 1), 1000 + 101);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Sharded-Troxy tests: the ShardMap partition function, the FrontMap
-// consistent-hash ring, shard-knob validation, the zero-copy
-// StateResponse framing split, the per-key lock table and the pipelined
-// cross-shard commit engine, the multi-front failover path, chaos under
-// shard-leader and front crashes, and the S=1 deployment's golden replay.
+// consistent-hash ring, shard-knob validation, the per-key lock table
+// and the pipelined cross-shard commit engine, the multi-front failover
+// path, chaos under shard-leader and front crashes, and the S=1
+// deployment's golden replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -339,46 +339,6 @@ TEST(ShardCluster, RejectsMapShardCountMismatch) {
     params.map = ShardMap(std::vector<std::string>{"m"});  // 2 shards
     EXPECT_THROW(bench::TroxyCluster cluster(std::move(params)),
                  std::invalid_argument);
-}
-
-// ------------------------------------- StateResponse zero-copy framing
-
-// encode() must stay byte-identical to the head/per-chunk/tail split the
-// zero-copy state-transfer sender assembles from fragments.
-TEST(ShardWire, StateResponseHeadTailSplitMatchesEncode) {
-    hybster::StateResponse msg;
-    msg.replica = 2;
-    msg.view = 7;
-    msg.view_start = 96;
-    msg.last_stable = 128;
-    for (std::size_t i = 0; i < msg.root.size(); ++i) {
-        msg.root[i] = static_cast<std::uint8_t>(i);
-    }
-    msg.manifest.resize(3);
-    for (std::size_t c = 0; c < msg.manifest.size(); ++c) {
-        for (std::size_t i = 0; i < msg.manifest[c].size(); ++i) {
-            msg.manifest[c][i] = static_cast<std::uint8_t>(17 * c + i);
-        }
-    }
-    msg.chunk_index = {0, 2};
-    msg.chunks.push_back(Bytes{1, 2, 3, 4});
-    msg.chunks.push_back(Bytes(300, 0xAB));
-    msg.proof.resize(2);
-    msg.proof[0].replica = 0;
-    msg.proof[1].replica = 1;
-
-    Writer flat;
-    msg.encode(flat);
-
-    Writer split;
-    msg.encode_head(split, msg.chunks.size());
-    for (std::size_t i = 0; i < msg.chunks.size(); ++i) {
-        split.u32(msg.chunk_index[i]);
-        split.bytes(msg.chunks[i]);
-    }
-    msg.encode_tail(split);
-
-    EXPECT_EQ(flat.data(), split.data());
 }
 
 // --------------------------------------------- cross-shard commit, e2e
