@@ -52,7 +52,6 @@ int main() {
             MicroParams swept = params;
             swept.voter_batch_max = voter;
             swept.coalesce_wire = voter > 1;
-            swept.coalesce_client_sends = voter > 1;
             MicroResult result = run_micro(SystemKind::ETroxy, swept);
             result.row.label =
                 "etroxy, voter batch " + std::to_string(voter);
@@ -85,7 +84,6 @@ int main() {
             swept.voter_batch_max = read_batch;
             swept.batch_reply_auth = read_batch > 1;
             swept.coalesce_wire = read_batch > 1;
-            swept.coalesce_client_sends = read_batch > 1;
             MicroResult result = run_micro(SystemKind::ETroxy, swept);
             result.row.label =
                 "etroxy, read batch " + std::to_string(read_batch);

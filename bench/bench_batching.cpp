@@ -279,7 +279,6 @@ int main(int argc, char** argv) {
             params.batch_delay = delay_for(batch);
             params.voter_batch_max = batch;
             params.coalesce_wire = batch > 1;
-            params.coalesce_client_sends = batch > 1;
             emit(system_name(system) + "+vote", batch,
                  run_micro(system, params).row, rows, base_throughput);
         }

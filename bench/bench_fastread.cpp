@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
                 params.voter_batch_max = read_batch;
                 params.batch_reply_auth = read_batch > 1;
                 params.coalesce_wire = read_batch > 1;
-                params.coalesce_client_sends = read_batch > 1;
 
                 MicroResult result = run_micro(system, params);
                 result.row.label = system_name(system) + " r=" +

@@ -46,7 +46,6 @@ int main() {
             batched.voter_batch_max = 16;
             batched.batch_reply_auth = true;
             batched.coalesce_wire = true;
-            batched.coalesce_client_sends = true;
             MicroResult result = run_micro(SystemKind::ETroxy, batched);
             result.row.label = "etroxy r=16";
             results.push_back(std::move(result));

@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
                 // record per message, nothing coalesced.
                 params.voter_batch_max = voter;
                 params.coalesce_wire = voter > 1;
-                params.coalesce_client_sends = voter > 1;
 
                 MicroResult result = run_micro(system, params);
                 result.row.label = system_name(system) + " v=" +

@@ -46,22 +46,12 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     ChaosReport report;
 
     TroxyCluster::Params params;
+    static_cast<hybster::PipelineOptions&>(params.base) = options;
+    static_cast<troxy_core::HostPipelineOptions&>(params.host) = options;
+    params.host.coalesce_wire = options.coalesce_wire;
     params.base.seed = options.seed;
     params.base.scheduler = options.scheduler;
     params.base.checkpoint_interval = options.checkpoint_interval;
-    params.base.batch_size_max = options.batch_size_max;
-    params.base.batch_delay = options.batch_delay;
-    params.base.coalesce_wire = options.coalesce_wire;
-    params.base.transport = options.transport;
-    params.host.voter_batch_max = options.voter_batch_max;
-    params.host.coalesce_wire = options.coalesce_wire;
-    params.host.fastread_batch_max = options.fastread_batch_max;
-    params.host.batch_reply_auth = options.batch_reply_auth;
-    params.base.execution_lanes = options.execution_lanes;
-    params.base.state_chunk_size = options.state_chunk_size;
-    params.base.state_chunks_per_message = options.state_chunks_per_message;
-    params.base.state_transfer_retry = options.state_transfer_retry;
-    params.host.enclave_recovery_period = options.enclave_recovery_period;
     params.service = []() { return std::make_unique<EchoService>(); };
     params.classifier = [](ByteView request) {
         return EchoService().classify(request);

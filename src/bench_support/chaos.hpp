@@ -28,16 +28,20 @@
 #include <vector>
 
 #include "hybster/config.hpp"
-#include "sim/cost.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "troxy/host.hpp"
 
 namespace troxy::bench {
 
-struct ChaosOptions {
+/// One chaos scenario. The replica and host pipeline knobs come from the
+/// two bases; their defaults keep chaos runs on the unbatched, uncoalesced,
+/// serial, free-transport flow, and batching scenarios opt in.
+struct ChaosOptions : hybster::PipelineOptions,
+                      troxy_core::HostPipelineOptions {
     std::uint64_t seed = 1;
     /// Scheduler engine under test (ClusterOptions::scheduler). The A/B
     /// determinism test runs the same seed under both engines and demands
@@ -59,40 +63,6 @@ struct ChaosOptions {
     // Cluster. A small checkpoint interval makes state transfer exercised
     // by short runs.
     hybster::SequenceNumber checkpoint_interval = 8;
-    /// Ordering batch knobs (see hybster::Config). Defaults keep chaos
-    /// runs on the unbatched flow; batching scenarios opt in.
-    std::size_t batch_size_max = 1;
-    sim::Duration batch_delay = 0;
-    /// Voter batching and wire coalescing (TroxyReplicaHost::Options /
-    /// ClusterOptions::coalesce_wire); defaults reproduce the per-reply
-    /// ecall, per-message record flow.
-    std::size_t voter_batch_max = 1;
-    bool coalesce_wire = false;
-    /// Transport send-cost profile (ClusterOptions::transport); none()
-    /// keeps the seed's free-transport model. A bypass profile also arms
-    /// the network's per-peer credit window under the fault schedule, and
-    /// its scatter_gather flag stages only the framing of coalesced
-    /// bursts (meaningful with coalesce_wire).
-    sim::TransportProfile transport = sim::TransportProfile::none();
-    /// Fast-read query batching and batched reply certification
-    /// (TroxyReplicaHost::Options); defaults keep the per-query,
-    /// per-reply ecall flow.
-    std::size_t fastread_batch_max = 1;
-    bool batch_reply_auth = false;
-    /// Modeled execution lanes per replica (hybster::Config); the default
-    /// keeps chaos runs on the serial execution flow.
-    std::size_t execution_lanes = 1;
-    /// Merkle-incremental state-transfer knobs: chunk granularity and the
-    /// retry that resumes half-finished transfers. Independently
-    /// schedulable from checkpoint_interval so recovery scenarios can
-    /// tune checkpoint cadence and transfer granularity separately.
-    std::size_t state_chunk_size = 4096;
-    std::size_t state_chunks_per_message = 64;
-    sim::Duration state_transfer_retry = sim::milliseconds(250);
-    /// Proactive enclave recovery period (TroxyReplicaHost::Options);
-    /// 0 disables the schedule. The cluster staggers the fleet so one
-    /// enclave recovers at a time.
-    sim::Duration enclave_recovery_period = 0;
 
     // Rolling-restart mode: instead of a random plan, crash and restart
     // every host in sequence inside [fault_start, heal_by] — a rolling

@@ -242,17 +242,9 @@ void TroxyCluster::build_group(int shard, const Params& params) {
     const std::uint64_t group_seed =
         options_.seed + static_cast<std::uint64_t>(shard) * 1000003;
     Group group;
+    static_cast<hybster::PipelineOptions&>(group.config) = options_;
     group.config.f = options_.f;
     group.config.checkpoint_interval = options_.checkpoint_interval;
-    group.config.batch_size_max = options_.batch_size_max;
-    group.config.batch_delay = options_.batch_delay;
-    group.config.coalesce_wire = options_.coalesce_wire;
-    group.config.transport = options_.transport;
-    group.config.execution_lanes = options_.execution_lanes;
-    group.config.state_chunk_size = options_.state_chunk_size;
-    group.config.state_chunks_per_message =
-        options_.state_chunks_per_message;
-    group.config.state_transfer_retry = options_.state_transfer_retry;
     group.config.shard_id = shard;
     group.config.shard_count = options_.shard_count;
     const std::size_t node_base = nodes_.size();
@@ -273,15 +265,6 @@ void TroxyCluster::build_group(int shard, const Params& params) {
 
     for (int i = 0; i < n; ++i) {
         group.identities.push_back(identity_for(group_seed, i));
-        if (host_options.enclave_recovery_period > 0) {
-            // Stagger the group: recover one enclave at a time instead of
-            // tearing all of them down in lockstep.
-            host_options.enclave_recovery_offset =
-                params.host.enclave_recovery_offset +
-                host_options.enclave_recovery_period *
-                    static_cast<std::uint64_t>(i) /
-                    static_cast<std::uint64_t>(n);
-        }
         group.hosts.push_back(
             std::make_unique<troxy_core::TroxyReplicaHost>(
                 fabric_, *nodes_[node_base + static_cast<std::size_t>(i)],
@@ -363,14 +346,17 @@ BaselineCluster::BaselineCluster(Params params)
     : ClusterBase(params.base),
       optimistic_reads_(params.optimistic_reads),
       client_retransmit_(params.client_retransmit) {
+    // BaselineReplicaHost drops Bundle frames, so a coalescing BL group
+    // would stall; BL host and client outboxes charge no transport.
+    if (options_.coalesce_wire ||
+        options_.transport != sim::TransportProfile::none()) {
+        throw std::invalid_argument(
+            "BaselineCluster: BL supports neither coalesce_wire nor a "
+            "transport profile");
+    }
+    static_cast<hybster::PipelineOptions&>(config_) = options_;
     config_.f = options_.f;
     config_.checkpoint_interval = options_.checkpoint_interval;
-    config_.batch_size_max = options_.batch_size_max;
-    config_.batch_delay = options_.batch_delay;
-    config_.execution_lanes = options_.execution_lanes;
-    config_.state_chunk_size = options_.state_chunk_size;
-    config_.state_chunks_per_message = options_.state_chunks_per_message;
-    config_.state_transfer_retry = options_.state_transfer_retry;
     const int n = 2 * options_.f + 1;
     for (int i = 0; i < n; ++i) {
         config_.replicas.push_back(

@@ -29,7 +29,9 @@
 
 namespace troxy::bench {
 
-struct ClusterOptions {
+/// Deployment knobs. The replica pipeline knobs are inherited from
+/// hybster::PipelineOptions and reach every group's Config unchanged.
+struct ClusterOptions : hybster::PipelineOptions {
     int f = 1;
     int replica_cores = 8;  // i7-6700: 4 cores + hyper-threading
     int client_cores = 8;
@@ -38,29 +40,8 @@ struct ClusterOptions {
     double client_machine_bandwidth = 4e9;   // four 1 Gbps NICs each
     double replica_machine_bandwidth = 4e9;  // four 1 Gbps NICs
     std::uint64_t seed = 1;
+    /// The paper testbed's cadence; a bare hybster::Config uses 128.
     hybster::SequenceNumber checkpoint_interval = 512;
-    /// Leader batching knobs, forwarded into hybster::Config: requests
-    /// per Prepare (1 = unbatched) and max hold time before an
-    /// incomplete batch is cut.
-    std::size_t batch_size_max = 1;
-    sim::Duration batch_delay = 0;
-    /// Coalesce replica flush bursts into one Bundle frame per
-    /// destination (hybster::Config::coalesce_wire).
-    bool coalesce_wire = false;
-    /// Transport profile every sender charges per emitted record
-    /// (kernel_nic syscall+copy, bypass doorbell+credits); its
-    /// credit_window also arms the network's in-flight bound. The default
-    /// none() keeps the seed's free-transport model.
-    sim::TransportProfile transport = sim::TransportProfile::none();
-    /// Modeled execution lanes per replica
-    /// (hybster::Config::execution_lanes); 1 = serial execution.
-    std::size_t execution_lanes = 1;
-    /// Merkle-incremental state-transfer knobs, forwarded into
-    /// hybster::Config: chunk granularity, stream window, and the retry
-    /// that resumes a half-finished transfer.
-    std::size_t state_chunk_size = 4096;
-    std::size_t state_chunks_per_message = 64;
-    sim::Duration state_transfer_retry = sim::milliseconds(250);
     /// Standard deviation added to intra-cluster link latency. The
     /// deterministic simulator lacks the execution-time variance of a
     /// real testbed (JVM GC pauses, interrupt coalescing, switch
@@ -260,6 +241,9 @@ class BaselineCluster : public ClusterBase {
         sim::Duration client_retransmit = sim::milliseconds(2000);
     };
 
+    /// Throws std::invalid_argument when base sets coalesce_wire or a
+    /// transport other than none(): BL hosts cannot unbundle a coalesced
+    /// frame, and BL hosts and clients charge no transport.
     explicit BaselineCluster(Params params);
 
     [[nodiscard]] const hybster::Config& config() const noexcept {

@@ -57,13 +57,10 @@ Generator make_generator(const MicroParams& params) {
 
 ClusterOptions base_options(const MicroParams& params) {
     ClusterOptions options;
+    static_cast<hybster::PipelineOptions&>(options) = params;
     options.seed = params.seed;
     options.wan_clients = params.wan;
     options.lan_jitter = params.lan_jitter;
-    options.batch_size_max = params.batch_size_max;
-    options.batch_delay = params.batch_delay;
-    options.coalesce_wire = params.coalesce_wire;
-    options.execution_lanes = params.execution_lanes;
     return options;
 }
 
@@ -121,11 +118,10 @@ MicroResult run_troxy(SystemKind kind, const MicroParams& params) {
     cluster_params.host.troxy.monitor.miss_threshold =
         params.monitor_threshold;
     cluster_params.host.troxy.enclave_costs = params.enclave_costs;
-    cluster_params.host.voter_batch_max = params.voter_batch_max;
+    static_cast<troxy_core::HostPipelineOptions&>(cluster_params.host) =
+        params;
     cluster_params.host.coalesce_wire = params.coalesce_wire;
-    cluster_params.host.batch_reply_auth = params.batch_reply_auth;
-    cluster_params.host.fastread_batch_max = params.fastread_batch_max;
-    cluster_params.client.coalesce_sends = params.coalesce_client_sends;
+    cluster_params.client.coalesce_sends = params.coalesce_wire;
     // Remote cache queries cross the replica LAN, but under heavy load
     // their processing queues behind the enclave's thread budget; the
     // timeout is a liveness backstop, not a performance path, so it is

@@ -23,7 +23,11 @@ enum class SystemKind {
 
 [[nodiscard]] std::string system_name(SystemKind kind);
 
-struct MicroParams {
+/// One microbenchmark cell. The replica and host pipeline knobs come from
+/// the two bases and reach the cluster unchanged; coalesce_wire also
+/// coalesces the clients' same-instant send bursts.
+struct MicroParams : hybster::PipelineOptions,
+                     troxy_core::HostPipelineOptions {
     // --- workload ---
     bool read_workload = false;  // reads (10 B req / reply_size) instead of
                                  // writes (request_size / 10 B ack)
@@ -49,28 +53,6 @@ struct MicroParams {
     bool adaptive_monitor = true;            // total-order fallback switch
     double monitor_threshold = 0.5;          // miss rate that disables fast reads
     sim::EnclaveCosts enclave_costs = sim::EnclaveCosts::sgx_v1();
-    /// Ordering batch knobs (see hybster::Config): requests per Prepare
-    /// and max hold time before an incomplete batch is cut.
-    std::size_t batch_size_max = 1;
-    sim::Duration batch_delay = 0;
-    /// Voter batch knob (TroxyReplicaHost::Options): replies per
-    /// handle_replies ecall (1 = one ecall per reply, the paper's flow).
-    std::size_t voter_batch_max = 1;
-    /// Coalesce replica flush bursts into one Bundle frame / one AEAD
-    /// record per destination.
-    bool coalesce_wire = false;
-    /// Clients seal same-instant send bursts into one channel record.
-    bool coalesce_client_sends = false;
-    /// Certify a whole executed batch's replies in one
-    /// authenticate_replies ecall (1 transition per executed batch).
-    bool batch_reply_auth = false;
-    /// Fast-read batch knob (TroxyReplicaHost::Options): buffered cache
-    /// queries per CacheQueryBatch burst (1 = one wire message and one
-    /// remote ecall per query, the seed flow).
-    std::size_t fastread_batch_max = 1;
-    /// Modeled execution lanes per replica (hybster::Config);
-    /// 1 = serial execution, the seed flow.
-    std::size_t execution_lanes = 1;
 };
 
 struct MicroResult {

@@ -14,20 +14,11 @@ namespace troxy::hybster {
 using ViewNumber = std::uint64_t;
 using SequenceNumber = std::uint64_t;
 
-struct Config {
-    /// Tolerated Byzantine faults; the hybrid fault model needs 2f+1
-    /// replicas (§III-B).
-    int f = 1;
-
-    /// Node ids of the replicas, index == replica id.
-    std::vector<sim::NodeId> replicas;
-
-    /// Ordered requests per checkpoint. Counted in *requests* (batch
-    /// members), not sequence numbers, so batching does not stretch the
-    /// distance between checkpoints; with batch_size_max = 1 the two
-    /// notions coincide.
-    SequenceNumber checkpoint_interval = 128;
-
+/// The replica pipeline knobs: ordering batch, wire coalescing, transport,
+/// execution lanes and state transfer. Declared once here; Config and every
+/// harness options struct that configures a replica group inherit them, so
+/// a builder forwards the set with one slice assignment.
+struct PipelineOptions {
     /// Maximum requests the leader orders under one Prepare/Commit round
     /// (one trusted-counter certification per batch). 1 = unbatched: the
     /// pre-batching message flow, request for request.
@@ -46,8 +37,9 @@ struct Config {
     bool coalesce_wire = false;
 
     /// Per-record transport send cost (syscall vs kernel-bypass doorbell)
-    /// charged by each Outbox flush. The default none() charges nothing —
-    /// the seed's implicit model.
+    /// charged by each Outbox flush; a deployment builder also arms the
+    /// network's in-flight bound from its credit_window. The default
+    /// none() charges nothing — the seed's implicit model.
     sim::TransportProfile transport = sim::TransportProfile::none();
 
     /// Modeled execution lanes per replica (state-machine parallelism).
@@ -57,10 +49,6 @@ struct Config {
     /// greedy schedule instead of the serial sum. 1 = today's serial
     /// execution, cost- and wire-identical.
     std::size_t execution_lanes = 1;
-
-    /// How long a non-leader waits for an ordered request it knows about
-    /// before suspecting the leader.
-    sim::Duration view_change_timeout = sim::milliseconds(500);
 
     /// Retry interval for checkpoint state transfer while a restarted or
     /// lagging replica waits for f+1 matching snapshots. A retry re-sends
@@ -76,6 +64,27 @@ struct Config {
     /// Maximum chunks shipped per StateResponse message; a transfer
     /// larger than this becomes a stream of responses.
     std::size_t state_chunks_per_message = 64;
+
+    bool operator==(const PipelineOptions&) const = default;
+};
+
+struct Config : PipelineOptions {
+    /// Tolerated Byzantine faults; the hybrid fault model needs 2f+1
+    /// replicas (§III-B).
+    int f = 1;
+
+    /// Node ids of the replicas, index == replica id.
+    std::vector<sim::NodeId> replicas;
+
+    /// Ordered requests per checkpoint. Counted in *requests* (batch
+    /// members), not sequence numbers, so batching does not stretch the
+    /// distance between checkpoints; with batch_size_max = 1 the two
+    /// notions coincide.
+    SequenceNumber checkpoint_interval = 128;
+
+    /// How long a non-leader waits for an ordered request it knows about
+    /// before suspecting the leader.
+    sim::Duration view_change_timeout = sim::milliseconds(500);
 
     /// Shard identity in a partitioned deployment: this group serves the
     /// shard_id-th key range of shard_count. The defaults are the

@@ -100,6 +100,8 @@ struct TransportProfile {
     /// whatever is still staged, 128-record credit window. Stages whole
     /// records; set scatter_gather for the zero-copy variant.
     static TransportProfile bypass() noexcept;
+
+    bool operator==(const TransportProfile&) const = default;
 };
 
 /// Enclave-specific fixed costs, charged by the EnclaveHost gate on top of

@@ -60,10 +60,6 @@ struct TroxyOptions {
     /// false = the paper's "ctroxy" variant: same native code path but
     /// running outside SGX (JNI call costs only, no SGX transitions/EPC).
     bool inside_enclave = true;
-    /// Concurrent threads allowed inside the enclave (the TCS budget the
-    /// enclave interface fixes at build time, §V-A). Ecall work beyond
-    /// this concurrency serializes. Ignored for ctroxy.
-    int tcs_count = 1;
 };
 
 /// What the untrusted host must do after an ecall returns: transmit the

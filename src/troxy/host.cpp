@@ -10,6 +10,19 @@
 
 namespace troxy::troxy_core {
 
+namespace {
+
+/// How long the host holds an incomplete reply batch before flushing it
+/// into the enclave (bounds added vote latency).
+constexpr sim::Duration kVoterBatchDelay = sim::microseconds(100);
+
+/// Teardown-to-attested window of a proactive enclave recovery: client
+/// frames arriving while the enclave is down are buffered and replayed
+/// once the recovered instance passed attestation.
+constexpr sim::Duration kEnclaveRecoveryDowntime = sim::milliseconds(2);
+
+}  // namespace
+
 TroxyReplicaHost::TroxyReplicaHost(
     net::Fabric& fabric, sim::Node& node, hybster::Config config,
     std::uint32_t replica_id, hybster::ServicePtr service,
@@ -69,15 +82,6 @@ TroxyReplicaHost::TroxyReplicaHost(
     replica_ = std::make_unique<hybster::Replica>(
         fabric, node, config, replica_id, std::move(service),
         std::move(trinx), replica_profile, std::move(hooks));
-
-    // All ecalls mutate shared trusted state (voter tables, cache,
-    // session keys), so the Troxy serializes them on a bounded number of
-    // enclave threads — for etroxy that is the TCS budget, for ctroxy the
-    // same library lock without SGX. Transition costs differ (SGX vs JNI).
-    if (options_.troxy.tcs_count > 0) {
-        tcs_free_.assign(
-            static_cast<std::size_t>(options_.troxy.tcs_count), 0);
-    }
 }
 
 void TroxyReplicaHost::crash() {
@@ -111,9 +115,7 @@ void TroxyReplicaHost::restart(hybster::ServicePtr fresh_service) {
     faults_ = hybster::FaultProfile{};
     ++restarts_;
     troxy_->restart();
-    if (!tcs_free_.empty()) {
-        std::fill(tcs_free_.begin(), tcs_free_.end(), 0);
-    }
+    tcs_free_at_ = 0;
     // Clears the replica's fault profile, resets its volatile state and
     // kicks off the rejoin protocol.
     replica_->restart(std::move(fresh_service));
@@ -124,8 +126,10 @@ void TroxyReplicaHost::attach() {
         on_message(from, std::move(message));
     });
     if (options_.enclave_recovery_period > 0 && options_.authority) {
-        arm_recovery_timer(options_.enclave_recovery_period +
-                           options_.enclave_recovery_offset);
+        const sim::Duration offset =
+            options_.enclave_recovery_period * replica_id_ /
+            static_cast<std::uint64_t>(config_.n());
+        arm_recovery_timer(options_.enclave_recovery_period + offset);
     }
 }
 
@@ -154,7 +158,7 @@ bool TroxyReplicaHost::recover_enclave() {
     Bytes handover = trinx_->export_handover(crypto);
 
     fabric_.simulator().after(
-        options_.enclave_recovery_downtime,
+        kEnclaveRecoveryDowntime,
         [this, generation, handover = std::move(handover)]() mutable {
             if (generation != recovery_generation_) return;
             if (faults_.crashed) return;  // crash() aborted the recovery
@@ -190,9 +194,7 @@ void TroxyReplicaHost::finish_enclave_recovery(Bytes handover) {
         node_.id(), replica_id_, config_, trinx_, channel_identity_,
         classifier_, troxy_profile_, options_.troxy,
         seed_ + 7919 * (enclave_recoveries_ + 1));
-    if (!tcs_free_.empty()) {
-        std::fill(tcs_free_.begin(), tcs_free_.end(), 0);
-    }
+    tcs_free_at_ = 0;
 
     // Trusted-counter re-binding: the certified handover verifies under
     // the provisioned group key and never lowers a counter, so the
@@ -389,7 +391,7 @@ void TroxyReplicaHost::arm_voter_flush_timer() {
     if (voter_timer_armed_) return;
     voter_timer_armed_ = true;
     const std::uint64_t generation = voter_flush_generation_;
-    fabric_.simulator().after(options_.voter_batch_delay,
+    fabric_.simulator().after(kVoterBatchDelay,
                               [this, generation]() {
                                   if (faults_.crashed) return;
                                   if (generation != voter_flush_generation_) {
@@ -402,16 +404,15 @@ void TroxyReplicaHost::arm_voter_flush_timer() {
 
 void TroxyReplicaHost::apply(enclave::CostMeter& meter,
                              TroxyActions&& actions) {
-    // Enclave concurrency: the ecall's work occupies one TCS slot for its
-    // duration; when every slot is busy the call's effects wait for a
-    // free slot. The wait delays completion but burns no CPU.
+    // Enclave concurrency: the ecall's work occupies the enclave's one
+    // thread for its duration; while an earlier ecall still holds it, the
+    // call's effects wait. The wait delays completion but burns no CPU.
     sim::SimTime tcs_done = 0;
-    if (!tcs_free_.empty() && meter.total() > 0) {
-        const sim::SimTime now = fabric_.simulator().now();
-        auto slot = std::min_element(tcs_free_.begin(), tcs_free_.end());
-        const sim::SimTime start = std::max(now, *slot);
+    if (meter.total() > 0) {
+        const sim::SimTime start =
+            std::max(fabric_.simulator().now(), tcs_free_at_);
         tcs_done = start + meter.total();
-        *slot = tcs_done;
+        tcs_free_at_ = tcs_done;
     }
 
     for (const std::uint64_t number : actions.completed_votes) {

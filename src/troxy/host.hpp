@@ -21,31 +21,44 @@
 
 namespace troxy::troxy_core {
 
+/// The Troxy host's pipeline knobs: voter and fast-read batching, reply
+/// certification and the enclave recovery schedule. Declared once here;
+/// TroxyReplicaHost::Options and the harness options structs inherit them.
+struct HostPipelineOptions {
+    /// Voter batching: maximum replies ingested by one handle_replies
+    /// ecall. 1 = one ecall per reply, the paper's flow.
+    std::size_t voter_batch_max = 1;
+    /// Fast-read batching: maximum buffered cache queries before the
+    /// host ships them as CacheQueryBatch bursts (one per remote).
+    /// 1 = one wire message and one remote ecall per query, the
+    /// paper's flow.
+    std::size_t fastread_batch_max = 1;
+    /// Certify a whole executed batch's replies in one
+    /// authenticate_replies ecall instead of one transition per reply.
+    bool batch_reply_auth = false;
+    /// Recover the host's enclave every period (0 = only explicit
+    /// recover_enclave() calls). Replica i of n first recovers at
+    /// period · (1 + i/n), so a group recovers one enclave at a time
+    /// instead of tearing all of them down in lockstep.
+    sim::Duration enclave_recovery_period = 0;
+
+    bool operator==(const HostPipelineOptions&) const = default;
+};
+
 class TroxyReplicaHost {
   public:
-    struct Options {
+    struct Options : HostPipelineOptions {
         TroxyOptions troxy;
         /// Retransmit interval for ordered requests awaiting votes.
         sim::Duration vote_timeout = sim::milliseconds(2000);
         /// Remote-cache-query timeout before falling back to ordering.
         sim::Duration fast_read_timeout = sim::milliseconds(50);
-        /// Voter batching: maximum replies ingested by one handle_replies
-        /// ecall. 1 = one ecall per reply, the paper's flow.
-        std::size_t voter_batch_max = 1;
-        /// How long the host holds an incomplete reply batch before
-        /// flushing it into the enclave (bounds added vote latency).
-        sim::Duration voter_batch_delay = sim::microseconds(100);
         /// Coalesce this host's outgoing flush bursts into one Bundle
-        /// frame per destination (one wire record per burst).
+        /// frame per destination (one wire record per burst). Every caller
+        /// sets it equal to hybster::PipelineOptions::coalesce_wire; this
+        /// twin stays only because perfbench sets it by name, and goes
+        /// with the next benchmark change.
         bool coalesce_wire = false;
-        /// Certify a whole executed batch's replies in one
-        /// authenticate_replies ecall instead of one transition per reply.
-        bool batch_reply_auth = false;
-        /// Fast-read batching: maximum buffered cache queries before the
-        /// host ships them as CacheQueryBatch bursts (one per remote).
-        /// 1 = one wire message and one remote ecall per query, the
-        /// paper's flow.
-        std::size_t fastread_batch_max = 1;
         /// How long the host holds an incomplete query burst before
         /// flushing (bounds added fast-read latency).
         sim::Duration fastread_batch_delay = sim::microseconds(100);
@@ -56,16 +69,6 @@ class TroxyReplicaHost {
         std::shared_ptr<enclave::AttestationAuthority> authority;
         /// Expected enclave measurement the re-handshake checks against.
         enclave::Measurement measurement{};
-        /// Recover this host's enclave every period (0 = only explicit
-        /// recover_enclave() calls).
-        sim::Duration enclave_recovery_period = 0;
-        /// Extra delay before the first periodic recovery, so a fleet can
-        /// stagger its enclaves instead of recovering them in lockstep.
-        sim::Duration enclave_recovery_offset = 0;
-        /// Teardown-to-attested window: client frames arriving while the
-        /// enclave is down are buffered and replayed once the recovered
-        /// instance passed attestation.
-        sim::Duration enclave_recovery_downtime = sim::milliseconds(2);
     };
 
     TroxyReplicaHost(net::Fabric& fabric, sim::Node& node,
@@ -113,8 +116,8 @@ class TroxyReplicaHost {
     }
 
     /// Proactive enclave recovery (§SecureSMART): tears the TroxyEnclave
-    /// instance down and, after options.enclave_recovery_downtime, brings
-    /// up a FRESH instance gated by an attestation re-handshake against
+    /// instance down and, after a 2 ms downtime window, brings up a
+    /// FRESH instance gated by an attestation re-handshake against
     /// options.authority. All volatile enclave state is gone — secure-
     /// channel session keys rotate (clients must re-handshake; the pinned
     /// channel identity is kept so they can), the cache re-warms — while
@@ -249,9 +252,10 @@ class TroxyReplicaHost {
     std::uint64_t fastread_flush_generation_ = 0;
     bool fastread_timer_armed_ = false;
 
-    // Enclave thread (TCS) slots: ecall work serializes once all slots
-    // are busy, modelling the enclave's fixed concurrency budget.
-    std::vector<sim::SimTime> tcs_free_;
+    // When the enclave's one thread (TCS) becomes free: every ecall
+    // mutates shared trusted state (voter tables, cache, session keys), so
+    // etroxy and ctroxy alike serialize them under one lock.
+    sim::SimTime tcs_free_at_ = 0;
 
     // Staging buffer for the signed view of a request under verification.
     Bytes verify_scratch_;

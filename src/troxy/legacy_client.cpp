@@ -88,7 +88,7 @@ void LegacyClient::arm_watchdog() {
     // grows with every failover that did not yield a reply.
     double period = static_cast<double>(options_.connection_timeout);
     for (std::uint64_t i = 0; i < consecutive_failovers_; ++i) {
-        period *= options_.backoff_multiplier;
+        period *= 2.0;
         if (period >= static_cast<double>(options_.backoff_cap)) break;
     }
     period = std::min(period, static_cast<double>(options_.backoff_cap));

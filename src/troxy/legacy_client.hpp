@@ -30,11 +30,10 @@ class LegacyClient {
         /// next server (location-service failover).
         sim::Duration connection_timeout = sim::milliseconds(3000);
         /// Capped exponential backoff for repeated failovers: each
-        /// consecutive failover multiplies the watchdog period by this
-        /// factor until backoff_cap. A client facing a dead or
-        /// partitioned cluster cycles its address list progressively
-        /// slower instead of hammering every server at the base rate.
-        double backoff_multiplier = 2.0;
+        /// consecutive failover doubles the watchdog period until
+        /// backoff_cap. A client facing a dead or partitioned cluster
+        /// cycles its address list progressively slower instead of
+        /// hammering every server at the base rate.
         sim::Duration backoff_cap = sim::milliseconds(12000);
         /// Relative jitter (±fraction) applied to each backoff period
         /// from the client's seeded stream, desynchronizing clients that

@@ -154,6 +154,63 @@ TEST(Clusters, TroxyHostsChargeTheDeploymentTransport) {
     EXPECT_LE(with_base, without_base + 10);
 }
 
+TEST(Clusters, BuildersForwardEveryPipelineKnob) {
+    // Every field differs from its default, so a dropped one fails. BL
+    // takes the six knobs other than coalesce_wire and transport.
+    hybster::PipelineOptions knobs;
+    knobs.batch_size_max = 8;
+    knobs.batch_delay = sim::microseconds(300);
+    knobs.execution_lanes = 3;
+    knobs.state_transfer_retry = sim::milliseconds(400);
+    knobs.state_chunk_size = 1024;
+    knobs.state_chunks_per_message = 16;
+    BaselineCluster::Params baseline_params;
+    static_cast<hybster::PipelineOptions&>(baseline_params.base) = knobs;
+    baseline_params.service = []() {
+        return std::make_unique<EchoService>();
+    };
+    const BaselineCluster baseline(std::move(baseline_params));
+    EXPECT_EQ(
+        static_cast<const hybster::PipelineOptions&>(baseline.config()),
+        knobs);
+
+    knobs.coalesce_wire = true;
+    knobs.transport = sim::TransportProfile::bypass();
+    TroxyCluster::Params params;
+    static_cast<hybster::PipelineOptions&>(params.base) = knobs;
+    params.base.shard_count = 2;
+    params.map = troxy_core::ShardMap::split_evenly({"k0", "k1"}, 2);
+    params.service = []() { return std::make_unique<EchoService>(); };
+    params.classifier = [](ByteView request) {
+        return EchoService().classify(request);
+    };
+    const TroxyCluster troxy(std::move(params));
+    ASSERT_EQ(troxy.shards(), 2);
+    for (int s = 0; s < troxy.shards(); ++s) {
+        EXPECT_EQ(
+            static_cast<const hybster::PipelineOptions&>(troxy.config(s)),
+            knobs)
+            << "shard " << s;
+    }
+}
+
+TEST(Clusters, BaselineRejectsCoalescingAndTransport) {
+    // BL hosts drop Bundle frames, so a coalescing BL group would stall
+    // instead of failing; BL hosts and clients charge no transport.
+    const auto build = [](bool coalesce, sim::TransportProfile transport) {
+        BaselineCluster::Params params;
+        params.base.coalesce_wire = coalesce;
+        params.base.transport = transport;
+        params.service = []() { return std::make_unique<EchoService>(); };
+        BaselineCluster cluster(std::move(params));
+    };
+    EXPECT_THROW(build(true, sim::TransportProfile::none()),
+                 std::invalid_argument);
+    EXPECT_THROW(build(false, sim::TransportProfile::kernel_nic()),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(build(false, sim::TransportProfile::none()));
+}
+
 TEST(Clusters, ProphecyUsesThreeFPlusOne) {
     ProphecyCluster::Params params;
     params.base.seed = 8;
@@ -195,6 +252,35 @@ TEST(Experiments, BaselineAndTroxyBothComplete) {
         EXPECT_GT(result.row.throughput, 100.0) << system_name(kind);
         EXPECT_GT(result.row.mean_ms, 0.0) << system_name(kind);
     }
+}
+
+TEST(Experiments, BatchedMicroRunMatchesRecordedFigures) {
+    // Parity pin for run_micro's knob forwarding, client-send coalescing
+    // included: every batching stage and two lanes on a mixed load. The
+    // figures were recorded before the knobs moved into shared bases.
+    MicroParams params;
+    params.read_workload = true;
+    params.write_fraction = 0.3;
+    params.reply_size = 128;
+    params.clients = 6;
+    params.pipeline = 4;
+    params.warmup = sim::milliseconds(100);
+    params.window = sim::milliseconds(200);
+    params.batch_size_max = 16;
+    params.batch_delay = sim::microseconds(200);
+    params.voter_batch_max = 16;
+    params.fastread_batch_max = 16;
+    params.batch_reply_auth = true;
+    params.coalesce_wire = true;
+    params.execution_lanes = 2;
+
+    const MicroResult result = run_micro(SystemKind::ETroxy, params);
+    EXPECT_DOUBLE_EQ(result.row.throughput, 42220.0);
+    EXPECT_DOUBLE_EQ(result.row.p50_ms, 0.576434);
+    EXPECT_DOUBLE_EQ(result.row.p99_ms, 0.926903);
+    EXPECT_EQ(result.enclave_transitions, 21530u);
+    EXPECT_EQ(result.wire_messages, 29798u);
+    EXPECT_EQ(result.wire_bytes, 12381653u);
 }
 
 TEST(Experiments, HttpRunsForEverySystem) {

@@ -356,9 +356,7 @@ TEST(Chaos, BatchedFastReadsStayLinearizable) {
     EXPECT_EQ(a.completed, b.completed);
 
     bench::ChaosOptions plain = options;
-    plain.fastread_batch_max = 1;
-    plain.voter_batch_max = 1;
-    plain.batch_reply_auth = false;
+    static_cast<troxy_core::HostPipelineOptions&>(plain) = {};
     plain.coalesce_wire = false;
     const bench::ChaosReport c = bench::run_chaos(plain);
     EXPECT_EQ(c.completed, a.completed);
