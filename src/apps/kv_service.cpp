@@ -48,28 +48,31 @@ Bytes KvService::execute(ByteView request) {
     try {
         Reader r(request);
         const auto op = static_cast<Op>(r.u8());
-        const std::string key = r.str();
+        // Key and value stay borrowed from the request: a lookup copies
+        // nothing, and a PUT overwrites the stored value in place.
+        const std::string_view key = r.str_view();
         switch (op) {
             case Op::Get: {
                 const auto it = store_.find(key);
-                return to_bytes(it == store_.end() ? "" : it->second);
+                return it == store_.end() ? Bytes() : to_bytes(it->second);
             }
             case Op::Put: {
-                const std::string value = r.str();
-                std::string previous;
-                if (auto it = store_.find(key); it != store_.end()) {
-                    previous = it->second;
+                const std::string_view value = r.str_view();
+                const auto it = store_.lower_bound(key);
+                if (it == store_.end() || it->first != key) {
+                    store_.emplace_hint(it, key, value);
+                    return Bytes();
                 }
-                store_[key] = value;
-                return to_bytes(previous);
+                Bytes previous = to_bytes(it->second);
+                it->second.assign(value);
+                return previous;
             }
             case Op::Delete: {
-                std::string previous;
-                if (auto it = store_.find(key); it != store_.end()) {
-                    previous = it->second;
-                    store_.erase(it);
-                }
-                return to_bytes(previous);
+                const auto it = store_.find(key);
+                if (it == store_.end()) return Bytes();
+                Bytes previous = to_bytes(it->second);
+                store_.erase(it);
+                return previous;
             }
             case Op::Scan: {
                 Writer w;

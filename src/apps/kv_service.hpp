@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -35,7 +36,8 @@ class KvService final : public hybster::Service {
     [[nodiscard]] std::size_t size() const noexcept { return store_.size(); }
 
   private:
-    std::map<std::string, std::string> store_;
+    /// Transparent comparator: lookups go through a borrowed key view.
+    std::map<std::string, std::string, std::less<>> store_;
 };
 
 }  // namespace troxy::apps

@@ -67,14 +67,14 @@ crypto::X25519Keypair identity_for(std::uint64_t seed, int index) {
 /// and recycled for the next sender.
 void attach_legacy_dispatch(net::Fabric& fabric, sim::Node& node,
                             troxy_core::LegacyClient* client) {
-    fabric.attach(node.id(), [client, network = &fabric.network()](
-                                 sim::NodeId from, Bytes message) {
+    fabric.attach(node.id(), [client, network = &fabric.network(),
+                              inner = std::vector<ByteView>()](
+                                 sim::NodeId from, Bytes message) mutable {
         auto unwrapped = net::unwrap_view(message);
         if (unwrapped) {
             if (unwrapped->first == net::Channel::Bundle) {
-                auto inner = net::unbundle(unwrapped->second);
-                if (inner) {
-                    for (const ByteView m : *inner) {
+                if (net::unbundle(unwrapped->second, inner)) {
+                    for (const ByteView m : inner) {
                         auto u = net::unwrap_view(m);
                         if (u && u->first == net::Channel::Client) {
                             client->on_message(from, u->second);

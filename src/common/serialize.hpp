@@ -163,9 +163,13 @@ class Reader {
         return out;
     }
 
-    std::string str() {
+    std::string str() { return std::string(str_view()); }
+
+    /// Borrowed length-prefixed string; aliases the input like
+    /// bytes_view().
+    std::string_view str_view() {
         const ByteView b = bytes_view();
-        return std::string(b.begin(), b.end());
+        return {reinterpret_cast<const char*>(b.data()), b.size()};
     }
 
     /// Reads exactly N bytes into a caller's array (digests, certificates)

@@ -302,19 +302,24 @@ void Reply::encode(Writer& w) const {
 
 Reply Reply::decode(Reader& r) {
     Reply rep;
-    rep.kind = static_cast<Kind>(r.u8());
-    if (rep.kind != Kind::Ordered && rep.kind != Kind::Optimistic) {
+    decode_into(r, rep);
+    return rep;
+}
+
+void Reply::decode_into(Reader& r, Reply& out) {
+    out.kind = static_cast<Kind>(r.u8());
+    if (out.kind != Kind::Ordered && out.kind != Kind::Optimistic) {
         throw DecodeError("invalid reply kind");
     }
-    rep.view = r.u64();
-    rep.seq = r.u64();
-    rep.request_id.client = r.u32();
-    rep.request_id.number = r.u64();
-    rep.request_digest = get_digest(r);
-    rep.result = r.bytes();
-    rep.replica = r.u32();
-    rep.cert = get_tag(r);
-    return rep;
+    out.view = r.u64();
+    out.seq = r.u64();
+    out.request_id.client = r.u32();
+    out.request_id.number = r.u64();
+    out.request_digest = get_digest(r);
+    const ByteView result = r.bytes_view();
+    out.result.assign(result.begin(), result.end());
+    out.replica = r.u32();
+    out.cert = get_tag(r);
 }
 
 // ------------------------------------------------------------- Checkpoint
@@ -583,6 +588,18 @@ std::optional<Message> decode_message(ByteView data) {
         return out;
     } catch (const DecodeError&) {
         return std::nullopt;
+    }
+}
+
+bool decode_reply_into(ByteView data, Reply& out) {
+    if (!is_reply(data)) return false;
+    try {
+        Reader r(data.subspan(1));
+        Reply::decode_into(r, out);
+        r.expect_done();
+        return true;
+    } catch (const DecodeError&) {
+        return false;
     }
 }
 

@@ -277,6 +277,10 @@ struct Reply {
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static Reply decode(Reader& r);
+    /// Like decode(), but into `out`, reusing its result buffer's
+    /// capacity: a receiver that keeps its Reply objects decodes a warm
+    /// reply without allocating.
+    static void decode_into(Reader& r, Reply& out);
 };
 
 /// An executed request's reply on its way out through the host's delivery
@@ -435,6 +439,18 @@ Bytes encode_frame(net::Channel channel, const T& message,
 
 /// Parses a message; nullopt on any malformed input.
 std::optional<Message> decode_message(ByteView data);
+
+/// True when `data` carries a Reply's type tag: lets a receiver route a
+/// reply to its own storage before decoding anything.
+[[nodiscard]] inline bool is_reply(ByteView data) noexcept {
+    return !data.empty() &&
+           data[0] == static_cast<std::uint8_t>(MsgType::Reply);
+}
+
+/// Parses an encoded Reply (type tag included) into `out` with
+/// Reply::decode_into; false on any input decode_message() rejects, in
+/// which case `out` holds a partial decode.
+bool decode_reply_into(ByteView data, Reply& out);
 
 }  // namespace troxy::hybster
 

@@ -143,7 +143,7 @@ void Replica::on_message(sim::NodeId from, Message&& message) {
     outbox.flush(meter);
 }
 
-void Replica::submit(std::vector<Request> requests, bool preformed) {
+void Replica::submit(std::span<Request> requests, bool preformed) {
     if (faults_.crashed || rejoining_ || requests.empty()) return;
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(profile_, meter);

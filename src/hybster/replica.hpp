@@ -106,7 +106,12 @@ class Replica {
     /// ordering pipeline as ONE batch: the leader cuts it into a single
     /// Prepare, split only at batch_size_max. All of handle_request's
     /// verification, retransmission and dedup logic applies per member.
-    void submit(std::vector<Request> requests, bool preformed = false);
+    /// The requests are moved out of the span, so a caller can reuse the
+    /// storage behind it.
+    void submit(std::span<Request> requests, bool preformed = false);
+    void submit(std::vector<Request> requests, bool preformed = false) {
+        submit(std::span(requests), preformed);
+    }
 
     /// Handles an optimistic (non-ordered) read: executes against the
     /// current state and replies immediately. Used by the PBFT-like

@@ -7,6 +7,7 @@
 // — they are encrypted for the enclave).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -96,22 +97,26 @@ inline Bytes make_bundle(const std::vector<Bytes>& wrapped) {
 }
 
 /// Splits a Bundle payload (the bytes after the channel byte) back into
-/// the coalesced messages, as views aliasing `payload`; nullopt on
-/// malformed framing.
-inline std::optional<std::vector<ByteView>> unbundle(ByteView payload) {
+/// the coalesced messages, as views aliasing `payload`, written into the
+/// caller's `messages` (cleared first, its capacity reused, so a warm
+/// receiver unbundles without allocating). False on malformed framing,
+/// in which case `messages` holds an unspecified prefix.
+inline bool unbundle(ByteView payload, std::vector<ByteView>& messages) {
+    messages.clear();
     try {
         Reader r(payload);
         const std::uint16_t count = r.u16();
-        if (count == 0) return std::nullopt;
-        std::vector<ByteView> messages;
-        messages.reserve(count);
+        if (count == 0) return false;
+        // Each message takes at least its 4-byte length prefix, so a
+        // forged count cannot bloat the caller's vector.
+        messages.reserve(std::min<std::size_t>(count, r.remaining() / 4));
         for (std::uint16_t i = 0; i < count; ++i) {
             messages.push_back(r.bytes_view());
         }
         r.expect_done();
-        return messages;
+        return true;
     } catch (const DecodeError&) {
-        return std::nullopt;
+        return false;
     }
 }
 

@@ -46,6 +46,30 @@ bool TroxyEnclave::first_from(std::uint32_t replica) {
     return first;
 }
 
+void TroxyActions::clear() noexcept {
+    sends.clear();
+    cache_queries.clear();
+    to_order.clear();
+    to_order_preformed = false;
+    arm_vote_timers.clear();
+    arm_fast_read_timers.clear();
+    completed_votes.clear();
+    completed_fast_reads.clear();
+}
+
+TroxyActions TroxyEnclave::take_actions() {
+    if (spare_actions_.empty()) return {};
+    TroxyActions actions = std::move(spare_actions_.back());
+    spare_actions_.pop_back();
+    return actions;
+}
+
+void TroxyEnclave::recycle(TroxyActions&& actions) {
+    if (spare_actions_.size() >= kMaxSpareActions) return;
+    actions.clear();
+    spare_actions_.push_back(std::move(actions));
+}
+
 namespace {
 
 /// Bytes of a batch frame's count field. Hosts ship a lone query or
@@ -81,7 +105,7 @@ TroxyActions TroxyEnclave::accept_connection(enclave::CostMeter& meter,
     seed.u64(++handshake_counter_);
     auto server_hello = it->second.channel.accept(crypto, hello, seed.data());
 
-    TroxyActions actions;
+    TroxyActions actions = take_actions();
     if (!server_hello) {
         connections_.erase(it);
         return actions;
@@ -106,7 +130,7 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
                                           ByteView record) {
     gate_.ecall(meter, "handle_request", record.size(), 0);
     enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
+    TroxyActions actions = take_actions();
 
     const auto conn = connections_.find(client);
     if (conn == connections_.end() || !conn->second.channel.established()) {
@@ -120,7 +144,7 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
     for (const ByteView app_request :
          conn->second.channel.unprotect(record)) {
         const std::uint64_t conn_slot = conn->second.next_assign++;
-        const hybster::RequestInfo info = classifier_(app_request);
+        hybster::RequestInfo info = classifier_(app_request);
         crypto.charge_dispatch();
 
         bool handled = false;
@@ -150,7 +174,7 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
 
         if (!handled) {
             order_request(crypto, actions, client, generation, conn_slot,
-                          info, app_request);
+                          std::move(info), app_request);
         }
     }
     return actions;
@@ -160,7 +184,7 @@ void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
                                  TroxyActions& actions, sim::NodeId client,
                                  std::uint64_t generation,
                                  std::uint64_t conn_slot,
-                                 const hybster::RequestInfo& info,
+                                 hybster::RequestInfo&& info,
                                  ByteView app_request) {
     hybster::Request request;
     request.id.client = host_node_;
@@ -176,16 +200,6 @@ void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
     request.auth_slots()[0] =
         trinx_->certify_independent_digest(crypto, digest);
 
-    PendingVote pending;
-    pending.client = client;
-    pending.generation = generation;
-    pending.conn_slot = conn_slot;
-    pending.state_key = info.state_key;
-    pending.extra_keys = info.extra_keys;
-    pending.is_read = info.is_read;
-    pending.request_digest = digest;
-    pending.request = request;
-    pending.votes.resize(static_cast<std::size_t>(config_.n()));
     if (!info.is_read) {
         // Register the whole write set: a fast read on any key the write
         // touches (exact key or a covering scan partition) must be
@@ -195,6 +209,20 @@ void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
             ++*pending_write_keys_.try_emplace(key, 0).first;
         }
     }
+    PendingVote pending;
+    pending.client = client;
+    pending.generation = generation;
+    pending.conn_slot = conn_slot;
+    pending.state_key = std::move(info.state_key);
+    pending.extra_keys = std::move(info.extra_keys);
+    pending.is_read = info.is_read;
+    pending.request_digest = digest;
+    pending.request = request;
+    if (!spare_tallies_.empty()) {
+        pending.tally = std::move(spare_tallies_.back());
+        spare_tallies_.pop_back();
+    }
+    pending.tally.votes.assign(static_cast<std::size_t>(config_.n()), 0);
     pending_votes_.try_emplace(request.id.number, std::move(pending));
 
     ++stats_.ordered_requests;
@@ -213,7 +241,7 @@ TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
     }
     gate_.ecall(meter, "handle_replies", in_bytes, 0);
     enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
+    TroxyActions actions = take_actions();
 
     ++stats_.reply_batches;
     stats_.batched_replies += replies.size();
@@ -223,16 +251,17 @@ TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
     // Completed writes share the ecall's stamp, so a burst completing
     // many writes under one key drops it once.
     ++ecall_stamp_;
-    for (hybster::Reply& reply : replies) {
+    for (const hybster::Reply& reply : replies) {
         const bool first = first_from(reply.replica);
-        ingest_reply(crypto, actions, std::move(reply), first);
+        ingest_reply(crypto, actions, reply, first);
     }
     flush_releases(crypto, actions);
     return actions;
 }
 
 void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
-                                TroxyActions& actions, hybster::Reply&& reply,
+                                TroxyActions& actions,
+                                const hybster::Reply& reply,
                                 bool first_from_source) {
     const std::uint64_t number = reply.request_id.number;
     PendingVote* found = pending_votes_.find(number);
@@ -263,18 +292,35 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
         return;
     }
 
-    std::optional<Bytes>& vote = pending.votes[reply.replica];
-    if (vote == reply.result) return;  // a repeat counts once
-    vote = std::move(reply.result);
-    int count = 0;
-    for (const std::optional<Bytes>& other : pending.votes) {
-        if (other == vote) ++count;
+    Tally& tally = pending.tally;
+    std::uint32_t& vote = tally.votes[reply.replica];
+    if (vote != 0 && tally.results[vote - 1] == reply.result) {
+        return;  // a repeat counts once
     }
-    if (count < config_.quorum()) return;
+    vote = 0;
+    // The result's index among the distinct ones; a new result takes the
+    // first slot no replica votes for, or a new one, and is copied once.
+    const auto voters = [&tally](std::size_t index) {
+        return std::count(tally.votes.begin(), tally.votes.end(),
+                          static_cast<std::uint32_t>(index + 1));
+    };
+    std::size_t index = 0;
+    while (index < tally.results.size() &&
+           tally.results[index] != reply.result) {
+        ++index;
+    }
+    if (index == tally.results.size()) {
+        index = 0;
+        while (index < tally.results.size() && voters(index) > 0) ++index;
+        if (index == tally.results.size()) tally.results.emplace_back();
+        tally.results[index].assign(reply.result.begin(), reply.result.end());
+    }
+    vote = static_cast<std::uint32_t>(index + 1);
+    if (voters(index) < config_.quorum()) return;
 
     // Vote complete: the result is correct. Maintain the cache with
     // knowledge the contact Troxy now *provably* has.
-    Bytes& result = *vote;
+    Bytes& result = tally.results[index];
     if (pending.is_read) {
         CacheEntry entry;
         entry.request_digest = crypto.hash(pending.request.payload());
@@ -302,6 +348,10 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     const std::uint64_t generation = pending.generation;
     const std::uint64_t conn_slot = pending.conn_slot;
     Bytes app_reply = std::move(result);
+    if (spare_tallies_.size() < kMaxSpareTallies) {
+        tally.results.clear();
+        spare_tallies_.push_back(std::move(tally));
+    }
     pending_votes_.erase(number);
     actions.completed_votes.push_back(number);
     collect_releases(client, generation, conn_slot, std::move(app_reply));
@@ -540,7 +590,7 @@ TroxyActions TroxyEnclave::handle_cache_queries(
     gate_.ecall(meter, "handle_cache_queries", in_bytes,
                 header + queries.size() * CacheResponse::wire_size());
     enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
+    TroxyActions actions = take_actions();
 
     ++stats_.cache_query_batches;
     stats_.batched_cache_queries += queries.size();
@@ -636,7 +686,7 @@ TroxyActions TroxyEnclave::handle_cache_responses(
                     responses.size() * CacheResponse::wire_size(),
                 0);
     enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
+    TroxyActions actions = take_actions();
 
     ++stats_.cache_response_batches;
     stats_.batched_cache_responses += responses.size();
@@ -671,9 +721,9 @@ void TroxyEnclave::fast_read_fallback(enclave::CostedCrypto& crypto,
     PendingFastRead fast = std::move(*found);
     fast_reads_.erase(query_id);
 
-    const hybster::RequestInfo info = classifier_(fast.app_request);
     order_request(crypto, actions, fast.client, fast.generation,
-                  fast.conn_slot, info, fast.app_request);
+                  fast.conn_slot, classifier_(fast.app_request),
+                  fast.app_request);
     actions.completed_fast_reads.push_back(query_id);
 }
 
@@ -681,7 +731,7 @@ TroxyActions TroxyEnclave::fast_read_timeout(enclave::CostMeter& meter,
                                              std::uint64_t query_id) {
     gate_.ecall(meter, "fast_read_timeout", 8, 0);
     enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
+    TroxyActions actions = take_actions();
     if (fast_reads_.contains(query_id)) {
         ++stats_.fast_read_conflicts;
         monitor_.record(true);
@@ -697,7 +747,7 @@ TroxyActions TroxyEnclave::retransmit(enclave::CostMeter& meter,
     gate_.ecall(meter, "retransmit", 8, 0);
     enclave::CostedCrypto crypto(profile_, meter);
     crypto.charge_dispatch();
-    TroxyActions actions;
+    TroxyActions actions = take_actions();
 
     const PendingVote* pending = pending_votes_.find(request_number);
     if (pending == nullptr) return actions;

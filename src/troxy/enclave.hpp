@@ -64,6 +64,9 @@ struct TroxyOptions {
 
 /// What the untrusted host must do after an ecall returns: transmit the
 /// listed wire messages and/or hand a BFT request to the local replica.
+/// Each ecall fills an action set the enclave recycles: the host hands
+/// it back through TroxyEnclave::recycle once carried out, and its
+/// vectors keep their capacity for the next ecall.
 struct TroxyActions {
     std::vector<std::pair<sim::NodeId, Bytes>> sends;
     /// Fast-read cache queries surfaced in structured form so the
@@ -88,6 +91,9 @@ struct TroxyActions {
     /// record already reveals).
     std::vector<std::uint64_t> completed_votes;
     std::vector<std::uint64_t> completed_fast_reads;
+
+    /// Empties every list, keeping its capacity.
+    void clear() noexcept;
 };
 
 class TroxyEnclave {
@@ -122,7 +128,9 @@ class TroxyEnclave {
     /// the MAC setup), completed votes for many requests surface from the
     /// single transition, and all client replies released to one
     /// connection are sealed into one secure-channel record (one AEAD
-    /// pass). The replies' results are moved out.
+    /// pass). The replies are left as they came: the voter copies each
+    /// distinct result once, so the host can decode the next burst into
+    /// the same Reply objects.
     TroxyActions handle_replies(enclave::CostMeter& meter,
                                 std::span<hybster::Reply> replies);
 
@@ -164,6 +172,10 @@ class TroxyEnclave {
     /// followers can suspect an unresponsive leader.
     TroxyActions retransmit(enclave::CostMeter& meter,
                             std::uint64_t request_number);
+
+    /// Takes back an action set the host has carried out; a later ecall
+    /// fills it again. Host memory only: no transition, no charge.
+    void recycle(TroxyActions&& actions);
 
     // ----------------------------------------------------------- metrics
 
@@ -242,6 +254,21 @@ class TroxyEnclave {
             : channel(identity) {}
     };
 
+    /// A pending vote's count. Every counted reply already carried the
+    /// request digest, so equal results are matching votes; a replica
+    /// that changes its result moves its vote. The storage is recycled
+    /// through spare_tallies_, so a warm voter allocates only the copy of
+    /// each request's first result.
+    struct Tally {
+        /// Distinct results, each stored once however many replicas
+        /// voted for it. A result nobody votes for any more is
+        /// overwritten by the next new one, so at most n are kept.
+        std::vector<Bytes> results;
+        /// Per replica id: 1 + the index into `results` of its current
+        /// vote; 0 while it has none.
+        std::vector<std::uint32_t> votes;
+    };
+
     struct PendingVote {
         sim::NodeId client = 0;
         std::uint64_t generation = 0;
@@ -253,11 +280,7 @@ class TroxyEnclave {
         bool is_read = false;
         crypto::Sha256Digest request_digest{};
         hybster::Request request;  // kept for retransmission
-        /// Each replica's current result, by replica id. Every counted
-        /// reply already carried request_digest, so equal results are
-        /// matching votes; a replica that changes its result moves its
-        /// vote.
-        std::vector<std::optional<Bytes>> votes;
+        Tally tally;
     };
 
     struct PendingFastRead {
@@ -271,12 +294,14 @@ class TroxyEnclave {
         bool resolved = false;
     };
 
+    /// An empty action set for an ecall: the most recently recycled one,
+    /// or a fresh one.
+    TroxyActions take_actions();
     /// Appends the authenticated BFT request (and its vote timer) to
-    /// `actions`.
+    /// `actions`. The request's write set moves into the pending vote.
     void order_request(enclave::CostedCrypto& crypto, TroxyActions& actions,
                        sim::NodeId client, std::uint64_t generation,
-                       std::uint64_t conn_slot,
-                       const hybster::RequestInfo& info,
+                       std::uint64_t conn_slot, hybster::RequestInfo&& info,
                        ByteView app_request);
     void start_fast_read(enclave::CostedCrypto& crypto, TroxyActions& actions,
                          sim::NodeId client, std::uint64_t generation,
@@ -288,7 +313,7 @@ class TroxyEnclave {
     /// Voting core: validates one reply, updates the tally, and on quorum
     /// maintains the cache and collects the client reply for release.
     void ingest_reply(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                      hybster::Reply&& reply, bool first_from_source);
+                      const hybster::Reply& reply, bool first_from_source);
     /// Cache maintenance and certification of one executed reply.
     enclave::Certificate certify_executed_reply(enclave::CostedCrypto& crypto,
                                                 const hybster::Request& request,
@@ -382,6 +407,12 @@ class TroxyEnclave {
         CacheResponse response;
     };
     std::vector<Answer> answers_;
+    /// Recycled action sets and vote tallies (see recycle and Tally).
+    /// Bounded: a burst beyond the bound frees what it does not keep.
+    static constexpr std::size_t kMaxSpareActions = 4;
+    static constexpr std::size_t kMaxSpareTallies = 256;
+    std::vector<TroxyActions> spare_actions_;
+    std::vector<Tally> spare_tallies_;
     std::uint64_t next_request_number_ = 1;
     std::uint64_t next_query_id_ = 1;
     std::uint64_t handshake_counter_ = 0;

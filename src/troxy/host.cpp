@@ -16,6 +16,9 @@ namespace {
 /// into the enclave (bounds added vote latency).
 constexpr sim::Duration kVoterBatchDelay = sim::microseconds(100);
 
+/// Reply slots kept across flushes; a longer burst frees the excess.
+constexpr std::size_t kMaxReplySlots = 256;
+
 /// Teardown-to-attested window of a proactive enclave recovery: client
 /// frames arriving while the enclave is down are buffered and replayed
 /// once the recovered instance passed attestation.
@@ -95,7 +98,7 @@ void TroxyReplicaHost::crash() {
     fast_reads_in_flight_.clear();
     // Buffered replies die with the untrusted process; the vote timers'
     // retransmit path (re-armed post-restart) covers the gap.
-    reply_buffer_.clear();
+    reply_count_ = 0;
     ++voter_flush_generation_;
     voter_timer_armed_ = false;
     // Buffered cache queries die too; the enclave's fast-read timeout
@@ -258,27 +261,32 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
 
     switch (channel) {
         case net::Channel::Hybster: {
-            // Replies addressed to this node feed the local Troxy's voter;
-            // everything else is agreement traffic for the replica, handed
-            // over decoded (each frame is decoded once per node).
+            // Replies addressed to this node feed the local Troxy's voter,
+            // decoded straight into a reply slot; everything else is
+            // agreement traffic for the replica, handed over decoded (each
+            // frame is decoded once per node).
+            if (hybster::is_reply(payload)) {
+                if (!buffer_reply(payload)) return;  // malformed, misrouted
+                // A boundary of 1 flushes every reply at once.
+                if (reply_count_ >= options_.voter_batch_max) {
+                    flush_reply_buffer();
+                } else {
+                    arm_voter_flush_timer();
+                }
+                return;
+            }
             auto decoded = hybster::decode_message(payload);
             if (!decoded) return;
-            if (auto* reply = std::get_if<hybster::Reply>(&*decoded)) {
-                if (reply->request_id.client == node_.id()) {
-                    enqueue_reply(std::move(*reply));
-                    return;
-                }
-                return;  // misrouted reply
-            }
             replica_->on_message(from, std::move(*decoded));
             return;
         }
         case net::Channel::Bundle: {
             // A coalesced flush burst from a peer: unpack and dispatch
-            // each inner message.
-            auto inner = net::unbundle(payload);
-            if (!inner) return;
-            dispatch_burst(from, std::span(*inner));
+            // each inner message. The split leaves its member while the
+            // burst runs, since an inner message may be a Bundle too.
+            std::vector<ByteView> inner = std::move(bundle_views_);
+            if (net::unbundle(payload, inner)) dispatch_burst(from, inner);
+            bundle_views_ = std::move(inner);
             return;
         }
         case net::Channel::Client: {
@@ -331,60 +339,59 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
 
 void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
                                       std::span<const ByteView> messages) {
-    std::vector<hybster::Reply> replies;
+    bool buffered = false;
     for (const ByteView message : messages) {
         auto unwrapped_inner = net::unwrap_view(message);
         if (!unwrapped_inner) continue;
         if (unwrapped_inner->first == net::Channel::Hybster) {
-            auto decoded = hybster::decode_message(unwrapped_inner->second);
-            if (!decoded) continue;
-            if (auto* reply = std::get_if<hybster::Reply>(&*decoded)) {
-                if (reply->request_id.client == node_.id()) {
-                    replies.push_back(std::move(*reply));
-                }
+            const ByteView payload = unwrapped_inner->second;
+            if (hybster::is_reply(payload)) {
+                buffered = buffer_reply(payload) || buffered;
                 continue;
             }
+            auto decoded = hybster::decode_message(payload);
+            if (!decoded) continue;
             replica_->on_message(from, std::move(*decoded));
             continue;
         }
         on_message(from, Bytes(message.begin(), message.end()));
     }
-    ingest_replies(std::move(replies));
+    // The arrival burst is complete — flush it now instead of waiting for
+    // the delay timer (no added latency for bundled bursts).
+    if (buffered) flush_reply_buffer();
 }
 
-void TroxyReplicaHost::enqueue_reply(hybster::Reply&& reply) {
-    reply_buffer_.push_back(std::move(reply));
-    // A boundary of 1 flushes every reply at once.
-    if (reply_buffer_.size() >= options_.voter_batch_max) {
-        flush_reply_buffer();
-    } else {
-        arm_voter_flush_timer();
+bool TroxyReplicaHost::buffer_reply(ByteView encoded) {
+    if (reply_count_ == reply_buffer_.size()) reply_buffer_.emplace_back();
+    hybster::Reply& slot = reply_buffer_[reply_count_];
+    if (!hybster::decode_reply_into(encoded, slot) ||
+        slot.request_id.client != node_.id()) {
+        return false;
     }
-}
-
-void TroxyReplicaHost::ingest_replies(std::vector<hybster::Reply> replies) {
-    if (replies.empty()) return;
-    for (hybster::Reply& reply : replies) {
-        reply_buffer_.push_back(std::move(reply));
-        if (reply_buffer_.size() >= options_.voter_batch_max) {
-            flush_reply_buffer();
-        }
-    }
-    // The arrival burst is complete — flush the remainder now instead of
-    // waiting for the delay timer (no added latency for bundled bursts).
-    flush_reply_buffer();
+    ++reply_count_;
+    return true;
 }
 
 void TroxyReplicaHost::flush_reply_buffer() {
-    if (reply_buffer_.empty()) return;
+    if (reply_count_ == 0) return;
     ++voter_flush_generation_;  // cancel any armed delay timer
     voter_timer_armed_ = false;
-    // The voter runs out of the buffer itself; emptied before apply() so
-    // its capacity serves the next burst.
-    enclave::CostMeter meter;
-    TroxyActions actions = troxy_->handle_replies(meter, reply_buffer_);
-    reply_buffer_.clear();
-    apply(meter, std::move(actions));
+    // The voter reads the used slots in place, one transition per
+    // voter_batch_max of them: the boundaries fall where a reply-by-reply
+    // buffer would have flushed. Nothing in apply() receives a reply, so
+    // the slots stay untouched until the last chunk has voted.
+    const std::size_t count = std::exchange(reply_count_, 0);
+    const std::size_t step =
+        std::max<std::size_t>(options_.voter_batch_max, 1);
+    const std::span<hybster::Reply> used(reply_buffer_.data(), count);
+    for (std::size_t i = 0; i < count; i += step) {
+        enclave::CostMeter meter;
+        apply(meter, troxy_->handle_replies(
+                         meter, used.subspan(i, std::min(step, count - i))));
+    }
+    if (reply_buffer_.size() > kMaxReplySlots) {
+        reply_buffer_.resize(kMaxReplySlots);
+    }
 }
 
 void TroxyReplicaHost::arm_voter_flush_timer() {
@@ -438,10 +445,22 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
         // cut them into one Prepare without per-request waits. A
         // conflicted fast-read burst arrives pre-formed and is cut into a
         // single Prepare on the leader.
+        // The batch's storage comes back through spare_orders_ once the
+        // submit has run, and the action set leaves with a spare one.
         outbox.defer([this, batch = std::move(actions.to_order),
                       preformed = actions.to_order_preformed]() mutable {
-            replica_->submit(std::move(batch), preformed);
+            replica_->submit(std::span(batch), preformed);
+            batch.clear();
+            if (spare_orders_.size() < kMaxSpareOrders &&
+                batch.capacity() <= kMaxSpareOrderCapacity) {
+                spare_orders_.push_back(std::move(batch));
+            }
         });
+        actions.to_order.clear();
+        if (!spare_orders_.empty()) {
+            actions.to_order = std::move(spare_orders_.back());
+            spare_orders_.pop_back();
+        }
     }
     outbox.flush(meter, tcs_done);
 
@@ -453,6 +472,7 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
         fast_reads_in_flight_.try_emplace(id);
         arm_fast_read_timer(id);
     }
+    troxy_->recycle(std::move(actions));
 }
 
 void TroxyReplicaHost::route_cache_queries(

@@ -158,11 +158,14 @@ class TroxyReplicaHost {
     /// caller recycles the buffer afterwards.
     void dispatch_message(sim::NodeId from, ByteView message);
     /// Dispatches the messages of an unbundled frame: replies for the
-    /// local voter are collected so the whole burst enters the enclave
-    /// through as few handle_replies transitions as voter_batch_max
-    /// allows, and every other Hybster message is decoded in place; any
-    /// other message goes through on_message() as an owned copy.
+    /// local voter are decoded into reply slots so the whole burst enters
+    /// the enclave through as few handle_replies transitions as
+    /// voter_batch_max allows, and every other Hybster message is decoded
+    /// in place; any other message goes through on_message() as an owned
+    /// copy.
     void dispatch_burst(sim::NodeId from, std::span<const ByteView> messages);
+    /// Carries out an ecall's actions, then hands the set back to the
+    /// enclave for reuse.
     void apply(enclave::CostMeter& meter, TroxyActions&& actions);
     void arm_vote_timer(std::uint64_t number);
     void arm_fast_read_timer(std::uint64_t query_id);
@@ -175,12 +178,12 @@ class TroxyReplicaHost {
 
     // --- voter batching (untrusted buffering; the enclave re-verifies
     // every reply, so the host holding or reordering them is harmless) ---
-    /// Routes one reply into the reply buffer, flushing it into a
-    /// handle_replies ecall at the flush boundary.
-    void enqueue_reply(hybster::Reply&& reply);
-    /// Routes a complete arrival burst (e.g. an unbundled wire record);
-    /// flushes at the end so a bundled burst costs one ecall.
-    void ingest_replies(std::vector<hybster::Reply> replies);
+    /// Decodes an encoded Reply into the next free reply slot; true when
+    /// it is well formed and addressed to this node's voter, which counts
+    /// the slot as used. A slot that fails either check stays free.
+    bool buffer_reply(ByteView encoded);
+    /// Enters every used slot into the voter, in handle_replies
+    /// transitions of at most voter_batch_max replies each.
     void flush_reply_buffer();
     void arm_voter_flush_timer();
 
@@ -233,9 +236,13 @@ class TroxyReplicaHost {
     FlatSet<std::uint64_t> fast_reads_in_flight_;
     std::uint64_t restarts_ = 0;
 
-    // Voter batching state (cleared on crash — buffered replies die with
+    // Voter batching state (emptied on crash — buffered replies die with
     // the untrusted process; the senders' retransmit path covers them).
+    // Reply slots: the first reply_count_ hold replies awaiting the
+    // voter; every slot keeps its result capacity across flushes, so a
+    // warm host decodes replies without allocating.
     std::vector<hybster::Reply> reply_buffer_;
+    std::size_t reply_count_ = 0;
     std::uint64_t voter_flush_generation_ = 0;
     bool voter_timer_armed_ = false;
 
@@ -259,6 +266,14 @@ class TroxyReplicaHost {
 
     // Staging buffer for the signed view of a request under verification.
     Bytes verify_scratch_;
+    /// Reused split of an incoming Bundle frame.
+    std::vector<ByteView> bundle_views_;
+    /// Ordering batches whose deferred submit has run, for the next
+    /// action set (the Fabric::acquire_queue idiom). A saturated node
+    /// holds many submits in flight, hence the generous count bound.
+    static constexpr std::size_t kMaxSpareOrders = 256;
+    static constexpr std::size_t kMaxSpareOrderCapacity = 16;
+    std::vector<std::vector<hybster::Request>> spare_orders_;
 };
 
 }  // namespace troxy::troxy_core

@@ -232,8 +232,13 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
             consecutive_failovers_ = 0;  // the cluster answered: reset
 
             // The replies borrow the channel's open buffer; each is copied
-            // once, into the buffer its callback takes.
-            std::vector<std::pair<ReplyCallback, Bytes>> completions;
+            // once, into the buffer its callback takes. The completion
+            // list comes from the spare list its callback refills.
+            std::vector<Completion> completions;
+            if (!spare_completions_.empty()) {
+                completions = std::move(spare_completions_.back());
+                spare_completions_.pop_back();
+            }
             for (const ByteView reply : replies) {
                 if (outstanding_.empty()) break;
                 completions.emplace_back(
@@ -241,12 +246,16 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
                     Bytes(reply.begin(), reply.end()));
                 outstanding_.pop_front();
             }
-            node_.exec(meter.take(),
-                       [completions = std::move(completions)]() mutable {
-                           for (auto& [callback, reply] : completions) {
-                               if (callback) callback(std::move(reply));
-                           }
-                       });
+            node_.exec(meter.take(), [this, completions = std::move(
+                                                completions)]() mutable {
+                for (auto& [callback, reply] : completions) {
+                    if (callback) callback(std::move(reply));
+                }
+                completions.clear();
+                if (spare_completions_.size() < kMaxSpareCompletions) {
+                    spare_completions_.push_back(std::move(completions));
+                }
+            });
             return;
         }
         case net::ClientFrame::Hello:

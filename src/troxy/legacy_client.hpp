@@ -143,6 +143,13 @@ class LegacyClient {
         }
     };
     std::deque<Outstanding> outstanding_;  // FIFO: replies match in order
+    /// Reply callbacks with their replies, run once the record's
+    /// processing time has elapsed. Emptied lists wait on a spare list
+    /// for the next record, so a warm client allocates none; a front's
+    /// upstream session has many records in processing at once.
+    using Completion = std::pair<ReplyCallback, Bytes>;
+    static constexpr std::size_t kMaxSpareCompletions = 64;
+    std::vector<std::vector<Completion>> spare_completions_;
     /// Requests awaiting the end-of-instant coalesced flush
     /// (options_.coalesce_sends only; cleared on reconnect — the
     /// outstanding_ queue owns retransmission).

@@ -150,9 +150,8 @@ void ShardFrontHost::on_message(sim::NodeId from, Bytes message) {
             LegacyClient& upstream = *upstreams_[
                 static_cast<std::size_t>(it->second)];
             if (unwrapped->first == net::Channel::Bundle) {
-                auto inner = net::unbundle(unwrapped->second);
-                if (inner) {
-                    for (const ByteView m : *inner) {
+                if (net::unbundle(unwrapped->second, bundle_views_)) {
+                    for (const ByteView m : bundle_views_) {
                         auto u = net::unwrap_view(m);
                         if (u && u->first == net::Channel::Client) {
                             upstream.on_message(from, u->second);

@@ -288,6 +288,8 @@ class ShardFrontHost {
 
     std::vector<std::unique_ptr<LegacyClient>> upstreams_;
     std::map<sim::NodeId, int> server_to_shard_;
+    /// Reused split of an upstream Bundle frame.
+    std::vector<ByteView> bundle_views_;
 
     std::map<sim::NodeId, Connection> connections_;
     std::uint64_t handshake_counter_ = 0;

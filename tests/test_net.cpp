@@ -399,31 +399,32 @@ TEST(Envelope, BundleRoundTrip) {
     const auto unwrapped = unwrap(bundle);
     ASSERT_TRUE(unwrapped.has_value());
     EXPECT_EQ(unwrapped->first, Channel::Bundle);
-    const auto inner = unbundle(unwrapped->second);
-    ASSERT_TRUE(inner.has_value());
-    ASSERT_EQ(inner->size(), 3u);
+    std::vector<ByteView> inner;
+    ASSERT_TRUE(unbundle(unwrapped->second, inner));
+    ASSERT_EQ(inner.size(), 3u);
     for (std::size_t i = 0; i < frames.size(); ++i) {
-        EXPECT_EQ(owned(*inner)[i], frames[i]);
+        EXPECT_EQ(owned(inner)[i], frames[i]);
     }
 }
 
 TEST(Envelope, BundleRejectsMalformed) {
-    EXPECT_FALSE(unbundle(Bytes{}).has_value());
+    std::vector<ByteView> inner;
+    EXPECT_FALSE(unbundle(Bytes{}, inner));
     // count says 2 but only one message follows
     Writer w;
     w.u16(2);
     w.bytes(to_bytes("only"));
-    EXPECT_FALSE(unbundle(w.data()).has_value());
+    EXPECT_FALSE(unbundle(w.data(), inner));
     // zero messages is not a valid bundle
     Writer empty;
     empty.u16(0);
-    EXPECT_FALSE(unbundle(empty.data()).has_value());
+    EXPECT_FALSE(unbundle(empty.data(), inner));
     // trailing garbage after the declared messages
     Writer trailing;
     trailing.u16(1);
     trailing.bytes(to_bytes("msg"));
     trailing.u8(0xff);
-    EXPECT_FALSE(unbundle(trailing.data()).has_value());
+    EXPECT_FALSE(unbundle(trailing.data(), inner));
 }
 
 // --------------------------------------------------------------- MacTable
@@ -529,12 +530,12 @@ TEST(Outbox, CoalescesDestinationBurstsIntoOneBundle) {
     const auto unwrapped = unwrap(at_two[0]);
     ASSERT_TRUE(unwrapped.has_value());
     EXPECT_EQ(unwrapped->first, Channel::Bundle);
-    const auto inner = unbundle(unwrapped->second);
-    ASSERT_TRUE(inner.has_value());
-    ASSERT_EQ(inner->size(), 3u);
-    EXPECT_EQ(owned(*inner)[0], wrap(Channel::Hybster, to_bytes("a")));
-    EXPECT_EQ(owned(*inner)[1], wrap(Channel::Hybster, to_bytes("b")));
-    EXPECT_EQ(owned(*inner)[2], wrap(Channel::Hybster, to_bytes("c")));
+    std::vector<ByteView> inner;
+    ASSERT_TRUE(unbundle(unwrapped->second, inner));
+    ASSERT_EQ(inner.size(), 3u);
+    EXPECT_EQ(owned(inner)[0], wrap(Channel::Hybster, to_bytes("a")));
+    EXPECT_EQ(owned(inner)[1], wrap(Channel::Hybster, to_bytes("b")));
+    EXPECT_EQ(owned(inner)[2], wrap(Channel::Hybster, to_bytes("c")));
 
     // A single-message destination keeps its original frame byte-for-byte
     // (batch-1 wire traffic is identical to the uncoalesced path).
@@ -621,12 +622,12 @@ TEST(Envelope, BundleZeroLengthMessageRoundTrip) {
     const Bytes bundle = make_bundle(frames);
     const auto unwrapped = unwrap(bundle);
     ASSERT_TRUE(unwrapped.has_value());
-    const auto inner = unbundle(unwrapped->second);
-    ASSERT_TRUE(inner.has_value());
-    ASSERT_EQ(inner->size(), 3u);
-    EXPECT_TRUE((*inner)[0].empty());
-    EXPECT_EQ(owned(*inner)[1], frames[1]);
-    EXPECT_TRUE((*inner)[2].empty());
+    std::vector<ByteView> inner;
+    ASSERT_TRUE(unbundle(unwrapped->second, inner));
+    ASSERT_EQ(inner.size(), 3u);
+    EXPECT_TRUE(inner[0].empty());
+    EXPECT_EQ(owned(inner)[1], frames[1]);
+    EXPECT_TRUE(inner[2].empty());
 }
 
 TEST(Envelope, BundleCountAtU16Limit) {
@@ -636,9 +637,9 @@ TEST(Envelope, BundleCountAtU16Limit) {
     const Bytes bundle = make_bundle(frames);
     const auto unwrapped = unwrap(bundle);
     ASSERT_TRUE(unwrapped.has_value());
-    const auto inner = unbundle(unwrapped->second);
-    ASSERT_TRUE(inner.has_value());
-    EXPECT_EQ(inner->size(), kMaxBundleMessages);
+    std::vector<ByteView> inner;
+    ASSERT_TRUE(unbundle(unwrapped->second, inner));
+    EXPECT_EQ(inner.size(), kMaxBundleMessages);
 }
 
 TEST(Envelope, BundleTruncatedLengthPrefixRejectedAsUnit) {
@@ -652,16 +653,19 @@ TEST(Envelope, BundleTruncatedLengthPrefixRejectedAsUnit) {
     const ByteView payload = unwrapped->second;
     // payload = u16 count ‖ u32 len ‖ "aa" ‖ u32 len ‖ "bb"
     const Bytes truncated(payload.begin(), payload.begin() + 2 + 4 + 2 + 2);
-    EXPECT_FALSE(unbundle(truncated).has_value());
+    std::vector<ByteView> inner;
+    EXPECT_FALSE(unbundle(truncated, inner));
     // truncating inside a message body is rejected the same way
     const Bytes short_body(payload.begin(), payload.begin() + 2 + 4 + 1);
-    EXPECT_FALSE(unbundle(short_body).has_value());
+    EXPECT_FALSE(unbundle(short_body, inner));
 }
 
 TEST(Envelope, BundleSplitEncodeRoundTripProperty) {
     // Random message vectors: unbundle on the make_bundle frame
-    // reproduces the inputs.
+    // reproduces the inputs, also into a vector an earlier (larger or
+    // smaller) split left filled.
     Rng rng(0x77a7);
+    std::vector<ByteView> inner;
     for (int iter = 0; iter < 50; ++iter) {
         const std::size_t count = 1 + rng.next_below(20);
         std::vector<Bytes> frames;
@@ -676,9 +680,8 @@ TEST(Envelope, BundleSplitEncodeRoundTripProperty) {
         const Bytes reference = make_bundle(frames);
         const auto unwrapped = unwrap(reference);
         ASSERT_TRUE(unwrapped.has_value());
-        const auto inner = unbundle(unwrapped->second);
-        ASSERT_TRUE(inner.has_value());
-        EXPECT_EQ(owned(*inner), frames);
+        ASSERT_TRUE(unbundle(unwrapped->second, inner));
+        EXPECT_EQ(owned(inner), frames);
     }
 }
 

@@ -739,8 +739,7 @@ TEST(ShardParity, SingleShardMatchesUnshardedGolden) {
                 if (!outer) return;
                 std::vector<ByteView> inner;
                 if (outer->first == net::Channel::Bundle) {
-                    inner = net::unbundle(outer->second).value_or(
-                        std::vector<ByteView>{});
+                    if (!net::unbundle(outer->second, inner)) inner.clear();
                 } else {
                     inner.push_back(frame);
                 }

@@ -2,6 +2,9 @@
 // miss-rate monitor, cache wire messages, and enclave-level behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <new>
 #include <optional>
 #include <span>
 #include <vector>
@@ -9,6 +12,7 @@
 #include "apps/echo_service.hpp"
 #include "apps/kv_service.hpp"
 #include "bench_support/cluster.hpp"
+#include "crypto/fastmode.hpp"
 #include "enclave/trinx.hpp"
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
@@ -17,8 +21,48 @@
 #include "troxy/cache_messages.hpp"
 #include "troxy/enclave.hpp"
 
+// Counts heap allocations while a test enables it (see test_codec.cpp).
+namespace {
+bool g_count_allocs = false;
+std::uint64_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+    if (g_count_allocs) ++g_allocs;
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+// GCC pairs these frees with the operator new calls they inline into.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace troxy::troxy_core {
 namespace {
+
+/// Heap allocations made while running `body`.
+template <typename Body>
+std::uint64_t allocations_in(Body&& body) {
+    g_allocs = 0;
+    g_count_allocs = true;
+    body();
+    g_count_allocs = false;
+    return g_allocs;
+}
+
+/// Fast crypto for the scope, as in the benchmarks: the reference AEAD
+/// stages its MAC input in temporaries of its own, which allocation
+/// counts must not see.
+struct FastCryptoScope {
+    FastCryptoScope() { crypto::set_fast_crypto(true); }
+    ~FastCryptoScope() { crypto::set_fast_crypto(previous); }
+    FastCryptoScope(const FastCryptoScope&) = delete;
+    FastCryptoScope& operator=(const FastCryptoScope&) = delete;
+
+    bool previous = crypto::fast_crypto();
+};
 
 /// Owning copies of the messages unprotect() delivered: its views borrow
 /// the channel's buffers only until the channel's next call.
@@ -432,13 +476,16 @@ struct VotingRig {
         return Bytes(frame->second.begin(), frame->second.end());
     }
 
-    /// Sends one write through the channel; returns the ordered request.
+    /// Sends one write through the channel; returns the ordered request
+    /// and hands the action set back, as the host does.
     hybster::Request order_write(std::uint64_t key) {
         auto actions = enclave->handle_request(
             meter, kClientNode,
             channel->protect(apps::EchoService::make_write(key, 16)));
         EXPECT_EQ(actions.to_order.size(), 1u);
-        return std::move(actions.to_order[0]);
+        hybster::Request request = std::move(actions.to_order.at(0));
+        enclave->recycle(std::move(actions));
+        return request;
     }
 
     /// Votes one reply (a span of one).
@@ -590,6 +637,66 @@ TEST(TroxyEnclave, DifferingResultsWaitForAMatchingReply) {
     EXPECT_EQ(rig.enclave->status().completed_votes, 1u);
     EXPECT_EQ(rig.enclave->status().pending_votes, 0u);
     EXPECT_EQ(rig.client_replies(actions), std::vector<Bytes>{to_bytes("b")});
+}
+
+TEST(TroxyEnclave, FlippingReplicaReusesResultSlots) {
+    // Replica 0 moves its vote through eight results of one size. Each
+    // abandoned result frees its slot, so every flip after the first
+    // copies into that slot without allocating.
+    const FastCryptoScope fast;
+    VotingRig rig;
+    const hybster::Request request = rig.order_write(1);
+    std::vector<hybster::Reply> flips;
+    for (const char c : std::string_view("abcdefgh")) {
+        flips.push_back(rig.make_reply(0, request, std::string(1, c)));
+    }
+    rig.enclave->recycle(rig.vote(flips[0]));
+    const std::uint64_t allocs = allocations_in([&] {
+        for (std::size_t i = 1; i < flips.size(); ++i) {
+            rig.enclave->recycle(rig.enclave->handle_replies(
+                rig.meter, std::span(flips).subspan(i, 1)));
+        }
+    });
+    EXPECT_EQ(allocs, 0u);
+
+    // Replica 0 now votes "h" only: one "g" is no quorum.
+    auto actions = rig.vote(rig.make_reply(1, request, "g"));
+    EXPECT_TRUE(actions.sends.empty());
+    EXPECT_EQ(rig.enclave->status().completed_votes, 0u);
+    actions = rig.vote(rig.make_reply(2, request, "h"));
+    EXPECT_EQ(rig.enclave->status().completed_votes, 1u);
+    EXPECT_EQ(rig.client_replies(actions), std::vector<Bytes>{to_bytes("h")});
+}
+
+TEST(VoterAllocations, SteadyStateVoteCopiesResultOnce) {
+    // With every action set handed back, a warm voter allocates per
+    // completed vote only the copy of its result and the client record
+    // that seals it: no action vectors, no per-vote tally storage.
+    const FastCryptoScope fast;
+    VotingRig rig;
+    constexpr std::uint64_t kWrites = 8;
+    for (int round = 0; round < 3; ++round) {
+        std::vector<hybster::Reply> replies;
+        for (std::uint64_t key = 0; key < kWrites; ++key) {
+            const hybster::Request request = rig.order_write(key);
+            // One result size throughout: staging buffers reach their
+            // final capacity in the warm-up round.
+            replies.push_back(rig.make_reply(1, request, "written"));
+            replies.push_back(rig.make_reply(2, request, "written"));
+        }
+        const std::uint64_t before = rig.enclave->status().completed_votes;
+        const std::uint64_t allocs = allocations_in([&] {
+            for (std::size_t i = 0; i < replies.size(); i += 2) {
+                rig.enclave->recycle(rig.enclave->handle_replies(
+                    rig.meter, std::span(replies).subspan(i, 2)));
+            }
+        });
+        const std::uint64_t votes =
+            rig.enclave->status().completed_votes - before;
+        EXPECT_EQ(votes, kWrites);
+        if (round == 0) continue;  // warm-up fills the spare lists
+        EXPECT_LE(allocs, 2 * votes) << "round " << round;
+    }
 }
 
 TEST(TroxyEnclave, ReconnectDropsRepliesOfTheReplacedSession) {
@@ -1222,6 +1329,104 @@ TEST(TroxyHost, UndecodableHybsterFrameReachesNoHandler) {
     host.replica().on_message(peer, ByteView(frames[0]).subspan(1));
     cluster.simulator().run_until(sim::milliseconds(30));
     EXPECT_GT(host.node().busy_time(), busy);
+}
+
+TEST(TroxyHost, ReplySlotsCountOnlyValidRepliesOfABundle) {
+    // Bursts of [valid, malformed, misrouted, valid] replies: only the
+    // valid ones reach the voter, and a slot left by an earlier flush or
+    // by a failed decode is never counted again. The flush enters the
+    // enclave in chunks of voter_batch_max.
+    for (const std::size_t batch_max : {std::size_t{1}, std::size_t{16}}) {
+        SCOPED_TRACE(batch_max);
+        bench::TroxyCluster::Params params = cluster_params(45);
+        params.host.voter_batch_max = batch_max;
+        bench::TroxyCluster cluster(std::move(params));
+        sim::Simulator& sim = cluster.simulator();
+        TroxyReplicaHost& host = cluster.host(0);
+        const sim::NodeId self = host.node().id();
+        const sim::NodeId peer = cluster.config().node_of(1);
+        auto& client = cluster.add_client(0);
+        int answered = 0;
+        client.start([&]() {
+            for (std::uint64_t key = 0; key < 2; ++key) {
+                client.send(apps::EchoService::make_write(key, 16),
+                            [&](Bytes) { ++answered; });
+            }
+        });
+
+        // Once both writes are ordered, the replicas' replies to the
+        // host are taken off the wire instead of delivered.
+        while (host.troxy().status().ordered_requests < 2 &&
+               sim.now() < sim::seconds(1)) {
+            sim.run_until(sim.now() + sim::microseconds(10));
+        }
+        std::map<std::uint64_t, std::vector<Bytes>> by_request;
+        cluster.fabric().attach(self, [&](sim::NodeId, Bytes frame) {
+            const auto unwrapped = net::unwrap_view(frame);
+            if (!unwrapped || unwrapped->first != net::Channel::Hybster) {
+                return;
+            }
+            auto decoded = hybster::decode_message(unwrapped->second);
+            if (!decoded) return;
+            if (auto* reply = std::get_if<hybster::Reply>(&*decoded)) {
+                by_request[reply->request_id.number].push_back(frame);
+            }
+        });
+        sim.run_until(sim.now() + sim::milliseconds(50));
+        host.attach();
+        ASSERT_EQ(by_request.size(), 2u);
+        const std::vector<Bytes>& first = by_request.begin()->second;
+        const std::vector<Bytes>& second = std::next(by_request.begin())->second;
+        ASSERT_GE(first.size(), 2u);
+        ASSERT_GE(second.size(), 2u);
+
+        Bytes malformed = first[0];
+        malformed.pop_back();
+        auto misrouted = std::get<hybster::Reply>(*hybster::decode_message(
+            net::unwrap_view(first[0])->second));
+        misrouted.request_id.client = self + 1;
+        const Bytes misrouted_frame =
+            hybster::encode_frame(net::Channel::Hybster, misrouted);
+
+        const auto status = [&host]() { return host.status().troxy; };
+        const auto deliver = [&](Bytes frame) {
+            cluster.fabric().send(peer, self, std::move(frame));
+            sim.run_until(sim.now() + sim::milliseconds(5));
+        };
+        TroxyEnclave::Status before = status();
+        deliver(net::make_bundle(
+            {first[0], malformed, misrouted_frame, first[1]}));
+        TroxyEnclave::Status after = status();
+        EXPECT_EQ(after.reply_batches - before.reply_batches,
+                  batch_max == 1 ? 2u : 1u);
+        EXPECT_EQ(after.batched_replies - before.batched_replies, 2u);
+        EXPECT_EQ(after.completed_votes - before.completed_votes, 1u);
+
+        // Nothing valid: the slots hold the last flush and a failed
+        // decode, and no transition happens.
+        before = after;
+        deliver(net::make_bundle({malformed, misrouted_frame}));
+        after = status();
+        EXPECT_EQ(after.reply_batches, before.reply_batches);
+        EXPECT_EQ(after.batched_replies, before.batched_replies);
+
+        // One valid reply in a bundle, then one alone: each enters the
+        // voter as itself, and the second completes the vote.
+        deliver(net::make_bundle({malformed, second[0]}));
+        after = status();
+        EXPECT_EQ(after.reply_batches - before.reply_batches, 1u);
+        EXPECT_EQ(after.batched_replies - before.batched_replies, 1u);
+        EXPECT_EQ(after.completed_votes, before.completed_votes);
+        deliver(second[1]);
+        after = status();
+        EXPECT_EQ(after.reply_batches - before.reply_batches, 2u);
+        EXPECT_EQ(after.batched_replies - before.batched_replies, 2u);
+        EXPECT_EQ(after.completed_votes - before.completed_votes, 1u);
+        EXPECT_EQ(after.rejected_replies, 0u);
+
+        sim.run_until(sim.now() + sim::milliseconds(50));
+        EXPECT_EQ(answered, 2);
+    }
 }
 
 }  // namespace
