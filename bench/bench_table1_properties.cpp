@@ -160,5 +160,7 @@ int main() {
                 prophecy_stale ? "yes (weak consistency confirmed)" : "no");
     std::printf("  troxy reads always reflect latest write : %s\n",
                 troxy_fresh ? "yes (strong consistency held)" : "NO");
-    return troxy_fresh ? 0 : 1;
+    // Both probes are the table's claims: a Troxy stale read, or a
+    // Prophecy run that never serves one, fails the bench.
+    return troxy_fresh && prophecy_stale ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "baselines/baseline_host.hpp"
 
-#include "common/serialize.hpp"
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
 #include "net/outbox.hpp"
@@ -17,9 +16,9 @@ BaselineReplicaHost::BaselineReplicaHost(
       node_(node),
       config_(config),
       replica_id_(replica_id),
-      identity_(channel_identity),
       client_keys_(std::move(client_key_provider)),
-      profile_(profile) {
+      profile_(profile),
+      sessions_(channel_identity) {
     hybster::Replica::Hooks hooks;
 
     // Clients attach one certificate per replica; we check ours.
@@ -42,11 +41,8 @@ BaselineReplicaHost::BaselineReplicaHost(
                                    std::span<hybster::ExecutedReply> batch) {
         for (hybster::ExecutedReply& member : batch) {
             const sim::NodeId client = member.request->id.client;
-            const auto channel = channels_.find(client);
-            if (channel == channels_.end() ||
-                !channel->second.established()) {
-                continue;  // client not connected here
-            }
+            net::ClientSessions::Session* session = sessions_.find(client);
+            if (session == nullptr) continue;  // client not connected here
             hybster::Reply& reply = member.reply;
             const Bytes key = client_keys_(client);
             const crypto::HmacTag tag =
@@ -56,7 +52,7 @@ BaselineReplicaHost::BaselineReplicaHost(
             const Bytes encoded = encode_message(hybster::Message(reply));
             crypto.charge(profile_.aead(encoded.size()));
             outbox.send(client, net::client_record_frame(
-                                    channel->second, encoded));
+                                    session->channel, encoded));
         }
     };
 
@@ -82,68 +78,25 @@ void BaselineReplicaHost::on_message(sim::NodeId from, Bytes message) {
             replica_->on_message(from, payload);
             return;
         case net::Channel::Client:
-            handle_client_frame(from, payload);
+            sessions_.serve_frame(
+                fabric_, node_, profile_, from, payload,
+                [&](net::ClientSessions::Session&, ByteView plaintext, auto&,
+                    net::Outbox& outbox) {
+                    auto decoded = hybster::decode_message(plaintext);
+                    if (!decoded) return;
+                    auto* request = std::get_if<hybster::Request>(&*decoded);
+                    if (!request) return;
+                    if (request->id.client != from) return;  // impersonation
+                    outbox.defer([this, req = std::move(*request)]() {
+                        // submit() re-dispatches optimistic reads
+                        // internally.
+                        replica_->submit({req});
+                    });
+                });
             return;
         default:
             return;
     }
-}
-
-void BaselineReplicaHost::handle_client_frame(sim::NodeId from,
-                                              ByteView payload) {
-    auto frame = net::unframe_client(payload);
-    if (!frame) return;
-
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox(fabric_, node_);
-    crypto.charge_dispatch();
-
-    switch (frame->first) {
-        case net::ClientFrame::Hello: {
-            auto [it, inserted] = channels_.try_emplace(from, identity_);
-            if (!inserted) {
-                channels_.erase(it);
-                it = channels_.try_emplace(from, identity_).first;
-            }
-            Writer seed;
-            seed.u32(node_.id());
-            seed.u64(++handshake_counter_);
-            auto server_hello =
-                it->second.accept(crypto, frame->second, seed.data());
-            if (server_hello) {
-                outbox.send(from,
-                            net::wrap(net::Channel::Client,
-                                      net::frame_client(
-                                          net::ClientFrame::ServerHello,
-                                          *server_hello)));
-            } else {
-                channels_.erase(from);
-            }
-            break;
-        }
-        case net::ClientFrame::Record: {
-            const auto it = channels_.find(from);
-            if (it == channels_.end() || !it->second.established()) break;
-            crypto.charge(profile_.aead(frame->second.size()));
-            for (const ByteView plaintext :
-                 it->second.unprotect(frame->second)) {
-                auto decoded = hybster::decode_message(plaintext);
-                if (!decoded) continue;
-                auto* request = std::get_if<hybster::Request>(&*decoded);
-                if (!request) continue;
-                if (request->id.client != from) continue;  // impersonation
-                outbox.defer([this, req = std::move(*request)]() {
-                    // submit() re-dispatches optimistic reads internally.
-                    replica_->submit({req});
-                });
-            }
-            break;
-        }
-        case net::ClientFrame::ServerHello:
-            break;
-    }
-    outbox.flush(meter);
 }
 
 }  // namespace troxy::baselines

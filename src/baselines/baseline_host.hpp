@@ -11,12 +11,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 
 #include "crypto/x25519.hpp"
 #include "hybster/replica.hpp"
-#include "net/secure_channel.hpp"
+#include "net/client_sessions.hpp"
 
 namespace troxy::baselines {
 
@@ -46,20 +45,17 @@ class BaselineReplicaHost {
 
   private:
     void on_message(sim::NodeId from, Bytes message);
-    void handle_client_frame(sim::NodeId from, ByteView payload);
 
     net::Fabric& fabric_;
     sim::Node& node_;
     hybster::Config config_;
     std::uint32_t replica_id_;
-    crypto::X25519Keypair identity_;
     ClientKeyProvider client_keys_;
     const sim::CostProfile& profile_;
     hybster::FaultProfile faults_;
 
+    net::ClientSessions sessions_;
     std::unique_ptr<hybster::Replica> replica_;
-    std::map<sim::NodeId, net::SecureChannelServer> channels_;
-    std::uint64_t handshake_counter_ = 0;
 };
 
 }  // namespace troxy::baselines

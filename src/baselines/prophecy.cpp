@@ -1,6 +1,5 @@
 #include "baselines/prophecy.hpp"
 
-#include "common/serialize.hpp"
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
 #include "net/outbox.hpp"
@@ -15,10 +14,10 @@ ProphecyMiddlebox::ProphecyMiddlebox(
     : fabric_(fabric),
       node_(node),
       config_(std::move(config)),
-      identity_(channel_identity),
       classifier_(std::move(classifier)),
       profile_(profile),
       options_(options),
+      sessions_(channel_identity),
       rng_(seed ^ 0x70726f7068ULL) {
     bft_client_ = std::make_unique<pbft::PbftClient>(
         fabric, node, config_, std::move(macs), profile);
@@ -40,73 +39,29 @@ void ProphecyMiddlebox::on_message(sim::NodeId from, Bytes message) {
             bft_client_->on_message(from, payload);
             return;
         case net::Channel::Client:
-            handle_client_frame(from, payload);
+            sessions_.serve_frame(
+                fabric_, node_, profile_, from, payload,
+                [&](net::ClientSessions::Session& session,
+                    ByteView app_request, auto&, net::Outbox& outbox) {
+                    outbox.defer([this, from, generation = session.generation,
+                                  request = Bytes(app_request.begin(),
+                                                  app_request.end())]() mutable {
+                        handle_app_request(from, generation,
+                                           std::move(request));
+                    });
+                });
             return;
         default:
             return;
     }
 }
 
-void ProphecyMiddlebox::handle_client_frame(sim::NodeId from,
-                                            ByteView payload) {
-    auto frame = net::unframe_client(payload);
-    if (!frame) return;
-
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox(fabric_, node_);
-    crypto.charge_dispatch();
-
-    switch (frame->first) {
-        case net::ClientFrame::Hello: {
-            auto [it, inserted] = connections_.try_emplace(from, identity_);
-            if (!inserted) {
-                connections_.erase(it);
-                it = connections_.try_emplace(from, identity_).first;
-            }
-            Writer seed;
-            seed.u32(node_.id());
-            seed.u64(++handshake_counter_);
-            auto hello =
-                it->second.channel.accept(crypto, frame->second, seed.data());
-            if (hello) {
-                outbox.send(from, net::wrap(net::Channel::Client,
-                                            net::frame_client(
-                                                net::ClientFrame::ServerHello,
-                                                *hello)));
-            } else {
-                connections_.erase(from);
-            }
-            break;
-        }
-        case net::ClientFrame::Record: {
-            const auto it = connections_.find(from);
-            if (it == connections_.end() ||
-                !it->second.channel.established()) {
-                break;
-            }
-            crypto.charge(profile_.aead(frame->second.size()));
-            for (const ByteView app_request :
-                 it->second.channel.unprotect(frame->second)) {
-                outbox.defer([this, from,
-                              request = Bytes(app_request.begin(),
-                                              app_request.end())]() mutable {
-                    handle_app_request(from, std::move(request));
-                });
-            }
-            break;
-        }
-        case net::ClientFrame::ServerHello:
-            break;
-    }
-    outbox.flush(meter);
-}
-
 void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
+                                           std::uint64_t generation,
                                            Bytes app_request) {
-    const auto conn = connections_.find(client);
-    if (conn == connections_.end()) return;
-    const std::uint64_t slot = conn->second.next_assign++;
+    net::ClientSessions::Session* session = sessions_.find(client);
+    if (session == nullptr || session->generation != generation) return;
+    const net::ClientSessions::Ticket to = session->assign();
 
     const hybster::RequestInfo info = classifier_(app_request);
     if (!info.is_read) {
@@ -114,11 +69,9 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
         // invalidated (Prophecy cannot map writes to cached reads — the
         // source of its weak consistency).
         ++stats_.ordered;
-        bft_client_->invoke(app_request, false,
-                            [this, client, slot](Bytes result) {
-                                release_reply(client, slot,
-                                              std::move(result));
-                            });
+        bft_client_->invoke(app_request, false, [this, to](Bytes result) {
+            release_reply(to, std::move(result));
+        });
         return;
     }
 
@@ -126,7 +79,7 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
     const auto hit = sketch_.find(sketch_key);
     if (hit == sketch_.end()) {
         ++stats_.sketch_misses;
-        ordered_read_through(client, slot, std::move(app_request), true);
+        ordered_read_through(to, std::move(app_request));
         return;
     }
 
@@ -136,61 +89,39 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
     const crypto::Sha256Digest expected = hit->second;
     bft_client_->read_one(
         app_request, replica,
-        [this, client, slot, expected,
-         request = app_request](Bytes result) mutable {
+        [this, to, expected, request = app_request](Bytes result) mutable {
             if (constant_time_equal(crypto::sha256(result), expected)) {
                 ++stats_.fast_hits;
-                release_reply(client, slot, std::move(result));
+                release_reply(to, std::move(result));
             } else {
                 // Replica disagrees with the sketch (stale sketch after a
                 // write, or a faulty replica): fall back to an ordered
                 // read and refresh the sketch.
                 ++stats_.fast_conflicts;
-                ordered_read_through(client, slot, std::move(request), true);
+                ordered_read_through(to, std::move(request));
             }
         });
 }
 
-void ProphecyMiddlebox::ordered_read_through(sim::NodeId client,
-                                             std::uint64_t slot,
-                                             Bytes app_request,
-                                             bool update_sketch) {
+void ProphecyMiddlebox::ordered_read_through(
+    const net::ClientSessions::Ticket& to, Bytes app_request) {
     ++stats_.ordered;
     const Bytes sketch_key = crypto::sha256_bytes(app_request);
     bft_client_->invoke(
         std::move(app_request), true,
-        [this, client, slot, sketch_key, update_sketch](Bytes result) {
-            if (update_sketch) {
-                if (sketch_.size() >= options_.sketch_capacity) {
-                    sketch_.erase(sketch_.begin());
-                }
-                sketch_[sketch_key] = crypto::sha256(result);
+        [this, to, sketch_key](Bytes result) {
+            if (sketch_.size() >= options_.sketch_capacity) {
+                sketch_.erase(sketch_.begin());
             }
-            release_reply(client, slot, std::move(result));
+            sketch_[sketch_key] = crypto::sha256(result);
+            release_reply(to, std::move(result));
         });
 }
 
-void ProphecyMiddlebox::release_reply(sim::NodeId client, std::uint64_t slot,
+void ProphecyMiddlebox::release_reply(const net::ClientSessions::Ticket& to,
                                       Bytes app_reply) {
-    const auto conn = connections_.find(client);
-    if (conn == connections_.end()) return;
-    Connection& connection = conn->second;
-
-    connection.ready.emplace(slot, std::move(app_reply));
-
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox(fabric_, node_);
-    while (true) {
-        const auto next = connection.ready.find(connection.next_release);
-        if (next == connection.ready.end()) break;
-        crypto.charge(profile_.aead(next->second.size()));
-        outbox.send(client, net::client_record_frame(
-                                connection.channel, next->second));
-        connection.ready.erase(next);
-        ++connection.next_release;
-    }
-    outbox.flush(meter);
+    sessions_.release_records(fabric_, node_, profile_, to,
+                              std::move(app_reply));
 }
 
 }  // namespace troxy::baselines

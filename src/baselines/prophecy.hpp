@@ -17,11 +17,10 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "baselines/pbft.hpp"
 #include "crypto/x25519.hpp"
-#include "net/secure_channel.hpp"
+#include "net/client_sessions.hpp"
 #include "troxy/enclave.hpp"  // reuse Classifier
 
 namespace troxy::baselines {
@@ -53,38 +52,29 @@ class ProphecyMiddlebox {
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   private:
-    struct Connection {
-        net::SecureChannelServer channel;
-        std::uint64_t next_assign = 0;
-        std::uint64_t next_release = 0;
-        std::map<std::uint64_t, Bytes> ready;
-
-        explicit Connection(const crypto::X25519Keypair& identity)
-            : channel(identity) {}
-    };
-
     void on_message(sim::NodeId from, Bytes message);
-    void handle_client_frame(sim::NodeId from, ByteView payload);
-    void handle_app_request(sim::NodeId client, Bytes app_request);
-    void ordered_read_through(sim::NodeId client, std::uint64_t slot,
-                              Bytes app_request, bool update_sketch);
-    void release_reply(sim::NodeId client, std::uint64_t slot,
+    /// Assigns the request its slot in `client`'s session `generation`
+    /// (dropped if that session was replaced meanwhile) and serves it.
+    void handle_app_request(sim::NodeId client, std::uint64_t generation,
+                            Bytes app_request);
+    /// Orders the read and refreshes its sketch entry.
+    void ordered_read_through(const net::ClientSessions::Ticket& to,
+                              Bytes app_request);
+    void release_reply(const net::ClientSessions::Ticket& to,
                        Bytes app_reply);
 
     net::Fabric& fabric_;
     sim::Node& node_;
     pbft::Config config_;
-    crypto::X25519Keypair identity_;
     troxy_core::Classifier classifier_;
     const sim::CostProfile& profile_;
     Options options_;
 
     std::unique_ptr<pbft::PbftClient> bft_client_;
-    std::map<sim::NodeId, Connection> connections_;
+    net::ClientSessions sessions_;
     // sketch: hash(app request) → hash(result of latest read)
     std::map<Bytes, crypto::Sha256Digest> sketch_;
     Rng rng_;
-    std::uint64_t handshake_counter_ = 0;
     Stats stats_;
 };
 

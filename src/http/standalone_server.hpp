@@ -5,13 +5,12 @@
 // the latency floor the replicated configurations are compared against.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "crypto/x25519.hpp"
 #include "hybster/service.hpp"
 #include "net/fabric.hpp"
-#include "net/secure_channel.hpp"
+#include "net/client_sessions.hpp"
 
 namespace troxy::http {
 
@@ -32,11 +31,8 @@ class StandaloneServer {
     net::Fabric& fabric_;
     sim::Node& node_;
     hybster::ServicePtr service_;
-    crypto::X25519Keypair identity_;
     const sim::CostProfile& profile_;
-
-    std::map<sim::NodeId, net::SecureChannelServer> channels_;
-    std::uint64_t handshake_counter_ = 0;
+    net::ClientSessions sessions_;
 };
 
 }  // namespace troxy::http

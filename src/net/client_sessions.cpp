@@ -1,0 +1,66 @@
+#include "net/client_sessions.hpp"
+
+#include "net/envelope.hpp"
+
+namespace troxy::net {
+
+std::optional<Bytes> ClientSessions::accept(enclave::CostedCrypto& crypto,
+                                            sim::NodeId client,
+                                            ByteView hello,
+                                            ByteView seed_prefix) {
+    // A second Hello replaces the session: the old channel and its slot
+    // window die here, and the fresh generation fences off the old
+    // session's in-flight replies.
+    sessions_.erase(client);
+    const auto it =
+        sessions_.try_emplace(client, client, identity_, ++generation_counter_)
+            .first;
+
+    Writer seed;
+    seed.reserve(seed_prefix.size() + 8);
+    seed.raw(seed_prefix);
+    seed.u64(++handshake_counter_);
+    auto server_hello = it->second.channel.accept(crypto, hello, seed.data());
+    if (!server_hello) {
+        sessions_.erase(it);
+        return std::nullopt;
+    }
+    ++accepted_;
+    return wrap(Channel::Client,
+                frame_client(ClientFrame::ServerHello, *server_hello));
+}
+
+ClientSessions::Opened ClientSessions::open(enclave::CostedCrypto& crypto,
+                                            sim::NodeId client,
+                                            ByteView record) {
+    const auto it = sessions_.find(client);
+    if (it == sessions_.end()) return {};
+    crypto.charge(crypto.profile().aead(record.size()));
+    return {&it->second, it->second.channel.unprotect(record)};
+}
+
+std::size_t ClientSessions::release_records(Fabric& fabric, sim::Node& node,
+                                            const sim::CostProfile& profile,
+                                            const Ticket& to, Bytes reply) {
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto(profile, meter);
+    Outbox outbox(fabric, node);
+    std::size_t records = 0;
+    release(to, std::move(reply), [&](Session& session, Bytes&& ready) {
+        crypto.charge(profile.aead(ready.size()));
+        outbox.send(to.client, client_record_frame(session.channel, ready));
+        ++records;
+    });
+    outbox.flush(meter);
+    return records;
+}
+
+std::size_t ClientSessions::waiting() const noexcept {
+    std::size_t banked = 0;
+    for (const auto& [client, session] : sessions_) {
+        banked += session.ready.size();
+    }
+    return banked;
+}
+
+}  // namespace troxy::net

@@ -21,7 +21,6 @@ TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
       replica_id_(replica_id),
       config_(std::move(config)),
       trinx_(std::move(trinx)),
-      identity_(channel_identity),
       classifier_(std::move(classifier)),
       profile_(profile),
       options_(options),
@@ -32,6 +31,7 @@ TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
       cache_(gate_, options.cache_capacity_bytes),
       monitor_(options.monitor),
       rng_(seed ^ (0x7472657800ULL + host_node)),
+      sessions_(channel_identity),
       source_stamp_(static_cast<std::size_t>(config_.n()), 0) {
     TROXY_ASSERT(trinx_ != nullptr, "troxy needs the trusted subsystem");
     TROXY_ASSERT(classifier_ != nullptr, "troxy needs a request classifier");
@@ -92,35 +92,20 @@ TroxyActions TroxyEnclave::accept_connection(enclave::CostMeter& meter,
     gate_.ecall(meter, "accept_connection", hello.size(), 96);
     enclave::CostedCrypto crypto(profile_, meter);
 
-    auto [it, inserted] = connections_.try_emplace(client, identity_);
-    if (!inserted) {
-        // Reconnect: the old session is gone (client-side failover).
-        connections_.erase(it);
-        it = connections_.try_emplace(client, identity_).first;
-    }
-    it->second.generation = ++connection_generation_;
-
-    Writer seed;
-    seed.u64(rng_.next());
-    seed.u64(++handshake_counter_);
-    auto server_hello = it->second.channel.accept(crypto, hello, seed.data());
-
+    FixedWriter<8> prefix;
+    prefix.u64(rng_.next());
     TroxyActions actions = take_actions();
-    if (!server_hello) {
-        connections_.erase(it);
-        return actions;
+    if (auto server_hello =
+            sessions_.accept(crypto, client, hello, prefix.take())) {
+        actions.sends.emplace_back(client, std::move(*server_hello));
     }
-    actions.sends.emplace_back(
-        client, net::wrap(net::Channel::Client,
-                          net::frame_client(net::ClientFrame::ServerHello,
-                                            *server_hello)));
     return actions;
 }
 
 void TroxyEnclave::close_connection(enclave::CostMeter& meter,
                                     sim::NodeId client) {
     gate_.ecall(meter, "close_connection", 0, 0);
-    connections_.erase(client);
+    sessions_.erase(client);
 }
 
 // --------------------------------------------------------------- requests
@@ -132,18 +117,12 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions = take_actions();
 
-    const auto conn = connections_.find(client);
-    if (conn == connections_.end() || !conn->second.channel.established()) {
-        return actions;  // no session: discard
-    }
-
-    crypto.charge(profile_.aead(record.size()));
-    // The requests borrow the channel's open buffer, which holds until
-    // the connection's next record.
-    const std::uint64_t generation = conn->second.generation;
-    for (const ByteView app_request :
-         conn->second.channel.unprotect(record)) {
-        const std::uint64_t conn_slot = conn->second.next_assign++;
+    // No session: nothing opens. The requests borrow the channel's open
+    // buffer, which holds until the connection's next record.
+    const net::ClientSessions::Opened opened =
+        sessions_.open(crypto, client, record);
+    for (const ByteView app_request : opened.requests) {
+        const net::ClientSessions::Ticket to = opened.session->assign();
         hybster::RequestInfo info = classifier_(app_request);
         crypto.charge_dispatch();
 
@@ -157,8 +136,8 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
                     constant_time_equal(
                         entry->request_digest,
                         app_request_digest(crypto, app_request))) {
-                    start_fast_read(crypto, actions, client, generation,
-                                    conn_slot, info, app_request, *entry);
+                    start_fast_read(crypto, actions, to, info, app_request,
+                                    *entry);
                     handled = true;
                 } else {
                     // Local cache miss: count it, fall through to ordering.
@@ -173,17 +152,16 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
         }
 
         if (!handled) {
-            order_request(crypto, actions, client, generation, conn_slot,
-                          std::move(info), app_request);
+            order_request(crypto, actions, to, std::move(info),
+                          app_request);
         }
     }
     return actions;
 }
 
 void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
-                                 TroxyActions& actions, sim::NodeId client,
-                                 std::uint64_t generation,
-                                 std::uint64_t conn_slot,
+                                 TroxyActions& actions,
+                                 const net::ClientSessions::Ticket& to,
                                  hybster::RequestInfo&& info,
                                  ByteView app_request) {
     hybster::Request request;
@@ -210,9 +188,7 @@ void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
         }
     }
     PendingVote pending;
-    pending.client = client;
-    pending.generation = generation;
-    pending.conn_slot = conn_slot;
+    pending.to = to;
     pending.state_key = std::move(info.state_key);
     pending.extra_keys = std::move(info.extra_keys);
     pending.is_read = info.is_read;
@@ -344,9 +320,7 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     }
     ++stats_.completed_votes;
 
-    const sim::NodeId client = pending.client;
-    const std::uint64_t generation = pending.generation;
-    const std::uint64_t conn_slot = pending.conn_slot;
+    const net::ClientSessions::Ticket to = pending.to;
     Bytes app_reply = std::move(result);
     if (spare_tallies_.size() < kMaxSpareTallies) {
         tally.results.clear();
@@ -354,41 +328,26 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     }
     pending_votes_.erase(number);
     actions.completed_votes.push_back(number);
-    collect_releases(client, generation, conn_slot, std::move(app_reply));
+    collect_releases(to, std::move(app_reply));
 }
 
-void TroxyEnclave::collect_releases(sim::NodeId client,
-                                    std::uint64_t generation,
-                                    std::uint64_t conn_slot,
+void TroxyEnclave::collect_releases(const net::ClientSessions::Ticket& to,
                                     Bytes app_reply) {
-    const auto conn = connections_.find(client);
-    if (conn == connections_.end()) return;  // client went away
-    Connection& connection = conn->second;
-    if (connection.generation != generation) return;  // replaced session
-
-    // Release strictly in per-connection order (TLS stream semantics); the
-    // plaintexts accumulate for one seal at the end of the transition. A
-    // reply behind a gap waits in `ready`; the one that closes the gap
-    // joins the plan directly and takes its waiting successors along.
-    if (conn_slot != connection.next_release) {
-        connection.ready.emplace(conn_slot, std::move(app_reply));
-        return;
-    }
-    while (true) {
-        release_plan_.push_back(
-            {client, release_plan_.size(), std::move(app_reply)});
-        const auto next = connection.ready.find(++connection.next_release);
-        if (next == connection.ready.end()) break;
-        app_reply = std::move(next->second);
-        connection.ready.erase(next);
-    }
+    // The plaintexts accumulate for one seal at the end of the transition.
+    sessions_.release(to, std::move(app_reply),
+                      [this](net::ClientSessions::Session& session,
+                             Bytes&& reply) {
+                          release_plan_.push_back({session.client,
+                                                   release_plan_.size(),
+                                                   std::move(reply)});
+                      });
 }
 
 void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
                                   TroxyActions& actions) {
     for_each_destination(release_plan_, [&](auto first, auto last) {
-        const auto conn = connections_.find(first->to);
-        if (conn == connections_.end()) return;
+        net::ClientSessions::Session* session = sessions_.find(first->to);
+        if (session == nullptr) return;
         std::size_t total = 0;
         release_views_.clear();
         for (auto it = first; it != last; ++it) {
@@ -402,7 +361,7 @@ void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
         crypto.charge(profile_.aead(total));
         actions.sends.emplace_back(
             first->to,
-            net::client_record_frame(conn->second.channel, release_views_));
+            net::client_record_frame(session->channel, release_views_));
     });
     release_plan_.clear();
 }
@@ -501,18 +460,15 @@ void TroxyEnclave::authenticate_replies(
 // -------------------------------------------------------------- fast read
 
 void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
-                                   TroxyActions& actions, sim::NodeId client,
-                                   std::uint64_t generation,
-                                   std::uint64_t conn_slot,
+                                   TroxyActions& actions,
+                                   const net::ClientSessions::Ticket& to,
                                    const hybster::RequestInfo& info,
                                    ByteView app_request,
                                    const CacheEntry& entry) {
     const std::uint64_t query_id = next_query_id_++;
 
     PendingFastRead fast;
-    fast.client = client;
-    fast.generation = generation;
-    fast.conn_slot = conn_slot;
+    fast.to = to;
     fast.state_key = info.state_key;
     fast.local = entry;
     fast.app_request.assign(app_request.begin(), app_request.end());
@@ -670,13 +626,11 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
     // All f remote caches matched the local one: the fast read succeeds.
     ++stats_.fast_read_hits;
     monitor_.record(false);
-    const sim::NodeId client = fast.client;
-    const std::uint64_t generation = fast.generation;
-    const std::uint64_t conn_slot = fast.conn_slot;
+    const net::ClientSessions::Ticket to = fast.to;
     Bytes result = std::move(fast.local.result);
     fast_reads_.erase(response.query_id);
     actions.completed_fast_reads.push_back(response.query_id);
-    collect_releases(client, generation, conn_slot, std::move(result));
+    collect_releases(to, std::move(result));
 }
 
 TroxyActions TroxyEnclave::handle_cache_responses(
@@ -721,8 +675,7 @@ void TroxyEnclave::fast_read_fallback(enclave::CostedCrypto& crypto,
     PendingFastRead fast = std::move(*found);
     fast_reads_.erase(query_id);
 
-    order_request(crypto, actions, fast.client, fast.generation,
-                  fast.conn_slot, classifier_(fast.app_request),
+    order_request(crypto, actions, fast.to, classifier_(fast.app_request),
                   fast.app_request);
     actions.completed_fast_reads.push_back(query_id);
 }
@@ -777,9 +730,7 @@ TroxyEnclave::Status TroxyEnclave::status() const {
     s.enclave_transitions = gate_.transitions();
     s.pending_votes = pending_votes_.size();
     s.pending_fast_reads = fast_reads_.size();
-    for (const auto& [client, connection] : connections_) {
-        s.stuck_replies += connection.ready.size();
-    }
+    s.stuck_replies = sessions_.waiting();
     return s;
 }
 
@@ -809,7 +760,7 @@ void TroxyEnclave::Status::add_counters(const Status& other) {
 
 void TroxyEnclave::restart() {
     cache_.clear();
-    connections_.clear();
+    sessions_.clear();
     pending_votes_.clear();
     fast_reads_.clear();
     // The votes backing these in-flight markers are gone; a leaked entry

@@ -26,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -41,7 +39,7 @@
 #include "hybster/config.hpp"
 #include "hybster/messages.hpp"
 #include "hybster/service.hpp"
-#include "net/secure_channel.hpp"
+#include "net/client_sessions.hpp"
 #include "troxy/cache.hpp"
 #include "troxy/cache_messages.hpp"
 
@@ -238,22 +236,6 @@ class TroxyEnclave {
     }
 
   private:
-    /// Replies are released into a connection only while its generation
-    /// matches the one recorded when the request arrived: a second Hello
-    /// from the same client replaces the session and resets its slot
-    /// window, and the old session's in-flight votes and fast reads must
-    /// not fill the new session's slots.
-    struct Connection {
-        net::SecureChannelServer channel;
-        std::uint64_t generation = 0;
-        std::uint64_t next_assign = 0;   // per-connection request slot
-        std::uint64_t next_release = 0;  // in-order reply release
-        std::map<std::uint64_t, Bytes> ready;  // slot → plaintext reply
-
-        explicit Connection(const crypto::X25519Keypair& identity)
-            : channel(identity) {}
-    };
-
     /// A pending vote's count. Every counted reply already carried the
     /// request digest, so equal results are matching votes; a replica
     /// that changes its result moves its vote. The storage is recycled
@@ -270,9 +252,7 @@ class TroxyEnclave {
     };
 
     struct PendingVote {
-        sim::NodeId client = 0;
-        std::uint64_t generation = 0;
-        std::uint64_t conn_slot = 0;
+        net::ClientSessions::Ticket to;  // the client reply's slot
         std::string state_key;
         /// Write-set closure beyond state_key (RequestInfo::extra_keys);
         /// registered in pending_write_keys_ and invalidated on quorum.
@@ -284,9 +264,7 @@ class TroxyEnclave {
     };
 
     struct PendingFastRead {
-        sim::NodeId client = 0;
-        std::uint64_t generation = 0;
-        std::uint64_t conn_slot = 0;
+        net::ClientSessions::Ticket to;  // the client reply's slot
         std::string state_key;
         CacheEntry local;        // snapshot compared against responses
         Bytes app_request;       // for fallback ordering
@@ -300,12 +278,10 @@ class TroxyEnclave {
     /// Appends the authenticated BFT request (and its vote timer) to
     /// `actions`. The request's write set moves into the pending vote.
     void order_request(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                       sim::NodeId client, std::uint64_t generation,
-                       std::uint64_t conn_slot, hybster::RequestInfo&& info,
-                       ByteView app_request);
+                       const net::ClientSessions::Ticket& to,
+                       hybster::RequestInfo&& info, ByteView app_request);
     void start_fast_read(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                         sim::NodeId client, std::uint64_t generation,
-                         std::uint64_t conn_slot,
+                         const net::ClientSessions::Ticket& to,
                          const hybster::RequestInfo& info,
                          ByteView app_request, const CacheEntry& entry);
     void fast_read_fallback(enclave::CostedCrypto& crypto,
@@ -344,9 +320,10 @@ class TroxyEnclave {
                                bool first_from_source);
     /// Queues a completed request's reply for its connection; replies
     /// leave strictly in per-connection order (TLS stream semantics), so a
-    /// reply that closes a gap releases the buffered ones behind it too.
-    void collect_releases(sim::NodeId client, std::uint64_t generation,
-                          std::uint64_t conn_slot, Bytes app_reply);
+    /// reply that closes a gap releases the buffered ones behind it too,
+    /// and a reply of a replaced session is dropped.
+    void collect_releases(const net::ClientSessions::Ticket& to,
+                          Bytes app_reply);
     /// Seals release_plan_ into one record per connection, in ascending
     /// client id, and empties it.
     void flush_releases(enclave::CostedCrypto& crypto, TroxyActions& actions);
@@ -360,7 +337,6 @@ class TroxyEnclave {
     std::uint32_t replica_id_;
     hybster::Config config_;
     std::shared_ptr<enclave::TrinX> trinx_;
-    crypto::X25519Keypair identity_;
     Classifier classifier_;
     const sim::CostProfile& profile_;
     TroxyOptions options_;
@@ -370,8 +346,9 @@ class TroxyEnclave {
     MissRateMonitor monitor_;
     Rng rng_;
 
-    std::map<sim::NodeId, Connection> connections_;
-    std::uint64_t connection_generation_ = 0;
+    /// The client connections: secure channels, slot windows and the
+    /// generation fence of a reconnect.
+    net::ClientSessions sessions_;
     FlatMap<std::uint64_t, PendingVote> pending_votes_;   // by request no.
     FlatMap<std::uint64_t, PendingFastRead> fast_reads_;  // by query id
     /// Keys with own writes still in flight: fast reads on them would
@@ -415,7 +392,6 @@ class TroxyEnclave {
     std::vector<Tally> spare_tallies_;
     std::uint64_t next_request_number_ = 1;
     std::uint64_t next_query_id_ = 1;
-    std::uint64_t handshake_counter_ = 0;
     /// Staging buffer for variable certified views (request, reply and
     /// cache-query bytes); reused so hashing and MACs allocate nothing.
     Bytes scratch_;

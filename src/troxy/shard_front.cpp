@@ -82,10 +82,10 @@ ShardFrontHost::ShardFrontHost(net::Fabric& fabric, sim::Node& node,
     : fabric_(fabric),
       node_(node),
       map_(std::move(map)),
-      identity_(channel_identity),
       classifier_(std::move(classifier)),
       profile_(profile),
-      options_(options) {
+      options_(options),
+      sessions_(channel_identity) {
     map_.validate();
     TROXY_ASSERT(static_cast<int>(backends.size()) == map_.shard_count(),
                  "one backend replica group per shard");
@@ -125,7 +125,7 @@ void ShardFrontHost::crash() {
     for (auto& upstream : upstreams_) {
         upstream->shutdown();
     }
-    connections_.clear();
+    sessions_.clear();
     commits_.clear();
     ready_ = {};
     locks_.clear();
@@ -162,95 +162,40 @@ void ShardFrontHost::on_message(sim::NodeId from, Bytes message) {
                 upstream.on_message(from, unwrapped->second);
             }
         } else if (unwrapped->first == net::Channel::Client) {
-            on_client_frame(from, unwrapped->second);
+            sessions_.serve_frame(
+                fabric_, node_, profile_, from, unwrapped->second,
+                [&](Session& session, ByteView app_request, auto&, auto&) {
+                    handle_request(session, Bytes(app_request.begin(),
+                                                  app_request.end()));
+                });
         }
     }
     fabric_.network().recycle(std::move(message));
 }
 
-void ShardFrontHost::on_client_frame(sim::NodeId from, ByteView payload) {
-    auto frame = net::unframe_client(payload);
-    if (!frame) return;
-
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox(fabric_, node_);
-    crypto.charge_dispatch();
-
-    switch (frame->first) {
-        case net::ClientFrame::Hello: {
-            auto [it, inserted] = connections_.try_emplace(from, identity_);
-            if (!inserted) {
-                // Fresh session from the same node: the old release
-                // window dies with the old channel; in-flight upstream
-                // completions are fenced off by the generation bump.
-                connections_.erase(it);
-                it = connections_.try_emplace(from, identity_).first;
-            }
-            it->second.generation = ++connection_generation_;
-            Writer seed;
-            seed.u32(node_.id());
-            seed.u64(++handshake_counter_);
-            auto hello =
-                it->second.channel.accept(crypto, frame->second,
-                                          seed.data());
-            if (hello) {
-                ++connections_accepted_;
-                outbox.send(from,
-                            net::wrap(net::Channel::Client,
-                                      net::frame_client(
-                                          net::ClientFrame::ServerHello,
-                                          *hello)));
-            } else {
-                connections_.erase(from);
-            }
-            break;
-        }
-        case net::ClientFrame::Record: {
-            const auto it = connections_.find(from);
-            if (it == connections_.end() ||
-                !it->second.channel.established()) {
-                break;
-            }
-            crypto.charge(profile_.aead(frame->second.size()));
-            for (const ByteView app_request :
-                 it->second.channel.unprotect(frame->second)) {
-                handle_request(from, it->second,
-                               Bytes(app_request.begin(), app_request.end()));
-            }
-            break;
-        }
-        case net::ClientFrame::ServerHello:
-            break;
-    }
-    outbox.flush(meter);
-}
-
-void ShardFrontHost::handle_request(sim::NodeId from, Connection& conn,
-                                    Bytes app_request) {
+void ShardFrontHost::handle_request(Session& session, Bytes app_request) {
     const hybster::RequestInfo info = classifier_(app_request);
     ++requests_;
     const int owner = map_.shard_of(info.state_key);
     if (info.is_read) {
         // Reads ride the owner shard's cache-quorum path; the closure is
         // irrelevant (nothing is written).
-        forward_single(from, conn, owner, /*is_read=*/true,
+        forward_single(session, owner, /*is_read=*/true,
                        std::move(app_request));
         return;
     }
     std::vector<int> shards = map_.shards_of(info);
     if (shards.size() == 1) {
-        forward_single(from, conn, owner, /*is_read=*/false,
+        forward_single(session, owner, /*is_read=*/false,
                        std::move(app_request));
         return;
     }
-    enqueue_cross(from, conn, std::move(shards), owner,
+    enqueue_cross(session, std::move(shards), owner,
                   std::move(app_request), info);
 }
 
-void ShardFrontHost::forward_single(sim::NodeId from, Connection& conn,
-                                    int shard, bool is_read,
-                                    Bytes app_request) {
+void ShardFrontHost::forward_single(Session& session, int shard,
+                                    bool is_read, Bytes app_request) {
     ShardStats& stats = shard_stats_[static_cast<std::size_t>(shard)];
     ++stats.forwarded;
     if (is_read) {
@@ -258,19 +203,17 @@ void ShardFrontHost::forward_single(sim::NodeId from, Connection& conn,
     } else {
         ++stats.writes;
     }
-    const std::uint64_t generation = conn.generation;
-    const std::uint64_t slot = conn.next_assign++;
     upstreams_[static_cast<std::size_t>(shard)]->send(
         std::move(app_request),
-        [this, from, generation, slot, shard](Bytes reply) {
+        [this, to = session.assign(), shard](Bytes reply) {
             ++shard_stats_[static_cast<std::size_t>(shard)].replies;
-            deliver_reply(from, generation, slot, std::move(reply));
+            released_ += sessions_.release_records(fabric_, node_, profile_,
+                                                   to, std::move(reply));
         });
 }
 
-void ShardFrontHost::enqueue_cross(sim::NodeId from, Connection& conn,
-                                   std::vector<int> shards, int owner,
-                                   Bytes app_request,
+void ShardFrontHost::enqueue_cross(Session& session, std::vector<int> shards,
+                                   int owner, Bytes app_request,
                                    const hybster::RequestInfo& info) {
     for (const int s : shards) {
         ShardStats& stats = shard_stats_[static_cast<std::size_t>(s)];
@@ -280,9 +223,7 @@ void ShardFrontHost::enqueue_cross(sim::NodeId from, Connection& conn,
     }
     CrossCommit commit;
     commit.id = next_commit_id_++;
-    commit.client = from;
-    commit.generation = conn.generation;
-    commit.slot = conn.next_assign++;
+    commit.to = session.assign();
     commit.request =
         std::make_shared<const Bytes>(std::move(app_request));
     commit.shards = std::move(shards);
@@ -380,33 +321,9 @@ void ShardFrontHost::advance_cross(CrossLockTable::CommitId id, int shard,
          locks_.release(done.id)) {
         ready_.push(successor);
     }
-    deliver_reply(done.client, done.generation, done.slot,
-                  std::move(done.owner_reply));
+    released_ += sessions_.release_records(fabric_, node_, profile_, done.to,
+                                           std::move(done.owner_reply));
     pump_cross();
-}
-
-void ShardFrontHost::deliver_reply(sim::NodeId client,
-                                   std::uint64_t generation,
-                                   std::uint64_t slot, Bytes reply) {
-    const auto it = connections_.find(client);
-    if (it == connections_.end()) return;
-    Connection& conn = it->second;
-    if (conn.generation != generation) return;  // pre-reconnect straggler
-    conn.ready.emplace(slot, std::move(reply));
-
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(profile_, meter);
-    net::Outbox outbox(fabric_, node_);
-    auto next = conn.ready.find(conn.next_release);
-    while (next != conn.ready.end()) {
-        crypto.charge(profile_.aead(next->second.size()));
-        outbox.send(client, net::client_record_frame(
-                                conn.channel, next->second));
-        ++released_;
-        conn.ready.erase(next);
-        next = conn.ready.find(++conn.next_release);
-    }
-    outbox.flush(meter);
 }
 
 namespace {
@@ -439,7 +356,7 @@ ShardFrontHost::Status ShardFrontHost::status() const {
                   if (a.second != b.second) return a.second > b.second;
                   return a.first < b.first;
               });
-    status.connections = connections_accepted_;
+    status.connections = sessions_.accepted();
     status.router_fanout = static_cast<int>(upstreams_.size());
     for (const auto& upstream : upstreams_) {
         status.upstream_failovers += upstream->failovers();

@@ -59,7 +59,7 @@
 #include "common/flat_map.hpp"
 #include "crypto/x25519.hpp"
 #include "net/fabric.hpp"
-#include "net/secure_channel.hpp"
+#include "net/client_sessions.hpp"
 #include "sim/cost.hpp"
 #include "sim/time.hpp"
 #include "troxy/enclave.hpp"
@@ -223,29 +223,13 @@ class ShardFrontHost {
     }
 
   private:
-    /// Downstream secure-channel state plus the in-order release window.
-    /// Slots are assigned at classification time and released strictly
-    /// in slot order, so pipelined replies keep the request order the
-    /// legacy client's FIFO matching expects even when shards answer
-    /// out of order. `generation` fences stale upstream completions
-    /// after a client re-handshake resets the window.
-    struct Connection {
-        explicit Connection(const crypto::X25519Keypair& identity)
-            : channel(identity) {}
-        net::SecureChannelServer channel;
-        std::uint64_t generation = 0;
-        std::uint64_t next_assign = 0;
-        std::uint64_t next_release = 0;
-        std::map<std::uint64_t, Bytes> ready;
-    };
+    using Session = net::ClientSessions::Session;
 
     /// One live cross-shard commit: admitted into the lock table, then
     /// dispatched through its ordered two-shard (or N-shard) sequence.
     struct CrossCommit {
         CrossLockTable::CommitId id = 0;
-        sim::NodeId client = 0;
-        std::uint64_t generation = 0;
-        std::uint64_t slot = 0;
+        net::ClientSessions::Ticket to;  // the owner reply's slot
         /// Refcounted request payload: one buffer serves every target
         /// shard's forward (and retransmissions) without a per-shard
         /// copy.
@@ -260,28 +244,20 @@ class ShardFrontHost {
     };
 
     void on_message(sim::NodeId from, Bytes message);
-    void on_client_frame(sim::NodeId from, ByteView payload);
-    void handle_request(sim::NodeId from, Connection& conn,
+    void handle_request(Session& session, Bytes app_request);
+    void forward_single(Session& session, int shard, bool is_read,
                         Bytes app_request);
-    void forward_single(sim::NodeId from, Connection& conn, int shard,
-                        bool is_read, Bytes app_request);
-    void enqueue_cross(sim::NodeId from, Connection& conn,
-                       std::vector<int> shards, int owner,
+    void enqueue_cross(Session& session, std::vector<int> shards, int owner,
                        Bytes app_request, const hybster::RequestInfo& info);
     /// Dispatches runnable commits while the depth budget allows, in
     /// admission order (lowest id first).
     void pump_cross();
     void send_cross_step(CrossCommit& commit);
     void advance_cross(CrossLockTable::CommitId id, int shard, Bytes reply);
-    /// Banks `reply` under (client, slot) and seals every consecutively
-    /// ready reply into downstream records.
-    void deliver_reply(sim::NodeId client, std::uint64_t generation,
-                       std::uint64_t slot, Bytes reply);
 
     net::Fabric& fabric_;
     sim::Node& node_;
     ShardMap map_;
-    crypto::X25519Keypair identity_;
     Classifier classifier_;
     const sim::CostProfile& profile_;
     Options options_;
@@ -291,9 +267,12 @@ class ShardFrontHost {
     /// Reused split of an upstream Bundle frame.
     std::vector<ByteView> bundle_views_;
 
-    std::map<sim::NodeId, Connection> connections_;
-    std::uint64_t handshake_counter_ = 0;
-    std::uint64_t connection_generation_ = 0;
+    /// Downstream sessions. Slots are assigned at classification time
+    /// and released strictly in slot order, so pipelined replies keep
+    /// the request order the legacy client's FIFO matching expects even
+    /// when shards answer out of order; a client re-handshake fences off
+    /// the old session's upstream completions.
+    net::ClientSessions sessions_;
 
     // Pipelined cross-shard commit engine.
     CrossLockTable locks_;
@@ -319,7 +298,6 @@ class ShardFrontHost {
     sim::Duration cross_lock_wait_total_ = 0;
     std::map<std::string, std::uint64_t> lock_waits_by_key_;
     std::vector<sim::Duration> cross_latencies_;
-    std::uint64_t connections_accepted_ = 0;
     std::vector<ShardStats> shard_stats_;
 };
 

@@ -5,6 +5,7 @@
 #include "apps/echo_service.hpp"
 #include "baselines/pbft.hpp"
 #include "bench_support/cluster.hpp"
+#include "busy_reconnect.hpp"
 #include "http/http.hpp"
 #include "http/page_service.hpp"
 #include "net/envelope.hpp"
@@ -284,6 +285,35 @@ TEST(Prophecy, WriteLeavesSketchStaleThenRecovers) {
     // correct and caught up here).
     EXPECT_EQ(final_body, "fresh");
     EXPECT_GE(cluster.middlebox().stats().fast_conflicts, 1u);
+}
+
+TEST(Prophecy, BusyReconnectRepliesMatchTheirRequests) {
+    // The middlebox's session table drops the replies of the session a
+    // reconnect replaced; let into the new session's slots, they would
+    // answer two of the five in-flight reads with another key's reply.
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        bench::ProphecyCluster::Params params;
+        params.base.seed = seed;
+        params.service = []() { return std::make_unique<EchoService>(); };
+        params.classifier = [](ByteView request) {
+            return EchoService().classify(request);
+        };
+        bench::ProphecyCluster cluster(std::move(params));
+        auto& client = cluster.add_client();
+
+        const test_support::BusyReconnect run =
+            test_support::run_busy_reconnect(cluster.simulator(), client,
+                                             /*writes=*/false);
+        EXPECT_EQ(run.answered, 8) << "seed " << seed;
+        for (std::uint64_t key = 0; key < 8; ++key) {
+            const auto reply = run.replies.find(key);
+            ASSERT_NE(reply, run.replies.end())
+                << "seed " << seed << " key " << key;
+            EXPECT_EQ(reply->second,
+                      EchoService::expected_read_reply(key, 0, 64))
+                << "seed " << seed << " key " << key;
+        }
+    }
 }
 
 }  // namespace

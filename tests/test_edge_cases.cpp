@@ -5,6 +5,7 @@
 #include "apps/echo_service.hpp"
 #include "apps/kv_service.hpp"
 #include "bench_support/cluster.hpp"
+#include "busy_reconnect.hpp"
 #include "crypto/aead.hpp"
 #include "net/secure_channel.hpp"
 
@@ -147,6 +148,75 @@ TEST(EdgeCases, ClientReconnectChurn) {
     cluster.simulator().run_until(sim::seconds(60));
     EXPECT_EQ(completed, 12);
     EXPECT_GE(client.failovers(), 1u);
+}
+
+/// The busy reconnect end to end through the Troxy: with one shard the
+/// contact enclave's session table fences the old session, with two the
+/// front's. The leaders hold an incomplete batch for 2 ms, so the new
+/// Hello lands while the old session's requests are still being ordered
+/// (unbatched, the contact would answer them before the Hello arrives and
+/// the fence would have nothing to drop). Writes are acknowledged with
+/// the key's new version; the retransmitted write executes after the old
+/// session's copy, so its ack carries the key's final version.
+void expect_busy_reconnect_matches(int shards, bool writes) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        bench::TroxyCluster::Params params = make_params(seed);
+        params.base.shard_count = shards;
+        params.base.batch_size_max = 16;
+        params.base.batch_delay = sim::milliseconds(2);
+        if (shards > 1) {
+            params.map = troxy_core::ShardMap::split_evenly(
+                {"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}, shards);
+        }
+        bench::TroxyCluster cluster(std::move(params));
+        auto& client = cluster.add_client();
+
+        const test_support::BusyReconnect run =
+            test_support::run_busy_reconnect(cluster.simulator(), client,
+                                             writes);
+        EXPECT_EQ(run.outstanding_at_reconnect, 5u) << "seed " << seed;
+        EXPECT_EQ(client.sessions(), 2u) << "seed " << seed;
+        EXPECT_EQ(run.answered, 8) << "seed " << seed;
+        for (std::uint64_t key = 0; key < 8; ++key) {
+            const auto reply = run.replies.find(key);
+            ASSERT_NE(reply, run.replies.end())
+                << "seed " << seed << " key " << key;
+            if (!writes || key < 3) {
+                EXPECT_EQ(reply->second,
+                          EchoService::expected_read_reply(key, 0, 64))
+                    << "seed " << seed << " key " << key;
+                continue;
+            }
+            const int shard =
+                shards > 1 ? cluster.front()->map().shard_of(
+                                 "k" + std::to_string(key))
+                           : 0;
+            const auto& service = static_cast<const EchoService&>(
+                cluster.host(shard, 0).replica().service());
+            Writer ack;
+            ack.u8(1);
+            ack.u64(service.version_of(key));
+            ack.u8(0);
+            EXPECT_EQ(reply->second, ack.data())
+                << "seed " << seed << " key " << key;
+        }
+    }
+}
+
+TEST(EdgeCases, BusyReconnectThroughContactReads) {
+    expect_busy_reconnect_matches(/*shards=*/1, /*writes=*/false);
+}
+
+TEST(EdgeCases, BusyReconnectThroughContactWrites) {
+    expect_busy_reconnect_matches(/*shards=*/1, /*writes=*/true);
+}
+
+TEST(EdgeCases, BusyReconnectThroughFrontReads) {
+    expect_busy_reconnect_matches(/*shards=*/2, /*writes=*/false);
+}
+
+TEST(EdgeCases, BusyReconnectThroughFrontWrites) {
+    expect_busy_reconnect_matches(/*shards=*/2, /*writes=*/true);
 }
 
 TEST(EdgeCases, ManyKeysChurnCacheUnderEpcPressure) {

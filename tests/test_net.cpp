@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "net/client_framing.hpp"
+#include "net/client_sessions.hpp"
 #include "net/envelope.hpp"
 #include "net/fabric.hpp"
 #include "net/mac_table.hpp"
@@ -386,6 +387,175 @@ TEST(SecureChannel, BorrowedViewsSurviveOpenBufferReuse) {
     EXPECT_TRUE(receiver.unprotect(zero_count.data()).empty());
     EXPECT_EQ(owned(receiver.unprotect(r3)),
               std::vector<Bytes>{to_bytes("three")});
+}
+
+// --------------------------------------------------------- client sessions
+
+/// A session table and the client-side channels that connect to it.
+struct SessionRig {
+    crypto::X25519Keypair identity =
+        crypto::x25519_keypair_from_seed(to_bytes("sessions-identity"));
+    ClientSessions sessions{identity};
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto{kNative, meter};
+
+    /// Handshakes a fresh client channel as node `client`.
+    SecureChannelClient connect(sim::NodeId client, const std::string& seed) {
+        SecureChannelClient channel(identity.public_key, to_bytes(seed));
+        const auto frame = sessions.accept(crypto, client,
+                                           channel.client_hello(),
+                                           to_bytes("prefix"));
+        EXPECT_TRUE(frame.has_value());
+        if (!frame) return channel;
+        const auto wrapped = unwrap_view(*frame);
+        EXPECT_TRUE(wrapped && wrapped->first == Channel::Client);
+        const auto hello = unframe_client(wrapped->second);
+        EXPECT_TRUE(hello && hello->first == ClientFrame::ServerHello);
+        EXPECT_TRUE(channel.finish(hello->second));
+        return channel;
+    }
+
+    /// Releases `reply` for `slot` and returns what left, in order.
+    std::vector<Bytes> release(sim::NodeId client, std::uint64_t generation,
+                               std::uint64_t slot, const std::string& reply) {
+        std::vector<Bytes> out;
+        sessions.release({client, generation, slot}, to_bytes(reply),
+                         [&](ClientSessions::Session&, Bytes&& ready) {
+                             out.push_back(std::move(ready));
+                         });
+        return out;
+    }
+};
+
+TEST(ClientSessions, SecondHelloReplacesTheSession) {
+    SessionRig rig;
+    SecureChannelClient first = rig.connect(7, "first");
+    ClientSessions::Session* session = rig.sessions.find(7);
+    ASSERT_NE(session, nullptr);
+    const std::uint64_t old_generation = session->generation;
+    EXPECT_EQ(session->assign().slot, 0u);
+
+    SecureChannelClient second = rig.connect(7, "second");
+    session = rig.sessions.find(7);
+    ASSERT_NE(session, nullptr);
+    EXPECT_GT(session->generation, old_generation);
+    EXPECT_EQ(session->assign().slot, 0u);
+    EXPECT_EQ(rig.sessions.accepted(), 2u);
+
+    // The replaced session's keys open nothing any more.
+    EXPECT_TRUE(
+        rig.sessions.open(rig.crypto, 7, first.protect(to_bytes("old")))
+            .requests.empty());
+    const ClientSessions::Opened opened =
+        rig.sessions.open(rig.crypto, 7, second.protect(to_bytes("new")));
+    EXPECT_EQ(opened.session, session);
+    EXPECT_EQ(owned(opened.requests), std::vector<Bytes>{to_bytes("new")});
+}
+
+TEST(ClientSessions, MalformedHelloDropsTheSession) {
+    SessionRig rig;
+    rig.connect(7, "client");
+    EXPECT_FALSE(rig.sessions
+                     .accept(rig.crypto, 7, to_bytes("short"),
+                             to_bytes("prefix"))
+                     .has_value());
+    EXPECT_EQ(rig.sessions.find(7), nullptr);
+    EXPECT_EQ(rig.sessions.accepted(), 1u);
+}
+
+TEST(ClientSessions, RecordBeforeTheHandshakeIsIgnoredUncharged) {
+    SessionRig rig;
+    const ClientSessions::Opened opened =
+        rig.sessions.open(rig.crypto, 7, to_bytes("not a record yet"));
+    EXPECT_EQ(opened.session, nullptr);
+    EXPECT_TRUE(opened.requests.empty());
+    EXPECT_EQ(rig.meter.total(), 0u);
+}
+
+TEST(ClientSessions, RepliesLeaveInSlotOrder) {
+    SessionRig rig;
+    rig.connect(7, "client");
+    const std::uint64_t generation = rig.sessions.find(7)->generation;
+
+    EXPECT_TRUE(rig.release(7, generation, 2, "r2").empty());
+    EXPECT_EQ(rig.sessions.waiting(), 1u);
+    EXPECT_EQ(rig.release(7, generation, 0, "r0"),
+              std::vector<Bytes>{to_bytes("r0")});
+    EXPECT_EQ(rig.sessions.waiting(), 1u);
+    EXPECT_EQ(rig.release(7, generation, 1, "r1"),
+              (std::vector<Bytes>{to_bytes("r1"), to_bytes("r2")}));
+    EXPECT_EQ(rig.sessions.waiting(), 0u);
+    EXPECT_EQ(rig.sessions.find(7)->next_release, 3u);
+}
+
+TEST(ClientSessions, StaleAndUnknownRepliesAreDropped) {
+    SessionRig rig;
+    rig.connect(7, "first");
+    const std::uint64_t old_generation = rig.sessions.find(7)->generation;
+    rig.connect(7, "second");
+    const std::uint64_t generation = rig.sessions.find(7)->generation;
+
+    // The replaced session's reply neither leaves nor waits in the new
+    // session's window; neither does a reply for a client never seen.
+    EXPECT_TRUE(rig.release(7, old_generation, 0, "stale").empty());
+    EXPECT_TRUE(rig.release(8, generation, 0, "unknown").empty());
+    EXPECT_EQ(rig.sessions.waiting(), 0u);
+    EXPECT_EQ(rig.release(7, generation, 0, "fresh"),
+              std::vector<Bytes>{to_bytes("fresh")});
+}
+
+TEST(ClientSessions, WaitingCountsBankedRepliesOfEverySession) {
+    SessionRig rig;
+    rig.connect(7, "seven");
+    rig.connect(8, "eight");
+    rig.release(7, rig.sessions.find(7)->generation, 1, "a");
+    rig.release(7, rig.sessions.find(7)->generation, 2, "b");
+    rig.release(8, rig.sessions.find(8)->generation, 3, "c");
+    EXPECT_EQ(rig.sessions.waiting(), 3u);
+    rig.sessions.erase(7);
+    EXPECT_EQ(rig.sessions.waiting(), 1u);
+    rig.sessions.clear();
+    EXPECT_EQ(rig.sessions.waiting(), 0u);
+}
+
+TEST(ClientSessions, ServeFrameHandshakesAndOpensRecords) {
+    sim::Simulator sim;
+    sim::Network network(sim);
+    Fabric fabric(sim, network);
+    sim::Node node(sim, 1, "server", 1);
+    std::vector<Bytes> to_client;
+    fabric.attach(7, [&](sim::NodeId, Bytes m) {
+        to_client.push_back(std::move(m));
+    });
+    SessionRig rig;
+    std::vector<Bytes> requests;
+    auto serve = [&](ByteView payload) {
+        rig.sessions.serve_frame(
+            fabric, node, kNative, 7, payload,
+            [&](ClientSessions::Session&, ByteView request, auto&, auto&) {
+                requests.emplace_back(request.begin(), request.end());
+            });
+        sim.run();
+    };
+
+    // A malformed frame costs nothing.
+    serve(Bytes{9});
+    EXPECT_EQ(node.busy_time(), 0);
+
+    SecureChannelClient client(rig.identity.public_key, to_bytes("c"));
+    serve(frame_client(ClientFrame::Hello, client.client_hello()));
+    ASSERT_EQ(to_client.size(), 1u);
+    const auto hello = unframe_client(unwrap_view(to_client[0])->second);
+    ASSERT_TRUE(hello && hello->first == ClientFrame::ServerHello);
+    ASSERT_TRUE(client.finish(hello->second));
+
+    const sim::Duration after_hello = node.busy_time();
+    const Bytes record = client.protect(to_bytes("q"));
+    serve(frame_client(ClientFrame::Record, record));
+    EXPECT_EQ(requests, std::vector<Bytes>{to_bytes("q")});
+    // The dispatch and the record's AEAD pass.
+    EXPECT_EQ(node.busy_time() - after_hello,
+              kNative.dispatch() + kNative.aead(record.size()));
 }
 
 // ----------------------------------------------------------------- bundle
