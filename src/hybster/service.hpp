@@ -10,15 +10,27 @@
 // and state transfer.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <string>
-#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/inline_vec.hpp"
 #include "sim/cost.hpp"
 
 namespace troxy::hybster {
+
+/// Keys a request's closure holds without touching the heap. Echo and
+/// Mail writes name one extra key; a KV mutation names its key's scan
+/// prefixes, key length + 1 of them, and every KV key the benches use
+/// ("k" + up to five digits) has at most seven characters. A longer
+/// closure spills to the heap.
+inline constexpr std::size_t kInlineKeys = 8;
+
+/// A short list of state keys, inline up to kInlineKeys.
+using KeyList = InlineVec<std::string, kInlineKeys>;
 
 struct RequestInfo {
     bool is_read = false;
@@ -31,15 +43,16 @@ struct RequestInfo {
     /// key. These are *invalidation* targets only; execution-conflict
     /// classes are formed on state_key alone (two writes under a common
     /// scan prefix still commute at the exact-key level).
-    std::vector<std::string> extra_keys;
+    KeyList extra_keys;
 
-    /// state_key followed by extra_keys (the full touched-key set).
-    [[nodiscard]] std::vector<std::string> all_keys() const {
-        std::vector<std::string> keys;
-        keys.reserve(1 + extra_keys.size());
-        keys.push_back(state_key);
-        keys.insert(keys.end(), extra_keys.begin(), extra_keys.end());
-        return keys;
+    /// The full touched-key set as a range of `const std::string&`:
+    /// state_key first, then extra_keys.
+    [[nodiscard]] auto keys() const {
+        return std::views::iota(std::size_t{0}, 1 + extra_keys.size()) |
+               std::views::transform(
+                   [this](std::size_t k) -> const std::string& {
+                       return k == 0 ? state_key : extra_keys[k - 1];
+                   });
     }
 };
 

@@ -58,9 +58,42 @@ std::size_t ClientSessions::release_records(Fabric& fabric, sim::Node& node,
 std::size_t ClientSessions::waiting() const noexcept {
     std::size_t banked = 0;
     for (const auto& [client, session] : sessions_) {
-        banked += session.ready.size();
+        banked += session.banked();
     }
     return banked;
+}
+
+void ClientSessions::Session::bank(std::uint64_t slot, Bytes reply) {
+    const std::uint64_t offset = slot - next_release;
+    if (offset >= ring_.size()) {
+        // Grow to a power of two past the offset, unrolling the ring so
+        // next_release sits at index 0.
+        std::size_t size = ring_.empty() ? kInitialWindow : ring_.size();
+        while (size <= offset) size *= 2;
+        std::vector<Entry> grown(size);
+        for (std::size_t i = 0; i < ring_.size(); ++i) {
+            grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+        }
+        ring_ = std::move(grown);
+        head_ = 0;
+    }
+    Entry& entry = ring_[(head_ + offset) & (ring_.size() - 1)];
+    if (entry.present) return;  // a second reply for the slot
+    entry.reply = std::move(reply);
+    entry.present = true;
+    ++banked_;
+}
+
+bool ClientSessions::Session::advance(Bytes& reply) {
+    ++next_release;
+    if (banked_ == 0) return false;
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    Entry& entry = ring_[head_];
+    if (!entry.present) return false;
+    reply = std::move(entry.reply);
+    entry.present = false;
+    --banked_;
+    return true;
 }
 
 }  // namespace troxy::net

@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/serialize.hpp"
@@ -50,12 +51,39 @@ class ClientSessions {
         /// The next request's ticket.
         Ticket assign() { return {client, generation, next_assign++}; }
 
+        /// Replies banked behind a gap.
+        [[nodiscard]] std::size_t banked() const noexcept { return banked_; }
+
         sim::NodeId client;
         std::uint64_t generation;  // unique across the table's lifetime
         SecureChannelServer channel;
         std::uint64_t next_assign = 0;   // slot of the next request
         std::uint64_t next_release = 0;  // slot of the next reply out
-        std::map<std::uint64_t, Bytes> ready;  // slot → reply behind a gap
+
+      private:
+        friend class ClientSessions;
+
+        /// Ring slots a session's window starts with on its first gap;
+        /// a wider window doubles the ring.
+        static constexpr std::size_t kInitialWindow = 8;
+
+        /// Banks `reply` for `slot`, which lies past next_release.
+        void bank(std::uint64_t slot, Bytes reply);
+        /// Moves past the reply just released; when the reply for the
+        /// new next_release is banked, moves it into `reply`.
+        bool advance(Bytes& reply);
+
+        /// Release window: ring_[(head_ + slot - next_release) & mask]
+        /// holds the reply for `slot`; empty entries have not arrived.
+        /// Only a reply behind a gap enters it, and the ring keeps its
+        /// capacity once grown.
+        struct Entry {
+            Bytes reply;
+            bool present = false;
+        };
+        std::vector<Entry> ring_;
+        std::size_t head_ = 0;
+        std::size_t banked_ = 0;
     };
 
     /// A record opened by open(): its session and its requests, which
@@ -85,9 +113,10 @@ class ClientSessions {
                 ByteView record);
 
     /// Releases the reply for ticket `to`: dropped when the client is
-    /// unknown or its session was replaced, banked when it arrives behind
-    /// a gap, and otherwise passed to `emit(session, std::move(reply))`
-    /// together with every banked successor it unblocks, in slot order.
+    /// unknown, its session was replaced or the slot was already
+    /// released, banked when it arrives behind a gap, and otherwise
+    /// passed to `emit(session, std::move(reply))` together with every
+    /// banked successor it unblocks, in slot order.
     template <typename Emit>
     void release(const Ticket& to, Bytes reply, Emit&& emit) {
         const auto it = sessions_.find(to.client);
@@ -95,17 +124,14 @@ class ClientSessions {
             return;
         }
         Session& session = it->second;
+        if (to.slot < session.next_release) return;
         if (to.slot != session.next_release) {
-            session.ready.emplace(to.slot, std::move(reply));
+            session.bank(to.slot, std::move(reply));
             return;
         }
-        while (true) {
+        do {
             emit(session, std::move(reply));
-            const auto next = session.ready.find(++session.next_release);
-            if (next == session.ready.end()) return;
-            reply = std::move(next->second);
-            session.ready.erase(next);
-        }
+        } while (session.advance(reply));
     }
 
     /// Serves one Channel::Client payload from `from` for an endpoint

@@ -152,8 +152,7 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
         }
 
         if (!handled) {
-            order_request(crypto, actions, to, std::move(info),
-                          app_request);
+            order_request(crypto, actions, to, info, app_request);
         }
     }
     return actions;
@@ -162,7 +161,7 @@ TroxyActions TroxyEnclave::handle_request(enclave::CostMeter& meter,
 void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
                                  TroxyActions& actions,
                                  const net::ClientSessions::Ticket& to,
-                                 hybster::RequestInfo&& info,
+                                 const hybster::RequestInfo& info,
                                  ByteView app_request) {
     hybster::Request request;
     request.id.client = host_node_;
@@ -182,16 +181,12 @@ void TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
         // Register the whole write set: a fast read on any key the write
         // touches (exact key or a covering scan partition) must be
         // conservatively ordered while the write is in flight.
-        ++*pending_write_keys_.try_emplace(info.state_key, 0).first;
-        for (const std::string& key : info.extra_keys) {
+        for (const std::string& key : info.keys()) {
             ++*pending_write_keys_.try_emplace(key, 0).first;
         }
     }
     PendingVote pending;
     pending.to = to;
-    pending.state_key = std::move(info.state_key);
-    pending.extra_keys = std::move(info.extra_keys);
-    pending.is_read = info.is_read;
     pending.request_digest = digest;
     pending.request = request;
     if (!spare_tallies_.empty()) {
@@ -296,22 +291,25 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
 
     // Vote complete: the result is correct. Maintain the cache with
     // knowledge the contact Troxy now *provably* has.
+    // The key closure is classified again from the kept request: storing
+    // it would add its inline key list (about 300 bytes) to every
+    // pending vote.
     Bytes& result = tally.results[index];
-    if (pending.is_read) {
+    const hybster::RequestInfo info =
+        classifier_(pending.request.payload());
+    if (info.is_read) {
         CacheEntry entry;
         entry.request_digest = crypto.hash(pending.request.payload());
         entry.result = result;
         entry.result_digest = crypto.hash(entry.result);
         gate_.touch(crypto.meter(), entry.result.size());
-        cache_.put(pending.state_key, std::move(entry));
+        cache_.put(info.state_key, std::move(entry));
         // A fresh entry re-arms the key: a later write completing in the
         // SAME transition must invalidate it again, dedup or not.
-        invalidated_unrecached_.erase(pending.state_key);
+        invalidated_unrecached_.erase(info.state_key);
     } else {
-        invalidate_write_set(pending.state_key, pending.extra_keys);
-        for (std::size_t k = 0; k <= pending.extra_keys.size(); ++k) {
-            const std::string& key =
-                k == 0 ? pending.state_key : pending.extra_keys[k - 1];
+        invalidate_write_set(info);
+        for (const std::string& key : info.keys()) {
             int* in_flight = pending_write_keys_.find(key);
             if (in_flight != nullptr && --*in_flight == 0) {
                 pending_write_keys_.erase(key);
@@ -380,7 +378,7 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
     // Within one batched transition each distinct key drops once (the
     // ecall stamp dedups repeat writers).
     if (!info.is_read) {
-        invalidate_write_set(info.state_key, info.extra_keys);
+        invalidate_write_set(info);
     } else if (reply.kind == hybster::Reply::Kind::Ordered) {
         CacheEntry entry;
         entry.request_digest = crypto.hash(request.payload());
@@ -396,11 +394,8 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
         crypto, reply.certified_view(scratch_), first_in_batch);
 }
 
-void TroxyEnclave::invalidate_write_set(
-    const std::string& state_key,
-    const std::vector<std::string>& extra_keys) {
-    for (std::size_t k = 0; k <= extra_keys.size(); ++k) {
-        const std::string& key = k == 0 ? state_key : extra_keys[k - 1];
+void TroxyEnclave::invalidate_write_set(const hybster::RequestInfo& info) {
+    for (const std::string& key : info.keys()) {
         const auto [stamp, inserted] =
             invalidated_unrecached_.try_emplace(key, ecall_stamp_);
         if (!inserted) {
@@ -422,11 +417,9 @@ void TroxyEnclave::invalidate_write_set(
 
 bool TroxyEnclave::has_pending_write(
     const hybster::RequestInfo& info) const {
-    if (pending_write_keys_.contains(info.state_key)) return true;
-    for (const std::string& key : info.extra_keys) {
-        if (pending_write_keys_.contains(key)) return true;
-    }
-    return false;
+    return std::ranges::any_of(info.keys(), [this](const std::string& key) {
+        return pending_write_keys_.contains(key);
+    });
 }
 
 void TroxyEnclave::authenticate_replies(

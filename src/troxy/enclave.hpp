@@ -253,11 +253,6 @@ class TroxyEnclave {
 
     struct PendingVote {
         net::ClientSessions::Ticket to;  // the client reply's slot
-        std::string state_key;
-        /// Write-set closure beyond state_key (RequestInfo::extra_keys);
-        /// registered in pending_write_keys_ and invalidated on quorum.
-        std::vector<std::string> extra_keys;
-        bool is_read = false;
         crypto::Sha256Digest request_digest{};
         hybster::Request request;  // kept for retransmission
         Tally tally;
@@ -276,10 +271,12 @@ class TroxyEnclave {
     /// or a fresh one.
     TroxyActions take_actions();
     /// Appends the authenticated BFT request (and its vote timer) to
-    /// `actions`. The request's write set moves into the pending vote.
+    /// `actions` and registers a write's key closure as pending; the
+    /// vote classifies the kept request again when it completes.
     void order_request(enclave::CostedCrypto& crypto, TroxyActions& actions,
                        const net::ClientSessions::Ticket& to,
-                       hybster::RequestInfo&& info, ByteView app_request);
+                       const hybster::RequestInfo& info,
+                       ByteView app_request);
     void start_fast_read(enclave::CostedCrypto& crypto, TroxyActions& actions,
                          const net::ClientSessions::Ticket& to,
                          const hybster::RequestInfo& info,
@@ -295,13 +292,12 @@ class TroxyEnclave {
                                                 const hybster::Request& request,
                                                 const hybster::Reply& reply,
                                                 bool first_in_batch);
-    /// Drops a completed write's whole key set (state_key + extra_keys)
+    /// Drops a completed write's whole key set (RequestInfo::keys())
     /// from the fast-read cache. Within one ecall each distinct key is
     /// dropped once (its invalidated_unrecached_ stamp equals
     /// ecall_stamp_), and a cache_.put between two writes erases the key
     /// there so the second write re-invalidates.
-    void invalidate_write_set(const std::string& state_key,
-                              const std::vector<std::string>& extra_keys);
+    void invalidate_write_set(const hybster::RequestInfo& info);
     /// True when any key the (read) request touches has an own write
     /// still in flight.
     [[nodiscard]] bool has_pending_write(

@@ -11,13 +11,20 @@
 namespace troxy::troxy_core {
 
 CrossLockTable::Admission CrossLockTable::admit(
-    CommitId id, const std::vector<std::string>& keys) {
+    CommitId id, const hybster::KeyList& keys) {
     TROXY_ASSERT(!keys.empty(), "a commit must lock at least one key");
     TROXY_ASSERT(id != kNone, "commit id out of range");
-    const auto [links, inserted] = keysets_.try_emplace(id);
+    std::vector<Link> spare;
+    if (!spare_links_.empty()) {
+        spare = std::move(spare_links_.back());
+        spare_links_.pop_back();
+    }
+    const auto [links, inserted] = keysets_.try_emplace(id, std::move(spare));
     TROXY_ASSERT(inserted, "commit id admitted twice");
+    // Reserved up front: blocked_ views the link keys, which must not
+    // move while this loop appends.
     links->reserve(keys.size());
-    Admission admission;
+    blocked_.clear();
     for (const std::string& key : keys) {
         const std::size_t slot = links->size();
         links->push_back({key, kNone});
@@ -25,14 +32,13 @@ CrossLockTable::Admission CrossLockTable::admit(
         if (fresh) {
             queue->head = id;
         } else {
-            admission.blocked_on.push_back(key);
+            blocked_.push_back(links->back().key);
             (*keysets_.find(queue->tail))[queue->tail_link].next = id;
         }
         queue->tail = id;
         queue->tail_link = slot;
     }
-    admission.runnable = admission.blocked_on.empty();
-    return admission;
+    return {blocked_.empty(), blocked_};
 }
 
 bool CrossLockTable::is_runnable(CommitId id) const {
@@ -45,10 +51,11 @@ bool CrossLockTable::is_runnable(CommitId id) const {
     return true;
 }
 
-std::vector<CrossLockTable::CommitId> CrossLockTable::release(CommitId id) {
-    const std::vector<Link>* links = keysets_.find(id);
+std::span<const CrossLockTable::CommitId> CrossLockTable::release(
+    CommitId id) {
+    std::vector<Link>* links = keysets_.find(id);
     TROXY_ASSERT(links != nullptr, "releasing unknown commit id");
-    std::vector<CommitId> runnable;
+    woken_.clear();
     for (const Link& link : *links) {
         Queue* queue = queues_.find(link.key);
         TROXY_ASSERT(queue != nullptr && queue->head == id,
@@ -57,20 +64,21 @@ std::vector<CrossLockTable::CommitId> CrossLockTable::release(CommitId id) {
             queues_.erase(link.key);
         } else {
             queue->head = link.next;
-            runnable.push_back(link.next);
+            woken_.push_back(link.next);
         }
     }
+    links->clear();
+    spare_links_.push_back(std::move(*links));
     keysets_.erase(id);
 
     // Successors surface deduplicated and in ascending id order,
     // matching the admission total order.
-    std::sort(runnable.begin(), runnable.end());
-    runnable.erase(std::unique(runnable.begin(), runnable.end()),
-                   runnable.end());
-    std::erase_if(runnable, [this](CommitId successor) {
+    std::sort(woken_.begin(), woken_.end());
+    woken_.erase(std::unique(woken_.begin(), woken_.end()), woken_.end());
+    std::erase_if(woken_, [this](CommitId successor) {
         return !is_runnable(successor);
     });
-    return runnable;
+    return woken_;
 }
 
 ShardFrontHost::ShardFrontHost(net::Fabric& fabric, sim::Node& node,
@@ -126,6 +134,9 @@ void ShardFrontHost::crash() {
         upstream->shutdown();
     }
     sessions_.clear();
+    forwards_.clear();
+    free_forwards_.clear();
+    ++forward_epoch_;
     commits_.clear();
     ready_ = {};
     locks_.clear();
@@ -184,14 +195,13 @@ void ShardFrontHost::handle_request(Session& session, Bytes app_request) {
                        std::move(app_request));
         return;
     }
-    std::vector<int> shards = map_.shards_of(info);
+    const ShardSet shards = map_.shards_of(info);
     if (shards.size() == 1) {
         forward_single(session, owner, /*is_read=*/false,
                        std::move(app_request));
         return;
     }
-    enqueue_cross(session, std::move(shards), owner,
-                  std::move(app_request), info);
+    enqueue_cross(session, shards, owner, std::move(app_request), info);
 }
 
 void ShardFrontHost::forward_single(Session& session, int shard,
@@ -203,37 +213,57 @@ void ShardFrontHost::forward_single(Session& session, int shard,
     } else {
         ++stats.writes;
     }
-    upstreams_[static_cast<std::size_t>(shard)]->send(
-        std::move(app_request),
-        [this, to = session.assign(), shard](Bytes reply) {
-            ++shard_stats_[static_cast<std::size_t>(shard)].replies;
-            released_ += sessions_.release_records(fabric_, node_, profile_,
-                                                   to, std::move(reply));
-        });
+    std::uint32_t index = 0;
+    if (free_forwards_.empty()) {
+        index = static_cast<std::uint32_t>(forwards_.size());
+        forwards_.emplace_back();
+    } else {
+        index = free_forwards_.back();
+        free_forwards_.pop_back();
+    }
+    forwards_[index] = session.assign();
+    auto on_reply = [this, index, shard = static_cast<std::uint16_t>(shard),
+                     epoch = forward_epoch_](Bytes reply) {
+        complete_forward(index, shard, epoch, std::move(reply));
+    };
+    static_assert(sizeof(on_reply) <= 2 * sizeof(void*),
+                  "the reply callback must fit std::function's buffer");
+    upstreams_[static_cast<std::size_t>(shard)]->send(std::move(app_request),
+                                                      on_reply);
 }
 
-void ShardFrontHost::enqueue_cross(Session& session, std::vector<int> shards,
+void ShardFrontHost::complete_forward(std::uint32_t index,
+                                      std::uint16_t shard,
+                                      std::uint16_t epoch, Bytes reply) {
+    ++shard_stats_[shard].replies;
+    if (epoch != forward_epoch_) return;  // sent before the last crash
+    const net::ClientSessions::Ticket to = forwards_[index];
+    free_forwards_.push_back(index);
+    released_ += sessions_.release_records(fabric_, node_, profile_, to,
+                                           std::move(reply));
+}
+
+void ShardFrontHost::enqueue_cross(Session& session, ShardSet shards,
                                    int owner, Bytes app_request,
                                    const hybster::RequestInfo& info) {
-    for (const int s : shards) {
-        ShardStats& stats = shard_stats_[static_cast<std::size_t>(s)];
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        ShardStats& stats = shard_stats_[static_cast<std::size_t>(shards[i])];
         ++stats.forwarded;
         ++stats.writes;
         ++stats.cross_participations;
     }
-    CrossCommit commit;
-    commit.id = next_commit_id_++;
+    const CrossLockTable::CommitId id = next_commit_id_++;
+    CrossCommit& commit = *commits_.try_emplace(id).first;
+    commit.id = id;
     commit.to = session.assign();
     commit.request =
         std::make_shared<const Bytes>(std::move(app_request));
-    commit.shards = std::move(shards);
+    commit.shards = shards;
     // Canonical lock set: the classifier's full key closure, sorted and
     // deduplicated. Canonical order is what makes atomic admission a
     // total order over conflicting commits.
-    commit.keys.reserve(info.extra_keys.size() + 1);
-    commit.keys.push_back(info.state_key);
-    commit.keys.insert(commit.keys.end(), info.extra_keys.begin(),
-                       info.extra_keys.end());
+    const auto closure = info.keys();
+    commit.keys.assign(closure.begin(), closure.end());
     std::sort(commit.keys.begin(), commit.keys.end());
     commit.keys.erase(std::unique(commit.keys.begin(), commit.keys.end()),
                       commit.keys.end());
@@ -245,13 +275,15 @@ void ShardFrontHost::enqueue_cross(Session& session, std::vector<int> shards,
     if (admission.runnable) {
         ready_.push(commit.id);
     } else {
-        commit.waited = true;
         ++cross_lock_waits_;
-        for (const std::string& key : admission.blocked_on) {
-            ++lock_waits_by_key_[key];
+        for (const std::string_view key : admission.blocked_on) {
+            auto it = lock_waits_by_key_.find(key);
+            if (it == lock_waits_by_key_.end()) {
+                it = lock_waits_by_key_.emplace(std::string(key), 0).first;
+            }
+            ++it->second;
         }
     }
-    commits_.emplace(commit.id, std::move(commit));
     cross_queue_peak_ =
         std::max<std::uint64_t>(cross_queue_peak_, commits_.size());
     pump_cross();
@@ -267,44 +299,43 @@ void ShardFrontHost::pump_cross() {
            (depth == 0 || cross_inflight_ < depth)) {
         const CrossLockTable::CommitId id = ready_.top();
         ready_.pop();
-        const auto it = commits_.find(id);
-        TROXY_ASSERT(it != commits_.end(), "ready commit without record");
-        CrossCommit& commit = it->second;
+        CrossCommit* commit = commits_.find(id);
+        TROXY_ASSERT(commit != nullptr, "ready commit without record");
         ++cross_inflight_;
         cross_inflight_peak_ = std::max<std::uint64_t>(
             cross_inflight_peak_, cross_inflight_);
         cross_lock_wait_total_ +=
-            fabric_.simulator().now() - commit.admitted_at;
-        send_cross_step(commit);
+            fabric_.simulator().now() - commit->admitted_at;
+        send_cross_step(*commit);
     }
 }
 
 void ShardFrontHost::send_cross_step(CrossCommit& commit) {
-    const int shard = commit.shards[commit.next];
-    const CrossLockTable::CommitId id = commit.id;
     // The full request goes to every touched shard: each shard's service
     // executes it against the keys it owns, so the owner of every key in
     // the closure sees the write in its ordered log. The payload travels
     // as a refcounted reference — one buffer serves every shard's
     // forward; the upstream session seals its ciphertext straight from
     // the shared bytes.
-    upstreams_[static_cast<std::size_t>(shard)]->send_ref(
-        commit.request, [this, id, shard](Bytes reply) {
-            advance_cross(id, shard, std::move(reply));
-        });
+    auto on_reply = [this, id = commit.id](Bytes reply) {
+        advance_cross(id, std::move(reply));
+    };
+    static_assert(sizeof(on_reply) <= 2 * sizeof(void*),
+                  "the reply callback must fit std::function's buffer");
+    upstreams_[static_cast<std::size_t>(commit.shards[commit.next])]
+        ->send_ref(commit.request, on_reply);
 }
 
-void ShardFrontHost::advance_cross(CrossLockTable::CommitId id, int shard,
+void ShardFrontHost::advance_cross(CrossLockTable::CommitId id,
                                    Bytes reply) {
-    const auto it = commits_.find(id);
-    if (it == commits_.end()) return;  // pre-crash straggler
-    CrossCommit& commit = it->second;
-    if (shard == commit.owner) {
-        commit.owner_reply = std::move(reply);
+    CrossCommit* commit = commits_.find(id);
+    if (commit == nullptr) return;  // pre-crash straggler
+    if (commit->shards[commit->next] == commit->owner) {
+        commit->owner_reply = std::move(reply);
     }
-    ++commit.next;
-    if (commit.next < commit.shards.size()) {
-        send_cross_step(commit);
+    ++commit->next;
+    if (commit->next < commit->shards.size()) {
+        send_cross_step(*commit);
         return;
     }
     // Every shard committed: release the owner's reply. Releasing only
@@ -313,16 +344,16 @@ void ShardFrontHost::advance_cross(CrossLockTable::CommitId id, int shard,
     // shard) lands after that shard's commit.
     ++cross_commits_;
     cross_latencies_.push_back(fabric_.simulator().now() -
-                               commit.admitted_at);
-    CrossCommit done = std::move(it->second);
-    commits_.erase(it);
+                               commit->admitted_at);
+    const net::ClientSessions::Ticket to = commit->to;
+    Bytes owner_reply = std::move(commit->owner_reply);
+    commits_.erase(id);
     --cross_inflight_;
-    for (const CrossLockTable::CommitId successor :
-         locks_.release(done.id)) {
+    for (const CrossLockTable::CommitId successor : locks_.release(id)) {
         ready_.push(successor);
     }
-    released_ += sessions_.release_records(fabric_, node_, profile_, done.to,
-                                           std::move(done.owner_reply));
+    released_ += sessions_.release_records(fabric_, node_, profile_, to,
+                                           std::move(owner_reply));
     pump_cross();
 }
 

@@ -52,7 +52,9 @@
 #include <map>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -83,19 +85,20 @@ class CrossLockTable {
     struct Admission {
         bool runnable = false;
         /// Keys whose queues already had a holder — what this commit is
-        /// waiting behind (empty iff runnable).
-        std::vector<std::string> blocked_on;
+        /// waiting behind (empty iff runnable). The views point into the
+        /// table and hold until its next admit().
+        std::span<const std::string_view> blocked_on;
     };
 
     /// Enqueues `id` on every key's FIFO. `keys` must be canonical
     /// (sorted, deduplicated) and non-empty; ids must be admitted in
     /// strictly increasing order (the admission total order).
-    Admission admit(CommitId id, const std::vector<std::string>& keys);
+    Admission admit(CommitId id, const hybster::KeyList& keys);
 
     /// Completes `id` (must be runnable): pops it from its queues and
     /// returns every commit that became runnable as a result, in
-    /// ascending id order.
-    std::vector<CommitId> release(CommitId id);
+    /// ascending id order. The span holds until the next release().
+    std::span<const CommitId> release(CommitId id);
 
     [[nodiscard]] bool is_runnable(CommitId id) const;
     /// Live commits (admitted, not yet released).
@@ -128,6 +131,12 @@ class CrossLockTable {
 
     FlatMap<std::string, Queue> queues_;
     FlatMap<CommitId, std::vector<Link>> keysets_;
+    /// Emptied link vectors of released commits, reused by admit().
+    std::vector<std::vector<Link>> spare_links_;
+    /// The last admit()'s blocked keys and the last release()'s woken
+    /// commits, reused so neither call allocates once warm.
+    std::vector<std::string_view> blocked_;
+    std::vector<CommitId> woken_;
 };
 
 class ShardFrontHost {
@@ -234,26 +243,29 @@ class ShardFrontHost {
         /// shard's forward (and retransmissions) without a per-shard
         /// copy.
         std::shared_ptr<const Bytes> request;
-        std::vector<int> shards;  // ascending; forwarded one at a time
-        std::vector<std::string> keys;  // canonical lock set
+        ShardSet shards;          // forwarded one at a time, ascending
+        hybster::KeyList keys;    // canonical lock set
         int owner = 0;            // shard whose reply the client sees
         std::size_t next = 0;
         Bytes owner_reply;
         sim::SimTime admitted_at = 0;
-        bool waited = false;      // admission found a key locked
     };
 
     void on_message(sim::NodeId from, Bytes message);
     void handle_request(Session& session, Bytes app_request);
     void forward_single(Session& session, int shard, bool is_read,
                         Bytes app_request);
-    void enqueue_cross(Session& session, std::vector<int> shards, int owner,
+    /// Releases forward `index`'s reply. A reply sent before the last
+    /// crash (`epoch` behind) only counts: its entry was dropped.
+    void complete_forward(std::uint32_t index, std::uint16_t shard,
+                          std::uint16_t epoch, Bytes reply);
+    void enqueue_cross(Session& session, ShardSet shards, int owner,
                        Bytes app_request, const hybster::RequestInfo& info);
     /// Dispatches runnable commits while the depth budget allows, in
     /// admission order (lowest id first).
     void pump_cross();
     void send_cross_step(CrossCommit& commit);
-    void advance_cross(CrossLockTable::CommitId id, int shard, Bytes reply);
+    void advance_cross(CrossLockTable::CommitId id, Bytes reply);
 
     net::Fabric& fabric_;
     sim::Node& node_;
@@ -274,9 +286,21 @@ class ShardFrontHost {
     /// the old session's upstream completions.
     net::ClientSessions sessions_;
 
-    // Pipelined cross-shard commit engine.
+    /// Tickets of in-flight shard-local forwards. A forward's reply
+    /// callback captures its index here rather than the 24-byte ticket,
+    /// so the callback fits std::function's inline buffer; freed indices
+    /// wait on free_forwards_ for the next forward. crash() drops every
+    /// entry and bumps forward_epoch_, so a reply already scheduled
+    /// before the crash cannot claim a reused entry (the epoch would
+    /// have to wrap, 65,536 crashes, while that reply is pending).
+    std::vector<net::ClientSessions::Ticket> forwards_;
+    std::vector<std::uint32_t> free_forwards_;
+    std::uint16_t forward_epoch_ = 0;
+
+    // Pipelined cross-shard commit engine. Commit records are only
+    // looked up by id (nothing iterates them), so they sit in a FlatMap.
     CrossLockTable locks_;
-    std::map<CrossLockTable::CommitId, CrossCommit> commits_;
+    FlatMap<CrossLockTable::CommitId, CrossCommit> commits_;
     /// Runnable, undispatched commits, lowest id on top. A commit turns
     /// runnable once (at admission or at its last predecessor's release),
     /// so no id is pushed twice.
@@ -296,7 +320,7 @@ class ShardFrontHost {
     std::uint64_t cross_inflight_peak_ = 0;
     std::uint64_t cross_lock_waits_ = 0;
     sim::Duration cross_lock_wait_total_ = 0;
-    std::map<std::string, std::uint64_t> lock_waits_by_key_;
+    std::map<std::string, std::uint64_t, std::less<>> lock_waits_by_key_;
     std::vector<sim::Duration> cross_latencies_;
     std::vector<ShardStats> shard_stats_;
 };

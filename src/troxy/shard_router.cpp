@@ -39,17 +39,9 @@ int ShardMap::shard_of(std::string_view state_key) const noexcept {
     return static_cast<int>(it - boundaries_.begin());
 }
 
-std::vector<int> ShardMap::shards_of(
-    const hybster::RequestInfo& info) const {
-    std::vector<int> shards;
-    shards.push_back(shard_of(info.state_key));
-    for (const std::string& key : info.extra_keys) {
-        const int s = shard_of(key);
-        if (std::find(shards.begin(), shards.end(), s) == shards.end()) {
-            shards.push_back(s);
-        }
-    }
-    std::sort(shards.begin(), shards.end());
+ShardSet ShardMap::shards_of(const hybster::RequestInfo& info) const {
+    ShardSet shards;
+    for (const std::string& key : info.keys()) shards.insert(shard_of(key));
     return shards;
 }
 
@@ -125,6 +117,12 @@ std::vector<int> FrontMap::failover_order(std::uint64_t client) const {
 }
 
 void ShardMap::validate() const {
+    if (shard_count() > ShardSet::kMaxShards) {
+        throw std::invalid_argument(
+            "ShardMap: " + std::to_string(shard_count()) +
+            " shards exceed the maximum of " +
+            std::to_string(ShardSet::kMaxShards));
+    }
     for (std::size_t i = 0; i < boundaries_.size(); ++i) {
         if (boundaries_[i].empty()) {
             throw std::invalid_argument(

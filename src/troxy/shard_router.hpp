@@ -18,6 +18,8 @@
 // full key set would make every write cross-shard.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,6 +29,28 @@
 #include "hybster/service.hpp"
 
 namespace troxy::troxy_core {
+
+/// A set of shard indices, kept as one bit per shard so it never
+/// allocates. Iteration and indexing run in ascending shard order.
+class ShardSet {
+  public:
+    /// The most shards a ShardMap may have (one bit each).
+    static constexpr int kMaxShards = 64;
+
+    void insert(int shard) noexcept { bits_ |= std::uint64_t{1} << shard; }
+    [[nodiscard]] std::size_t size() const noexcept {
+        return static_cast<std::size_t>(std::popcount(bits_));
+    }
+    /// The k-th smallest shard (k < size()).
+    [[nodiscard]] int operator[](std::size_t k) const noexcept {
+        std::uint64_t bits = bits_;
+        for (; k > 0; --k) bits &= bits - 1;
+        return std::countr_zero(bits);
+    }
+
+  private:
+    std::uint64_t bits_ = 0;
+};
 
 class ShardMap {
   public:
@@ -54,13 +78,13 @@ class ShardMap {
     [[nodiscard]] int shard_of(std::string_view state_key) const noexcept;
 
     /// Distinct shards touched by the request's full key closure
-    /// (state_key + extra_keys), ascending. Size 1 means shard-local.
-    [[nodiscard]] std::vector<int> shards_of(
-        const hybster::RequestInfo& info) const;
+    /// (state_key + extra_keys). Size 1 means shard-local.
+    [[nodiscard]] ShardSet shards_of(const hybster::RequestInfo& info) const;
 
     /// Throws std::invalid_argument with a precise message on empty or
     /// non-strictly-increasing boundaries (either would make some shard's
-    /// range empty, breaking the total-and-disjoint coverage guarantee).
+    /// range empty, breaking the total-and-disjoint coverage guarantee),
+    /// or on more than ShardSet::kMaxShards shards.
     void validate() const;
 
     [[nodiscard]] const std::vector<std::string>& boundaries()

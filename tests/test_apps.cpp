@@ -124,10 +124,12 @@ TEST(KvService, MutationWriteSetCoversScanPartitions) {
     // no extra keys, so they never gate or invalidate anything extra.
     KvService service;
     const auto put = service.classify(KvService::make_put("ab", "v"));
-    EXPECT_EQ(put.extra_keys, (std::vector<std::string>{
+    EXPECT_EQ(put.extra_keys, (hybster::KeyList{
                                   "scan:", "scan:a", "scan:ab"}));
-    EXPECT_EQ(put.all_keys(), (std::vector<std::string>{
-                                  "kv:ab", "scan:", "scan:a", "scan:ab"}));
+    std::vector<std::string> closure;
+    for (const std::string& key : put.keys()) closure.push_back(key);
+    EXPECT_EQ(closure, (std::vector<std::string>{"kv:ab", "scan:", "scan:a",
+                                                 "scan:ab"}));
 
     const auto del = service.classify(KvService::make_delete("ab"));
     EXPECT_EQ(del.extra_keys, put.extra_keys);
@@ -136,6 +138,20 @@ TEST(KvService, MutationWriteSetCoversScanPartitions) {
                     .empty());
     EXPECT_TRUE(service.classify(KvService::make_scan("ab")).extra_keys
                     .empty());
+}
+
+TEST(KvService, LongKeyClosureSpillsPastTheInlineKeys) {
+    // Ten characters name eleven scan partitions, more than the closure
+    // holds inline; the spilled list keeps every key in order.
+    KvService service;
+    const std::string key = "abcdefghij";
+    const auto put = service.classify(KvService::make_put(key, "v"));
+    ASSERT_GT(key.size() + 1, hybster::kInlineKeys);
+    ASSERT_EQ(put.extra_keys.size(), key.size() + 1);
+    for (std::size_t len = 0; len <= key.size(); ++len) {
+        EXPECT_EQ(put.extra_keys[len], "scan:" + key.substr(0, len));
+    }
+    EXPECT_EQ(put.keys().size(), key.size() + 2);
 }
 
 TEST(KvService, CheckpointRestore) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -7,6 +8,7 @@
 
 #include "common/bytes.hpp"
 #include "common/flat_map.hpp"
+#include "common/inline_vec.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -370,6 +372,60 @@ TEST(FlatMap, SteadyInsertEraseCycleAllocatesNothingAfterWarmup) {
     g_count_allocs = false;
     EXPECT_EQ(g_allocs, 0u);
     EXPECT_EQ(numbers.size(), kLive);
+}
+
+// ---------------------------------------------------------------- InlineVec
+
+TEST(InlineVec, SpillsPastItsInlineCapacityAndKeepsOrder) {
+    InlineVec<std::string, 2> list{"c", "a"};
+    list.push_back("b");  // the third element spills to the heap
+    list.push_back("a");
+    ASSERT_EQ(list.size(), 4u);
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    EXPECT_EQ(list, (InlineVec<std::string, 2>{"a", "b", "c"}));
+
+    // Copies and moves carry the live elements only, in either mode.
+    InlineVec<std::string, 2> copy = list;
+    EXPECT_EQ(copy, list);
+    InlineVec<std::string, 2> moved = std::move(copy);
+    EXPECT_EQ(moved, list);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    InlineVec<std::string, 2> small{"x"};
+    InlineVec<std::string, 2> taken = std::move(small);
+    EXPECT_EQ(taken, (InlineVec<std::string, 2>{"x"}));
+    list.clear();
+    EXPECT_TRUE(list.empty());
+    list.push_back("z");
+    EXPECT_EQ(list, (InlineVec<std::string, 2>{"z"}));
+}
+
+TEST(InlineVec, RefillingAClearedListAllocatesNothing) {
+    // A spilled list keeps its heap capacity across clear(), and a long
+    // string copied into an inline slot reuses that slot's buffer.
+    const std::vector<std::string> shorts = {"a", "b", "c", "d", "e"};
+    InlineVec<std::string, 2> spilled;
+    const auto refill = [&] {
+        spilled.assign(shorts.begin(), shorts.end());
+    };
+    refill();
+    g_allocs = 0;
+    g_count_allocs = true;
+    refill();
+    g_count_allocs = false;
+    EXPECT_EQ(g_allocs, 0u);
+    EXPECT_EQ(spilled.size(), 5u);
+
+    const std::string long_key(40, 'k');
+    InlineVec<std::string, 2> inline_list;
+    inline_list.push_back(long_key);
+    g_allocs = 0;
+    g_count_allocs = true;
+    inline_list.clear();
+    inline_list.push_back(long_key);
+    g_count_allocs = false;
+    EXPECT_EQ(g_allocs, 0u);
+    EXPECT_EQ(inline_list[0], long_key);
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ TEST(MailService, ClassifierPartitionsByMailbox) {
         service.classify(MailService::make_expunge("inbox", 4));
     EXPECT_EQ(expunge.state_key, "mail:inbox");
     EXPECT_EQ(expunge.extra_keys,
-              (std::vector<std::string>{"mail:inbox:msg:4"}));
+              (hybster::KeyList{"mail:inbox:msg:4"}));
     const auto append2 =
         service.classify(MailService::make_append("inbox", "x"));
     EXPECT_TRUE(append2.extra_keys.empty());

@@ -504,6 +504,45 @@ TEST(ClientSessions, StaleAndUnknownRepliesAreDropped) {
               std::vector<Bytes>{to_bytes("fresh")});
 }
 
+TEST(ClientSessions, ReleasedSlotIsDroppedAndWideWindowsStayOrdered) {
+    SessionRig rig;
+    rig.connect(7, "first");
+    const std::uint64_t generation = rig.sessions.find(7)->generation;
+
+    // A second reply for a slot that already left is dropped: banked, it
+    // would wait forever behind next_release.
+    EXPECT_EQ(rig.release(7, generation, 0, "r0"),
+              std::vector<Bytes>{to_bytes("r0")});
+    EXPECT_TRUE(rig.release(7, generation, 0, "again").empty());
+    EXPECT_EQ(rig.sessions.waiting(), 0u);
+
+    // Slots 40 down to 2 bank behind the gap at slot 1 — a window wider
+    // than the ring's starting size — and slot 1 lets all 40 out in
+    // slot order.
+    for (std::uint64_t slot = 40; slot >= 2; --slot) {
+        EXPECT_TRUE(
+            rig.release(7, generation, slot, "r" + std::to_string(slot))
+                .empty());
+    }
+    EXPECT_EQ(rig.sessions.waiting(), 39u);
+    std::vector<Bytes> expected;
+    for (std::uint64_t slot = 1; slot <= 40; ++slot) {
+        expected.push_back(to_bytes("r" + std::to_string(slot)));
+    }
+    EXPECT_EQ(rig.release(7, generation, 1, "r1"), expected);
+    EXPECT_EQ(rig.sessions.waiting(), 0u);
+    EXPECT_EQ(rig.sessions.find(7)->next_release, 41u);
+
+    // A replaced session's banked replies go with it.
+    EXPECT_TRUE(rig.release(7, generation, 42, "r42").empty());
+    EXPECT_EQ(rig.sessions.waiting(), 1u);
+    rig.connect(7, "second");
+    EXPECT_EQ(rig.sessions.waiting(), 0u);
+    const std::uint64_t fresh = rig.sessions.find(7)->generation;
+    EXPECT_EQ(rig.release(7, fresh, 0, "fresh"),
+              std::vector<Bytes>{to_bytes("fresh")});
+}
+
 TEST(ClientSessions, WaitingCountsBankedRepliesOfEverySession) {
     SessionRig rig;
     rig.connect(7, "seven");

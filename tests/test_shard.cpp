@@ -56,7 +56,7 @@ TEST(ShardMap, ShardsOfCollectsDistinctShardsAscending) {
     hybster::RequestInfo info;
     info.state_key = "q";
     info.extra_keys = {"a", "h", "b"};
-    const std::vector<int> shards = map.shards_of(info);
+    const troxy_core::ShardSet shards = map.shards_of(info);
     ASSERT_EQ(shards.size(), 3u);
     EXPECT_EQ(shards[0], 0);
     EXPECT_EQ(shards[1], 1);
@@ -232,7 +232,7 @@ TEST(CrossLockTable, StressRandomOverlapsDrainInPerKeyAdmissionOrder) {
 
     std::map<std::string, std::vector<std::uint64_t>> admitted_per_key;
     std::map<std::string, std::vector<std::uint64_t>> completed_per_key;
-    std::map<std::uint64_t, std::vector<std::string>> keysets;
+    std::map<std::uint64_t, hybster::KeyList> keysets;
     std::set<std::uint64_t> ready;
     std::uint64_t next_id = 0;
     std::uint64_t completed = 0;
@@ -242,7 +242,7 @@ TEST(CrossLockTable, StressRandomOverlapsDrainInPerKeyAdmissionOrder) {
             next_id < kCommits &&
             (ready.empty() || rng.next_below(2) == 0);
         if (admit_more) {
-            std::vector<std::string> keys;
+            hybster::KeyList keys;
             const std::uint64_t want = 1 + rng.next_below(3);
             while (keys.size() < want) {
                 const std::string& key =
@@ -260,7 +260,7 @@ TEST(CrossLockTable, StressRandomOverlapsDrainInPerKeyAdmissionOrder) {
             keysets[id] = keys;
             const auto admission = table.admit(id, keys);
             // blocked_on is always a subset of the commit's own keys.
-            for (const std::string& key : admission.blocked_on) {
+            for (const std::string_view key : admission.blocked_on) {
                 EXPECT_NE(std::find(keys.begin(), keys.end(), key),
                           keys.end());
             }
