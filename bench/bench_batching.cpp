@@ -106,7 +106,7 @@ Row run_core(std::size_t batch, sim::Duration delay, int clients,
                 const auto it =
                     pending.find(member.reply.request_id.number);
                 if (it == pending.end()) continue;
-                if (++it->second.replies < config.quorum()) continue;
+                if (++it->second.replies < config.reply_quorum()) continue;
                 recorder.record(simulator.now(),
                                 simulator.now() - it->second.start);
                 pending.erase(it);

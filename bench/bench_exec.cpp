@@ -155,7 +155,7 @@ Sample run_lanes(std::size_t lanes, std::size_t batch, int conflict_pct,
                 const auto it =
                     pending.find(member.reply.request_id.number);
                 if (it == pending.end()) continue;
-                if (++it->second.replies < config.quorum()) continue;
+                if (++it->second.replies < config.reply_quorum()) continue;
                 recorder.record(simulator.now(),
                                 simulator.now() - it->second.start);
                 pending.erase(it);

@@ -143,14 +143,14 @@ int main() {
                 "read quorum", "consistency");
     std::printf("%-10s %10d %26s %14s\n", "BL",
                 baseline.config().n(),
-                (std::to_string(baseline.config().quorum()) + " replicas")
+                (std::to_string(baseline.config().reply_quorum()) + " replicas")
                     .c_str(),
                 "strong");
     std::printf("%-10s %10d %26s %14s\n", "Prophecy", prophecy.config().n(),
                 "1 replica + middlebox",
                 prophecy_stale ? "weak (observed)" : "weak");
     std::printf("%-10s %10d %26s %14s\n", "Troxy", troxy_cluster.n(),
-                (std::to_string(troxy_cluster.config().quorum()) +
+                (std::to_string(troxy_cluster.config().reply_quorum()) +
                  " troxy caches")
                     .c_str(),
                 troxy_fresh ? "strong (verified)" : "VIOLATED");

@@ -9,7 +9,7 @@ namespace troxy::baselines {
 BaselineReplicaHost::BaselineReplicaHost(
     net::Fabric& fabric, sim::Node& node, hybster::Config config,
     std::uint32_t replica_id, hybster::ServicePtr service,
-    std::shared_ptr<enclave::TrinX> trinx,
+    hybster::Certifier certifier,
     crypto::X25519Keypair channel_identity,
     ClientKeyProvider client_key_provider, const sim::CostProfile& profile)
     : fabric_(fabric),
@@ -58,7 +58,7 @@ BaselineReplicaHost::BaselineReplicaHost(
 
     replica_ = std::make_unique<hybster::Replica>(
         fabric, node, config, replica_id, std::move(service),
-        std::move(trinx), profile, std::move(hooks));
+        std::move(certifier), profile, std::move(hooks));
 }
 
 void BaselineReplicaHost::attach() {

@@ -7,7 +7,9 @@
 // channels, feeds decrypted requests into the replica, and sends back
 // replies authenticated with the pairwise client↔replica secret.
 // Everything here runs at the Java cost profile, like the original
-// Hybster prototype.
+// Hybster prototype. The same host serves Prophecy's 3f+1 group: handed
+// link-MAC keys instead of a TrinX, its replica runs the PBFT profile, and
+// the Prophecy middlebox is its one client.
 #pragma once
 
 #include <functional>
@@ -28,7 +30,7 @@ class BaselineReplicaHost {
     BaselineReplicaHost(net::Fabric& fabric, sim::Node& node,
                         hybster::Config config, std::uint32_t replica_id,
                         hybster::ServicePtr service,
-                        std::shared_ptr<enclave::TrinX> trinx,
+                        hybster::Certifier certifier,
                         crypto::X25519Keypair channel_identity,
                         ClientKeyProvider client_key_provider,
                         const sim::CostProfile& profile);

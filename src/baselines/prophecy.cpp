@@ -7,26 +7,28 @@
 namespace troxy::baselines {
 
 ProphecyMiddlebox::ProphecyMiddlebox(
-    net::Fabric& fabric, sim::Node& node, pbft::Config config,
-    std::shared_ptr<net::MacTable> macs,
-    crypto::X25519Keypair channel_identity, troxy_core::Classifier classifier,
-    const sim::CostProfile& profile, Options options, std::uint64_t seed)
+    net::Fabric& fabric, sim::Node& node, hybster::Config config,
+    std::vector<crypto::X25519Key> pinned_keys,
+    std::vector<Bytes> replica_keys, crypto::X25519Keypair channel_identity,
+    troxy_core::Classifier classifier, const sim::CostProfile& profile,
+    Options options, std::uint64_t seed)
     : fabric_(fabric),
       node_(node),
-      config_(std::move(config)),
+      config_(config),
       classifier_(std::move(classifier)),
       profile_(profile),
       options_(options),
+      bft_client_(fabric, node, std::move(config), std::move(pinned_keys),
+                  std::move(replica_keys), profile,
+                  {.retransmit_timeout = sim::milliseconds(2000)}),
       sessions_(channel_identity),
-      rng_(seed ^ 0x70726f7068ULL) {
-    bft_client_ = std::make_unique<pbft::PbftClient>(
-        fabric, node, config_, std::move(macs), profile);
-}
+      rng_(seed ^ 0x70726f7068ULL) {}
 
 void ProphecyMiddlebox::attach() {
     fabric_.attach(node_.id(), [this](sim::NodeId from, Bytes message) {
         on_message(from, std::move(message));
     });
+    bft_client_.start(nullptr);
 }
 
 void ProphecyMiddlebox::on_message(sim::NodeId from, Bytes message) {
@@ -35,10 +37,13 @@ void ProphecyMiddlebox::on_message(sim::NodeId from, Bytes message) {
     auto& [channel, payload] = *unwrapped;
 
     switch (channel) {
-        case net::Channel::Pbft:
-            bft_client_->on_message(from, payload);
-            return;
         case net::Channel::Client:
+            // Replicas answer the BFT client; everyone else is a legacy
+            // client of the middlebox itself.
+            if (config_.replica_of(from) >= 0) {
+                bft_client_.on_message(from, payload);
+                return;
+            }
             sessions_.serve_frame(
                 fabric_, node_, profile_, from, payload,
                 [&](net::ClientSessions::Session& session,
@@ -69,7 +74,7 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
         // invalidated (Prophecy cannot map writes to cached reads — the
         // source of its weak consistency).
         ++stats_.ordered;
-        bft_client_->invoke(app_request, false, [this, to](Bytes result) {
+        bft_client_.invoke(app_request, false, [this, to](Bytes result) {
             release_reply(to, std::move(result));
         });
         return;
@@ -87,7 +92,7 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
     const auto replica = static_cast<std::uint32_t>(
         rng_.next_below(static_cast<std::uint64_t>(config_.n())));
     const crypto::Sha256Digest expected = hit->second;
-    bft_client_->read_one(
+    const std::uint64_t number = bft_client_.read_one(
         app_request, replica,
         [this, to, expected, request = app_request](Bytes result) mutable {
             if (constant_time_equal(crypto::sha256(result), expected)) {
@@ -101,13 +106,24 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
                 ordered_read_through(to, std::move(request));
             }
         });
+    // A crashed or partitioned replica never answers: after the timeout
+    // the read is ordered instead. Cancelling the READ-ONE makes the two
+    // outcomes exclusive — a reply that lands later is dropped, so the
+    // ticket is released once.
+    fabric_.simulator().after(
+        options_.fast_read_timeout,
+        [this, number, to, request = std::move(app_request)]() mutable {
+            if (!bft_client_.cancel(number)) return;  // answered in time
+            ++stats_.fast_timeouts;
+            ordered_read_through(to, std::move(request));
+        });
 }
 
 void ProphecyMiddlebox::ordered_read_through(
     const net::ClientSessions::Ticket& to, Bytes app_request) {
     ++stats_.ordered;
     const Bytes sketch_key = crypto::sha256_bytes(app_request);
-    bft_client_->invoke(
+    bft_client_.invoke(
         std::move(app_request), true,
         [this, to, sketch_key](Bytes result) {
             if (sketch_.size() >= options_.sketch_capacity) {

@@ -10,16 +10,19 @@
 // a write the sketch is stale, so the fast path usually falls back to a
 // full ordered read — but a lagging (correct-but-stale) replica matching
 // a stale sketch returns a stale result: weak consistency (the reply
-// "reflects the state of the latest read").
+// "reflects the state of the latest read"). A fast-path replica that does
+// not answer within fast_read_timeout is treated like a mismatch.
 //
-// Runs on PBFT with 3f+1 replicas, per Table I.
+// Runs on PBFT with 3f+1 replicas, per Table I: hybster::Replica in its
+// PBFT profile, reached through the traditional BFT client library
+// (hybster::Client) whose read_one() is the fast path.
 #pragma once
 
 #include <map>
-#include <memory>
+#include <vector>
 
-#include "baselines/pbft.hpp"
 #include "crypto/x25519.hpp"
+#include "hybster/client.hpp"
 #include "net/client_sessions.hpp"
 #include "troxy/enclave.hpp"  // reuse Classifier
 
@@ -36,17 +39,26 @@ class ProphecyMiddlebox {
         std::uint64_t fast_hits = 0;
         std::uint64_t sketch_misses = 0;
         std::uint64_t fast_conflicts = 0;
+        /// Fast reads whose replica stayed silent past fast_read_timeout.
+        std::uint64_t fast_timeouts = 0;
         std::uint64_t ordered = 0;
     };
 
+    /// `pinned_keys[r]` and `replica_keys[r]` are replica r's channel
+    /// identity and the middlebox's pairwise secret with it.
     ProphecyMiddlebox(net::Fabric& fabric, sim::Node& node,
-                      pbft::Config config,
-                      std::shared_ptr<net::MacTable> macs,
+                      hybster::Config config,
+                      std::vector<crypto::X25519Key> pinned_keys,
+                      std::vector<Bytes> replica_keys,
                       crypto::X25519Keypair channel_identity,
                       troxy_core::Classifier classifier,
                       const sim::CostProfile& profile, Options options,
                       std::uint64_t seed);
 
+    /// Attaches to the fabric and opens the BFT client's channels to every
+    /// replica. Requests are served from then on, not after every
+    /// handshake completed: a replica that is down from the start only
+    /// costs its share of fast reads a timeout.
     void attach();
 
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -65,12 +77,12 @@ class ProphecyMiddlebox {
 
     net::Fabric& fabric_;
     sim::Node& node_;
-    pbft::Config config_;
+    hybster::Config config_;
     troxy_core::Classifier classifier_;
     const sim::CostProfile& profile_;
     Options options_;
 
-    std::unique_ptr<pbft::PbftClient> bft_client_;
+    hybster::Client bft_client_;
     net::ClientSessions sessions_;
     // sketch: hash(app request) → hash(result of latest read)
     std::map<Bytes, crypto::Sha256Digest> sketch_;

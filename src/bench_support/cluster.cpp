@@ -146,6 +146,19 @@ sim::Node& ClusterBase::make_client_node(const std::string& name) {
     return *nodes_.back();
 }
 
+troxy_core::LegacyClient& ClusterBase::add_legacy_client(
+    std::vector<std::unique_ptr<troxy_core::LegacyClient>>& clients,
+    sim::NodeId server, const crypto::X25519Key& key) {
+    sim::Node& node =
+        make_client_node("client" + std::to_string(clients.size()));
+    clients.push_back(std::make_unique<troxy_core::LegacyClient>(
+        fabric_, node, std::vector<sim::NodeId>{server},
+        std::vector<crypto::X25519Key>{key}, java_,
+        troxy_core::LegacyClient::Options{}));
+    attach_legacy_dispatch(fabric_, node, clients.back().get());
+    return *clients.back();
+}
+
 // ----------------------------------------------------------- TroxyCluster
 
 TroxyCluster::TroxyCluster(Params params) : ClusterBase(params.base) {
@@ -340,74 +353,115 @@ void TroxyCluster::restart_front(int front) {
     fronts_.at(static_cast<std::size_t>(front))->restart();
 }
 
+// ------------------------------------------------------- BaselineGroup
+
+std::vector<crypto::X25519Key> BaselineGroup::pinned_keys() const {
+    std::vector<crypto::X25519Key> keys;
+    for (const crypto::X25519Keypair& identity : identities) {
+        keys.push_back(identity.public_key);
+    }
+    return keys;
+}
+
+std::vector<Bytes> BaselineGroup::client_keys(sim::NodeId client) const {
+    std::vector<Bytes> keys;
+    for (int i = 0; i < config.n(); ++i) {
+        keys.push_back(hybster::client_replica_key(
+            client_master, client, static_cast<std::uint32_t>(i)));
+    }
+    return keys;
+}
+
+BaselineGroup ClusterBase::build_baseline_group(
+    bool pbft, const hybster::ServiceFactory& service,
+    const std::string& name) {
+    if (options_.coalesce_wire ||
+        options_.transport != sim::TransportProfile::none()) {
+        throw std::invalid_argument(
+            "BaselineReplicaHost groups support neither coalesce_wire nor a "
+            "transport profile");
+    }
+    BaselineGroup group;
+    static_cast<hybster::PipelineOptions&>(group.config) = options_;
+    group.config.f = options_.f;
+    group.config.checkpoint_interval = options_.checkpoint_interval;
+    const int n = (pbft ? 3 : 2) * options_.f + 1;
+    std::vector<sim::Node*> nodes;
+    for (int i = 0; i < n; ++i) {
+        nodes.push_back(&make_server_node(name + std::to_string(i)));
+        group.config.replicas.push_back(nodes.back()->id());
+    }
+    group.config.validate(/*trusted_counters=*/!pbft);
+
+    Writer master_seed;
+    master_seed.u64(options_.seed);
+    master_seed.str("client-master");
+    group.client_master = crypto::hkdf({}, master_seed.data(),
+                                       to_bytes("clients"), 32);
+
+    // The hybrid group's trusted subsystems attest into one TrinX group;
+    // the PBFT group shares pairwise link keys instead.
+    std::vector<hybster::Certifier> certifiers;
+    if (pbft) {
+        Writer link_seed;
+        link_seed.u64(options_.seed);
+        link_seed.str("pbft-links");
+        const Bytes link_master =
+            crypto::hkdf({}, link_seed.data(), to_bytes("links"), 32);
+        for (int i = 0; i < n; ++i) {
+            std::vector<Bytes> links;
+            for (int r = 0; r < n; ++r) {
+                links.push_back(hybster::replica_link_key(
+                    link_master, static_cast<std::uint32_t>(i),
+                    static_cast<std::uint32_t>(r)));
+            }
+            certifiers.emplace_back(static_cast<std::uint32_t>(i),
+                                    std::move(links));
+        }
+    } else {
+        for (auto& trinx : provision_trinx(n, options_.seed).trinx) {
+            certifiers.emplace_back(std::move(trinx));
+        }
+    }
+
+    for (int i = 0; i < n; ++i) {
+        group.identities.push_back(identity_for(options_.seed, i));
+        const Bytes master = group.client_master;
+        const auto replica_id = static_cast<std::uint32_t>(i);
+        group.hosts.push_back(std::make_unique<baselines::BaselineReplicaHost>(
+            fabric_, *nodes[static_cast<std::size_t>(i)], group.config,
+            replica_id, service(),
+            std::move(certifiers[static_cast<std::size_t>(i)]),
+            group.identities.back(),
+            [master, replica_id](sim::NodeId client) {
+                return hybster::client_replica_key(master, client,
+                                                   replica_id);
+            },
+            java_));
+        group.hosts.back()->attach();
+    }
+    return group;
+}
+
 // -------------------------------------------------------- BaselineCluster
 
 BaselineCluster::BaselineCluster(Params params)
     : ClusterBase(params.base),
       optimistic_reads_(params.optimistic_reads),
       client_retransmit_(params.client_retransmit) {
-    // BaselineReplicaHost drops Bundle frames, so a coalescing BL group
-    // would stall; BL host and client outboxes charge no transport.
-    if (options_.coalesce_wire ||
-        options_.transport != sim::TransportProfile::none()) {
-        throw std::invalid_argument(
-            "BaselineCluster: BL supports neither coalesce_wire nor a "
-            "transport profile");
-    }
-    static_cast<hybster::PipelineOptions&>(config_) = options_;
-    config_.f = options_.f;
-    config_.checkpoint_interval = options_.checkpoint_interval;
-    const int n = 2 * options_.f + 1;
-    for (int i = 0; i < n; ++i) {
-        config_.replicas.push_back(
-            make_server_node("replica" + std::to_string(i)).id());
-    }
-    config_.validate();
-
-    Writer master_seed;
-    master_seed.u64(options_.seed);
-    master_seed.str("client-master");
-    client_master_ = crypto::hkdf({}, master_seed.data(),
-                                  to_bytes("clients"), 32);
-
-    auto provisioned = provision_trinx(n, options_.seed);
-    for (int i = 0; i < n; ++i) {
-        identities_.push_back(identity_for(options_.seed, i));
-        const Bytes master = client_master_;
-        const auto replica_id = static_cast<std::uint32_t>(i);
-        hosts_.push_back(std::make_unique<baselines::BaselineReplicaHost>(
-            fabric_, *nodes_[static_cast<std::size_t>(i)], config_,
-            replica_id, params.service(),
-            provisioned.trinx[static_cast<std::size_t>(i)],
-            identities_.back(),
-            [master, replica_id](sim::NodeId client) {
-                return hybster::client_replica_key(master, client,
-                                                   replica_id);
-            },
-            java_));
-        hosts_.back()->attach();
-    }
+    group_ = build_baseline_group(/*pbft=*/false, params.service, "replica");
 }
 
 hybster::Client& BaselineCluster::add_client() {
     sim::Node& node = make_client_node(
         "client" + std::to_string(clients_.size()));
 
-    std::vector<crypto::X25519Key> pinned;
-    std::vector<Bytes> keys;
-    for (int i = 0; i < config_.n(); ++i) {
-        pinned.push_back(
-            identities_[static_cast<std::size_t>(i)].public_key);
-        keys.push_back(hybster::client_replica_key(
-            client_master_, node.id(), static_cast<std::uint32_t>(i)));
-    }
-
     hybster::Client::Options client_options;
     client_options.optimistic_reads = optimistic_reads_;
     client_options.retransmit_timeout = client_retransmit_;
     clients_.push_back(std::make_unique<hybster::Client>(
-        fabric_, node, config_, std::move(pinned), std::move(keys), java_,
-        client_options));
+        fabric_, node, group_.config, group_.pinned_keys(),
+        group_.client_keys(node.id()), java_, client_options));
     auto* client = clients_.back().get();
     fabric_.attach(node.id(), [client, network = &fabric_.network()](
                                   sim::NodeId from, Bytes message) {
@@ -423,69 +477,22 @@ hybster::Client& BaselineCluster::add_client() {
 // -------------------------------------------------------- ProphecyCluster
 
 ProphecyCluster::ProphecyCluster(Params params) : ClusterBase(params.base) {
-    config_.f = options_.f;
-    config_.checkpoint_interval = options_.checkpoint_interval;
-    const int n = 3 * options_.f + 1;
-    for (int i = 0; i < n; ++i) {
-        config_.replicas.push_back(
-            make_server_node("pbft" + std::to_string(i)).id());
-    }
-    config_.validate();
+    group_ = build_baseline_group(/*pbft=*/true, params.service, "pbft");
 
     // The middlebox machine sits next to the replicas (LAN links).
     sim::Node& mb_node = make_server_node("middlebox");
     middlebox_node_ = mb_node.id();
-
-    // Pairwise MACs for all PBFT parties including the middlebox client.
-    Writer mac_seed;
-    mac_seed.u64(options_.seed);
-    mac_seed.str("pbft-macs");
-    std::vector<sim::NodeId> group = config_.replicas;
-    group.push_back(middlebox_node_);
-    auto macs = std::make_shared<net::MacTable>(net::MacTable::for_group(
-        crypto::hkdf({}, mac_seed.data(), to_bytes("pbft"), 32), group));
-
-    for (int i = 0; i < n; ++i) {
-        replicas_.push_back(std::make_unique<baselines::pbft::PbftReplica>(
-            fabric_, *nodes_[static_cast<std::size_t>(i)], config_,
-            static_cast<std::uint32_t>(i), params.service(), macs, java_));
-        auto* replica = replicas_.back().get();
-        fabric_.attach(config_.replicas[static_cast<std::size_t>(i)],
-                       [replica, network = &fabric_.network()](
-                           sim::NodeId from, Bytes message) {
-                           auto unwrapped = net::unwrap_view(message);
-                           if (unwrapped &&
-                               unwrapped->first == net::Channel::Pbft) {
-                               replica->on_message(from, unwrapped->second);
-                           }
-                           network->recycle(std::move(message));
-                       });
-    }
-
     middlebox_identity_ = identity_for(options_.seed, 1000);
     middlebox_ = std::make_unique<baselines::ProphecyMiddlebox>(
-        fabric_, mb_node, config_, macs, middlebox_identity_,
+        fabric_, mb_node, group_.config, group_.pinned_keys(),
+        group_.client_keys(middlebox_node_), middlebox_identity_,
         params.classifier, native_, params.middlebox, options_.seed);
     middlebox_->attach();
 }
 
 troxy_core::LegacyClient& ProphecyCluster::add_client() {
-    sim::Node& node = make_client_node(
-        "client" + std::to_string(clients_.size()));
-    clients_.push_back(std::make_unique<troxy_core::LegacyClient>(
-        fabric_, node, std::vector<sim::NodeId>{middlebox_node_},
-        std::vector<crypto::X25519Key>{middlebox_identity_.public_key},
-        java_, troxy_core::LegacyClient::Options{}));
-    auto* client = clients_.back().get();
-    fabric_.attach(node.id(), [client, network = &fabric_.network()](
-                                  sim::NodeId from, Bytes message) {
-        auto unwrapped = net::unwrap_view(message);
-        if (unwrapped && unwrapped->first == net::Channel::Client) {
-            client->on_message(from, unwrapped->second);
-        }
-        network->recycle(std::move(message));
-    });
-    return *client;
+    return add_legacy_client(clients_, middlebox_node_,
+                             middlebox_identity_.public_key);
 }
 
 // ------------------------------------------------------ StandaloneCluster
@@ -501,22 +508,7 @@ StandaloneCluster::StandaloneCluster(Params params)
 }
 
 troxy_core::LegacyClient& StandaloneCluster::add_client() {
-    sim::Node& node = make_client_node(
-        "client" + std::to_string(clients_.size()));
-    clients_.push_back(std::make_unique<troxy_core::LegacyClient>(
-        fabric_, node, std::vector<sim::NodeId>{server_node_},
-        std::vector<crypto::X25519Key>{identity_.public_key}, java_,
-        troxy_core::LegacyClient::Options{}));
-    auto* client = clients_.back().get();
-    fabric_.attach(node.id(), [client, network = &fabric_.network()](
-                                  sim::NodeId from, Bytes message) {
-        auto unwrapped = net::unwrap_view(message);
-        if (unwrapped && unwrapped->first == net::Channel::Client) {
-            client->on_message(from, unwrapped->second);
-        }
-        network->recycle(std::move(message));
-    });
-    return *client;
+    return add_legacy_client(clients_, server_node_, identity_.public_key);
 }
 
 }  // namespace troxy::bench

@@ -9,7 +9,8 @@
 //                        replica group or shard_count groups behind a
 //                        routing front tier
 //   BaselineCluster    — original Hybster with the client-side library (BL)
-//   ProphecyCluster    — PBFT (3f+1) behind a Prophecy middlebox
+//   ProphecyCluster    — Hybster's replica in its PBFT profile (3f+1)
+//                        behind a Prophecy middlebox
 //   StandaloneCluster  — single unreplicated server (the "Jetty" floor)
 #pragma once
 
@@ -65,6 +66,21 @@ struct ClusterOptions : hybster::PipelineOptions {
     int front_count = 1;
 };
 
+/// A replica group served by BaselineReplicaHosts at the Java profile:
+/// BL's 2f+1 hybrid group (TrinX) or Prophecy's 3f+1 PBFT group (link
+/// MACs), plus what a hybster::Client of the group needs.
+struct BaselineGroup {
+    hybster::Config config;
+    Bytes client_master;
+    std::vector<crypto::X25519Keypair> identities;
+    std::vector<std::unique_ptr<baselines::BaselineReplicaHost>> hosts;
+
+    /// Replica r's channel identity, index r.
+    [[nodiscard]] std::vector<crypto::X25519Key> pinned_keys() const;
+    /// `client`'s pairwise secret with replica r, index r.
+    [[nodiscard]] std::vector<Bytes> client_keys(sim::NodeId client) const;
+};
+
 /// Owns the simulator, network, fabric and nodes shared by a deployment.
 class ClusterBase {
   public:
@@ -92,6 +108,22 @@ class ClusterBase {
     /// WAN mode is on, its links to all existing server nodes get the
     /// 100±20 ms latency.
     sim::Node& make_client_node(const std::string& name);
+
+    /// Appends to `clients` a legacy client on a fresh client node whose
+    /// one server is `server`, pinned to `key`.
+    troxy_core::LegacyClient& add_legacy_client(
+        std::vector<std::unique_ptr<troxy_core::LegacyClient>>& clients,
+        sim::NodeId server, const crypto::X25519Key& key);
+
+    /// Builds and attaches a BaselineReplicaHost group on fresh server
+    /// nodes named `name`0, `name`1, ...: 2f+1 replicas with TrinX, or
+    /// 3f+1 with link MACs when `pbft`. The pipeline knobs come from the
+    /// options. Throws std::invalid_argument when the options set
+    /// coalesce_wire or a transport other than none(): the hosts cannot
+    /// unbundle a coalesced frame and charge no transport.
+    BaselineGroup build_baseline_group(bool pbft,
+                                       const hybster::ServiceFactory& service,
+                                       const std::string& name);
 
     ClusterOptions options_;
     sim::Simulator sim_;
@@ -242,15 +274,14 @@ class BaselineCluster : public ClusterBase {
     };
 
     /// Throws std::invalid_argument when base sets coalesce_wire or a
-    /// transport other than none(): BL hosts cannot unbundle a coalesced
-    /// frame, and BL hosts and clients charge no transport.
+    /// transport other than none() (see build_baseline_group).
     explicit BaselineCluster(Params params);
 
     [[nodiscard]] const hybster::Config& config() const noexcept {
-        return config_;
+        return group_.config;
     }
     [[nodiscard]] baselines::BaselineReplicaHost& host(int replica) {
-        return *hosts_.at(static_cast<std::size_t>(replica));
+        return *group_.hosts.at(static_cast<std::size_t>(replica));
     }
 
     hybster::Client& add_client();
@@ -262,12 +293,9 @@ class BaselineCluster : public ClusterBase {
     }
 
   private:
-    hybster::Config config_;
-    Bytes client_master_;
+    BaselineGroup group_;
     bool optimistic_reads_;
     sim::Duration client_retransmit_;
-    std::vector<crypto::X25519Keypair> identities_;
-    std::vector<std::unique_ptr<baselines::BaselineReplicaHost>> hosts_;
     std::vector<std::unique_ptr<hybster::Client>> clients_;
 };
 
@@ -282,25 +310,30 @@ class ProphecyCluster : public ClusterBase {
         baselines::ProphecyMiddlebox::Options middlebox;
     };
 
+    /// Throws std::invalid_argument like BaselineCluster.
     explicit ProphecyCluster(Params params);
 
     [[nodiscard]] baselines::ProphecyMiddlebox& middlebox() noexcept {
         return *middlebox_;
     }
-    [[nodiscard]] baselines::pbft::PbftReplica& replica(int i) {
-        return *replicas_.at(static_cast<std::size_t>(i));
+    [[nodiscard]] baselines::BaselineReplicaHost& host(int i) {
+        return *group_.hosts.at(static_cast<std::size_t>(i));
     }
-    [[nodiscard]] const baselines::pbft::Config& config() const noexcept {
-        return config_;
+    /// Replica i alone: faults set here leave its host's channel
+    /// endpoint up.
+    [[nodiscard]] hybster::Replica& replica(int i) {
+        return host(i).replica();
+    }
+    [[nodiscard]] const hybster::Config& config() const noexcept {
+        return group_.config;
     }
 
     troxy_core::LegacyClient& add_client();
 
   private:
-    baselines::pbft::Config config_;
+    BaselineGroup group_;
     crypto::X25519Keypair middlebox_identity_;
     sim::NodeId middlebox_node_ = 0;
-    std::vector<std::unique_ptr<baselines::pbft::PbftReplica>> replicas_;
     std::unique_ptr<baselines::ProphecyMiddlebox> middlebox_;
     std::vector<std::unique_ptr<troxy_core::LegacyClient>> clients_;
 };

@@ -50,16 +50,21 @@ void Client::start(std::function<void()> ready) {
 }
 
 Request Client::build_request(enclave::CostedCrypto& crypto,
-                              std::uint64_t number, const Bytes& payload,
-                              std::uint8_t flags) const {
+                              std::uint64_t number,
+                              const Pending& pending) const {
     Request request;
     request.id.client = node_.id();
     request.id.number = number;
-    request.flags = flags;
-    request.assign(payload, replica_keys_.size());
+    request.flags = pending.flags;
+    request.assign(pending.payload, replica_keys_.size());
     const Bytes view = request.signed_view();
     const std::span<Certificate> auth = request.auth_slots();
     for (std::size_t r = 0; r < replica_keys_.size(); ++r) {
+        // A READ-ONE is checked by its one replica alone.
+        if (pending.sole_replica >= 0 &&
+            r != static_cast<std::size_t>(pending.sole_replica)) {
+            continue;
+        }
         auth[r] = crypto.mac(replica_keys_[r], view);
     }
     return request;
@@ -87,6 +92,23 @@ void Client::invoke(Bytes payload, bool is_read, Callback callback) {
     arm_retransmit(number);
 }
 
+std::uint64_t Client::read_one(Bytes payload, std::uint32_t replica,
+                               Callback callback) {
+    const std::uint64_t number = next_number_++;
+    auto& pending = pending_[number];
+    pending.payload = std::move(payload);
+    pending.callback = std::move(callback);
+    pending.flags = Request::kFlagRead | Request::kFlagOptimistic;
+    pending.sole_replica = static_cast<int>(replica);
+
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto(profile_, meter);
+    net::Outbox outbox(fabric_, node_);
+    send_request(crypto, outbox, number, /*broadcast=*/false);
+    outbox.flush(meter);
+    return number;
+}
+
 void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
                           std::uint64_t number, bool broadcast) {
     const auto it = pending_.find(number);
@@ -94,12 +116,16 @@ void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
     Pending& pending = it->second;
 
     const Request request =
-        build_request(crypto, number, pending.payload, pending.flags);
+        build_request(crypto, number, pending);
     const Bytes encoded = encode_message(Message(request));
 
     const bool to_all = broadcast || request.is_optimistic();
     for (std::uint32_t r = 0; r < channels_.size(); ++r) {
-        if (!to_all && r != believed_leader_) continue;
+        if (pending.sole_replica >= 0
+                ? r != static_cast<std::uint32_t>(pending.sole_replica)
+                : !to_all && r != believed_leader_) {
+            continue;
+        }
         if (!channels_[r] || !channels_[r]->established()) continue;
         crypto.charge(profile_.aead(encoded.size()));
         outbox.send(config_.node_of(r),
@@ -176,6 +202,10 @@ void Client::handle_reply(enclave::CostedCrypto& crypto, Reply&& reply) {
     if (it == pending_.end() || it->second.done) return;
     if (reply.request_id.client != node_.id()) return;
     Pending& pending = it->second;
+    if (pending.sole_replica >= 0 &&
+        reply.replica != static_cast<std::uint32_t>(pending.sole_replica)) {
+        return;
+    }
 
     // Verify the pairwise reply certificate; unauthenticated replies are
     // discarded (a faulty replica cannot impersonate others).
@@ -206,10 +236,12 @@ void Client::handle_reply(enclave::CostedCrypto& crypto, Reply&& reply) {
     // Ordered requests need f+1 matching replies; the PBFT-like read
     // optimization needs *all* 2f+1 to match (§V-B: the client waits for
     // the "2f+1 slowest matching reply"), since a non-ordered read is
-    // only safe when every queried replica agrees.
-    const int required = (pending.flags & Request::kFlagOptimistic)
+    // only safe when every queried replica agrees. READ-ONE takes its one
+    // replica's word.
+    const int required = pending.sole_replica >= 0 ? 1
+                         : (pending.flags & Request::kFlagOptimistic)
                              ? config_.n()
-                             : config_.quorum();
+                             : config_.reply_quorum();
     if (count >= required) {
         finish(reply.request_id.number, pending, std::move(reply.result));
         return;

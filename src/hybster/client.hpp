@@ -13,7 +13,8 @@
 // PBFT-like read optimization the paper uses as baseline (§VI-C2): reads
 // go to all replicas for immediate non-ordered execution; if the replies
 // conflict (concurrent writes) the read is retried as a normal ordered
-// request (§VI-C3).
+// request (§VI-C3). read_one() is Prophecy's READ-ONE: an optimistic read
+// sent to one replica and accepted from that replica alone.
 #pragma once
 
 #include <functional>
@@ -56,6 +57,16 @@ class Client {
     /// Issues a request; `callback` fires once the result is trustworthy.
     void invoke(Bytes payload, bool is_read, Callback callback);
 
+    /// READ-ONE: an optimistic read executed by `replica` alone, whose
+    /// reply is accepted as is. Not retransmitted; returns the request
+    /// number for cancel().
+    std::uint64_t read_one(Bytes payload, std::uint32_t replica,
+                           Callback callback);
+
+    /// Forgets a pending request, so a late reply is dropped. False when
+    /// its callback already ran.
+    bool cancel(std::uint64_t number) { return pending_.erase(number) > 0; }
+
     /// Entry point for Channel::Client payloads addressed to this node.
     void on_message(sim::NodeId from, ByteView payload);
 
@@ -81,6 +92,8 @@ class Client {
         std::map<Bytes, int> tally;
         bool done = false;
         std::uint64_t retransmits = 0;
+        /// READ-ONE: the one replica asked and believed; -1 otherwise.
+        int sole_replica = -1;
     };
 
     void send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
@@ -93,8 +106,7 @@ class Client {
     void arm_retransmit(std::uint64_t number);
     [[nodiscard]] Request build_request(enclave::CostedCrypto& crypto,
                                         std::uint64_t number,
-                                        const Bytes& payload,
-                                        std::uint8_t flags) const;
+                                        const Pending& pending) const;
 
     net::Fabric& fabric_;
     sim::Node& node_;

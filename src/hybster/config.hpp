@@ -69,8 +69,9 @@ struct PipelineOptions {
 };
 
 struct Config : PipelineOptions {
-    /// Tolerated Byzantine faults; the hybrid fault model needs 2f+1
-    /// replicas (§III-B).
+    /// Tolerated Byzantine faults. The hybrid fault model needs 2f+1
+    /// replicas (§III-B); the PBFT profile, which has no trusted counter,
+    /// needs 3f+1.
     int f = 1;
 
     /// Node ids of the replicas, index == replica id.
@@ -99,8 +100,15 @@ struct Config : PipelineOptions {
         return static_cast<int>(replicas.size());
     }
 
-    /// Agreement quorum in the hybrid fault model: f+1.
-    [[nodiscard]] int quorum() const noexcept { return f + 1; }
+    /// Agreement quorum, n - f: f+1 of 2f+1 in the hybrid profile, 2f+1
+    /// of 3f+1 in the PBFT profile. Commits, checkpoint stability and
+    /// view-change assembly wait for it.
+    [[nodiscard]] int quorum() const noexcept { return n() - f; }
+
+    /// Matching votes that include at least one correct replica: f+1 in
+    /// both profiles. Client reply votes and state-transfer matches wait
+    /// for it.
+    [[nodiscard]] int reply_quorum() const noexcept { return f + 1; }
 
     [[nodiscard]] std::uint32_t leader_of(ViewNumber view) const noexcept {
         return static_cast<std::uint32_t>(view %
@@ -120,9 +128,10 @@ struct Config : PipelineOptions {
         return -1;
     }
 
+    /// Checks the knobs for a group of either profile (a client's view).
     void validate() const {
-        TROXY_ASSERT(n() == 2 * f + 1,
-                     "hybrid fault model requires exactly 2f+1 replicas");
+        TROXY_ASSERT(n() == 2 * f + 1 || n() == 3 * f + 1,
+                     "a group has 2f+1 (hybrid) or 3f+1 (PBFT) replicas");
         TROXY_ASSERT(checkpoint_interval > 0, "checkpoint interval > 0");
         TROXY_ASSERT(batch_size_max >= 1, "batch size must be at least 1");
         // Batch::decode drops batches above 2^16 members; a leader allowed
@@ -141,6 +150,14 @@ struct Config : PipelineOptions {
                      "a deployment has at least one shard");
         TROXY_ASSERT(shard_id >= 0 && shard_id < shard_count,
                      "shard id must lie in [0, shard_count)");
+    }
+
+    /// Also ties the group size to the replica's certifier: trusted
+    /// counters (hybrid) with 2f+1 replicas, link MACs (PBFT) with 3f+1.
+    void validate(bool trusted_counters) const {
+        validate();
+        TROXY_ASSERT(n() == (trusted_counters ? 2 : 3) * f + 1,
+                     "TrinX needs 2f+1 replicas, link MACs need 3f+1");
     }
 };
 

@@ -7,6 +7,8 @@
 // objects, which therefore can never sign with another party's identity.
 #pragma once
 
+#include <algorithm>
+
 #include "common/bytes.hpp"
 #include "common/serialize.hpp"
 #include "crypto/hmac.hpp"
@@ -21,6 +23,17 @@ inline Bytes client_replica_key(ByteView master, sim::NodeId client,
     info.u32(client);
     info.u32(replica);
     return crypto::hkdf(to_bytes("troxy-client-key"), master, info.data(),
+                        32);
+}
+
+/// Pairwise link key between replicas `a` and `b` of a PBFT-profile
+/// group (symmetric: the same key in both directions).
+inline Bytes replica_link_key(ByteView master, std::uint32_t a,
+                              std::uint32_t b) {
+    Writer info;
+    info.u32(std::min(a, b));
+    info.u32(std::max(a, b));
+    return crypto::hkdf(to_bytes("troxy-replica-link"), master, info.data(),
                         32);
 }
 

@@ -21,6 +21,16 @@ Certificate get_tag(Reader& r) {
     return cert;
 }
 
+void put_auth(Writer& w, const Authenticator& auth) {
+    for (const Certificate& tag : auth) w.raw(tag);
+}
+
+Authenticator get_auth(Reader& r, std::size_t width) {
+    Authenticator auth = Authenticator::zeros(width);
+    for (std::size_t i = 0; i < width; ++i) r.read_into(auth[i]);
+    return auth;
+}
+
 void put_digest(Writer& w, const crypto::Sha256Digest& d) { w.raw(d); }
 
 crypto::Sha256Digest get_digest(Reader& r) {
@@ -199,7 +209,7 @@ AgreementView Prepare::certified_view() const {
 }
 
 std::size_t Prepare::encoded_size() const noexcept {
-    return 28 + batch.encoded_size() + kTag;
+    return 28 + batch.encoded_size() + kTag * cert.size();
 }
 
 void Prepare::encode(Writer& w) const {
@@ -208,17 +218,17 @@ void Prepare::encode(Writer& w) const {
     w.u32(replica);
     w.u64(counter_value);
     batch.encode(w);
-    put_tag(w, cert);
+    put_auth(w, cert);
 }
 
-Prepare Prepare::decode(Reader& r) {
+Prepare Prepare::decode(Reader& r, std::size_t auth_width) {
     Prepare p;
     p.view = r.u64();
     p.seq = r.u64();
     p.replica = r.u32();
     p.counter_value = r.u64();
     p.batch = Batch::decode(r);
-    p.cert = get_tag(r);
+    p.cert = get_auth(r, auth_width);
     return p;
 }
 
@@ -237,7 +247,7 @@ AgreementView Commit::certified_view() const {
 }
 
 std::size_t Commit::encoded_size() const noexcept {
-    return 32 + kDigest + kTag;
+    return 32 + kDigest + kTag * cert.size();
 }
 
 void Commit::encode(Writer& w) const {
@@ -247,10 +257,10 @@ void Commit::encode(Writer& w) const {
     w.u64(counter_value);
     w.u32(batch_size);
     put_digest(w, batch_digest);
-    put_tag(w, cert);
+    put_auth(w, cert);
 }
 
-Commit Commit::decode(Reader& r) {
+Commit Commit::decode(Reader& r, std::size_t auth_width) {
     Commit c;
     c.view = r.u64();
     c.seq = r.u64();
@@ -258,7 +268,7 @@ Commit Commit::decode(Reader& r) {
     c.counter_value = r.u64();
     c.batch_size = r.u32();
     c.batch_digest = get_digest(r);
-    c.cert = get_tag(r);
+    c.cert = get_auth(r, auth_width);
     return c;
 }
 
@@ -333,22 +343,22 @@ CheckpointMsg::View CheckpointMsg::certified_view() const {
 }
 
 std::size_t CheckpointMsg::encoded_size() const noexcept {
-    return 12 + kDigest + kTag;
+    return 12 + kDigest + kTag * cert.size();
 }
 
 void CheckpointMsg::encode(Writer& w) const {
     w.u64(seq);
     put_digest(w, state_digest);
     w.u32(replica);
-    put_tag(w, cert);
+    put_auth(w, cert);
 }
 
-CheckpointMsg CheckpointMsg::decode(Reader& r) {
+CheckpointMsg CheckpointMsg::decode(Reader& r, std::size_t auth_width) {
     CheckpointMsg c;
     c.seq = r.u64();
     c.state_digest = get_digest(r);
     c.replica = r.u32();
-    c.cert = get_tag(r);
+    c.cert = get_auth(r, auth_width);
     return c;
 }
 
@@ -365,7 +375,7 @@ Bytes ViewChange::certified_view() const {
 }
 
 std::size_t ViewChange::encoded_size() const noexcept {
-    std::size_t size = 24 + kTag;
+    std::size_t size = 24 + kTag * cert.size();
     for (const Prepare& p : prepared) size += p.encoded_size();
     return size;
 }
@@ -376,10 +386,10 @@ void ViewChange::encode(Writer& w) const {
     w.u64(last_stable);
     w.u32(static_cast<std::uint32_t>(prepared.size()));
     for (const Prepare& p : prepared) p.encode(w);
-    put_tag(w, cert);
+    put_auth(w, cert);
 }
 
-ViewChange ViewChange::decode(Reader& r) {
+ViewChange ViewChange::decode(Reader& r, std::size_t auth_width) {
     ViewChange vc;
     vc.new_view = r.u64();
     vc.replica = r.u32();
@@ -388,9 +398,9 @@ ViewChange ViewChange::decode(Reader& r) {
     if (count > 1u << 20) throw DecodeError("unreasonable prepare count");
     vc.prepared.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-        vc.prepared.push_back(Prepare::decode(r));
+        vc.prepared.push_back(Prepare::decode(r, auth_width));
     }
-    vc.cert = get_tag(r);
+    vc.cert = get_auth(r, auth_width);
     return vc;
 }
 
@@ -409,7 +419,7 @@ Bytes NewView::certified_view() const {
 }
 
 std::size_t NewView::encoded_size() const noexcept {
-    std::size_t size = 28 + kTag;
+    std::size_t size = 28 + kTag * cert.size();
     for (const ViewChange& vc : proofs) size += vc.encoded_size();
     for (const Prepare& p : reproposed) size += p.encoded_size();
     return size;
@@ -423,10 +433,10 @@ void NewView::encode(Writer& w) const {
     for (const ViewChange& vc : proofs) vc.encode(w);
     w.u32(static_cast<std::uint32_t>(reproposed.size()));
     for (const Prepare& p : reproposed) p.encode(w);
-    put_tag(w, cert);
+    put_auth(w, cert);
 }
 
-NewView NewView::decode(Reader& r) {
+NewView NewView::decode(Reader& r, std::size_t auth_width) {
     NewView nv;
     nv.view = r.u64();
     nv.replica = r.u32();
@@ -435,15 +445,15 @@ NewView NewView::decode(Reader& r) {
     if (proof_count > 1024) throw DecodeError("unreasonable proof count");
     nv.proofs.reserve(proof_count);
     for (std::uint32_t i = 0; i < proof_count; ++i) {
-        nv.proofs.push_back(ViewChange::decode(r));
+        nv.proofs.push_back(ViewChange::decode(r, auth_width));
     }
     const std::uint32_t prep_count = r.u32();
     if (prep_count > 1u << 20) throw DecodeError("unreasonable prepare count");
     nv.reproposed.reserve(prep_count);
     for (std::uint32_t i = 0; i < prep_count; ++i) {
-        nv.reproposed.push_back(Prepare::decode(r));
+        nv.reproposed.push_back(Prepare::decode(r, auth_width));
     }
-    nv.cert = get_tag(r);
+    nv.cert = get_auth(r, auth_width);
     return nv;
 }
 
@@ -460,7 +470,7 @@ Bytes StateRequest::certified_view() const {
 }
 
 std::size_t StateRequest::encoded_size() const noexcept {
-    return 16 + have_chunks.size() * kDigest + kTag;
+    return 16 + have_chunks.size() * kDigest + kTag * cert.size();
 }
 
 void StateRequest::encode(Writer& w) const {
@@ -469,10 +479,10 @@ void StateRequest::encode(Writer& w) const {
     w.u64(have);
     w.u32(static_cast<std::uint32_t>(have_chunks.size()));
     for (const crypto::Sha256Digest& d : have_chunks) put_digest(w, d);
-    put_tag(w, cert);
+    put_auth(w, cert);
 }
 
-StateRequest StateRequest::decode(Reader& r) {
+StateRequest StateRequest::decode(Reader& r, std::size_t auth_width) {
     StateRequest sr;
     sr.replica = r.u32();
     sr.have = r.u64();
@@ -482,7 +492,7 @@ StateRequest StateRequest::decode(Reader& r) {
     for (std::uint32_t i = 0; i < chunk_count; ++i) {
         sr.have_chunks.push_back(get_digest(r));
     }
-    sr.cert = get_tag(r);
+    sr.cert = get_auth(r, auth_width);
     return sr;
 }
 
@@ -500,7 +510,8 @@ Bytes StateResponse::certified_view() const {
 }
 
 std::size_t StateResponse::encoded_size() const noexcept {
-    std::size_t size = 37 + kDigest + manifest.size() * kDigest + kTag;
+    std::size_t size =
+        37 + kDigest + manifest.size() * kDigest + kTag * cert.size();
     for (const Bytes& chunk : chunks) size += 8 + chunk.size();
     for (const CheckpointMsg& vote : proof) size += vote.encoded_size();
     return size;
@@ -521,10 +532,10 @@ void StateResponse::encode(Writer& w) const {
     }
     w.u8(static_cast<std::uint8_t>(proof.size()));
     for (const CheckpointMsg& vote : proof) vote.encode(w);
-    put_tag(w, cert);
+    put_auth(w, cert);
 }
 
-StateResponse StateResponse::decode(Reader& r) {
+StateResponse StateResponse::decode(Reader& r, std::size_t auth_width) {
     StateResponse sr;
     sr.replica = r.u32();
     sr.view = r.u64();
@@ -549,9 +560,9 @@ StateResponse StateResponse::decode(Reader& r) {
     if (count > 64) throw DecodeError("unreasonable proof count");
     sr.proof.reserve(count);
     for (std::uint8_t i = 0; i < count; ++i) {
-        sr.proof.push_back(CheckpointMsg::decode(r));
+        sr.proof.push_back(CheckpointMsg::decode(r, auth_width));
     }
-    sr.cert = get_tag(r);
+    sr.cert = get_auth(r, auth_width);
     return sr;
 }
 
@@ -565,22 +576,29 @@ Bytes encode_message(const Message& message) {
         message);
 }
 
-std::optional<Message> decode_message(ByteView data) {
+std::optional<Message> decode_message(ByteView data,
+                                      std::size_t auth_width) {
     try {
         Reader r(data);
         const auto type = static_cast<MsgType>(r.u8());
         Message out = [&]() -> Message {
             switch (type) {
                 case MsgType::Request: return Request::decode(r);
-                case MsgType::Prepare: return Prepare::decode(r);
-                case MsgType::Commit: return Commit::decode(r);
+                case MsgType::Prepare:
+                    return Prepare::decode(r, auth_width);
+                case MsgType::Commit:
+                    return Commit::decode(r, auth_width);
                 case MsgType::Reply: return Reply::decode(r);
-                case MsgType::Checkpoint: return CheckpointMsg::decode(r);
-                case MsgType::ViewChange: return ViewChange::decode(r);
-                case MsgType::NewView: return NewView::decode(r);
-                case MsgType::StateRequest: return StateRequest::decode(r);
+                case MsgType::Checkpoint:
+                    return CheckpointMsg::decode(r, auth_width);
+                case MsgType::ViewChange:
+                    return ViewChange::decode(r, auth_width);
+                case MsgType::NewView:
+                    return NewView::decode(r, auth_width);
+                case MsgType::StateRequest:
+                    return StateRequest::decode(r, auth_width);
                 case MsgType::StateResponse:
-                    return StateResponse::decode(r);
+                    return StateResponse::decode(r, auth_width);
             }
             throw DecodeError("unknown message type");
         }();

@@ -4,14 +4,17 @@
 // decode validates sizes and throws DecodeError on malformed input, which
 // handlers translate into "discard the message".
 //
-// Certificates: PREPAREs and COMMITs carry trusted-counter certificates
-// (TrinX) that bind the message to one counter value — within a view,
-// counter value and sequence number are related by value = seq -
-// view_start + 1, so a Byzantine replica cannot certify two different
-// messages for the same slot (Hybster's anti-equivocation core). REPLYs
-// carry an *independent* certificate from the replica's trusted subsystem
-// (the Troxy in a Troxy deployment; §IV-A requires the voter to only
-// count replies authenticated by the sender's Troxy).
+// Certificates: in the hybrid profile PREPAREs and COMMITs carry
+// trusted-counter certificates (TrinX) that bind the message to one
+// counter value — within a view, counter value and sequence number are
+// related by value = seq - view_start + 1, so a Byzantine replica cannot
+// certify two different messages for the same slot (Hybster's
+// anti-equivocation core). In the PBFT profile every agreement message
+// carries a link-MAC authenticator instead, one tag per replica, and the
+// receiver decodes at its group's width (see hybster/certifier.hpp).
+// REPLYs carry an *independent* certificate from the replica's trusted
+// subsystem (the Troxy in a Troxy deployment; §IV-A requires the voter to
+// only count replies authenticated by the sender's Troxy).
 //
 // Codec allocation rules (DESIGN.md §16): fixed-layout certified views
 // are std::arrays; variable views are written into a scratch buffer the
@@ -37,6 +40,7 @@
 #include "crypto/sha256.hpp"
 #include "enclave/meter.hpp"
 #include "enclave/trinx.hpp"
+#include "hybster/certifier.hpp"
 #include "hybster/config.hpp"
 #include "net/envelope.hpp"
 #include "sim/pool.hpp"
@@ -223,12 +227,12 @@ struct Prepare {
     std::uint32_t replica = 0;  // the leader
     CounterValue counter_value = 0;
     Batch batch;
-    Certificate cert{};
+    Authenticator cert;
 
     [[nodiscard]] AgreementView certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static Prepare decode(Reader& r);
+    static Prepare decode(Reader& r, std::size_t auth_width = 1);
 };
 
 struct Commit {
@@ -237,6 +241,8 @@ struct Commit {
     ViewNumber view = 0;
     SequenceNumber seq = 0;
     std::uint32_t replica = 0;
+    /// Hybrid profile: the certified counter value. PBFT profile, which
+    /// has no counters: the round, prepare (1) or commit (2).
     CounterValue counter_value = 0;
     /// Member count of the batch being committed. Certified alongside the
     /// digest: the (count, digest) pair pins the batch *structure*, so a
@@ -244,12 +250,12 @@ struct Commit {
     /// single request whose bytes collide with the combining-hash input.
     std::uint32_t batch_size = 0;
     crypto::Sha256Digest batch_digest{};
-    Certificate cert{};
+    Authenticator cert;
 
     [[nodiscard]] AgreementView certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static Commit decode(Reader& r);
+    static Commit decode(Reader& r, std::size_t auth_width = 1);
 };
 
 struct Reply {
@@ -296,7 +302,7 @@ struct CheckpointMsg {
     SequenceNumber seq = 0;
     crypto::Sha256Digest state_digest{};
     std::uint32_t replica = 0;
-    Certificate cert{};
+    Authenticator cert;
 
     /// seq ‖ state digest ‖ replica.
     using View = std::array<std::uint8_t, 12 + crypto::kSha256DigestSize>;
@@ -304,7 +310,7 @@ struct CheckpointMsg {
     [[nodiscard]] View certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static CheckpointMsg decode(Reader& r);
+    static CheckpointMsg decode(Reader& r, std::size_t auth_width = 1);
 };
 
 struct ViewChange {
@@ -315,12 +321,12 @@ struct ViewChange {
     SequenceNumber last_stable = 0;  // latest stable checkpoint
     /// Certified prepares the replica has seen above the checkpoint.
     std::vector<Prepare> prepared;
-    Certificate cert{};
+    Authenticator cert;
 
     [[nodiscard]] Bytes certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static ViewChange decode(Reader& r);
+    static ViewChange decode(Reader& r, std::size_t auth_width = 1);
 };
 
 struct NewView {
@@ -333,12 +339,12 @@ struct NewView {
     /// Requests the new leader re-proposes, in sequence order starting at
     /// start_seq (fresh prepares are issued by the new leader).
     std::vector<Prepare> reproposed;
-    Certificate cert{};
+    Authenticator cert;
 
     [[nodiscard]] Bytes certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static NewView decode(Reader& r);
+    static NewView decode(Reader& r, std::size_t auth_width = 1);
 };
 
 /// Asks peers for a state-transfer snapshot: sent by a replica that
@@ -354,12 +360,12 @@ struct StateRequest {
     std::uint32_t replica = 0;       // the requester
     SequenceNumber have = 0;         // requester's latest stable checkpoint
     std::vector<crypto::Sha256Digest> have_chunks;
-    Certificate cert{};
+    Authenticator cert;
 
     [[nodiscard]] Bytes certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static StateRequest decode(Reader& r);
+    static StateRequest decode(Reader& r, std::size_t auth_width = 1);
 };
 
 /// Answer to a StateRequest: one message of the responder's chunked
@@ -389,7 +395,7 @@ struct StateResponse {
     std::vector<std::uint32_t> chunk_index;
     std::vector<Bytes> chunks;
     std::vector<CheckpointMsg> proof;
-    Certificate cert{};
+    Authenticator cert;
 
     /// Certified bytes: the coordinates plus the Merkle root only. The
     /// chunk payloads need no per-message certificate — they verify
@@ -399,7 +405,7 @@ struct StateResponse {
     [[nodiscard]] Bytes certified_view() const;
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static StateResponse decode(Reader& r);
+    static StateResponse decode(Reader& r, std::size_t auth_width = 1);
 };
 
 using Message = std::variant<Request, Prepare, Commit, Reply, CheckpointMsg,
@@ -437,8 +443,10 @@ Bytes encode_frame(net::Channel channel, const T& message,
     return detail::encode_sized(message, channel, pool);
 }
 
-/// Parses a message; nullopt on any malformed input.
-std::optional<Message> decode_message(ByteView data);
+/// Parses a message; nullopt on any malformed input. `auth_width` is the
+/// receiving group's authenticator width (Certifier::width()).
+std::optional<Message> decode_message(ByteView data,
+                                      std::size_t auth_width = 1);
 
 /// True when `data` carries a Reply's type tag: lets a receiver route a
 /// reply to its own storage before decoding anything.

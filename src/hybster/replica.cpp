@@ -20,6 +20,26 @@ Bytes store_key(const crypto::Sha256Digest& d) {
     return Bytes(d.begin(), d.end());
 }
 
+/// Votes in `slots` from replicas other than `skip` that match the
+/// prepare's certified batch structure — member count AND digest.
+int matching_votes(const std::vector<std::optional<Commit>>& slots,
+                   const Prepare& prepare, std::uint32_t skip) {
+    // Memoized: warm whenever the prepare was installed by cut_batch() or
+    // handle_prepare(), so this costs nothing on the hot path.
+    const crypto::Sha256Digest& digest = prepare.batch.digest();
+    const auto batch_size = static_cast<std::uint32_t>(prepare.batch.size());
+    int votes = 0;
+    for (std::uint32_t replica = 0; replica < slots.size(); ++replica) {
+        const std::optional<Commit>& commit = slots[replica];
+        if (!commit || replica == skip) continue;
+        if (commit->batch_size == batch_size &&
+            digests_equal(commit->batch_digest, digest)) {
+            ++votes;
+        }
+    }
+    return votes;
+}
+
 /// Bound on the have-chunks list a StateRequest advertises: enough for
 /// snapshots far beyond anything the sim runs, while keeping a
 /// pathological store from inflating the request past the wire cap.
@@ -28,19 +48,18 @@ constexpr std::size_t kMaxAdvertisedChunks = 8192;
 
 Replica::Replica(net::Fabric& fabric, sim::Node& node, Config config,
                  std::uint32_t replica_id, ServicePtr service,
-                 std::shared_ptr<enclave::TrinX> trinx,
-                 const sim::CostProfile& profile, Hooks hooks)
+                 Certifier certifier, const sim::CostProfile& profile,
+                 Hooks hooks)
     : fabric_(fabric),
       node_(node),
       config_(std::move(config)),
       id_(replica_id),
       service_(std::move(service)),
-      trinx_(std::move(trinx)),
+      certifier_(std::move(certifier)),
       profile_(profile),
       hooks_(std::move(hooks)) {
-    config_.validate();
+    config_.validate(certifier_.hybrid());
     TROXY_ASSERT(service_ != nullptr, "replica needs a service");
-    TROXY_ASSERT(trinx_ != nullptr, "replica needs a trusted subsystem");
 }
 
 enclave::CounterId Replica::prepare_counter_id() const {
@@ -85,7 +104,7 @@ void Replica::send_to(net::Outbox& outbox, std::uint32_t replica,
 
 void Replica::on_message(sim::NodeId from, ByteView payload) {
     if (faults_.crashed) return;
-    auto decoded = decode_message(payload);
+    auto decoded = decode_message(payload, certifier_.width());
     if (decoded) {
         on_message(from, std::move(*decoded));
         return;
@@ -311,19 +330,22 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     // here; followers and the execution path reuse the cached values.
     (void)prepare.batch.digest_with(crypto, scratch_);
 
-    const auto certified = trinx_->certify_continuing(
-        crypto, prepare_counter_id(), prepare.certified_view());
+    auto certified = certifier_.certify_ordered(crypto, prepare_counter_id(),
+                                                prepare.certified_view());
     prepare.counter_value = certified.value;
-    prepare.cert = certified.certificate;
-    TROXY_ASSERT(prepare.counter_value == expected_counter(prepare.seq),
-                 "leader counter out of sync with sequence numbers");
+    prepare.cert = std::move(certified.auth);
+    TROXY_ASSERT(
+        pbft() || prepare.counter_value == expected_counter(prepare.seq),
+        "leader counter out of sync with sequence numbers");
 
-    LogEntry& entry = log_entry(prepare.seq);
+    const SequenceNumber seq = prepare.seq;
+    LogEntry& entry = log_entry(seq);
     entry.prepare = std::move(prepare);
 
     if (!faults_.mute_agreement) {
         broadcast(outbox, *entry.prepare);
     }
+    maybe_commit_round(crypto, outbox, seq, entry);
     arm_progress_timer();
     try_execute(crypto, outbox);
 }
@@ -366,7 +388,10 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
     if (prepare.view != view_ || in_view_change_) return;
     if (prepare.replica != config_.leader_of(view_)) return;
     if (prepare.seq <= last_stable_) return;  // garbage-collected slot
-    if (prepare.counter_value != expected_counter(prepare.seq)) return;
+    // Counter continuity exists only where there are trusted counters.
+    if (!pbft() && prepare.counter_value != expected_counter(prepare.seq)) {
+        return;
+    }
 
     if (prepare.batch.empty()) return;  // a batch orders at least one request
 
@@ -375,7 +400,7 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
     // memoized values.
     const crypto::Sha256Digest batch_digest =
         prepare.batch.digest_with(crypto, scratch_);
-    if (!trinx_->verify_continuing(crypto, prepare.replica,
+    if (!certifier_.verify_ordered(crypto, prepare.replica,
                                    prepare_counter_id(),
                                    prepare.counter_value,
                                    prepare.certified_view(), prepare.cert)) {
@@ -406,15 +431,16 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
     for (const Request& member : entry.prepare->batch.requests) {
         in_flight_.try_emplace(member.id);
     }
-    const auto certified = trinx_->certify_continuing(
-        crypto, commit_counter_id(), commit.certified_view());
+    auto certified = certifier_.certify_ordered(
+        crypto, commit_counter_id(), commit.certified_view(), kPrepareRound);
     commit.counter_value = certified.value;
-    commit.cert = certified.certificate;
+    commit.cert = std::move(certified.auth);
 
     entry.commits[id_] = commit;  // our own COMMIT replaces any earlier
     if (!faults_.mute_agreement) {
         broadcast(outbox, commit);
     }
+    maybe_commit_round(crypto, outbox, commit.seq, entry);
     arm_progress_timer();
     try_execute(crypto, outbox);
 }
@@ -424,43 +450,67 @@ void Replica::handle_commit(enclave::CostedCrypto& crypto,
     if (commit.view != view_ || in_view_change_) return;
     if (commit.seq <= last_stable_) return;
     if (commit.replica >= static_cast<std::uint32_t>(config_.n())) return;
-    if (commit.counter_value != expected_counter(commit.seq)) return;
+    if (pbft() ? commit.counter_value != kPrepareRound &&
+                     commit.counter_value != kCommitRound
+               : commit.counter_value != expected_counter(commit.seq)) {
+        return;
+    }
     if (commit.batch_size == 0) return;  // a batch has at least one member
 
-    if (!trinx_->verify_continuing(crypto, commit.replica,
+    if (!certifier_.verify_ordered(crypto, commit.replica,
                                    commit_counter_id(), commit.counter_value,
                                    commit.certified_view(), commit.cert)) {
         return;
     }
 
-    // The first certified COMMIT from each replica stands.
-    std::optional<Commit>& slot = log_entry(commit.seq).commits[commit.replica];
+    // The first certified COMMIT from each replica in each round stands.
+    const SequenceNumber seq = commit.seq;
+    LogEntry& entry = log_entry(seq);
+    auto& round = commit.counter_value == kCommitRound && pbft()
+                      ? entry.commit_round
+                      : entry.commits;
+    std::optional<Commit>& slot = round[commit.replica];
     if (!slot) slot = std::move(commit);
+    maybe_commit_round(crypto, outbox, seq, entry);
     try_execute(crypto, outbox);
 }
 
-bool Replica::committed(const LogEntry& entry) const {
+bool Replica::prepared(const LogEntry& entry) const {
     if (!entry.prepare) return false;
-    // Memoized: warm whenever the prepare was installed by cut_batch() or
-    // handle_prepare(), so this costs nothing on the hot path.
-    const crypto::Sha256Digest& digest = entry.prepare->batch.digest();
-    const auto batch_size =
-        static_cast<std::uint32_t>(entry.prepare->batch.size());
-    // Vouchers: the leader via its PREPARE plus every replica with a
-    // matching certified COMMIT (our own included once we created it).
-    // A match requires the full certified batch structure — member count
-    // AND digest — mirroring what the trusted counter certified.
-    int vouchers = 1;
-    for (std::uint32_t replica = 0; replica < entry.commits.size();
-         ++replica) {
-        const std::optional<Commit>& commit = entry.commits[replica];
-        if (!commit || replica == entry.prepare->replica) continue;
-        if (commit->batch_size == batch_size &&
-            digests_equal(commit->batch_digest, digest)) {
-            ++vouchers;
-        }
+    // The leader vouches through its PREPARE; every follower with a
+    // matching certified COMMIT (our own included once we created it)
+    // adds one.
+    return 1 + matching_votes(entry.commits, *entry.prepare,
+                              entry.prepare->replica) >=
+           config_.quorum();
+}
+
+bool Replica::committed(const LogEntry& entry) const {
+    if (!prepared(entry)) return false;
+    if (!pbft()) return true;
+    constexpr std::uint32_t kNobody = ~0u;
+    return matching_votes(entry.commit_round, *entry.prepare, kNobody) >=
+           config_.quorum();
+}
+
+void Replica::maybe_commit_round(enclave::CostedCrypto& crypto,
+                                 net::Outbox& outbox, SequenceNumber seq,
+                                 LogEntry& entry) {
+    if (!pbft() || entry.commit_round[id_] || !prepared(entry)) return;
+    Commit commit;
+    commit.view = view_;
+    commit.seq = seq;
+    commit.replica = id_;
+    commit.batch_size = static_cast<std::uint32_t>(entry.prepare->batch.size());
+    commit.batch_digest = entry.prepare->batch.digest();
+    auto certified = certifier_.certify_ordered(
+        crypto, commit_counter_id(), commit.certified_view(), kCommitRound);
+    commit.counter_value = certified.value;
+    commit.cert = std::move(certified.auth);
+    entry.commit_round[id_] = commit;
+    if (!faults_.mute_agreement) {
+        broadcast(outbox, commit);
     }
-    return vouchers >= config_.quorum();
 }
 
 Replica::LogEntry& Replica::log_entry(SequenceNumber seq) {
@@ -469,6 +519,9 @@ Replica::LogEntry& Replica::log_entry(SequenceNumber seq) {
     if (spare_log_.empty()) {
         LogEntry& entry = log_.emplace_hint(hint, seq, LogEntry{})->second;
         entry.commits.resize(static_cast<std::size_t>(config_.n()));
+        if (pbft()) {
+            entry.commit_round.resize(static_cast<std::size_t>(config_.n()));
+        }
         return entry;
     }
     LogNode node = std::move(spare_log_.back());
@@ -494,6 +547,7 @@ void Replica::truncate_log(SequenceNumber seq) {
         }
         entry.prepare.reset();
         for (std::optional<Commit>& slot : entry.commits) slot.reset();
+        for (std::optional<Commit>& slot : entry.commit_round) slot.reset();
         entry.executed = false;
         spare_log_.push_back(std::move(node));
     }
@@ -614,7 +668,7 @@ void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
     cp.seq = seq;
     cp.state_digest = chunked.root;
     cp.replica = id_;
-    cp.cert = trinx_->certify_independent(crypto, cp.certified_view());
+    cp.cert = certifier_.certify(crypto, cp.certified_view());
 
     own_chunks_[seq] = std::move(chunked);
 
@@ -638,9 +692,8 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
     if (checkpoint.replica >= static_cast<std::uint32_t>(config_.n())) {
         return;
     }
-    if (!trinx_->verify_independent(crypto, checkpoint.replica,
-                                    checkpoint.certified_view(),
-                                    checkpoint.cert)) {
+    if (!certifier_.verify(crypto, checkpoint.replica,
+                           checkpoint.certified_view(), checkpoint.cert)) {
         return;
     }
 
@@ -661,7 +714,7 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
     // Lag detection: f+1 *others* vouch for a checkpoint beyond what we
     // have executed. The quorum has garbage-collected that prefix, so we
     // can no longer catch up through ordinary commits — fetch a snapshot.
-    if (static_cast<int>(votes.size()) >= config_.quorum() &&
+    if (static_cast<int>(votes.size()) >= config_.reply_quorum() &&
         !votes.contains(id_) && seq > last_executed_) {
         begin_state_transfer(crypto, outbox);
     }
@@ -752,10 +805,15 @@ void Replica::start_view_change(ViewNumber new_view) {
     vc.new_view = new_view;
     vc.replica = id_;
     vc.last_stable = last_stable_;
+    // The PBFT profile reports only prepared entries: a leader without
+    // counters can equivocate, but two batches cannot both be prepared
+    // at one sequence number in one view.
     for (const auto& [seq, entry] : log_) {
-        if (entry.prepare) vc.prepared.push_back(*entry.prepare);
+        if (entry.prepare && (!pbft() || prepared(entry))) {
+            vc.prepared.push_back(*entry.prepare);
+        }
     }
-    vc.cert = trinx_->certify_independent(crypto, vc.certified_view());
+    vc.cert = certifier_.certify(crypto, vc.certified_view());
 
     view_changes_rx_[new_view][id_] = vc;
     broadcast(outbox, vc);
@@ -773,9 +831,8 @@ void Replica::handle_view_change(enclave::CostedCrypto& crypto,
     if (view_change.replica >= static_cast<std::uint32_t>(config_.n())) {
         return;
     }
-    if (!trinx_->verify_independent(crypto, view_change.replica,
-                                    view_change.certified_view(),
-                                    view_change.cert)) {
+    if (!certifier_.verify(crypto, view_change.replica,
+                           view_change.certified_view(), view_change.cert)) {
         return;
     }
 
@@ -846,10 +903,10 @@ void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
             fresh.batch.requests.push_back(std::move(noop));
         }
         (void)fresh.batch.digest_with(crypto, scratch_);
-        const auto certified = trinx_->certify_continuing(
+        auto certified = certifier_.certify_ordered(
             crypto, prepare_counter_id(), fresh.certified_view());
         fresh.counter_value = certified.value;
-        fresh.cert = certified.certificate;
+        fresh.cert = std::move(certified.auth);
         nv.reproposed.push_back(fresh);
 
         LogEntry& entry = log_entry(seq);
@@ -862,7 +919,7 @@ void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
     }
     rebuild_in_flight();  // the log was replaced wholesale above
 
-    nv.cert = trinx_->certify_independent(crypto, nv.certified_view());
+    nv.cert = certifier_.certify(crypto, nv.certified_view());
     broadcast(outbox, nv);
     try_execute(crypto, outbox);
     reissue_forwarded(crypto, outbox);
@@ -905,19 +962,22 @@ void Replica::handle_new_view(enclave::CostedCrypto& crypto,
                               net::Outbox& outbox, NewView&& new_view) {
     if (new_view.view <= view_) return;
     if (new_view.replica != config_.leader_of(new_view.view)) return;
-    if (!trinx_->verify_independent(crypto, new_view.replica,
-                                    new_view.certified_view(),
-                                    new_view.cert)) {
+    if (!certifier_.verify(crypto, new_view.replica,
+                           new_view.certified_view(), new_view.cert)) {
         return;
     }
-    // The proofs must contain f+1 valid view changes for this view.
+    // The proofs must contain a quorum of valid view changes for this
+    // view. A link-MAC authenticator leaves its sender's own slot empty,
+    // so in the PBFT profile our own view change counts when we sent one.
     std::set<std::uint32_t> voters;
     for (const ViewChange& vc : new_view.proofs) {
         if (vc.new_view != new_view.view) continue;
-        if (!trinx_->verify_independent(crypto, vc.replica,
-                                        vc.certified_view(), vc.cert)) {
-            continue;
-        }
+        const bool valid =
+            pbft() && vc.replica == id_
+                ? view_changes_rx_[vc.new_view].contains(id_)
+                : certifier_.verify(crypto, vc.replica, vc.certified_view(),
+                                    vc.cert);
+        if (!valid) continue;
         voters.insert(vc.replica);
     }
     if (static_cast<int>(voters.size()) < config_.quorum()) return;
@@ -1024,8 +1084,7 @@ void Replica::request_state_transfer(enclave::CostedCrypto& crypto,
         std::copy(key.begin(), key.end(), d.begin());
         request.have_chunks.push_back(d);
     }
-    request.cert =
-        trinx_->certify_independent(crypto, request.certified_view());
+    request.cert = certifier_.certify(crypto, request.certified_view());
     broadcast(outbox, request);
 }
 
@@ -1067,9 +1126,8 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
                                    StateRequest&& request) {
     if (request.replica >= static_cast<std::uint32_t>(config_.n())) return;
     if (request.replica == id_) return;
-    if (!trinx_->verify_independent(crypto, request.replica,
-                                    request.certified_view(),
-                                    request.cert)) {
+    if (!certifier_.verify(crypto, request.replica, request.certified_view(),
+                           request.cert)) {
         return;
     }
 
@@ -1082,8 +1140,7 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
         // Nothing stable yet: bare view coordinates, adopted by the
         // requester once f+1 responders agree on the tuple.
         base.root = merkle_root(crypto, {});
-        base.cert =
-            trinx_->certify_independent(crypto, base.certified_view());
+        base.cert = certifier_.certify(crypto, base.certified_view());
         send_to(outbox, request.replica, base);
         return;
     }
@@ -1103,7 +1160,7 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
     // ONE certificate serves the whole stream: it covers only the
     // coordinates and the root, and every chunk verifies against the
     // manifest which folds to that root.
-    base.cert = trinx_->certify_independent(crypto, base.certified_view());
+    base.cert = certifier_.certify(crypto, base.certified_view());
 
     // Incremental: withhold every chunk the requester advertised.
     std::set<Bytes> has;
@@ -1150,9 +1207,8 @@ void Replica::handle_state_response(enclave::CostedCrypto& crypto,
     if (!rejoining_ && !awaiting_state_) return;
     if (response.replica >= static_cast<std::uint32_t>(config_.n())) return;
     if (response.replica == id_) return;
-    if (!trinx_->verify_independent(crypto, response.replica,
-                                    response.certified_view(),
-                                    response.cert)) {
+    if (!certifier_.verify(crypto, response.replica,
+                           response.certified_view(), response.cert)) {
         return;
     }
     // A live-but-lagging replica only accepts snapshots that move it
@@ -1174,7 +1230,7 @@ void Replica::handle_state_response(enclave::CostedCrypto& crypto,
         if (voters.empty()) sample = response;
         voters.insert(response.replica);
 
-        if (static_cast<int>(voters.size()) >= config_.quorum()) {
+        if (static_cast<int>(voters.size()) >= config_.reply_quorum()) {
             const StateResponse adopted = sample;
             adopt_state(crypto, outbox, adopted.view, adopted.view_start, 0,
                         Bytes{}, ChunkedSnapshot{}, {});
@@ -1201,13 +1257,15 @@ void Replica::handle_state_response(enclave::CostedCrypto& crypto,
             continue;
         }
         if (!digests_equal(vote.state_digest, response.root)) continue;
-        if (!trinx_->verify_independent(crypto, vote.replica,
-                                        vote.certified_view(), vote.cert)) {
+        if (!certifier_.verify(crypto, vote.replica, vote.certified_view(),
+                               vote.cert)) {
             continue;
         }
         proof_voters.insert(vote.replica);
     }
-    if (static_cast<int>(proof_voters.size()) < config_.quorum()) return;
+    if (static_cast<int>(proof_voters.size()) < config_.reply_quorum()) {
+        return;
+    }
 
     // Install or continue transfer progress. An in-flight transfer is
     // only displaced by a *newer* proven checkpoint (the cluster moved on

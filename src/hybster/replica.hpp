@@ -1,35 +1,42 @@
-// Hybster replica: hybrid-fault-model BFT state machine replication.
+// Hybster replica: BFT state machine replication in two profiles.
 //
-// Leader-based ordering with trusted-counter certificates (TrinX):
+// Leader-based ordering: the leader accumulates requests into a Batch (cut
+// at config.batch_size_max or after config.batch_delay), assigns it the
+// next sequence number and broadcasts ONE certified PREPARE; every
+// follower verifies each member request and broadcasts a certified COMMIT
+// vote. Committed entries execute in sequence order, member by member,
+// and the batch's REPLYs go to the host's deliver_replies hook in one
+// call (a Troxy host authenticates them in the trusted subsystem and
+// keeps the fast-read cache coherent, §IV-A). batch_size_max = 1 is the
+// unbatched flow.
 //
-//   REQUEST → the leader accumulates requests into a Batch (cut when it
-//   reaches config.batch_size_max or after config.batch_delay, whichever
-//   comes first), assigns the batch the next sequence number and
-//   broadcasts ONE PREPARE certified with its per-view ordering counter;
-//   every follower validates the counter continuity (value = seq -
-//   view_start + 1), verifies each member request, certifies a COMMIT
-//   with its own counter and broadcasts it. An entry is committed once
-//   f+1 distinct replicas (the leader's PREPARE counts as its COMMIT)
-//   vouch for the same batch digest — sufficient in the hybrid fault
-//   model because certified messages cannot equivocate. Committed entries
-//   execute in sequence order, member by member; each replica hands the
-//   batch's REPLYs, one per member, to the host's deliver_replies hook
-//   (which in a Troxy deployment authenticates them inside the trusted
-//   subsystem and keeps the fast-read cache coherent, §IV-A). Batching
-//   amortizes the trusted-counter certification — the dominant
-//   ordered-path cost — across the batch; batch_size_max = 1 reproduces
-//   the unbatched flow.
+// The certifier the deployment hands the replica fixes its profile
+// (hybster/certifier.hpp), and Config::validate ties it to the group size:
 //
-// Checkpoints every `checkpoint_interval` executed *requests* (batch
-// members) garbage-collect the log; view changes replace an unresponsive
-// leader using certified VIEW-CHANGE/NEW-VIEW messages carrying the
-// prepared-batch history (an uncut pending batch is folded back into the
-// forwarded set and re-proposed in the new view).
+// * Hybrid (Hybster: 2f+1 replicas, TrinX). PREPAREs and COMMITs carry
+//   trusted-counter certificates and followers check counter continuity
+//   (value = seq - view_start + 1). An entry commits once f+1 replicas
+//   (the leader's PREPARE counts as its COMMIT) vouch for the same batch:
+//   two phases suffice because certified messages cannot equivocate.
+// * PBFT (3f+1 replicas, link-MAC authenticators, no counter). The
+//   PREPARE is the pre-prepare and the followers' COMMITs are the prepare
+//   round: 2f matching ones make the entry prepared. Every replica then
+//   broadcasts a commit-round COMMIT, and 2f+1 matching ones commit it.
+//
+// Commit, checkpoint stability and view-change assembly wait for the
+// agreement quorum n - f; "at least one correct replica vouches"
+// (state-transfer matches, the client's reply vote) stays f+1.
+// Checkpoints every `checkpoint_interval` executed requests garbage-
+// collect the log; certified VIEW-CHANGE/NEW-VIEW messages carrying the
+// prepared batches replace an unresponsive leader (an uncut batch is
+// folded back into the forwarded set and re-proposed); a restarted or
+// lagging replica catches up through Merkle-chunked state transfer; and
+// optimistic reads execute unordered (the PBFT profile's READ-ONE).
 //
 // The replica itself is *untrusted* code — it may be subjected to fault
 // injection (crash, reply dropping/corruption) — while every certificate
-// it emits goes through the trusted TrinX subsystem, so its misbehaviour
-// is detectable exactly as in the paper's model.
+// it emits goes through its certifier, so its misbehaviour is detectable
+// exactly as in the paper's model.
 #pragma once
 
 #include <functional>
@@ -42,7 +49,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
-#include "enclave/trinx.hpp"
+#include "hybster/certifier.hpp"
 #include "hybster/config.hpp"
 #include "hybster/messages.hpp"
 #include "hybster/service.hpp"
@@ -82,9 +89,10 @@ class Replica {
             deliver_replies;
     };
 
+    /// `certifier` fixes the profile: a TrinX for a 2f+1 hybrid group,
+    /// link keys for a 3f+1 PBFT group.
     Replica(net::Fabric& fabric, sim::Node& node, Config config,
-            std::uint32_t replica_id, ServicePtr service,
-            std::shared_ptr<enclave::TrinX> trinx,
+            std::uint32_t replica_id, ServicePtr service, Certifier certifier,
             const sim::CostProfile& profile, Hooks hooks);
 
     Replica(const Replica&) = delete;
@@ -114,8 +122,8 @@ class Replica {
     }
 
     /// Handles an optimistic (non-ordered) read: executes against the
-    /// current state and replies immediately. Used by the PBFT-like
-    /// baseline read optimization.
+    /// current state and replies immediately. Serves the PBFT-like
+    /// baseline read optimization and Prophecy's READ-ONE.
     void execute_optimistic_read(const Request& request);
 
     /// Crash-recovery entry point: resets every piece of volatile state in
@@ -219,12 +227,21 @@ class Replica {
         return own_chunks_.size();
     }
 
+    /// Log entries held: the sequence numbers above the stable checkpoint
+    /// that this replica knows of.
+    [[nodiscard]] std::size_t log_size() const noexcept {
+        return log_.size();
+    }
+
   private:
     struct LogEntry {
         std::optional<Prepare> prepare;
         /// One slot per replica id: the certified COMMIT it sent for this
-        /// sequence number.
+        /// sequence number (PBFT profile: its prepare-round vote).
         std::vector<std::optional<Commit>> commits;
+        /// PBFT profile only: one slot per replica id for its commit-round
+        /// vote. Empty in the hybrid profile.
+        std::vector<std::optional<Commit>> commit_round;
         bool executed = false;
     };
     using LogNode = std::map<SequenceNumber, LogEntry>::node_type;
@@ -287,7 +304,16 @@ class Replica {
     void try_execute(enclave::CostedCrypto& crypto, net::Outbox& outbox);
     void execute_entry(enclave::CostedCrypto& crypto, net::Outbox& outbox,
                        SequenceNumber seq, LogEntry& entry);
+    /// The leader's PREPARE plus agreement-quorum − 1 matching COMMIT
+    /// votes from followers. Hybrid profile: committed. PBFT profile: the
+    /// prepare round is done.
+    [[nodiscard]] bool prepared(const LogEntry& entry) const;
     [[nodiscard]] bool committed(const LogEntry& entry) const;
+    /// PBFT profile: once `seq` is prepared, certifies and broadcasts this
+    /// replica's commit-round vote (once).
+    void maybe_commit_round(enclave::CostedCrypto& crypto,
+                            net::Outbox& outbox, SequenceNumber seq,
+                            LogEntry& entry);
     void maybe_checkpoint(enclave::CostedCrypto& crypto, net::Outbox& outbox);
     /// Certified checkpoint votes for one (seq, digest), by replica id.
     using CheckpointVotes = std::map<std::uint32_t, CheckpointMsg>;
@@ -317,6 +343,11 @@ class Replica {
     template <typename T>
     void send_to(net::Outbox& outbox, std::uint32_t replica,
                  const T& message);
+    /// PBFT profile: there are no counters, so a COMMIT's counter_value
+    /// names its round instead.
+    static constexpr CounterValue kPrepareRound = 1;
+    static constexpr CounterValue kCommitRound = 2;
+    [[nodiscard]] bool pbft() const noexcept { return !certifier_.hybrid(); }
     [[nodiscard]] CounterValue expected_counter(SequenceNumber seq) const;
     [[nodiscard]] enclave::CounterId prepare_counter_id() const;
     [[nodiscard]] enclave::CounterId commit_counter_id() const;
@@ -326,7 +357,7 @@ class Replica {
     Config config_;
     std::uint32_t id_;
     ServicePtr service_;
-    std::shared_ptr<enclave::TrinX> trinx_;
+    Certifier certifier_;
     const sim::CostProfile& profile_;
     Hooks hooks_;
     FaultProfile faults_;

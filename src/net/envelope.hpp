@@ -21,10 +21,8 @@ namespace troxy::net {
 
 enum class Channel : std::uint8_t {
     Hybster = 1,     // replica ↔ replica agreement traffic
-    Pbft = 2,        // baseline PBFT agreement traffic (Prophecy substrate)
-    Client = 3,      // legacy client ↔ server secure-channel records
+    Client = 3,      // client ↔ server secure-channel records
     TroxyCache = 4,  // Troxy ↔ Troxy fast-read queries/responses
-    Middlebox = 5,   // Prophecy middlebox ↔ replica traffic
     Bundle = 6,      // several wrapped messages coalesced into one frame
 };
 
@@ -42,10 +40,8 @@ inline std::optional<std::pair<Channel, Bytes>> unwrap(ByteView message) {
     const auto channel = static_cast<Channel>(message[0]);
     switch (channel) {
         case Channel::Hybster:
-        case Channel::Pbft:
         case Channel::Client:
         case Channel::TroxyCache:
-        case Channel::Middlebox:
         case Channel::Bundle:
             break;
         default:
@@ -64,10 +60,8 @@ inline std::optional<std::pair<Channel, ByteView>> unwrap_view(
     const auto channel = static_cast<Channel>(message[0]);
     switch (channel) {
         case Channel::Hybster:
-        case Channel::Pbft:
         case Channel::Client:
         case Channel::TroxyCache:
-        case Channel::Middlebox:
         case Channel::Bundle:
             break;
         default:

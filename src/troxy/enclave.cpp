@@ -287,7 +287,7 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
         tally.results[index].assign(reply.result.begin(), reply.result.end());
     }
     vote = static_cast<std::uint32_t>(index + 1);
-    if (voters(index) < config_.quorum()) return;
+    if (voters(index) < config_.reply_quorum()) return;
 
     // Vote complete: the result is correct. Maintain the cache with
     // knowledge the contact Troxy now *provably* has.

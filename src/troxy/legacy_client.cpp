@@ -66,19 +66,11 @@ void LegacyClient::failover() {
     ++consecutive_failovers_;
     server_index_ = (server_index_ + 1) % servers_.size();
 
-    // The channel died with its server; in-flight requests will be
-    // retransmitted on the fresh connection (the service deduplicates at
-    // the application level or tolerates re-execution, as with any
-    // ordinary web service retry).
-    std::deque<Outstanding> retry = std::move(outstanding_);
-    outstanding_.clear();
+    // The channel died with its server; in-flight requests stay queued
+    // in order and are retransmitted once the fresh connection is up (the
+    // service deduplicates at the application level or tolerates
+    // re-execution, as with any ordinary web service retry).
     connect();
-
-    // Re-issue once the new channel is up; queue them now — send() is
-    // buffered until establishment.
-    for (auto& item : retry) {
-        outstanding_.push_back(std::move(item));
-    }
 }
 
 void LegacyClient::arm_watchdog() {
@@ -212,7 +204,8 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
 
             // Flush everything queued while disconnected.
             net::Outbox outbox(fabric_, node_);
-            for (const Outstanding& item : outstanding_) {
+            for (std::size_t i = 0; i < outstanding_.size(); ++i) {
+                const Outstanding& item = outstanding_[i];
                 crypto.charge(profile_.aead(item.view().size()));
                 outbox.send(servers_[server_index_],
                             net::client_record_frame(

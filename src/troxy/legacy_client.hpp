@@ -8,12 +8,12 @@
 // its location service (§II-C, §III-D).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/ring_queue.hpp"
 #include "common/rng.hpp"
 #include "crypto/x25519.hpp"
 #include "enclave/meter.hpp"
@@ -142,7 +142,9 @@ class LegacyClient {
             return ref ? ByteView(*ref) : ByteView(request);
         }
     };
-    std::deque<Outstanding> outstanding_;  // FIFO: replies match in order
+    /// FIFO: replies match in order. A ring that keeps its capacity, so a
+    /// warm session queues and retires requests without allocating.
+    RingQueue<Outstanding> outstanding_;
     /// Reply callbacks with their replies, run once the record's
     /// processing time has elapsed. Emptied lists wait on a spare list
     /// for the next record, so a warm client allocates none; a front's

@@ -1,11 +1,12 @@
-// Baseline systems: PBFT replica group, PBFT client voting, and the
-// Prophecy middlebox sketch behaviour.
+// Baseline systems: the Hybster replica in its PBFT profile (3f+1, link-MAC
+// authenticators, three phases) driven by the client-side BFT library, and
+// the Prophecy middlebox sketch behaviour.
 #include <gtest/gtest.h>
 
 #include "apps/echo_service.hpp"
-#include "baselines/pbft.hpp"
 #include "bench_support/cluster.hpp"
 #include "busy_reconnect.hpp"
+#include "hybster/client.hpp"
 #include "http/http.hpp"
 #include "http/page_service.hpp"
 #include "net/envelope.hpp"
@@ -15,102 +16,71 @@ namespace {
 
 using apps::EchoService;
 
-// --------------------------------------------------------- PBFT wire layer
-
-TEST(PbftFrames, SealOpenRoundTrip) {
-    net::MacTable macs = net::MacTable::for_group(to_bytes("m"), {1, 2});
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(sim::CostProfile::java(), meter);
-
-    const Bytes frame = pbft::seal_frame(crypto, macs, 1, 2,
-                                         pbft::PbftType::Prepare,
-                                         to_bytes("body"));
-    const auto opened = pbft::open_frame(crypto, macs, 1, 2, frame);
-    ASSERT_TRUE(opened.has_value());
-    EXPECT_EQ(opened->first, pbft::PbftType::Prepare);
-    EXPECT_EQ(opened->second, to_bytes("body"));
-}
-
-TEST(PbftFrames, RejectsTamperingAndWrongLink) {
-    net::MacTable macs = net::MacTable::for_group(to_bytes("m"), {1, 2, 3});
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto(sim::CostProfile::java(), meter);
-
-    Bytes frame = pbft::seal_frame(crypto, macs, 1, 2,
-                                   pbft::PbftType::Commit, to_bytes("b"));
-    // Wrong destination.
-    EXPECT_FALSE(pbft::open_frame(crypto, macs, 1, 3, frame).has_value());
-    // Tampered body.
-    frame[1] ^= 1;
-    EXPECT_FALSE(pbft::open_frame(crypto, macs, 1, 2, frame).has_value());
-    // Too short.
-    EXPECT_FALSE(
-        pbft::open_frame(crypto, macs, 1, 2, Bytes(10, 0)).has_value());
-}
+// ------------------------------------------------------ PBFT profile config
 
 TEST(PbftConfig, Validation) {
-    pbft::Config config;
+    hybster::Config config;
     config.f = 1;
     config.replicas = {1, 2, 3, 4};
     config.validate();
-    EXPECT_EQ(config.prepared_quorum(), 2);
-    EXPECT_EQ(config.commit_quorum(), 3);
-    EXPECT_EQ(config.reply_quorum(), 2);
+    config.validate(/*trusted_counters=*/false);
+    EXPECT_EQ(config.quorum(), 3);        // prepare round 2f + the leader
+    EXPECT_EQ(config.reply_quorum(), 2);  // f+1 matching replies
+    // Link MACs need 3f+1 replicas and TrinX needs 2f+1: every other
+    // pairing is rejected.
+    EXPECT_DEATH(config.validate(/*trusted_counters=*/true), "TrinX");
+    config.replicas = {1, 2, 3};
+    EXPECT_EQ(config.quorum(), 2);
+    EXPECT_DEATH(config.validate(/*trusted_counters=*/false), "link MACs");
+    config.replicas = {1, 2, 3, 4, 5};
+    EXPECT_DEATH(config.validate(), "3f\\+1");
 }
 
-// -------------------------------------------------------- PBFT replica set
+// ------------------------------------------------- PBFT-profile replica set
 
-struct PbftGroup {
-    sim::Simulator sim{55};
-    sim::Network network{sim};
-    net::Fabric fabric{sim, network};
-    pbft::Config config;
-    std::shared_ptr<net::MacTable> macs;
-    std::vector<std::unique_ptr<sim::Node>> nodes;
-    std::vector<std::unique_ptr<pbft::PbftReplica>> replicas;
-    std::unique_ptr<sim::Node> client_node;
-    std::unique_ptr<pbft::PbftClient> client;
-    sim::CostProfile profile = sim::CostProfile::java();
+/// Prophecy's replica group — four BaselineReplicaHosts in the PBFT
+/// profile, from the deployments' shared builder — driven directly by one
+/// hybster::Client.
+struct PbftGroup : bench::ClusterBase {
+    bench::BaselineGroup group;
+    std::unique_ptr<hybster::Client> client;
 
-    PbftGroup() {
-        config.f = 1;
-        config.checkpoint_interval = 8;
-        config.view_change_timeout = sim::milliseconds(200);
-        for (int i = 0; i < 4; ++i) {
-            config.replicas.push_back(static_cast<sim::NodeId>(i + 1));
-        }
-        std::vector<sim::NodeId> group = config.replicas;
-        group.push_back(99);  // the client
-        macs = std::make_shared<net::MacTable>(
-            net::MacTable::for_group(to_bytes("pbft-test"), group));
+    static bench::ClusterOptions options() {
+        bench::ClusterOptions options;
+        options.seed = 55;
+        options.checkpoint_interval = 8;
+        return options;
+    }
 
-        for (int i = 0; i < 4; ++i) {
-            nodes.push_back(std::make_unique<sim::Node>(
-                sim, config.replicas[static_cast<std::size_t>(i)],
-                "p" + std::to_string(i), 4));
-            replicas.push_back(std::make_unique<pbft::PbftReplica>(
-                fabric, *nodes.back(), config,
-                static_cast<std::uint32_t>(i),
-                std::make_unique<EchoService>(), macs, profile));
-            auto* replica = replicas.back().get();
-            fabric.attach(config.replicas[static_cast<std::size_t>(i)],
-                          [replica](sim::NodeId from, Bytes message) {
-                              auto unwrapped = net::unwrap(message);
-                              if (!unwrapped) return;
-                              replica->on_message(from, unwrapped->second);
-                          });
-        }
-        client_node = std::make_unique<sim::Node>(sim, 99, "client", 4);
-        client = std::make_unique<pbft::PbftClient>(
-            fabric, *client_node, config, macs, profile,
-            sim::milliseconds(400));
-        fabric.attach(99, [this](sim::NodeId from, Bytes message) {
-            auto unwrapped = net::unwrap(message);
-            if (!unwrapped) return;
-            client->on_message(from, unwrapped->second);
+    PbftGroup() : ClusterBase(options()) {
+        group = build_baseline_group(
+            /*pbft=*/true, [] { return std::make_unique<EchoService>(); },
+            "p");
+        sim::Node& node = make_client_node("client");
+        client = std::make_unique<hybster::Client>(
+            fabric_, node, group.config, group.pinned_keys(),
+            group.client_keys(node.id()), java_,
+            hybster::Client::Options{.retransmit_timeout =
+                                         sim::milliseconds(400)});
+        fabric_.attach(node.id(), [this](sim::NodeId from, Bytes message) {
+            auto unwrapped = net::unwrap_view(message);
+            if (unwrapped && unwrapped->first == net::Channel::Client) {
+                client->on_message(from, unwrapped->second);
+            }
         });
+        client->start(nullptr);
+    }
+
+    hybster::Replica& replica(int i) {
+        return group.hosts.at(static_cast<std::size_t>(i))->replica();
     }
 };
+
+hybster::FaultProfile crashed() {
+    hybster::FaultProfile crash;
+    crash.crashed = true;
+    return crash;
+}
 
 TEST(Pbft, OrdersAndVotes) {
     PbftGroup group;
@@ -121,11 +91,11 @@ TEST(Pbft, OrdersAndVotes) {
                              result = std::move(r);
                              done = true;
                          });
-    group.sim.run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(2));
     ASSERT_TRUE(done);
     EXPECT_EQ(result.size(), 10u);
-    for (const auto& replica : group.replicas) {
-        EXPECT_EQ(replica->last_executed(), 1u);
+    for (int r = 0; r < 4; ++r) {
+        EXPECT_EQ(group.replica(r).last_executed(), 1u);
     }
 }
 
@@ -141,11 +111,11 @@ TEST(Pbft, SequentialRequestsStayConsistent) {
                              });
     };
     loop(12);
-    group.sim.run_until(sim::seconds(5));
+    group.simulator().run_until(sim::seconds(5));
     EXPECT_EQ(done, 12);
-    const Bytes snapshot = group.replicas[0]->service().checkpoint();
-    for (const auto& replica : group.replicas) {
-        EXPECT_EQ(replica->service().checkpoint(), snapshot);
+    const Bytes snapshot = group.replica(0).service().checkpoint();
+    for (int r = 0; r < 4; ++r) {
+        EXPECT_EQ(group.replica(r).service().checkpoint(), snapshot);
     }
 }
 
@@ -162,21 +132,19 @@ TEST(Pbft, ReadOneExecutesWithoutOrdering) {
                                    done = true;
                                });
     });
-    group.sim.run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(2));
     EXPECT_TRUE(done);
-    EXPECT_EQ(group.replicas[1]->last_executed(), 1u);  // read not ordered
+    EXPECT_EQ(group.replica(1).last_executed(), 1u);  // read not ordered
 }
 
 TEST(Pbft, ToleratesOneCrashedFollower) {
     PbftGroup group;
-    hybster::FaultProfile crash;
-    crash.crashed = true;
-    group.replicas[3]->set_faults(crash);
+    group.replica(3).set_faults(crashed());
 
     bool done = false;
     group.client->invoke(EchoService::make_write(1, 64), false,
                          [&](Bytes) { done = true; });
-    group.sim.run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(2));
     EXPECT_TRUE(done);
 }
 
@@ -184,7 +152,7 @@ TEST(Pbft, CorruptReplicaOutvoted) {
     PbftGroup group;
     hybster::FaultProfile corrupt;
     corrupt.corrupt_replies = true;
-    group.replicas[2]->set_faults(corrupt);
+    group.replica(2).set_faults(corrupt);
 
     Bytes result;
     bool done = false;
@@ -193,7 +161,7 @@ TEST(Pbft, CorruptReplicaOutvoted) {
                              result = std::move(r);
                              done = true;
                          });
-    group.sim.run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(2));
     ASSERT_TRUE(done);
     // The corrupt replica's reply differs; the voted result is correct.
     EchoService reference;
@@ -205,19 +173,62 @@ TEST(Pbft, ViewChangeOnCrashedLeader) {
     bool warm = false;
     group.client->invoke(EchoService::make_write(1, 64), false,
                          [&](Bytes) { warm = true; });
-    group.sim.run_until(sim::seconds(1));
+    group.simulator().run_until(sim::seconds(1));
     ASSERT_TRUE(warm);
 
-    hybster::FaultProfile crash;
-    crash.crashed = true;
-    group.replicas[0]->set_faults(crash);
+    group.replica(0).set_faults(crashed());
 
     bool done = false;
     group.client->invoke(EchoService::make_write(2, 64), false,
                          [&](Bytes) { done = true; });
-    group.sim.run_until(sim::seconds(6));
+    group.simulator().run_until(sim::seconds(6));
     EXPECT_TRUE(done);
-    EXPECT_GT(group.replicas[1]->view(), 0u);
+    EXPECT_GT(group.replica(1).view(), 0u);
+}
+
+TEST(Pbft, CommitWaitsForTwoFPlusOneReplicas) {
+    // f = 1: with two of the four replicas down, the leader and one
+    // follower are f+1 — enough for the hybrid rule, not for PBFT's.
+    PbftGroup group;
+    group.replica(2).set_faults(crashed());
+    group.replica(3).set_faults(crashed());
+
+    bool done = false;
+    group.client->invoke(EchoService::make_write(1, 64), false,
+                         [&](Bytes) { done = true; });
+    group.simulator().run_until(sim::seconds(3));
+    EXPECT_FALSE(done);
+    EXPECT_EQ(group.replica(0).last_executed(), 0u);
+    EXPECT_EQ(group.replica(1).last_executed(), 0u);
+
+    // A third replica returns: 2f+1 are up and the write commits.
+    group.replica(2).set_faults(hybster::FaultProfile{});
+    group.simulator().run_until(sim::seconds(15));
+    EXPECT_TRUE(done);
+}
+
+TEST(Pbft, LogIsBoundedByTheStableCheckpoint) {
+    PbftGroup group;  // checkpoint every 8 requests
+    int done = 0;
+    std::function<void(int)> loop = [&](int remaining) {
+        if (remaining == 0) return;
+        group.client->invoke(EchoService::make_write(remaining % 5, 64),
+                             false, [&, remaining](Bytes) {
+                                 ++done;
+                                 loop(remaining - 1);
+                             });
+    };
+    loop(44);
+    group.simulator().run_until(sim::seconds(10));
+    ASSERT_EQ(done, 44);
+    for (int r = 0; r < 4; ++r) {
+        hybster::Replica& replica = group.replica(r);
+        EXPECT_EQ(replica.last_executed(), 44u) << "replica " << r;
+        EXPECT_EQ(replica.last_stable(), 40u) << "replica " << r;
+        // Only the entries above the stable checkpoint stay.
+        EXPECT_EQ(replica.log_size(), 4u) << "replica " << r;
+        EXPECT_EQ(replica.retained_snapshots(), 1u) << "replica " << r;
+    }
 }
 
 // ---------------------------------------------------------------- Prophecy
@@ -314,6 +325,49 @@ TEST(Prophecy, BusyReconnectRepliesMatchTheirRequests) {
                 << "seed " << seed << " key " << key;
         }
     }
+}
+
+TEST(Prophecy, SilentFastReadReplicaFallsBackToOrderedRead) {
+    // A fast read that picks a crashed replica gets no READ-ONE reply;
+    // after fast_read_timeout it is ordered instead of hanging forever.
+    bench::ProphecyCluster::Params params;
+    params.base.seed = 606;
+    params.service = []() { return std::make_unique<http::PageService>(4); };
+    params.classifier = http::PageService::classifier();
+    bench::ProphecyCluster cluster(params);
+    auto& client = cluster.add_client();
+
+    int done = 0;
+    std::function<void(int)> loop;
+    loop = [&](int remaining) {
+        if (remaining == 0) return;
+        client.send(http::PageService::make_get(1),
+                    [&, remaining](Bytes response) {
+                        auto parsed = http::parse_response(response);
+                        ASSERT_TRUE(parsed.has_value());
+                        EXPECT_EQ(to_string(parsed->body),
+                                  http::PageService::initial_content(1));
+                        ++done;
+                        loop(remaining - 1);
+                    });
+    };
+    client.start([&]() {
+        client.send(http::PageService::make_get(1), [&](Bytes) {
+            client.send(http::PageService::make_get(1), [&](Bytes) {
+                hybster::FaultProfile crash;
+                crash.crashed = true;
+                cluster.replica(3).set_faults(crash);  // not the leader
+                loop(40);
+            });
+        });
+    });
+    cluster.simulator().run_until(sim::seconds(60));
+    EXPECT_EQ(done, 40);
+    const auto& stats = cluster.middlebox().stats();
+    EXPECT_GE(stats.fast_timeouts, 1u);
+    // Every read was released exactly once: the two warm-up reads plus
+    // the 40, each by a fast hit or an ordered read.
+    EXPECT_EQ(stats.fast_hits + stats.ordered, 42u);
 }
 
 }  // namespace

@@ -302,8 +302,8 @@ TEST(Experiments, HttpRunsForEverySystem) {
                       0.221681, 0.381644},
              Recorded{HttpSystem::Baseline, 46.0, 0.34593273913043471,
                       0.316064, 0.575159},
-             Recorded{HttpSystem::Prophecy, 46.0, 0.5804751304347826,
-                      0.569481, 0.938507},
+             Recorded{HttpSystem::Prophecy, 46.0, 0.66528058695652148,
+                      0.646128, 1.114745},
              Recorded{HttpSystem::Troxy, 46.0, 0.43375313043478275,
                       0.413888, 0.735381},
          }) {

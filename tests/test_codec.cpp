@@ -685,6 +685,35 @@ TEST(AllocationCeiling, WarmOutOfOrderReleaseAllocatesNothing) {
     EXPECT_EQ(sessions.waiting(), 0u);
 }
 
+// A warm legacy session: every send/reply round allocates the same count.
+// The client's in-flight FIFO keeps its capacity; a std::deque there
+// allocated a chunk whenever the queue advanced past a chunk boundary,
+// once every seven rounds.
+TEST(AllocationCeiling, WarmSessionRoundAllocatesNothingForTheQueue) {
+    bench::StandaloneCluster::Params params;
+    params.service = []() { return std::make_unique<apps::EchoService>(); };
+    bench::StandaloneCluster cluster(params);
+    auto& client = cluster.add_client();
+    client.start([] {});
+    cluster.simulator().run_until(sim::milliseconds(100));
+    ASSERT_TRUE(client.connected());
+
+    int replies = 0;
+    const auto round = [&] {
+        client.send(apps::EchoService::make_write(1, 64),
+                    [&](Bytes) { ++replies; });
+        cluster.simulator().run_until(cluster.simulator().now() +
+                                      sim::milliseconds(5));
+    };
+    for (int i = 0; i < 16; ++i) round();
+    std::map<std::uint64_t, int> counts;  // allocations → rounds
+    for (int i = 0; i < 64; ++i) ++counts[allocations_in(round)];
+    EXPECT_EQ(replies, 80);
+    EXPECT_EQ(counts.size(), 1u) << "rounds allocate "
+                                 << counts.begin()->first << " to "
+                                 << counts.rbegin()->first;
+}
+
 // -------------------------------------------------------- outbox recycling
 
 TEST(OutboxRecycling, SecondFlushAllocatesNoQueueStorage) {

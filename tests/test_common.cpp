@@ -10,6 +10,7 @@
 #include "common/flat_map.hpp"
 #include "common/inline_vec.hpp"
 #include "common/log.hpp"
+#include "common/ring_queue.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 
@@ -426,6 +427,39 @@ TEST(InlineVec, RefillingAClearedListAllocatesNothing) {
     g_count_allocs = false;
     EXPECT_EQ(g_allocs, 0u);
     EXPECT_EQ(inline_list[0], long_key);
+}
+
+TEST(RingQueue, KeepsFifoOrderAcrossWrapAndGrowth) {
+    RingQueue<std::string> queue;
+    int next_in = 0;
+    int next_out = 0;
+    // Grow past the first ring while its head sits mid-array, so the
+    // wider ring must unwrap the elements in order.
+    for (int round = 0; round < 6; ++round) {
+        for (int i = 0; i < 5; ++i) queue.push_back(std::to_string(next_in++));
+        for (int i = 0; i < 3; ++i) {
+            ASSERT_EQ(queue.front(), std::to_string(next_out++));
+            queue.pop_front();
+        }
+    }
+    ASSERT_EQ(queue.size(), 12u);
+    EXPECT_EQ(queue.back(), std::to_string(next_in - 1));
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        EXPECT_EQ(queue[i], std::to_string(next_out + static_cast<int>(i)));
+    }
+
+    // A warm queue cycles and refills after clear() without allocating
+    // queue storage (the short strings fit their inline buffers).
+    queue.clear();
+    EXPECT_TRUE(queue.empty());
+    g_allocs = 0;
+    g_count_allocs = true;
+    for (int i = 0; i < 100; ++i) {
+        queue.push_back("x");
+        queue.pop_front();
+    }
+    g_count_allocs = false;
+    EXPECT_EQ(g_allocs, 0u);
 }
 
 }  // namespace

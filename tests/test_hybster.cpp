@@ -100,7 +100,7 @@ TEST(Messages, PrepareRoundTrip) {
     second.id = {9, 2};
     second.assign(to_bytes("req2"));
     prepare.batch.requests.push_back(second);
-    prepare.cert.fill(0x22);
+    prepare.cert[0].fill(0x22);
 
     const auto decoded = decode_message(encode_message(Message(prepare)));
     ASSERT_TRUE(decoded.has_value());
@@ -255,6 +255,92 @@ TEST(Messages, MalformedInputsRejected) {
     Bytes trailing = encode_message(Message(Request{}));
     trailing.push_back(0);
     EXPECT_FALSE(decode_message(trailing).has_value());
+}
+
+TEST(Messages, LinkMacAuthenticatorsRoundTripAtTheGroupWidth) {
+    // PBFT-profile messages carry one tag per replica, nested messages
+    // included; the receiver decodes at its group's width.
+    Authenticator wide = Authenticator::zeros(4);
+    for (std::size_t i = 0; i < 4; ++i) {
+        wide[i].fill(static_cast<std::uint8_t>(0x10 + i));
+    }
+    Prepare prepared;
+    prepared.view = 1;
+    prepared.seq = 65;
+    Request pending;
+    pending.assign(to_bytes("pending"));
+    prepared.batch.requests.push_back(std::move(pending));
+    prepared.cert = wide;
+    ViewChange vc;
+    vc.new_view = 2;
+    vc.prepared.push_back(prepared);
+    vc.cert = wide;
+    NewView nv;
+    nv.view = 2;
+    nv.proofs.push_back(vc);
+    nv.reproposed.push_back(prepared);
+    nv.cert = wide;
+
+    const Bytes wire = encode_message(Message(nv));
+    const auto decoded = decode_message(wire, 4);
+    ASSERT_TRUE(decoded && std::holds_alternative<NewView>(*decoded));
+    const NewView& out = std::get<NewView>(*decoded);
+    EXPECT_EQ(out.cert, wide);
+    ASSERT_EQ(out.proofs.size(), 1u);
+    EXPECT_EQ(out.proofs[0].cert, wide);
+    EXPECT_EQ(out.proofs[0].prepared.at(0).cert, wide);
+    EXPECT_EQ(out.reproposed.at(0).cert, wide);
+    // A receiver of another width rejects the message.
+    EXPECT_FALSE(decode_message(wire).has_value());
+    EXPECT_FALSE(decode_message(wire, 3).has_value());
+}
+
+TEST(Certifier, LinkMacsVerifyOnlyOnTheirLinkAndMessage) {
+    const auto certifier = [](std::uint32_t id) {
+        std::vector<Bytes> links;
+        for (std::uint32_t r = 0; r < 4; ++r) {
+            links.push_back(replica_link_key(to_bytes("links"), id, r));
+        }
+        return Certifier(id, std::move(links));
+    };
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto(sim::CostProfile::native(), meter);
+    Certifier sender = certifier(0);
+    EXPECT_FALSE(sender.hybrid());
+    EXPECT_EQ(sender.width(), 4u);
+
+    const Bytes message = to_bytes("commit view");
+    const Certifier::Ordered certified =
+        sender.certify_ordered(crypto, 7, message, 2);
+    EXPECT_EQ(certified.value, 2u);
+    for (std::uint32_t r = 1; r < 4; ++r) {
+        const Certifier receiver = certifier(r);
+        EXPECT_TRUE(receiver.verify_ordered(crypto, 0, 7, 2, message,
+                                            certified.auth));
+        // Another counter, value, message or claimed sender fails.
+        EXPECT_FALSE(receiver.verify_ordered(crypto, 0, 8, 2, message,
+                                             certified.auth));
+        EXPECT_FALSE(receiver.verify_ordered(crypto, 0, 7, 1, message,
+                                             certified.auth));
+        EXPECT_FALSE(receiver.verify_ordered(crypto, 0, 7, 2,
+                                             to_bytes("other"),
+                                             certified.auth));
+        EXPECT_FALSE(receiver.verify_ordered(crypto, r == 1 ? 2 : 1, 7, 2,
+                                             message, certified.auth));
+        // An ordering certificate is not a plain one.
+        EXPECT_FALSE(receiver.verify(crypto, 0, message, certified.auth));
+    }
+    // The sender's own slot stays empty: nothing claiming to come from a
+    // replica verifies at that replica.
+    EXPECT_FALSE(sender.verify_ordered(crypto, 0, 7, 2, message,
+                                       certified.auth));
+
+    const Authenticator plain = sender.certify(crypto, message);
+    EXPECT_TRUE(certifier(3).verify(crypto, 0, message, plain));
+    Authenticator tampered = plain;
+    tampered[3][0] ^= 1;
+    EXPECT_FALSE(certifier(3).verify(crypto, 0, message, tampered));
+    EXPECT_TRUE(certifier(2).verify(crypto, 0, message, tampered));
 }
 
 TEST(Keys, PairwiseKeysDistinct) {

@@ -8,7 +8,6 @@
 #include "net/client_sessions.hpp"
 #include "net/envelope.hpp"
 #include "net/fabric.hpp"
-#include "net/mac_table.hpp"
 #include "net/outbox.hpp"
 #include "net/secure_channel.hpp"
 
@@ -634,39 +633,6 @@ TEST(Envelope, BundleRejectsMalformed) {
     trailing.bytes(to_bytes("msg"));
     trailing.u8(0xff);
     EXPECT_FALSE(unbundle(trailing.data(), inner));
-}
-
-// --------------------------------------------------------------- MacTable
-
-TEST(MacTable, SignAndVerify) {
-    MacTable table = MacTable::for_group(to_bytes("master"), {1, 2, 3});
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto_ops(kNative, meter);
-
-    const Bytes message = to_bytes("prepare");
-    const crypto::HmacTag tag = table.sign(crypto_ops, 1, 2, message);
-    EXPECT_TRUE(table.verify(crypto_ops, 1, 2, message, tag));
-    EXPECT_FALSE(table.verify(crypto_ops, 1, 3, message, tag));  // other link
-    EXPECT_FALSE(table.verify(crypto_ops, 1, 2, to_bytes("forged"), tag));
-}
-
-TEST(MacTable, DirectionBinding) {
-    MacTable table = MacTable::for_group(to_bytes("master"), {1, 2});
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto_ops(kNative, meter);
-    const Bytes message = to_bytes("m");
-    const crypto::HmacTag tag = table.sign(crypto_ops, 1, 2, message);
-    // Same pair, opposite direction: the frame differs, so it must fail.
-    EXPECT_FALSE(table.verify(crypto_ops, 2, 1, message, tag));
-}
-
-TEST(MacTable, MissingKey) {
-    MacTable table;
-    enclave::CostMeter meter;
-    enclave::CostedCrypto crypto_ops(kNative, meter);
-    EXPECT_FALSE(table.has_key(1, 2));
-    EXPECT_FALSE(table.verify(crypto_ops, 1, 2, to_bytes("m"),
-                              crypto::HmacTag{}));
 }
 
 // ----------------------------------------------------------------- outbox
