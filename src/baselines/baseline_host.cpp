@@ -28,8 +28,8 @@ BaselineReplicaHost::BaselineReplicaHost(
             static_cast<std::size_t>(replica_id_)) {
             return false;
         }
-        const Bytes key = client_keys_(request.id.client);
-        return crypto.mac_verify(key, request.signed_view(),
+        return crypto.mac_verify(client_key(request.id.client),
+                                 request.signed_view(scratch_),
                                  request.auth()[replica_id_]);
     };
 
@@ -44,12 +44,11 @@ BaselineReplicaHost::BaselineReplicaHost(
             net::ClientSessions::Session* session = sessions_.find(client);
             if (session == nullptr) continue;  // client not connected here
             hybster::Reply& reply = member.reply;
-            const Bytes key = client_keys_(client);
             const crypto::HmacTag tag =
-                crypto.mac(key, reply.certified_view());
+                crypto.mac(client_key(client), reply.certified_view(scratch_));
             std::copy(tag.begin(), tag.end(), reply.cert.begin());
 
-            const Bytes encoded = encode_message(hybster::Message(reply));
+            const Bytes encoded = hybster::encode_message(reply);
             crypto.charge(profile_.aead(encoded.size()));
             outbox.send(client, net::client_record_frame(
                                     session->channel, encoded));
@@ -59,6 +58,15 @@ BaselineReplicaHost::BaselineReplicaHost(
     replica_ = std::make_unique<hybster::Replica>(
         fabric, node, config, replica_id, std::move(service),
         std::move(certifier), profile, std::move(hooks));
+}
+
+const Bytes& BaselineReplicaHost::client_key(sim::NodeId client) {
+    const auto it = client_key_cache_.lower_bound(client);
+    if (it != client_key_cache_.end() && it->first == client) {
+        return it->second;
+    }
+    return client_key_cache_.emplace_hint(it, client, client_keys_(client))
+        ->second;
 }
 
 void BaselineReplicaHost::attach() {

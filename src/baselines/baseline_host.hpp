@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 
 #include "crypto/x25519.hpp"
@@ -47,12 +48,19 @@ class BaselineReplicaHost {
 
   private:
     void on_message(sim::NodeId from, Bytes message);
+    /// The pairwise secret with `client`, derived on its first use.
+    const Bytes& client_key(sim::NodeId client);
 
     net::Fabric& fabric_;
     sim::Node& node_;
     hybster::Config config_;
     std::uint32_t replica_id_;
     ClientKeyProvider client_keys_;
+    /// Derived secrets by client: the key derivation (HKDF) runs once per
+    /// client rather than on every request and reply.
+    std::map<sim::NodeId, Bytes> client_key_cache_;
+    /// Staging buffer for signed and certified views.
+    Bytes scratch_;
     const sim::CostProfile& profile_;
     hybster::FaultProfile faults_;
 

@@ -134,8 +134,9 @@ struct Config : PipelineOptions {
                      "a group has 2f+1 (hybrid) or 3f+1 (PBFT) replicas");
         TROXY_ASSERT(checkpoint_interval > 0, "checkpoint interval > 0");
         TROXY_ASSERT(batch_size_max >= 1, "batch size must be at least 1");
-        // Batch::decode drops batches above 2^16 members; a leader allowed
-        // to cut bigger ones would emit Prepares every follower discards.
+        // Batch::decode_into drops batches above 2^16 members; a leader
+        // allowed to cut bigger ones would emit Prepares every follower
+        // discards.
         TROXY_ASSERT(batch_size_max <= (1u << 16),
                      "batch size must not exceed the wire limit (65536)");
         TROXY_ASSERT(batch_delay < view_change_timeout,

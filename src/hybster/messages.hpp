@@ -20,11 +20,14 @@
 // are std::arrays; variable views are written into a scratch buffer the
 // caller owns and reuses; encoders size their buffer once from
 // encoded_size(); and decoders read fixed fields straight into the
-// message. A decoded or newly created Request allocates exactly one
-// RequestBody; every later copy shares it.
+// message. A decoded or newly created Request takes exactly one
+// RequestBody block, recycled through a bounded per-thread free list, so
+// a warm node decodes and builds requests without allocating; every later
+// copy shares the block.
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -75,11 +78,18 @@ struct RequestId {
 /// the block, so a request is materialized once per node however many
 /// tables hold it. Only the creator writes the certificates, before the
 /// first copy. Single-threaded, like the simulation that uses it.
+///
+/// Blocks come in size classes of 64 B steps up to 4 KiB. When its last
+/// reference goes, a block joins its thread's free list for that class
+/// and the next body of the class reuses it; a thread retains at most
+/// 8 MiB of blocks, and larger blocks go straight back to the heap. Under
+/// AddressSanitizer a waiting block is poisoned, so a use after the last
+/// reference still trips.
 class RequestBody {
   public:
     RequestBody() noexcept = default;
-    /// One allocation holding `payload` and `auth_count` zeroed
-    /// certificates; an empty body allocates nothing.
+    /// One block holding `payload` and `auth_count` zeroed certificates,
+    /// recycled when its class has one spare; an empty body takes none.
     RequestBody(ByteView payload, std::size_t auth_count);
     RequestBody(const RequestBody& other) noexcept : block_(other.block_) {
         if (block_ != nullptr) ++block_->refs;
@@ -108,6 +118,7 @@ class RequestBody {
         std::uint32_t refs;
         std::uint32_t payload_size;
         std::uint32_t auth_count;
+        std::uint32_t size_class;  // free list it returns to
     };
     [[nodiscard]] std::uint8_t* bytes() const noexcept {
         return reinterpret_cast<std::uint8_t*>(block_ + 1);
@@ -209,7 +220,9 @@ struct Batch {
 
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
-    static Batch decode(Reader& r);
+    /// Decodes into `out`, reusing its member vector's capacity and
+    /// forgetting its memoized digest.
+    static void decode_into(Reader& r, Batch& out);
 
   private:
     mutable std::optional<crypto::Sha256Digest> digest_cache_;
@@ -233,6 +246,10 @@ struct Prepare {
     [[nodiscard]] std::size_t encoded_size() const noexcept;
     void encode(Writer& w) const;
     static Prepare decode(Reader& r, std::size_t auth_width = 1);
+    /// Like decode(), but into `out`, whose batch keeps its member
+    /// vector's capacity: a follower decodes a warm Prepare into recycled
+    /// storage.
+    static void decode_into(Reader& r, Prepare& out, std::size_t auth_width);
 };
 
 struct Commit {
@@ -432,6 +449,14 @@ Bytes encode_sized(const T& message, std::optional<net::Channel> channel,
 /// Serializes a message with its type tag into a buffer sized once.
 Bytes encode_message(const Message& message);
 
+/// encode_message() for one message of type T: takes the concrete
+/// message, so nothing is copied into a Message first.
+template <typename T>
+    requires(!std::same_as<T, Message>)
+Bytes encode_message(const T& message) {
+    return detail::encode_sized(message, std::nullopt, nullptr);
+}
+
 /// Wire frame for one message of type T: the envelope channel byte
 /// followed by encode_message(Message(message)), written once into a
 /// buffer of exactly that size — a recycled wire buffer when `pool` is
@@ -454,6 +479,18 @@ std::optional<Message> decode_message(ByteView data,
     return !data.empty() &&
            data[0] == static_cast<std::uint8_t>(MsgType::Reply);
 }
+
+/// True when `data` carries a Prepare's type tag.
+[[nodiscard]] inline bool is_prepare(ByteView data) noexcept {
+    return !data.empty() &&
+           data[0] == static_cast<std::uint8_t>(MsgType::Prepare);
+}
+
+/// Parses an encoded Prepare (type tag included) into `out` with
+/// Prepare::decode_into; false on any input decode_message() rejects, in
+/// which case `out` holds a partial decode.
+bool decode_prepare_into(ByteView data, Prepare& out,
+                         std::size_t auth_width);
 
 /// Parses an encoded Reply (type tag included) into `out` with
 /// Reply::decode_into; false on any input decode_message() rejects, in

@@ -104,8 +104,18 @@ void Replica::send_to(net::Outbox& outbox, std::uint32_t replica,
 
 void Replica::on_message(sim::NodeId from, ByteView payload) {
     if (faults_.crashed) return;
-    auto decoded = decode_message(payload, certifier_.width());
-    if (decoded) {
+    if (is_prepare(payload)) {
+        // The members land in a recycled batch vector; unless the handler
+        // installs the Prepare in the log, the vector goes back.
+        Message message(std::in_place_type<Prepare>);
+        Prepare& prepare = std::get<Prepare>(message);
+        prepare.batch.requests = take_spare_batch();
+        const bool decoded =
+            decode_prepare_into(payload, prepare, certifier_.width());
+        if (decoded) on_message(from, std::move(message));
+        recycle_batch(std::move(prepare.batch.requests));
+        if (decoded) return;
+    } else if (auto decoded = decode_message(payload, certifier_.width())) {
         on_message(from, std::move(*decoded));
         return;
     }
@@ -255,7 +265,7 @@ void Replica::handle_request(enclave::CostedCrypto& crypto,
 
     if (!is_leader()) {
         // Follower: forward to the leader (Fig. 5c) and watch progress.
-        forwarded_.emplace(request.id, request);
+        remember_forwarded(request);
         send_to(outbox, config_.leader_of(view_), request);
         arm_progress_timer();
         return;
@@ -321,11 +331,7 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     prepare.seq = next_seq_++;
     prepare.replica = id_;
     prepare.batch.requests = std::move(pending_batch_);
-    pending_batch_.clear();
-    if (!spare_batches_.empty()) {
-        pending_batch_ = std::move(spare_batches_.back());
-        spare_batches_.pop_back();
-    }
+    pending_batch_ = take_spare_batch();
     // Member digests and the batch digest are computed (and charged) once
     // here; followers and the execution path reuse the cached values.
     (void)prepare.batch.digest_with(crypto, scratch_);
@@ -378,7 +384,7 @@ void Replica::stash_pending_batch() {
     // the old leader.
     for (Request& request : pending_batch_) {
         in_flight_.erase(request.id);
-        forwarded_.emplace(request.id, std::move(request));
+        remember_forwarded(std::move(request));
     }
     pending_batch_.clear();
 }
@@ -531,19 +537,14 @@ Replica::LogEntry& Replica::log_entry(SequenceNumber seq) {
 }
 
 void Replica::truncate_log(SequenceNumber seq) {
-    // An interval holds at most one entry per request, so two intervals
-    // of spare nodes cover the next interval plus the entries ordered
-    // ahead of the checkpoint; a one-off truncation of a long log frees
-    // the rest.
-    const std::size_t keep = 2 * config_.checkpoint_interval;
+    // A one-off truncation of a long log frees what spare_limit() does
+    // not keep.
     while (!log_.empty() && log_.begin()->first <= seq) {
         LogNode node = log_.extract(log_.begin());
-        if (spare_log_.size() >= keep) continue;
+        if (spare_log_.size() >= spare_limit()) continue;
         LogEntry& entry = node.mapped();
-        if (entry.prepare && is_leader() && spare_batches_.size() < keep) {
-            std::vector<Request>& members = entry.prepare->batch.requests;
-            members.clear();
-            spare_batches_.push_back(std::move(members));
+        if (entry.prepare) {
+            recycle_batch(std::move(entry.prepare->batch.requests));
         }
         entry.prepare.reset();
         for (std::optional<Commit>& slot : entry.commits) slot.reset();
@@ -551,6 +552,43 @@ void Replica::truncate_log(SequenceNumber seq) {
         entry.executed = false;
         spare_log_.push_back(std::move(node));
     }
+}
+
+std::vector<Request> Replica::take_spare_batch() {
+    if (spare_batches_.empty()) return {};
+    std::vector<Request> members = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
+    return members;
+}
+
+void Replica::recycle_batch(std::vector<Request>&& members) {
+    if (members.capacity() == 0 || spare_batches_.size() >= spare_limit()) {
+        return;
+    }
+    members.clear();
+    spare_batches_.push_back(std::move(members));
+}
+
+void Replica::remember_forwarded(Request request) {
+    const auto hint = forwarded_.lower_bound(request.id);
+    if (hint != forwarded_.end() && hint->first == request.id) return;
+    if (spare_forwarded_.empty()) {
+        forwarded_.emplace_hint(hint, request.id, std::move(request));
+        return;
+    }
+    auto node = std::move(spare_forwarded_.back());
+    spare_forwarded_.pop_back();
+    node.key() = request.id;
+    node.mapped() = std::move(request);
+    forwarded_.insert(hint, std::move(node));
+}
+
+void Replica::forget_forwarded(const RequestId& id) {
+    if (forwarded_.empty()) return;
+    auto node = forwarded_.extract(id);
+    if (node.empty() || spare_forwarded_.size() >= spare_limit()) return;
+    node.mapped() = Request();  // its body is released now, not at reuse
+    spare_forwarded_.push_back(std::move(node));
 }
 
 void Replica::try_execute(enclave::CostedCrypto& crypto,
@@ -601,7 +639,7 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
         exec_stats_.charged_cost += plan.makespan;
     }
     for (const Request& request : entry.prepare->batch.requests) {
-        forwarded_.erase(request.id);
+        forget_forwarded(request.id);
         in_flight_.erase(request.id);
         ++executed_since_checkpoint_;
         if (request.flags & kFlagNoop) continue;

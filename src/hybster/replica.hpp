@@ -98,12 +98,12 @@ class Replica {
     Replica(const Replica&) = delete;
     Replica& operator=(const Replica&) = delete;
 
-    /// Entry point for a decoded Hybster message addressed to this node
-    /// (a host that already decoded the frame hands it over as is).
+    /// Entry point for a decoded Hybster message addressed to this node.
     void on_message(sim::NodeId from, Message&& message);
-    /// Channel::Hybster payload entry: decodes, then forwards to the
-    /// decoded entry. A payload that fails to decode still costs the
-    /// dispatch.
+    /// Channel::Hybster payload entry, which every host uses: decodes,
+    /// then forwards to the decoded entry. A Prepare's members decode
+    /// into a recycled batch vector. A payload that fails to decode still
+    /// costs the dispatch.
     void on_message(sim::NodeId from, ByteView payload);
 
     /// Local submission from a co-located component (the Troxy): orders
@@ -299,8 +299,26 @@ class Replica {
     /// when one is spare.
     LogEntry& log_entry(SequenceNumber seq);
     /// Garbage-collects the log up to and including `seq` (a stable
-    /// checkpoint): the nodes are kept for reuse with cleared slots.
+    /// checkpoint): the nodes and batch vectors are kept for reuse with
+    /// cleared slots.
     void truncate_log(SequenceNumber seq);
+    /// How many log nodes, batch vectors and forwarded-request nodes each
+    /// spare list keeps: an interval holds at most one entry per request,
+    /// so two intervals cover the next interval plus the entries ordered
+    /// ahead of the checkpoint.
+    [[nodiscard]] std::size_t spare_limit() const noexcept {
+        return 2 * config_.checkpoint_interval;
+    }
+    /// An empty batch vector, recycled when one is spare.
+    std::vector<Request> take_spare_batch();
+    /// Keeps `members`' capacity for a later batch (bounded by
+    /// spare_limit()); its requests are released now.
+    void recycle_batch(std::vector<Request>&& members);
+    /// Records a request forwarded to the leader (a request already there
+    /// stays as it is), in a recycled map node when one is spare.
+    void remember_forwarded(Request request);
+    /// Drops an executed request from forwarded_, keeping its node.
+    void forget_forwarded(const RequestId& id);
     void try_execute(enclave::CostedCrypto& crypto, net::Outbox& outbox);
     void execute_entry(enclave::CostedCrypto& crypto, net::Outbox& outbox,
                        SequenceNumber seq, LogEntry& entry);
@@ -375,8 +393,9 @@ class Replica {
     /// commit slots keep their capacity, so steady-state ordering
     /// allocates no log memory.
     std::vector<LogNode> spare_log_;
-    /// Cleared batch buffers of truncated entries; a leader refills
-    /// pending_batch_ from them when it cuts.
+    /// Cleared batch buffers of truncated entries and of Prepares that
+    /// were not installed: a leader refills pending_batch_ from them when
+    /// it cuts, a follower decodes a Prepare's members into one.
     std::vector<std::vector<Request>> spare_batches_;
     /// An executed batch's replies on their way to deliver_replies;
     /// emptied after each call, its capacity kept.
@@ -449,8 +468,12 @@ class Replica {
     // non-empty set keeps the progress timer armed so an unresponsive
     // leader is eventually suspected, and pending requests are re-ordered
     // or re-forwarded after a view change (they may have died with the
-    // old leader).
+    // old leader). Kept in RequestId order, which reissue_forwarded()
+    // follows.
     std::map<RequestId, Request> forwarded_;
+    /// Nodes of executed forwarded requests, their requests released;
+    /// remember_forwarded() reuses them.
+    std::vector<std::map<RequestId, Request>::node_type> spare_forwarded_;
 
     // View change state.
     std::map<ViewNumber, std::map<std::uint32_t, ViewChange>> view_changes_rx_;

@@ -283,7 +283,14 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     if (index == tally.results.size()) {
         index = 0;
         while (index < tally.results.size() && voters(index) > 0) ++index;
-        if (index == tally.results.size()) tally.results.emplace_back();
+        if (index == tally.results.size()) {
+            if (spare_results_.empty()) {
+                tally.results.emplace_back();
+            } else {
+                tally.results.push_back(std::move(spare_results_.back()));
+                spare_results_.pop_back();
+            }
+        }
         tally.results[index].assign(reply.result.begin(), reply.result.end());
     }
     vote = static_cast<std::uint32_t>(index + 1);
@@ -361,6 +368,12 @@ void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
             first->to,
             net::client_record_frame(session->channel, release_views_));
     });
+    for (Release& release : release_plan_) {
+        if (spare_results_.size() >= kMaxSpareResults) break;
+        if (release.plaintext.capacity() == 0) continue;
+        release.plaintext.clear();
+        spare_results_.push_back(std::move(release.plaintext));
+    }
     release_plan_.clear();
 }
 

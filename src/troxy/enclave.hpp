@@ -239,8 +239,9 @@ class TroxyEnclave {
     /// A pending vote's count. Every counted reply already carried the
     /// request digest, so equal results are matching votes; a replica
     /// that changes its result moves its vote. The storage is recycled
-    /// through spare_tallies_, so a warm voter allocates only the copy of
-    /// each request's first result.
+    /// through spare_tallies_, and a new result is copied into a sealed
+    /// release's plaintext buffer from spare_results_, so a warm voter
+    /// allocates nothing.
     struct Tally {
         /// Distinct results, each stored once however many replicas
         /// voted for it. A result nobody votes for any more is
@@ -321,7 +322,8 @@ class TroxyEnclave {
     void collect_releases(const net::ClientSessions::Ticket& to,
                           Bytes app_reply);
     /// Seals release_plan_ into one record per connection, in ascending
-    /// client id, and empties it.
+    /// client id, and empties it; the plaintext buffers become spare
+    /// results.
     void flush_releases(enclave::CostedCrypto& crypto, TroxyActions& actions);
     [[nodiscard]] crypto::Sha256Digest app_request_digest(
         enclave::CostedCrypto& crypto, ByteView app_request) const;
@@ -380,12 +382,15 @@ class TroxyEnclave {
         CacheResponse response;
     };
     std::vector<Answer> answers_;
-    /// Recycled action sets and vote tallies (see recycle and Tally).
+    /// Recycled action sets, vote tallies and result buffers (the
+    /// plaintexts flush_releases sealed; see recycle and Tally).
     /// Bounded: a burst beyond the bound frees what it does not keep.
     static constexpr std::size_t kMaxSpareActions = 4;
     static constexpr std::size_t kMaxSpareTallies = 256;
+    static constexpr std::size_t kMaxSpareResults = 256;
     std::vector<TroxyActions> spare_actions_;
     std::vector<Tally> spare_tallies_;
+    std::vector<Bytes> spare_results_;
     std::uint64_t next_request_number_ = 1;
     std::uint64_t next_query_id_ = 1;
     /// Staging buffer for variable certified views (request, reply and

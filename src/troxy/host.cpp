@@ -263,8 +263,8 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
         case net::Channel::Hybster: {
             // Replies addressed to this node feed the local Troxy's voter,
             // decoded straight into a reply slot; everything else is
-            // agreement traffic for the replica, handed over decoded (each
-            // frame is decoded once per node).
+            // agreement traffic, which the replica decodes itself (a
+            // malformed frame still costs it the dispatch).
             if (hybster::is_reply(payload)) {
                 if (!buffer_reply(payload)) return;  // malformed, misrouted
                 // A boundary of 1 flushes every reply at once.
@@ -275,9 +275,7 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
                 }
                 return;
             }
-            auto decoded = hybster::decode_message(payload);
-            if (!decoded) return;
-            replica_->on_message(from, std::move(*decoded));
+            replica_->on_message(from, payload);
             return;
         }
         case net::Channel::Bundle: {
@@ -349,9 +347,7 @@ void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
                 buffered = buffer_reply(payload) || buffered;
                 continue;
             }
-            auto decoded = hybster::decode_message(payload);
-            if (!decoded) continue;
-            replica_->on_message(from, std::move(*decoded));
+            replica_->on_message(from, payload);
             continue;
         }
         on_message(from, Bytes(message.begin(), message.end()));

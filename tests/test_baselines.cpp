@@ -6,7 +6,10 @@
 #include "apps/echo_service.hpp"
 #include "bench_support/cluster.hpp"
 #include "busy_reconnect.hpp"
+#include "crypto/x25519.hpp"
+#include "enclave/trinx.hpp"
 #include "hybster/client.hpp"
+#include "hybster/keys.hpp"
 #include "http/http.hpp"
 #include "http/page_service.hpp"
 #include "net/envelope.hpp"
@@ -229,6 +232,76 @@ TEST(Pbft, LogIsBoundedByTheStableCheckpoint) {
         EXPECT_EQ(replica.log_size(), 4u) << "replica " << r;
         EXPECT_EQ(replica.retained_snapshots(), 1u) << "replica " << r;
     }
+}
+
+// ------------------------------------------------------- BL replica host
+
+/// A hybrid BL group of three whose hosts count how often they derive a
+/// client's pairwise key, driven by one hybster::Client.
+struct KeyCountingGroup : bench::ClusterBase {
+    hybster::Config config;
+    std::vector<std::unique_ptr<BaselineReplicaHost>> hosts;
+    std::unique_ptr<hybster::Client> client;
+    Bytes master = to_bytes("key-counting-master");
+    int derivations = 0;
+
+    KeyCountingGroup() : ClusterBase(bench::ClusterOptions{}) {
+        config.f = 1;
+        std::vector<sim::Node*> nodes;
+        for (int i = 0; i < 3; ++i) {
+            nodes.push_back(&make_server_node("bl" + std::to_string(i)));
+            config.replicas.push_back(nodes.back()->id());
+        }
+        std::vector<crypto::X25519Key> pinned;
+        for (std::uint32_t i = 0; i < 3; ++i) {
+            const crypto::X25519Keypair identity =
+                crypto::x25519_keypair_from_seed(
+                    to_bytes("bl-identity-" + std::to_string(i)));
+            pinned.push_back(identity.public_key);
+            hosts.push_back(std::make_unique<BaselineReplicaHost>(
+                fabric_, *nodes[i], config, i,
+                std::make_unique<EchoService>(),
+                hybster::Certifier(std::make_shared<enclave::TrinX>(
+                    i, to_bytes("key-counting-group"))),
+                identity,
+                [this, i](sim::NodeId client) {
+                    ++derivations;
+                    return hybster::client_replica_key(master, client, i);
+                },
+                java_));
+            hosts.back()->attach();
+        }
+        sim::Node& node = make_client_node("client");
+        std::vector<Bytes> keys;
+        for (std::uint32_t i = 0; i < 3; ++i) {
+            keys.push_back(hybster::client_replica_key(master, node.id(), i));
+        }
+        client = std::make_unique<hybster::Client>(
+            fabric_, node, config, pinned, keys, java_,
+            hybster::Client::Options{});
+        fabric_.attach(node.id(), [this](sim::NodeId from, Bytes message) {
+            auto unwrapped = net::unwrap_view(message);
+            if (unwrapped && unwrapped->first == net::Channel::Client) {
+                client->on_message(from, unwrapped->second);
+            }
+        });
+        client->start(nullptr);
+    }
+};
+
+TEST(BaselineHost, DerivesEachClientKeyOncePerReplica) {
+    // Every request is verified and every reply authenticated under the
+    // pairwise key, but each replica runs the derivation only the first
+    // time it meets the client.
+    KeyCountingGroup group;
+    int done = 0;
+    for (std::uint64_t key = 0; key < 10; ++key) {
+        group.client->invoke(EchoService::make_write(key, 32), false,
+                             [&](Bytes) { ++done; });
+    }
+    group.simulator().run_until(sim::seconds(2));
+    EXPECT_EQ(done, 10);
+    EXPECT_EQ(group.derivations, 3);
 }
 
 // ---------------------------------------------------------------- Prophecy

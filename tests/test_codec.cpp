@@ -22,8 +22,10 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/echo_service.hpp"
@@ -37,6 +39,7 @@
 #include "enclave/meter.hpp"
 #include "enclave/trinx.hpp"
 #include "hybster/messages.hpp"
+#include "hybster/replica.hpp"
 #include "net/client_sessions.hpp"
 #include "net/envelope.hpp"
 #include "net/fabric.hpp"
@@ -47,6 +50,10 @@
 #include "sim/simulator.hpp"
 #include "troxy/shard_front.hpp"
 #include "troxy/shard_router.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 // Counts heap allocations while a test enables it. Only the plain forms
 // are replaced; the defaults of the other forms allocate with malloc and
@@ -427,11 +434,15 @@ TEST(RequestBody, CopiesShareOneBodyWithoutAllocating) {
     }
 }
 
-TEST(RequestBody, DecodeAllocatesOneBody) {
+TEST(RequestBody, DecodeTakesOneRecycledBlock) {
     const Bytes wire =
         encode_message(Message(make_request(7, 42, 0x01, "golden-request")));
     std::optional<Message> decoded;
-    EXPECT_EQ(allocations_in([&] { decoded = decode_message(wire); }), 1u);
+    // Cold, the body is the one allocation; once freed, its block serves
+    // the next decode of the same size class.
+    EXPECT_LE(allocations_in([&] { decoded = decode_message(wire); }), 1u);
+    decoded.reset();
+    EXPECT_EQ(allocations_in([&] { decoded = decode_message(wire); }), 0u);
     ASSERT_TRUE(decoded && std::holds_alternative<Request>(*decoded));
     EXPECT_EQ(to_string(std::get<Request>(*decoded).payload()),
               "golden-request");
@@ -502,6 +513,130 @@ TEST(RequestBody, TruncatedPayloadOrAuthThrows) {
     EXPECT_NO_THROW((void)Request::decode(whole));
 }
 
+/// `size` bytes of payload, each derived from `base`.
+Bytes patterned(std::size_t size, std::uint8_t base) {
+    Bytes out(size);
+    for (std::size_t i = 0; i < size; ++i) {
+        out[i] = static_cast<std::uint8_t>(base + i);
+    }
+    return out;
+}
+
+/// The wire form (no type tag) of a request with `certs` pattern
+/// certificates over `payload`.
+Bytes encoded_request(std::uint64_t number, const Bytes& payload,
+                      std::size_t certs) {
+    Request r;
+    r.id = {11, number};
+    r.assign(payload, certs);
+    for (std::size_t i = 0; i < certs; ++i) {
+        r.auth_slots()[i] = pattern_cert(static_cast<std::uint8_t>(0x40 * i));
+    }
+    Writer w;
+    r.encode(w);
+    return std::move(w).take();
+}
+
+Request decode_request(const Bytes& wire) {
+    Reader r(wire);
+    return Request::decode(r);
+}
+
+TEST(RequestBody, ShorterBodyInARecycledBlockCarriesOnlyItsOwn) {
+    // Both bodies fall in the 384 B class: 16 B of header, then 330 B of
+    // payload and one certificate, or 280 B and two, the second where the
+    // longer payload ran on.
+    const Bytes long_payload = patterned(330, 0x01);
+    const Bytes short_payload = patterned(280, 0x80);
+    const Bytes long_wire = encoded_request(1, long_payload, 1);
+    const Bytes short_wire = encoded_request(2, short_payload, 2);
+
+    const std::uint8_t* block = nullptr;
+    {
+        const Request long_request = decode_request(long_wire);
+        block = long_request.payload().data();
+    }
+    std::optional<Request> short_request;
+    EXPECT_EQ(allocations_in([&] { short_request = decode_request(short_wire); }),
+              0u);
+    EXPECT_EQ(short_request->payload().data(), block);  // the same block
+    EXPECT_EQ(Bytes(short_request->payload().begin(),
+                    short_request->payload().end()),
+              short_payload);
+    ASSERT_EQ(short_request->auth().size(), 2u);
+    EXPECT_EQ(short_request->auth()[0], pattern_cert(0));
+    EXPECT_EQ(short_request->auth()[1], pattern_cert(0x40));
+    Writer w;
+    short_request->encode(w);
+    EXPECT_EQ(std::move(w).take(), short_wire);
+
+    // assign() draws from the same list: a fresh body over a short
+    // payload holds zeroed certificates, none of the old ones.
+    short_request.reset();
+    Request assigned;
+    assigned.assign(short_payload, 2);
+    EXPECT_EQ(assigned.payload().data(), block);
+    ASSERT_EQ(assigned.auth().size(), 2u);
+    EXPECT_EQ(assigned.auth()[0], Certificate{});
+    EXPECT_EQ(assigned.auth()[1], Certificate{});
+}
+
+TEST(RequestBody, SharedBodyIsNeverRecycled) {
+    const Bytes payload = patterned(100, 0x21);
+    const Bytes wire = encoded_request(3, payload, 1);
+    std::optional<Request> original = decode_request(wire);
+    const Request copy = *original;
+    original.reset();  // the copy still holds the body
+    const Request next = decode_request(wire);
+    EXPECT_NE(next.payload().data(), copy.payload().data());
+    EXPECT_EQ(Bytes(copy.payload().begin(), copy.payload().end()), payload);
+    EXPECT_EQ(copy.auth()[0], pattern_cert(0));
+}
+
+TEST(RequestBodyDeathTest, AuthSlotsAssertOnASharedBody) {
+    Request request;
+    request.assign(to_bytes("shared"), 1);
+    const Request copy = request;
+    EXPECT_DEATH((void)request.auth_slots(), "already shared");
+}
+
+TEST(RequestBody, PoisonedBlocksComeBackClean) {
+    // Under AddressSanitizer a freed block is poisoned while it waits;
+    // the next body of its class unpoisons all of it. Either way the
+    // cycle reads and writes every byte without a report.
+    const Bytes payload = patterned(200, 0x33);
+    const Bytes wire = encoded_request(4, payload, 2);
+    const std::uint8_t* block = nullptr;
+    for (int round = 0; round < 3; ++round) {
+        {
+            const Request request = decode_request(wire);
+            if (round > 0) {
+                EXPECT_EQ(request.payload().data(), block);
+            }
+            block = request.payload().data();
+            EXPECT_EQ(Bytes(request.payload().begin(), request.payload().end()),
+                      payload);
+            EXPECT_EQ(request.auth()[1], pattern_cert(0x40));
+        }
+#if defined(__SANITIZE_ADDRESS__)
+        EXPECT_TRUE(__asan_address_is_poisoned(block));
+#endif
+    }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(RequestBodyDeathTest, UseAfterTheLastReferenceTrips) {
+    const Bytes wire = encoded_request(5, patterned(64, 0x44), 1);
+    const std::uint8_t* stale = nullptr;
+    {
+        const Request request = decode_request(wire);
+        stale = request.payload().data();
+    }
+    EXPECT_DEATH((void)*static_cast<const volatile std::uint8_t*>(stale),
+                 "use-after-poison");
+}
+#endif
+
 // ----------------------------------------------------- allocation ceiling
 
 // A warm, unbatched (leader batch 1, voter batch 1) 3-replica Troxy
@@ -541,16 +676,19 @@ double ordered_write_allocs_per_request() {
 }
 
 TEST(AllocationCeiling, OrderedWritesPerRequest) {
-    // Measured at 34.5 per request; the ceiling sits about 10 % above.
-    // Fresh action vectors per ecall, a decoded Reply per reply, a vote
-    // copy per replica and a fresh client completion list measured 42.5;
+    // Measured at 27.1 per request; the ceiling sits about 10 % above.
+    // A fresh request body per decode and per assign, a fresh member
+    // vector per follower Prepare, a map node per forwarded request and a
+    // fresh buffer per voted result measured 34.5; fresh action vectors
+    // per ecall, a decoded Reply per reply, a vote copy per replica and a
+    // fresh client completion list measured 42.5;
     // before that, a fresh Outbox queue per flush, byte-by-byte client
     // records and copying record opens measured 63.1, and before that,
     // decoding every Hybster frame twice, copying request payloads per
     // table and allocating log nodes per sequence number measured 93.2.
     const double per_request = ordered_write_allocs_per_request();
     RecordProperty("allocs_per_request", std::to_string(per_request));
-    EXPECT_LE(per_request, 38.0);
+    EXPECT_LE(per_request, 30.0);
 }
 
 // A warm sharded deployment — S = 2 groups of three, one front — serving
@@ -609,14 +747,173 @@ double sharded_cross_allocs_per_request() {
 }
 
 TEST(AllocationCeiling, ShardedCrossPerRequest) {
-    // Measured at 69.3 per request; the ceiling sits about 10 % above.
-    // Owned classifier key vectors, a shard vector per routed write, heap
-    // std::function closures for the front's forwards, a std::map node
-    // per cross-shard commit and per reply banked behind a gap, and a
-    // fresh link vector per lock-table admission measured 79.4.
+    // Measured at 60.1 per request; the ceiling sits about 10 % above.
+    // Fresh request bodies, Prepare member vectors and voted-result
+    // buffers measured 69.3; owned classifier key vectors, a shard vector
+    // per routed write, heap std::function closures for the front's
+    // forwards, a std::map node per cross-shard commit and per reply
+    // banked behind a gap, and a fresh link vector per lock-table
+    // admission measured 79.4.
     const double per_request = sharded_cross_allocs_per_request();
     RecordProperty("allocs_per_request", std::to_string(per_request));
-    EXPECT_LE(per_request, 76.0);
+    EXPECT_LE(per_request, 66.0);
+}
+
+/// A service that answers every request with an empty result and keeps a
+/// constant state: its replica's agreement path is all that allocates.
+class NullService final : public Service {
+  public:
+    [[nodiscard]] RequestInfo classify(ByteView) const override { return {}; }
+    Bytes execute(ByteView) override { return {}; }
+    [[nodiscard]] Bytes checkpoint() const override { return Bytes(8, 0x5a); }
+    void restore(ByteView) override {}
+};
+
+/// Replica 1 of a hybrid group of three, fed the Prepares that the test
+/// certifies as the view-0 leader (replica 0). Replica 0's node collects
+/// the follower's checkpoint votes so the test can answer them as the
+/// leader; replica 2's node drops what it gets. Both recycle every frame,
+/// as a warm node does.
+struct Follower {
+    static constexpr std::size_t kWarmBatches = 8;
+    static constexpr std::size_t kMembers = 16;
+
+    sim::Simulator sim{11};
+    sim::Network network{sim};
+    net::Fabric fabric{sim, network};
+    sim::CostProfile profile = sim::CostProfile::native();
+    Config config;
+    sim::Node node{sim, 2, "r1", 4};
+    Certifier leader{
+        std::make_shared<enclave::TrinX>(0, to_bytes("follower-group"))};
+    std::unique_ptr<Replica> replica;
+    std::vector<CheckpointMsg> votes;  // the follower's, as sent to 0
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto{profile, meter};
+    SequenceNumber next_seq = 1;
+    std::uint64_t next_number = 1;
+
+    Follower() {
+        config.f = 1;
+        config.replicas = {1, 2, 3};
+        config.checkpoint_interval = kWarmBatches * kMembers / 2;
+        config.view_change_timeout = sim::seconds(60);
+        Replica::Hooks hooks;
+        hooks.verify_request = [](enclave::CostedCrypto&, const Request&) {
+            return true;
+        };
+        hooks.deliver_replies = [](enclave::CostedCrypto&, net::Outbox&,
+                                   std::span<ExecutedReply>) {};
+        replica = std::make_unique<Replica>(
+            fabric, node, config, 1, std::make_unique<NullService>(),
+            Certifier(std::make_shared<enclave::TrinX>(
+                1, to_bytes("follower-group"))),
+            profile, std::move(hooks));
+        fabric.attach(1, [this](sim::NodeId, Bytes message) {
+            if (const auto unwrapped = net::unwrap_view(message)) {
+                if (auto decoded = decode_message(unwrapped->second)) {
+                    if (auto* vote = std::get_if<CheckpointMsg>(&*decoded)) {
+                        votes.push_back(std::move(*vote));
+                    }
+                }
+            }
+            network.recycle(std::move(message));
+        });
+        fabric.attach(3, [this](sim::NodeId, Bytes message) {
+            network.recycle(std::move(message));
+        });
+    }
+
+    /// The leader's certified Prepare (type tag included, no envelope)
+    /// ordering `members` fresh writes at the next sequence number.
+    Bytes prepare(std::size_t members) {
+        Prepare p;
+        p.seq = next_seq++;
+        for (std::size_t i = 0; i < members; ++i) {
+            Request request;
+            request.id = {500, next_number++};
+            request.assign(to_bytes("follower-write"), 1);
+            request.auth_slots()[0] = pattern_cert(0x10);
+            p.batch.requests.push_back(std::move(request));
+        }
+        (void)p.batch.digest();
+        auto certified = leader.certify_ordered(crypto, 0, p.certified_view());
+        p.counter_value = certified.value;
+        p.cert = std::move(certified.auth);
+        return encode_message(p);
+    }
+
+    void deliver(ByteView frame) { replica->on_message(1, frame); }
+
+    /// Lets the network deliver (and recycle) what the follower sent.
+    void settle() { sim.run_until(sim.now() + sim::milliseconds(5)); }
+
+    /// Answers each checkpoint vote the follower sent with the leader's
+    /// matching one, which makes the checkpoint stable and truncates the
+    /// log into the spare lists.
+    void confirm_checkpoints() {
+        settle();
+        for (CheckpointMsg vote : std::exchange(votes, {})) {
+            vote.replica = 0;
+            vote.cert = leader.certify(crypto, vote.certified_view());
+            deliver(encode_message(vote));
+        }
+        settle();
+    }
+
+    /// Orders kWarmBatches full batches, two checkpoints' worth, and makes
+    /// both checkpoints stable.
+    void warm() {
+        for (std::size_t i = 0; i < kWarmBatches; ++i) {
+            deliver(prepare(kMembers));
+            settle();
+        }
+        confirm_checkpoints();
+        ASSERT_EQ(replica->last_executed(), kWarmBatches);
+        ASSERT_EQ(replica->last_stable(), kWarmBatches);
+        ASSERT_EQ(replica->log_size(), 0u);
+    }
+};
+
+// A warm follower decodes a Prepare's members into a batch vector that
+// checkpoint truncation recycled, and their bodies into recycled blocks:
+// verifying, voting for, committing and executing a Prepare of 1 or of 16
+// members allocates nothing.
+TEST(AllocationCeiling, WarmFollowerPrepareAllocatesNothing) {
+    Follower follower;
+    follower.warm();
+    for (const std::size_t members : {1u, 16u, 1u, 16u}) {
+        const Bytes frame = follower.prepare(members);
+        const SequenceNumber executed = follower.replica->last_executed();
+        EXPECT_EQ(allocations_in([&] { follower.deliver(frame); }), 0u)
+            << members << " members";
+        EXPECT_EQ(follower.replica->last_executed(), executed + 1);
+        follower.settle();
+    }
+}
+
+// Every strict prefix of a valid Prepare frame, at 1 and at 16 members,
+// reaches a warm follower through the decode path that fills a recycled
+// batch vector. No cut installs a log entry, and each hands its vector
+// back: the whole frame then commits without allocating.
+TEST(CodecTruncation, EveryPrepareCutLeavesNoEntry) {
+    Follower follower;
+    follower.warm();
+    for (const std::size_t members : {1u, 16u}) {
+        const Bytes frame = follower.prepare(members);
+        const std::size_t log_size = follower.replica->log_size();
+        const SequenceNumber executed = follower.replica->last_executed();
+        for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+            follower.deliver(ByteView(frame.data(), cut));
+            ASSERT_EQ(follower.replica->log_size(), log_size)
+                << members << " members, cut " << cut;
+        }
+        EXPECT_EQ(follower.replica->last_executed(), executed);
+        EXPECT_EQ(allocations_in([&] { follower.deliver(frame); }), 0u)
+            << members << " members";
+        EXPECT_EQ(follower.replica->last_executed(), executed + 1);
+        follower.settle();
+    }
 }
 
 // A warm lock table: two conflicting commits admitted, the holder

@@ -46,8 +46,8 @@ TEST(Config, LargerGroups) {
 }
 
 TEST(Config, BatchSizeWireLimit) {
-    // The config ceiling must agree with Batch::decode's wire limit: a
-    // leader allowed to cut bigger batches would stall the group.
+    // The config ceiling must agree with Batch::decode_into's wire limit:
+    // a leader allowed to cut bigger batches would stall the group.
     Config config;
     config.f = 1;
     config.replicas = {10, 11, 12};
