@@ -120,7 +120,7 @@ Row run_core(std::size_t batch, sim::Duration delay, int clients,
         auto* replica = replicas.back().get();
         fabric.attach(config.replicas[static_cast<std::size_t>(i)],
                       [replica](sim::NodeId from, Bytes message) {
-                          auto unwrapped = net::unwrap(message);
+                          auto unwrapped = net::unwrap_view(message);
                           if (!unwrapped) return;
                           replica->on_message(from, unwrapped->second);
                       });

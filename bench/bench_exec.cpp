@@ -169,7 +169,7 @@ Sample run_lanes(std::size_t lanes, std::size_t batch, int conflict_pct,
         auto* replica = replicas.back().get();
         fabric.attach(config.replicas[static_cast<std::size_t>(i)],
                       [replica](sim::NodeId from, Bytes message) {
-                          auto unwrapped = net::unwrap(message);
+                          auto unwrapped = net::unwrap_view(message);
                           if (!unwrapped) return;
                           replica->on_message(from, unwrapped->second);
                       });

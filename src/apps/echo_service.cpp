@@ -67,6 +67,7 @@ Bytes EchoService::execute(ByteView request) {
 
 Bytes EchoService::checkpoint() const {
     Writer w;
+    w.reserve(4 + 16 * versions_.size());  // count, then (key, version)s
     w.u32(static_cast<std::uint32_t>(versions_.size()));
     for (const auto& [key, version] : versions_) {
         w.u64(key);

@@ -50,8 +50,9 @@ BaselineReplicaHost::BaselineReplicaHost(
 
             const Bytes encoded = hybster::encode_message(reply);
             crypto.charge(profile_.aead(encoded.size()));
-            outbox.send(client, net::client_record_frame(
-                                    session->channel, encoded));
+            outbox.send(client,
+                        net::client_record_frame(session->channel, encoded,
+                                                 outbox.pool()));
         }
     };
 
@@ -76,8 +77,15 @@ void BaselineReplicaHost::attach() {
 }
 
 void BaselineReplicaHost::on_message(sim::NodeId from, Bytes message) {
-    if (faults_.crashed) return;
-    auto unwrapped = net::unwrap(message);
+    if (!faults_.crashed) dispatch_message(from, message);
+    // Every dispatch path decodes out of the frame synchronously, and a
+    // crashed host drops it, so the wire buffer can rejoin the pool.
+    fabric_.network().recycle(std::move(message));
+}
+
+void BaselineReplicaHost::dispatch_message(sim::NodeId from,
+                                           ByteView message) {
+    auto unwrapped = net::unwrap_view(message);
     if (!unwrapped) return;
     auto& [channel, payload] = *unwrapped;
 

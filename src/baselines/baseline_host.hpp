@@ -48,6 +48,9 @@ class BaselineReplicaHost {
 
   private:
     void on_message(sim::NodeId from, Bytes message);
+    /// Channel dispatch over a borrowed view of the wire frame; the owning
+    /// caller recycles the buffer afterwards.
+    void dispatch_message(sim::NodeId from, ByteView message);
     /// The pairwise secret with `client`, derived on its first use.
     const Bytes& client_key(sim::NodeId client);
 

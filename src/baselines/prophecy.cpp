@@ -32,18 +32,14 @@ void ProphecyMiddlebox::attach() {
 }
 
 void ProphecyMiddlebox::on_message(sim::NodeId from, Bytes message) {
-    auto unwrapped = net::unwrap(message);
-    if (!unwrapped) return;
-    auto& [channel, payload] = *unwrapped;
-
-    switch (channel) {
-        case net::Channel::Client:
+    auto unwrapped = net::unwrap_view(message);
+    if (unwrapped && unwrapped->first == net::Channel::Client) {
+        const ByteView payload = unwrapped->second;
+        if (config_.replica_of(from) >= 0) {
             // Replicas answer the BFT client; everyone else is a legacy
             // client of the middlebox itself.
-            if (config_.replica_of(from) >= 0) {
-                bft_client_.on_message(from, payload);
-                return;
-            }
+            bft_client_.on_message(from, payload);
+        } else {
             sessions_.serve_frame(
                 fabric_, node_, profile_, from, payload,
                 [&](net::ClientSessions::Session& session,
@@ -55,10 +51,11 @@ void ProphecyMiddlebox::on_message(sim::NodeId from, Bytes message) {
                                            std::move(request));
                     });
                 });
-            return;
-        default:
-            return;
+        }
     }
+    // Both paths read the frame synchronously, so the wire buffer can
+    // rejoin the pool for the next sender.
+    fabric_.network().recycle(std::move(message));
 }
 
 void ProphecyMiddlebox::handle_app_request(sim::NodeId client,

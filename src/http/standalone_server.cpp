@@ -24,18 +24,23 @@ void StandaloneServer::attach() {
 
 void StandaloneServer::on_message(sim::NodeId from, Bytes message) {
     auto unwrapped = net::unwrap_view(message);
-    if (!unwrapped || unwrapped->first != net::Channel::Client) return;
-    sessions_.serve_frame(
-        fabric_, node_, profile_, from, unwrapped->second,
-        [&](net::ClientSessions::Session& session, ByteView app_request,
-            enclave::CostedCrypto& crypto, net::Outbox& outbox) {
-            crypto.charge(service_->execution_cost(app_request));
-            Bytes app_reply = service_->execute(app_request);
+    if (unwrapped && unwrapped->first == net::Channel::Client) {
+        sessions_.serve_frame(
+            fabric_, node_, profile_, from, unwrapped->second,
+            [&](net::ClientSessions::Session& session, ByteView app_request,
+                enclave::CostedCrypto& crypto, net::Outbox& outbox) {
+                crypto.charge(service_->execution_cost(app_request));
+                Bytes app_reply = service_->execute(app_request);
 
-            crypto.charge(profile_.aead(app_reply.size()));
-            outbox.send(from,
-                        net::client_record_frame(session.channel, app_reply));
-        });
+                crypto.charge(profile_.aead(app_reply.size()));
+                outbox.send(from, net::client_record_frame(
+                                      session.channel, app_reply,
+                                      outbox.pool()));
+            });
+    }
+    // The record was opened synchronously, so the wire buffer can rejoin
+    // the pool for the next sender.
+    fabric_.network().recycle(std::move(message));
 }
 
 }  // namespace troxy::http

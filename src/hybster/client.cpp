@@ -41,10 +41,9 @@ void Client::start(std::function<void()> ready) {
         channels_[r].emplace(pinned_keys_[r], seed.data());
         crypto.charge_dh();
         outbox.send(config_.node_of(r),
-                    net::wrap(net::Channel::Client,
-                              net::frame_client(
-                                  net::ClientFrame::Hello,
-                                  channels_[r]->client_hello())));
+                    net::client_frame(net::ClientFrame::Hello,
+                                      channels_[r]->client_hello(),
+                                      outbox.pool()));
     }
     outbox.flush(meter);
 }
@@ -117,7 +116,7 @@ void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
 
     const Request request =
         build_request(crypto, number, pending);
-    const Bytes encoded = encode_message(Message(request));
+    const Bytes encoded = encode_message(request);
 
     const bool to_all = broadcast || request.is_optimistic();
     for (std::uint32_t r = 0; r < channels_.size(); ++r) {
@@ -129,7 +128,8 @@ void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         if (!channels_[r] || !channels_[r]->established()) continue;
         crypto.charge(profile_.aead(encoded.size()));
         outbox.send(config_.node_of(r),
-                    net::client_record_frame(*channels_[r], encoded));
+                    net::client_record_frame(*channels_[r], encoded,
+                                             outbox.pool()));
     }
 }
 

@@ -459,13 +459,12 @@ Bytes encode_message(const T& message) {
 
 /// Wire frame for one message of type T: the envelope channel byte
 /// followed by encode_message(Message(message)), written once into a
-/// buffer of exactly that size — a recycled wire buffer when `pool` is
-/// given. Takes the concrete message, so nothing is copied into a
-/// Message first.
+/// wire buffer from `pool`. Takes the concrete message, so nothing is
+/// copied into a Message first.
 template <typename T>
 Bytes encode_frame(net::Channel channel, const T& message,
-                   sim::BufferPool* pool = nullptr) {
-    return detail::encode_sized(message, channel, pool);
+                   sim::BufferPool& pool) {
+    return detail::encode_sized(message, channel, &pool);
 }
 
 /// Parses a message; nullopt on any malformed input. `auth_width` is the

@@ -82,8 +82,8 @@ void Replica::broadcast(net::Outbox& outbox, const T& message) {
     // peer in id order takes the encoded frame itself.
     const auto n = static_cast<std::uint32_t>(config_.n());
     if (n == 1) return;  // a lone replica has no peers
-    sim::BufferPool& pool = outbox.fabric().network().pool();
-    Bytes frame = encode_frame(net::Channel::Hybster, message, &pool);
+    sim::BufferPool& pool = outbox.pool();
+    Bytes frame = encode_frame(net::Channel::Hybster, message, pool);
     const std::uint32_t last = id_ == n - 1 ? n - 2 : n - 1;
     for (std::uint32_t r = 0; r < last; ++r) {
         if (r == id_) continue;
@@ -97,9 +97,8 @@ void Replica::broadcast(net::Outbox& outbox, const T& message) {
 template <typename T>
 void Replica::send_to(net::Outbox& outbox, std::uint32_t replica,
                       const T& message) {
-    sim::BufferPool& pool = outbox.fabric().network().pool();
     outbox.send(config_.node_of(replica),
-                encode_frame(net::Channel::Hybster, message, &pool));
+                encode_frame(net::Channel::Hybster, message, outbox.pool()));
 }
 
 void Replica::on_message(sim::NodeId from, ByteView payload) {

@@ -15,6 +15,7 @@
 #include "common/serialize.hpp"
 #include "net/envelope.hpp"
 #include "net/secure_channel.hpp"
+#include "sim/pool.hpp"
 
 namespace troxy::net {
 
@@ -24,12 +25,15 @@ enum class ClientFrame : std::uint8_t {
     Record = 2,
 };
 
-inline Bytes frame_client(ClientFrame kind, ByteView payload) {
-    Bytes out;
-    out.reserve(payload.size() + 1);
-    out.push_back(static_cast<std::uint8_t>(kind));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+/// Wire frame of a client frame: the Client envelope byte, `kind` and
+/// `payload`, written into a wire buffer from `pool`.
+inline Bytes client_frame(ClientFrame kind, ByteView payload,
+                          sim::BufferPool& pool) {
+    Writer frame(pool.acquire_empty(2 + payload.size()));
+    frame.u8(static_cast<std::uint8_t>(Channel::Client));
+    frame.u8(static_cast<std::uint8_t>(kind));
+    frame.raw(payload);
+    return std::move(frame).take();
 }
 
 /// Splits a client frame into its kind and payload; the payload view
@@ -47,14 +51,14 @@ inline std::optional<std::pair<ClientFrame, ByteView>> unframe_client(
 
 /// Wire frame of one application record: the Client envelope byte, the
 /// Record kind and `channel`'s sealed record of `messages`, written once
-/// into a buffer of exactly the frame's size. `SecureChannel` is either
-/// channel half.
+/// into a wire buffer from `pool` that holds the whole frame.
+/// `SecureChannel` is either channel half.
 template <typename SecureChannel>
 Bytes client_record_frame(SecureChannel& channel,
-                          std::span<const ByteView> messages) {
+                          std::span<const ByteView> messages,
+                          sim::BufferPool& pool) {
     const std::size_t size = 2 + RecordProtection::record_size(messages);
-    Writer frame;
-    frame.reserve(size);
+    Writer frame(pool.acquire_empty(size));
     frame.u8(static_cast<std::uint8_t>(Channel::Client));
     frame.u8(static_cast<std::uint8_t>(ClientFrame::Record));
     channel.protect_many_into(frame, messages);
@@ -65,8 +69,9 @@ Bytes client_record_frame(SecureChannel& channel,
 
 /// client_record_frame() of a single message.
 template <typename SecureChannel>
-Bytes client_record_frame(SecureChannel& channel, ByteView message) {
-    return client_record_frame(channel, std::span(&message, 1));
+Bytes client_record_frame(SecureChannel& channel, ByteView message,
+                          sim::BufferPool& pool) {
+    return client_record_frame(channel, std::span(&message, 1), pool);
 }
 
 }  // namespace troxy::net

@@ -7,7 +7,8 @@ namespace troxy::net {
 std::optional<Bytes> ClientSessions::accept(enclave::CostedCrypto& crypto,
                                             sim::NodeId client,
                                             ByteView hello,
-                                            ByteView seed_prefix) {
+                                            ByteView seed_prefix,
+                                            sim::BufferPool& pool) {
     // A second Hello replaces the session: the old channel and its slot
     // window die here, and the fresh generation fences off the old
     // session's in-flight replies.
@@ -26,8 +27,7 @@ std::optional<Bytes> ClientSessions::accept(enclave::CostedCrypto& crypto,
         return std::nullopt;
     }
     ++accepted_;
-    return wrap(Channel::Client,
-                frame_client(ClientFrame::ServerHello, *server_hello));
+    return client_frame(ClientFrame::ServerHello, *server_hello, pool);
 }
 
 ClientSessions::Opened ClientSessions::open(enclave::CostedCrypto& crypto,
@@ -48,7 +48,8 @@ std::size_t ClientSessions::release_records(Fabric& fabric, sim::Node& node,
     std::size_t records = 0;
     release(to, std::move(reply), [&](Session& session, Bytes&& ready) {
         crypto.charge(profile.aead(ready.size()));
-        outbox.send(to.client, client_record_frame(session.channel, ready));
+        outbox.send(to.client, client_record_frame(session.channel, ready,
+                                                   outbox.pool()));
         ++records;
     });
     outbox.flush(meter);

@@ -101,11 +101,11 @@ class ClientSessions {
     /// Handles a ClientHello from `client`, replacing any session it had
     /// and stamping the new one with a fresh generation. The handshake
     /// randomness is `seed_prefix` ‖ u64(handshake number). Returns the
-    /// wrapped Channel::Client ServerHello frame, or nullopt (and no
-    /// session) when the hello is malformed.
+    /// wrapped Channel::Client ServerHello frame, in a wire buffer from
+    /// `pool`, or nullopt (and no session) when the hello is malformed.
     std::optional<Bytes> accept(enclave::CostedCrypto& crypto,
                                 sim::NodeId client, ByteView hello,
-                                ByteView seed_prefix);
+                                ByteView seed_prefix, sim::BufferPool& pool);
 
     /// Opens one record of `client`'s session, charging its AEAD pass.
     /// A client without a session gets nothing and is charged nothing.
@@ -156,7 +156,7 @@ class ClientSessions {
                 FixedWriter<4> prefix;
                 prefix.u32(node.id());
                 if (auto hello = accept(crypto, from, frame->second,
-                                        prefix.take())) {
+                                        prefix.take(), outbox.pool())) {
                     outbox.send(from, std::move(*hello));
                 }
                 break;

@@ -34,26 +34,10 @@ inline Bytes wrap(Channel channel, ByteView payload) {
     return std::move(w).take();
 }
 
-/// Returns nullopt on an empty or unknown-channel message.
-inline std::optional<std::pair<Channel, Bytes>> unwrap(ByteView message) {
-    if (message.empty()) return std::nullopt;
-    const auto channel = static_cast<Channel>(message[0]);
-    switch (channel) {
-        case Channel::Hybster:
-        case Channel::Client:
-        case Channel::TroxyCache:
-        case Channel::Bundle:
-            break;
-        default:
-            return std::nullopt;
-    }
-    return std::make_pair(channel,
-                          Bytes(message.begin() + 1, message.end()));
-}
-
-/// Zero-copy unwrap: the returned view aliases `message` (valid only as
-/// long as the underlying buffer is). Use when the payload is consumed in
-/// place, e.g. to peek at a channel or decode without detaching the bytes.
+/// Splits off the envelope byte; nullopt on an empty or unknown-channel
+/// message. The returned view aliases `message` (valid only as long as
+/// the underlying buffer is): a receiver decodes in place and recycles
+/// the frame afterwards.
 inline std::optional<std::pair<Channel, ByteView>> unwrap_view(
     ByteView message) {
     if (message.empty()) return std::nullopt;

@@ -21,7 +21,10 @@
 //
 // Queue storage is recycled: the first enqueue takes a spare queue from
 // the Fabric, and the flush event hands it back once its frames are on
-// the wire, so a warm Outbox allocates no queue storage.
+// the wire, so a warm Outbox allocates no queue storage. Frame storage
+// is recycled too: pool() is the network's buffer pool, which every
+// sender draws its frames from, and a coalesced Bundle is drawn from it
+// while the members it copied go back to it.
 #pragma once
 
 #include <type_traits>
@@ -37,6 +40,7 @@
 #include "sim/cost.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/node.hpp"
+#include "sim/pool.hpp"
 
 namespace troxy::net {
 
@@ -98,8 +102,10 @@ class Outbox {
         node_.exec_ordered(meter.take(), std::move(deliver), not_before);
     }
 
-    [[nodiscard]] sim::Node& node() noexcept { return node_; }
-    [[nodiscard]] Fabric& fabric() noexcept { return fabric_; }
+    /// The pool a frame for send() comes from.
+    [[nodiscard]] sim::BufferPool& pool() noexcept {
+        return fabric_.network().pool();
+    }
 
   private:
     /// Appends a blank item; the first enqueue takes a spare queue from
@@ -138,7 +144,8 @@ class Outbox {
     /// destination with a single message keeps its original frame.
     /// Deferred callbacks follow every frame, in their relative order.
     /// The frames go into a spare queue and `sends` returns to the spare
-    /// list, so grouping allocates no bookkeeping.
+    /// list, so grouping allocates no bookkeeping; each Bundle comes from
+    /// the pool and each member it copied goes back there.
     std::vector<OutboxItem> coalesce(std::vector<OutboxItem>&& sends) {
         std::vector<OutboxItem> frames = fabric_.acquire_queue();
         for (std::size_t i = 0; i < sends.size(); ++i) {
@@ -158,15 +165,14 @@ class Outbox {
                 frames.push_back(std::move(head));
                 continue;
             }
-            // make_bundle()'s bytes, written once into a buffer of
-            // exactly the frame's size.
+            // make_bundle()'s bytes, written once into a pooled wire
+            // buffer.
             TROXY_ASSERT(count <= kMaxBundleMessages,
                          "bundle message count exceeds u16 field");
             OutboxItem& f = frames.emplace_back();
             f.to = head.to;
             f.bundled = static_cast<std::uint32_t>(count);
-            Writer w;
-            w.reserve(total);
+            Writer w(pool().acquire_empty(total));
             w.u8(static_cast<std::uint8_t>(Channel::Bundle));
             w.u16(static_cast<std::uint16_t>(count));
             for (std::size_t j = i; j < sends.size(); ++j) {
@@ -175,6 +181,7 @@ class Outbox {
                 p.grouped = true;
                 w.u32(static_cast<std::uint32_t>(p.frame.size()));
                 w.raw(p.frame);
+                pool().release(std::move(p.frame));
             }
             f.frame = std::move(w).take();
         }

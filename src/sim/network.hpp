@@ -167,13 +167,10 @@ class Network {
         return wire_stats_;
     }
 
-    /// The network's size-class payload pool. Senders acquire() wire
-    /// buffers from it and receivers recycle() exhausted ones, closing
-    /// the allocation loop across the message cycle.
+    /// The network's size-class payload pool. Every sender draws its
+    /// wire frames from it and every receiver recycle()s the frames it
+    /// consumed, closing the allocation loop across the message cycle.
     [[nodiscard]] BufferPool& pool() noexcept { return pool_; }
-    [[nodiscard]] Bytes acquire(std::size_t size) {
-        return pool_.acquire(size);
-    }
     void recycle(Bytes&& buffer) noexcept {
         pool_.release(std::move(buffer));
     }

@@ -38,6 +38,7 @@ Bytes BufferPool::acquire_empty(std::size_t capacity) {
         ++stats_.hits;
         Bytes buffer = std::move(classes_[c].back());
         classes_[c].pop_back();
+        retained_[c] -= buffer.capacity();
         buffer.clear();
         return buffer;
     }
@@ -52,12 +53,15 @@ void BufferPool::release(Bytes&& buffer) noexcept {
 }
 
 bool BufferPool::release_counted(Bytes&& buffer) noexcept {
-    const std::size_t c = class_of_capacity(buffer.capacity());
-    if (c >= kClassSizes.size() || classes_[c].size() >= kMaxDepth) {
+    const std::size_t capacity = buffer.capacity();
+    const std::size_t c = class_of_capacity(capacity);
+    if (c >= kClassSizes.size() ||
+        retained_[c] + capacity > kClassBudgetBytes) {
         ++stats_.discarded;
         return false;
     }
     ++stats_.recycled;
+    retained_[c] += capacity;
     classes_[c].push_back(std::move(buffer));
     return true;
 }

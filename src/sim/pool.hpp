@@ -2,14 +2,23 @@
 //
 // Wire messages and payload buffers churn through the simulator at
 // millions per run; allocating a fresh std::vector backing store for each
-// one makes malloc the hot path. The pool recycles Bytes objects in a
-// small set of capacity classes: release() banks a retired buffer on its
-// class freelist (LIFO, bounded depth), acquire() hands the capacity back
+// one makes malloc the hot path. The network owns one pool and the wire
+// loop around it is closed: every frame a host sends is drawn from it
+// (encoders take the pool, not a heap fallback), and every frame a host
+// consumes goes back to it, including the members an Outbox copies into
+// a Bundle and the frames a crashed host drops. release() banks a retired
+// buffer on its class freelist (LIFO), acquire() hands the capacity back
 // out without touching the allocator. Contents of acquired buffers are
 // unspecified — callers overwrite every byte they use.
 //
-// The pool is fully deterministic (no randomness, LIFO order) so pooled
-// runs replay bit-identically to unpooled ones.
+// Each class retains at most kClassBudgetBytes of buffer capacity, so a
+// small class keeps the thousands of frames a pipelined load has in
+// flight while the 64 KiB class keeps a handful; a release past the
+// budget frees its buffer.
+//
+// The pool is fully deterministic (no randomness, LIFO order) and only
+// ever moves capacity, never bytes, so pooled runs replay bit-identically
+// to unpooled ones.
 #pragma once
 
 #include <array>
@@ -25,15 +34,16 @@ class BufferPool {
     /// Capacity classes; buffers above the largest class are never pooled.
     static constexpr std::array<std::size_t, 6> kClassSizes = {
         64, 256, 1024, 4096, 16384, 65536};
-    /// Buffers kept per class; extra releases are discarded to bound
-    /// steady-state memory.
-    static constexpr std::size_t kMaxDepth = 256;
+    /// Capacity, in bytes, each class retains at most; releases past it
+    /// are discarded to bound steady-state memory. The 1 KiB class keeps
+    /// up to 4,096 frames, the 16 KiB class 256 and the 64 KiB class 64.
+    static constexpr std::size_t kClassBudgetBytes = std::size_t{4} << 20;
 
     struct Stats {
         std::uint64_t hits = 0;       // acquires served from a freelist
         std::uint64_t misses = 0;     // acquires that had to allocate
         std::uint64_t recycled = 0;   // releases banked on a freelist
-        std::uint64_t discarded = 0;  // releases dropped (size/depth)
+        std::uint64_t discarded = 0;  // releases dropped (size/budget)
     };
 
     /// Returns a buffer of exactly `size` bytes (unspecified contents),
@@ -63,6 +73,8 @@ class BufferPool {
         std::size_t capacity) noexcept;
 
     std::array<std::vector<Bytes>, kClassSizes.size()> classes_;
+    /// Summed capacity of each class's banked buffers.
+    std::array<std::size_t, kClassSizes.size()> retained_{};
     Stats stats_;
 };
 

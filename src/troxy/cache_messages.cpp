@@ -159,9 +159,9 @@ Bytes encode_cache_message(const CacheMessage& message) {
     return std::move(w).take();
 }
 
-Bytes encode_cache_frame(const CacheMessage& message) {
-    Writer w;
-    w.reserve(1 + cache_message_size(message));
+Bytes encode_cache_frame(const CacheMessage& message,
+                         sim::BufferPool& pool) {
+    Writer w(pool.acquire_empty(1 + cache_message_size(message)));
     w.u8(static_cast<std::uint8_t>(net::Channel::TroxyCache));
     write_cache_message(w, message);
     return std::move(w).take();

@@ -20,6 +20,7 @@
 #include "crypto/sha256.hpp"
 #include "enclave/trinx.hpp"
 #include "sim/node.hpp"
+#include "sim/pool.hpp"
 
 namespace troxy::troxy_core {
 
@@ -90,8 +91,8 @@ using CacheMessage = std::variant<CacheQuery, CacheResponse, CacheQueryBatch,
 
 Bytes encode_cache_message(const CacheMessage& message);
 /// wrap(Channel::TroxyCache, encode_cache_message(message)), written
-/// once into a buffer of exactly the frame's size.
-Bytes encode_cache_frame(const CacheMessage& message);
+/// once into a wire buffer from `pool`.
+Bytes encode_cache_frame(const CacheMessage& message, sim::BufferPool& pool);
 std::optional<CacheMessage> decode_cache_message(ByteView data);
 
 }  // namespace troxy::troxy_core

@@ -16,7 +16,8 @@ TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
                            crypto::X25519Keypair channel_identity,
                            Classifier classifier,
                            const sim::CostProfile& profile,
-                           TroxyOptions options, std::uint64_t seed)
+                           TroxyOptions options, std::uint64_t seed,
+                           sim::BufferPool& pool)
     : host_node_(host_node),
       replica_id_(replica_id),
       config_(std::move(config)),
@@ -24,6 +25,7 @@ TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
       classifier_(std::move(classifier)),
       profile_(profile),
       options_(options),
+      pool_(pool),
       gate_("troxy",
             options.inside_enclave ? options.enclave_costs
                                    : sim::EnclaveCosts::jni_only(),
@@ -96,7 +98,7 @@ TroxyActions TroxyEnclave::accept_connection(enclave::CostMeter& meter,
     prefix.u64(rng_.next());
     TroxyActions actions = take_actions();
     if (auto server_hello =
-            sessions_.accept(crypto, client, hello, prefix.take())) {
+            sessions_.accept(crypto, client, hello, prefix.take(), pool_)) {
         actions.sends.emplace_back(client, std::move(*server_hello));
     }
     return actions;
@@ -362,11 +364,11 @@ void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
         // ONE AEAD pass over the whole burst for this connection: the
         // per-record base cost is paid once instead of once per reply.
         // Gather encoding builds envelope ‖ frame header ‖ sealed record
-        // in one buffer of exactly the frame's size.
+        // in one pooled wire buffer.
         crypto.charge(profile_.aead(total));
         actions.sends.emplace_back(
-            first->to,
-            net::client_record_frame(session->channel, release_views_));
+            first->to, net::client_record_frame(session->channel,
+                                                release_views_, pool_));
     });
     for (Release& release : release_plan_) {
         if (spare_results_.size() >= kMaxSpareResults) break;
@@ -574,7 +576,8 @@ TroxyActions TroxyEnclave::handle_cache_queries(
     for_each_destination(answers_, [&](auto first, auto last) {
         if (last - first == 1) {
             actions.sends.emplace_back(
-                first->to, encode_cache_frame(CacheMessage(first->response)));
+                first->to,
+                encode_cache_frame(CacheMessage(first->response), pool_));
             return;
         }
         CacheResponseBatch batch;
@@ -583,7 +586,8 @@ TroxyActions TroxyEnclave::handle_cache_queries(
             batch.responses.push_back(it->response);
         }
         actions.sends.emplace_back(
-            first->to, encode_cache_frame(CacheMessage(std::move(batch))));
+            first->to,
+            encode_cache_frame(CacheMessage(std::move(batch)), pool_));
     });
     answers_.clear();
     return actions;
@@ -713,12 +717,14 @@ TroxyActions TroxyEnclave::retransmit(enclave::CostMeter& meter,
 
     // Rebroadcast to every replica: followers forward to the leader and
     // start their progress timers, eventually forcing a view change.
-    const Bytes wire =
-        hybster::encode_frame(net::Channel::Hybster, pending->request);
+    // Each peer gets its own pooled frame.
     for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(config_.n());
          ++r) {
         if (r == replica_id_) continue;
-        actions.sends.emplace_back(config_.node_of(r), wire);
+        actions.sends.emplace_back(
+            config_.node_of(r),
+            hybster::encode_frame(net::Channel::Hybster, pending->request,
+                                  pool_));
     }
     actions.to_order.push_back(pending->request);
     actions.arm_vote_timers.push_back(request_number);

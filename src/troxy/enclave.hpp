@@ -40,6 +40,7 @@
 #include "hybster/messages.hpp"
 #include "hybster/service.hpp"
 #include "net/client_sessions.hpp"
+#include "sim/pool.hpp"
 #include "troxy/cache.hpp"
 #include "troxy/cache_messages.hpp"
 
@@ -96,12 +97,15 @@ struct TroxyActions {
 
 class TroxyEnclave {
   public:
+    /// Every frame the enclave emits in TroxyActions::sends is written
+    /// into a wire buffer from `pool`, the host network's buffer pool.
     TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
                  hybster::Config config,
                  std::shared_ptr<enclave::TrinX> trinx,
                  crypto::X25519Keypair channel_identity,
                  Classifier classifier, const sim::CostProfile& profile,
-                 TroxyOptions options, std::uint64_t seed);
+                 TroxyOptions options, std::uint64_t seed,
+                 sim::BufferPool& pool);
 
     // ------------------------------------------------------------ ecalls
 
@@ -338,6 +342,7 @@ class TroxyEnclave {
     Classifier classifier_;
     const sim::CostProfile& profile_;
     TroxyOptions options_;
+    sim::BufferPool& pool_;
 
     enclave::EnclaveGate gate_;
     FastReadCache cache_;

@@ -46,7 +46,7 @@ TroxyReplicaHost::TroxyReplicaHost(
       seed_(seed) {
     troxy_ = std::make_unique<TroxyEnclave>(
         node.id(), replica_id, config, trinx, channel_identity, classifier_,
-        troxy_profile, options.troxy, seed);
+        troxy_profile, options.troxy, seed, fabric.network().pool());
 
     hybster::Replica::Hooks hooks;
     // Requests in a Troxy deployment carry a single trusted-subsystem
@@ -78,7 +78,7 @@ TroxyReplicaHost::TroxyReplicaHost(
         for (const hybster::ExecutedReply& member : batch) {
             outbox.send(member.request->id.client,
                         hybster::encode_frame(net::Channel::Hybster,
-                                              member.reply));
+                                              member.reply, outbox.pool()));
         }
     };
 
@@ -111,7 +111,7 @@ void TroxyReplicaHost::crash() {
     // schedule (if any) re-triggers one after restart.
     enclave_recovering_ = false;
     ++recovery_generation_;
-    recovery_buffer_.clear();
+    drop_recovery_buffer();
 }
 
 void TroxyReplicaHost::restart(hybster::ServicePtr fresh_service) {
@@ -181,7 +181,7 @@ void TroxyReplicaHost::finish_enclave_recovery(Bytes handover) {
         // The authority refused the re-handshake: stay down rather than
         // run unattested (cannot happen with a well-configured authority).
         enclave_recovering_ = false;
-        recovery_buffer_.clear();
+        drop_recovery_buffer();
         return;
     }
 
@@ -196,7 +196,7 @@ void TroxyReplicaHost::finish_enclave_recovery(Bytes handover) {
     troxy_ = std::make_unique<TroxyEnclave>(
         node_.id(), replica_id_, config_, trinx_, channel_identity_,
         classifier_, troxy_profile_, options_.troxy,
-        seed_ + 7919 * (enclave_recoveries_ + 1));
+        seed_ + 7919 * (enclave_recoveries_ + 1), fabric_.network().pool());
     tcs_free_at_ = 0;
 
     // Trusted-counter re-binding: the certified handover verifies under
@@ -224,8 +224,18 @@ void TroxyReplicaHost::finish_enclave_recovery(Bytes handover) {
     }
 }
 
+void TroxyReplicaHost::drop_recovery_buffer() {
+    for (auto& [from, frame] : recovery_buffer_) {
+        fabric_.network().recycle(std::move(frame));
+    }
+    recovery_buffer_.clear();
+}
+
 void TroxyReplicaHost::on_message(sim::NodeId from, Bytes message) {
-    if (faults_.crashed) return;
+    if (faults_.crashed) {
+        fabric_.network().recycle(std::move(message));
+        return;
+    }
 
     // During a recovery downtime window the enclave is gone: traffic that
     // would enter it through client-facing ecalls is buffered and
@@ -350,7 +360,11 @@ void TroxyReplicaHost::dispatch_burst(sim::NodeId from,
             replica_->on_message(from, payload);
             continue;
         }
-        on_message(from, Bytes(message.begin(), message.end()));
+        // on_message() consumes a frame of its own: a pooled copy, which
+        // it recycles like any arrival.
+        Bytes copy = fabric_.network().pool().acquire_empty(message.size());
+        copy.assign(message.begin(), message.end());
+        on_message(from, std::move(copy));
     }
     // The arrival burst is complete — flush it now instead of waiting for
     // the delay timer (no added latency for bundled bursts).
@@ -500,8 +514,10 @@ void TroxyReplicaHost::flush_fastread_buffer(net::Outbox& outbox) {
     // and will be answered in one remote transition.
     for_each_destination(fastread_buffer_, [&](auto first, auto last) {
         if (last - first == 1) {
-            outbox.send(first->to, encode_cache_frame(
-                                       CacheMessage(std::move(first->query))));
+            outbox.send(first->to,
+                        encode_cache_frame(
+                            CacheMessage(std::move(first->query)),
+                            outbox.pool()));
             return;
         }
         CacheQueryBatch batch;
@@ -509,8 +525,9 @@ void TroxyReplicaHost::flush_fastread_buffer(net::Outbox& outbox) {
         for (auto it = first; it != last; ++it) {
             batch.queries.push_back(std::move(it->query));
         }
-        outbox.send(first->to,
-                    encode_cache_frame(CacheMessage(std::move(batch))));
+        outbox.send(first->to, encode_cache_frame(
+                                   CacheMessage(std::move(batch)),
+                                   outbox.pool()));
     });
     fastread_buffer_.clear();
 }

@@ -161,7 +161,7 @@ class TroxyReplicaHost {
     /// local voter are decoded into reply slots so the whole burst enters
     /// the enclave through as few handle_replies transitions as
     /// voter_batch_max allows, and every other Hybster message is decoded
-    /// in place; any other message goes through on_message() as an owned
+    /// in place; any other message goes through on_message() as a pooled
     /// copy.
     void dispatch_burst(sim::NodeId from, std::span<const ByteView> messages);
     /// Carries out an ecall's actions, then hands the set back to the
@@ -175,6 +175,9 @@ class TroxyReplicaHost {
     /// downtime window, then replays buffered client frames.
     void finish_enclave_recovery(Bytes handover);
     void arm_recovery_timer(sim::Duration delay);
+    /// Recycles the frames buffered during a recovery that will never be
+    /// replayed (a crash, or a refused re-attestation).
+    void drop_recovery_buffer();
 
     // --- voter batching (untrusted buffering; the enclave re-verifies
     // every reply, so the host holding or reordering them is harmless) ---

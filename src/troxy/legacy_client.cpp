@@ -46,9 +46,8 @@ void LegacyClient::connect() {
     send_buffer_.clear();
 
     outbox.send(servers_[server_index_],
-                net::wrap(net::Channel::Client,
-                          net::frame_client(net::ClientFrame::Hello,
-                                            channel_->client_hello())));
+                net::client_frame(net::ClientFrame::Hello,
+                                  channel_->client_hello(), outbox.pool()));
     outbox.flush(meter);
     last_activity_ = fabric_.simulator().now();
     arm_watchdog();
@@ -148,11 +147,11 @@ void LegacyClient::transmit_newest() {
     enclave::CostedCrypto crypto(profile_, meter);
     net::Outbox outbox(fabric_, node_);
     crypto.charge(profile_.aead(app_request.size()));
-    // Envelope, frame header and sealed record build in ONE buffer of
-    // exactly the frame's size (the record plaintext is sealed where it
-    // was written).
+    // Envelope, frame header and sealed record build in ONE pooled wire
+    // buffer (the record plaintext is sealed where it was written).
     outbox.send(servers_[server_index_],
-                net::client_record_frame(*channel_, app_request));
+                net::client_record_frame(*channel_, app_request,
+                                         outbox.pool()));
     outbox.flush(meter);
 }
 
@@ -183,7 +182,7 @@ void LegacyClient::flush_sends() {
     // into one buffer with the envelope and frame headers.
     crypto.charge(profile_.aead(total));
     outbox.send(servers_[server_index_],
-                net::client_record_frame(*channel_, views));
+                net::client_record_frame(*channel_, views, outbox.pool()));
     outbox.flush(meter);
 }
 
@@ -209,7 +208,7 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
                 crypto.charge(profile_.aead(item.view().size()));
                 outbox.send(servers_[server_index_],
                             net::client_record_frame(
-                                *channel_, item.view()));
+                                *channel_, item.view(), outbox.pool()));
             }
             if (ready_) {
                 outbox.defer(std::exchange(ready_, nullptr));

@@ -15,8 +15,9 @@
 // through every bounds check (the sanitizer build runs these too).
 //
 // Allocations: a Request is one shared body, a warm ordered-write
-// cluster stays under a fixed allocation ceiling per request, and an
-// Outbox reuses the queue an earlier flush handed back to its Fabric.
+// cluster stays under a fixed allocation ceiling per request and draws
+// every frame from the network pool, and an Outbox reuses the queue an
+// earlier flush handed back to its Fabric.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -639,47 +640,64 @@ TEST(RequestBodyDeathTest, UseAfterTheLastReferenceTrips) {
 
 // ----------------------------------------------------- allocation ceiling
 
-// A warm, unbatched (leader batch 1, voter batch 1) 3-replica Troxy
-// cluster serving closed-loop 256 B Echo writes: heap allocations per
-// completed request across every node — clients, Troxies and replicas.
-double ordered_write_allocs_per_request() {
-    bench::TroxyCluster::Params params;
-    params.base.seed = 3;
-    params.service = []() { return std::make_unique<apps::EchoService>(); };
-    params.classifier = [](ByteView request) {
-        return apps::EchoService().classify(request);
-    };
-    bench::TroxyCluster cluster(std::move(params));
+// An unbatched (leader batch 1, voter batch 1) 3-replica Troxy cluster
+// serving closed-loop 256 B Echo writes from six sessions of four in
+// flight, warm after kWarm.
+struct OrderedWrites {
+    static constexpr sim::SimTime kWarm = sim::milliseconds(50);
+    static constexpr sim::SimTime kEnd = sim::milliseconds(150);
 
-    const sim::SimTime warm = sim::milliseconds(50);
-    const sim::SimTime end = sim::milliseconds(150);
-    bench::Recorder recorder(warm, end - warm);
-    bench::Workload workload(
-        cluster.simulator(), recorder,
-        [](Rng& rng) {
-            bench::GeneratedRequest request;
-            request.payload =
-                apps::EchoService::make_write(rng.next_below(64), 256);
-            return request;
-        },
-        3);
-    for (int session = 0; session < 6; ++session) {
-        workload.drive_legacy(cluster.add_client(), 4);
+    static bench::TroxyCluster::Params params() {
+        bench::TroxyCluster::Params params;
+        params.base.seed = 3;
+        params.service = []() {
+            return std::make_unique<apps::EchoService>();
+        };
+        params.classifier = [](ByteView request) {
+            return apps::EchoService().classify(request);
+        };
+        return params;
     }
-    cluster.simulator().run_until(warm);
-    const std::uint64_t allocs =
-        allocations_in([&] { cluster.simulator().run_until(end); });
-    EXPECT_GT(recorder.completed(), 1000u);
+
+    bench::TroxyCluster cluster{params()};
+    bench::Recorder recorder{kWarm, kEnd - kWarm};
+    bench::Workload workload{cluster.simulator(), recorder,
+                             [](Rng& rng) {
+                                 bench::GeneratedRequest request;
+                                 request.payload =
+                                     apps::EchoService::make_write(
+                                         rng.next_below(64), 256);
+                                 return request;
+                             },
+                             3};
+
+    OrderedWrites() {
+        for (int session = 0; session < 6; ++session) {
+            workload.drive_legacy(cluster.add_client(), 4);
+        }
+    }
+};
+
+// Heap allocations per completed request across every node of the warm
+// OrderedWrites cluster — clients, Troxies and replicas.
+double ordered_write_allocs_per_request() {
+    OrderedWrites run;
+    run.cluster.simulator().run_until(OrderedWrites::kWarm);
+    const std::uint64_t allocs = allocations_in(
+        [&] { run.cluster.simulator().run_until(OrderedWrites::kEnd); });
+    EXPECT_GT(run.recorder.completed(), 1000u);
     return static_cast<double>(allocs) /
-           static_cast<double>(std::max<std::uint64_t>(recorder.completed(),
-                                                        1));
+           static_cast<double>(
+               std::max<std::uint64_t>(run.recorder.completed(), 1));
 }
 
 TEST(AllocationCeiling, OrderedWritesPerRequest) {
-    // Measured at 27.1 per request; the ceiling sits about 10 % above.
-    // A fresh request body per decode and per assign, a fresh member
-    // vector per follower Prepare, a map node per forwarded request and a
-    // fresh buffer per voted result measured 34.5; fresh action vectors
+    // Measured at 22.1 per request; the ceiling sits about 10 % above.
+    // Reply frames, client records and cache frames on the heap instead
+    // of drawn from the network pool measured 27.1; a fresh request body
+    // per decode and per assign, a fresh member vector per follower
+    // Prepare, a map node per forwarded request and a fresh buffer per
+    // voted result measured 34.5; fresh action vectors
     // per ecall, a decoded Reply per reply, a vote copy per replica and a
     // fresh client completion list measured 42.5;
     // before that, a fresh Outbox queue per flush, byte-by-byte client
@@ -688,7 +706,29 @@ TEST(AllocationCeiling, OrderedWritesPerRequest) {
     // table and allocating log nodes per sequence number measured 93.2.
     const double per_request = ordered_write_allocs_per_request();
     RecordProperty("allocs_per_request", std::to_string(per_request));
-    EXPECT_LE(per_request, 30.0);
+    EXPECT_LE(per_request, 24.5);
+}
+
+// The wire-buffer loop is closed on the ordered path: every frame any
+// node sends (handshakes, client records, Prepares, Commits, reply frames,
+// released reply records) is drawn from the network pool, and every frame
+// a node consumes goes back. So the pool serves at least one buffer per
+// wire message, and once the in-flight high-water mark is reached (by
+// 100 ms here) it never has to allocate one.
+TEST(AllocationCeiling, WarmOrderedRoundTakesNoFreshFrame) {
+    OrderedWrites run;
+    sim::Network& network = run.cluster.network();
+    run.cluster.simulator().run_until(sim::milliseconds(100));
+    const std::uint64_t warm_misses = network.pool().stats().misses;
+    // The closed loop stops issuing at kEnd; the drain lets every frame
+    // acquired so far leave.
+    run.cluster.simulator().run_until(OrderedWrites::kEnd +
+                                      sim::milliseconds(50));
+    const sim::BufferPool::Stats& pool = network.pool().stats();
+
+    EXPECT_GT(run.recorder.completed(), 1000u);
+    EXPECT_EQ(pool.misses, warm_misses);
+    EXPECT_GE(pool.hits + pool.misses, network.messages_sent());
 }
 
 // A warm sharded deployment — S = 2 groups of three, one front — serving
@@ -747,16 +787,18 @@ double sharded_cross_allocs_per_request() {
 }
 
 TEST(AllocationCeiling, ShardedCrossPerRequest) {
-    // Measured at 60.1 per request; the ceiling sits about 10 % above.
-    // Fresh request bodies, Prepare member vectors and voted-result
-    // buffers measured 69.3; owned classifier key vectors, a shard vector
+    // Measured at 50.5 per request; the ceiling sits about 10 % above.
+    // Heap reply frames, client records and Bundles, and Bundle members
+    // freed instead of recycled, measured 60.1; fresh request bodies,
+    // Prepare member vectors and voted-result buffers measured 69.3;
+    // owned classifier key vectors, a shard vector
     // per routed write, heap std::function closures for the front's
     // forwards, a std::map node per cross-shard commit and per reply
     // banked behind a gap, and a fresh link vector per lock-table
     // admission measured 79.4.
     const double per_request = sharded_cross_allocs_per_request();
     RecordProperty("allocs_per_request", std::to_string(per_request));
-    EXPECT_LE(per_request, 66.0);
+    EXPECT_LE(per_request, 55.5);
 }
 
 /// A service that answers every request with an empty result and keeps a
@@ -951,9 +993,10 @@ TEST(AllocationCeiling, WarmOutOfOrderReleaseAllocatesNothing) {
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(sim::CostProfile::native(), meter);
     net::SecureChannelClient channel(identity.public_key, to_bytes("client"));
+    sim::BufferPool pool;
     ASSERT_TRUE(sessions
                     .accept(crypto, 7, channel.client_hello(),
-                            to_bytes("prefix"))
+                            to_bytes("prefix"), pool)
                     .has_value());
     net::ClientSessions::Session& session = *sessions.find(7);
 

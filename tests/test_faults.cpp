@@ -225,9 +225,9 @@ TEST(Faults, BypassAttemptRejectedByChannel) {
         cluster.fabric().send(
             cluster.config().node_of(0),
             1000,  // the client's node id
-            net::wrap(net::Channel::Client,
-                      net::frame_client(net::ClientFrame::Record,
-                                        to_bytes("forged-not-encrypted"))));
+            net::client_frame(net::ClientFrame::Record,
+                              to_bytes("forged-not-encrypted"),
+                              cluster.network().pool()));
         client.send(EchoService::make_write(1, 64), [&](Bytes reply) {
             reply_seen = std::move(reply);
             done = true;

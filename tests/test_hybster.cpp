@@ -423,7 +423,7 @@ struct BareGroup {
             fabric.attach(id, [this, replica, id](sim::NodeId from,
                                                   Bytes message) {
                 arrivals.push_back({sim.now(), from, id, message});
-                auto unwrapped = net::unwrap(message);
+                auto unwrapped = net::unwrap_view(message);
                 if (!unwrapped) return;
                 if (!decoded_entry) {
                     replica->on_message(from, unwrapped->second);
@@ -948,7 +948,7 @@ struct SoloLeader {
             std::make_shared<enclave::TrinX>(0, group_key), profile,
             std::move(hooks));
         fabric.attach(2, [this](sim::NodeId, Bytes message) {
-            auto unwrapped = net::unwrap(message);
+            auto unwrapped = net::unwrap_view(message);
             if (!unwrapped) return;
             auto decoded = decode_message(unwrapped->second);
             if (!decoded) return;

@@ -60,20 +60,24 @@ TEST(Fabric, DropsForDetachedEndpoint) {
 
 TEST(Envelope, WrapUnwrapRoundTrip) {
     const Bytes wrapped = wrap(Channel::TroxyCache, to_bytes("payload"));
-    const auto unwrapped = unwrap(wrapped);
+    const auto unwrapped = unwrap_view(wrapped);
     ASSERT_TRUE(unwrapped.has_value());
     EXPECT_EQ(unwrapped->first, Channel::TroxyCache);
-    EXPECT_EQ(unwrapped->second, to_bytes("payload"));
+    EXPECT_EQ(to_string(unwrapped->second), "payload");
 }
 
 TEST(Envelope, RejectsUnknownChannelAndEmpty) {
-    EXPECT_FALSE(unwrap(Bytes{}).has_value());
-    EXPECT_FALSE(unwrap(Bytes{0xee, 1, 2}).has_value());
+    EXPECT_FALSE(unwrap_view(Bytes{}).has_value());
+    EXPECT_FALSE(unwrap_view(Bytes{0xee, 1, 2}).has_value());
 }
 
 TEST(ClientFraming, RoundTrip) {
-    const Bytes framed = frame_client(ClientFrame::Record, to_bytes("data"));
-    const auto unframed = unframe_client(framed);
+    sim::BufferPool pool;
+    const Bytes framed =
+        client_frame(ClientFrame::Record, to_bytes("data"), pool);
+    const auto wrapped = unwrap_view(framed);
+    ASSERT_TRUE(wrapped && wrapped->first == Channel::Client);
+    const auto unframed = unframe_client(wrapped->second);
     ASSERT_TRUE(unframed.has_value());
     EXPECT_EQ(unframed->first, ClientFrame::Record);
     EXPECT_EQ(to_string(unframed->second), "data");
@@ -395,6 +399,7 @@ struct SessionRig {
     crypto::X25519Keypair identity =
         crypto::x25519_keypair_from_seed(to_bytes("sessions-identity"));
     ClientSessions sessions{identity};
+    sim::BufferPool pool;
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto{kNative, meter};
 
@@ -403,7 +408,7 @@ struct SessionRig {
         SecureChannelClient channel(identity.public_key, to_bytes(seed));
         const auto frame = sessions.accept(crypto, client,
                                            channel.client_hello(),
-                                           to_bytes("prefix"));
+                                           to_bytes("prefix"), pool);
         EXPECT_TRUE(frame.has_value());
         if (!frame) return channel;
         const auto wrapped = unwrap_view(*frame);
@@ -456,7 +461,7 @@ TEST(ClientSessions, MalformedHelloDropsTheSession) {
     rig.connect(7, "client");
     EXPECT_FALSE(rig.sessions
                      .accept(rig.crypto, 7, to_bytes("short"),
-                             to_bytes("prefix"))
+                             to_bytes("prefix"), rig.pool)
                      .has_value());
     EXPECT_EQ(rig.sessions.find(7), nullptr);
     EXPECT_EQ(rig.sessions.accepted(), 1u);
@@ -581,7 +586,9 @@ TEST(ClientSessions, ServeFrameHandshakesAndOpensRecords) {
     EXPECT_EQ(node.busy_time(), 0);
 
     SecureChannelClient client(rig.identity.public_key, to_bytes("c"));
-    serve(frame_client(ClientFrame::Hello, client.client_hello()));
+    const Bytes hello_frame = client_frame(
+        ClientFrame::Hello, client.client_hello(), network.pool());
+    serve(unwrap_view(hello_frame)->second);
     ASSERT_EQ(to_client.size(), 1u);
     const auto hello = unframe_client(unwrap_view(to_client[0])->second);
     ASSERT_TRUE(hello && hello->first == ClientFrame::ServerHello);
@@ -589,7 +596,9 @@ TEST(ClientSessions, ServeFrameHandshakesAndOpensRecords) {
 
     const sim::Duration after_hello = node.busy_time();
     const Bytes record = client.protect(to_bytes("q"));
-    serve(frame_client(ClientFrame::Record, record));
+    const Bytes record_frame =
+        client_frame(ClientFrame::Record, record, network.pool());
+    serve(unwrap_view(record_frame)->second);
     EXPECT_EQ(requests, std::vector<Bytes>{to_bytes("q")});
     // The dispatch and the record's AEAD pass.
     EXPECT_EQ(node.busy_time() - after_hello,
@@ -604,7 +613,7 @@ TEST(Envelope, BundleRoundTrip) {
         wrap(Channel::Client, to_bytes("p2")),
         wrap(Channel::Hybster, to_bytes("p3"))};
     const Bytes bundle = make_bundle(frames);
-    const auto unwrapped = unwrap(bundle);
+    const auto unwrapped = unwrap_view(bundle);
     ASSERT_TRUE(unwrapped.has_value());
     EXPECT_EQ(unwrapped->first, Channel::Bundle);
     std::vector<ByteView> inner;
@@ -702,7 +711,7 @@ TEST(Outbox, CoalescesDestinationBurstsIntoOneBundle) {
 
     // The three messages to node 2 travelled as ONE Bundle frame.
     ASSERT_EQ(at_two.size(), 1u);
-    const auto unwrapped = unwrap(at_two[0]);
+    const auto unwrapped = unwrap_view(at_two[0]);
     ASSERT_TRUE(unwrapped.has_value());
     EXPECT_EQ(unwrapped->first, Channel::Bundle);
     std::vector<ByteView> inner;
@@ -716,6 +725,47 @@ TEST(Outbox, CoalescesDestinationBurstsIntoOneBundle) {
     // (batch-1 wire traffic is identical to the uncoalesced path).
     ASSERT_EQ(at_three.size(), 1u);
     EXPECT_EQ(at_three[0], wrap(Channel::Hybster, to_bytes("solo")));
+}
+
+// A coalesced flush of k frames to one peer copies them into one Bundle
+// and banks each member buffer in the network pool; the Bundle itself is
+// drawn from the pool, so a pool stocked with one buffer of its class
+// serves it without allocating.
+TEST(Outbox, CoalescedMembersReturnToThePool) {
+    sim::Simulator sim;
+    sim::Network network(sim);
+    Fabric fabric(sim, network);
+    sim::Node node(sim, 1, "n", 1);
+    std::vector<Bytes> arrived;
+    fabric.attach(2, [&](sim::NodeId, Bytes m) {
+        arrived.push_back(std::move(m));
+    });
+
+    constexpr std::size_t kMembers = 3;
+    std::vector<Bytes> members;
+    for (std::size_t i = 0; i < kMembers; ++i) {
+        members.push_back(
+            wrap(Channel::Hybster, Bytes(199, static_cast<std::uint8_t>(i))));
+    }
+    const Bytes expected = make_bundle(members);
+    Bytes stock;
+    stock.reserve(sim::BufferPool::kClassSizes[2]);  // the Bundle's class
+    ASSERT_GT(stock.capacity(), expected.size());
+    network.pool().release(std::move(stock));
+    const sim::BufferPool::Stats before = network.pool().stats();
+
+    Outbox outbox(fabric, node, /*coalesce=*/true);
+    for (Bytes& member : members) outbox.send(2, std::move(member));
+    enclave::CostMeter meter;
+    outbox.flush(meter);
+
+    const sim::BufferPool::Stats after = network.pool().stats();
+    EXPECT_EQ(after.recycled - before.recycled, kMembers);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    EXPECT_EQ(after.misses, before.misses);
+    sim.run();
+    ASSERT_EQ(arrived.size(), 1u);
+    EXPECT_EQ(arrived[0], expected);
 }
 
 TEST(Outbox, RecordCostChargedPerBurstNotPerMessage) {
@@ -795,7 +845,7 @@ TEST(Envelope, BundleZeroLengthMessageRoundTrip) {
     const std::vector<Bytes> frames = {
         Bytes{}, wrap(Channel::Hybster, to_bytes("x")), Bytes{}};
     const Bytes bundle = make_bundle(frames);
-    const auto unwrapped = unwrap(bundle);
+    const auto unwrapped = unwrap_view(bundle);
     ASSERT_TRUE(unwrapped.has_value());
     std::vector<ByteView> inner;
     ASSERT_TRUE(unbundle(unwrapped->second, inner));
@@ -810,7 +860,7 @@ TEST(Envelope, BundleCountAtU16Limit) {
     // the frame still splits back into every member.
     std::vector<Bytes> frames(kMaxBundleMessages);
     const Bytes bundle = make_bundle(frames);
-    const auto unwrapped = unwrap(bundle);
+    const auto unwrapped = unwrap_view(bundle);
     ASSERT_TRUE(unwrapped.has_value());
     std::vector<ByteView> inner;
     ASSERT_TRUE(unbundle(unwrapped->second, inner));
@@ -823,7 +873,7 @@ TEST(Envelope, BundleTruncatedLengthPrefixRejectedAsUnit) {
     // delivered on its own.
     const std::vector<Bytes> frames = {to_bytes("aa"), to_bytes("bb")};
     const Bytes bundle = make_bundle(frames);
-    const auto unwrapped = unwrap(bundle);
+    const auto unwrapped = unwrap_view(bundle);
     ASSERT_TRUE(unwrapped.has_value());
     const ByteView payload = unwrapped->second;
     // payload = u16 count ‖ u32 len ‖ "aa" ‖ u32 len ‖ "bb"
@@ -853,7 +903,7 @@ TEST(Envelope, BundleSplitEncodeRoundTripProperty) {
             frames.push_back(std::move(m));
         }
         const Bytes reference = make_bundle(frames);
-        const auto unwrapped = unwrap(reference);
+        const auto unwrapped = unwrap_view(reference);
         ASSERT_TRUE(unwrapped.has_value());
         ASSERT_TRUE(unbundle(unwrapped->second, inner));
         EXPECT_EQ(owned(inner), frames);

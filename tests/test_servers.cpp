@@ -75,9 +75,8 @@ TEST(StandaloneServer, ReconnectAfterGarbageRecord) {
         // Raw garbage straight onto the wire first.
         cluster.fabric().send(
             1000, 1,
-            net::wrap(net::Channel::Client,
-                      net::frame_client(net::ClientFrame::Record,
-                                        to_bytes("garbage"))));
+            net::client_frame(net::ClientFrame::Record, to_bytes("garbage"),
+                              cluster.network().pool()));
         client.send(EchoService::make_write(1, 64),
                     [&](Bytes) { done = true; });
     });

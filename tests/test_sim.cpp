@@ -548,5 +548,27 @@ TEST(BufferPool, OversizeAndTinyBuffersAreDiscarded) {
     EXPECT_EQ(pool.stats().recycled, 0u);
 }
 
+// Each class banks buffers up to its byte budget: a full class discards
+// the next release, and one acquire frees room for one more buffer.
+TEST(BufferPool, ClassRetainsAtMostItsByteBudget) {
+    BufferPool pool;
+    constexpr std::size_t kTop = BufferPool::kClassSizes.back();
+    constexpr std::size_t kFits = BufferPool::kClassBudgetBytes / kTop;
+    std::vector<Bytes> frames;
+    for (std::size_t i = 0; i <= kFits; ++i) {
+        frames.push_back(pool.acquire_empty(kTop));
+    }
+    for (std::size_t i = 0; i < kFits; ++i) {
+        EXPECT_TRUE(pool.release_counted(std::move(frames[i])));
+    }
+    EXPECT_FALSE(pool.release_counted(std::move(frames[kFits])));
+
+    Bytes reused = pool.acquire_empty(kTop);
+    EXPECT_EQ(pool.stats().hits, 1u);
+    EXPECT_TRUE(pool.release_counted(std::move(reused)));
+    EXPECT_EQ(pool.stats().recycled, kFits + 1);
+    EXPECT_EQ(pool.stats().discarded, 1u);
+}
+
 }  // namespace
 }  // namespace troxy::sim

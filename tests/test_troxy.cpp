@@ -17,6 +17,7 @@
 #include "net/client_framing.hpp"
 #include "net/envelope.hpp"
 #include "net/secure_channel.hpp"
+#include "sim/pool.hpp"
 #include "troxy/cache.hpp"
 #include "troxy/cache_messages.hpp"
 #include "troxy/enclave.hpp"
@@ -409,6 +410,7 @@ struct VotingRig {
 
     hybster::Config config;
     sim::CostProfile profile = sim::CostProfile::native();
+    sim::BufferPool pool;
     std::shared_ptr<enclave::TrinX> local_trinx;
     std::vector<std::unique_ptr<enclave::TrinX>> peer_trinx;
     crypto::X25519Keypair identity =
@@ -434,7 +436,7 @@ struct VotingRig {
         }
         enclave = std::make_unique<TroxyEnclave>(
             kHostNode, 0, config, local_trinx, identity,
-            std::move(classifier), profile, options, /*seed=*/7);
+            std::move(classifier), profile, options, /*seed=*/7, pool);
 
         connect("client-seed");
     }
@@ -454,7 +456,7 @@ struct VotingRig {
         std::vector<Bytes> replies;
         for (const auto& [to, bytes] : actions.sends) {
             EXPECT_EQ(to, kClientNode);
-            const auto unwrapped = net::unwrap(bytes);
+            const auto unwrapped = net::unwrap_view(bytes);
             EXPECT_TRUE(unwrapped.has_value());
             const auto frame = net::unframe_client(unwrapped->second);
             EXPECT_TRUE(frame.has_value());
@@ -468,7 +470,7 @@ struct VotingRig {
     /// Extracts the client-frame payload of the single queued send.
     Bytes unframe(const TroxyActions& actions) {
         EXPECT_EQ(actions.sends.size(), 1u);
-        const auto unwrapped = net::unwrap(actions.sends[0].second);
+        const auto unwrapped = net::unwrap_view(actions.sends[0].second);
         EXPECT_TRUE(unwrapped.has_value());
         EXPECT_EQ(unwrapped->first, net::Channel::Client);
         const auto frame = net::unframe_client(unwrapped->second);
@@ -774,6 +776,7 @@ struct FastReadRig {
 
     hybster::Config config;
     sim::CostProfile profile = sim::CostProfile::native();
+    sim::BufferPool pool;
     std::shared_ptr<enclave::TrinX> contact_trinx;
     std::shared_ptr<enclave::TrinX> remote_trinx;
     crypto::X25519Keypair identity =
@@ -795,11 +798,11 @@ struct FastReadRig {
         };
         contact = std::make_unique<TroxyEnclave>(
             kContactNode, 0, config, contact_trinx, identity, classifier,
-            profile, options, /*seed=*/11);
+            profile, options, /*seed=*/11, pool);
         remote = std::make_unique<TroxyEnclave>(
             kRemoteNode, 1, config, remote_trinx,
             crypto::x25519_keypair_from_seed(to_bytes("fastread-rig-remote")),
-            classifier, profile, options, /*seed=*/12);
+            classifier, profile, options, /*seed=*/12, pool);
 
         channel.emplace(identity.public_key, to_bytes("client-seed"));
         auto actions = contact->accept_connection(meter, kClientNode,
@@ -852,7 +855,7 @@ struct FastReadRig {
     /// Extracts the client-frame payload of the single queued send.
     Bytes unframe(const TroxyActions& actions) {
         EXPECT_EQ(actions.sends.size(), 1u);
-        const auto unwrapped = net::unwrap(actions.sends[0].second);
+        const auto unwrapped = net::unwrap_view(actions.sends[0].second);
         EXPECT_TRUE(unwrapped.has_value());
         EXPECT_EQ(unwrapped->first, net::Channel::Client);
         const auto frame = net::unframe_client(unwrapped->second);
@@ -863,7 +866,7 @@ struct FastReadRig {
     /// Decodes a queued send as a TroxyCache-channel message.
     CacheMessage decode_cache_send(
         const std::pair<sim::NodeId, Bytes>& send) {
-        const auto unwrapped = net::unwrap(send.second);
+        const auto unwrapped = net::unwrap_view(send.second);
         EXPECT_TRUE(unwrapped.has_value());
         EXPECT_EQ(unwrapped->first, net::Channel::TroxyCache);
         auto message = decode_cache_message(unwrapped->second);
@@ -1395,8 +1398,8 @@ TEST(TroxyHost, ReplySlotsCountOnlyValidRepliesOfABundle) {
         auto misrouted = std::get<hybster::Reply>(*hybster::decode_message(
             net::unwrap_view(first[0])->second));
         misrouted.request_id.client = self + 1;
-        const Bytes misrouted_frame =
-            hybster::encode_frame(net::Channel::Hybster, misrouted);
+        const Bytes misrouted_frame = hybster::encode_frame(
+            net::Channel::Hybster, misrouted, cluster.network().pool());
 
         const auto status = [&host]() { return host.status().troxy; };
         const auto deliver = [&](Bytes frame) {
