@@ -55,7 +55,8 @@ int main() {
             result.row.label =
                 "threshold " +
                 std::to_string(static_cast<int>(threshold * 100)) +
-                "% (switches " + std::to_string(result.mode_switches) + ")";
+                "% (switches " +
+                std::to_string(result.troxy.mode_switches) + ")";
             rows.push_back(result.row);
         }
         print_table("miss threshold", rows);

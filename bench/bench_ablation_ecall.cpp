@@ -38,7 +38,7 @@ int main() {
         std::printf("  [%s] %llu ecall transitions\n",
                     result.row.label.c_str(),
                     static_cast<unsigned long long>(
-                        result.enclave_transitions));
+                        result.troxy.enclave_transitions));
         rows.push_back(result.row);
     }
     print_table("transition-cost sweep", rows);
@@ -55,13 +55,14 @@ int main() {
             MicroResult result = run_micro(SystemKind::ETroxy, swept);
             result.row.label =
                 "etroxy, voter batch " + std::to_string(voter);
+            const auto& t = result.troxy;
             std::printf(
                 "  [%s] %llu ecall transitions (%llu reply batches, "
                 "%llu batched replies)\n",
                 result.row.label.c_str(),
-                static_cast<unsigned long long>(result.enclave_transitions),
-                static_cast<unsigned long long>(result.reply_batches),
-                static_cast<unsigned long long>(result.batched_replies));
+                static_cast<unsigned long long>(t.enclave_transitions),
+                static_cast<unsigned long long>(t.reply_batches),
+                static_cast<unsigned long long>(t.batched_replies));
             vote_rows.push_back(result.row);
         }
         print_table("batched voter (calibrated transition cost)",
@@ -87,21 +88,20 @@ int main() {
             MicroResult result = run_micro(SystemKind::ETroxy, swept);
             result.row.label =
                 "etroxy, read batch " + std::to_string(read_batch);
+            const auto& t = result.troxy;
             const double per_request =
                 result.row.throughput > 0.0
-                    ? static_cast<double>(result.enclave_transitions) /
-                          (result.fast_read_hits + result.ordered_requests +
-                           1.0)
+                    ? static_cast<double>(t.enclave_transitions) /
+                          (t.fast_read_hits + t.ordered_requests + 1.0)
                     : 0.0;
             std::printf(
                 "  [%s] %llu ecall transitions (%.2f per served request; "
                 "%llu query batches / %llu batched queries)\n",
                 result.row.label.c_str(),
-                static_cast<unsigned long long>(result.enclave_transitions),
+                static_cast<unsigned long long>(t.enclave_transitions),
                 per_request,
-                static_cast<unsigned long long>(result.cache_query_batches),
-                static_cast<unsigned long long>(
-                    result.batched_cache_queries));
+                static_cast<unsigned long long>(t.cache_query_batches),
+                static_cast<unsigned long long>(t.batched_cache_queries));
             read_rows.push_back(result.row);
         }
         print_table("batched fast reads (calibrated transition cost)",

@@ -123,6 +123,7 @@ int main(int argc, char** argv) {
                                    std::to_string(read_batch) + " b=" +
                                    std::to_string(order);
                 if (read_batch == 1) base_throughput = result.row.throughput;
+                const auto& t = result.troxy;
                 std::printf(
                     "  [%s] %.0f req/s (%.2fx vs r=1)  transitions=%llu "
                     "qbatches=%llu/%llu rbatches=%llu/%llu hits=%llu "
@@ -131,17 +132,12 @@ int main(int argc, char** argv) {
                     base_throughput > 0.0
                         ? result.row.throughput / base_throughput
                         : 0.0,
-                    static_cast<unsigned long long>(
-                        result.enclave_transitions),
-                    static_cast<unsigned long long>(
-                        result.cache_query_batches),
-                    static_cast<unsigned long long>(
-                        result.batched_cache_queries),
-                    static_cast<unsigned long long>(
-                        result.cache_response_batches),
-                    static_cast<unsigned long long>(
-                        result.batched_cache_responses),
-                    static_cast<unsigned long long>(result.fast_read_hits),
+                    static_cast<unsigned long long>(t.enclave_transitions),
+                    static_cast<unsigned long long>(t.cache_query_batches),
+                    static_cast<unsigned long long>(t.batched_cache_queries),
+                    static_cast<unsigned long long>(t.cache_response_batches),
+                    static_cast<unsigned long long>(t.batched_cache_responses),
+                    static_cast<unsigned long long>(t.fast_read_hits),
                     static_cast<unsigned long long>(result.wire_messages));
                 rows.push_back(result.row);
                 samples.push_back(Sample{system_name(system), read_batch,
@@ -195,6 +191,7 @@ int main(int argc, char** argv) {
                 base = t.result.row.throughput;
             }
         }
+        const auto& troxy = s.result.troxy;
         std::fprintf(
             json,
             "    {\"system\": \"%s\", \"read_batch\": %zu, "
@@ -212,18 +209,15 @@ int main(int argc, char** argv) {
             s.result.row.throughput, s.result.row.mean_ms,
             s.result.row.p50_ms, s.result.row.p99_ms,
             base > 0.0 ? s.result.row.throughput / base : 0.0,
-            static_cast<unsigned long long>(s.result.enclave_transitions),
-            static_cast<unsigned long long>(s.result.fast_read_hits),
-            static_cast<unsigned long long>(s.result.fast_read_conflicts),
-            static_cast<unsigned long long>(s.result.cache_query_batches),
-            static_cast<unsigned long long>(s.result.batched_cache_queries),
-            static_cast<unsigned long long>(
-                s.result.cache_response_batches),
-            static_cast<unsigned long long>(
-                s.result.batched_cache_responses),
-            static_cast<unsigned long long>(s.result.reply_auth_batches),
-            static_cast<unsigned long long>(
-                s.result.batch_authenticated_replies),
+            static_cast<unsigned long long>(troxy.enclave_transitions),
+            static_cast<unsigned long long>(troxy.fast_read_hits),
+            static_cast<unsigned long long>(troxy.fast_read_conflicts),
+            static_cast<unsigned long long>(troxy.cache_query_batches),
+            static_cast<unsigned long long>(troxy.batched_cache_queries),
+            static_cast<unsigned long long>(troxy.cache_response_batches),
+            static_cast<unsigned long long>(troxy.batched_cache_responses),
+            static_cast<unsigned long long>(troxy.reply_auth_batches),
+            static_cast<unsigned long long>(troxy.batch_authenticated_replies),
             static_cast<unsigned long long>(s.result.wire_messages),
             static_cast<unsigned long long>(s.result.wire_bytes),
             i + 1 < samples.size() ? "," : "");

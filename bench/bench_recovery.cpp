@@ -12,8 +12,8 @@
 //                  The headline `incremental_ratio` (bytes shipped /
 //                  monolithic bytes) is gated < 0.25 in CI.
 //   resume       — a loss window swallows part of the chunk stream; the
-//                  state_transfer_retry re-requests with the banked chunk
-//                  hashes, so the transfer resumes instead of restarting.
+//                  250 ms state-transfer retry re-requests with the banked
+//                  chunk hashes, so the transfer resumes, not restarts.
 //   rolling      — run_chaos with rolling_restart: every replica host is
 //                  crash/restarted in sequence and every enclave
 //                  proactively recovered under an open client loop, with
@@ -93,7 +93,6 @@ TroxyCluster::Params transfer_params(std::uint64_t seed, int chunks_per_msg) {
     params.base.state_chunk_size = 128;
     params.base.state_chunks_per_message =
         static_cast<std::size_t>(chunks_per_msg);
-    params.base.state_transfer_retry = sim::milliseconds(250);
     params.service = []() { return std::make_unique<EchoService>(); };
     params.classifier = [](ByteView request) {
         return EchoService().classify(request);

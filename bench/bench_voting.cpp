@@ -109,6 +109,7 @@ int main(int argc, char** argv) {
                                    std::to_string(voter) + " b=" +
                                    std::to_string(order);
                 if (voter == 1) base_throughput = result.row.throughput;
+                const auto& t = result.troxy;
                 std::printf(
                     "  [%s] %.0f req/s (%.2fx vs v=1)  "
                     "transitions=%llu batches=%llu/%llu wire=%llu\n",
@@ -116,10 +117,9 @@ int main(int argc, char** argv) {
                     base_throughput > 0.0
                         ? result.row.throughput / base_throughput
                         : 0.0,
-                    static_cast<unsigned long long>(
-                        result.enclave_transitions),
-                    static_cast<unsigned long long>(result.reply_batches),
-                    static_cast<unsigned long long>(result.batched_replies),
+                    static_cast<unsigned long long>(t.enclave_transitions),
+                    static_cast<unsigned long long>(t.reply_batches),
+                    static_cast<unsigned long long>(t.batched_replies),
                     static_cast<unsigned long long>(result.wire_messages));
                 rows.push_back(result.row);
                 samples.push_back(Sample{system_name(system), voter, order,
@@ -183,9 +183,9 @@ int main(int argc, char** argv) {
             s.result.row.throughput, s.result.row.mean_ms,
             s.result.row.p50_ms, s.result.row.p99_ms,
             base > 0.0 ? s.result.row.throughput / base : 0.0,
-            static_cast<unsigned long long>(s.result.enclave_transitions),
-            static_cast<unsigned long long>(s.result.reply_batches),
-            static_cast<unsigned long long>(s.result.batched_replies),
+            static_cast<unsigned long long>(s.result.troxy.enclave_transitions),
+            static_cast<unsigned long long>(s.result.troxy.reply_batches),
+            static_cast<unsigned long long>(s.result.troxy.batched_replies),
             static_cast<unsigned long long>(s.result.wire_messages),
             static_cast<unsigned long long>(s.result.wire_bytes),
             i + 1 < samples.size() ? "," : "");

@@ -6,6 +6,13 @@
 
 namespace troxy::baselines {
 
+namespace {
+
+/// How long a READ-ONE waits for its replica before it is ordered.
+constexpr sim::Duration kFastReadTimeout = sim::milliseconds(100);
+
+}  // namespace
+
 ProphecyMiddlebox::ProphecyMiddlebox(
     net::Fabric& fabric, sim::Node& node, hybster::Config config,
     std::vector<crypto::X25519Key> pinned_keys,
@@ -19,8 +26,7 @@ ProphecyMiddlebox::ProphecyMiddlebox(
       profile_(profile),
       options_(options),
       bft_client_(fabric, node, std::move(config), std::move(pinned_keys),
-                  std::move(replica_keys), profile,
-                  {.retransmit_timeout = sim::milliseconds(2000)}),
+                  std::move(replica_keys), profile, {}),
       sessions_(channel_identity),
       rng_(seed ^ 0x70726f7068ULL) {}
 
@@ -108,7 +114,7 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
     // outcomes exclusive — a reply that lands later is dropped, so the
     // ticket is released once.
     fabric_.simulator().after(
-        options_.fast_read_timeout,
+        kFastReadTimeout,
         [this, number, to, request = std::move(app_request)]() mutable {
             if (!bft_client_.cancel(number)) return;  // answered in time
             ++stats_.fast_timeouts;

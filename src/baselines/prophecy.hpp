@@ -11,7 +11,7 @@
 // full ordered read — but a lagging (correct-but-stale) replica matching
 // a stale sketch returns a stale result: weak consistency (the reply
 // "reflects the state of the latest read"). A fast-path replica that does
-// not answer within fast_read_timeout is treated like a mismatch.
+// not answer within 100 ms is treated like a mismatch.
 //
 // Runs on PBFT with 3f+1 replicas, per Table I: hybster::Replica in its
 // PBFT profile, reached through the traditional BFT client library
@@ -32,14 +32,13 @@ class ProphecyMiddlebox {
   public:
     struct Options {
         std::size_t sketch_capacity = 1u << 16;
-        sim::Duration fast_read_timeout = sim::milliseconds(100);
     };
 
     struct Stats {
         std::uint64_t fast_hits = 0;
         std::uint64_t sketch_misses = 0;
         std::uint64_t fast_conflicts = 0;
-        /// Fast reads whose replica stayed silent past fast_read_timeout.
+        /// Fast reads whose replica stayed silent past the timeout.
         std::uint64_t fast_timeouts = 0;
         std::uint64_t ordered = 0;
     };

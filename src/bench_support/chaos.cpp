@@ -15,6 +15,10 @@ namespace {
 
 using apps::EchoService;
 
+/// How long each host stays down in a rolling restart (clamped below the
+/// per-host gap so at most one host is ever down).
+constexpr sim::Duration kRollingDowntime = sim::milliseconds(400);
+
 /// Linearizability checking state for the echo service: a per-key
 /// low-water mark of versions the clients have collectively observed as
 /// committed. Any later reply must be at or above the mark that held when
@@ -91,8 +95,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
             (options.heal_by - options.fault_start) /
             static_cast<sim::Duration>(total_hosts);
         const sim::Duration down =
-            std::min<sim::Duration>(options.rolling_downtime,
-                                    gap > 1 ? gap - 1 : 1);
+            std::min<sim::Duration>(kRollingDowntime, gap > 1 ? gap - 1 : 1);
         for (int i = 0; i < total_hosts; ++i) {
             const sim::SimTime at =
                 options.fault_start +
@@ -107,17 +110,11 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         random.start = options.fault_start;
         random.heal_by = options.heal_by;
         random.hosts = total_hosts;
-        random.max_concurrent_crashes = cluster.config().f;
         for (int s = 0; s < cluster.shards(); ++s) {
             const auto& replicas = cluster.config(s).replicas;
             random.nodes.insert(random.nodes.end(), replicas.begin(),
                                 replicas.end());
         }
-        random.crash_events = options.crash_events;
-        random.partition_events = options.partition_events;
-        random.link_flap_events = options.link_flap_events;
-        random.loss_events = options.loss_events;
-        random.max_loss = options.max_loss;
         plan = sim::FaultPlan::random(plan_rng, random);
     }
     report.plan_trace = plan.describe();
@@ -303,6 +300,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     for (auto& driver : drivers) {
         report.failovers += driver->client->failovers();
     }
+    troxy_core::TroxyEnclave::Status troxy;
     for (int h = 0; h < total_hosts; ++h) {
         auto& host = cluster.host(h / n, h % n);
         report.view_changes =
@@ -311,22 +309,15 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         report.restarts += host.restarts();
         const auto status = host.status();
         report.enclave_recoveries += status.enclave_recoveries;
-        report.fast_read_hits += status.troxy.fast_read_hits;
-        report.fast_read_misses += status.troxy.fast_read_misses;
-        report.fast_read_conflicts += status.troxy.fast_read_conflicts;
-        report.st_bytes_sent += status.state.bytes_sent;
-        report.st_bytes_full += status.state.bytes_full;
-        report.st_chunks_sent += status.state.chunks_sent;
-        report.st_chunks_skipped += status.state.chunks_skipped;
-        report.st_chunks_reused += status.state.chunks_reused;
+        troxy.add_counters(status.troxy);
         report.st_transfers_resumed += status.state.transfers_resumed;
     }
-    const std::uint64_t fast_reads = report.fast_read_hits +
-                                     report.fast_read_misses +
-                                     report.fast_read_conflicts;
+    const std::uint64_t fast_reads = troxy.fast_read_hits +
+                                     troxy.fast_read_misses +
+                                     troxy.fast_read_conflicts;
     report.fast_read_hit_rate =
         fast_reads == 0 ? 0.0
-                        : static_cast<double>(report.fast_read_hits) /
+                        : static_cast<double>(troxy.fast_read_hits) /
                               static_cast<double>(fast_reads);
     if (options.fastread_hitrate_floor > 0.0 &&
         report.fast_read_hit_rate < options.fastread_hitrate_floor) {
@@ -339,87 +330,31 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     }
 
     if (shard_count > 1) {
-        // Aggregate over the front tier: counters sum (fronts are
-        // independent), peaks take the max, latency percentiles merge
-        // every front's raw samples.
-        std::vector<troxy_core::ShardFrontHost::Status> front_statuses;
-        std::vector<sim::Duration> merged_latencies;
+        // Counters sum over the front tier (fronts are independent).
         report.front_count = cluster.front_count();
+        report.shards.resize(static_cast<std::size_t>(shard_count));
         for (int f = 0; f < cluster.front_count(); ++f) {
             auto& front = cluster.front(f);
-            front_statuses.push_back(front.status());
-            const auto& status = front_statuses.back();
+            const auto status = front.status();
             report.cross_shard_commits += status.cross_shard_commits;
-            report.front_requests += status.requests;
-            report.front_released += status.released;
-            report.front_failovers += status.upstream_failovers;
             report.router_fanout = status.router_fanout;
             report.front_restarts += front.restarts();
-            report.cross_lock_waits += status.cross_lock_waits;
-            report.cross_inflight_peak = std::max(
-                report.cross_inflight_peak, status.cross_inflight_peak);
-            merged_latencies.insert(merged_latencies.end(),
-                                    front.cross_latencies().begin(),
-                                    front.cross_latencies().end());
-        }
-        if (!merged_latencies.empty()) {
-            std::sort(merged_latencies.begin(), merged_latencies.end());
-            auto at = [&](double p) {
-                const double rank =
-                    p * static_cast<double>(merged_latencies.size() - 1);
-                const auto index = std::min(
-                    static_cast<std::size_t>(rank + 0.5),
-                    merged_latencies.size() - 1);
-                return sim::to_millis(merged_latencies[index]);
-            };
-            report.cross_p50_ms = at(0.50);
-            report.cross_p99_ms = at(0.99);
-        }
-        for (int s = 0; s < shard_count; ++s) {
-            ShardChaosReport shard;
-            for (const auto& status : front_statuses) {
-                const auto& front_shard =
-                    status.shards[static_cast<std::size_t>(s)];
-                shard.forwarded += front_shard.forwarded;
-                shard.replies += front_shard.replies;
-                shard.reads += front_shard.reads;
-                shard.writes += front_shard.writes;
-                shard.cross_participations +=
-                    front_shard.cross_participations;
+            for (int s = 0; s < shard_count; ++s) {
+                report.shards[static_cast<std::size_t>(s)].forwarded +=
+                    status.shards[static_cast<std::size_t>(s)].forwarded;
             }
-            for (int i = 0; i < n; ++i) {
-                auto& host = cluster.host(s, i);
-                const auto status = host.status();
-                shard.fast_read_hits += status.troxy.fast_read_hits;
-                shard.fast_read_misses += status.troxy.fast_read_misses;
-                shard.fast_read_conflicts +=
-                    status.troxy.fast_read_conflicts;
-                shard.view_changes = std::max(
-                    shard.view_changes, host.replica().view_changes());
-                shard.state_transfers += host.replica().state_transfers();
-            }
-            const std::uint64_t shard_reads = shard.fast_read_hits +
-                                              shard.fast_read_misses +
-                                              shard.fast_read_conflicts;
-            shard.fast_read_hit_rate =
-                shard_reads == 0
-                    ? 0.0
-                    : static_cast<double>(shard.fast_read_hits) /
-                          static_cast<double>(shard_reads);
-            report.shards.push_back(shard);
         }
     }
 
     report.messages_sent = cluster.network().messages_sent();
     report.bytes_sent = cluster.network().bytes_sent();
     report.drops = cluster.network().drops();
-    report.pool = cluster.network().pool().stats();
-    const std::uint64_t pool_lookups = report.pool.hits + report.pool.misses;
+    const sim::BufferPool::Stats pool = cluster.network().pool().stats();
+    const std::uint64_t pool_lookups = pool.hits + pool.misses;
     report.pool_hit_rate =
         pool_lookups == 0 ? 0.0
-                          : static_cast<double>(report.pool.hits) /
+                          : static_cast<double>(pool.hits) /
                                 static_cast<double>(pool_lookups);
-    report.wire = cluster.network().wire_stats();
     return report;
 }
 

@@ -30,7 +30,6 @@
 #include "hybster/config.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
-#include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "troxy/host.hpp"
@@ -66,12 +65,10 @@ struct ChaosOptions : hybster::PipelineOptions,
 
     // Rolling-restart mode: instead of a random plan, crash and restart
     // every host in sequence inside [fault_start, heal_by] — a rolling
-    // upgrade under load. Combine with enclave_recovery_period to also
-    // recover every enclave during the run.
+    // upgrade under load, each host down for 400 ms or less. Combine with
+    // enclave_recovery_period to also recover every enclave during the
+    // run.
     bool rolling_restart = false;
-    /// How long each host stays down during its rolling slot (must stay
-    /// below the per-host gap so at most one host is ever down).
-    sim::Duration rolling_downtime = sim::milliseconds(400);
 
     /// Minimum acceptable aggregate fast-read hit rate
     /// (hits / (hits + misses + conflicts)) after the run; 0 disables the
@@ -114,29 +111,14 @@ struct ChaosOptions : hybster::PipelineOptions,
     sim::SimTime horizon = sim::seconds(30);
 
     /// Explicit schedule; when empty, a random plan is generated from the
-    /// seed with the event counts below.
+    /// seed (sim::FaultPlan::random: one crash, partition, link flap and
+    /// loss window each).
     sim::FaultPlan plan;
-    int crash_events = 1;
-    int partition_events = 1;
-    int link_flap_events = 1;
-    int loss_events = 1;
-    double max_loss = 0.3;
 };
 
-/// Per-shard observability for sharded chaos runs: the front's routing
-/// counters merged with the shard's replica-group recovery counters.
+/// Per-shard observability for sharded chaos runs.
 struct ShardChaosReport {
-    std::uint64_t forwarded = 0;  // requests the front routed here
-    std::uint64_t replies = 0;    // shard-local replies released
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t cross_participations = 0;
-    std::uint64_t fast_read_hits = 0;
-    std::uint64_t fast_read_misses = 0;
-    std::uint64_t fast_read_conflicts = 0;
-    double fast_read_hit_rate = 0.0;
-    std::uint64_t view_changes = 0;     // max over the shard's replicas
-    std::uint64_t state_transfers = 0;  // sum over the shard's replicas
+    std::uint64_t forwarded = 0;  // requests the front tier routed here
 };
 
 struct ChaosReport {
@@ -153,43 +135,22 @@ struct ChaosReport {
     std::uint64_t messages_sent = 0;
     std::uint64_t bytes_sent = 0;
     sim::DropCounters drops;
-    /// Wire-path observability: payload-buffer pool hit rate and the
-    /// transport's credit stalls (zero without a credit window).
-    sim::BufferPool::Stats pool;
+    /// Share of wire-buffer acquires the network pool served from stock.
     double pool_hit_rate = 0.0;  // hits / (hits + misses)
-    sim::WireStats wire;
     std::string plan_trace;  // reproduction trace (describe() of the plan)
 
     // Recovery observability (sums over hosts unless noted).
     std::uint64_t enclave_recoveries = 0;
-    std::uint64_t fast_read_hits = 0;
-    std::uint64_t fast_read_misses = 0;
-    std::uint64_t fast_read_conflicts = 0;
     double fast_read_hit_rate = 0.0;  // hits / (hits+misses+conflicts)
-    std::uint64_t st_bytes_sent = 0;      // state-transfer bytes shipped
-    std::uint64_t st_bytes_full = 0;      // what full snapshots would cost
-    std::uint64_t st_chunks_sent = 0;
-    std::uint64_t st_chunks_skipped = 0;  // already held by the rejoiner
-    std::uint64_t st_chunks_reused = 0;   // verified from the local store
-    std::uint64_t st_transfers_resumed = 0;
+    std::uint64_t st_transfers_resumed = 0;  // state transfers resumed
 
     // Sharded-run observability (empty/zero in unsharded runs; counters
     // are sums over the front tier unless noted).
     std::uint64_t cross_shard_commits = 0;  // completed two-shard commits
     std::uint64_t multiwrites_issued = 0;   // two-key ops the workload sent
-    std::uint64_t front_requests = 0;       // classified + routed
-    std::uint64_t front_released = 0;       // replies sent downstream
-    std::uint64_t front_failovers = 0;      // upstream session failovers
     int router_fanout = 0;                  // upstream sessions (== S)
     int front_count = 0;                    // fronts in the tier
     std::uint64_t front_restarts = 0;       // front crash recoveries
-    /// Pipelined commit-engine observability: lock-table waits, peak
-    /// concurrent commits (max over fronts), and cross-commit latency
-    /// percentiles merged over every front's samples.
-    std::uint64_t cross_lock_waits = 0;
-    std::uint64_t cross_inflight_peak = 0;
-    double cross_p50_ms = 0.0;
-    double cross_p99_ms = 0.0;
     std::vector<ShardChaosReport> shards;
 
     /// Safety held and every request completed.

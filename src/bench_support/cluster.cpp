@@ -9,6 +9,11 @@ namespace troxy::bench {
 
 namespace {
 
+/// The paper testbed (§VI-A): i7-6700 machines, 4 cores with
+/// hyper-threading each, and the clients packed onto two of them.
+constexpr int kMachineCores = 8;
+constexpr int kClientMachines = 2;
+
 /// Trusted-subsystem provisioning output: the per-replica counters plus
 /// the deployment authority and expected measurement, kept around so
 /// proactive enclave recovery can run the same attestation re-handshake
@@ -114,8 +119,8 @@ ClusterBase::ClusterBase(const ClusterOptions& options)
 
 sim::Node& ClusterBase::make_server_node(const std::string& name) {
     const sim::NodeId id = next_server_id_++;
-    nodes_.push_back(std::make_unique<sim::Node>(sim_, id, name,
-                                                 options_.replica_cores));
+    nodes_.push_back(
+        std::make_unique<sim::Node>(sim_, id, name, kMachineCores));
     // Each server is its own machine with four bonded NICs.
     network_.set_nic_group(id, static_cast<int>(id),
                            options_.replica_machine_bandwidth);
@@ -131,11 +136,11 @@ sim::Node& ClusterBase::make_server_node(const std::string& name) {
 sim::Node& ClusterBase::make_client_node(const std::string& name) {
     const sim::NodeId id = next_client_id_++;
     nodes_.push_back(
-        std::make_unique<sim::Node>(sim_, id, name, options_.client_cores));
+        std::make_unique<sim::Node>(sim_, id, name, kMachineCores));
 
-    // Pack clients onto the configured number of client machines.
-    const int machine = 10'000 + (next_client_machine_++ %
-                                  std::max(1, options_.client_machines));
+    // Pack clients onto the client machines.
+    const int machine =
+        10'000 + (next_client_machine_++ % kClientMachines);
     network_.set_nic_group(id, machine, options_.client_machine_bandwidth);
 
     if (options_.wan_clients) {
@@ -181,16 +186,6 @@ TroxyCluster::TroxyCluster(Params params) : ClusterBase(params.base) {
             "TroxyCluster: front_count > 1 needs a sharded "
             "deployment (shard_count > 1) — unsharded clients contact "
             "the replicas directly");
-    }
-    if (options_.replica_budget > 0 &&
-        shards * n > options_.replica_budget) {
-        throw std::invalid_argument(
-            "TroxyCluster: " + std::to_string(shards) +
-            " shards x " + std::to_string(n) + " replicas (f=" +
-            std::to_string(options_.f) + ") = " +
-            std::to_string(shards * n) +
-            " replicas exceed the replica budget of " +
-            std::to_string(options_.replica_budget));
     }
     if (shards > 1) {
         if (params.map.shard_count() != shards) {
@@ -447,8 +442,7 @@ BaselineGroup ClusterBase::build_baseline_group(
 
 BaselineCluster::BaselineCluster(Params params)
     : ClusterBase(params.base),
-      optimistic_reads_(params.optimistic_reads),
-      client_retransmit_(params.client_retransmit) {
+      optimistic_reads_(params.optimistic_reads) {
     group_ = build_baseline_group(/*pbft=*/false, params.service, "replica");
 }
 
@@ -456,12 +450,10 @@ hybster::Client& BaselineCluster::add_client() {
     sim::Node& node = make_client_node(
         "client" + std::to_string(clients_.size()));
 
-    hybster::Client::Options client_options;
-    client_options.optimistic_reads = optimistic_reads_;
-    client_options.retransmit_timeout = client_retransmit_;
     clients_.push_back(std::make_unique<hybster::Client>(
         fabric_, node, group_.config, group_.pinned_keys(),
-        group_.client_keys(node.id()), java_, client_options));
+        group_.client_keys(node.id()), java_,
+        hybster::Client::Options{.optimistic_reads = optimistic_reads_}));
     auto* client = clients_.back().get();
     fabric_.attach(node.id(), [client, network = &fabric_.network()](
                                   sim::NodeId from, Bytes message) {

@@ -34,10 +34,7 @@ namespace troxy::bench {
 /// hybster::PipelineOptions and reach every group's Config unchanged.
 struct ClusterOptions : hybster::PipelineOptions {
     int f = 1;
-    int replica_cores = 8;  // i7-6700: 4 cores + hyper-threading
-    int client_cores = 8;
     bool wan_clients = false;  // add 100±20 ms on client links
-    int client_machines = 2;   // paper: two client machines
     double client_machine_bandwidth = 4e9;   // four 1 Gbps NICs each
     double replica_machine_bandwidth = 4e9;  // four 1 Gbps NICs
     std::uint64_t seed = 1;
@@ -57,9 +54,6 @@ struct ClusterOptions : hybster::PipelineOptions {
     /// partitioned over (TroxyCluster). 1 = the paper's unsharded
     /// deployment: one group, no front, clients contact the replicas.
     int shard_count = 1;
-    /// Upper bound on total replicas across all shards (testbed machine
-    /// budget); 0 = unlimited. shard_count * (2f+1) must fit inside it.
-    int replica_budget = 0;
     /// Independent routing fronts over the sharded deployment (fronts
     /// share no state; clients are assigned by consistent hashing).
     /// Must stay 1 when shard_count == 1, which has no front.
@@ -169,8 +163,8 @@ class TroxyCluster : public ClusterBase {
     };
 
     /// Throws std::invalid_argument when the shard knobs are inconsistent
-    /// (shard count < 1, front_count > 1 with one shard, replica budget
-    /// exceeded, map/shard mismatch, malformed boundaries).
+    /// (shard count < 1, front_count > 1 with one shard, map/shard
+    /// mismatch, malformed boundaries).
     explicit TroxyCluster(Params params);
 
     [[nodiscard]] int shards() const noexcept {
@@ -270,7 +264,6 @@ class BaselineCluster : public ClusterBase {
         ClusterOptions base;
         hybster::ServiceFactory service;
         bool optimistic_reads = false;  // PBFT-like read optimization
-        sim::Duration client_retransmit = sim::milliseconds(2000);
     };
 
     /// Throws std::invalid_argument when base sets coalesce_wire or a
@@ -295,7 +288,6 @@ class BaselineCluster : public ClusterBase {
   private:
     BaselineGroup group_;
     bool optimistic_reads_;
-    sim::Duration client_retransmit_;
     std::vector<std::unique_ptr<hybster::Client>> clients_;
 };
 

@@ -1,5 +1,7 @@
 #include "bench_support/experiments.hpp"
 
+#include <type_traits>
+
 #include "apps/echo_service.hpp"
 #include "http/http.hpp"
 #include "http/page_service.hpp"
@@ -24,10 +26,11 @@ double MicroResult::conflict_rate() const {
     }
     // Per all reads that entered the fast-read logic: hits, conservative
     // misses (ordered without conflict), and actual conflicts.
-    const std::uint64_t reads =
-        fast_read_hits + fast_read_misses + fast_read_conflicts;
+    const std::uint64_t reads = troxy.fast_read_hits +
+                                troxy.fast_read_misses +
+                                troxy.fast_read_conflicts;
     if (reads == 0) return 0.0;
-    return static_cast<double>(fast_read_conflicts) /
+    return static_cast<double>(troxy.fast_read_conflicts) /
            static_cast<double>(reads);
 }
 
@@ -64,6 +67,44 @@ ClusterOptions base_options(const MicroParams& params) {
     return options;
 }
 
+Row make_row(std::string label, const Recorder& recorder) {
+    Row row;
+    row.label = std::move(label);
+    row.throughput = recorder.throughput_per_sec();
+    row.mean_ms = recorder.mean_latency_ms();
+    row.p50_ms = recorder.percentile_latency_ms(50);
+    row.p99_ms = recorder.percentile_latency_ms(99);
+    return row;
+}
+
+/// Runs `params.clients` closed-loop clients of `cluster` through the
+/// warmup and measurement window. The client ramp-up is staggered across
+/// the warmup so measurement starts from steady state instead of a
+/// connection/cold-cache stampede.
+template <typename Cluster>
+Row run_closed_loop(Cluster& cluster, const MicroParams& params,
+                    std::string label) {
+    Recorder recorder(params.warmup, params.window);
+    Workload workload(cluster.simulator(), recorder, make_generator(params),
+                      params.seed);
+    const sim::Duration stagger =
+        params.warmup / (2 * static_cast<unsigned>(params.clients) + 2);
+    for (int i = 0; i < params.clients; ++i) {
+        auto& client = cluster.add_client();
+        cluster.simulator().after(
+            stagger * static_cast<unsigned>(i),
+            [&workload, &client, pipeline = params.pipeline]() {
+                if constexpr (std::is_same_v<Cluster, BaselineCluster>) {
+                    workload.drive_bft(client, pipeline);
+                } else {
+                    workload.drive_legacy(client, pipeline);
+                }
+            });
+    }
+    cluster.simulator().run_until(recorder.window_end() + sim::seconds(2));
+    return make_row(std::move(label), recorder);
+}
+
 MicroResult run_baseline(const MicroParams& params) {
     BaselineCluster::Params cluster_params;
     cluster_params.base = base_options(params);
@@ -73,29 +114,8 @@ MicroResult run_baseline(const MicroParams& params) {
     cluster_params.optimistic_reads = params.baseline_optimistic_reads;
     BaselineCluster cluster(cluster_params);
 
-    Recorder recorder(params.warmup, params.window);
-    Workload workload(cluster.simulator(), recorder, make_generator(params),
-                      params.seed);
-    // Stagger client ramp-up across the warmup so measurement starts from
-    // steady state instead of a connection/cold-cache stampede.
-    const sim::Duration stagger =
-        params.warmup / (2 * static_cast<unsigned>(params.clients) + 2);
-    for (int i = 0; i < params.clients; ++i) {
-        auto& client = cluster.add_client();
-        cluster.simulator().after(
-            stagger * static_cast<unsigned>(i),
-            [&workload, &client, pipeline = params.pipeline]() {
-                workload.drive_bft(client, pipeline);
-            });
-    }
-    cluster.simulator().run_until(recorder.window_end() + sim::seconds(2));
-
     MicroResult result;
-    result.row.label = "BL";
-    result.row.throughput = recorder.throughput_per_sec();
-    result.row.mean_ms = recorder.mean_latency_ms();
-    result.row.p50_ms = recorder.percentile_latency_ms(50);
-    result.row.p99_ms = recorder.percentile_latency_ms(99);
+    result.row = run_closed_loop(cluster, params, "BL");
     for (auto* client : cluster.clients()) {
         result.optimistic_attempts += client->optimistic_attempts();
         result.read_conflicts += client->read_conflicts();
@@ -130,58 +150,10 @@ MicroResult run_troxy(SystemKind kind, const MicroParams& params) {
         params.wan ? sim::milliseconds(500) : sim::milliseconds(100);
     TroxyCluster cluster(std::move(cluster_params));
 
-    Recorder recorder(params.warmup, params.window);
-    Workload workload(cluster.simulator(), recorder, make_generator(params),
-                      params.seed);
-    const sim::Duration stagger =
-        params.warmup / (2 * static_cast<unsigned>(params.clients) + 2);
-    for (int i = 0; i < params.clients; ++i) {
-        auto& client = cluster.add_client();
-        cluster.simulator().after(
-            stagger * static_cast<unsigned>(i),
-            [&workload, &client, pipeline = params.pipeline]() {
-                workload.drive_legacy(client, pipeline);
-            });
-    }
-    cluster.simulator().run_until(recorder.window_end() + sim::seconds(2));
-
     MicroResult result;
-    result.row.label = system_name(kind);
-    result.row.throughput = recorder.throughput_per_sec();
-    result.row.mean_ms = recorder.mean_latency_ms();
-    result.row.p50_ms = recorder.percentile_latency_ms(50);
-    result.row.p99_ms = recorder.percentile_latency_ms(99);
+    result.row = run_closed_loop(cluster, params, system_name(kind));
     for (int r = 0; r < cluster.n(); ++r) {
-        const auto host_status = cluster.host(r).status();
-        const auto& status = host_status.troxy;
-        result.fast_read_hits += status.fast_read_hits;
-        result.fast_read_misses += status.fast_read_misses;
-        result.fast_read_conflicts += status.fast_read_conflicts;
-        result.ordered_requests += status.ordered_requests;
-        result.mode_switches += status.mode_switches;
-        result.enclave_transitions += status.enclave_transitions;
-        result.reply_batches += status.reply_batches;
-        result.batched_replies += status.batched_replies;
-        result.reply_auth_batches += status.reply_auth_batches;
-        result.batch_authenticated_replies +=
-            status.batch_authenticated_replies;
-        result.cache_query_batches += status.cache_query_batches;
-        result.batched_cache_queries += status.batched_cache_queries;
-        result.cache_response_batches += status.cache_response_batches;
-        result.batched_cache_responses += status.batched_cache_responses;
-        result.exec_scheduled_batches += host_status.exec.scheduled_batches;
-        result.exec_scheduled_requests +=
-            host_status.exec.scheduled_requests;
-        result.exec_conflict_stalls += host_status.exec.conflict_stalls;
-        result.exec_lanes_used_sum += host_status.exec.lanes_used_sum;
-        result.exec_serial_ns +=
-            static_cast<std::uint64_t>(host_status.exec.serial_cost);
-        result.exec_charged_ns +=
-            static_cast<std::uint64_t>(host_status.exec.charged_cost);
-        result.cache_invalidations += status.cache_invalidations;
-        result.invalidations_saved += status.invalidations_saved;
-        result.fallback_prebatches += status.fallback_prebatches;
-        result.prebatched_fallbacks += status.prebatched_fallbacks;
+        result.troxy.add_counters(cluster.host(r).status().troxy);
     }
     result.wire_messages = cluster.network().messages_sent();
     result.wire_bytes = cluster.network().bytes_sent();
@@ -230,101 +202,57 @@ Generator http_generator(const HttpParams& params) {
     };
 }
 
-Row finish_row(HttpSystem system, const Recorder& recorder) {
-    Row row;
-    row.label = http_system_name(system);
-    row.throughput = recorder.throughput_per_sec();
-    row.mean_ms = recorder.mean_latency_ms();
-    row.p50_ms = recorder.percentile_latency_ms(50);
-    row.p99_ms = recorder.percentile_latency_ms(99);
-    return row;
+/// Runs the open-loop HTTP workload against one deployment.
+template <typename Cluster>
+Row run_http_on(HttpSystem system, const HttpParams& params) {
+    typename Cluster::Params cluster_params;
+    cluster_params.base.seed = params.seed;
+    cluster_params.base.wan_clients = params.wan;
+    cluster_params.service = [pages = params.page_count]() {
+        return std::make_unique<http::PageService>(pages);
+    };
+    if constexpr (requires { cluster_params.classifier; }) {
+        cluster_params.classifier = http::PageService::classifier();
+    }
+    if constexpr (std::is_same_v<Cluster, BaselineCluster>) {
+        // Same read optimization as in the microbenchmarks: GETs are
+        // executed optimistically and the client-side voter needs all
+        // 2f+1 replies to match — under WAN jitter the client waits for
+        // the slowest reply (§V-B), which is what separates BL from the
+        // server-side voters here.
+        cluster_params.optimistic_reads = true;
+    }
+    Cluster cluster(std::move(cluster_params));
+
+    Recorder recorder(params.warmup, params.window);
+    Workload workload(cluster.simulator(), recorder, http_generator(params),
+                      params.seed);
+    const double per_client_rate =
+        params.total_rate_per_sec / params.clients;
+    for (int i = 0; i < params.clients; ++i) {
+        if constexpr (std::is_same_v<Cluster, BaselineCluster>) {
+            workload.drive_bft_open(cluster.add_client(), per_client_rate);
+        } else {
+            workload.drive_legacy_open(cluster.add_client(),
+                                       per_client_rate);
+        }
+    }
+    cluster.simulator().run_until(recorder.window_end() + sim::seconds(2));
+    return make_row(http_system_name(system), recorder);
 }
 
 }  // namespace
 
 Row run_http(HttpSystem system, const HttpParams& params) {
-    ClusterOptions base;
-    base.seed = params.seed;
-    base.wan_clients = params.wan;
-
-    const double per_client_rate =
-        params.total_rate_per_sec / params.clients;
-    const int pages = params.page_count;
-    auto service = [pages]() {
-        return std::make_unique<http::PageService>(pages);
-    };
-
-    Recorder recorder(params.warmup, params.window);
-
     switch (system) {
-        case HttpSystem::Standalone: {
-            StandaloneCluster::Params cluster_params;
-            cluster_params.base = base;
-            cluster_params.service = service;
-            StandaloneCluster cluster(cluster_params);
-            Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
-            for (int i = 0; i < params.clients; ++i) {
-                workload.drive_legacy_open(cluster.add_client(),
-                                           per_client_rate);
-            }
-            cluster.simulator().run_until(recorder.window_end() +
-                                          sim::seconds(2));
-            return finish_row(system, recorder);
-        }
-        case HttpSystem::Baseline: {
-            BaselineCluster::Params cluster_params;
-            cluster_params.base = base;
-            cluster_params.service = service;
-            // Same read optimization as in the microbenchmarks: GETs are
-            // executed optimistically and the client-side voter needs all
-            // 2f+1 replies to match — under WAN jitter the client waits
-            // for the slowest reply (§V-B), which is what separates BL
-            // from the server-side voters here.
-            cluster_params.optimistic_reads = true;
-            BaselineCluster cluster(cluster_params);
-            Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
-            for (int i = 0; i < params.clients; ++i) {
-                workload.drive_bft_open(cluster.add_client(),
-                                        per_client_rate);
-            }
-            cluster.simulator().run_until(recorder.window_end() +
-                                          sim::seconds(2));
-            return finish_row(system, recorder);
-        }
-        case HttpSystem::Prophecy: {
-            ProphecyCluster::Params cluster_params;
-            cluster_params.base = base;
-            cluster_params.service = service;
-            cluster_params.classifier = http::PageService::classifier();
-            ProphecyCluster cluster(cluster_params);
-            Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
-            for (int i = 0; i < params.clients; ++i) {
-                workload.drive_legacy_open(cluster.add_client(),
-                                           per_client_rate);
-            }
-            cluster.simulator().run_until(recorder.window_end() +
-                                          sim::seconds(2));
-            return finish_row(system, recorder);
-        }
-        case HttpSystem::Troxy: {
-            TroxyCluster::Params cluster_params;
-            cluster_params.base = base;
-            cluster_params.service = service;
-            cluster_params.classifier = http::PageService::classifier();
-            TroxyCluster cluster(std::move(cluster_params));
-            Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
-            for (int i = 0; i < params.clients; ++i) {
-                workload.drive_legacy_open(cluster.add_client(),
-                                           per_client_rate);
-            }
-            cluster.simulator().run_until(recorder.window_end() +
-                                          sim::seconds(2));
-            return finish_row(system, recorder);
-        }
+        case HttpSystem::Standalone:
+            return run_http_on<StandaloneCluster>(system, params);
+        case HttpSystem::Baseline:
+            return run_http_on<BaselineCluster>(system, params);
+        case HttpSystem::Prophecy:
+            return run_http_on<ProphecyCluster>(system, params);
+        case HttpSystem::Troxy:
+            return run_http_on<TroxyCluster>(system, params);
     }
     return Row{};
 }

@@ -57,41 +57,15 @@ struct MicroParams : hybster::PipelineOptions,
 
 struct MicroResult {
     Row row;
-    // Troxy-side behaviour counters (zero for the baseline).
-    std::uint64_t fast_read_hits = 0;
-    std::uint64_t fast_read_misses = 0;
-    std::uint64_t fast_read_conflicts = 0;
-    std::uint64_t ordered_requests = 0;
-    std::uint64_t mode_switches = 0;
+    /// Troxy counters summed over the replicas (zero for the baseline).
+    troxy_core::TroxyEnclave::Status troxy;
     // Baseline read-optimization counters.
     std::uint64_t optimistic_attempts = 0;
     std::uint64_t read_conflicts = 0;
-    // Hot-path cost counters (Troxy systems only): total enclave ecall
-    // transitions, the voter's batched-ecall split, and the simulated
-    // wire totals (records after coalescing).
-    std::uint64_t enclave_transitions = 0;
-    std::uint64_t reply_batches = 0;
-    std::uint64_t batched_replies = 0;
-    std::uint64_t reply_auth_batches = 0;
-    std::uint64_t batch_authenticated_replies = 0;
-    std::uint64_t cache_query_batches = 0;
-    std::uint64_t batched_cache_queries = 0;
-    std::uint64_t cache_response_batches = 0;
-    std::uint64_t batched_cache_responses = 0;
+    // Simulated wire totals (records after coalescing; Troxy systems
+    // only).
     std::uint64_t wire_messages = 0;
     std::uint64_t wire_bytes = 0;
-    // Execution-lane counters (summed over replicas; zero with one lane).
-    std::uint64_t exec_scheduled_batches = 0;
-    std::uint64_t exec_scheduled_requests = 0;
-    std::uint64_t exec_conflict_stalls = 0;
-    std::uint64_t exec_lanes_used_sum = 0;
-    std::uint64_t exec_serial_ns = 0;   // serial cost of scheduled batches
-    std::uint64_t exec_charged_ns = 0;  // makespan actually charged
-    // Enclave batch-invalidation split and fallback pre-batching.
-    std::uint64_t cache_invalidations = 0;
-    std::uint64_t invalidations_saved = 0;
-    std::uint64_t fallback_prebatches = 0;
-    std::uint64_t prebatched_fallbacks = 0;
 
     /// Fraction of read attempts that ended in a *conflict*: for BL,
     /// optimistic reads whose replies disagreed and had to be re-ordered;

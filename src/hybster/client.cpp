@@ -7,6 +7,14 @@
 
 namespace troxy::hybster {
 
+namespace {
+
+/// How long a request waits for its reply quorum before the client
+/// broadcasts it again.
+constexpr sim::Duration kRetransmitTimeout = sim::milliseconds(2000);
+
+}  // namespace
+
 Client::Client(net::Fabric& fabric, sim::Node& node, Config config,
                std::vector<crypto::X25519Key> pinned_keys,
                std::vector<Bytes> replica_keys,
@@ -134,7 +142,7 @@ void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
 }
 
 void Client::arm_retransmit(std::uint64_t number) {
-    fabric_.simulator().after(options_.retransmit_timeout, [this, number]() {
+    fabric_.simulator().after(kRetransmitTimeout, [this, number]() {
         const auto it = pending_.find(number);
         if (it == pending_.end() || it->second.done) return;
         ++it->second.retransmits;

@@ -35,7 +35,6 @@ namespace troxy::hybster {
 class Client {
   public:
     struct Options {
-        sim::Duration retransmit_timeout = sim::milliseconds(1000);
         /// Use the PBFT-like read optimization for read requests.
         bool optimistic_reads = false;
     };

@@ -50,12 +50,6 @@ struct PipelineOptions {
     /// execution, cost- and wire-identical.
     std::size_t execution_lanes = 1;
 
-    /// Retry interval for checkpoint state transfer while a restarted or
-    /// lagging replica waits for f+1 matching snapshots. A retry re-sends
-    /// the StateRequest with the chunk hashes already received, so a
-    /// half-finished transfer resumes instead of restarting.
-    sim::Duration state_transfer_retry = sim::milliseconds(250);
-
     /// Snapshot chunk size for Merkle-incremental state transfer: service
     /// checkpoints are split into chunks of this many bytes, hashed into
     /// a Merkle tree whose root is the certified checkpoint digest.

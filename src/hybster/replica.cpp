@@ -44,6 +44,12 @@ int matching_votes(const std::vector<std::optional<Commit>>& slots,
 /// snapshots far beyond anything the sim runs, while keeping a
 /// pathological store from inflating the request past the wire cap.
 constexpr std::size_t kMaxAdvertisedChunks = 8192;
+
+/// Retry interval for checkpoint state transfer while a restarted or
+/// lagging replica waits for f+1 matching snapshots. A retry re-sends the
+/// StateRequest with the chunk hashes already received, so a
+/// half-finished transfer resumes instead of restarting.
+constexpr sim::Duration kStateTransferRetry = sim::milliseconds(250);
 }  // namespace
 
 Replica::Replica(net::Fabric& fabric, sim::Node& node, Config config,
@@ -1135,8 +1141,7 @@ void Replica::begin_state_transfer(enclave::CostedCrypto& crypto,
 
 void Replica::arm_state_transfer_timer() {
     const std::uint64_t generation = ++state_timer_generation_;
-    fabric_.simulator().after(config_.state_transfer_retry, [this,
-                                                             generation]() {
+    fabric_.simulator().after(kStateTransferRetry, [this, generation]() {
         if (generation != state_timer_generation_) return;
         if (faults_.crashed) return;
         if (!rejoining_ && !awaiting_state_) return;

@@ -352,7 +352,7 @@ class Replica {
     /// into Bundle frames when the config enables wire coalescing.
     [[nodiscard]] net::Outbox make_outbox() {
         return net::Outbox(fabric_, node_, config_.coalesce_wire,
-                           /*record_cost=*/0, &config_.transport);
+                           &config_.transport);
     }
     /// Encode the concrete message (Prepare, Commit, ...) straight into
     /// pooled wire frames.

@@ -8,14 +8,14 @@
 //
 // With coalescing enabled, flush() groups the queued messages by
 // destination and ships each group as ONE Bundle frame — one wire record
-// per destination burst. The per-record cost is charged once per emitted
-// *Bundle* record: a destination with a single message keeps its original
-// frame and pays exactly what the uncoalesced path pays, so batch-1
-// traffic is cost- and byte-identical whether coalescing is on or off.
+// per destination burst. A destination with a single message keeps its
+// original frame, so batch-1 traffic is cost- and byte-identical whether
+// coalescing is on or off.
 //
 // A transport profile, when given, charges the per-record send cost
-// (syscall or doorbell plus staging copies) to the flushing meter. Every
-// frame stages all of its bytes, except a coalesced Bundle under a
+// (syscall or doorbell plus staging copies) to the flushing meter once
+// per emitted record: a coalesced burst costs one record. Every frame
+// stages all of its bytes, except a coalesced Bundle under a
 // scatter-gather transport: that one stages only its 3-byte head and
 // 4-byte length prefixes, the messages going out by reference.
 //
@@ -47,12 +47,10 @@ namespace troxy::net {
 class Outbox {
   public:
     Outbox(Fabric& fabric, sim::Node& node, bool coalesce = false,
-           sim::Duration record_cost = 0,
            const sim::TransportProfile* transport = nullptr)
         : fabric_(fabric),
           node_(node),
           coalesce_(coalesce),
-          record_cost_(record_cost),
           transport_(transport) {}
 
     /// Queues `message` for `to`; transmitted at flush time.
@@ -117,20 +115,19 @@ class Outbox {
 
     /// Turns the queue into wire frames, grouping each destination's
     /// messages into one Bundle frame when coalescing. Without coalescing
-    /// the queue itself is returned. Charges `meter` the per-record cost
-    /// for each emitted frame and, when a transport profile is set, the
-    /// per-frame send cost of the bytes it stages.
+    /// the queue itself is returned. When a transport profile is set,
+    /// charges `meter` each emitted frame's send cost for the bytes it
+    /// stages.
     std::vector<OutboxItem> collect_frames(enclave::CostMeter& meter) {
         std::vector<OutboxItem> frames = std::move(queue_);
         queue_.clear();
         if (coalesce_) frames = coalesce(std::move(frames));
-        // One per-record charge per emitted wire record: a coalesced
-        // burst costs one record, and a singleton group costs exactly
-        // what the same message costs uncoalesced — no Bundle surcharge.
+        if (transport_ == nullptr) return frames;
+        // One send charge per emitted wire record: a coalesced burst
+        // costs one record, and a singleton group costs exactly what the
+        // same message costs uncoalesced — no Bundle surcharge.
         for (const OutboxItem& f : frames) {
             if (f.local) continue;
-            meter.add(record_cost_);
-            if (transport_ == nullptr) continue;
             const bool referenced =
                 transport_->scatter_gather && f.bundled > 0;
             meter.add(transport_->tx(referenced ? 3 + 4 * f.bundled
@@ -195,7 +192,6 @@ class Outbox {
     Fabric& fabric_;
     sim::Node& node_;
     bool coalesce_ = false;
-    sim::Duration record_cost_ = 0;
     const sim::TransportProfile* transport_ = nullptr;
     std::vector<OutboxItem> queue_;
 };

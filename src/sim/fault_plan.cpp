@@ -7,6 +7,10 @@ namespace troxy::sim {
 
 namespace {
 
+/// Upper bound of a random loss window's drop probability (the lower
+/// bound is 0.05).
+constexpr double kMaxLoss = 0.3;
+
 std::string format_time(SimTime t) {
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "%.3fs",
@@ -135,38 +139,35 @@ FaultPlan FaultPlan::random(Rng& rng, const RandomOptions& options) {
         options.heal_by > options.start ? options.heal_by - options.start : 0;
     if (span == 0) return plan;
 
-    // Each fault category slices the timeline into disjoint windows and
-    // places one fault per window, guaranteeing (a) at most
-    // max_concurrent_crashes hosts down at once (crash windows never
-    // overlap when the budget is 1 — the common f=1 case) and (b) every
-    // fault healed by heal_by.
-    const auto window = [&](int index, int count) {
-        const SimTime width = span / static_cast<std::uint64_t>(count);
-        const SimTime lo = options.start +
-                           width * static_cast<std::uint64_t>(index);
-        // Fault active for 20–70% of its window, starting in the first
-        // quarter, so heal always lands inside the window.
-        const SimTime begin = lo + width / 4 * rng.next_below(2);
+    // Each fault is active for 20–70% of the window, starting in its
+    // first quarter, so it always heals inside the window.
+    const auto window = [&]() {
+        const SimTime begin = options.start + span / 4 * rng.next_below(2);
         const SimTime hold =
-            width / 5 + rng.next_below(std::max<std::uint64_t>(width / 2, 1));
+            span / 5 + rng.next_below(std::max<std::uint64_t>(span / 2, 1));
         return std::pair<SimTime, SimTime>{
-            begin, std::min(begin + hold, lo + width - 1)};
+            begin, std::min(begin + hold, options.start + span - 1)};
     };
 
     if (options.hosts > 0) {
-        for (int i = 0; i < options.crash_events; ++i) {
-            const auto [begin, end] = window(i, options.crash_events);
-            const int host = static_cast<int>(
-                rng.next_below(static_cast<std::uint64_t>(options.hosts)));
-            plan.crash(begin, host);
-            plan.restart(end, host);
-        }
+        const auto [begin, end] = window();
+        const int host = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(options.hosts)));
+        plan.crash(begin, host);
+        plan.restart(end, host);
     }
 
     const auto& nodes = options.nodes;
     if (nodes.size() >= 2) {
-        for (int i = 0; i < options.partition_events; ++i) {
-            const auto [begin, end] = window(i, options.partition_events);
+        // A random pair of distinct nodes.
+        const auto pair = [&]() {
+            const std::size_t x = rng.next_below(nodes.size());
+            std::size_t y = rng.next_below(nodes.size() - 1);
+            if (y >= x) ++y;
+            return std::pair<NodeId, NodeId>{nodes[x], nodes[y]};
+        };
+        {
+            const auto [begin, end] = window();
             // Isolate one random node from the rest.
             const std::size_t isolated = rng.next_below(nodes.size());
             std::vector<NodeId> minority{nodes[isolated]};
@@ -174,28 +175,24 @@ FaultPlan FaultPlan::random(Rng& rng, const RandomOptions& options) {
             for (std::size_t n = 0; n < nodes.size(); ++n) {
                 if (n != isolated) majority.push_back(nodes[n]);
             }
-            const std::string name = "chaos-p" + std::to_string(i);
-            plan.partition(begin, name,
+            // Named as when plans held several partitions, so recorded
+            // plan traces still match.
+            plan.partition(begin, "chaos-p0",
                            {std::move(minority), std::move(majority)});
-            plan.heal(end, name);
+            plan.heal(end, "chaos-p0");
         }
-        for (int i = 0; i < options.link_flap_events; ++i) {
-            const auto [begin, end] = window(i, options.link_flap_events);
-            const std::size_t x = rng.next_below(nodes.size());
-            std::size_t y = rng.next_below(nodes.size() - 1);
-            if (y >= x) ++y;
-            plan.link_down(begin, nodes[x], nodes[y]);
-            plan.link_up(end, nodes[x], nodes[y]);
+        {
+            const auto [begin, end] = window();
+            const auto [a, b] = pair();
+            plan.link_down(begin, a, b);
+            plan.link_up(end, a, b);
         }
-        for (int i = 0; i < options.loss_events; ++i) {
-            const auto [begin, end] = window(i, options.loss_events);
-            const std::size_t x = rng.next_below(nodes.size());
-            std::size_t y = rng.next_below(nodes.size() - 1);
-            if (y >= x) ++y;
-            const double p = 0.05 + rng.next_double() *
-                                        std::max(options.max_loss - 0.05, 0.0);
-            plan.loss(begin, nodes[x], nodes[y], p);
-            plan.loss(end, nodes[x], nodes[y], 0.0);
+        {
+            const auto [begin, end] = window();
+            const auto [a, b] = pair();
+            const double p = 0.05 + rng.next_double() * (kMaxLoss - 0.05);
+            plan.loss(begin, a, b, p);
+            plan.loss(end, a, b, 0.0);
         }
     }
     return plan;

@@ -56,7 +56,8 @@ class FaultPlan {
     FaultPlan& link_up(SimTime at, NodeId a, NodeId b);
     FaultPlan& loss(SimTime at, NodeId a, NodeId b, double probability);
 
-    /// Generation knobs for random(). All windows are placed inside
+    /// Generation knobs for random(), which places one fault of each
+    /// kind (host crash, partition, link flap, loss window) inside
     /// [start, heal_by]: every crash is restarted, every partition and
     /// link failure healed, and every loss window cleared no later than
     /// heal_by — after that instant the network is fault-free, which is
@@ -64,17 +65,10 @@ class FaultPlan {
     struct RandomOptions {
         SimTime start = 0;
         SimTime heal_by = 0;
-        /// Crashable host indices are [0, hosts); at most
-        /// max_concurrent_crashes hosts are down at any instant.
+        /// Crashable host indices are [0, hosts); one host crashes.
         int hosts = 0;
-        int max_concurrent_crashes = 1;
         /// Node ids eligible for partition/link/loss events.
         std::vector<NodeId> nodes;
-        int crash_events = 1;
-        int partition_events = 1;
-        int link_flap_events = 1;
-        int loss_events = 1;
-        double max_loss = 0.3;
     };
 
     /// Seeded pseudo-random plan; identical Rng state yields an identical

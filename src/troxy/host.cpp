@@ -440,7 +440,7 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
     }
 
     net::Outbox outbox(fabric_, node_, options_.coalesce_wire,
-                       /*record_cost=*/0, &config_.transport);
+                       &config_.transport);
     for (auto& [to, bytes] : actions.sends) {
         outbox.send(to, std::move(bytes));
     }
@@ -543,7 +543,7 @@ void TroxyReplicaHost::arm_fastread_flush_timer() {
             fastread_timer_armed_ = false;
             enclave::CostMeter meter;
             net::Outbox outbox(fabric_, node_, options_.coalesce_wire,
-                               /*record_cost=*/0, &config_.transport);
+                               &config_.transport);
             flush_fastread_buffer(outbox);
             outbox.flush(meter);
         });

@@ -43,7 +43,9 @@ TEST(PbftConfig, Validation) {
 
 /// Prophecy's replica group — four BaselineReplicaHosts in the PBFT
 /// profile, from the deployments' shared builder — driven directly by one
-/// hybster::Client.
+/// hybster::Client. A request invoked before the client's handshakes
+/// finish goes out with its first retransmit, 2 s in, so the tests run
+/// past that.
 struct PbftGroup : bench::ClusterBase {
     bench::BaselineGroup group;
     std::unique_ptr<hybster::Client> client;
@@ -62,9 +64,7 @@ struct PbftGroup : bench::ClusterBase {
         sim::Node& node = make_client_node("client");
         client = std::make_unique<hybster::Client>(
             fabric_, node, group.config, group.pinned_keys(),
-            group.client_keys(node.id()), java_,
-            hybster::Client::Options{.retransmit_timeout =
-                                         sim::milliseconds(400)});
+            group.client_keys(node.id()), java_, hybster::Client::Options{});
         fabric_.attach(node.id(), [this](sim::NodeId from, Bytes message) {
             auto unwrapped = net::unwrap_view(message);
             if (unwrapped && unwrapped->first == net::Channel::Client) {
@@ -94,7 +94,7 @@ TEST(Pbft, OrdersAndVotes) {
                              result = std::move(r);
                              done = true;
                          });
-    group.simulator().run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(4));
     ASSERT_TRUE(done);
     EXPECT_EQ(result.size(), 10u);
     for (int r = 0; r < 4; ++r) {
@@ -135,7 +135,7 @@ TEST(Pbft, ReadOneExecutesWithoutOrdering) {
                                    done = true;
                                });
     });
-    group.simulator().run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(4));
     EXPECT_TRUE(done);
     EXPECT_EQ(group.replica(1).last_executed(), 1u);  // read not ordered
 }
@@ -147,7 +147,7 @@ TEST(Pbft, ToleratesOneCrashedFollower) {
     bool done = false;
     group.client->invoke(EchoService::make_write(1, 64), false,
                          [&](Bytes) { done = true; });
-    group.simulator().run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(4));
     EXPECT_TRUE(done);
 }
 
@@ -164,7 +164,7 @@ TEST(Pbft, CorruptReplicaOutvoted) {
                              result = std::move(r);
                              done = true;
                          });
-    group.simulator().run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(4));
     ASSERT_TRUE(done);
     // The corrupt replica's reply differs; the voted result is correct.
     EchoService reference;
@@ -176,7 +176,7 @@ TEST(Pbft, ViewChangeOnCrashedLeader) {
     bool warm = false;
     group.client->invoke(EchoService::make_write(1, 64), false,
                          [&](Bytes) { warm = true; });
-    group.simulator().run_until(sim::seconds(1));
+    group.simulator().run_until(sim::seconds(3));
     ASSERT_TRUE(warm);
 
     group.replica(0).set_faults(crashed());
@@ -184,7 +184,7 @@ TEST(Pbft, ViewChangeOnCrashedLeader) {
     bool done = false;
     group.client->invoke(EchoService::make_write(2, 64), false,
                          [&](Bytes) { done = true; });
-    group.simulator().run_until(sim::seconds(6));
+    group.simulator().run_until(sim::seconds(8));
     EXPECT_TRUE(done);
     EXPECT_GT(group.replica(1).view(), 0u);
 }
@@ -299,7 +299,7 @@ TEST(BaselineHost, DerivesEachClientKeyOncePerReplica) {
         group.client->invoke(EchoService::make_write(key, 32), false,
                              [&](Bytes) { ++done; });
     }
-    group.simulator().run_until(sim::seconds(2));
+    group.simulator().run_until(sim::seconds(4));
     EXPECT_EQ(done, 10);
     EXPECT_EQ(group.derivations, 3);
 }

@@ -156,12 +156,11 @@ TEST(Clusters, TroxyHostsChargeTheDeploymentTransport) {
 
 TEST(Clusters, BuildersForwardEveryPipelineKnob) {
     // Every field differs from its default, so a dropped one fails. BL
-    // takes the six knobs other than coalesce_wire and transport.
+    // takes the five knobs other than coalesce_wire and transport.
     hybster::PipelineOptions knobs;
     knobs.batch_size_max = 8;
     knobs.batch_delay = sim::microseconds(300);
     knobs.execution_lanes = 3;
-    knobs.state_transfer_retry = sim::milliseconds(400);
     knobs.state_chunk_size = 1024;
     knobs.state_chunks_per_message = 16;
     BaselineCluster::Params baseline_params;
@@ -233,7 +232,8 @@ TEST(Experiments, MicroRunProducesConsistentCounters) {
 
     const MicroResult result = run_micro(SystemKind::ETroxy, params);
     EXPECT_GT(result.row.throughput, 0.0);
-    EXPECT_GT(result.fast_read_hits + result.ordered_requests, 0u);
+    EXPECT_GT(result.troxy.fast_read_hits + result.troxy.ordered_requests,
+              0u);
     EXPECT_GE(result.conflict_rate(), 0.0);
     EXPECT_LE(result.conflict_rate(), 1.0);
 }
@@ -278,9 +278,27 @@ TEST(Experiments, BatchedMicroRunMatchesRecordedFigures) {
     EXPECT_DOUBLE_EQ(result.row.throughput, 42220.0);
     EXPECT_DOUBLE_EQ(result.row.p50_ms, 0.576434);
     EXPECT_DOUBLE_EQ(result.row.p99_ms, 0.926903);
-    EXPECT_EQ(result.enclave_transitions, 21530u);
     EXPECT_EQ(result.wire_messages, 29798u);
     EXPECT_EQ(result.wire_bytes, 12381653u);
+    // Every Troxy counter a bench reads, so a counter the replica sum
+    // drops or counts twice fails here.
+    const auto& troxy = result.troxy;
+    EXPECT_EQ(troxy.enclave_transitions, 21530u);
+    EXPECT_EQ(troxy.fast_read_hits, 3866u);
+    EXPECT_EQ(troxy.fast_read_misses, 2146u);
+    EXPECT_EQ(troxy.fast_read_conflicts, 435u);
+    EXPECT_EQ(troxy.ordered_requests, 8266u);
+    EXPECT_EQ(troxy.mode_switches, 16u);
+    EXPECT_EQ(troxy.reply_batches, 7490u);
+    EXPECT_EQ(troxy.batched_replies, 24798u);
+    EXPECT_EQ(troxy.reply_auth_batches, 3282u);
+    EXPECT_EQ(troxy.batch_authenticated_replies, 24798u);
+    EXPECT_EQ(troxy.cache_query_batches, 2767u);
+    EXPECT_EQ(troxy.batched_cache_queries, 4301u);
+    EXPECT_EQ(troxy.cache_response_batches, 2767u);
+    EXPECT_EQ(troxy.batched_cache_responses, 4301u);
+    EXPECT_EQ(troxy.cache_invalidations, 7998u);
+    EXPECT_EQ(troxy.invalidations_saved, 1113u);
 }
 
 TEST(Experiments, HttpRunsForEverySystem) {

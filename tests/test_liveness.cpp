@@ -18,7 +18,6 @@ TEST(Liveness, BaselineClientRetransmitTriggersViewChange) {
     bench::BaselineCluster::Params params;
     params.base.seed = 501;
     params.service = []() { return std::make_unique<EchoService>(); };
-    params.client_retransmit = sim::milliseconds(600);
     bench::BaselineCluster cluster(params);
 
     hybster::FaultProfile mute;

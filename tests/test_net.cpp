@@ -768,6 +768,14 @@ TEST(Outbox, CoalescedMembersReturnToThePool) {
     EXPECT_EQ(arrived[0], expected);
 }
 
+/// A transport whose only charge is a 100 µs entry per wire record.
+sim::TransportProfile per_record_transport() {
+    sim::TransportProfile transport;
+    transport.tx_base_ns = 100000;
+    transport.tx_per_byte_ns = 0;
+    return transport;
+}
+
 TEST(Outbox, RecordCostChargedPerBurstNotPerMessage) {
     // Four messages to two destinations cost two records when coalescing,
     // four when not — the meter (observable as the send delay) must match
@@ -787,7 +795,8 @@ TEST(Outbox, RecordCostChargedPerBurstNotPerMessage) {
         });
         fabric.attach(3, [&](sim::NodeId, Bytes) {});
 
-        Outbox outbox(fabric, node, coalesce, sim::microseconds(100));
+        const sim::TransportProfile transport = per_record_transport();
+        Outbox outbox(fabric, node, coalesce, &transport);
         outbox.send(2, wrap(Channel::Hybster, to_bytes("a")));
         outbox.send(2, wrap(Channel::Hybster, to_bytes("b")));
         outbox.send(3, wrap(Channel::Hybster, to_bytes("c")));
@@ -825,7 +834,8 @@ TEST(Outbox, BatchOfOneCostParity) {
             delivered_at = sim.now();
             frame = std::move(m);
         });
-        Outbox outbox(fabric, node, coalesce, sim::microseconds(100));
+        const sim::TransportProfile transport = per_record_transport();
+        Outbox outbox(fabric, node, coalesce, &transport);
         outbox.send(2, wrap(Channel::Hybster, to_bytes("only")));
         enclave::CostMeter meter;
         outbox.flush(meter);
@@ -957,8 +967,7 @@ TEST(Outbox, TransportChargesOnlyStagedBytesOnZeroCopyPath) {
         transport.tx_base_ns = 1000.0;
         transport.tx_per_byte_ns = 1.0;
         transport.scatter_gather = scatter_gather;
-        Outbox outbox(fabric, node, /*coalesce=*/true, /*record_cost=*/0,
-                      &transport);
+        Outbox outbox(fabric, node, /*coalesce=*/true, &transport);
         for (int i = 0; i < messages; ++i) {
             outbox.send(2, wrap(Channel::Hybster,
                                 Bytes(100, static_cast<std::uint8_t>(i))));

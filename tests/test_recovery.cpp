@@ -158,7 +158,6 @@ bench::TroxyCluster::Params recovery_params(std::uint64_t seed) {
     // Tiny chunks so the echo service's small snapshots span many chunks
     // and the incremental path has something to skip.
     params.base.state_chunk_size = 64;
-    params.base.state_transfer_retry = sim::milliseconds(250);
     params.service = []() { return std::make_unique<EchoService>(); };
     params.classifier = [](ByteView request) {
         return EchoService().classify(request);
@@ -283,7 +282,7 @@ TEST(Recovery, IncrementalRejoinSkipsHeldChunks) {
 }
 
 // Satellite: a loss window that swallows the first StateResponse chunks
-// mid-stream. After state_transfer_retry the rejoiner re-requests with
+// mid-stream. After the 250 ms retry the rejoiner re-requests with
 // the chunks it already banked — the transfer resumes instead of
 // restarting, and completes once the window heals.
 TEST(Recovery, TransferResumesAfterDroppedChunks) {

@@ -316,19 +316,6 @@ TEST(ShardCluster, RejectsInvalidFrontCounts) {
 
 // ------------------------------------------------- cluster shard knobs
 
-TEST(ShardCluster, RejectsShardCountOverReplicaBudget) {
-    bench::TroxyCluster::Params params;
-    params.base.shard_count = 4;
-    params.base.replica_budget = 6;  // 4 shards x 3 replicas = 12 > 6
-    params.service = []() { return std::make_unique<EchoService>(); };
-    params.classifier = [](ByteView request) {
-        return EchoService().classify(request);
-    };
-    params.map = ShardMap::split_evenly({"k0", "k1", "k2", "k3"}, 4);
-    EXPECT_THROW(bench::TroxyCluster cluster(std::move(params)),
-                 std::invalid_argument);
-}
-
 TEST(ShardCluster, RejectsMapShardCountMismatch) {
     bench::TroxyCluster::Params params;
     params.base.shard_count = 4;
