@@ -1,12 +1,12 @@
 // Fast-read sweep: end-to-end Troxy read throughput as a function of the
-// fast-read batch size (cache queries per CacheQueryBatch burst / remote
+// fast-read batch size (cache queries per query-batch burst / remote
 // ecall) crossed with the ordering batch size.
 //
 // Fig. 8-style workload (10 B read requests, 1 KiB replies, local
 // network, closed loop at saturation, read-only so the fast-read cache
 // stays hot after the first ordered miss per key). The read-batch knob v
 // drives the whole read-path amortization stack at once: the contact
-// buffers fast-read starts and ships one CacheQueryBatch per remote
+// buffers fast-read starts and ships one query batch per remote
 // (answered in ONE handle_cache_queries transition), response bursts are
 // applied in ONE handle_cache_responses transition, ordered fallbacks
 // ride the batched voter, executed batches are certified in ONE
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     std::printf("Fast-read sweep: 10 B reads / 1 KiB replies, local "
                 "network%s\n",
                 smoke ? " (smoke configuration)" : "");
-    std::printf("(read batch = cache queries per CacheQueryBatch burst / "
+    std::printf("(read batch = cache queries per query-batch burst / "
                 "remote ecall;\n");
     std::printf(" the same knob batches response application, reply "
                 "certification\n");

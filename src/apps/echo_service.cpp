@@ -1,5 +1,7 @@
 #include "apps/echo_service.hpp"
 
+#include <algorithm>
+
 #include "common/serialize.hpp"
 
 namespace troxy::apps {
@@ -50,13 +52,19 @@ Bytes EchoService::expected_read_reply(std::uint64_t key,
     return reply;
 }
 
+std::uint64_t& EchoService::version_slot(std::uint64_t key) {
+    const auto [version, inserted] = versions_.try_emplace(key, 0);
+    if (inserted) keys_.push_back(key);
+    return *version;
+}
+
 Bytes EchoService::execute(ByteView request) {
     const Parsed p = parse(request);
     if (p.is_read) {
-        return expected_read_reply(p.key, versions_[p.key], p.reply_size);
+        return expected_read_reply(p.key, version_slot(p.key), p.reply_size);
     }
-    if (p.multi) ++versions_[p.partner];
-    const std::uint64_t version = ++versions_[p.key];
+    if (p.multi) ++version_slot(p.partner);
+    const std::uint64_t version = ++version_slot(p.key);
     Writer ack;
     ack.reserve(kWriteAckSize);
     ack.u8(1);  // "written"
@@ -66,23 +74,25 @@ Bytes EchoService::execute(ByteView request) {
 }
 
 Bytes EchoService::checkpoint() const {
+    std::sort(keys_.begin(), keys_.end());
     Writer w;
-    w.reserve(4 + 16 * versions_.size());  // count, then (key, version)s
-    w.u32(static_cast<std::uint32_t>(versions_.size()));
-    for (const auto& [key, version] : versions_) {
+    w.reserve(4 + 16 * keys_.size());  // count, then (key, version)s
+    w.u32(static_cast<std::uint32_t>(keys_.size()));
+    for (const std::uint64_t key : keys_) {
         w.u64(key);
-        w.u64(version);
+        w.u64(*versions_.find(key));
     }
     return std::move(w).take();
 }
 
 void EchoService::restore(ByteView snapshot) {
     versions_.clear();
+    keys_.clear();
     Reader r(snapshot);
     const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count; ++i) {
         const std::uint64_t key = r.u64();
-        versions_[key] = r.u64();
+        version_slot(key) = r.u64();
     }
 }
 
@@ -142,8 +152,8 @@ Bytes EchoService::make_multi_write(std::uint64_t key,
 }
 
 std::uint64_t EchoService::version_of(std::uint64_t key) const {
-    const auto it = versions_.find(key);
-    return it == versions_.end() ? 0 : it->second;
+    const std::uint64_t* version = versions_.find(key);
+    return version == nullptr ? 0 : *version;
 }
 
 }  // namespace troxy::apps

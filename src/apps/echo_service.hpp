@@ -23,8 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
+#include "common/flat_map.hpp"
 #include "hybster/service.hpp"
 
 namespace troxy::apps {
@@ -69,8 +70,16 @@ class EchoService final : public hybster::Service {
         std::size_t reply_size = 0;
     };
     [[nodiscard]] static Parsed parse(ByteView request);
+    /// The version slot of `key`, created at 0 on first touch (a read of
+    /// an unknown key creates it too, as the snapshot records).
+    std::uint64_t& version_slot(std::uint64_t key);
 
-    std::map<std::uint64_t, std::uint64_t> versions_;
+    /// Version per key, in a flat hash table: no node per key.
+    FlatMap<std::uint64_t, std::uint64_t> versions_;
+    /// Every key in versions_. checkpoint() sorts it in place (the order
+    /// is all it changes), so the snapshot lists keys in ascending order
+    /// without a copy.
+    mutable std::vector<std::uint64_t> keys_;
 };
 
 }  // namespace troxy::apps

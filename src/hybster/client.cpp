@@ -116,8 +116,17 @@ std::uint64_t Client::read_one(Bytes payload, std::uint32_t replica,
     return number;
 }
 
+bool Client::addressed_to(const Pending& pending, std::uint32_t replica,
+                          bool broadcast) const {
+    if (pending.sole_replica >= 0) {
+        return replica == static_cast<std::uint32_t>(pending.sole_replica);
+    }
+    return broadcast || (pending.flags & Request::kFlagOptimistic) != 0 ||
+           replica == believed_leader_;
+}
+
 void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
-                          std::uint64_t number, bool broadcast) {
+                          std::uint64_t number, bool broadcast, int only) {
     const auto it = pending_.find(number);
     if (it == pending_.end() || it->second.done) return;
     Pending& pending = it->second;
@@ -126,19 +135,32 @@ void Client::send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         build_request(crypto, number, pending);
     const Bytes encoded = encode_message(request);
 
-    const bool to_all = broadcast || request.is_optimistic();
     for (std::uint32_t r = 0; r < channels_.size(); ++r) {
-        if (pending.sole_replica >= 0
-                ? r != static_cast<std::uint32_t>(pending.sole_replica)
-                : !to_all && r != believed_leader_) {
-            continue;
-        }
+        if (!addressed_to(pending, r, broadcast)) continue;
+        if (only >= 0 && r != static_cast<std::uint32_t>(only)) continue;
         if (!channels_[r] || !channels_[r]->established()) continue;
         crypto.charge(profile_.aead(encoded.size()));
         outbox.send(config_.node_of(r),
                     net::client_record_frame(*channels_[r], encoded,
                                              outbox.pool()));
     }
+}
+
+void Client::send_held_requests(enclave::CostedCrypto& crypto,
+                                enclave::CostMeter& meter,
+                                std::uint32_t replica) {
+    // Requests issued before this channel came up skipped this replica;
+    // the ones it is meant to see go out now instead of with the first
+    // retransmit (a READ-ONE is never retransmitted at all).
+    net::Outbox outbox(fabric_, node_);
+    bool held = false;
+    for (const auto& [number, pending] : pending_) {
+        if (pending.done || !addressed_to(pending, replica, false)) continue;
+        send_request(crypto, outbox, number, /*broadcast=*/false,
+                     static_cast<int>(replica));
+        held = true;
+    }
+    if (held) outbox.flush(meter);
 }
 
 void Client::arm_retransmit(std::uint64_t number) {
@@ -174,8 +196,11 @@ void Client::on_message(sim::NodeId from, ByteView payload) {
     switch (frame->first) {
         case net::ClientFrame::ServerHello: {
             crypto.charge_dh();
-            if (channels_[r]->finish(frame->second)) {
+            // A repeated hello must not re-key a live channel.
+            if (!channels_[r]->established() &&
+                channels_[r]->finish(frame->second)) {
                 ++established_;
+                send_held_requests(crypto, meter, r);
                 if (connected() && ready_) {
                     auto ready = std::move(ready_);
                     ready_ = nullptr;

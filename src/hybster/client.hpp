@@ -95,8 +95,20 @@ class Client {
         int sole_replica = -1;
     };
 
+    /// Whether a send of `pending` goes to `replica`: a READ-ONE to its
+    /// sole replica, an optimistic read or a broadcast to all, an ordered
+    /// request to the believed leader.
+    [[nodiscard]] bool addressed_to(const Pending& pending,
+                                    std::uint32_t replica,
+                                    bool broadcast) const;
+    /// Sends request `number` to every replica it is addressed to (only
+    /// to replica `only` when that is not -1) whose channel is up.
     void send_request(enclave::CostedCrypto& crypto, net::Outbox& outbox,
-                      std::uint64_t number, bool broadcast);
+                      std::uint64_t number, bool broadcast, int only = -1);
+    /// Sends each pending request addressed to `replica`, whose channel
+    /// has just come up.
+    void send_held_requests(enclave::CostedCrypto& crypto,
+                            enclave::CostMeter& meter, std::uint32_t replica);
     void handle_reply(enclave::CostedCrypto& crypto, Reply&& reply);
     void finish(std::uint64_t number, Pending& pending, Bytes result);
     /// Takes `failed` by value: the caller's map entry is erased inside,

@@ -715,8 +715,7 @@ void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
 
     own_chunks_[seq] = std::move(chunked);
 
-    const Bytes digest_key(cp.state_digest.begin(), cp.state_digest.end());
-    auto& votes = checkpoint_votes_[seq][digest_key];
+    auto& votes = checkpoint_votes_[seq][cp.state_digest];
     votes.emplace(id_, cp);
 
     broadcast(outbox, cp);
@@ -741,9 +740,7 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
     }
 
     const SequenceNumber seq = checkpoint.seq;
-    const Bytes digest_key(checkpoint.state_digest.begin(),
-                           checkpoint.state_digest.end());
-    auto& votes = checkpoint_votes_[seq][digest_key];
+    auto& votes = checkpoint_votes_[seq][checkpoint.state_digest];
     votes.emplace(checkpoint.replica, std::move(checkpoint));
 
     // Stability requires f+1 matching checkpoints *including our own*

@@ -443,7 +443,7 @@ class Replica {
     // Checkpoint collection: seq → digest → certified vote per replica.
     // Full messages are kept (not just ids) so the f+1 votes behind the
     // stable checkpoint can be handed out as a state-transfer proof.
-    std::map<SequenceNumber, std::map<Bytes, CheckpointVotes>>
+    std::map<SequenceNumber, std::map<crypto::Sha256Digest, CheckpointVotes>>
         checkpoint_votes_;
     /// Own chunked checkpoint snapshots: the stable one, which
     /// handle_state_request serves, and any newer ones not yet stable.

@@ -35,16 +35,31 @@ Bytes BufferPool::acquire(std::size_t size) {
 Bytes BufferPool::acquire_empty(std::size_t capacity) {
     const std::size_t c = class_for(capacity);
     if (c < kClassSizes.size() && !classes_[c].empty()) {
-        ++stats_.hits;
-        Bytes buffer = std::move(classes_[c].back());
-        classes_[c].pop_back();
-        retained_[c] -= buffer.capacity();
-        buffer.clear();
-        return buffer;
+        return take(c, classes_[c].size() - 1);
+    }
+    if (c == kClassSizes.size() && capacity <= kClassSizes.back() * 2) {
+        // Just above the top class: the top class banks buffers of up to
+        // twice its size, so the most recent one large enough serves.
+        std::vector<Bytes>& top = classes_.back();
+        for (std::size_t i = top.size(); i-- > 0;) {
+            if (top[i].capacity() >= capacity) {
+                return take(kClassSizes.size() - 1, i);
+            }
+        }
     }
     ++stats_.misses;
     Bytes buffer;
     buffer.reserve(c < kClassSizes.size() ? kClassSizes[c] : capacity);
+    return buffer;
+}
+
+Bytes BufferPool::take(std::size_t c, std::size_t index) {
+    ++stats_.hits;
+    std::vector<Bytes>& stock = classes_[c];
+    Bytes buffer = std::move(stock[index]);
+    stock.erase(stock.begin() + static_cast<std::ptrdiff_t>(index));
+    retained_[c] -= buffer.capacity();
+    buffer.clear();
     return buffer;
 }
 

@@ -31,7 +31,8 @@ namespace troxy::sim {
 
 class BufferPool {
   public:
-    /// Capacity classes; buffers above the largest class are never pooled.
+    /// Capacity classes; buffers above twice the largest class are never
+    /// pooled.
     static constexpr std::array<std::size_t, 6> kClassSizes = {
         64, 256, 1024, 4096, 16384, 65536};
     /// Capacity, in bytes, each class retains at most; releases past it
@@ -51,7 +52,10 @@ class BufferPool {
     [[nodiscard]] Bytes acquire(std::size_t size);
 
     /// Like acquire() but returns an *empty* buffer whose capacity covers
-    /// `capacity` bytes — for append-style writers.
+    /// `capacity` bytes — for append-style writers. A capacity above the
+    /// top class but at most twice it takes the most recently banked
+    /// top-class buffer that is large enough, since the top class banks
+    /// buffers of that size.
     [[nodiscard]] Bytes acquire_empty(std::size_t capacity);
 
     /// Banks a retired buffer for reuse; cheap no-op when it does not fit
@@ -71,6 +75,8 @@ class BufferPool {
     /// if below the smallest class.
     [[nodiscard]] static std::size_t class_of_capacity(
         std::size_t capacity) noexcept;
+    /// Hands out the banked buffer at `index` of class `c`, emptied.
+    [[nodiscard]] Bytes take(std::size_t c, std::size_t index);
 
     std::array<std::vector<Bytes>, kClassSizes.size()> classes_;
     /// Summed capacity of each class's banked buffers.

@@ -13,42 +13,45 @@ std::size_t FastReadCache::footprint(std::string_view key,
     return key.size() + entry.result.size() + sizeof(CacheEntry) + 64;
 }
 
-void FastReadCache::unlink(std::uint32_t slot) {
-    Slot& s = slots_[slot];
-    (s.prev == kNil ? head_ : slots_[s.prev].next) = s.next;
-    (s.next == kNil ? tail_ : slots_[s.next].prev) = s.prev;
+void FastReadCache::unlink(std::uint32_t index) {
+    Slot& s = slot(index);
+    (s.prev == kNil ? head_ : slot(s.prev).next) = s.next;
+    (s.next == kNil ? tail_ : slot(s.next).prev) = s.prev;
 }
 
-void FastReadCache::push_front(std::uint32_t slot) {
-    Slot& s = slots_[slot];
+void FastReadCache::push_front(std::uint32_t index) {
+    Slot& s = slot(index);
     s.prev = kNil;
     s.next = head_;
-    (head_ == kNil ? tail_ : slots_[head_].prev) = slot;
-    head_ = slot;
+    (head_ == kNil ? tail_ : slot(head_).prev) = index;
+    head_ = index;
 }
 
 const CacheEntry* FastReadCache::get(std::string_view state_key) {
-    const std::uint32_t* slot = index_.find(state_key);
-    if (slot == nullptr) return nullptr;
-    unlink(*slot);
-    push_front(*slot);
-    return &slots_[*slot].entry;
+    const std::uint32_t* found = index_.find(state_key);
+    if (found == nullptr) return nullptr;
+    unlink(*found);
+    push_front(*found);
+    return &slot(*found).entry;
 }
 
 void FastReadCache::put(std::string_view state_key, CacheEntry entry) {
     invalidate(state_key);
     const std::size_t size = footprint(state_key, entry);
-    std::uint32_t slot = free_;
-    if (slot == kNil) {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
+    std::uint32_t index = free_;
+    if (index == kNil) {
+        index = slots_used_++;
+        if (index % kChunkSlots == 0) {
+            chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+        }
     } else {
-        free_ = slots_[slot].next;
+        free_ = slot(index).next;
     }
-    slots_[slot].key.assign(state_key);
-    slots_[slot].entry = std::move(entry);
-    push_front(slot);
-    index_.try_emplace(state_key, slot);
+    Slot& s = slot(index);
+    s.key.assign(state_key);
+    s.entry = std::move(entry);
+    push_front(index);
+    index_.try_emplace(state_key, index);
     bytes_ += size;
     gate_.allocate(size);
     evict_if_needed();
@@ -57,15 +60,15 @@ void FastReadCache::put(std::string_view state_key, CacheEntry entry) {
 void FastReadCache::invalidate(std::string_view state_key) {
     const std::uint32_t* found = index_.find(state_key);
     if (found == nullptr) return;
-    const std::uint32_t slot = *found;
-    Slot& s = slots_[slot];
+    const std::uint32_t index = *found;
+    Slot& s = slot(index);
     const std::size_t size = footprint(s.key, s.entry);
-    unlink(slot);
+    unlink(index);
     index_.erase(state_key);  // may view s.key: erase before clearing it
     s.key.clear();
     s.entry = CacheEntry{};
     s.next = free_;
-    free_ = slot;
+    free_ = index;
     bytes_ -= size;
     gate_.release(size);
 }
@@ -73,14 +76,15 @@ void FastReadCache::invalidate(std::string_view state_key) {
 void FastReadCache::clear() {
     gate_.release(bytes_);
     bytes_ = 0;
-    slots_.clear();
+    chunks_.clear();
+    slots_used_ = 0;
     index_.clear();
     head_ = tail_ = free_ = kNil;
 }
 
 void FastReadCache::evict_if_needed() {
     while (bytes_ > capacity_ && tail_ != kNil) {
-        invalidate(slots_[tail_].key);
+        invalidate(slot(tail_).key);
     }
 }
 

@@ -22,9 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/flat_map.hpp"
@@ -68,15 +69,22 @@ class FastReadCache {
   private:
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
+    /// Slots per chunk of the slot store.
+    static constexpr std::uint32_t kChunkSlots = 256;
+
     /// One cached key, linked into the LRU list by slot index. Unused
     /// slots chain through `next` on the free list and are reused before
-    /// the slot array grows.
+    /// the slot store grows.
     struct Slot {
         std::string key;
         CacheEntry entry;
         std::uint32_t prev = kNil;  // towards the most recent
         std::uint32_t next = kNil;  // towards the least recent
     };
+
+    [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
+        return chunks_[index / kChunkSlots][index % kChunkSlots];
+    }
 
     [[nodiscard]] static std::size_t footprint(std::string_view key,
                                                const CacheEntry& entry);
@@ -87,10 +95,13 @@ class FastReadCache {
     enclave::EnclaveGate& gate_;
     std::size_t capacity_;
     std::size_t bytes_ = 0;
-    /// A deque grows in fixed chunks: the slots never move, and a large
-    /// cache does not hold a doubled array (a doubling vector raised the
-    /// peak RSS of a 65,536-key read-mostly run by about 10 %).
-    std::deque<Slot> slots_;
+    /// The slot store grows one fixed chunk of kChunkSlots at a time, in
+    /// one allocation: the slots never move, and a large cache does not
+    /// hold a doubled array (a doubling slot vector raised the peak RSS
+    /// of a 65,536-key read-mostly run by about 10 %). Only the chunk
+    /// pointers double.
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::uint32_t slots_used_ = 0;  // slots ever handed out
     FlatMap<std::string, std::uint32_t> index_;  // key → slot
     std::uint32_t head_ = kNil;  // most recent
     std::uint32_t tail_ = kNil;  // least recent: evicted first

@@ -2,8 +2,6 @@
 
 #include <tuple>
 
-#include "net/envelope.hpp"
-
 namespace troxy::troxy_core {
 
 namespace {
@@ -85,103 +83,51 @@ CacheResponse CacheResponse::decode(Reader& r) {
     return resp;
 }
 
-void CacheQueryBatch::encode(Writer& w) const {
-    w.u16(static_cast<std::uint16_t>(queries.size()));
-    for (const CacheQuery& q : queries) q.encode(w);
-}
-
-CacheQueryBatch CacheQueryBatch::decode(Reader& r) {
-    CacheQueryBatch batch;
-    const std::uint16_t count = r.u16();
-    batch.queries.reserve(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-        batch.queries.push_back(CacheQuery::decode(r));
-    }
-    return batch;
-}
-
-void CacheResponseBatch::encode(Writer& w) const {
-    w.u16(static_cast<std::uint16_t>(responses.size()));
-    for (const CacheResponse& resp : responses) resp.encode(w);
-}
-
-CacheResponseBatch CacheResponseBatch::decode(Reader& r) {
-    CacheResponseBatch batch;
-    const std::uint16_t count = r.u16();
-    batch.responses.reserve(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-        batch.responses.push_back(CacheResponse::decode(r));
-    }
-    return batch;
-}
-
 namespace {
 
-/// Exact encoded size of a cache message: the tag plus the body.
-std::size_t cache_message_size(const CacheMessage& message) {
-    std::size_t size = 1;
-    if (const auto* queries = std::get_if<CacheQueryBatch>(&message)) {
-        size += 2;
-        for (const CacheQuery& q : queries->queries) size += q.wire_size();
-    } else if (const auto* responses =
-                   std::get_if<CacheResponseBatch>(&message)) {
-        size += 2 + responses->responses.size() * CacheResponse::wire_size();
-    } else if (const auto* query = std::get_if<CacheQuery>(&message)) {
-        size += query->wire_size();
-    } else {
-        size += CacheResponse::wire_size();
+/// Appends the items of one message to `items`: one for the plain tag,
+/// a u16-counted run for the batch tag. The count is checked against the
+/// bytes left (`min_size` per item), so a garbage count cannot reserve
+/// more than the frame could hold.
+template <typename Item>
+void decode_items(Reader& r, bool batch, std::size_t min_size,
+                  std::vector<Item>& items) {
+    std::size_t count = 1;
+    if (batch) {
+        count = r.u16();
+        if (count == 0) throw DecodeError("empty cache batch");
+        if (count > r.remaining() / min_size) {
+            throw DecodeError("cache batch count exceeds input");
+        }
     }
-    return size;
-}
-
-void write_cache_message(Writer& w, const CacheMessage& message) {
-    if (const auto* query = std::get_if<CacheQuery>(&message)) {
-        w.u8(1);
-        query->encode(w);
-    } else if (const auto* response = std::get_if<CacheResponse>(&message)) {
-        w.u8(2);
-        response->encode(w);
-    } else if (const auto* queries = std::get_if<CacheQueryBatch>(&message)) {
-        w.u8(3);
-        queries->encode(w);
-    } else {
-        w.u8(4);
-        std::get<CacheResponseBatch>(message).encode(w);
+    items.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        items.push_back(Item::decode(r));
     }
 }
 
 }  // namespace
 
-Bytes encode_cache_message(const CacheMessage& message) {
-    Writer w;
-    w.reserve(cache_message_size(message));
-    write_cache_message(w, message);
-    return std::move(w).take();
-}
-
-Bytes encode_cache_frame(const CacheMessage& message,
-                         sim::BufferPool& pool) {
-    Writer w(pool.acquire_empty(1 + cache_message_size(message)));
-    w.u8(static_cast<std::uint8_t>(net::Channel::TroxyCache));
-    write_cache_message(w, message);
-    return std::move(w).take();
-}
-
-std::optional<CacheMessage> decode_cache_message(ByteView data) {
+bool decode_cache_burst(ByteView data, CacheBurst& out) {
+    out.queries.clear();
+    out.responses.clear();
     try {
         Reader r(data);
         const std::uint8_t tag = r.u8();
-        CacheMessage out = [&]() -> CacheMessage {
-            if (tag == 1) return CacheQuery::decode(r);
-            if (tag == 2) return CacheResponse::decode(r);
-            if (tag == 3) return CacheQueryBatch::decode(r);
-            if (tag == 4) return CacheResponseBatch::decode(r);
+        if (tag == CacheQuery::kTag || tag == CacheQuery::kBatchTag) {
+            decode_items(r, tag == CacheQuery::kBatchTag,
+                         CacheQuery::kFixedWireSize, out.queries);
+        } else if (tag == CacheResponse::kTag ||
+                   tag == CacheResponse::kBatchTag) {
+            decode_items(r, tag == CacheResponse::kBatchTag,
+                         CacheResponse::wire_size(), out.responses);
+        } else {
             throw DecodeError("unknown cache message tag");
-        }();
+        }
         r.expect_done();
-        return out;
+        return true;
     } catch (const DecodeError&) {
-        return std::nullopt;
+        return false;
     }
 }
 

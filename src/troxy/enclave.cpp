@@ -1,6 +1,7 @@
 #include "troxy/enclave.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/group_by.hpp"
 #include "common/log.hpp"
@@ -37,6 +38,8 @@ TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
       source_stamp_(static_cast<std::size_t>(config_.n()), 0) {
     TROXY_ASSERT(trinx_ != nullptr, "troxy needs the trusted subsystem");
     TROXY_ASSERT(classifier_ != nullptr, "troxy needs a request classifier");
+    TROXY_ASSERT(config_.n() <= 64,
+                 "a pending fast read keeps one bit per replica");
 }
 
 bool TroxyEnclave::first_from(std::uint32_t replica) {
@@ -286,12 +289,7 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
         index = 0;
         while (index < tally.results.size() && voters(index) > 0) ++index;
         if (index == tally.results.size()) {
-            if (spare_results_.empty()) {
-                tally.results.emplace_back();
-            } else {
-                tally.results.push_back(std::move(spare_results_.back()));
-                spare_results_.pop_back();
-            }
+            tally.results.push_back(take_spare_result());
         }
         tally.results[index].assign(reply.result.begin(), reply.result.end());
     }
@@ -371,12 +369,23 @@ void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
                                                 release_views_, pool_));
     });
     for (Release& release : release_plan_) {
-        if (spare_results_.size() >= kMaxSpareResults) break;
-        if (release.plaintext.capacity() == 0) continue;
-        release.plaintext.clear();
-        spare_results_.push_back(std::move(release.plaintext));
+        keep_spare_result(std::move(release.plaintext));
     }
     release_plan_.clear();
+}
+
+Bytes TroxyEnclave::take_spare_result() {
+    if (spare_results_.empty()) return {};
+    Bytes buffer = std::move(spare_results_.back());
+    spare_results_.pop_back();
+    return buffer;
+}
+
+void TroxyEnclave::keep_spare_result(Bytes&& buffer) {
+    if (spare_results_.size() >= kMaxSpareResults) return;
+    if (buffer.capacity() == 0) return;
+    buffer.clear();
+    spare_results_.push_back(std::move(buffer));
 }
 
 // ------------------------------------------------- reply authentication
@@ -475,15 +484,20 @@ void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
                                    const CacheEntry& entry) {
     const std::uint64_t query_id = next_query_id_++;
 
+    // The snapshot and the request are copied into recycled buffers.
     PendingFastRead fast;
     fast.to = to;
-    fast.state_key = info.state_key;
-    fast.local = entry;
+    fast.local.request_digest = entry.request_digest;
+    fast.local.result_digest = entry.result_digest;
+    fast.local.result = take_spare_result();
+    fast.local.result.assign(entry.result.begin(), entry.result.end());
+    fast.app_request = take_spare_result();
     fast.app_request.assign(app_request.begin(), app_request.end());
 
     // Choose f random remote Troxies (Fig. 4 line 24; randomness defends
     // against a faulty replica that always answers stale, §VI-B).
-    std::vector<std::uint32_t> candidates;
+    std::vector<std::uint32_t>& candidates = candidates_;
+    candidates.clear();
     for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(config_.n());
          ++r) {
         if (r != replica_id_) candidates.push_back(r);
@@ -492,7 +506,8 @@ void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
         const std::size_t pick =
             static_cast<std::size_t>(rng_.next_below(candidates.size() - i));
         std::swap(candidates[pick], candidates[candidates.size() - 1 - i]);
-        fast.awaiting.insert(candidates[candidates.size() - 1 - i]);
+        fast.awaiting |= std::uint64_t{1}
+                         << candidates[candidates.size() - 1 - i];
     }
 
     CacheQuery query;
@@ -504,9 +519,11 @@ void TroxyEnclave::start_fast_read(enclave::CostedCrypto& crypto,
         trinx_->certify_independent(crypto, query.certified_view(scratch_));
 
     // Surfaced structured, not encoded: the untrusted host may buffer
-    // concurrent queries to the same remote and ship them as one
-    // CacheQueryBatch (the certificate already binds the content).
-    for (const std::uint32_t r : fast.awaiting) {
+    // concurrent queries to the same remote and ship them as one batch
+    // (the certificate already binds the content). They leave in
+    // ascending replica id.
+    for (std::uint64_t bits = fast.awaiting; bits != 0; bits &= bits - 1) {
+        const auto r = static_cast<std::uint32_t>(std::countr_zero(bits));
         actions.cache_queries.emplace_back(config_.node_of(r), query);
     }
 
@@ -561,7 +578,8 @@ TroxyActions TroxyEnclave::handle_cache_queries(
 
     // Per-source running MAC over the requester certificates; every query
     // is still verified individually (a bad one drops only itself).
-    // Answers to the same requester leave as one CacheResponseBatch.
+    // Answers to the same requester leave as one response batch, encoded
+    // straight from answers_.
     ++ecall_stamp_;
     for (const CacheQuery& query : queries) {
         const int requester = config_.replica_of(query.requester);
@@ -574,20 +592,9 @@ TroxyActions TroxyEnclave::handle_cache_queries(
         }
     }
     for_each_destination(answers_, [&](auto first, auto last) {
-        if (last - first == 1) {
-            actions.sends.emplace_back(
-                first->to,
-                encode_cache_frame(CacheMessage(first->response), pool_));
-            return;
-        }
-        CacheResponseBatch batch;
-        batch.responses.reserve(static_cast<std::size_t>(last - first));
-        for (auto it = first; it != last; ++it) {
-            batch.responses.push_back(it->response);
-        }
         actions.sends.emplace_back(
             first->to,
-            encode_cache_frame(CacheMessage(std::move(batch)), pool_));
+            encode_cache_frame(first, last, pool_, &Answer::response));
     });
     answers_.clear();
     return actions;
@@ -603,10 +610,11 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
 
     const int responder = config_.replica_of(response.responder);
     if (responder < 0 ||
-        response.responder_replica != static_cast<std::uint32_t>(responder) ||
-        !fast.awaiting.contains(response.responder_replica)) {
+        response.responder_replica != static_cast<std::uint32_t>(responder)) {
         return;
     }
+    const std::uint64_t bit = std::uint64_t{1} << responder;
+    if ((fast.awaiting & bit) == 0) return;
     if (!trinx_->verify_independent_batched(crypto, response.responder_replica,
                                             response.certified_view(),
                                             response.cert,
@@ -630,14 +638,16 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
         return;
     }
 
-    fast.awaiting.erase(response.responder_replica);
-    if (!fast.awaiting.empty()) return;
+    fast.awaiting &= ~bit;
+    if (fast.awaiting != 0) return;
 
     // All f remote caches matched the local one: the fast read succeeds.
+    // The result leaves as the reply; the request buffer is spare again.
     ++stats_.fast_read_hits;
     monitor_.record(false);
     const net::ClientSessions::Ticket to = fast.to;
     Bytes result = std::move(fast.local.result);
+    keep_spare_result(std::move(fast.app_request));
     fast_reads_.erase(response.query_id);
     actions.completed_fast_reads.push_back(response.query_id);
     collect_releases(to, std::move(result));
@@ -688,6 +698,8 @@ void TroxyEnclave::fast_read_fallback(enclave::CostedCrypto& crypto,
     order_request(crypto, actions, fast.to, classifier_(fast.app_request),
                   fast.app_request);
     actions.completed_fast_reads.push_back(query_id);
+    keep_spare_result(std::move(fast.local.result));
+    keep_spare_result(std::move(fast.app_request));
 }
 
 TroxyActions TroxyEnclave::fast_read_timeout(enclave::CostMeter& meter,

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 
 #include "common/flat_map.hpp"
@@ -70,7 +69,7 @@ struct TroxyActions {
     std::vector<std::pair<sim::NodeId, Bytes>> sends;
     /// Fast-read cache queries surfaced in structured form so the
     /// untrusted host can buffer concurrent queries per destination and
-    /// ship a burst as one CacheQueryBatch (it only forwards — the
+    /// ship a burst as one query batch (it only forwards — the
     /// certificate inside each query was created in the enclave, so the
     /// host can delay or drop but not alter).
     std::vector<std::pair<sim::NodeId, CacheQuery>> cache_queries;
@@ -150,8 +149,8 @@ class TroxyEnclave {
     /// answers a query burst in ONE enclave transition. Requester
     /// certificates share a running MAC per source replica; each query is
     /// still verified individually, so a bad query drops only itself.
-    /// Responses going back to the same requester are grouped into one
-    /// CacheResponseBatch (a lone response keeps the plain form).
+    /// Responses going back to the same requester are encoded as one
+    /// response batch (a lone response keeps the plain form).
     TroxyActions handle_cache_queries(enclave::CostMeter& meter,
                                       std::span<const CacheQuery> queries);
 
@@ -263,13 +262,16 @@ class TroxyEnclave {
         Tally tally;
     };
 
+    /// A fast read awaiting its f remote cache responses. Its two
+    /// buffers come from spare_results_: on a hit the local result leaves
+    /// as the client reply and returns through flush_releases; the
+    /// request, and both on a fallback, return when the read ends.
     struct PendingFastRead {
         net::ClientSessions::Ticket to;  // the client reply's slot
-        std::string state_key;
         CacheEntry local;        // snapshot compared against responses
         Bytes app_request;       // for fallback ordering
-        std::set<std::uint32_t> awaiting;
-        bool resolved = false;
+        /// Bit r is set while replica r's response is outstanding.
+        std::uint64_t awaiting = 0;
     };
 
     /// An empty action set for an ecall: the most recently recycled one,
@@ -329,6 +331,10 @@ class TroxyEnclave {
     /// client id, and empties it; the plaintext buffers become spare
     /// results.
     void flush_releases(enclave::CostedCrypto& crypto, TroxyActions& actions);
+    /// An empty buffer from spare_results_, or a fresh one.
+    Bytes take_spare_result();
+    /// Keeps `buffer` as a spare result while the list has room.
+    void keep_spare_result(Bytes&& buffer);
     [[nodiscard]] crypto::Sha256Digest app_request_digest(
         enclave::CostedCrypto& crypto, ByteView app_request) const;
     /// True the first time the current ecall meets `replica` as a
@@ -387,8 +393,11 @@ class TroxyEnclave {
         CacheResponse response;
     };
     std::vector<Answer> answers_;
+    /// start_fast_read's remote candidates; reused across fast reads.
+    std::vector<std::uint32_t> candidates_;
     /// Recycled action sets, vote tallies and result buffers (the
-    /// plaintexts flush_releases sealed; see recycle and Tally).
+    /// plaintexts flush_releases sealed and the buffers of ended fast
+    /// reads; see recycle, Tally and PendingFastRead).
     /// Bounded: a burst beyond the bound frees what it does not keep.
     static constexpr std::size_t kMaxSpareActions = 4;
     static constexpr std::size_t kMaxSpareTallies = 256;

@@ -316,27 +316,19 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
             return;
         }
         case net::Channel::TroxyCache: {
-            auto decoded = decode_cache_message(payload);
-            if (!decoded) return;
+            // Decoded into the host's burst lists, which keep their
+            // storage. Each message enters ONE transition: a plain query
+            // or response as a span of one, a burst whole. Nothing the
+            // ecall or apply() runs receives a message, so the lists
+            // stay untouched until the transition is done.
+            if (!decode_cache_burst(payload, cache_burst_)) return;
             enclave::CostMeter meter;
-            // Each message enters ONE transition: a plain query or
-            // response as a span of one, a burst whole.
-            if (auto* query = std::get_if<CacheQuery>(&*decoded)) {
+            if (!cache_burst_.queries.empty()) {
                 apply(meter, troxy_->handle_cache_queries(
-                                 meter, std::span(query, 1)));
-            } else if (auto* response =
-                           std::get_if<CacheResponse>(&*decoded)) {
-                apply(meter, troxy_->handle_cache_responses(
-                                 meter, std::span(response, 1)));
-            } else if (auto* queries =
-                           std::get_if<CacheQueryBatch>(&*decoded)) {
-                apply(meter, troxy_->handle_cache_queries(meter,
-                                                          queries->queries));
+                                 meter, cache_burst_.queries));
             } else {
-                apply(meter,
-                      troxy_->handle_cache_responses(
-                          meter,
-                          std::get<CacheResponseBatch>(*decoded).responses));
+                apply(meter, troxy_->handle_cache_responses(
+                                 meter, cache_burst_.responses));
             }
             return;
         }
@@ -509,25 +501,13 @@ void TroxyReplicaHost::flush_fastread_buffer(net::Outbox& outbox) {
     if (fastread_buffer_.empty()) return;
     ++fastread_flush_generation_;  // cancel any armed delay timer
     fastread_timer_armed_ = false;
-    // One message per remote, in ascending node id. A lone query keeps
-    // the single-message wire form; a burst ships as one CacheQueryBatch
-    // and will be answered in one remote transition.
+    // One message per remote, in ascending node id, encoded straight
+    // from the buffer. A lone query keeps the single-message wire form; a
+    // burst ships as one query batch and will be answered in one remote
+    // transition.
     for_each_destination(fastread_buffer_, [&](auto first, auto last) {
-        if (last - first == 1) {
-            outbox.send(first->to,
-                        encode_cache_frame(
-                            CacheMessage(std::move(first->query)),
-                            outbox.pool()));
-            return;
-        }
-        CacheQueryBatch batch;
-        batch.queries.reserve(static_cast<std::size_t>(last - first));
-        for (auto it = first; it != last; ++it) {
-            batch.queries.push_back(std::move(it->query));
-        }
-        outbox.send(first->to, encode_cache_frame(
-                                   CacheMessage(std::move(batch)),
-                                   outbox.pool()));
+        outbox.send(first->to, encode_cache_frame(first, last, outbox.pool(),
+                                                  &BufferedQuery::query));
     });
     fastread_buffer_.clear();
 }

@@ -29,7 +29,7 @@ struct HostPipelineOptions {
     /// ecall. 1 = one ecall per reply, the paper's flow.
     std::size_t voter_batch_max = 1;
     /// Fast-read batching: maximum buffered cache queries before the
-    /// host ships them as CacheQueryBatch bursts (one per remote).
+    /// host ships them as query batches (one per remote).
     /// 1 = one wire message and one remote ecall per query, the
     /// paper's flow.
     std::size_t fastread_batch_max = 1;
@@ -198,8 +198,8 @@ class TroxyReplicaHost {
     void route_cache_queries(
         net::Outbox& outbox,
         std::vector<std::pair<sim::NodeId, CacheQuery>>&& queries);
-    /// Ships every buffered burst: one CacheQueryBatch per remote (a
-    /// lone query goes out in the plain single-message form).
+    /// Ships every buffered burst: one query batch per remote (a lone
+    /// query goes out in the plain single-message form).
     void flush_fastread_buffer(net::Outbox& outbox);
     void arm_fastread_flush_timer();
 
@@ -259,6 +259,9 @@ class TroxyReplicaHost {
         CacheQuery query;
     };
     std::vector<BufferedQuery> fastread_buffer_;
+    /// The arriving cache message, decoded into lists reused across
+    /// arrivals.
+    CacheBurst cache_burst_;
     std::uint64_t fastread_flush_generation_ = 0;
     bool fastread_timer_armed_ = false;
 

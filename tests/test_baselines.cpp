@@ -43,9 +43,9 @@ TEST(PbftConfig, Validation) {
 
 /// Prophecy's replica group — four BaselineReplicaHosts in the PBFT
 /// profile, from the deployments' shared builder — driven directly by one
-/// hybster::Client. A request invoked before the client's handshakes
-/// finish goes out with its first retransmit, 2 s in, so the tests run
-/// past that.
+/// hybster::Client. The tests invoke at t = 0, before the client's
+/// handshakes finish; each request goes out as the channel it is
+/// addressed to comes up.
 struct PbftGroup : bench::ClusterBase {
     bench::BaselineGroup group;
     std::unique_ptr<hybster::Client> client;
@@ -138,6 +138,33 @@ TEST(Pbft, ReadOneExecutesWithoutOrdering) {
     group.simulator().run_until(sim::seconds(4));
     EXPECT_TRUE(done);
     EXPECT_EQ(group.replica(1).last_executed(), 1u);  // read not ordered
+}
+
+// An ordered request invoked before any handshake finishes leaves as the
+// believed leader's channel comes up, not with the 2 s retransmit.
+TEST(Pbft, RequestInvokedBeforeTheHandshakeCompletesPromptly) {
+    PbftGroup group;
+    sim::SimTime done_at = 0;
+    group.client->invoke(EchoService::make_write(1, 64), false,
+                         [&](Bytes) { done_at = group.simulator().now(); });
+    group.simulator().run_until(sim::seconds(4));
+    ASSERT_GT(done_at, 0u);
+    EXPECT_LT(done_at, sim::milliseconds(100));
+    for (int r = 0; r < 4; ++r) {
+        EXPECT_EQ(group.replica(r).last_executed(), 1u);
+    }
+}
+
+// A READ-ONE is never retransmitted: issued at t = 0, it must still reach
+// its one replica once that channel comes up.
+TEST(Pbft, ReadOneIssuedBeforeTheHandshakeGetsItsReply) {
+    PbftGroup group;
+    Bytes reply;
+    group.client->read_one(EchoService::make_read(2, 32, 128), 1,
+                           [&](Bytes r) { reply = std::move(r); });
+    group.simulator().run_until(sim::seconds(1));
+    EXPECT_EQ(reply, EchoService::expected_read_reply(2, 0, 128));
+    EXPECT_EQ(group.replica(1).last_executed(), 0u);  // read not ordered
 }
 
 TEST(Pbft, ToleratesOneCrashedFollower) {

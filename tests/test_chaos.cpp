@@ -310,7 +310,7 @@ TEST(Chaos, ZeroCopyWirePathStaysLinearizable) {
 
 // The batched fast-read pipeline under fire: a read-heavy workload keeps
 // the cache-quorum path hot, cache queries cross the wire as
-// CacheQueryBatch bursts, responses apply in handle_cache_responses
+// query-batch bursts, responses apply in handle_cache_responses
 // bursts and executed batches are certified via authenticate_replies —
 // through a crash, a partition and the random fault mix, every voted or
 // fast-read reply must stay linearizable and every request complete.

@@ -75,12 +75,11 @@ TEST(WireFuzz, TruncatedRealMessagesRejected) {
 
     troxy_core::CacheQuery query;
     query.state_key = "k";
-    const Bytes cache_wire =
-        encode_cache_message(troxy_core::CacheMessage(query));
+    const Bytes cache_wire = encode_cache_message(&query, &query + 1);
+    troxy_core::CacheBurst burst;
     for (std::size_t cut = 0; cut + 1 < cache_wire.size(); ++cut) {
-        EXPECT_FALSE(troxy_core::decode_cache_message(
-                         ByteView(cache_wire.data(), cut))
-                         .has_value());
+        EXPECT_FALSE(troxy_core::decode_cache_burst(
+            ByteView(cache_wire.data(), cut), burst));
     }
 }
 
@@ -106,8 +105,8 @@ TEST(WireFuzz, ForgedCacheResponseIgnored) {
                         cluster.config().node_of(2),
                         cluster.config().node_of(0),
                         net::wrap(net::Channel::TroxyCache,
-                                  encode_cache_message(
-                                      troxy_core::CacheMessage(forged))));
+                                  encode_cache_message(&forged,
+                                                       &forged + 1)));
                 }
                 client.send(EchoService::make_read(2, 32, 64),
                             [&](Bytes reply) {
@@ -132,8 +131,8 @@ TEST(WireFuzz, CacheQueryFromOutsiderIgnored) {
     query.state_key = "k1";
     cluster.fabric().send(4242, cluster.config().node_of(1),
                           net::wrap(net::Channel::TroxyCache,
-                                    encode_cache_message(
-                                        troxy_core::CacheMessage(query))));
+                                    encode_cache_message(&query,
+                                                         &query + 1)));
 
     EXPECT_TRUE(one_write_completes(cluster, client));
 }

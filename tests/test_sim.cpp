@@ -570,5 +570,44 @@ TEST(BufferPool, ClassRetainsAtMostItsByteBudget) {
     EXPECT_EQ(pool.stats().discarded, 1u);
 }
 
+// A frame just above the top class (a Bundle of sixteen 4 KiB puts is
+// 65,619 bytes) is banked in the top class when released, so the next
+// acquire of its size takes it back instead of allocating; a top-class
+// buffer too small for it is passed over and still serves a top-class
+// acquire.
+TEST(BufferPool, AcquireJustAboveTheTopClassReusesALargeEnoughBuffer) {
+    BufferPool pool;
+    constexpr std::size_t kTop = BufferPool::kClassSizes.back();
+    constexpr std::size_t kBundle = 65619;
+    Bytes bundle = pool.acquire_empty(kBundle);
+    EXPECT_GE(bundle.capacity(), kBundle);
+    EXPECT_EQ(pool.stats().misses, 1u);
+    Bytes top = pool.acquire_empty(kTop);
+    EXPECT_EQ(pool.stats().misses, 2u);
+    const std::uint8_t* bundle_storage = bundle.data();
+    EXPECT_TRUE(pool.release_counted(std::move(bundle)));
+    EXPECT_TRUE(pool.release_counted(std::move(top)));  // banked last
+
+    Bytes again = pool.acquire_empty(kBundle);
+    EXPECT_EQ(pool.stats().hits, 1u);
+    EXPECT_EQ(again.data(), bundle_storage);
+    EXPECT_TRUE(again.empty());
+    Bytes plain = pool.acquire_empty(kTop);
+    EXPECT_EQ(pool.stats().hits, 2u);
+    EXPECT_EQ(pool.stats().misses, 2u);
+
+    // Nothing large enough left: a miss, and nothing is taken.
+    EXPECT_TRUE(pool.release_counted(std::move(plain)));
+    Bytes larger = pool.acquire_empty(kBundle);
+    EXPECT_EQ(pool.stats().misses, 3u);
+    EXPECT_GE(larger.capacity(), kBundle);
+    Bytes still = pool.acquire_empty(kTop);
+    EXPECT_EQ(pool.stats().hits, 3u);
+    // Above twice the top class nothing is banked, so nothing is looked
+    // up either.
+    Bytes huge = pool.acquire_empty(2 * kTop + 1);
+    EXPECT_EQ(pool.stats().misses, 4u);
+}
+
 }  // namespace
 }  // namespace troxy::sim

@@ -252,11 +252,12 @@ TEST(CacheMessages, QueryRoundTrip) {
     query.request_digest = crypto::sha256(to_bytes("req"));
     query.cert.fill(0xaa);
 
-    const Bytes wire = encode_cache_message(CacheMessage(query));
-    const auto decoded = decode_cache_message(wire);
-    ASSERT_TRUE(decoded.has_value());
-    const auto* out = std::get_if<CacheQuery>(&*decoded);
-    ASSERT_NE(out, nullptr);
+    const Bytes wire = encode_cache_message(&query, &query + 1);
+    CacheBurst burst;
+    ASSERT_TRUE(decode_cache_burst(wire, burst));
+    ASSERT_EQ(burst.queries.size(), 1u);
+    EXPECT_TRUE(burst.responses.empty());
+    const CacheQuery* out = &burst.queries[0];
     EXPECT_EQ(out->requester, 42u);
     EXPECT_EQ(out->query_id, 7u);
     EXPECT_EQ(out->state_key, "k9");
@@ -271,22 +272,24 @@ TEST(CacheMessages, ResponseRoundTrip) {
     response.has_entry = true;
     response.result_digest = crypto::sha256(to_bytes("result"));
 
-    const Bytes wire = encode_cache_message(CacheMessage(response));
-    const auto decoded = decode_cache_message(wire);
-    ASSERT_TRUE(decoded.has_value());
-    const auto* out = std::get_if<CacheResponse>(&*decoded);
-    ASSERT_NE(out, nullptr);
+    const Bytes wire = encode_cache_message(&response, &response + 1);
+    CacheBurst burst;
+    ASSERT_TRUE(decode_cache_burst(wire, burst));
+    ASSERT_EQ(burst.responses.size(), 1u);
+    EXPECT_TRUE(burst.queries.empty());
+    const CacheResponse* out = &burst.responses[0];
     EXPECT_TRUE(out->has_entry);
     EXPECT_EQ(out->result_digest, response.result_digest);
 }
 
 TEST(CacheMessages, MalformedRejected) {
-    EXPECT_FALSE(decode_cache_message(Bytes{}).has_value());
-    EXPECT_FALSE(decode_cache_message(Bytes{9, 1, 2}).has_value());
-    Bytes truncated =
-        encode_cache_message(CacheMessage(CacheQuery{}));
+    CacheBurst burst;
+    EXPECT_FALSE(decode_cache_burst(Bytes{}, burst));
+    EXPECT_FALSE(decode_cache_burst(Bytes{9, 1, 2}, burst));
+    const CacheQuery query;
+    Bytes truncated = encode_cache_message(&query, &query + 1);
     truncated.resize(truncated.size() / 2);
-    EXPECT_FALSE(decode_cache_message(truncated).has_value());
+    EXPECT_FALSE(decode_cache_burst(truncated, burst));
 }
 
 // ------------------------------------------------- enclave-level behaviour
@@ -864,14 +867,13 @@ struct FastReadRig {
     }
 
     /// Decodes a queued send as a TroxyCache-channel message.
-    CacheMessage decode_cache_send(
-        const std::pair<sim::NodeId, Bytes>& send) {
+    CacheBurst decode_cache_send(const std::pair<sim::NodeId, Bytes>& send) {
         const auto unwrapped = net::unwrap_view(send.second);
         EXPECT_TRUE(unwrapped.has_value());
         EXPECT_EQ(unwrapped->first, net::Channel::TroxyCache);
-        auto message = decode_cache_message(unwrapped->second);
-        EXPECT_TRUE(message.has_value());
-        return std::move(*message);
+        CacheBurst burst;
+        EXPECT_TRUE(decode_cache_burst(unwrapped->second, burst));
+        return burst;
     }
 };
 
@@ -888,17 +890,15 @@ TEST(TroxyEnclave, BatchedFastReadOneTransitionPerStage) {
     }
 
     // Remote side: the whole burst is answered in ONE transition and the
-    // four responses return as ONE CacheResponseBatch.
+    // four responses return as ONE response batch.
     const std::uint64_t remote_before = rig.remote->gate().transitions();
     auto remote_actions =
         rig.remote->handle_cache_queries(rig.meter, queries);
     EXPECT_EQ(rig.remote->gate().transitions(), remote_before + 1);
     ASSERT_EQ(remote_actions.sends.size(), 1u);
     EXPECT_EQ(remote_actions.sends[0].first, FastReadRig::kContactNode);
-    auto message = rig.decode_cache_send(remote_actions.sends[0]);
-    auto* batch = std::get_if<CacheResponseBatch>(&message);
-    ASSERT_NE(batch, nullptr);
-    ASSERT_EQ(batch->responses.size(), 4u);
+    const CacheBurst batch = rig.decode_cache_send(remote_actions.sends[0]);
+    ASSERT_EQ(batch.responses.size(), 4u);
     EXPECT_EQ(rig.remote->status().cache_query_batches, 1u);
     EXPECT_EQ(rig.remote->status().batched_cache_queries, 4u);
 
@@ -906,7 +906,7 @@ TEST(TroxyEnclave, BatchedFastReadOneTransitionPerStage) {
     // reads complete and release as ONE coalesced client record.
     const std::uint64_t contact_before = rig.contact->gate().transitions();
     auto contact_actions =
-        rig.contact->handle_cache_responses(rig.meter, batch->responses);
+        rig.contact->handle_cache_responses(rig.meter, batch.responses);
     EXPECT_EQ(rig.contact->gate().transitions(), contact_before + 1);
     const auto status = rig.contact->status();
     EXPECT_EQ(status.fast_read_hits, 4u);
@@ -1014,13 +1014,12 @@ TEST(TroxyEnclave, SpanOfOneReproducesTheSingleItemGolden) {
         EXPECT_EQ(rig.remote->gate().transitions() - before, 1u);
         EXPECT_EQ(sent(answered), "1/116/8bda7eb34084b7b8");
 
-        auto message = rig.decode_cache_send(answered.sends[0]);
-        const auto* response = std::get_if<CacheResponse>(&message);
-        ASSERT_NE(response, nullptr);
+        const CacheBurst message = rig.decode_cache_send(answered.sends[0]);
+        ASSERT_EQ(message.responses.size(), 1u);
         enclave::CostMeter done_meter;
         before = rig.contact->gate().transitions();
-        const auto done = rig.contact->handle_cache_responses(
-            done_meter, std::span(response, 1));
+        const auto done =
+            rig.contact->handle_cache_responses(done_meter, message.responses);
         EXPECT_EQ(done_meter.total(), 7508u);
         EXPECT_EQ(rig.contact->gate().transitions() - before, 1u);
         EXPECT_EQ(sent(done), "1/39/4ae964bdfb09251d");
@@ -1048,12 +1047,11 @@ TEST(TroxyEnclave, ByzantineCacheResponseFallsBackOnlyItself) {
     }
     auto remote_actions =
         rig.remote->handle_cache_queries(rig.meter, queries);
-    auto message = rig.decode_cache_send(remote_actions.sends[0]);
-    auto* batch = std::get_if<CacheResponseBatch>(&message);
-    ASSERT_NE(batch, nullptr);
+    const CacheBurst batch = rig.decode_cache_send(remote_actions.sends[0]);
+    ASSERT_EQ(batch.responses.size(), 4u);
 
     auto actions =
-        rig.contact->handle_cache_responses(rig.meter, batch->responses);
+        rig.contact->handle_cache_responses(rig.meter, batch.responses);
     const auto status = rig.contact->status();
     // The mismatch conflicted exactly one fast read — the other three in
     // the same burst completed within the same transition.
@@ -1089,12 +1087,11 @@ TEST(TroxyEnclave, FallbackBurstEntersOrderingPrebatched) {
     }
     auto remote_actions =
         rig.remote->handle_cache_queries(rig.meter, queries);
-    auto message = rig.decode_cache_send(remote_actions.sends[0]);
-    auto* batch = std::get_if<CacheResponseBatch>(&message);
-    ASSERT_NE(batch, nullptr);
+    const CacheBurst batch = rig.decode_cache_send(remote_actions.sends[0]);
+    ASSERT_EQ(batch.responses.size(), 4u);
 
     auto actions =
-        rig.contact->handle_cache_responses(rig.meter, batch->responses);
+        rig.contact->handle_cache_responses(rig.meter, batch.responses);
     const auto status = rig.contact->status();
     EXPECT_EQ(status.fast_read_conflicts, 4u);
     EXPECT_TRUE(actions.to_order_preformed);
