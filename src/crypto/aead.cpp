@@ -16,25 +16,22 @@ Poly1305Key derive_poly_key(const ChaChaKey& key,
     return poly_key;
 }
 
-// mac_data = aad || pad16 || ciphertext || pad16 || len(aad) || len(ct)
-Bytes build_mac_data(ByteView aad, ByteView ciphertext) {
-    Bytes data(aad.begin(), aad.end());
-    data.resize((data.size() + 15) / 16 * 16, 0);
-    data.insert(data.end(), ciphertext.begin(), ciphertext.end());
-    data.resize((data.size() + 15) / 16 * 16, 0);
-    auto push_le64 = [&data](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            data.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-        }
-    };
-    push_le64(aad.size());
-    push_le64(ciphertext.size());
-    return data;
+/// The tag over aad || pad16 || ciphertext || pad16 || len(aad) ||
+/// len(ciphertext), absorbed piece by piece.
+Poly1305Tag aead_tag(const ChaChaKey& key, const ChaChaNonce& nonce,
+                     ByteView aad, ByteView ciphertext) noexcept {
+    Poly1305 mac(derive_poly_key(key, nonce));
+    mac.absorb(aad, true);
+    mac.absorb(ciphertext, true);
+    std::uint8_t lengths[16];
+    for (int i = 0; i < 8; ++i) {
+        lengths[i] = static_cast<std::uint8_t>(aad.size() >> (8 * i));
+        lengths[8 + i] =
+            static_cast<std::uint8_t>(ciphertext.size() >> (8 * i));
+    }
+    mac.absorb(ByteView(lengths, sizeof lengths), true);
+    return mac.finish();
 }
-
-}  // namespace
-
-namespace {
 
 std::uint64_t fast_seed(const ChaChaKey& key, const ChaChaNonce& nonce,
                         ByteView aad) noexcept {
@@ -74,9 +71,7 @@ Bytes aead_seal(const ChaChaKey& key, const ChaChaNonce& nonce, ByteView aad,
         return out;
     }
     Bytes ciphertext = chacha20_xor(key, nonce, 1, plaintext);
-    const Poly1305Key poly_key = derive_poly_key(key, nonce);
-    const Poly1305Tag tag =
-        poly1305(poly_key, build_mac_data(aad, ciphertext));
+    const Poly1305Tag tag = aead_tag(key, nonce, aad, ciphertext);
     ciphertext.insert(ciphertext.end(), tag.begin(), tag.end());
     return ciphertext;
 }
@@ -92,10 +87,8 @@ void aead_seal_inplace(const ChaChaKey& key, const ChaChaNonce& nonce,
         return;
     }
     chacha20_xor_inplace(key, nonce, 1, buf.data() + offset, len);
-    const Poly1305Key poly_key = derive_poly_key(key, nonce);
-    const Poly1305Tag tag = poly1305(
-        poly_key,
-        build_mac_data(aad, ByteView(buf.data() + offset, len)));
+    const Poly1305Tag tag =
+        aead_tag(key, nonce, aad, ByteView(buf.data() + offset, len));
     buf.insert(buf.end(), tag.begin(), tag.end());
 }
 
@@ -123,9 +116,7 @@ bool aead_open_inplace(const ChaChaKey& key, const ChaChaNonce& nonce,
         buf.resize(len);
         return true;
     }
-    const Poly1305Key poly_key = derive_poly_key(key, nonce);
-    const Poly1305Tag expected =
-        poly1305(poly_key, build_mac_data(aad, ciphertext));
+    const Poly1305Tag expected = aead_tag(key, nonce, aad, ciphertext);
     if (!constant_time_equal(expected, tag)) return false;
     buf.resize(len);
     chacha20_xor_inplace(key, nonce, 1, buf.data(), len);

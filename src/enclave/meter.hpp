@@ -9,7 +9,6 @@
 #pragma once
 
 #include "common/bytes.hpp"
-#include "crypto/aead.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "sim/cost.hpp"
@@ -78,19 +77,6 @@ class CostedCrypto {
         meter_.add(first_from_source ? profile_.mac(data.size())
                                      : profile_.mac_continue(data.size()));
         return crypto::hmac_verify(key, data, tag);
-    }
-
-    Bytes seal(const crypto::ChaChaKey& key, const crypto::ChaChaNonce& nonce,
-               ByteView aad, ByteView plaintext) {
-        meter_.add(profile_.aead(plaintext.size()));
-        return crypto::aead_seal(key, nonce, aad, plaintext);
-    }
-
-    std::optional<Bytes> open(const crypto::ChaChaKey& key,
-                              const crypto::ChaChaNonce& nonce, ByteView aad,
-                              ByteView sealed) {
-        meter_.add(profile_.aead(sealed.size()));
-        return crypto::aead_open(key, nonce, aad, sealed);
     }
 
     void charge_dh() { meter_.add(profile_.dh()); }

@@ -14,6 +14,9 @@ namespace troxy::hybster {
 using ViewNumber = std::uint64_t;
 using SequenceNumber = std::uint64_t;
 
+/// Wire cap on a Prepare's batch: followers reject larger batches.
+inline constexpr std::uint32_t kMaxBatchSize = 1u << 16;
+
 /// The replica pipeline knobs: ordering batch, wire coalescing, transport,
 /// execution lanes and state transfer. Declared once here; Config and every
 /// harness options struct that configures a replica group inherit them, so
@@ -128,10 +131,10 @@ struct Config : PipelineOptions {
                      "a group has 2f+1 (hybrid) or 3f+1 (PBFT) replicas");
         TROXY_ASSERT(checkpoint_interval > 0, "checkpoint interval > 0");
         TROXY_ASSERT(batch_size_max >= 1, "batch size must be at least 1");
-        // Batch::decode_into drops batches above 2^16 members; a leader
+        // Followers drop batches above kMaxBatchSize members; a leader
         // allowed to cut bigger ones would emit Prepares every follower
         // discards.
-        TROXY_ASSERT(batch_size_max <= (1u << 16),
+        TROXY_ASSERT(batch_size_max <= kMaxBatchSize,
                      "batch size must not exceed the wire limit (65536)");
         TROXY_ASSERT(batch_delay < view_change_timeout,
                      "batch delay must stay below the view-change timeout");

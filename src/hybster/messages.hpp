@@ -16,11 +16,20 @@
 // subsystem (the Troxy in a Troxy deployment; §IV-A requires the voter to
 // only count replies authenticated by the sender's Troxy).
 //
+// Each message states its wire layout once, in a static layout()
+// template (see common/serialize.hpp): encoding, decoding, the encoded
+// size and every certified view that is "all fields but the certificate"
+// follow from it. Only a Request reads itself by hand, so its payload and
+// certificates land in one body; Prepare and Commit certify a fixed
+// AgreementView instead. Every counted list carries a wire cap, and a
+// decoder rejects a count its frame cannot hold before it reserves
+// anything.
+//
 // Codec allocation rules (DESIGN.md §16): fixed-layout certified views
 // are std::arrays; variable views are written into a scratch buffer the
-// caller owns and reuses; encoders size their buffer once from
-// encoded_size(); and decoders read fixed fields straight into the
-// message. A decoded or newly created Request takes exactly one
+// caller owns and reuses; encoders size their buffer once, with the same
+// layout; and decoders read into the caller's object, reusing its
+// buffers. A decoded or newly created Request takes exactly one
 // RequestBody block, recycled through a bounded per-thread free list, so
 // a warm node decodes and builds requests without allocating; every later
 // copy shares the block.
@@ -71,6 +80,12 @@ struct RequestId {
     std::uint64_t number = 0;
 
     auto operator<=>(const RequestId&) const = default;
+
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u32(m.client);
+        io.u64(m.number);
+    }
 };
 
 /// A request's payload and authenticator in one immutable heap block: a
@@ -164,14 +179,32 @@ struct Request {
         return body_.auth_slots();
     }
 
+    /// Legacy clients attach up to one certificate per replica.
+    static constexpr std::uint8_t kMaxAuth = 0xff;
+
+    /// Writes and sizes a request; a Reader goes through decode().
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        if constexpr (Io::kReads) {
+            m = decode(io);
+        } else {
+            RequestId::layout(io, m.id);
+            io.u8(m.flags);
+            io.bytes(m.payload());
+            io.auth(m.auth(), kMaxAuth);
+        }
+    }
+    /// The one hand-written read: the payload stays borrowed until the
+    /// certificate count is known, so both land in one body.
+    static Request decode(Reader& r);
+
     /// Bytes covered by the certificate, written into `scratch` (cleared
     /// first, capacity reused); the returned view aliases `scratch`.
-    ByteView signed_view(Bytes& scratch) const;
+    ByteView signed_view(Bytes& scratch) const {
+        return write_certified(scratch, *this);
+    }
     /// Owning copy of the signed view, for cold paths.
-    [[nodiscard]] Bytes signed_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static Request decode(Reader& r);
+    [[nodiscard]] Bytes signed_view() const { return certified_bytes(*this); }
 
     /// Digest identifying this request in commits/replies. Memoized per
     /// Request object (a copy carries the value it had): the first call
@@ -218,11 +251,13 @@ struct Batch {
     [[nodiscard]] const crypto::Sha256Digest& digest_with(
         enclave::CostedCrypto& crypto, Bytes& scratch) const;
 
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    /// Decodes into `out`, reusing its member vector's capacity and
-    /// forgetting its memoized digest.
-    static void decode_into(Reader& r, Batch& out);
+    /// A read reuses the member vector's capacity and forgets the
+    /// memoized digest.
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        if constexpr (Io::kReads) m.digest_cache_.reset();
+        io.list(m.requests, kMaxBatchSize);
+    }
 
   private:
     mutable std::optional<crypto::Sha256Digest> digest_cache_;
@@ -243,13 +278,16 @@ struct Prepare {
     Authenticator cert;
 
     [[nodiscard]] AgreementView certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static Prepare decode(Reader& r, std::size_t auth_width = 1);
-    /// Like decode(), but into `out`, whose batch keeps its member
-    /// vector's capacity: a follower decodes a warm Prepare into recycled
-    /// storage.
-    static void decode_into(Reader& r, Prepare& out, std::size_t auth_width);
+
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u64(m.view);
+        io.u64(m.seq);
+        io.u32(m.replica);
+        io.u64(m.counter_value);
+        Batch::layout(io, m.batch);
+        io.auth(m.cert);
+    }
 };
 
 struct Commit {
@@ -270,9 +308,17 @@ struct Commit {
     Authenticator cert;
 
     [[nodiscard]] AgreementView certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static Commit decode(Reader& r, std::size_t auth_width = 1);
+
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u64(m.view);
+        io.u64(m.seq);
+        io.u32(m.replica);
+        io.u64(m.counter_value);
+        io.u32(m.batch_size);
+        io.array(m.batch_digest);
+        io.auth(m.cert);
+    }
 };
 
 struct Reply {
@@ -294,16 +340,27 @@ struct Reply {
 
     /// Bytes covered by the certificate (everything except the cert),
     /// written into `scratch`; the returned view aliases `scratch`.
-    ByteView certified_view(Bytes& scratch) const;
+    ByteView certified_view(Bytes& scratch) const {
+        return write_certified(scratch, *this);
+    }
     /// Owning copy of the certified view, for cold paths.
-    [[nodiscard]] Bytes certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static Reply decode(Reader& r);
-    /// Like decode(), but into `out`, reusing its result buffer's
-    /// capacity: a receiver that keeps its Reply objects decodes a warm
-    /// reply without allocating.
-    static void decode_into(Reader& r, Reply& out);
+    [[nodiscard]] Bytes certified_view() const {
+        return certified_bytes(*this);
+    }
+
+    /// A read reuses the result buffer's capacity: a receiver that keeps
+    /// its Reply objects decodes a warm reply without allocating.
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.enum8(m.kind, Kind::Optimistic);
+        io.u64(m.view);
+        io.u64(m.seq);
+        RequestId::layout(io, m.request_id);
+        io.array(m.request_digest);
+        io.bytes(m.result);
+        io.u32(m.replica);
+        io.cert(m.cert);
+    }
 };
 
 /// An executed request's reply on its way out through the host's delivery
@@ -325,9 +382,14 @@ struct CheckpointMsg {
     using View = std::array<std::uint8_t, 12 + crypto::kSha256DigestSize>;
 
     [[nodiscard]] View certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static CheckpointMsg decode(Reader& r, std::size_t auth_width = 1);
+
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u64(m.seq);
+        io.array(m.state_digest);
+        io.u32(m.replica);
+        io.auth(m.cert);
+    }
 };
 
 struct ViewChange {
@@ -340,10 +402,20 @@ struct ViewChange {
     std::vector<Prepare> prepared;
     Authenticator cert;
 
-    [[nodiscard]] Bytes certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static ViewChange decode(Reader& r, std::size_t auth_width = 1);
+    static constexpr std::uint32_t kMaxPrepared = 1u << 20;
+
+    [[nodiscard]] Bytes certified_view() const {
+        return certified_bytes(*this);
+    }
+
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u64(m.new_view);
+        io.u32(m.replica);
+        io.u64(m.last_stable);
+        io.list(m.prepared, kMaxPrepared);
+        io.auth(m.cert);
+    }
 };
 
 struct NewView {
@@ -358,10 +430,21 @@ struct NewView {
     std::vector<Prepare> reproposed;
     Authenticator cert;
 
-    [[nodiscard]] Bytes certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static NewView decode(Reader& r, std::size_t auth_width = 1);
+    static constexpr std::uint32_t kMaxProofs = 1024;
+
+    [[nodiscard]] Bytes certified_view() const {
+        return certified_bytes(*this);
+    }
+
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u64(m.view);
+        io.u32(m.replica);
+        io.u64(m.start_seq);
+        io.list(m.proofs, kMaxProofs);
+        io.list(m.reproposed, ViewChange::kMaxPrepared);
+        io.auth(m.cert);
+    }
 };
 
 /// Asks peers for a state-transfer snapshot: sent by a replica that
@@ -379,10 +462,18 @@ struct StateRequest {
     std::vector<crypto::Sha256Digest> have_chunks;
     Authenticator cert;
 
+    static constexpr std::uint32_t kMaxChunks = 1u << 20;
+
+    /// The type tag, then every field but the certificate.
     [[nodiscard]] Bytes certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static StateRequest decode(Reader& r, std::size_t auth_width = 1);
+
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u32(m.replica);
+        io.u64(m.have);
+        io.list(m.have_chunks, kMaxChunks);
+        io.auth(m.cert);
+    }
 };
 
 /// Answer to a StateRequest: one message of the responder's chunked
@@ -394,9 +485,9 @@ struct StateRequest {
 /// replica, hence the manifest describes a real checkpoint of
 /// `last_stable`. Each chunk verifies individually against the manifest,
 /// which lets the requester accept chunks in any order, from any
-/// responder, across retries. `chunk_index[i]` is the manifest position
-/// of `chunks[i]`; chunks the requester advertised are skipped, so the
-/// index list is generally non-contiguous. Responses with
+/// responder, across retries. Each chunk carries its manifest position;
+/// chunks the requester advertised are skipped, so the positions are
+/// generally non-contiguous. Responses with
 /// last_stable == 0 carry no manifest or proof (nothing stable yet) and
 /// the requester falls back to f+1 matching responses before adopting
 /// the view coordinates.
@@ -409,20 +500,49 @@ struct StateResponse {
     SequenceNumber last_stable = 0;  // snapshot's sequence number
     crypto::Sha256Digest root{};     // Merkle root == certified digest
     std::vector<crypto::Sha256Digest> manifest;
-    std::vector<std::uint32_t> chunk_index;
-    std::vector<Bytes> chunks;
+    struct Chunk {
+        std::uint32_t index = 0;  // manifest position
+        Bytes data;
+
+        template <class Io, class M>
+        static void layout(Io& io, M& m) {
+            io.u32(m.index);
+            io.bytes(m.data);
+        }
+    };
+    std::vector<Chunk> chunks;
     std::vector<CheckpointMsg> proof;
     Authenticator cert;
 
-    /// Certified bytes: the coordinates plus the Merkle root only. The
-    /// chunk payloads need no per-message certificate — they verify
-    /// against the manifest and the manifest folds to the certified root
-    /// — so a responder computes ONE certificate per transfer and reuses
-    /// it across every message of the stream.
+    static constexpr std::uint32_t kMaxManifest = 1u << 20;
+    static constexpr std::uint32_t kMaxChunks = 1u << 16;
+    static constexpr std::uint8_t kMaxProof = 64;
+
+    /// Certified bytes: the type tag, then the coordinates plus the
+    /// Merkle root only (head()). The chunk payloads need no per-message
+    /// certificate — they verify against the manifest and the manifest
+    /// folds to the certified root — so a responder computes ONE
+    /// certificate per transfer and reuses it across every message of
+    /// the stream.
     [[nodiscard]] Bytes certified_view() const;
-    [[nodiscard]] std::size_t encoded_size() const noexcept;
-    void encode(Writer& w) const;
-    static StateResponse decode(Reader& r, std::size_t auth_width = 1);
+
+    /// The certified coordinates, which open the layout.
+    template <class Io, class M>
+    static void head(Io& io, M& m) {
+        io.u32(m.replica);
+        io.u64(m.view);
+        io.u64(m.view_start);
+        io.u64(m.last_stable);
+        io.array(m.root);
+    }
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        head(io, m);
+        io.list(m.manifest, kMaxManifest);
+        io.list(m.chunks, kMaxChunks);
+        io.list(m.proof, kMaxProof);
+        io.auth(m.cert);
+    }
 };
 
 using Message = std::variant<Request, Prepare, Commit, Reply, CheckpointMsg,
@@ -430,18 +550,24 @@ using Message = std::variant<Request, Prepare, Commit, Reply, CheckpointMsg,
                              StateResponse>;
 
 namespace detail {
-/// Writes the optional envelope byte, T's type tag and the message into
-/// one buffer sized exactly once (a recycled one when `pool` is given).
+/// The optional envelope byte, T's type tag, then the message.
+template <class Io, typename T>
+void frame(Io& io, const T& message, std::optional<net::Channel> channel) {
+    if (channel) io.u8(static_cast<std::uint8_t>(*channel));
+    io.u8(static_cast<std::uint8_t>(T::kType));
+    T::layout(io, message);
+}
+
+/// frame() into one buffer sized once (a recycled one when `pool` is
+/// given).
 template <typename T>
 Bytes encode_sized(const T& message, std::optional<net::Channel> channel,
                    sim::BufferPool* pool) {
-    const std::size_t size = (channel ? 2 : 1) + message.encoded_size();
-    Writer w(pool != nullptr ? pool->acquire_empty(size) : Bytes());
-    w.reserve(size);
-    if (channel) w.u8(static_cast<std::uint8_t>(*channel));
-    w.u8(static_cast<std::uint8_t>(T::kType));
-    message.encode(w);
-    TROXY_ASSERT(w.size() == size, "encoded_size() out of sync with encode()");
+    Sizer sizer;
+    frame(sizer, message, channel);
+    Writer w(pool != nullptr ? pool->acquire_empty(sizer.size()) : Bytes());
+    w.reserve(sizer.size());
+    frame(w, message, channel);
     return std::move(w).take();
 }
 }  // namespace detail
@@ -485,15 +611,16 @@ std::optional<Message> decode_message(ByteView data,
            data[0] == static_cast<std::uint8_t>(MsgType::Prepare);
 }
 
-/// Parses an encoded Prepare (type tag included) into `out` with
-/// Prepare::decode_into; false on any input decode_message() rejects, in
+/// Parses an encoded Prepare (type tag included) into `out`, whose batch
+/// keeps its member vector's capacity: a follower decodes a warm Prepare
+/// into recycled storage. False on any input decode_message() rejects, in
 /// which case `out` holds a partial decode.
 bool decode_prepare_into(ByteView data, Prepare& out,
                          std::size_t auth_width);
 
-/// Parses an encoded Reply (type tag included) into `out` with
-/// Reply::decode_into; false on any input decode_message() rejects, in
-/// which case `out` holds a partial decode.
+/// Parses an encoded Reply (type tag included) into `out`, reusing its
+/// result buffer; false on any input decode_message() rejects, in which
+/// case `out` holds a partial decode.
 bool decode_reply_into(ByteView data, Reply& out);
 
 }  // namespace troxy::hybster

@@ -1231,8 +1231,7 @@ void Replica::handle_state_request(enclave::CostedCrypto& crypto,
         StateResponse msg = base;
         for (std::size_t j = start; j < end; ++j) {
             const std::uint32_t idx = to_send[j];
-            msg.chunk_index.push_back(idx);
-            msg.chunks.push_back(*chunked.chunks[idx]);
+            msg.chunks.push_back({idx, *chunked.chunks[idx]});
             state_stats_.bytes_sent += chunked.chunks[idx]->size();
             ++state_stats_.chunks_sent;
         }
@@ -1338,15 +1337,14 @@ void Replica::handle_state_response(enclave::CostedCrypto& crypto,
     }
 
     // Bank every new chunk that verifies against the manifest.
-    for (std::size_t j = 0; j < response.chunks.size(); ++j) {
-        const std::uint32_t idx = response.chunk_index[j];
+    for (StateResponse::Chunk& chunk : response.chunks) {
+        const std::uint32_t idx = chunk.index;
         if (idx >= transfer_->manifest.size()) continue;
         if (!transfer_->missing.contains(idx)) continue;
-        const crypto::Sha256Digest leaf =
-            chunk_leaf_hash(crypto, response.chunks[j]);
+        const crypto::Sha256Digest leaf = chunk_leaf_hash(crypto, chunk.data);
         if (!digests_equal(leaf, transfer_->manifest[idx])) continue;
         chunk_store_[store_key(leaf)] =
-            std::make_shared<const Bytes>(std::move(response.chunks[j]));
+            std::make_shared<const Bytes>(std::move(chunk.data));
         transfer_->missing.erase(idx);
         ++transfer_->received;
         ++state_stats_.chunks_received;

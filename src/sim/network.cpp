@@ -167,28 +167,10 @@ Network::Packet* Network::alloc_packet() {
 
 void Network::free_packet(Packet* packet) noexcept {
     packet->target = PayloadTarget{};
-    packet->plain = nullptr;
     packet->frame_bytes = 0;
     packet->credited = false;
     packet->next_free = free_packets_;
     free_packets_ = packet;
-}
-
-void Network::send(NodeId from, NodeId to, std::size_t bytes,
-                   std::function<void()> deliver) {
-    // The sender always pays for the send; counting happens before the
-    // fault check so replayed traces agree on messages_sent() regardless
-    // of where a message dies.
-    ++messages_sent_;
-    bytes_sent_ += bytes;
-
-    if (fault_drops(from, to, bytes)) return;
-
-    Packet* packet = alloc_packet();
-    packet->plain = std::move(deliver);
-    packet->from = from;
-    packet->to = to;
-    send_packet(bytes, packet);
 }
 
 void Network::send(NodeId from, NodeId to, Bytes payload,
@@ -313,20 +295,13 @@ void Network::deliver_packet(Packet* packet) {
         packet->credited = false;
         release_credit(packet->from, packet->to);
     }
-    if (packet->target.fn != nullptr) {
-        const PayloadTarget target = packet->target;
-        const NodeId from = packet->from;
-        const NodeId to = packet->to;
-        Bytes payload = std::move(packet->payload);
-        free_packet(packet);
-        target.fn(target.ctx, from, to, std::move(payload));
-        return;
-    }
-    // Legacy closure path: the callback may re-enter the network, so the
-    // packet is freed before it runs.
-    std::function<void()> deliver = std::move(packet->plain);
+    // The target may re-enter the network, so the packet is freed first.
+    const PayloadTarget target = packet->target;
+    const NodeId from = packet->from;
+    const NodeId to = packet->to;
+    Bytes payload = std::move(packet->payload);
     free_packet(packet);
-    deliver();
+    target.fn(target.ctx, from, to, std::move(payload));
 }
 
 }  // namespace troxy::sim

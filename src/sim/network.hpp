@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -131,24 +130,20 @@ class Network {
     /// True if an active fault (loss excluded) would block this pair.
     [[nodiscard]] bool reachable(NodeId from, NodeId to) const;
 
-    /// Schedules `deliver` on the destination after latency plus
-    /// serialization delay for `bytes`. FIFO per directed pair. Messages
-    /// blocked or lost by an injected fault are counted and discarded.
-    void send(NodeId from, NodeId to, std::size_t bytes,
-              std::function<void()> deliver);
-
     /// Payload delivery target: a plain function pointer plus context, so
-    /// in-flight messages carry no std::function on the payload path.
+    /// in-flight messages carry no std::function.
     struct PayloadTarget {
         void* ctx = nullptr;
         void (*fn)(void* ctx, NodeId from, NodeId to, Bytes payload) =
             nullptr;
     };
 
-    /// Payload-carrying send: the network owns the buffer while the
-    /// message is in flight (slab-recycled packet records, no per-message
-    /// closure allocation) and hands it to `target` at delivery time.
-    /// Payloads of dropped messages are recycled into the buffer pool.
+    /// Hands `payload` to `target` on the destination after latency plus
+    /// serialization delay for its size. FIFO per directed pair. The
+    /// network owns the buffer while the message is in flight
+    /// (slab-recycled packet records, no per-message closure allocation).
+    /// Messages blocked or lost by an injected fault are counted and
+    /// discarded, their payloads recycled into the buffer pool.
     void send(NodeId from, NodeId to, Bytes payload, PayloadTarget target);
 
     /// Bounded in-flight credit window per directed pair (kernel-bypass
@@ -200,11 +195,9 @@ class Network {
     };
 
     /// In-flight message record, slab-allocated and freelist-recycled.
-    /// Exactly one of `target.fn` / `plain` is set.
     struct Packet {
         Bytes payload;
         PayloadTarget target;
-        std::function<void()> plain;  // legacy closure path
         NodeId from = 0;
         NodeId to = 0;
         double wire_bits = 0.0;

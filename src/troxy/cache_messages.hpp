@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <ranges>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -38,17 +40,17 @@ struct CacheQuery {
     enclave::Certificate cert{};
 
     /// Certified bytes, written into `scratch`; the view aliases it.
-    ByteView certified_view(Bytes& scratch) const;
-    void encode(Writer& w) const;
-    static CacheQuery decode(Reader& r);
+    ByteView certified_view(Bytes& scratch) const {
+        return write_certified(scratch, *this);
+    }
 
-    /// Encoded size of everything but the state key's bytes.
-    static constexpr std::size_t kFixedWireSize =
-        4 + 8 + 4 + crypto::kSha256DigestSize + sizeof(enclave::Certificate);
-
-    /// Exact encoded size, used to charge the real ecall copy-in cost.
-    [[nodiscard]] std::size_t wire_size() const noexcept {
-        return kFixedWireSize + state_key.size();
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u32(m.requester);
+        io.u64(m.query_id);
+        io.str(m.state_key);
+        io.array(m.request_digest);
+        io.cert(m.cert);
     }
 };
 
@@ -69,14 +71,21 @@ struct CacheResponse {
     using View =
         std::array<std::uint8_t, 17 + 2 * crypto::kSha256DigestSize>;
 
-    [[nodiscard]] View certified_view() const;
-    void encode(Writer& w) const;
-    static CacheResponse decode(Reader& r);
+    [[nodiscard]] View certified_view() const {
+        Uncertified<FixedWriter<std::tuple_size_v<View>>> w;
+        layout(w, *this);
+        return w.take();
+    }
 
-    /// Exact encoded size, used to charge the real ecall copy-in cost.
-    [[nodiscard]] static constexpr std::size_t wire_size() noexcept {
-        return 4 + 4 + 8 + 1 + 2 * crypto::kSha256DigestSize +
-               sizeof(enclave::Certificate);
+    template <class Io, class M>
+    static void layout(Io& io, M& m) {
+        io.u32(m.responder);
+        io.u32(m.responder_replica);
+        io.u64(m.query_id);
+        io.flag(m.has_entry);
+        io.array(m.request_digest);
+        io.array(m.result_digest);
+        io.cert(m.cert);
     }
 };
 
@@ -87,30 +96,32 @@ struct CacheResponse {
 /// A batch is answered, or applied, in a single enclave transition.
 namespace cache_wire {
 
-/// Exact encoded size of the items [first, last), tag included.
-template <std::forward_iterator It, typename Proj>
-std::size_t size(It first, It last, Proj proj) {
-    std::size_t size = std::distance(first, last) > 1 ? 1 + 2 : 1;
-    for (It it = first; it != last; ++it) {
-        size += std::invoke(proj, *it).wire_size();
-    }
-    return size;
-}
+inline constexpr std::uint16_t kMaxBurst = 0xffff;
 
-template <std::forward_iterator It, typename Proj>
-void write(Writer& w, It first, It last, Proj proj) {
+/// Writes (or sizes) the items [first, last) as one cache message.
+template <class Io, std::forward_iterator It, typename Proj>
+void write(Io& io, It first, It last, Proj proj) {
     using Item = std::remove_cvref_t<
         std::invoke_result_t<Proj&, std::iter_reference_t<It>>>;
     const auto count = static_cast<std::size_t>(std::distance(first, last));
-    TROXY_ASSERT(count >= 1 && count <= 0xffff,
-                 "a cache burst holds 1 to 65535 items");
+    TROXY_ASSERT(count >= 1, "a cache burst holds at least one item");
     if (count == 1) {
-        w.u8(Item::kTag);
-    } else {
-        w.u8(Item::kBatchTag);
-        w.u16(static_cast<std::uint16_t>(count));
+        io.u8(Item::kTag);
+        Item::layout(io, std::invoke(proj, *first));
+        return;
     }
-    for (It it = first; it != last; ++it) std::invoke(proj, *it).encode(w);
+    io.u8(Item::kBatchTag);
+    io.list(std::views::transform(std::ranges::subrange(first, last, count),
+                                  proj),
+            kMaxBurst);
+}
+
+/// Exact encoded size of the items [first, last), tag included.
+template <std::forward_iterator It, typename Proj>
+std::size_t size(It first, It last, Proj proj) {
+    Sizer sizer;
+    write(sizer, first, last, proj);
+    return sizer.size();
 }
 
 }  // namespace cache_wire

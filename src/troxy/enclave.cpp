@@ -567,9 +567,9 @@ TroxyActions TroxyEnclave::handle_cache_queries(
     enclave::CostMeter& meter, std::span<const CacheQuery> queries) {
     const std::size_t header = batch_header(queries.size());
     std::size_t in_bytes = header;
-    for (const CacheQuery& query : queries) in_bytes += query.wire_size();
+    for (const CacheQuery& query : queries) in_bytes += wire_size(query);
     gate_.ecall(meter, "handle_cache_queries", in_bytes,
-                header + queries.size() * CacheResponse::wire_size());
+                header + queries.size() * wire_size(CacheResponse{}));
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions = take_actions();
 
@@ -657,7 +657,7 @@ TroxyActions TroxyEnclave::handle_cache_responses(
     enclave::CostMeter& meter, std::span<const CacheResponse> responses) {
     gate_.ecall(meter, "handle_cache_responses",
                 batch_header(responses.size()) +
-                    responses.size() * CacheResponse::wire_size(),
+                    responses.size() * wire_size(CacheResponse{}),
                 0);
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions = take_actions();

@@ -46,7 +46,7 @@ TEST(Config, LargerGroups) {
 }
 
 TEST(Config, BatchSizeWireLimit) {
-    // The config ceiling must agree with Batch::decode_into's wire limit:
+    // The config ceiling must agree with the batch's wire cap:
     // a leader allowed to cut bigger batches would stall the group.
     Config config;
     config.f = 1;

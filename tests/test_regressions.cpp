@@ -5,6 +5,7 @@
 #include "apps/echo_service.hpp"
 #include "bench_support/cluster.hpp"
 #include "bench_support/workload.hpp"
+#include "closure_sends.hpp"
 #include "net/outbox.hpp"
 
 namespace troxy {
@@ -69,6 +70,7 @@ TEST(Regression, ExecOrderedHonorsExternalFloor) {
 TEST(Regression, IngressBookedInArrivalOrder) {
     sim::Simulator sim;
     sim::Network network(sim);
+    test_support::ClosureSender sender(network);
     network.set_nic_group(100, 1, 1e9);  // shared destination machine
 
     sim::LinkSpec slow;
@@ -79,8 +81,8 @@ TEST(Regression, IngressBookedInArrivalOrder) {
     network.set_link(11, 100, fast);
 
     sim::SimTime wan_arrival = 0, lan_arrival = 0;
-    network.send(10, 100, 100, [&] { wan_arrival = sim.now(); });  // first
-    network.send(11, 100, 100, [&] { lan_arrival = sim.now(); });  // second
+    sender.send(10, 100, 100, [&] { wan_arrival = sim.now(); });  // first
+    sender.send(11, 100, 100, [&] { lan_arrival = sim.now(); });  // second
     sim.run();
     // The LAN message must NOT wait for the earlier-sent WAN message.
     EXPECT_LT(lan_arrival, sim::milliseconds(1));

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure_sends.hpp"
 #include "common/rng.hpp"
 #include "sim/cost.hpp"
 #include "sim/fault_plan.hpp"
@@ -99,13 +100,14 @@ TEST(Node, BusyTimeAccumulates) {
 TEST(Network, DeliversAfterLatency) {
     Simulator sim;
     Network network(sim);
+    test_support::ClosureSender sender(network);
     LinkSpec spec;
     spec.latency = LatencyModel::constant(milliseconds(5));
     spec.bandwidth_bits_per_sec = 1e12;  // effectively no serialization
     network.set_default_link(spec);
 
     SimTime delivered = 0;
-    network.send(1, 2, 10, [&] { delivered = sim.now(); });
+    sender.send(1, 2, 10, [&] { delivered = sim.now(); });
     sim.run();
     EXPECT_GE(delivered, milliseconds(5));
     EXPECT_LT(delivered, milliseconds(6));
@@ -114,14 +116,15 @@ TEST(Network, DeliversAfterLatency) {
 TEST(Network, SerializationDelayScalesWithSize) {
     Simulator sim;
     Network network(sim);
+    test_support::ClosureSender sender(network);
     LinkSpec spec;
     spec.latency = LatencyModel::constant(0);
     spec.bandwidth_bits_per_sec = 1e9;  // 1 Gbps
     network.set_default_link(spec);
 
     SimTime small = 0, large = 0;
-    network.send(1, 2, 100, [&] { small = sim.now(); });
-    network.send(3, 4, 1'000'000, [&] { large = sim.now(); });
+    sender.send(1, 2, 100, [&] { small = sim.now(); });
+    sender.send(3, 4, 1'000'000, [&] { large = sim.now(); });
     sim.run();
     // 1 MB at 1 Gbps ≈ 8 ms.
     EXPECT_GT(large, milliseconds(7));
@@ -131,6 +134,7 @@ TEST(Network, SerializationDelayScalesWithSize) {
 TEST(Network, FifoPerDirectedPair) {
     Simulator sim(5);
     Network network(sim);
+    test_support::ClosureSender sender(network);
     LinkSpec spec;
     // High jitter would reorder without the FIFO guarantee.
     spec.latency = LatencyModel::normal(milliseconds(10), milliseconds(5),
@@ -139,7 +143,7 @@ TEST(Network, FifoPerDirectedPair) {
 
     std::vector<int> order;
     for (int i = 0; i < 20; ++i) {
-        network.send(1, 2, 10, [&order, i] { order.push_back(i); });
+        sender.send(1, 2, 10, [&order, i] { order.push_back(i); });
     }
     sim.run();
     for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -148,12 +152,13 @@ TEST(Network, FifoPerDirectedPair) {
 TEST(Network, WanLatencyDistribution) {
     Simulator sim(17);
     Network network(sim);
+    test_support::ClosureSender sender(network);
     network.set_default_link(LinkSpec::wan());
 
     std::vector<SimTime> deliveries;
     // Use distinct sender nodes so FIFO does not couple the samples.
     for (std::uint32_t i = 0; i < 400; ++i) {
-        network.send(100 + i, 2, 10,
+        sender.send(100 + i, 2, 10,
                      [&deliveries, &sim] { deliveries.push_back(sim.now()); });
     }
     sim.run();
@@ -166,6 +171,7 @@ TEST(Network, WanLatencyDistribution) {
 TEST(Network, SharedNicSerializesMachineTraffic) {
     Simulator sim;
     Network network(sim);
+    test_support::ClosureSender sender(network);
     LinkSpec spec;
     spec.latency = LatencyModel::constant(0);
     network.set_default_link(spec);
@@ -174,8 +180,8 @@ TEST(Network, SharedNicSerializesMachineTraffic) {
     network.set_nic_group(2, 7, 1e9);
 
     SimTime first = 0, second = 0;
-    network.send(1, 10, 1'000'000, [&] { first = sim.now(); });
-    network.send(2, 11, 1'000'000, [&] { second = sim.now(); });
+    sender.send(1, 10, 1'000'000, [&] { first = sim.now(); });
+    sender.send(2, 11, 1'000'000, [&] { second = sim.now(); });
     sim.run();
     // Each 1 MB transfer needs ~8 ms; sharing the NIC serializes them.
     EXPECT_GT(second, milliseconds(15));
@@ -184,6 +190,7 @@ TEST(Network, SharedNicSerializesMachineTraffic) {
 TEST(Network, LossDropsProbabilisticallyAndCounts) {
     Simulator sim(9);
     Network network(sim);
+    test_support::ClosureSender sender(network);
     LinkSpec spec;
     spec.latency = LatencyModel::constant(0);
     network.set_default_link(spec);
@@ -191,7 +198,7 @@ TEST(Network, LossDropsProbabilisticallyAndCounts) {
     network.set_loss_bidirectional(1, 2, 1.0);
     int delivered = 0;
     for (int i = 0; i < 10; ++i) {
-        network.send(1, 2, 100, [&] { ++delivered; });
+        sender.send(1, 2, 100, [&] { ++delivered; });
     }
     sim.run();
     EXPECT_EQ(delivered, 0);
@@ -202,7 +209,7 @@ TEST(Network, LossDropsProbabilisticallyAndCounts) {
     EXPECT_EQ(network.messages_sent(), 10u);
 
     network.set_loss_bidirectional(1, 2, 0.0);  // clears the window
-    network.send(1, 2, 100, [&] { ++delivered; });
+    sender.send(1, 2, 100, [&] { ++delivered; });
     sim.run();
     EXPECT_EQ(delivered, 1);
 }
@@ -210,6 +217,7 @@ TEST(Network, LossDropsProbabilisticallyAndCounts) {
 TEST(Network, LinkDownDropsUntilHealed) {
     Simulator sim;
     Network network(sim);
+    test_support::ClosureSender sender(network);
     LinkSpec spec;
     spec.latency = LatencyModel::constant(0);
     network.set_default_link(spec);
@@ -220,15 +228,15 @@ TEST(Network, LinkDownDropsUntilHealed) {
     EXPECT_TRUE(network.reachable(1, 3));
 
     int delivered = 0;
-    network.send(1, 2, 50, [&] { ++delivered; });
-    network.send(2, 1, 50, [&] { ++delivered; });
+    sender.send(1, 2, 50, [&] { ++delivered; });
+    sender.send(2, 1, 50, [&] { ++delivered; });
     sim.run();
     EXPECT_EQ(delivered, 0);
     EXPECT_EQ(network.drops().by_link_down, 2u);
 
     network.heal_link_bidirectional(1, 2);
     EXPECT_TRUE(network.reachable(1, 2));
-    network.send(1, 2, 50, [&] { ++delivered; });
+    sender.send(1, 2, 50, [&] { ++delivered; });
     sim.run();
     EXPECT_EQ(delivered, 1);
 }
@@ -236,6 +244,7 @@ TEST(Network, LinkDownDropsUntilHealed) {
 TEST(Network, PartitionCutsAcrossGroupsOnly) {
     Simulator sim;
     Network network(sim);
+    test_support::ClosureSender sender(network);
     LinkSpec spec;
     spec.latency = LatencyModel::constant(0);
     network.set_default_link(spec);
@@ -248,15 +257,15 @@ TEST(Network, PartitionCutsAcrossGroupsOnly) {
     EXPECT_TRUE(network.reachable(100, 3));
 
     int delivered = 0;
-    network.send(1, 3, 10, [&] { ++delivered; });
-    network.send(1, 2, 10, [&] { ++delivered; });
+    sender.send(1, 3, 10, [&] { ++delivered; });
+    sender.send(1, 2, 10, [&] { ++delivered; });
     sim.run();
     EXPECT_EQ(delivered, 1);
     EXPECT_EQ(network.drops().by_partition, 1u);
 
     network.heal_partition("split");
     EXPECT_TRUE(network.reachable(1, 3));
-    network.send(1, 3, 10, [&] { ++delivered; });
+    sender.send(1, 3, 10, [&] { ++delivered; });
     sim.run();
     EXPECT_EQ(delivered, 2);
 }
