@@ -78,7 +78,7 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
         // source of its weak consistency).
         ++stats_.ordered;
         bft_client_.invoke(app_request, false, [this, to](Bytes result) {
-            release_reply(to, std::move(result));
+            release_reply(to, result);
         });
         return;
     }
@@ -100,7 +100,7 @@ void ProphecyMiddlebox::handle_app_request(sim::NodeId client,
         [this, to, expected, request = app_request](Bytes result) mutable {
             if (constant_time_equal(crypto::sha256(result), expected)) {
                 ++stats_.fast_hits;
-                release_reply(to, std::move(result));
+                release_reply(to, result);
             } else {
                 // Replica disagrees with the sketch (stale sketch after a
                 // write, or a faulty replica): fall back to an ordered
@@ -133,14 +133,13 @@ void ProphecyMiddlebox::ordered_read_through(
                 sketch_.erase(sketch_.begin());
             }
             sketch_[sketch_key] = crypto::sha256(result);
-            release_reply(to, std::move(result));
+            release_reply(to, result);
         });
 }
 
 void ProphecyMiddlebox::release_reply(const net::ClientSessions::Ticket& to,
-                                      Bytes app_reply) {
-    sessions_.release_records(fabric_, node_, profile_, to,
-                              std::move(app_reply));
+                                      ByteView app_reply) {
+    sessions_.release_records(fabric_, node_, profile_, to, app_reply);
 }
 
 }  // namespace troxy::baselines

@@ -72,7 +72,7 @@ class ProphecyMiddlebox {
     void ordered_read_through(const net::ClientSessions::Ticket& to,
                               Bytes app_request);
     void release_reply(const net::ClientSessions::Ticket& to,
-                       Bytes app_reply);
+                       ByteView app_reply);
 
     net::Fabric& fabric_;
     sim::Node& node_;

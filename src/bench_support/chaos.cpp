@@ -179,7 +179,8 @@ ChaosReport run_chaos(const ChaosOptions& options) {
             : op.is_write
                 ? EchoService::make_write(op.key, 64)
                 : EchoService::make_read(op.key, 32, options.reply_size);
-        driver->client->send(std::move(request), [&, driver](Bytes reply) {
+        driver->client->send(
+            std::move(request), [&, driver](const Bytes& reply) {
             const PendingOp done = driver->pending;
             ++report.completed;
 

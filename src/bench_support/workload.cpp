@@ -20,11 +20,11 @@ void Workload::issue_legacy(troxy_core::LegacyClient& client) {
     GeneratedRequest request = generator_(rng_);
     const sim::SimTime started = sim_.now();
     ++issued_;
-    client.send(std::move(request.payload), [this, &client,
-                                             started](Bytes /*reply*/) {
-        recorder_.record(sim_.now(), sim_.now() - started);
-        issue_legacy(client);
-    });
+    client.send(std::move(request.payload),
+                [this, &client, started](const Bytes& /*reply*/) {
+                    recorder_.record(sim_.now(), sim_.now() - started);
+                    issue_legacy(client);
+                });
 }
 
 void Workload::drive_legacy(troxy_core::LegacyClient& client, int pipeline) {
@@ -61,7 +61,7 @@ void Workload::schedule_open(troxy_core::LegacyClient& client, double rate) {
         const sim::SimTime started = sim_.now();
         ++issued_;
         client.send(std::move(request.payload),
-                    [this, started](Bytes /*reply*/) {
+                    [this, started](const Bytes& /*reply*/) {
                         recorder_.record(sim_.now(), sim_.now() - started);
                     });
         schedule_open(client, rate);
@@ -191,10 +191,11 @@ void OpenLoopSuite::schedule_arrival() {
         if (issued_ == 0) first_arrival_ = started;
         last_arrival_ = started;
         ++issued_;
-        conn.send(builder_(rng_, arrival), [this, started](Bytes /*reply*/) {
-            ++completed_;
-            recorder_.record(sim_.now(), sim_.now() - started);
-        });
+        conn.send(builder_(rng_, arrival),
+                  [this, started](const Bytes& /*reply*/) {
+                      ++completed_;
+                      recorder_.record(sim_.now(), sim_.now() - started);
+                  });
         schedule_arrival();
     });
 }

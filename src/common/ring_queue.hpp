@@ -5,7 +5,9 @@
 // so a queue that is pushed and popped in steady state allocates nothing
 // once warm (a std::deque allocates a chunk whenever the queue advances
 // past a chunk boundary). A popped slot is reset to T{}, which releases
-// whatever the element held.
+// whatever the element held; recycle_front() instead leaves the element
+// in its slot, so the next push_slot() that lands there reuses whatever
+// storage it kept.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +30,15 @@ class RingQueue {
         ++size_;
     }
 
+    /// Appends a slot and returns it as its last occupant left it: a
+    /// never-used slot holds T{}, a recycled one its old element, whose
+    /// storage the caller overwrites in place.
+    [[nodiscard]] T& push_slot() {
+        if (size_ == slots_.size()) grow();
+        ++size_;
+        return back();
+    }
+
     [[nodiscard]] T& front() noexcept { return slots_[head_]; }
     [[nodiscard]] T& back() noexcept { return (*this)[size_ - 1]; }
 
@@ -35,6 +46,15 @@ class RingQueue {
     void pop_front() {
         TROXY_ASSERT(size_ > 0, "pop_front on an empty queue");
         slots_[head_] = T{};
+        head_ = (head_ + 1) & (slots_.size() - 1);
+        --size_;
+    }
+
+    /// Advances past the front slot without resetting it: the element
+    /// stays for a later push_slot(). The caller first drops whatever in
+    /// it must not outlive the pop.
+    void recycle_front() {
+        TROXY_ASSERT(size_ > 0, "recycle_front on an empty queue");
         head_ = (head_ + 1) & (slots_.size() - 1);
         --size_;
     }

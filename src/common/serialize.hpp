@@ -15,11 +15,12 @@
 // counts its bytes without allocating, FixedWriter builds it into a
 // std::array, and Uncertified<Io> skips the message's own certificate
 // (its certified view). They share one field vocabulary: u8/u16/u32/u64,
-// flag (a bool byte), enum8 (an enum byte up to a last value), array (a
-// digest), bytes/str (u32 length, then the bytes), cert (one tag), auth
-// (an authenticator at the reader's width, or with a cap a counted list
-// of tags) and list (a counted list of digests or of structs with their
-// own layout; the cap's integer type is the count's wire type).
+// flag (a bool byte, 0 or 1), enum8 (an enum byte up to a last value),
+// array (a digest), bytes/str (u32 length, then the bytes), cert (one
+// tag), auth (an authenticator at the reader's width, or with a cap a
+// counted list of tags) and list (a counted list of digests or of structs
+// with their own layout; the cap's integer type is the count's wire
+// type).
 //
 // Reader::list rejects a count above its cap, or above what the bytes
 // left could hold at the element's minimum size, before it reserves
@@ -334,7 +335,11 @@ class Reader {
         out.assign(b.begin(), b.end());
     }
     void str(std::string& out) { out.assign(str_view()); }
-    void flag(bool& v) { v = u8() != 0; }
+    void flag(bool& v) {
+        const std::uint8_t raw = u8();
+        if (raw > 1) throw DecodeError("flag byte above 1");
+        v = raw == 1;
+    }
     template <class E>
     void enum8(E& v, E last) {
         const std::uint8_t raw = u8();

@@ -41,12 +41,13 @@ ClientSessions::Opened ClientSessions::open(enclave::CostedCrypto& crypto,
 
 std::size_t ClientSessions::release_records(Fabric& fabric, sim::Node& node,
                                             const sim::CostProfile& profile,
-                                            const Ticket& to, Bytes reply) {
+                                            const Ticket& to,
+                                            ByteView reply) {
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(profile, meter);
     Outbox outbox(fabric, node);
     std::size_t records = 0;
-    release(to, std::move(reply), [&](Session& session, Bytes&& ready) {
+    release(to, reply, [&](Session& session, ByteView ready) {
         crypto.charge(profile.aead(ready.size()));
         outbox.send(to.client, client_record_frame(session.channel, ready,
                                                    outbox.pool()));
@@ -64,7 +65,7 @@ std::size_t ClientSessions::waiting() const noexcept {
     return banked;
 }
 
-void ClientSessions::Session::bank(std::uint64_t slot, Bytes reply) {
+void ClientSessions::Session::bank(std::uint64_t slot, ByteView reply) {
     const std::uint64_t offset = slot - next_release;
     if (offset >= ring_.size()) {
         // Grow to a power of two past the offset, unrolling the ring so
@@ -80,21 +81,20 @@ void ClientSessions::Session::bank(std::uint64_t slot, Bytes reply) {
     }
     Entry& entry = ring_[(head_ + offset) & (ring_.size() - 1)];
     if (entry.present) return;  // a second reply for the slot
-    entry.reply = std::move(reply);
+    entry.reply.assign(reply.begin(), reply.end());
     entry.present = true;
     ++banked_;
 }
 
-bool ClientSessions::Session::advance(Bytes& reply) {
+const Bytes* ClientSessions::Session::advance() {
     ++next_release;
-    if (banked_ == 0) return false;
+    if (banked_ == 0) return nullptr;
     head_ = (head_ + 1) & (ring_.size() - 1);
     Entry& entry = ring_[head_];
-    if (!entry.present) return false;
-    reply = std::move(entry.reply);
+    if (!entry.present) return nullptr;
     entry.present = false;
     --banked_;
-    return true;
+    return &entry.reply;
 }
 
 }  // namespace troxy::net

@@ -11,7 +11,9 @@
 //
 // An endpoint that answers asynchronously takes a Ticket for each opened
 // request and hands the reply back to release() with it; release() lets
-// replies out strictly in slot order (TLS stream semantics).
+// replies out strictly in slot order (TLS stream semantics). release()
+// borrows the reply: it copies only a reply that must wait behind a gap,
+// into a buffer the session's window keeps.
 #pragma once
 
 #include <cstdint>
@@ -67,16 +69,19 @@ class ClientSessions {
         /// a wider window doubles the ring.
         static constexpr std::size_t kInitialWindow = 8;
 
-        /// Banks `reply` for `slot`, which lies past next_release.
-        void bank(std::uint64_t slot, Bytes reply);
-        /// Moves past the reply just released; when the reply for the
-        /// new next_release is banked, moves it into `reply`.
-        bool advance(Bytes& reply);
+        /// Banks a copy of `reply` for `slot`, which lies past
+        /// next_release.
+        void bank(std::uint64_t slot, ByteView reply);
+        /// Moves past the reply just released; returns the banked reply
+        /// for the new next_release, or nullptr. The buffer stays valid
+        /// until the next bank().
+        const Bytes* advance();
 
         /// Release window: ring_[(head_ + slot - next_release) & mask]
         /// holds the reply for `slot`; empty entries have not arrived.
-        /// Only a reply behind a gap enters it, and the ring keeps its
-        /// capacity once grown.
+        /// Only a reply behind a gap enters it. The ring keeps its
+        /// capacity once grown, and each entry keeps its buffer, so a
+        /// warm window banks without allocating.
         struct Entry {
             Bytes reply;
             bool present = false;
@@ -114,11 +119,12 @@ class ClientSessions {
 
     /// Releases the reply for ticket `to`: dropped when the client is
     /// unknown, its session was replaced or the slot was already
-    /// released, banked when it arrives behind a gap, and otherwise
-    /// passed to `emit(session, std::move(reply))` together with every
-    /// banked successor it unblocks, in slot order.
+    /// released, copied into the session's window when it arrives behind
+    /// a gap, and otherwise passed to `emit(session, ByteView)` (a view of
+    /// `reply` itself) followed by every banked successor it unblocks, in
+    /// slot order. A view `emit` gets is valid only during that call.
     template <typename Emit>
-    void release(const Ticket& to, Bytes reply, Emit&& emit) {
+    void release(const Ticket& to, ByteView reply, Emit&& emit) {
         const auto it = sessions_.find(to.client);
         if (it == sessions_.end() || it->second.generation != to.generation) {
             return;
@@ -126,12 +132,13 @@ class ClientSessions {
         Session& session = it->second;
         if (to.slot < session.next_release) return;
         if (to.slot != session.next_release) {
-            session.bank(to.slot, std::move(reply));
+            session.bank(to.slot, reply);
             return;
         }
-        do {
-            emit(session, std::move(reply));
-        } while (session.advance(reply));
+        emit(session, reply);
+        while (const Bytes* banked = session.advance()) {
+            emit(session, ByteView(*banked));
+        }
     }
 
     /// Serves one Channel::Client payload from `from` for an endpoint
@@ -180,7 +187,7 @@ class ClientSessions {
     /// number of records sent.
     std::size_t release_records(Fabric& fabric, sim::Node& node,
                                 const sim::CostProfile& profile,
-                                const Ticket& to, Bytes reply);
+                                const Ticket& to, ByteView reply);
 
     [[nodiscard]] Session* find(sim::NodeId client) {
         const auto it = sessions_.find(client);

@@ -67,7 +67,12 @@ class Fabric {
     /// A burst of a broadcast plus a reply fits without regrowth.
     static constexpr std::size_t kTypicalBurst = 4;
     static constexpr std::size_t kMaxSpareQueues = 256;
-    static constexpr std::size_t kMaxSpareCapacity = 16;
+    /// A replica's executed batch sends one reply frame per member in one
+    /// flush, next to whatever the handler queued before. A queue grown
+    /// for the largest leader batch any bench runs (64 members) is kept,
+    /// so warm reply bursts stop regrowing their queue from
+    /// kTypicalBurst. Only queues that some burst grew reach this size.
+    static constexpr std::size_t kMaxSpareCapacity = 128;
 
   private:
     static void dispatch(void* ctx, sim::NodeId from, sim::NodeId to,

@@ -9,8 +9,8 @@ FastReadCache::FastReadCache(enclave::EnclaveGate& gate,
     : gate_(gate), capacity_(capacity_bytes) {}
 
 std::size_t FastReadCache::footprint(std::string_view key,
-                                     const CacheEntry& entry) {
-    return key.size() + entry.result.size() + sizeof(CacheEntry) + 64;
+                                     std::size_t result_size) {
+    return key.size() + result_size + sizeof(CacheEntry) + 64;
 }
 
 void FastReadCache::unlink(std::uint32_t index) {
@@ -35,9 +35,12 @@ const CacheEntry* FastReadCache::get(std::string_view state_key) {
     return &slot(*found).entry;
 }
 
-void FastReadCache::put(std::string_view state_key, CacheEntry entry) {
+void FastReadCache::put(std::string_view state_key,
+                        const crypto::Sha256Digest& request_digest,
+                        ByteView result,
+                        const crypto::Sha256Digest& result_digest) {
     invalidate(state_key);
-    const std::size_t size = footprint(state_key, entry);
+    const std::size_t size = footprint(state_key, result.size());
     std::uint32_t index = free_;
     if (index == kNil) {
         index = slots_used_++;
@@ -49,7 +52,9 @@ void FastReadCache::put(std::string_view state_key, CacheEntry entry) {
     }
     Slot& s = slot(index);
     s.key.assign(state_key);
-    s.entry = std::move(entry);
+    s.entry.request_digest = request_digest;
+    s.entry.result.assign(result.begin(), result.end());
+    s.entry.result_digest = result_digest;
     push_front(index);
     index_.try_emplace(state_key, index);
     bytes_ += size;
@@ -62,11 +67,11 @@ void FastReadCache::invalidate(std::string_view state_key) {
     if (found == nullptr) return;
     const std::uint32_t index = *found;
     Slot& s = slot(index);
-    const std::size_t size = footprint(s.key, s.entry);
+    const std::size_t size = footprint(s.key, s.entry.result.size());
     unlink(index);
     index_.erase(state_key);  // may view s.key: erase before clearing it
     s.key.clear();
-    s.entry = CacheEntry{};
+    s.entry.result.clear();
     s.next = free_;
     free_ = index;
     bytes_ -= size;

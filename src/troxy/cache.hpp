@@ -51,10 +51,15 @@ class FastReadCache {
     /// Looks up the entry for a state key (refreshes LRU position).
     [[nodiscard]] const CacheEntry* get(std::string_view state_key);
 
-    /// Inserts or overwrites the entry for a state key.
-    void put(std::string_view state_key, CacheEntry entry);
+    /// Inserts or overwrites the entry for a state key. The result is
+    /// copied into the slot's kept buffer, so a warm refill allocates
+    /// nothing.
+    void put(std::string_view state_key,
+             const crypto::Sha256Digest& request_digest, ByteView result,
+             const crypto::Sha256Digest& result_digest);
 
-    /// Removes the entry for a state key (write invalidation).
+    /// Removes the entry for a state key (write invalidation). The slot
+    /// keeps its buffers, cleared, for the next put().
     void invalidate(std::string_view state_key);
 
     /// Drops everything (enclave restart: "the cache would simply lose
@@ -87,7 +92,7 @@ class FastReadCache {
     }
 
     [[nodiscard]] static std::size_t footprint(std::string_view key,
-                                               const CacheEntry& entry);
+                                               std::size_t result_size);
     void unlink(std::uint32_t slot);
     void push_front(std::uint32_t slot);
     void evict_if_needed();

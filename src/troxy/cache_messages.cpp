@@ -5,12 +5,13 @@ namespace troxy::troxy_core {
 namespace {
 
 /// Replaces `items` with one message's items: one for the plain tag, a
-/// counted run of at least one for the batch tag.
+/// counted run of at least two for the batch tag. A single item travels
+/// only in the plain form, so every burst has one encoding.
 template <typename Item>
 void read_items(Reader& r, bool batch, std::vector<Item>& items) {
     if (batch) {
         r.list(items, cache_wire::kMaxBurst);
-        if (items.empty()) throw DecodeError("empty cache batch");
+        if (items.size() < 2) throw DecodeError("cache batch below two");
         return;
     }
     items.clear();

@@ -160,8 +160,9 @@ struct CacheBurst {
 
 /// Decodes one cache message into `out`: on success exactly one of its
 /// lists holds the message's items and the other is empty. False on a
-/// truncated, oversized or unknown message, an empty batch, or trailing
-/// bytes; `out` then holds a partial decode.
+/// truncated, oversized or unknown message, a batch of fewer than two
+/// items, a has-entry byte above 1, or trailing bytes; `out` then holds
+/// a partial decode. What decodes re-encodes to the same bytes.
 bool decode_cache_burst(ByteView data, CacheBurst& out);
 
 }  // namespace troxy::troxy_core

@@ -305,12 +305,11 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     const hybster::RequestInfo info =
         classifier_(pending.request.payload());
     if (info.is_read) {
-        CacheEntry entry;
-        entry.request_digest = crypto.hash(pending.request.payload());
-        entry.result = result;
-        entry.result_digest = crypto.hash(entry.result);
-        gate_.touch(crypto.meter(), entry.result.size());
-        cache_.put(info.state_key, std::move(entry));
+        const crypto::Sha256Digest request_digest =
+            crypto.hash(pending.request.payload());
+        const crypto::Sha256Digest result_digest = crypto.hash(result);
+        gate_.touch(crypto.meter(), result.size());
+        cache_.put(info.state_key, request_digest, result, result_digest);
         // A fresh entry re-arms the key: a later write completing in the
         // SAME transition must invalidate it again, dedup or not.
         invalidated_unrecached_.erase(info.state_key);
@@ -337,15 +336,28 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
 }
 
 void TroxyEnclave::collect_releases(const net::ClientSessions::Ticket& to,
-                                    Bytes app_reply) {
+                                    Bytes&& app_reply) {
     // The plaintexts accumulate for one seal at the end of the transition.
-    sessions_.release(to, std::move(app_reply),
-                      [this](net::ClientSessions::Session& session,
-                             Bytes&& reply) {
+    // The first reply out is `app_reply` itself, which moves into the
+    // plan; each banked reply it unblocks is copied into a spare buffer.
+    // A reply the window banked or dropped leaves its buffer spare.
+    bool first = true;
+    sessions_.release(to, app_reply,
+                      [&](net::ClientSessions::Session& session,
+                          ByteView reply) {
+                          Bytes plaintext;
+                          if (first) {
+                              plaintext = std::move(app_reply);
+                              first = false;
+                          } else {
+                              plaintext = take_spare_result();
+                              plaintext.assign(reply.begin(), reply.end());
+                          }
                           release_plan_.push_back({session.client,
                                                    release_plan_.size(),
-                                                   std::move(reply)});
+                                                   std::move(plaintext)});
                       });
+    keep_spare_result(std::move(app_reply));
 }
 
 void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
@@ -404,11 +416,12 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
     if (!info.is_read) {
         invalidate_write_set(info);
     } else if (reply.kind == hybster::Reply::Kind::Ordered) {
-        CacheEntry entry;
-        entry.request_digest = crypto.hash(request.payload());
-        entry.result = reply.result;
-        entry.result_digest = crypto.hash(entry.result);
-        cache_.put(info.state_key, std::move(entry));
+        const crypto::Sha256Digest request_digest =
+            crypto.hash(request.payload());
+        const crypto::Sha256Digest result_digest =
+            crypto.hash(reply.result);
+        cache_.put(info.state_key, request_digest, reply.result,
+                   result_digest);
         // Re-arm the key: a later write in the same batch must
         // invalidate this fresh entry again.
         invalidated_unrecached_.erase(info.state_key);

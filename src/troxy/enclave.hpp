@@ -324,9 +324,11 @@ class TroxyEnclave {
     /// Queues a completed request's reply for its connection; replies
     /// leave strictly in per-connection order (TLS stream semantics), so a
     /// reply that closes a gap releases the buffered ones behind it too,
-    /// and a reply of a replaced session is dropped.
+    /// and a reply of a replaced session is dropped. `app_reply` is a
+    /// result buffer: it moves into the plan when it leaves at once, and
+    /// otherwise returns to spare_results_.
     void collect_releases(const net::ClientSessions::Ticket& to,
-                          Bytes app_reply);
+                          Bytes&& app_reply);
     /// Seals release_plan_ into one record per connection, in ascending
     /// client id, and empties it; the plaintext buffers become spare
     /// results.

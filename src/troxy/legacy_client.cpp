@@ -41,9 +41,9 @@ void LegacyClient::connect() {
     seed.u64(++handshake_counter_);
     channel_.emplace(pinned_keys_[server_index_], seed.data());
     crypto.charge_dh();
-    // Any coalescing buffer belonged to the dead channel; the requests
-    // live on in outstanding_ and are re-sent after the handshake.
-    send_buffer_.clear();
+    // A pending coalesced flush belonged to the dead channel; the
+    // requests live on in outstanding_ and are re-sent after the handshake.
+    unflushed_ = 0;
 
     outbox.send(servers_[server_index_],
                 net::client_frame(net::ClientFrame::Hello,
@@ -54,8 +54,8 @@ void LegacyClient::connect() {
 }
 
 void LegacyClient::reconnect() {
-    // connect() replaces the channel (fresh handshake state), clears the
-    // coalescing buffer and re-arms the watchdog; outstanding_ survives
+    // connect() replaces the channel (fresh handshake state), cancels the
+    // pending coalesced flush and re-arms the watchdog; outstanding_ survives
     // and is replayed once the new session's ServerHello lands.
     connect();
 }
@@ -111,32 +111,33 @@ void LegacyClient::shutdown() {
     // whoever owned those requests re-issues them after restart.
     channel_.reset();
     outstanding_.clear();
-    send_buffer_.clear();
+    unflushed_ = 0;
     ready_ = nullptr;
     ++watchdog_generation_;
     consecutive_failovers_ = 0;
 }
 
-void LegacyClient::send_ref(std::shared_ptr<const Bytes> app_request,
-                            ReplyCallback callback) {
-    outstanding_.push_back(
-        Outstanding{{}, std::move(app_request), std::move(callback)});
+void LegacyClient::send(ByteView app_request, ReplyCallback callback) {
+    Outstanding& slot = outstanding_.push_slot();
+    slot.request.assign(app_request.begin(), app_request.end());
+    slot.callback = std::move(callback);
     transmit_newest();
 }
 
-void LegacyClient::send(Bytes app_request, ReplyCallback callback) {
-    outstanding_.push_back(
-        Outstanding{std::move(app_request), nullptr, std::move(callback)});
+void LegacyClient::send(Bytes&& app_request, ReplyCallback callback) {
+    Outstanding& slot = outstanding_.push_slot();
+    slot.request = std::move(app_request);
+    slot.callback = std::move(callback);
     transmit_newest();
 }
 
 void LegacyClient::transmit_newest() {
     if (!connected()) return;  // flushed after handshake completes
-    const ByteView app_request = outstanding_.back().view();
+    const ByteView app_request = outstanding_.back().request;
     if (options_.coalesce_sends) {
-        // Buffer a copy of the burst; one end-of-instant flush seals
-        // everything issued in this simulation step into a single record.
-        send_buffer_.emplace_back(app_request.begin(), app_request.end());
+        // One end-of-instant flush seals everything issued in this
+        // simulation step into a single record, straight from the slots.
+        ++unflushed_;
         if (!send_flush_armed_) {
             send_flush_armed_ = true;
             fabric_.simulator().after(0, [this]() { flush_sends(); });
@@ -157,32 +158,30 @@ void LegacyClient::transmit_newest() {
 
 void LegacyClient::flush_sends() {
     send_flush_armed_ = false;
-    if (send_buffer_.empty()) return;
-    if (!connected()) {
-        // Reconnect in progress: outstanding_ owns the retransmissions.
-        send_buffer_.clear();
-        return;
-    }
-
-    std::vector<Bytes> burst = std::move(send_buffer_);
-    send_buffer_.clear();
+    // The burst is the newest unflushed entries of outstanding_. A
+    // reconnect in progress zeroed the count: outstanding_ owns the
+    // retransmissions.
+    const std::size_t count = std::min(unflushed_, outstanding_.size());
+    unflushed_ = 0;
+    if (count == 0 || !connected()) return;
 
     enclave::CostMeter meter;
     enclave::CostedCrypto crypto(profile_, meter);
     net::Outbox outbox(fabric_, node_);
 
     std::size_t total = 0;
-    std::vector<ByteView> views;
-    views.reserve(burst.size());
-    for (const Bytes& request : burst) {
-        total += request.size();
-        views.emplace_back(request);
+    flush_views_.clear();
+    for (std::size_t i = outstanding_.size() - count; i < outstanding_.size();
+         ++i) {
+        total += outstanding_[i].request.size();
+        flush_views_.emplace_back(outstanding_[i].request);
     }
     // One AEAD pass and one wire record for the whole burst, gathered
     // into one buffer with the envelope and frame headers.
     crypto.charge(profile_.aead(total));
     outbox.send(servers_[server_index_],
-                net::client_record_frame(*channel_, views, outbox.pool()));
+                net::client_record_frame(*channel_, flush_views_,
+                                         outbox.pool()));
     outbox.flush(meter);
 }
 
@@ -204,11 +203,11 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
             // Flush everything queued while disconnected.
             net::Outbox outbox(fabric_, node_);
             for (std::size_t i = 0; i < outstanding_.size(); ++i) {
-                const Outstanding& item = outstanding_[i];
-                crypto.charge(profile_.aead(item.view().size()));
+                const Bytes& request = outstanding_[i].request;
+                crypto.charge(profile_.aead(request.size()));
                 outbox.send(servers_[server_index_],
-                            net::client_record_frame(
-                                *channel_, item.view(), outbox.pool()));
+                            net::client_record_frame(*channel_, request,
+                                                     outbox.pool()));
             }
             if (ready_) {
                 outbox.defer(std::exchange(ready_, nullptr));
@@ -224,26 +223,42 @@ void LegacyClient::on_message(sim::NodeId from, ByteView payload) {
             consecutive_failovers_ = 0;  // the cluster answered: reset
 
             // The replies borrow the channel's open buffer; each is copied
-            // once, into the buffer its callback takes. The completion
-            // list comes from the spare list its callback refills.
-            std::vector<Completion> completions;
+            // once, into its completion's kept buffer. When the popped
+            // slot's request buffer is the larger, the two trade places:
+            // answered bytes need no keeping, and a caller that hands its
+            // requests over (send(Bytes&&)) then supplies the completions'
+            // buffers too. The completion list comes from the spare list
+            // its run refills.
+            CompletionList completions;
             if (!spare_completions_.empty()) {
                 completions = std::move(spare_completions_.back());
                 spare_completions_.pop_back();
             }
             for (const ByteView reply : replies) {
                 if (outstanding_.empty()) break;
-                completions.emplace_back(
-                    std::move(outstanding_.front().callback),
-                    Bytes(reply.begin(), reply.end()));
-                outstanding_.pop_front();
+                if (completions.used == completions.items.size()) {
+                    completions.items.emplace_back();
+                }
+                Completion& done = completions.items[completions.used++];
+                Outstanding& sent = outstanding_.front();
+                done.callback = std::move(sent.callback);
+                if (sent.request.capacity() > done.reply.capacity()) {
+                    done.reply.swap(sent.request);
+                }
+                done.reply.assign(reply.begin(), reply.end());
+                sent.callback = nullptr;
+                sent.request.clear();
+                outstanding_.recycle_front();
             }
             node_.exec(meter.take(), [this, completions = std::move(
                                                 completions)]() mutable {
-                for (auto& [callback, reply] : completions) {
-                    if (callback) callback(std::move(reply));
+                for (std::size_t i = 0; i < completions.used; ++i) {
+                    Completion& done = completions.items[i];
+                    if (done.callback) done.callback(done.reply);
+                    done.callback = nullptr;
+                    done.reply.clear();
                 }
-                completions.clear();
+                completions.used = 0;
                 if (spare_completions_.size() < kMaxSpareCompletions) {
                     spare_completions_.push_back(std::move(completions));
                 }

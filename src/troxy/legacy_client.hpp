@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -46,7 +45,9 @@ class LegacyClient {
         bool coalesce_sends = false;
     };
 
-    using ReplyCallback = std::function<void(Bytes app_reply)>;
+    /// Receives the reply. The reference is valid only during the call:
+    /// it borrows a completion buffer the client reuses for a later reply.
+    using ReplyCallback = std::function<void(const Bytes& app_reply)>;
 
     /// `servers` is the failover list from the location service; the
     /// client pins one channel identity key per server.
@@ -61,19 +62,18 @@ class LegacyClient {
 
     /// Sends an application request; the callback fires with the reply.
     /// Replies arrive in request order (stream semantics), so pipelining
-    /// is allowed.
-    void send(Bytes app_request, ReplyCallback callback);
-
-    /// Like send(), but the request payload is a refcounted reference:
-    /// the caller can hand the same buffer to several sessions without one copy per recipient — the shard
-    /// front's cross-shard fan-out. The bytes are read at seal time
-    /// (and again on retransmission); only a coalescing session copies
-    /// them, into its send buffer.
-    void send_ref(std::shared_ptr<const Bytes> app_request,
-                  ReplyCallback callback);
+    /// is allowed. The request bytes are copied here, into the in-flight
+    /// slot that keeps them for retransmission, so the caller's buffer
+    /// may change or die as soon as send() returns. A warm client copies
+    /// into a slot buffer an earlier request left behind.
+    void send(ByteView app_request, ReplyCallback callback);
+    /// send() of a buffer the caller gives up: the slot adopts it instead
+    /// of copying, so a caller that builds each request in a fresh buffer
+    /// costs no second one, however deep its backlog grows.
+    void send(Bytes&& app_request, ReplyCallback callback);
 
     /// Goes dormant without destroying the object: drops the channel,
-    /// the in-flight queue and the coalescing buffer, and fences every
+    /// the in-flight queue and any pending coalesced flush, and fences every
     /// armed watchdog. Used when the owning process crashes — pending
     /// simulator timers hold raw pointers to this client, so the object
     /// must outlive them; start() brings it back with a fresh session.
@@ -117,10 +117,10 @@ class LegacyClient {
     void connect();
     void failover();
     void arm_watchdog();
-    /// Seals the buffered send burst into one coalesced record.
+    /// Seals the unflushed newest requests into one coalesced record.
     void flush_sends();
     /// Seals the request just queued on outstanding_ into its own record
-    /// and sends it, or buffers it for the coalesced flush.
+    /// and sends it, or leaves it for the coalesced flush.
     void transmit_newest();
 
     net::Fabric& fabric_;
@@ -134,28 +134,38 @@ class LegacyClient {
     std::optional<net::SecureChannelClient> channel_;
     std::function<void()> ready_;
 
+    /// One in-flight request. A retired slot keeps its request buffer
+    /// (cleared) for the next send() that lands on it.
     struct Outstanding {
-        Bytes request;  // owned payload (empty when `ref` is set)
-        std::shared_ptr<const Bytes> ref;  // refcounted payload
+        Bytes request;
         ReplyCallback callback;
-        [[nodiscard]] ByteView view() const noexcept {
-            return ref ? ByteView(*ref) : ByteView(request);
-        }
     };
-    /// FIFO: replies match in order. A ring that keeps its capacity, so a
-    /// warm session queues and retires requests without allocating.
+    /// FIFO: replies match in order. A ring that keeps its capacity and
+    /// its slots' request buffers, so a warm session queues and retires
+    /// requests without allocating.
     RingQueue<Outstanding> outstanding_;
     /// Reply callbacks with their replies, run once the record's
-    /// processing time has elapsed. Emptied lists wait on a spare list
-    /// for the next record, so a warm client allocates none; a front's
-    /// upstream session has many records in processing at once.
-    using Completion = std::pair<ReplyCallback, Bytes>;
+    /// processing time has elapsed. Each reply is copied into its
+    /// completion's buffer; a run list keeps its completions, buffers
+    /// included, and waits on a spare list for the next record, so a warm
+    /// client allocates none. A front's upstream session has many records
+    /// in processing at once.
+    struct Completion {
+        ReplyCallback callback;
+        Bytes reply;
+    };
+    struct CompletionList {
+        std::vector<Completion> items;
+        std::size_t used = 0;
+    };
     static constexpr std::size_t kMaxSpareCompletions = 64;
-    std::vector<std::vector<Completion>> spare_completions_;
-    /// Requests awaiting the end-of-instant coalesced flush
-    /// (options_.coalesce_sends only; cleared on reconnect — the
-    /// outstanding_ queue owns retransmission).
-    std::vector<Bytes> send_buffer_;
+    std::vector<CompletionList> spare_completions_;
+    /// The newest requests on outstanding_ still waiting for the
+    /// end-of-instant coalesced flush (options_.coalesce_sends only;
+    /// zeroed on reconnect — outstanding_ owns retransmission), and the
+    /// flush's reused list of their views.
+    std::size_t unflushed_ = 0;
+    std::vector<ByteView> flush_views_;
     bool send_flush_armed_ = false;
     std::uint64_t failovers_ = 0;
     std::uint64_t consecutive_failovers_ = 0;

@@ -176,36 +176,33 @@ void ShardFrontHost::on_message(sim::NodeId from, Bytes message) {
             sessions_.serve_frame(
                 fabric_, node_, profile_, from, unwrapped->second,
                 [&](Session& session, ByteView app_request, auto&, auto&) {
-                    handle_request(session, Bytes(app_request.begin(),
-                                                  app_request.end()));
+                    handle_request(session, app_request);
                 });
         }
     }
     fabric_.network().recycle(std::move(message));
 }
 
-void ShardFrontHost::handle_request(Session& session, Bytes app_request) {
+void ShardFrontHost::handle_request(Session& session, ByteView app_request) {
     const hybster::RequestInfo info = classifier_(app_request);
     ++requests_;
     const int owner = map_.shard_of(info.state_key);
     if (info.is_read) {
         // Reads ride the owner shard's cache-quorum path; the closure is
         // irrelevant (nothing is written).
-        forward_single(session, owner, /*is_read=*/true,
-                       std::move(app_request));
+        forward_single(session, owner, /*is_read=*/true, app_request);
         return;
     }
     const ShardSet shards = map_.shards_of(info);
     if (shards.size() == 1) {
-        forward_single(session, owner, /*is_read=*/false,
-                       std::move(app_request));
+        forward_single(session, owner, /*is_read=*/false, app_request);
         return;
     }
-    enqueue_cross(session, shards, owner, std::move(app_request), info);
+    enqueue_cross(session, shards, owner, app_request, info);
 }
 
 void ShardFrontHost::forward_single(Session& session, int shard,
-                                    bool is_read, Bytes app_request) {
+                                    bool is_read, ByteView app_request) {
     ShardStats& stats = shard_stats_[static_cast<std::size_t>(shard)];
     ++stats.forwarded;
     if (is_read) {
@@ -223,28 +220,27 @@ void ShardFrontHost::forward_single(Session& session, int shard,
     }
     forwards_[index] = session.assign();
     auto on_reply = [this, index, shard = static_cast<std::uint16_t>(shard),
-                     epoch = forward_epoch_](Bytes reply) {
-        complete_forward(index, shard, epoch, std::move(reply));
+                     epoch = forward_epoch_](const Bytes& reply) {
+        complete_forward(index, shard, epoch, reply);
     };
     static_assert(sizeof(on_reply) <= 2 * sizeof(void*),
                   "the reply callback must fit std::function's buffer");
-    upstreams_[static_cast<std::size_t>(shard)]->send(std::move(app_request),
-                                                      on_reply);
+    upstreams_[static_cast<std::size_t>(shard)]->send(app_request, on_reply);
 }
 
 void ShardFrontHost::complete_forward(std::uint32_t index,
                                       std::uint16_t shard,
-                                      std::uint16_t epoch, Bytes reply) {
+                                      std::uint16_t epoch, ByteView reply) {
     ++shard_stats_[shard].replies;
     if (epoch != forward_epoch_) return;  // sent before the last crash
     const net::ClientSessions::Ticket to = forwards_[index];
     free_forwards_.push_back(index);
-    released_ += sessions_.release_records(fabric_, node_, profile_, to,
-                                           std::move(reply));
+    released_ +=
+        sessions_.release_records(fabric_, node_, profile_, to, reply);
 }
 
 void ShardFrontHost::enqueue_cross(Session& session, ShardSet shards,
-                                   int owner, Bytes app_request,
+                                   int owner, ByteView app_request,
                                    const hybster::RequestInfo& info) {
     for (std::size_t i = 0; i < shards.size(); ++i) {
         ShardStats& stats = shard_stats_[static_cast<std::size_t>(shards[i])];
@@ -256,8 +252,9 @@ void ShardFrontHost::enqueue_cross(Session& session, ShardSet shards,
     CrossCommit& commit = *commits_.try_emplace(id).first;
     commit.id = id;
     commit.to = session.assign();
-    commit.request =
-        std::make_shared<const Bytes>(std::move(app_request));
+    commit.request = take_spare_buffer();
+    commit.request.assign(app_request.begin(), app_request.end());
+    commit.owner_reply = take_spare_buffer();
     commit.shards = shards;
     // Canonical lock set: the classifier's full key closure, sorted and
     // deduplicated. Canonical order is what makes atomic admission a
@@ -313,25 +310,22 @@ void ShardFrontHost::pump_cross() {
 void ShardFrontHost::send_cross_step(CrossCommit& commit) {
     // The full request goes to every touched shard: each shard's service
     // executes it against the keys it owns, so the owner of every key in
-    // the closure sees the write in its ordered log. The payload travels
-    // as a refcounted reference — one buffer serves every shard's
-    // forward; the upstream session seals its ciphertext straight from
-    // the shared bytes.
-    auto on_reply = [this, id = commit.id](Bytes reply) {
-        advance_cross(id, std::move(reply));
+    // the closure sees the write in its ordered log.
+    auto on_reply = [this, id = commit.id](const Bytes& reply) {
+        advance_cross(id, reply);
     };
     static_assert(sizeof(on_reply) <= 2 * sizeof(void*),
                   "the reply callback must fit std::function's buffer");
     upstreams_[static_cast<std::size_t>(commit.shards[commit.next])]
-        ->send_ref(commit.request, on_reply);
+        ->send(commit.request, on_reply);
 }
 
 void ShardFrontHost::advance_cross(CrossLockTable::CommitId id,
-                                   Bytes reply) {
+                                   const Bytes& reply) {
     CrossCommit* commit = commits_.find(id);
     if (commit == nullptr) return;  // pre-crash straggler
     if (commit->shards[commit->next] == commit->owner) {
-        commit->owner_reply = std::move(reply);
+        commit->owner_reply.assign(reply.begin(), reply.end());
     }
     ++commit->next;
     if (commit->next < commit->shards.size()) {
@@ -345,16 +339,27 @@ void ShardFrontHost::advance_cross(CrossLockTable::CommitId id,
     ++cross_commits_;
     cross_latencies_.push_back(fabric_.simulator().now() -
                                commit->admitted_at);
-    const net::ClientSessions::Ticket to = commit->to;
-    Bytes owner_reply = std::move(commit->owner_reply);
+    released_ += sessions_.release_records(fabric_, node_, profile_,
+                                           commit->to, commit->owner_reply);
+    for (Bytes* buffer : {&commit->request, &commit->owner_reply}) {
+        if (spare_buffers_.size() < kMaxSpareBuffers) {
+            buffer->clear();
+            spare_buffers_.push_back(std::move(*buffer));
+        }
+    }
     commits_.erase(id);
     --cross_inflight_;
     for (const CrossLockTable::CommitId successor : locks_.release(id)) {
         ready_.push(successor);
     }
-    released_ += sessions_.release_records(fabric_, node_, profile_, to,
-                                           std::move(owner_reply));
     pump_cross();
+}
+
+Bytes ShardFrontHost::take_spare_buffer() {
+    if (spare_buffers_.empty()) return {};
+    Bytes buffer = std::move(spare_buffers_.back());
+    spare_buffers_.pop_back();
+    return buffer;
 }
 
 namespace {

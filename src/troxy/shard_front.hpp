@@ -236,13 +236,14 @@ class ShardFrontHost {
 
     /// One live cross-shard commit: admitted into the lock table, then
     /// dispatched through its ordered two-shard (or N-shard) sequence.
+    /// Its two buffers come from spare_buffers_ and go back there when
+    /// the commit completes.
     struct CrossCommit {
         CrossLockTable::CommitId id = 0;
         net::ClientSessions::Ticket to;  // the owner reply's slot
-        /// Refcounted request payload: one buffer serves every target
-        /// shard's forward (and retransmissions) without a per-shard
-        /// copy.
-        std::shared_ptr<const Bytes> request;
+        /// The request, sent to each shard in turn (each upstream session
+        /// copies it into its own in-flight slot).
+        Bytes request;
         ShardSet shards;          // forwarded one at a time, ascending
         hybster::KeyList keys;    // canonical lock set
         int owner = 0;            // shard whose reply the client sees
@@ -252,20 +253,25 @@ class ShardFrontHost {
     };
 
     void on_message(sim::NodeId from, Bytes message);
-    void handle_request(Session& session, Bytes app_request);
+    /// Routes one opened request. The view borrows the downstream
+    /// channel's buffer; whatever must outlive the call copies it.
+    void handle_request(Session& session, ByteView app_request);
     void forward_single(Session& session, int shard, bool is_read,
-                        Bytes app_request);
+                        ByteView app_request);
     /// Releases forward `index`'s reply. A reply sent before the last
     /// crash (`epoch` behind) only counts: its entry was dropped.
     void complete_forward(std::uint32_t index, std::uint16_t shard,
-                          std::uint16_t epoch, Bytes reply);
+                          std::uint16_t epoch, ByteView reply);
     void enqueue_cross(Session& session, ShardSet shards, int owner,
-                       Bytes app_request, const hybster::RequestInfo& info);
+                       ByteView app_request,
+                       const hybster::RequestInfo& info);
     /// Dispatches runnable commits while the depth budget allows, in
     /// admission order (lowest id first).
     void pump_cross();
     void send_cross_step(CrossCommit& commit);
-    void advance_cross(CrossLockTable::CommitId id, Bytes reply);
+    void advance_cross(CrossLockTable::CommitId id, const Bytes& reply);
+    /// An empty buffer from spare_buffers_, or a fresh one.
+    Bytes take_spare_buffer();
 
     net::Fabric& fabric_;
     sim::Node& node_;
@@ -309,6 +315,11 @@ class ShardFrontHost {
         ready_;
     std::size_t cross_inflight_ = 0;
     CrossLockTable::CommitId next_commit_id_ = 0;
+    /// Request and owner-reply buffers of completed commits, cleared,
+    /// for the next admissions. Bounded: a burst beyond the bound frees
+    /// what it does not keep.
+    static constexpr std::size_t kMaxSpareBuffers = 512;
+    std::vector<Bytes> spare_buffers_;
 
     bool crashed_ = false;
     std::uint64_t restarts_ = 0;

@@ -424,8 +424,8 @@ struct SessionRig {
                                std::uint64_t slot, const std::string& reply) {
         std::vector<Bytes> out;
         sessions.release({client, generation, slot}, to_bytes(reply),
-                         [&](ClientSessions::Session&, Bytes&& ready) {
-                             out.push_back(std::move(ready));
+                         [&](ClientSessions::Session&, ByteView ready) {
+                             out.emplace_back(ready.begin(), ready.end());
                          });
         return out;
     }
@@ -545,6 +545,42 @@ TEST(ClientSessions, ReleasedSlotIsDroppedAndWideWindowsStayOrdered) {
     const std::uint64_t fresh = rig.sessions.find(7)->generation;
     EXPECT_EQ(rig.release(7, fresh, 0, "fresh"),
               std::vector<Bytes>{to_bytes("fresh")});
+}
+
+// release() borrows its reply: a reply banked behind a gap is copied
+// into the window, so the caller may overwrite its buffer at once. The
+// window's kept buffers carry nothing of an earlier, longer reply into a
+// later one.
+TEST(ClientSessions, BankedReplyOutlivesItsOverwrittenSource) {
+    SessionRig rig;
+    rig.connect(7, "seven");
+    const std::uint64_t generation = rig.sessions.find(7)->generation;
+    std::vector<Bytes> out;
+    const auto emit = [&](ClientSessions::Session&, ByteView ready) {
+        out.emplace_back(ready.begin(), ready.end());
+    };
+    Bytes source;
+    std::uint64_t next = 0;
+    for (const std::size_t length : {48u, 5u, 20u}) {
+        // Slots next+3 down to next+1 bank from the one source buffer,
+        // each overwritten by the next; slot `next` then lets all out.
+        std::vector<Bytes> expected(4);
+        for (std::uint64_t k = 3; k >= 1; --k) {
+            source.assign(length, static_cast<std::uint8_t>(0x10 * k));
+            expected[k] = source;
+            rig.sessions.release({7, generation, next + k}, source, emit);
+            std::fill(source.begin(), source.end(), 0xee);
+        }
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(rig.sessions.waiting(), 3u);
+        source.assign(length, 0x01);
+        expected[0] = source;
+        rig.sessions.release({7, generation, next}, source, emit);
+        EXPECT_EQ(out, expected) << "length " << length;
+        out.clear();
+        next += 4;
+    }
+    EXPECT_EQ(rig.sessions.waiting(), 0u);
 }
 
 TEST(ClientSessions, WaitingCountsBankedRepliesOfEverySession) {

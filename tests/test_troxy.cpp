@@ -88,11 +88,12 @@ enclave::Certificate authenticate_one(TroxyEnclave& troxy,
     return item.reply.cert;
 }
 
-CacheEntry entry_of(std::string_view request, std::string_view result) {
-    CacheEntry entry;
-    entry.request_digest = crypto::sha256(to_bytes(request));
-    entry.result = to_bytes(result);
-    return entry;
+/// Caches `result` under `key` as the answer to `request`.
+void put(FastReadCache& cache, std::string_view key, std::string_view request,
+         std::string_view result) {
+    const Bytes bytes = to_bytes(result);
+    cache.put(key, crypto::sha256(to_bytes(request)), bytes,
+              crypto::sha256(bytes));
 }
 
 // ------------------------------------------------------------------- cache
@@ -102,7 +103,7 @@ TEST(FastReadCache, PutGetInvalidate) {
     FastReadCache cache(gate, 1 << 20);
 
     EXPECT_EQ(cache.get("k1"), nullptr);
-    cache.put("k1", entry_of("req", "result"));
+    put(cache, "k1", "req", "result");
     const CacheEntry* entry = cache.get("k1");
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->result, to_bytes("result"));
@@ -115,8 +116,8 @@ TEST(FastReadCache, PutGetInvalidate) {
 TEST(FastReadCache, PutOverwrites) {
     auto gate = make_gate();
     FastReadCache cache(gate, 1 << 20);
-    cache.put("k", entry_of("r1", "old"));
-    cache.put("k", entry_of("r1", "new"));
+    put(cache, "k", "r1", "old");
+    put(cache, "k", "r1", "new");
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_EQ(cache.get("k")->result, to_bytes("new"));
 }
@@ -125,12 +126,12 @@ TEST(FastReadCache, LruEvictionUnderCapacity) {
     auto gate = make_gate();
     FastReadCache cache(gate, 1250);  // fits roughly two entries
 
-    cache.put("a", entry_of("ra", std::string(400, 'x')));
-    cache.put("b", entry_of("rb", std::string(400, 'y')));
+    put(cache, "a", "ra", std::string(400, 'x'));
+    put(cache, "b", "rb", std::string(400, 'y'));
     ASSERT_EQ(cache.entries(), 2u);
     // Touch "a" so "b" becomes least recently used.
     EXPECT_NE(cache.get("a"), nullptr);
-    cache.put("c", entry_of("rc", std::string(400, 'z')));
+    put(cache, "c", "rc", std::string(400, 'z'));
 
     EXPECT_NE(cache.get("a"), nullptr);
     EXPECT_EQ(cache.get("b"), nullptr);  // evicted
@@ -141,8 +142,8 @@ TEST(FastReadCache, LruEvictionUnderCapacity) {
 TEST(FastReadCache, ClearDropsEverythingAndReleasesEpc) {
     auto gate = make_gate();
     FastReadCache cache(gate, 1 << 20);
-    cache.put("a", entry_of("r", "v"));
-    cache.put("b", entry_of("r", "v"));
+    put(cache, "a", "r", "v");
+    put(cache, "b", "r", "v");
     const std::size_t allocated = gate.allocated_bytes();
     EXPECT_GT(allocated, 0u);
     cache.clear();
@@ -153,7 +154,7 @@ TEST(FastReadCache, ClearDropsEverythingAndReleasesEpc) {
 TEST(FastReadCache, EpcAccountingTracksUsage) {
     auto gate = make_gate();
     FastReadCache cache(gate, 1 << 20);
-    cache.put("k", entry_of("r", std::string(1000, 'v')));
+    put(cache, "k", "r", std::string(1000, 'v'));
     EXPECT_EQ(gate.allocated_bytes(), cache.bytes_used());
     cache.invalidate("k");
     EXPECT_EQ(gate.allocated_bytes(), 0u);
@@ -164,21 +165,41 @@ TEST(FastReadCache, FootprintShrinksOnSmallerOverwrite) {
     // difference to the EPC accounting, not leak the old footprint.
     auto gate = make_gate();
     FastReadCache cache(gate, 1 << 20);
-    cache.put("k", entry_of("r", std::string(1000, 'a')));
+    put(cache, "k", "r", std::string(1000, 'a'));
     const std::size_t big = cache.bytes_used();
     EXPECT_EQ(gate.allocated_bytes(), big);
-    cache.put("k", entry_of("r", std::string(10, 'b')));
+    put(cache, "k", "r", std::string(10, 'b'));
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_LT(cache.bytes_used(), big);
+    EXPECT_EQ(gate.allocated_bytes(), cache.bytes_used());
+}
+
+// A key invalidated by a write and refilled by the next read reuses the
+// slot's buffers: the warm refill allocates nothing.
+TEST(FastReadCache, RefillAfterInvalidateAllocatesNothing) {
+    auto gate = make_gate();
+    FastReadCache cache(gate, 1 << 20);
+    const crypto::Sha256Digest request = crypto::sha256(to_bytes("get k"));
+    const Bytes first(64, 0x11);
+    const Bytes second(64, 0x22);
+    const crypto::Sha256Digest digest = crypto::sha256(second);
+    cache.put("k", request, first, crypto::sha256(first));
+    cache.invalidate("k");
+    const std::uint64_t allocs =
+        allocations_in([&] { cache.put("k", request, second, digest); });
+    EXPECT_EQ(allocs, 0u);
+    ASSERT_NE(cache.get("k"), nullptr);
+    EXPECT_EQ(cache.get("k")->result, second);
+    EXPECT_EQ(cache.get("k")->result_digest, digest);
     EXPECT_EQ(gate.allocated_bytes(), cache.bytes_used());
 }
 
 TEST(FastReadCache, FootprintMatchesGateAfterEviction) {
     auto gate = make_gate();
     FastReadCache cache(gate, 1250);  // fits roughly two entries
-    cache.put("a", entry_of("ra", std::string(400, 'x')));
-    cache.put("b", entry_of("rb", std::string(400, 'y')));
-    cache.put("c", entry_of("rc", std::string(400, 'z')));  // evicts "a"
+    put(cache, "a", "ra", std::string(400, 'x'));
+    put(cache, "b", "rb", std::string(400, 'y'));
+    put(cache, "c", "rc", std::string(400, 'z'));  // evicts "a"
     EXPECT_EQ(cache.get("a"), nullptr);
     EXPECT_LE(cache.bytes_used(), 1250u);
     EXPECT_EQ(gate.allocated_bytes(), cache.bytes_used());
