@@ -54,9 +54,15 @@ namespace troxy {
 /// catches this at the message boundary and discards the message,
 /// per the system model ("if a correct component receives a message it
 /// cannot verify, the component discards the message").
-class DecodeError : public std::runtime_error {
+/// Every throw site names a literal, which the error keeps by pointer:
+/// refusing a message allocates nothing.
+class DecodeError : public std::exception {
   public:
-    explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
+    explicit DecodeError(const char* what) noexcept : what_(what) {}
+    [[nodiscard]] const char* what() const noexcept override { return what_; }
+
+  private:
+    const char* what_;
 };
 
 /// Stores the low `n` bytes of `v` little-endian at `out`.

@@ -17,6 +17,9 @@ using SequenceNumber = std::uint64_t;
 /// Wire cap on a Prepare's batch: followers reject larger batches.
 inline constexpr std::uint32_t kMaxBatchSize = 1u << 16;
 
+/// Largest group: a set of replica ids fits one 64-bit mask.
+inline constexpr std::size_t kMaxReplicas = 64;
+
 /// The replica pipeline knobs: ordering batch, wire coalescing, transport,
 /// execution lanes and state transfer. Declared once here; Config and every
 /// harness options struct that configures a replica group inherit them, so
@@ -129,6 +132,7 @@ struct Config : PipelineOptions {
     void validate() const {
         TROXY_ASSERT(n() == 2 * f + 1 || n() == 3 * f + 1,
                      "a group has 2f+1 (hybrid) or 3f+1 (PBFT) replicas");
+        TROXY_ASSERT(replicas.size() <= kMaxReplicas, "at most 64 replicas");
         TROXY_ASSERT(checkpoint_interval > 0, "checkpoint interval > 0");
         TROXY_ASSERT(batch_size_max >= 1, "batch size must be at least 1");
         // Followers drop batches above kMaxBatchSize members; a leader

@@ -35,6 +35,7 @@
 // copy shares the block.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <concepts>
 #include <cstdint>
@@ -181,6 +182,13 @@ struct Request {
 
     /// Legacy clients attach up to one certificate per replica.
     static constexpr std::uint8_t kMaxAuth = 0xff;
+
+    /// Member by member: id, flags, payload and certificates.
+    friend bool operator==(const Request& a, const Request& b) noexcept {
+        return a.id == b.id && a.flags == b.flags &&
+               std::ranges::equal(a.payload(), b.payload()) &&
+               std::ranges::equal(a.auth(), b.auth());
+    }
 
     /// Writes and sizes a request; a Reader goes through decode().
     template <class Io, class M>

@@ -1,6 +1,7 @@
 #include "hybster/replica.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.hpp"
 #include "hybster/exec_schedule.hpp"
@@ -50,7 +51,51 @@ constexpr std::size_t kMaxAdvertisedChunks = 8192;
 /// StateRequest with the chunk hashes already received, so a
 /// half-finished transfer resumes instead of restarting.
 constexpr sim::Duration kStateTransferRetry = sim::milliseconds(250);
+
+/// The batch a new leader reproposes where no proof reports a prepare.
+const Batch& noop_batch() {
+    static const Batch noop = [] {
+        Batch batch;
+        batch.requests.emplace_back().flags = kFlagNoop;
+        return batch;
+    }();
+    return noop;
+}
+
 }  // namespace
+
+std::optional<ViewDerivation> derive_new_view(
+    int quorum, ViewNumber view, std::span<const ViewChange* const> proofs) {
+    if (std::ssize(proofs) < quorum) return std::nullopt;
+    // By replica id: a repeated replica is caught, and slots fill in
+    // replica-id order whatever order the proofs come in.
+    std::array<const ViewChange*, kMaxReplicas> by_replica{};
+    SequenceNumber stable = 0;
+    SequenceNumber top = 0;
+    for (const ViewChange* vc : proofs) {
+        if (vc->new_view != view || vc->replica >= kMaxReplicas ||
+            std::exchange(by_replica[vc->replica], vc) != nullptr) {
+            return std::nullopt;
+        }
+        stable = std::max(stable, vc->last_stable);
+        for (const Prepare& p : vc->prepared) top = std::max(top, p.seq);
+    }
+    // A NewView carries at most kMaxPrepared reproposals.
+    if (top > stable && top - stable > ViewChange::kMaxPrepared) {
+        return std::nullopt;
+    }
+    ViewDerivation derived{stable + 1, {}};
+    derived.slots.resize(top > stable ? top - stable : 0);
+    for (const ViewChange* vc : by_replica) {
+        if (vc == nullptr) continue;
+        for (const Prepare& p : vc->prepared) {
+            if (p.seq <= stable) continue;
+            const Prepare*& slot = derived.slots[p.seq - derived.start_seq];
+            if (slot == nullptr || slot->view < p.view) slot = &p;
+        }
+    }
+    return derived;
+}
 
 Replica::Replica(net::Fabric& fabric, sim::Node& node, Config config,
                  std::uint32_t replica_id, ServicePtr service,
@@ -68,8 +113,8 @@ Replica::Replica(net::Fabric& fabric, sim::Node& node, Config config,
     TROXY_ASSERT(service_ != nullptr, "replica needs a service");
 }
 
-enclave::CounterId Replica::prepare_counter_id() const {
-    return static_cast<enclave::CounterId>(2 * view_);
+enclave::CounterId Replica::prepare_counter_id(ViewNumber view) {
+    return static_cast<enclave::CounterId>(2 * view);
 }
 
 enclave::CounterId Replica::commit_counter_id() const {
@@ -341,8 +386,8 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     // here; followers and the execution path reuse the cached values.
     (void)prepare.batch.digest_with(crypto, scratch_);
 
-    auto certified = certifier_.certify_ordered(crypto, prepare_counter_id(),
-                                                prepare.certified_view());
+    auto certified = certifier_.certify_ordered(
+        crypto, prepare_counter_id(view_), prepare.certified_view());
     prepare.counter_value = certified.value;
     prepare.cert = std::move(certified.auth);
     TROXY_ASSERT(
@@ -412,7 +457,7 @@ void Replica::handle_prepare(enclave::CostedCrypto& crypto,
     const crypto::Sha256Digest batch_digest =
         prepare.batch.digest_with(crypto, scratch_);
     if (!certifier_.verify_ordered(crypto, prepare.replica,
-                                   prepare_counter_id(),
+                                   prepare_counter_id(view_),
                                    prepare.counter_value,
                                    prepare.certified_view(), prepare.cert)) {
         return;
@@ -888,114 +933,35 @@ void Replica::handle_view_change(enclave::CostedCrypto& crypto,
 
 void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
                                       net::Outbox& outbox, ViewNumber view) {
-    if (config_.leader_of(view) != id_) return;
+    if (config_.leader_of(view) != id_ || view_ >= view) return;
     const auto it = view_changes_rx_.find(view);
-    if (it == view_changes_rx_.end() ||
-        static_cast<int>(it->second.size()) < config_.quorum()) {
-        return;
-    }
-    if (view_ >= view) return;  // already moved on
-
+    if (it == view_changes_rx_.end()) return;
+    std::array<const ViewChange*, kMaxReplicas> proofs{};
+    std::size_t count = 0;
+    for (const auto& [replica, vc] : it->second) proofs[count++] = &vc;
+    const auto derived = derive_new_view(config_.quorum(), view,
+                                         std::span(proofs.data(), count));
+    if (!derived) return;
     NewView nv;
     nv.view = view;
     nv.replica = id_;
-
-    SequenceNumber max_stable = 0;
-    std::map<SequenceNumber, Prepare> union_prepared;
-    for (const auto& [replica, vc] : it->second) {
-        nv.proofs.push_back(vc);
-        max_stable = std::max(max_stable, vc.last_stable);
-        for (const Prepare& p : vc.prepared) {
-            const auto existing = union_prepared.find(p.seq);
-            if (existing == union_prepared.end() ||
-                existing->second.view < p.view) {
-                union_prepared[p.seq] = p;
-            }
-        }
-    }
-
-    nv.start_seq = max_stable + 1;
-
-    // Adopt the new view locally before re-certifying so the fresh
-    // counters line up with expected_counter().
-    view_ = view;
-    view_start_ = nv.start_seq;
-    next_seq_ = nv.start_seq;
-    in_view_change_ = false;
-    log_.clear();
-
-    SequenceNumber max_seq = max_stable;
-    for (const auto& [seq, p] : union_prepared) {
-        max_seq = std::max(max_seq, seq);
-    }
-
-    for (SequenceNumber seq = nv.start_seq; seq <= max_seq; ++seq) {
-        Prepare fresh;
-        fresh.view = view_;
-        fresh.seq = seq;
+    nv.start_seq = derived->start_seq;
+    for (const Prepare* winner : derived->slots) {
+        Prepare& fresh = nv.reproposed.emplace_back();
+        fresh.view = view;
+        fresh.seq = nv.start_seq + nv.reproposed.size() - 1;
         fresh.replica = id_;
-        const auto found = union_prepared.find(seq);
-        if (found != union_prepared.end()) {
-            fresh.batch = found->second.batch;  // whole batch, as prepared
-        } else {
-            Request noop;
-            noop.flags = kFlagNoop;  // fill the counter gap
-            fresh.batch.requests.push_back(std::move(noop));
-        }
+        fresh.batch = winner != nullptr ? winner->batch : noop_batch();
         (void)fresh.batch.digest_with(crypto, scratch_);
         auto certified = certifier_.certify_ordered(
-            crypto, prepare_counter_id(), fresh.certified_view());
+            crypto, prepare_counter_id(view), fresh.certified_view());
         fresh.counter_value = certified.value;
         fresh.cert = std::move(certified.auth);
-        nv.reproposed.push_back(fresh);
-
-        LogEntry& entry = log_entry(seq);
-        entry.prepare = fresh;
-        // Slots we already executed before the view change must not look
-        // pending — try_execute() starts above last_executed_ and would
-        // never clear them, leaving the progress timer firing forever.
-        if (seq <= last_executed_) entry.executed = true;
-        ++next_seq_;
     }
-    rebuild_in_flight();  // the log was replaced wholesale above
-
+    // The proofs take the stored view changes: the install drops them.
+    for (auto& [replica, vc] : it->second) nv.proofs.push_back(std::move(vc));
     nv.cert = certifier_.certify(crypto, nv.certified_view());
-    broadcast(outbox, nv);
-    try_execute(crypto, outbox);
-    reissue_forwarded(crypto, outbox);
-    // The view can start above what we executed when the quorum stabilized
-    // (and garbage-collected) a checkpoint we never reached; ordinary
-    // commits can no longer fill that gap — fetch a snapshot.
-    if (view_start_ > last_executed_ + 1) {
-        begin_state_transfer(crypto, outbox);
-    }
-    arm_progress_timer();
-}
-
-void Replica::reissue_forwarded(enclave::CostedCrypto& crypto,
-                                net::Outbox& outbox) {
-    // Requests we accepted from clients may have died with the old
-    // leader: order them ourselves (new leader) or re-forward them.
-    const auto pending = forwarded_;
-    for (const auto& [id, request] : pending) {
-        bool in_log = false;
-        for (const auto& [seq, entry] : log_) {
-            if (!entry.prepare) continue;
-            for (const Request& member : entry.prepare->batch.requests) {
-                if (member.id == id) {
-                    in_log = true;
-                    break;
-                }
-            }
-            if (in_log) break;
-        }
-        if (in_log) continue;
-        if (is_leader()) {
-            enqueue_for_batch(crypto, outbox, request);
-        } else {
-            send_to(outbox, config_.leader_of(view_), request);
-        }
-    }
+    install_view(crypto, outbox, nv);
 }
 
 void Replica::handle_new_view(enclave::CostedCrypto& crypto,
@@ -1006,54 +972,106 @@ void Replica::handle_new_view(enclave::CostedCrypto& crypto,
                            new_view.certified_view(), new_view.cert)) {
         return;
     }
-    // The proofs must contain a quorum of valid view changes for this
-    // view. A link-MAC authenticator leaves its sender's own slot empty,
-    // so in the PBFT profile our own view change counts when we sent one.
-    std::set<std::uint32_t> voters;
+    // Recompute the view from the proofs that verify and refuse any other.
+    // A link-MAC authenticator leaves its sender's own slot empty, so in
+    // the PBFT profile the view change we stored when we sent it stands
+    // in for our slot, whatever copy came.
+    const auto& stored = view_changes_rx_[new_view.view];
+    std::array<const ViewChange*, kMaxReplicas> proofs{};
+    std::size_t valid = 0;
+    std::uint64_t named = 0;  // replica ids the proofs name
     for (const ViewChange& vc : new_view.proofs) {
+        if (vc.replica >= static_cast<std::uint32_t>(config_.n())) continue;
+        const std::uint64_t bit = std::uint64_t{1} << vc.replica;
+        if (named & bit) return;  // two proofs from one replica
+        named |= bit;
         if (vc.new_view != new_view.view) continue;
-        const bool valid =
-            pbft() && vc.replica == id_
-                ? view_changes_rx_[vc.new_view].contains(id_)
-                : certifier_.verify(crypto, vc.replica, vc.certified_view(),
-                                    vc.cert);
-        if (!valid) continue;
-        voters.insert(vc.replica);
+        if (pbft() && vc.replica == id_) {
+            const auto own = stored.find(id_);
+            if (own != stored.end()) proofs[valid++] = &own->second;
+        } else if (certifier_.verify(crypto, vc.replica, vc.certified_view(),
+                                     vc.cert)) {
+            proofs[valid++] = &vc;
+        }
     }
-    if (static_cast<int>(voters.size()) < config_.quorum()) return;
+    const auto derived = derive_new_view(config_.quorum(), new_view.view,
+                                         std::span(proofs.data(), valid));
+    if (!derived || new_view.start_seq != derived->start_seq ||
+        new_view.reproposed.size() != derived->slots.size()) {
+        return;
+    }
+    for (std::size_t i = 0; i < derived->slots.size(); ++i) {
+        const Prepare* winner = derived->slots[i];
+        if (new_view.reproposed[i].seq != derived->start_seq + i ||
+            new_view.reproposed[i].batch.requests !=
+                (winner != nullptr ? winner->batch : noop_batch()).requests) {
+            return;
+        }
+    }
+    install_view(crypto, outbox, new_view);
+}
 
-    // A deposed leader may still hold an uncut batch (the view changed
-    // under it without it ever suspecting anyone): those requests go back
-    // into the forwarded set and are re-issued below.
-    stash_pending_batch();
-
-    view_ = new_view.view;
-    view_start_ = new_view.start_seq;
-    next_seq_ = new_view.start_seq;
+void Replica::install_view(enclave::CostedCrypto& crypto, net::Outbox& outbox,
+                           NewView& nv) {
+    stash_pending_batch();  // a deposed leader's uncut batch is reissued
+    view_ = nv.view;
+    view_start_ = nv.start_seq;
+    next_seq_ = nv.start_seq + nv.reproposed.size();
     in_view_change_ = false;
     log_.clear();
-
-    // Process the re-proposed prepares through the normal path (they carry
-    // fresh certificates from the new leader).
-    for (Prepare& p : new_view.reproposed) {
-        handle_prepare(crypto, outbox, std::move(p));
+    // Neither view-change handler reads these views any more.
+    view_changes_rx_.erase(view_changes_rx_.begin(),
+                           view_changes_rx_.upper_bound(view_));
+    if (nv.replica == id_) {
+        for (const Prepare& p : nv.reproposed) log_entry(p.seq).prepare = p;
+        broadcast(outbox, nv);
+        try_execute(crypto, outbox);
+    } else {
+        // The new leader's fresh certificates take the normal path.
+        for (Prepare& p : nv.reproposed) {
+            handle_prepare(crypto, outbox, std::move(p));
+        }
     }
-    // Reproposed slots we already executed before the view change must not
-    // look pending — try_execute() starts above last_executed_ and would
-    // never clear them, leaving the progress timer firing forever.
+    // A slot executed before the view change must not look pending:
+    // try_execute() starts above last_executed_ and would never clear it.
     for (auto& [seq, entry] : log_) {
-        if (seq <= last_executed_) entry.executed = true;
+        if (seq > last_executed_) break;
+        entry.executed = true;
     }
     rebuild_in_flight();  // the log was replaced wholesale above
     reissue_forwarded(crypto, outbox);
-    // Sequence gap below the new view's start: the quorum stabilized a
-    // checkpoint we never reached (e.g. we were partitioned through it)
-    // and garbage-collected the prefix, so commits can no longer fill the
-    // hole — fetch a snapshot.
-    if (view_start_ > last_executed_ + 1) {
-        begin_state_transfer(crypto, outbox);
-    }
+    // A gap below the view's start: the quorum garbage-collected a
+    // checkpoint we never reached, so only a snapshot can fill it.
+    if (view_start_ > last_executed_ + 1) begin_state_transfer(crypto, outbox);
     arm_progress_timer();
+}
+
+void Replica::reissue_forwarded(enclave::CostedCrypto& crypto,
+                                net::Outbox& outbox) {
+    // Requests we accepted from clients may have died with the old
+    // leader: unless the installed log holds them, order them ourselves
+    // (new leader) or re-forward them. The ids come first, since ordering
+    // one may execute, and forget, another.
+    FlatSet<RequestId> logged;
+    for (const auto& [seq, entry] : log_) {
+        if (!entry.prepare) continue;
+        for (const Request& member : entry.prepare->batch.requests) {
+            logged.try_emplace(member.id);
+        }
+    }
+    std::vector<RequestId> reissue;
+    for (const auto& [id, request] : forwarded_) {
+        if (!logged.contains(id)) reissue.push_back(id);
+    }
+    for (const RequestId& id : reissue) {
+        const auto it = forwarded_.find(id);
+        if (it == forwarded_.end()) continue;
+        if (is_leader()) {
+            enqueue_for_batch(crypto, outbox, it->second);
+        } else {
+            send_to(outbox, config_.leader_of(view_), it->second);
+        }
+    }
 }
 
 // ---------------------------------------------------------- state transfer
@@ -1409,6 +1427,8 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         view_ = view;
         view_start_ = view_start;
     }
+    view_changes_rx_.erase(view_changes_rx_.begin(),
+                           view_changes_rx_.upper_bound(view_));
     if (last_stable > last_executed_) {
         last_executed_ = last_stable;
         // The snapshot is the state right after the checkpoint that reset

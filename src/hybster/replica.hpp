@@ -71,6 +71,21 @@ struct FaultProfile {
     bool mute_agreement = false;   // sends no PREPARE/COMMIT (leader DoS)
 };
 
+/// A view's NewView as its ViewChange proofs determine it: the new
+/// leader certifies it, and each follower recomputes it.
+struct ViewDerivation {
+    SequenceNumber start_seq = 0;  // above the highest stable checkpoint
+    /// Slot i is start_seq + i: the reported Prepare of the highest view
+    /// (ties: the lowest replica id), or nullptr for a no-op.
+    std::vector<const Prepare*> slots;
+};
+
+/// Touches no replica state. nullopt unless `proofs` are at least `quorum`
+/// ViewChanges for `view`, one per replica, whose slots fit one NewView;
+/// the slots point into them.
+std::optional<ViewDerivation> derive_new_view(
+    int quorum, ViewNumber view, std::span<const ViewChange* const> proofs);
+
 class Replica {
   public:
     struct Hooks {
@@ -227,6 +242,16 @@ class Replica {
         return own_chunks_.size();
     }
 
+    /// ViewChanges held for views up to `up_to`.
+    [[nodiscard]] std::size_t retained_view_changes(
+        ViewNumber up_to) const noexcept {
+        std::size_t held = 0;
+        for (const auto& [view, votes] : view_changes_rx_) {
+            held += view <= up_to ? votes.size() : 0;
+        }
+        return held;
+    }
+
     /// Log entries held: the sequence numbers above the stable checkpoint
     /// that this replica knows of.
     [[nodiscard]] std::size_t log_size() const noexcept {
@@ -343,6 +368,9 @@ class Replica {
     void start_view_change(ViewNumber new_view);
     void maybe_assemble_new_view(enclave::CostedCrypto& crypto,
                                  net::Outbox& outbox, ViewNumber view);
+    /// Moves to `nv`'s view, leader and followers alike.
+    void install_view(enclave::CostedCrypto& crypto, net::Outbox& outbox,
+                      NewView& nv);
     void reissue_forwarded(enclave::CostedCrypto& crypto,
                            net::Outbox& outbox);
     void arm_progress_timer();
@@ -367,7 +395,7 @@ class Replica {
     static constexpr CounterValue kCommitRound = 2;
     [[nodiscard]] bool pbft() const noexcept { return !certifier_.hybrid(); }
     [[nodiscard]] CounterValue expected_counter(SequenceNumber seq) const;
-    [[nodiscard]] enclave::CounterId prepare_counter_id() const;
+    [[nodiscard]] static enclave::CounterId prepare_counter_id(ViewNumber view);
     [[nodiscard]] enclave::CounterId commit_counter_id() const;
 
     net::Fabric& fabric_;

@@ -237,6 +237,30 @@ TEST(Pbft, CommitWaitsForTwoFPlusOneReplicas) {
     EXPECT_TRUE(done);
 }
 
+// The same stall escalates through one view change per timeout. Once the
+// write commits, no replica keeps a ViewChange for a view it has reached:
+// every one of them is discarded when the view is installed.
+TEST(Pbft, InstalledViewDropsItsViewChanges) {
+    PbftGroup group;
+    group.replica(2).set_faults(crashed());
+    group.replica(3).set_faults(crashed());
+    bool done = false;
+    group.client->invoke(EchoService::make_write(1, 64), false,
+                         [&](Bytes) { done = true; });
+    group.simulator().run_until(sim::seconds(3));
+    ASSERT_FALSE(done);
+
+    group.replica(2).set_faults(hybster::FaultProfile{});
+    group.simulator().run_until(sim::seconds(15));
+    ASSERT_TRUE(done);
+    for (int r = 0; r < 3; ++r) {
+        hybster::Replica& replica = group.replica(r);
+        EXPECT_GT(replica.view(), 0u) << "replica " << r;
+        EXPECT_EQ(replica.retained_view_changes(replica.view()), 0u)
+            << "replica " << r << " in view " << replica.view();
+    }
+}
+
 TEST(Pbft, LogIsBoundedByTheStableCheckpoint) {
     PbftGroup group;  // checkpoint every 8 requests
     int done = 0;
