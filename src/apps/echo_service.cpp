@@ -38,18 +38,24 @@ Bytes EchoService::expected_read_reply(std::uint64_t key,
                                        std::uint64_t version,
                                        std::size_t reply_size) {
     Bytes reply;
-    reply.reserve(reply_size);
-    // Deterministic stream from (key, version): xorshift over the seed.
+    write_read_reply(reply, key, version, reply_size);
+    return reply;
+}
+
+void EchoService::write_read_reply(Bytes& out, std::uint64_t key,
+                                   std::uint64_t version,
+                                   std::size_t reply_size) {
+    out.resize(reply_size);
+    // Deterministic stream from (key, version): xorshift over the seed,
+    // each step's word stored little-endian.
     std::uint64_t state = key * 0x9e3779b97f4a7c15ULL + version + 1;
-    while (reply.size() < reply_size) {
+    for (std::size_t at = 0; at < reply_size; at += 8) {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        for (int i = 0; i < 8 && reply.size() < reply_size; ++i) {
-            reply.push_back(static_cast<std::uint8_t>(state >> (8 * i)));
-        }
+        store_le(out.data() + at, state,
+                 static_cast<int>(std::min<std::size_t>(8, reply_size - at)));
     }
-    return reply;
 }
 
 std::uint64_t& EchoService::version_slot(std::uint64_t key) {
@@ -60,17 +66,18 @@ std::uint64_t& EchoService::version_slot(std::uint64_t key) {
 
 Bytes EchoService::execute(ByteView request) {
     const Parsed p = parse(request);
+    Bytes reply = hybster::take_result_buffer();
     if (p.is_read) {
-        return expected_read_reply(p.key, version_slot(p.key), p.reply_size);
+        write_read_reply(reply, p.key, version_slot(p.key), p.reply_size);
+        return reply;
     }
     if (p.multi) ++version_slot(p.partner);
     const std::uint64_t version = ++version_slot(p.key);
-    Writer ack;
-    ack.reserve(kWriteAckSize);
-    ack.u8(1);  // "written"
-    ack.u64(version);
-    ack.u8(0);
-    return std::move(ack).take();
+    reply.resize(kWriteAckSize);
+    reply[0] = 1;  // "written"
+    store_le(reply.data() + 1, version, 8);
+    reply[kWriteAckSize - 1] = 0;
+    return reply;
 }
 
 Bytes EchoService::checkpoint() const {

@@ -70,6 +70,11 @@ class EchoService final : public hybster::Service {
         std::size_t reply_size = 0;
     };
     [[nodiscard]] static Parsed parse(ByteView request);
+    /// Writes expected_read_reply(key, version, reply_size) into `out`,
+    /// replacing its contents.
+    static void write_read_reply(Bytes& out, std::uint64_t key,
+                                 std::uint64_t version,
+                                 std::size_t reply_size);
     /// The version slot of `key`, created at 0 on first touch (a read of
     /// an unknown key creates it too, as the snapshot records).
     std::uint64_t& version_slot(std::uint64_t key);

@@ -44,6 +44,17 @@ hybster::RequestInfo KvService::classify(ByteView request) const {
     return info;
 }
 
+namespace {
+
+/// `text` in a reply buffer from the spare list.
+Bytes reply_of(std::string_view text) {
+    Bytes reply = hybster::take_result_buffer();
+    reply.assign(text.begin(), text.end());
+    return reply;
+}
+
+}  // namespace
+
 Bytes KvService::execute(ByteView request) {
     try {
         Reader r(request);
@@ -54,41 +65,45 @@ Bytes KvService::execute(ByteView request) {
         switch (op) {
             case Op::Get: {
                 const auto it = store_.find(key);
-                return it == store_.end() ? Bytes() : to_bytes(it->second);
+                return reply_of(it == store_.end() ? std::string_view()
+                                                   : it->second);
             }
             case Op::Put: {
                 const std::string_view value = r.str_view();
                 const auto it = store_.lower_bound(key);
                 if (it == store_.end() || it->first != key) {
                     store_.emplace_hint(it, key, value);
-                    return Bytes();
+                    return reply_of({});
                 }
-                Bytes previous = to_bytes(it->second);
+                Bytes previous = reply_of(it->second);
                 it->second.assign(value);
                 return previous;
             }
             case Op::Delete: {
                 const auto it = store_.find(key);
-                if (it == store_.end()) return Bytes();
-                Bytes previous = to_bytes(it->second);
+                if (it == store_.end()) return reply_of({});
+                Bytes previous = reply_of(it->second);
                 store_.erase(it);
                 return previous;
             }
             case Op::Scan: {
-                Writer w;
-                std::vector<std::string> matches;
+                // The count goes first; it is patched in once the matching
+                // keys have been written behind it.
+                Writer w(hybster::take_result_buffer());
+                w.u32(0);
+                std::uint32_t matches = 0;
                 for (auto it = store_.lower_bound(key);
                      it != store_.end() && it->first.starts_with(key); ++it) {
-                    matches.push_back(it->first);
+                    w.str(it->first);
+                    ++matches;
                 }
-                w.u32(static_cast<std::uint32_t>(matches.size()));
-                for (const std::string& k : matches) w.str(k);
+                store_le(w.buffer().data(), matches, 4);
                 return std::move(w).take();
             }
         }
-        return to_bytes("ERR unknown op");
+        return reply_of("ERR unknown op");
     } catch (const DecodeError&) {
-        return to_bytes("ERR malformed request");
+        return reply_of("ERR malformed request");
     }
 }
 

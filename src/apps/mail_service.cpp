@@ -1,6 +1,8 @@
 #include "apps/mail_service.hpp"
 
 #include <charconv>
+#include <iterator>
+#include <string_view>
 
 #include "common/serialize.hpp"
 
@@ -8,23 +10,25 @@ namespace troxy::apps {
 
 namespace {
 
+/// The request line's fields, borrowed from the request.
 struct Parsed {
-    std::string verb;
-    std::string mailbox;
-    std::string rest;  // id or message text
+    std::string_view verb;
+    std::string_view mailbox;
+    std::string_view rest;  // id or message text
 };
 
 Parsed parse_line(ByteView request) {
-    const std::string line(request.begin(), request.end());
+    const std::string_view line(reinterpret_cast<const char*>(request.data()),
+                                request.size());
     Parsed parsed;
     const std::size_t sp1 = line.find(' ');
-    if (sp1 == std::string::npos) {
+    if (sp1 == std::string_view::npos) {
         parsed.verb = line;
         return parsed;
     }
     parsed.verb = line.substr(0, sp1);
     const std::size_t sp2 = line.find(' ', sp1 + 1);
-    if (sp2 == std::string::npos) {
+    if (sp2 == std::string_view::npos) {
         parsed.mailbox = line.substr(sp1 + 1);
         return parsed;
     }
@@ -33,10 +37,28 @@ Parsed parse_line(ByteView request) {
     return parsed;
 }
 
-std::uint64_t parse_id(const std::string& text) {
+std::uint64_t parse_id(std::string_view text) {
     std::uint64_t id = 0;
     std::from_chars(text.data(), text.data() + text.size(), id);
     return id;
+}
+
+void append(Bytes& out, std::string_view text) {
+    out.insert(out.end(), text.begin(), text.end());
+}
+
+void append_number(Bytes& out, std::uint64_t value) {
+    char digits[20];
+    const auto result = std::to_chars(std::begin(digits), std::end(digits),
+                                      value);
+    out.insert(out.end(), std::begin(digits), result.ptr);
+}
+
+/// `text` in a reply buffer from the spare list.
+Bytes reply_of(std::string_view text) {
+    Bytes reply = hybster::take_result_buffer();
+    append(reply, text);
+    return reply;
 }
 
 }  // namespace
@@ -50,10 +72,10 @@ hybster::RequestInfo MailService::classify(ByteView request) const {
     // so disjoint mailboxes run on parallel lanes. An EXPUNGE names the
     // exact message it removes; the per-message key in its write set
     // records the finer-grained mutation for invalidation consumers.
-    info.state_key = "mail:" + parsed.mailbox;
+    info.state_key = std::string("mail:").append(parsed.mailbox);
     if (parsed.verb == "EXPUNGE") {
-        info.extra_keys.push_back("mail:" + parsed.mailbox +
-                                  ":msg:" + parsed.rest);
+        info.extra_keys.push_back(
+            std::string(info.state_key).append(":msg:").append(parsed.rest));
     }
     return info;
 }
@@ -62,40 +84,45 @@ Bytes MailService::execute(ByteView request) {
     const Parsed parsed = parse_line(request);
     if (parsed.verb == "LIST") {
         const auto it = mailboxes_.find(parsed.mailbox);
-        std::string out =
-            std::to_string(it == mailboxes_.end() ? 0
-                                                  : it->second.messages.size());
+        Bytes out = hybster::take_result_buffer();
+        append_number(out, it == mailboxes_.end()
+                               ? 0
+                               : it->second.messages.size());
         if (it != mailboxes_.end()) {
             for (const auto& [id, _] : it->second.messages) {
-                out += " " + std::to_string(id);
+                out.push_back(' ');
+                append_number(out, id);
             }
         }
-        return to_bytes(out);
+        return out;
     }
     if (parsed.verb == "FETCH") {
         const auto it = mailboxes_.find(parsed.mailbox);
-        if (it == mailboxes_.end()) return to_bytes("NO such mailbox");
+        if (it == mailboxes_.end()) return reply_of("NO such mailbox");
         const auto msg = it->second.messages.find(parse_id(parsed.rest));
         if (msg == it->second.messages.end()) {
-            return to_bytes("NO such message");
+            return reply_of("NO such message");
         }
-        return to_bytes(msg->second);
+        return reply_of(msg->second);
     }
     if (parsed.verb == "APPEND") {
-        Mailbox& mailbox = mailboxes_[parsed.mailbox];
+        Mailbox& mailbox =
+            mailboxes_.try_emplace(std::string(parsed.mailbox)).first->second;
         const std::uint64_t id = mailbox.next_id++;
         mailbox.messages[id] = parsed.rest;
-        return to_bytes("OK " + std::to_string(id));
+        Bytes out = reply_of("OK ");
+        append_number(out, id);
+        return out;
     }
     if (parsed.verb == "EXPUNGE") {
         const auto it = mailboxes_.find(parsed.mailbox);
         if (it != mailboxes_.end() &&
             it->second.messages.erase(parse_id(parsed.rest)) > 0) {
-            return to_bytes("OK");
+            return reply_of("OK");
         }
-        return to_bytes("NO such message");
+        return reply_of("NO such message");
     }
-    return to_bytes("BAD command");
+    return reply_of("BAD command");
 }
 
 Bytes MailService::checkpoint() const {

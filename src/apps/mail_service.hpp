@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -46,7 +47,8 @@ class MailService final : public hybster::Service {
         std::map<std::uint64_t, std::string> messages;
     };
 
-    std::map<std::string, Mailbox> mailboxes_;
+    /// Transparent comparator: lookups go through a borrowed name view.
+    std::map<std::string, Mailbox, std::less<>> mailboxes_;
 };
 
 }  // namespace troxy::apps

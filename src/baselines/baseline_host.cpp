@@ -48,11 +48,11 @@ BaselineReplicaHost::BaselineReplicaHost(
                 crypto.mac(client_key(client), reply.certified_view(scratch_));
             std::copy(tag.begin(), tag.end(), reply.cert.begin());
 
-            const Bytes encoded = hybster::encode_message(reply);
-            crypto.charge(profile_.aead(encoded.size()));
-            outbox.send(client,
-                        net::client_record_frame(session->channel, encoded,
-                                                 outbox.pool()));
+            hybster::encode_message_into(reply, scratch_);
+            crypto.charge(profile_.aead(scratch_.size()));
+            outbox.send(client, net::client_record_frame(session->channel,
+                                                         scratch_,
+                                                         outbox.pool()));
         }
     };
 

@@ -62,7 +62,8 @@ class BaselineReplicaHost {
     /// Derived secrets by client: the key derivation (HKDF) runs once per
     /// client rather than on every request and reply.
     std::map<sim::NodeId, Bytes> client_key_cache_;
-    /// Staging buffer for signed and certified views.
+    /// Staging buffer for signed and certified views and for each reply
+    /// encoded for its client record.
     Bytes scratch_;
     const sim::CostProfile& profile_;
     hybster::FaultProfile faults_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iterator>
 
 namespace troxy::http {
 
@@ -85,17 +86,56 @@ Bytes HttpRequest::serialize() const {
 }
 
 Bytes HttpResponse::serialize() const {
-    std::string out = "HTTP/1.1 " + std::to_string(status) + " " + reason +
-                      std::string(kCrlf);
-    auto headers_copy = headers;
-    headers_copy["content-length"] = std::to_string(body.size());
-    for (const auto& [name, value] : headers_copy) {
-        out += name + ": " + value + std::string(kCrlf);
+    Bytes out;
+    serialize_into(out, body);
+    return out;
+}
+
+void HttpResponse::serialize_into(Bytes& out, ByteView content) const {
+    // Status line and content-length need at most 64 bytes besides the
+    // reason; every other header its name, value and four separators.
+    std::size_t size = 64 + reason.size() + content.size();
+    for (const auto& [name, value] : headers) {
+        size += name.size() + value.size() + 4;
     }
-    out += kCrlf;
-    Bytes bytes = to_bytes(out);
-    bytes.insert(bytes.end(), body.begin(), body.end());
-    return bytes;
+    out.clear();
+    out.reserve(size);
+    const auto put = [&out](std::string_view text) {
+        out.insert(out.end(), text.begin(), text.end());
+    };
+    const auto put_number = [&out](auto value) {
+        char digits[24];
+        const auto result =
+            std::to_chars(std::begin(digits), std::end(digits), value);
+        out.insert(out.end(), std::begin(digits), result.ptr);
+    };
+    put("HTTP/1.1 ");
+    put_number(status);
+    put(" ");
+    put(reason);
+    put(kCrlf);
+    // Headers in name order, with content-length set to the body's size
+    // in its place among them.
+    constexpr std::string_view kLength = "content-length";
+    bool length_written = false;
+    const auto put_length = [&] {
+        put(kLength);
+        put(": ");
+        put_number(content.size());
+        put(kCrlf);
+        length_written = true;
+    };
+    for (const auto& [name, value] : headers) {
+        if (!length_written && name >= kLength) put_length();
+        if (name == kLength) continue;
+        put(name);
+        put(": ");
+        put(value);
+        put(kCrlf);
+    }
+    if (!length_written) put_length();
+    put(kCrlf);
+    out.insert(out.end(), content.begin(), content.end());
 }
 
 std::optional<HttpRequest> parse_request(ByteView data) {

@@ -32,6 +32,10 @@ struct HttpResponse {
     Bytes body;
 
     [[nodiscard]] Bytes serialize() const;
+    /// serialize() with `content` in place of `body`, written into `out`
+    /// (its contents replaced, its capacity kept): a server answers with
+    /// bytes it holds elsewhere without copying them into a response.
+    void serialize_into(Bytes& out, ByteView content) const;
 };
 
 /// Parses a complete HTTP request; nullopt on malformed or incomplete

@@ -20,13 +20,32 @@ hybster::RequestInfo classify_http(ByteView request) {
     return info;
 }
 
-HttpResponse error_response(int status, std::string reason) {
+/// The 200 response every page reply is: its body is the page.
+const HttpResponse& html_ok() {
+    static const HttpResponse response = [] {
+        HttpResponse ok;
+        ok.headers["content-type"] = "text/html";
+        return ok;
+    }();
+    return response;
+}
+
+/// `response` with `content` as its body, in a reply buffer from the
+/// spare list.
+Bytes reply_of(const HttpResponse& response, ByteView content) {
+    Bytes reply = hybster::take_result_buffer();
+    response.serialize_into(reply, content);
+    return reply;
+}
+
+/// A plain-text error response whose body is its reason phrase.
+Bytes error_reply(int status, std::string reason) {
     HttpResponse response;
     response.status = status;
     response.reason = std::move(reason);
     response.headers["content-type"] = "text/plain";
     response.body = to_bytes(response.reason);
-    return response;
+    return reply_of(response, response.body);
 }
 
 }  // namespace
@@ -69,26 +88,22 @@ troxy_core::Classifier PageService::classifier() {
 
 Bytes PageService::execute(ByteView request) {
     auto parsed = parse_request(request);
-    if (!parsed) return error_response(400, "Bad Request").serialize();
+    if (!parsed) return error_reply(400, "Bad Request");
 
     if (parsed->method == "GET") {
         const auto it = pages_.find(parsed->path);
-        if (it == pages_.end()) {
-            return error_response(404, "Not Found").serialize();
-        }
-        HttpResponse response;
-        response.headers["content-type"] = "text/html";
-        response.body = to_bytes(it->second);
-        return response.serialize();
+        if (it == pages_.end()) return error_reply(404, "Not Found");
+        const std::string& page = it->second;
+        return reply_of(
+            html_ok(),
+            ByteView(reinterpret_cast<const std::uint8_t*>(page.data()),
+                     page.size()));
     }
     if (parsed->method == "POST" || parsed->method == "PUT") {
         pages_[parsed->path] = to_string(parsed->body);
-        HttpResponse response;
-        response.headers["content-type"] = "text/html";
-        response.body = parsed->body;
-        return response.serialize();
+        return reply_of(html_ok(), parsed->body);
     }
-    return error_response(405, "Method Not Allowed").serialize();
+    return error_reply(405, "Method Not Allowed");
 }
 
 Bytes PageService::checkpoint() const {

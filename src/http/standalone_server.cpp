@@ -36,6 +36,7 @@ void StandaloneServer::on_message(sim::NodeId from, Bytes message) {
                 outbox.send(from, net::client_record_frame(
                                       session.channel, app_reply,
                                       outbox.pool()));
+                hybster::give_result_buffer(std::move(app_reply));
             });
     }
     // The record was opened synchronously, so the wire buffer can rejoin

@@ -591,6 +591,17 @@ Bytes encode_message(const T& message) {
     return detail::encode_sized(message, std::nullopt, nullptr);
 }
 
+/// encode_message() for one message of type T, written into `out`: its
+/// contents are replaced and its capacity kept, so a caller that keeps
+/// `out` encodes a warm message without allocating.
+template <typename T>
+    requires(!std::same_as<T, Message>)
+void encode_message_into(const T& message, Bytes& out) {
+    Writer w(std::move(out));
+    detail::frame(w, message, std::nullopt);
+    out = std::move(w).take();
+}
+
 /// Wire frame for one message of type T: the envelope channel byte
 /// followed by encode_message(Message(message)), written once into a
 /// wire buffer from `pool`. Takes the concrete message, so nothing is

@@ -286,6 +286,7 @@ void Replica::execute_optimistic_read(const Request& request) {
             hooks_.deliver_replies(exec_crypto, exec_outbox,
                                    std::span(&executed, 1));
         }
+        give_result_buffer(std::move(reply.result));
         exec_outbox.flush(exec_meter);
     });
     outbox.flush(meter);
@@ -309,6 +310,7 @@ void Replica::handle_request(enclave::CostedCrypto& crypto,
         if (!faults_.drop_replies && hooks_.deliver_replies) {
             ExecutedReply resend{&*record.last_request, *record.last_reply};
             hooks_.deliver_replies(crypto, outbox, std::span(&resend, 1));
+            give_result_buffer(std::move(resend.reply.result));
         }
         return;
     }
@@ -725,10 +727,17 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
                 reply.result[0] ^= 0xff;
             }
             executed_.push_back(ExecutedReply{&request, std::move(reply)});
+        } else {
+            give_result_buffer(std::move(reply.result));
         }
     }
     if (!executed_.empty()) {
         hooks_.deliver_replies(crypto, outbox, executed_);
+        // The hook is done with every result: their buffers go back for
+        // the next batch's execute() calls.
+        for (ExecutedReply& member : executed_) {
+            give_result_buffer(std::move(member.reply.result));
+        }
         executed_.clear();
     }
 

@@ -8,6 +8,12 @@
 // replicas apply requests in sequence order and must produce identical
 // replies. Checkpoint/restore support the protocol's garbage collection
 // and state transfer.
+//
+// Reply buffers are recycled: a service builds each reply in a buffer
+// from take_result_buffer(), and whoever is done with an executed reply
+// (the replica, once its delivery hook has returned) hands the buffer to
+// give_result_buffer(). A warm replica then executes without touching the
+// heap for its results.
 #pragma once
 
 #include <cstddef>
@@ -82,6 +88,15 @@ class Service {
 };
 
 using ServicePtr = std::unique_ptr<Service>;
+
+/// An empty reply buffer: a spare one from this thread's list, keeping
+/// the capacity it had, or a fresh one when the list is empty.
+[[nodiscard]] Bytes take_result_buffer();
+
+/// Keeps `buffer`'s capacity on this thread's spare list for a later
+/// take_result_buffer(). The list holds a constant byte budget; a buffer
+/// past it, or one given back while the thread ends, goes to the heap.
+void give_result_buffer(Bytes buffer);
 
 /// Factory so each replica can own an identical, independent instance.
 using ServiceFactory = std::function<ServicePtr()>;

@@ -11,11 +11,19 @@ std::optional<Bytes> ClientSessions::accept(enclave::CostedCrypto& crypto,
                                             sim::BufferPool& pool) {
     // A second Hello replaces the session: the old channel and its slot
     // window die here, and the fresh generation fences off the old
-    // session's in-flight replies.
-    sessions_.erase(client);
+    // session's in-flight replies. The old release ring moves to the new
+    // session with every entry emptied, each keeping its buffer, so a
+    // reconnected client's window banks without allocating.
+    std::vector<Session::Entry> ring;
+    if (const auto old = sessions_.find(client); old != sessions_.end()) {
+        ring = std::move(old->second.ring_);
+        sessions_.erase(old);
+    }
     const auto it =
         sessions_.try_emplace(client, client, identity_, ++generation_counter_)
             .first;
+    for (Session::Entry& entry : ring) entry.present = false;
+    it->second.ring_ = std::move(ring);
 
     Writer seed;
     seed.reserve(seed_prefix.size() + 8);

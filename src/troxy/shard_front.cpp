@@ -1,6 +1,7 @@
 #include "troxy/shard_front.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/assert.hpp"
 #include "common/serialize.hpp"
@@ -364,9 +365,9 @@ Bytes ShardFrontHost::take_spare_buffer() {
 
 namespace {
 
-double percentile_ms(std::vector<sim::Duration> samples, double p) {
+/// The p-th percentile of `samples`, which are sorted.
+double percentile_ms(std::span<const sim::Duration> samples, double p) {
     if (samples.empty()) return 0.0;
-    std::sort(samples.begin(), samples.end());
     const double rank = p * static_cast<double>(samples.size() - 1);
     const auto index = static_cast<std::size_t>(rank + 0.5);
     return sim::to_millis(samples[std::min(index, samples.size() - 1)]);
@@ -383,6 +384,7 @@ ShardFrontHost::Status ShardFrontHost::status() const {
     status.cross_inflight_peak = cross_inflight_peak_;
     status.cross_lock_waits = cross_lock_waits_;
     status.cross_lock_wait_ms_total = sim::to_millis(cross_lock_wait_total_);
+    std::sort(cross_latencies_.begin(), cross_latencies_.end());
     status.cross_p50_ms = percentile_ms(cross_latencies_, 0.50);
     status.cross_p99_ms = percentile_ms(cross_latencies_, 0.99);
     status.contended_keys.assign(lock_waits_by_key_.begin(),

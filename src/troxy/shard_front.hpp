@@ -220,7 +220,7 @@ class ShardFrontHost {
 
     [[nodiscard]] Status status() const;
     /// Raw cross-commit latency samples (admission → release), for
-    /// merging percentiles across fronts.
+    /// merging percentiles across fronts; in no particular order.
     [[nodiscard]] const std::vector<sim::Duration>& cross_latencies()
         const noexcept {
         return cross_latencies_;
@@ -332,7 +332,9 @@ class ShardFrontHost {
     std::uint64_t cross_lock_waits_ = 0;
     sim::Duration cross_lock_wait_total_ = 0;
     std::map<std::string, std::uint64_t, std::less<>> lock_waits_by_key_;
-    std::vector<sim::Duration> cross_latencies_;
+    /// status() sorts it in place (the order is all it changes), so the
+    /// percentiles take no copy.
+    mutable std::vector<sim::Duration> cross_latencies_;
     std::vector<ShardStats> shard_stats_;
 };
 

@@ -42,6 +42,21 @@ TEST(EchoService, WriteBumpsVersionAndChangesReads) {
     EXPECT_EQ(after, EchoService::expected_read_reply(5, 1, 256));
 }
 
+// The reply stream is pinned: each xorshift step's word, little-endian,
+// cut at the requested size. The write ack is tag 1, the new version,
+// then a zero pad byte.
+TEST(EchoService, RepliesArePinnedBytes) {
+    EXPECT_EQ(hex_encode(EchoService::expected_read_reply(7, 3, 13)),
+              "9eb308d62c753ff679850911c5");
+    EchoService service;
+    service.execute(EchoService::make_write(7, 64));
+    service.execute(EchoService::make_write(7, 64));
+    EXPECT_EQ(hex_encode(service.execute(EchoService::make_write(7, 64))),
+              "01030000000000000000");
+    EXPECT_EQ(service.execute(EchoService::make_read(7, 64, 13)),
+              EchoService::expected_read_reply(7, 3, 13));
+}
+
 TEST(EchoService, WritesToOtherKeysDoNotInterfere) {
     EchoService service;
     const Bytes before = service.execute(EchoService::make_read(1, 64, 128));

@@ -36,6 +36,7 @@
 
 #include "apps/echo_service.hpp"
 #include "apps/kv_service.hpp"
+#include "apps/mail_service.hpp"
 #include "bench_support/cluster.hpp"
 #include "bench_support/stats.hpp"
 #include "bench_support/workload.hpp"
@@ -1338,7 +1339,8 @@ double ordered_write_allocs_per_request() {
 }
 
 TEST(AllocationCeiling, OrderedWritesPerRequest) {
-    // Measured at 5.09 per request; the ceiling sits about 10 % above. A
+    // Measured at 2.09 per request; the ceiling sits about 10 % above. A
+    // fresh buffer per executed result measured 5.09 (ceiling 5.6). A
     // copy of every reply into the Bytes the client's callback took
     // measured 6.09 (ceiling 6.7). Building each AEAD tag's MAC input in a
     // fresh buffer (real crypto only) measured 22.1; reply frames, client
@@ -1354,7 +1356,7 @@ TEST(AllocationCeiling, OrderedWritesPerRequest) {
     // table and allocating log nodes per sequence number measured 93.2.
     const double per_request = ordered_write_allocs_per_request();
     RecordProperty("allocs_per_request", std::to_string(per_request));
-    EXPECT_LE(per_request, 5.6);
+    EXPECT_LE(per_request, 2.3);
 }
 
 // The wire-buffer loop is closed on the ordered path: every frame any
@@ -1435,7 +1437,8 @@ double sharded_cross_allocs_per_request() {
 }
 
 TEST(AllocationCeiling, ShardedCrossPerRequest) {
-    // Measured at 6.63 per request; the ceiling sits about 10 % above.
+    // Measured at 2.16 per request; the ceiling sits about 10 % above. A
+    // fresh buffer per executed result measured 6.63 (ceiling 7.3).
     // Copying each opened request at the front, each reply into its client
     // callback's Bytes, a shared_ptr per cross-shard commit and each banked
     // reply, and regrowing every reply burst above 16 frames, measured 10.6
@@ -1449,7 +1452,7 @@ TEST(AllocationCeiling, ShardedCrossPerRequest) {
     // gap, and a fresh link vector per lock-table admission measured 79.4.
     const double per_request = sharded_cross_allocs_per_request();
     RecordProperty("allocs_per_request", std::to_string(per_request));
-    EXPECT_LE(per_request, 7.3);
+    EXPECT_LE(per_request, 2.4);
 }
 
 /// Turns fast crypto on for a scope, as the benchmarks run: the real
@@ -1523,7 +1526,8 @@ double kv_read_mostly_allocs_per_request() {
 }
 
 TEST(AllocationCeiling, KvReadMostlyPerRequest) {
-    // Measured at 2.67 per request; the ceiling sits about 10 % above.
+    // Measured at 2.08 per request; the ceiling sits about 10 % above. A
+    // fresh buffer per executed result measured 2.67 (ceiling 2.95).
     // Copying each reply into its client callback's Bytes, refilling an
     // invalidated cache slot into a fresh buffer and regrowing every
     // reply burst above 16 frames measured 4.02 (ceiling 4.45). A
@@ -1533,7 +1537,7 @@ TEST(AllocationCeiling, KvReadMostlyPerRequest) {
     // block per four cache slots measured 8.96.
     const double per_request = kv_read_mostly_allocs_per_request();
     RecordProperty("allocs_per_request", std::to_string(per_request));
-    EXPECT_LE(per_request, 2.95);
+    EXPECT_LE(per_request, 2.3);
 }
 
 // A warm fast read through the hosts, with fast crypto: one session
@@ -1598,11 +1602,12 @@ class NullService final : public Service {
     void restore(ByteView) override {}
 };
 
-/// Replica 1 of a hybrid group of three, fed the Prepares that the test
-/// certifies as the view-0 leader (replica 0). Replica 0's node collects
-/// the follower's checkpoint votes so the test can answer them as the
-/// leader; replica 2's node drops what it gets. Both recycle every frame,
-/// as a warm node does.
+/// Replica 1 of a hybrid group of three, running `service` (a NullService
+/// by default), fed the Prepares that the test certifies as the view-0
+/// leader (replica 0). Replica 0's node collects the follower's
+/// checkpoint votes so the test can answer them as the leader; replica
+/// 2's node drops what it gets. Both recycle every frame, as a warm node
+/// does.
 struct Follower {
     static constexpr std::size_t kWarmBatches = 8;
     static constexpr std::size_t kMembers = 16;
@@ -1621,8 +1626,10 @@ struct Follower {
     enclave::CostedCrypto crypto{profile, meter};
     SequenceNumber next_seq = 1;
     std::uint64_t next_number = 1;
+    /// Request payloads; a Prepare's members take them in turn.
+    std::vector<Bytes> payloads{to_bytes("follower-write")};
 
-    Follower() {
+    explicit Follower(ServicePtr service = std::make_unique<NullService>()) {
         config.f = 1;
         config.replicas = {1, 2, 3};
         config.checkpoint_interval = kWarmBatches * kMembers / 2;
@@ -1634,7 +1641,7 @@ struct Follower {
         hooks.deliver_replies = [](enclave::CostedCrypto&, net::Outbox&,
                                    std::span<ExecutedReply>) {};
         replica = std::make_unique<Replica>(
-            fabric, node, config, 1, std::make_unique<NullService>(),
+            fabric, node, config, 1, std::move(service),
             Certifier(std::make_shared<enclave::TrinX>(
                 1, to_bytes("follower-group"))),
             profile, std::move(hooks));
@@ -1660,8 +1667,8 @@ struct Follower {
         p.seq = next_seq++;
         for (std::size_t i = 0; i < members; ++i) {
             Request request;
+            request.assign(payloads[(next_number - 1) % payloads.size()], 1);
             request.id = {500, next_number++};
-            request.assign(to_bytes("follower-write"), 1);
             request.auth_slots()[0] = pattern_cert(0x10);
             p.batch.requests.push_back(std::move(request));
         }
@@ -1718,6 +1725,63 @@ TEST(AllocationCeiling, WarmFollowerPrepareAllocatesNothing) {
             << members << " members";
         EXPECT_EQ(follower.replica->last_executed(), executed + 1);
         follower.settle();
+    }
+}
+
+// A warm follower executes each operation below through its replica,
+// delivers the reply and hands the result buffer back to the spare list
+// without allocating: the service builds every reply in a buffer an
+// earlier execution gave back. Operations that grow the service's state
+// (a new key, a new message) allocate for the state itself, so they run
+// only in the warm-up.
+TEST(AllocationCeiling, WarmExecuteAllocatesNothing) {
+    struct Case {
+        std::string name;
+        ServiceFactory service;
+        std::vector<Bytes> warm_up;  // cycled while warming
+        std::vector<Bytes> measured;
+    };
+    const std::string value(32, 'v');
+    const std::vector<Case> cases = {
+        {"echo",
+         [] { return std::make_unique<apps::EchoService>(); },
+         {apps::EchoService::make_write(3, 64),
+          apps::EchoService::make_read(3, 64, 256),
+          apps::EchoService::make_multi_write(3, 4, 64)},
+         {apps::EchoService::make_read(3, 64, 256),
+          apps::EchoService::make_write(3, 64),
+          apps::EchoService::make_multi_write(3, 4, 64)}},
+        {"kv",
+         [] { return std::make_unique<apps::KvService>(); },
+         {apps::KvService::make_put("k1", value),
+          apps::KvService::make_get("k1"),
+          apps::KvService::make_scan("k")},
+         {apps::KvService::make_get("k1"),
+          apps::KvService::make_put("k1", std::string(32, 'w')),
+          apps::KvService::make_scan("k")}},
+        {"mail",
+         [] { return std::make_unique<apps::MailService>(); },
+         {apps::MailService::make_append("inbox", "hello, replicas"),
+          apps::MailService::make_fetch("inbox", 1)},
+         {apps::MailService::make_fetch("inbox", 1)}},
+    };
+    for (const Case& c : cases) {
+        Follower follower(c.service());
+        follower.payloads = c.warm_up;
+        follower.warm();
+        for (std::size_t op = 0; op < c.measured.size(); ++op) {
+            follower.payloads = {c.measured[op]};
+            for (int round = 0; round < 2; ++round) {
+                const Bytes frame = follower.prepare(1);
+                const SequenceNumber executed =
+                    follower.replica->last_executed();
+                EXPECT_EQ(allocations_in([&] { follower.deliver(frame); }),
+                          0u)
+                    << c.name << " operation " << op << ", round " << round;
+                EXPECT_EQ(follower.replica->last_executed(), executed + 1);
+                follower.settle();
+            }
+        }
     }
 }
 
@@ -1812,6 +1876,59 @@ TEST(AllocationCeiling, WarmOutOfOrderReleaseAllocatesNothing) {
         }
     }
     EXPECT_EQ(emitted, kRounds * kWindow);
+    EXPECT_EQ(sessions.waiting(), 0u);
+}
+
+// A re-handshake replaces the session but hands it the old release ring,
+// each entry keeping its buffer: the new session's first out-of-order
+// round allocates nothing, and its generation still drops the replies of
+// the old session's tickets.
+TEST(AllocationCeiling, OutOfOrderReleaseAfterRehandshakeAllocatesNothing) {
+    const crypto::X25519Keypair identity =
+        crypto::x25519_keypair_from_seed(to_bytes("sessions-identity"));
+    net::ClientSessions sessions(identity);
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto(sim::CostProfile::native(), meter);
+    sim::BufferPool pool;
+    const auto handshake = [&](std::string_view seed) {
+        net::SecureChannelClient channel(identity.public_key, to_bytes(seed));
+        ASSERT_TRUE(sessions
+                        .accept(crypto, 7, channel.client_hello(),
+                                to_bytes("prefix"), pool)
+                        .has_value());
+    };
+
+    constexpr std::size_t kWindow = 12;
+    std::size_t emitted = 0;
+    const auto emit = [&](net::ClientSessions::Session&, ByteView) {
+        ++emitted;
+    };
+    const std::vector<Bytes> replies(kWindow, Bytes(16, 0xab));
+    // Assigns a window of tickets and releases them in reverse slot order;
+    // returns the heap allocations the releases made.
+    const auto reverse_round = [&] {
+        net::ClientSessions::Session& session = *sessions.find(7);
+        std::vector<net::ClientSessions::Ticket> tickets;
+        for (std::size_t i = 0; i < kWindow; ++i) {
+            tickets.push_back(session.assign());
+        }
+        return allocations_in([&] {
+            for (std::size_t i = kWindow; i-- > 0;) {
+                sessions.release(tickets[i], replies[i], emit);
+            }
+        });
+    };
+
+    handshake("client");
+    for (int round = 0; round < 2; ++round) (void)reverse_round();
+    const net::ClientSessions::Ticket stale = sessions.find(7)->assign();
+    ASSERT_EQ(emitted, 2 * kWindow);
+
+    handshake("client-again");
+    EXPECT_EQ(reverse_round(), 0u);
+    EXPECT_EQ(emitted, 3 * kWindow);
+    sessions.release(stale, replies[0], emit);
+    EXPECT_EQ(emitted, 3 * kWindow);
     EXPECT_EQ(sessions.waiting(), 0u);
 }
 

@@ -74,6 +74,28 @@ TEST(HttpParser, ResponseSerializeParseRoundTrip) {
     EXPECT_EQ(to_string(parsed->body), "missing");
 }
 
+// The wire form: status line, headers in name order with content-length
+// among them (a caller's own content-length replaced), blank line, body.
+TEST(HttpParser, ResponseSerializesHeadersInNameOrder) {
+    HttpResponse response;
+    response.status = 201;
+    response.reason = "Created";
+    response.headers["accept-ranges"] = "none";
+    response.headers["content-length"] = "999";
+    response.headers["server"] = "replicated";
+    response.body = to_bytes("made");
+    EXPECT_EQ(to_string(response.serialize()),
+              "HTTP/1.1 201 Created\r\naccept-ranges: none\r\n"
+              "content-length: 4\r\nserver: replicated\r\n\r\nmade");
+
+    Bytes out = to_bytes("stale contents");
+    response.headers.clear();
+    response.serialize_into(out, to_bytes("other body"));
+    EXPECT_EQ(to_string(out),
+              "HTTP/1.1 201 Created\r\ncontent-length: 10\r\n\r\n"
+              "other body");
+}
+
 TEST(HttpParser, ResponseRejectsBadStatus) {
     EXPECT_FALSE(parse_response(to_bytes(
                      "HTTP/1.1 9999 Weird\r\nContent-Length: 0\r\n\r\n"))
@@ -92,6 +114,15 @@ TEST(PageService, GetReturnsPage) {
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->status, 200);
     EXPECT_EQ(to_string(response->body), PageService::initial_content(2));
+}
+
+TEST(PageService, GetReplyIsTheExactHtmlResponse) {
+    PageService service(8);
+    const std::string page = PageService::initial_content(5);
+    EXPECT_EQ(to_string(service.execute(PageService::make_get(5))),
+              "HTTP/1.1 200 OK\r\ncontent-length: " +
+                  std::to_string(page.size()) +
+                  "\r\ncontent-type: text/html\r\n\r\n" + page);
 }
 
 TEST(PageService, GetUnknownPageIs404) {

@@ -506,6 +506,52 @@ TEST(ShardFront, ConflictingCommitsQueuePerKeyInAdmissionOrder) {
     }
 }
 
+// status() sorts the front's latency samples in place for its
+// percentiles. Calls between, and right after, rounds of cross-shard
+// commits must give the nearest-rank p50 and p99 of a separately sorted
+// copy of the samples, and must keep every sample.
+TEST(ShardFront, StatusPercentilesMatchAReferenceSort) {
+    bench::TroxyCluster cluster(pipelined::two_shard_params(0));
+    auto& client = cluster.add_client();
+    const auto reference_ms = [](std::vector<sim::Duration> samples,
+                                 double p) {
+        std::sort(samples.begin(), samples.end());
+        const double rank = p * static_cast<double>(samples.size() - 1);
+        return sim::to_millis(samples[std::min(
+            static_cast<std::size_t>(rank + 0.5), samples.size() - 1)]);
+    };
+    int replies = 0;
+    client.start([] {});
+    cluster.simulator().run_until(sim::milliseconds(100));
+    ASSERT_TRUE(client.connected());
+    for (int round = 1; round <= 3; ++round) {
+        // Commits over overlapping and disjoint key pairs, so the
+        // samples arrive out of order.
+        for (int i = 0; i < 6; ++i) {
+            client.send(EchoService::make_multi_write(i % 2, 2 + i % 3 / 2, 64),
+                        [&](Bytes) { ++replies; });
+        }
+        cluster.simulator().run_until(cluster.simulator().now() +
+                                      sim::seconds(1));
+        ASSERT_EQ(replies, 6 * round);
+        const std::vector<sim::Duration> samples =
+            cluster.front()->cross_latencies();
+        ASSERT_EQ(samples.size(), static_cast<std::size_t>(6 * round));
+        for (int call = 0; call < 2; ++call) {
+            const auto status = cluster.front()->status();
+            EXPECT_EQ(status.cross_p50_ms, reference_ms(samples, 0.50))
+                << "round " << round << ", call " << call;
+            EXPECT_EQ(status.cross_p99_ms, reference_ms(samples, 0.99))
+                << "round " << round << ", call " << call;
+        }
+        std::vector<sim::Duration> kept = cluster.front()->cross_latencies();
+        std::vector<sim::Duration> expected = samples;
+        std::sort(kept.begin(), kept.end());
+        std::sort(expected.begin(), expected.end());
+        EXPECT_EQ(kept, expected);
+    }
+}
+
 // With at most one request outstanding, the pipelined engine and the
 // serialized lane must replay byte-identically — same replies, same
 // message and byte totals. This is the depth-1-equals-PR-9 argument
